@@ -261,7 +261,7 @@ fn main() {
         });
         let watch_until = Instant::now() + Duration::from_millis(2 * HEALTH_STALL_MS as u64);
         while (!q.is_finished() || !stall_seen) && Instant::now() < watch_until {
-            if !ep.stalled_ranks().is_empty() {
+            if !ep.down_ranks().is_empty() {
                 stall_seen = true;
             }
             if health::monitor().report().components.iter().any(|c| {
@@ -285,7 +285,7 @@ fn main() {
     let mut recovered = false;
     let deadline = Instant::now() + Duration::from_millis(3 * HEALTH_STALL_MS as u64);
     while Instant::now() < deadline {
-        let clear = ep.stalled_ranks().is_empty()
+        let clear = ep.down_ranks().is_empty()
             && health::monitor().report().components.iter().any(|c| {
                 c.component == component && c.status == secndp_telemetry::health::HealthStatus::Ok
             });

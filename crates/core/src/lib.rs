@@ -51,6 +51,7 @@ pub mod checksum;
 pub mod device;
 pub mod device_mem;
 pub mod encrypt;
+pub mod endpoint;
 pub mod error;
 pub mod fault;
 pub mod health;
@@ -71,6 +72,7 @@ pub use checksum::ChecksumScheme;
 pub use device::{HonestNdp, NdpDevice};
 pub use device_mem::{MemoryBackedNdp, TagPlacement, UntrustedMemory};
 pub use encrypt::EncryptedTable;
+pub use endpoint::{Endpoint, EndpointConfig, Link};
 pub use error::Error;
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultyNdp, InvariantChecker};
 pub use keys::SecretKey;

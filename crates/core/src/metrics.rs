@@ -168,21 +168,21 @@ pub(crate) fn wire_round_trip() -> &'static Histogram {
     )
 }
 
-/// Requests currently in flight on the async transport (submitted, not
-/// yet completed or abandoned).
+/// Requests in flight on an endpoint, any link (sent, not yet answered,
+/// failed or abandoned).
 pub(crate) fn transport_inflight() -> &'static Gauge {
     secndp_telemetry::gauge!(
         "secndp_transport_inflight",
-        "Async-transport requests submitted but not yet completed."
+        "Endpoint requests sent but not yet answered (any link)."
     )
 }
 
-/// Requests submitted through the async transport (first attempts only;
-/// retries count separately).
+/// Requests submitted through an endpoint, any link (first attempts
+/// only; retries count separately).
 pub(crate) fn transport_submitted() -> &'static Counter {
     secndp_telemetry::counter!(
         "secndp_transport_submitted_total",
-        "Requests submitted through the async NDP transport."
+        "Requests submitted through an NDP endpoint (any link)."
     )
 }
 
@@ -190,15 +190,15 @@ pub(crate) fn transport_submitted() -> &'static Counter {
 pub(crate) fn transport_timeouts() -> &'static Counter {
     secndp_telemetry::counter!(
         "secndp_transport_timeouts_total",
-        "Async-transport requests whose per-request deadline expired."
+        "Endpoint requests whose per-request deadline expired (any link)."
     )
 }
 
-/// Idempotent requests re-sent after a deadline expiry.
+/// Idempotent requests re-sent after a deadline expiry or a route loss.
 pub(crate) fn transport_retries() -> &'static Counter {
     secndp_telemetry::counter!(
         "secndp_transport_retries_total",
-        "Idempotent async-transport requests re-sent after a timeout."
+        "Idempotent endpoint requests re-sent after a timeout or route loss."
     )
 }
 
@@ -207,15 +207,15 @@ pub(crate) fn transport_retries() -> &'static Counter {
 pub(crate) fn transport_late_completions() -> &'static Counter {
     secndp_telemetry::counter!(
         "secndp_transport_late_completions_total",
-        "Async-transport replies for already-settled requests (dropped)."
+        "Endpoint replies for already-settled requests (dropped)."
     )
 }
 
-/// Submit → completion latency of async-transport requests.
+/// Submit → completion latency of endpoint requests, any link.
 pub(crate) fn transport_completion() -> &'static Histogram {
     secndp_telemetry::histogram!(
         "secndp_transport_completion_ns",
-        "Async-transport submit-to-completion latency in nanoseconds."
+        "Endpoint submit-to-completion latency in nanoseconds."
     )
 }
 
@@ -253,40 +253,6 @@ pub(crate) fn net_rx_bytes() -> &'static Counter {
     )
 }
 
-/// Request records written to a socket (every attempt counts — this is
-/// the left side of the reconciliation invariant `submitted ==
-/// completed + timeouts + connection failures`).
-pub(crate) fn net_submitted() -> &'static Counter {
-    secndp_telemetry::counter!(
-        "secndp_net_submitted_total",
-        "Request records written to TCP transport sockets."
-    )
-}
-
-/// Replies received and handed back to a waiting caller.
-pub(crate) fn net_completed() -> &'static Counter {
-    secndp_telemetry::counter!(
-        "secndp_net_completed_total",
-        "TCP transport requests completed with a reply."
-    )
-}
-
-/// Sent requests whose deadline expired before a reply arrived.
-pub(crate) fn net_timeouts() -> &'static Counter {
-    secndp_telemetry::counter!(
-        "secndp_net_timeouts_total",
-        "TCP transport requests whose per-request deadline expired."
-    )
-}
-
-/// Idempotent requests re-sent after a timeout or connection loss.
-pub(crate) fn net_retries() -> &'static Counter {
-    secndp_telemetry::counter!(
-        "secndp_net_retries_total",
-        "Idempotent TCP transport requests re-sent after a failure."
-    )
-}
-
 /// Requests whose carrying connection died (write error, reset, EOF, or
 /// an oversized reply) before a reply settled.
 pub(crate) fn net_conn_failures() -> &'static Counter {
@@ -296,21 +262,12 @@ pub(crate) fn net_conn_failures() -> &'static Counter {
     )
 }
 
-/// Replies whose request id matched nothing still waiting (the caller
-/// already timed out or retried elsewhere).
-pub(crate) fn net_late_replies() -> &'static Counter {
-    secndp_telemetry::counter!(
-        "secndp_net_late_replies_total",
-        "TCP transport replies for already-settled requests (dropped)."
-    )
-}
-
-/// Framing violations that made a server connection unframeable (garbage
-/// preamble, absurd declared length).
+/// Connections a server closed of its own accord: an unframeable stream
+/// (garbage preamble, absurd declared length) or no thread to serve it.
 pub(crate) fn net_rejected_frames() -> &'static Counter {
     secndp_telemetry::counter!(
         "secndp_net_rejected_frames_total",
-        "TCP server connections closed on an unframeable request record."
+        "TCP server connections closed on an unframeable record or for want of a thread."
     )
 }
 

@@ -1,16 +1,11 @@
-//! TCP socket transport: the wire protocol over a real network boundary.
+//! The TCP link: the wire protocol over a real network boundary.
 //!
-//! Every transport before this one was in-process — the blocking
-//! [`RemoteNdp`](crate::wire::RemoteNdp) serves frames on the caller's
-//! thread and the [`AsyncEndpoint`](crate::transport::AsyncEndpoint)
-//! ranks are channel-fed worker threads. SecNDP's threat model, however,
-//! places the trusted processor and the untrusted NDP memory on opposite
-//! sides of a *channel an adversary owns*. This module puts the existing
-//! length-prefixed traced wire frames (unchanged, byte for byte) onto
-//! pooled `TcpStream`s, so the protocol demonstrably survives a real I/O
-//! path: a [`NetServer`] hosts devices behind a listener and a
-//! [`TcpEndpoint`] implements [`NdpDevice`] by shipping frames across the
-//! socket.
+//! SecNDP's threat model places the trusted processor and the untrusted
+//! NDP memory on opposite sides of a *channel an adversary owns*. This
+//! module puts the length-prefixed traced wire frames (unchanged, byte for
+//! byte) onto pooled `TcpStream`s: a [`NetServer`] hosts devices behind a
+//! listener, and [`TcpEndpoint`] is an [`Endpoint`] (request ids, window,
+//! deadlines, retry: see that module) over a [`TcpLink`].
 //!
 //! # Net framing
 //!
@@ -31,52 +26,43 @@
 //! finish their current frame (there is no portable signal handling
 //! without a libc dependency, so drain rides the framing instead).
 //!
-//! `req_id` multiplexes in-flight requests: multiple client threads share
-//! one connection and a reader thread demultiplexes replies into a
-//! pending table by id. The id only routes bytes back to a waiting
-//! thread — reply *content* is still verified cryptographically, so a
-//! malicious server that swaps the ids of two replies produces two
-//! verification failures, never two wrong answers.
+//! `req_id` is the endpoint's request id: client threads share a
+//! connection and a reader thread per connection hands each reply to the
+//! pending table by id. `session` namespaces device state per client
+//! endpoint: a [`NetServer::host_sessions`] server creates one device per
+//! `(session, rank)` pair on first use, so concurrent clients never
+//! clobber each other's tables.
 //!
-//! `session` namespaces device state per client endpoint: a
-//! [`NetServer::host_sessions`] server creates one device instance per
-//! `(session, rank)` pair on first use, so concurrent clients (or
-//! concurrent tests hitting one server) never clobber each other's
-//! tables.
-//!
-//! # Failure semantics
+//! # What this link adds to the shared rules
 //!
 //! - **Connections are lazy** and re-established with bounded backoff
-//!   when broken; `secndp_net_connects_total` / `_reconnects_total`
-//!   count the churn, and reconnect bursts degrade the `net-epN` health
-//!   component.
-//! - **Idempotent-only retry**, exactly the
-//!   [`transport`](crate::transport) rules: `WeightedSum` and `ReadRow`
-//!   are pure reads and may be re-sent (up to `max_retries`, linear
-//!   deadline backoff); `Load` mutates device state and is sent at most
-//!   once per rank — a broken connection mid-`Load` surfaces as
-//!   [`Error::ConnectionLost`] immediately.
-//! - **Deadlines**: a request with no reply within its deadline is a
-//!   typed [`Error::DeviceTimeout`] after retries are exhausted.
+//!   when broken; `secndp_net_connects_total` / `_reconnects_total` count
+//!   the churn, and reconnects within the health window degrade the
+//!   `net-epN` component, as does a rank with no live connection.
+//! - **Route-scoped failure.** A reader that sees EOF, a reset or an
+//!   unframeable reply fails exactly the requests in flight on its own
+//!   `(rank, connection, generation)`: idempotent ones are re-sent, a
+//!   `Load` surfaces [`Error::ConnectionLost`] at once.
 //! - **The socket is untrusted.** Nothing here adds integrity: a byte
 //!   flipped on the wire is caught by the same checksum-tag verification
 //!   that catches a tampering device, and an undecodable reply is a typed
 //!   [`Error::MalformedResponse`] — never a panic.
+//!
+//! [`Error::FrameTooLarge`]: crate::Error::FrameTooLarge
+//! [`Error::ConnectionLost`]: crate::Error::ConnectionLost
+//! [`Error::MalformedResponse`]: crate::Error::MalformedResponse
 
-use crate::device::{validate_load, NdpDevice, NdpResponse};
+use crate::device::NdpDevice;
+use crate::endpoint::{locked, Completer, Endpoint, EndpointConfig, Link, LinkFail, Route};
 use crate::error::Error;
-use crate::wire::{self, Request, Response};
-use secndp_arith::mersenne::Fq;
-use secndp_arith::ring::RingWord;
-use secndp_telemetry::health::{self, HealthStatus};
-use secndp_telemetry::trace;
+use crate::wire;
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Largest wire frame the net framing will carry, in bytes. A declared
 /// length above this is rejected *before* any allocation — a 4-byte
@@ -97,148 +83,106 @@ const REPLY_HEADER: usize = 8;
 /// shutdown flags, so teardown never waits on a silent peer.
 const IO_TICK: Duration = Duration::from_millis(50);
 
-/// Tuning knobs for a [`TcpEndpoint`] (and the env-selected TCP backend
-/// of [`RemoteNdp`](crate::wire::RemoteNdp)).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NetConfig {
-    /// Server address per rank (`host:port`). Duplicate entries address
-    /// multiple ranks on one server — the rank header tells them apart.
-    /// Empty means self-hosted (a private loopback server per endpoint).
-    pub addrs: Vec<String>,
-    /// Connections per rank; client threads multiplex over the pool.
-    pub pool: usize,
-    /// Per-request deadline; expiry triggers retry or `DeviceTimeout`.
-    pub timeout: Duration,
-    /// Maximum re-sends of an idempotent request (`0` disables retries).
-    pub max_retries: u32,
-    /// Extra deadline granted per retry attempt (linear backoff).
-    pub backoff: Duration,
-    /// Connect attempts before a broken rank turns into
-    /// [`Error::ConnectionLost`].
-    pub connect_retries: u32,
-    /// Pause between connect attempts.
-    pub connect_backoff: Duration,
-}
+/// The endpoint configuration, under the name it had when the TCP
+/// transport kept its own.
+pub type NetConfig = EndpointConfig;
 
-impl Default for NetConfig {
-    fn default() -> Self {
-        Self {
-            addrs: Vec::new(),
-            pool: 1,
-            timeout: Duration::from_millis(1000),
-            max_retries: 2,
-            backoff: Duration::from_millis(50),
-            connect_retries: 20,
-            connect_backoff: Duration::from_millis(25),
-        }
-    }
-}
+/// An endpoint over TCP sockets.
+pub type TcpEndpoint = Endpoint<TcpLink>;
 
-impl NetConfig {
-    /// Reads the TCP transport environment knobs:
-    /// `SECNDP_TRANSPORT_ADDRS` (comma-separated `host:port`, one per
-    /// rank) and `SECNDP_TRANSPORT_POOL`, plus the shared
-    /// `SECNDP_TRANSPORT_TIMEOUT_MS` / `SECNDP_TRANSPORT_RETRIES` knobs
-    /// the async transport also honors.
-    pub fn from_env() -> Self {
-        let d = Self::default();
-        let addrs: Vec<String> = std::env::var("SECNDP_TRANSPORT_ADDRS")
-            .ok()
-            .map(|v| {
-                v.split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_string)
-                    .collect()
-            })
-            .unwrap_or_default();
-        let env_parse = |name: &str, default: u64| -> u64 {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        };
-        Self {
-            addrs,
-            pool: (env_parse("SECNDP_TRANSPORT_POOL", d.pool as u64) as usize).max(1),
-            timeout: Duration::from_millis(env_parse(
-                "SECNDP_TRANSPORT_TIMEOUT_MS",
-                d.timeout.as_millis() as u64,
-            )),
-            max_retries: env_parse("SECNDP_TRANSPORT_RETRIES", u64::from(d.max_retries)) as u32,
-            backoff: d.backoff,
-            connect_retries: d.connect_retries,
-            connect_backoff: d.connect_backoff,
-        }
-    }
-}
-
-/// Outcome of [`read_full`]: distinguishes a clean fill from close and
-/// shutdown.
-enum ReadOutcome {
-    /// The buffer was filled completely.
-    Full,
-    /// The peer closed (possibly mid-frame — a torn frame is a close).
-    Eof,
-    /// A local shutdown condition was raised while waiting.
-    Stopped,
+/// One length-prefixed record off a socket, or why there is none.
+enum Record {
+    /// Everything after the length prefix: header, then wire frame.
+    Payload(Vec<u8>),
+    /// The peer sent [`SHUTDOWN_SENTINEL`].
+    Sentinel,
+    /// The declared length cannot hold a header plus one frame byte, or
+    /// exceeds [`MAX_NET_FRAME`]: the stream cannot be resynchronized.
+    BadLen(usize),
+    /// EOF (a torn record is an EOF), an I/O error, or `stopped()` rose.
+    Closed,
 }
 
 /// Fills `buf` from `stream`, tolerating arbitrarily torn reads (the
-/// stream has an [`IO_TICK`] read timeout; timeouts just loop) and
-/// polling `stopped` on every tick so teardown is never held hostage by
-/// a silent peer.
-fn read_full(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    stopped: impl Fn() -> bool,
-) -> io::Result<ReadOutcome> {
+/// stream has an [`IO_TICK`] read timeout; timeouts just loop) and polling
+/// `stopped` on every tick so teardown is never held hostage by a silent
+/// peer. `false` on EOF, error or stop.
+fn read_full(stream: &mut TcpStream, buf: &mut [u8], stopped: &impl Fn() -> bool) -> bool {
     let mut pos = 0;
     while pos < buf.len() {
         if stopped() {
-            return Ok(ReadOutcome::Stopped);
+            return false;
         }
         match stream.read(&mut buf[pos..]) {
-            Ok(0) => return Ok(ReadOutcome::Eof),
+            Ok(0) => return false,
             Ok(n) => pos += n,
             Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted => {}
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock
+                        | io::ErrorKind::TimedOut
+                        | io::ErrorKind::Interrupted
+                ) => {}
+            Err(_) => return false,
+        }
+    }
+    true
+}
+
+/// Reads one record whose payload starts with a `header`-byte transport
+/// header — the one reader both ends of the socket use. The length is
+/// range-checked before the payload buffer is allocated.
+fn read_record(stream: &mut TcpStream, header: usize, stopped: impl Fn() -> bool) -> Record {
+    let mut len_buf = [0u8; 4];
+    if !read_full(stream, &mut len_buf, &stopped) {
+        return Record::Closed;
+    }
+    let len = u32::from_le_bytes(len_buf);
+    if len == SHUTDOWN_SENTINEL {
+        return Record::Sentinel;
+    }
+    let len = len as usize;
+    if !(header + 1..=MAX_NET_FRAME + header).contains(&len) {
+        return Record::BadLen(len);
+    }
+    let mut payload = vec![0u8; len];
+    if !read_full(stream, &mut payload, &stopped) {
+        return Record::Closed;
+    }
+    Record::Payload(payload)
+}
+
+/// Little-endian `u64` at `at`. Callers index inside the transport header,
+/// which [`read_record`] has checked the payload is longer than.
+fn u64_at(payload: &[u8], at: usize) -> u64 {
+    let mut b = [0u8; 8];
+    b.copy_from_slice(&payload[at..at + 8]);
+    u64::from_le_bytes(b)
+}
+
+/// Writes one record — length prefix, `header`, `frame` — with a single
+/// gathered write in the common case and no copy of the frame.
+fn write_record(stream: &mut TcpStream, header: &[u8], frame: &[u8]) -> io::Result<usize> {
+    let mut head = [0u8; 4 + REQ_HEADER];
+    let head = &mut head[..4 + header.len()];
+    head[..4].copy_from_slice(&((header.len() + frame.len()) as u32).to_le_bytes());
+    head[4..].copy_from_slice(header);
+    let total = head.len() + frame.len();
+    let mut sent = 0;
+    while sent < total {
+        let n = if sent < head.len() {
+            stream.write_vectored(&[IoSlice::new(&head[sent..]), IoSlice::new(frame)])
+        } else {
+            stream.write(&frame[sent - head.len()..])
+        };
+        match n {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
-    Ok(ReadOutcome::Full)
-}
-
-/// Writes one request record (`len | req_id | session | rank | frame`),
-/// returning the transport bytes written.
-fn write_request(
-    stream: &mut TcpStream,
-    req_id: u64,
-    session: u64,
-    rank: u32,
-    frame: &[u8],
-) -> io::Result<usize> {
-    let len = REQ_HEADER + frame.len();
-    let mut buf = Vec::with_capacity(4 + len);
-    buf.extend_from_slice(&(len as u32).to_le_bytes());
-    buf.extend_from_slice(&req_id.to_le_bytes());
-    buf.extend_from_slice(&session.to_le_bytes());
-    buf.extend_from_slice(&rank.to_le_bytes());
-    buf.extend_from_slice(frame);
-    stream.write_all(&buf)?;
-    Ok(buf.len())
-}
-
-/// Writes one reply record (`len | req_id | frame`).
-fn write_reply(stream: &mut TcpStream, req_id: u64, frame: &[u8]) -> io::Result<()> {
-    let len = REPLY_HEADER + frame.len();
-    let mut buf = Vec::with_capacity(4 + len);
-    buf.extend_from_slice(&(len as u32).to_le_bytes());
-    buf.extend_from_slice(&req_id.to_le_bytes());
-    buf.extend_from_slice(frame);
-    stream.write_all(&buf)
+    Ok(total)
 }
 
 // ---------------------------------------------------------------------------
@@ -293,6 +237,9 @@ pub struct NetServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     listener: Option<JoinHandle<()>>,
+    /// Threads of connections that may still be open: the acceptor drops
+    /// finished ones on every accept, so a connect-and-close flood cannot
+    /// grow it without bound.
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
@@ -311,7 +258,7 @@ impl NetServer {
     ///
     /// # Errors
     ///
-    /// Propagates the listener bind failure.
+    /// Propagates the listener bind (or acceptor spawn) failure.
     pub fn host_device<D: NdpDevice + Send + 'static>(
         device: D,
         addr: impl ToSocketAddrs,
@@ -326,7 +273,7 @@ impl NetServer {
     ///
     /// # Errors
     ///
-    /// Propagates the listener bind failure.
+    /// Propagates the listener bind (or acceptor spawn) failure.
     pub fn host_sessions<D, F>(make: F, addr: impl ToSocketAddrs) -> io::Result<Self>
     where
         D: NdpDevice + Send + 'static,
@@ -366,14 +313,20 @@ impl NetServer {
                     let _ = stream.set_read_timeout(Some(IO_TICK));
                     let host = Arc::clone(&host);
                     let stop = Arc::clone(&accept_stop);
-                    let handle = std::thread::Builder::new()
+                    let spawned = std::thread::Builder::new()
                         .name("secndp-net-conn".into())
-                        .spawn(move || connection_loop(stream, host, stop, addr))
-                        .expect("spawn net connection thread");
-                    accept_conns.lock().unwrap().push(handle);
+                        .spawn(move || connection_loop(stream, host, stop, addr));
+                    let mut conns = locked(&accept_conns);
+                    conns.retain(|h| !h.is_finished());
+                    match spawned {
+                        Ok(handle) => conns.push(handle),
+                        // Out of threads (a connection flood): the closure
+                        // and its socket are dropped, this peer sees a
+                        // close, and the acceptor keeps serving.
+                        Err(_) => crate::metrics::net_rejected_frames().inc(),
+                    }
                 }
-            })
-            .expect("spawn net accept thread");
+            })?;
         Ok(Self {
             addr,
             stop,
@@ -407,7 +360,7 @@ impl NetServer {
         if let Some(h) = self.listener.take() {
             let _ = h.join();
         }
-        let handles = std::mem::take(&mut *self.conns.lock().unwrap());
+        let handles = std::mem::take(&mut *locked(&self.conns));
         for h in handles {
             let _ = h.join();
         }
@@ -433,41 +386,28 @@ fn connection_loop(
     server_addr: SocketAddr,
 ) {
     loop {
-        let mut len_buf = [0u8; 4];
-        match read_full(&mut stream, &mut len_buf, || stop.load(Ordering::SeqCst)) {
-            Ok(ReadOutcome::Full) => {}
-            _ => return,
-        }
-        let len = u32::from_le_bytes(len_buf);
-        if len == SHUTDOWN_SENTINEL {
-            // Graceful drain: acknowledge by echoing the sentinel, raise
-            // the flag, and wake the acceptor so it exits too.
-            let _ = stream.write_all(&SHUTDOWN_SENTINEL.to_le_bytes());
-            stop.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(server_addr);
-            return;
-        }
-        let len = len as usize;
-        if !(REQ_HEADER + 1..=MAX_NET_FRAME + REQ_HEADER).contains(&len) {
-            // Unframeable stream (garbage preamble or an absurd length):
-            // there is no way to resynchronize, so the connection ends.
-            crate::metrics::net_rejected_frames().inc();
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
-        }
-        let mut payload = vec![0u8; len];
-        match read_full(&mut stream, &mut payload, || stop.load(Ordering::SeqCst)) {
-            Ok(ReadOutcome::Full) => {}
-            _ => return,
-        }
-        let req_id = u64::from_le_bytes(payload[0..8].try_into().unwrap());
-        let session = u64::from_le_bytes(payload[8..16].try_into().unwrap());
-        let rank = u32::from_le_bytes(payload[16..20].try_into().unwrap());
-        let reply = host
-            .lock()
-            .unwrap()
-            .serve_frame(session, rank, &payload[REQ_HEADER..]);
-        if write_reply(&mut stream, req_id, &reply).is_err() {
+        let payload = match read_record(&mut stream, REQ_HEADER, || stop.load(Ordering::SeqCst)) {
+            Record::Payload(payload) => payload,
+            Record::Sentinel => {
+                // Graceful drain: acknowledge by echoing the sentinel,
+                // raise the flag, and wake the acceptor so it exits too.
+                let _ = stream.write_all(&SHUTDOWN_SENTINEL.to_le_bytes());
+                stop.store(true, Ordering::SeqCst);
+                let _ = TcpStream::connect(server_addr);
+                return;
+            }
+            Record::BadLen(_) => {
+                crate::metrics::net_rejected_frames().inc();
+                let _ = stream.shutdown(Shutdown::Both);
+                return;
+            }
+            Record::Closed => return,
+        };
+        let session = u64_at(&payload, 8);
+        let rank = u32::from_le_bytes([payload[16], payload[17], payload[18], payload[19]]);
+        let reply = locked(&host).serve_frame(session, rank, &payload[REQ_HEADER..]);
+        // The reply header is the request id, echoed.
+        if write_record(&mut stream, &payload[..REPLY_HEADER], &reply).is_err() {
             return;
         }
     }
@@ -476,65 +416,6 @@ fn connection_loop(
 // ---------------------------------------------------------------------------
 // Client
 // ---------------------------------------------------------------------------
-
-/// How a pending net request failed before a reply arrived.
-#[derive(Debug, Clone, Copy)]
-enum NetFail {
-    /// The carrying connection died (EOF, reset, write error).
-    ConnLost,
-    /// The server declared a reply length past [`MAX_NET_FRAME`].
-    TooLarge(usize),
-}
-
-enum NetState {
-    Waiting,
-    Reply(Vec<u8>),
-    Failed(NetFail),
-}
-
-struct NetSlot {
-    state: NetState,
-    /// `(rank, conn index, connection generation)` — which physical
-    /// connection carries this request, so a dying reader fails exactly
-    /// its own in-flight ids and nothing else.
-    route: (usize, usize, u64),
-}
-
-struct NetShared {
-    table: Mutex<HashMap<u64, NetSlot>>,
-    cv: Condvar,
-}
-
-impl NetShared {
-    /// Fills a slot with its reply bytes, or counts a late/unknown id.
-    fn complete(&self, id: u64, reply: Vec<u8>) {
-        let mut t = self.table.lock().unwrap();
-        match t.get_mut(&id) {
-            Some(slot) if matches!(slot.state, NetState::Waiting) => {
-                slot.state = NetState::Reply(reply);
-                self.cv.notify_all();
-            }
-            _ => crate::metrics::net_late_replies().inc(),
-        }
-    }
-
-    /// Fails every request still waiting on `route` — called by a dying
-    /// reader thread so its in-flight ids error typed instead of waiting
-    /// out their full deadline.
-    fn fail_route(&self, route: (usize, usize, u64), fail: NetFail) {
-        let mut t = self.table.lock().unwrap();
-        let mut hit = false;
-        for slot in t.values_mut() {
-            if slot.route == route && matches!(slot.state, NetState::Waiting) {
-                slot.state = NetState::Failed(fail);
-                hit = true;
-            }
-        }
-        if hit {
-            self.cv.notify_all();
-        }
-    }
-}
 
 /// Liveness vitals for one rank's connection pool, feeding the `net-epN`
 /// health component.
@@ -545,8 +426,6 @@ pub struct NetRankVitals {
     /// Whether this rank ever connected (a rank that was never used is
     /// idle, not down).
     ever: AtomicBool,
-    /// Replies received on this rank.
-    served: AtomicU64,
 }
 
 impl NetRankVitals {
@@ -558,11 +437,6 @@ impl NetRankVitals {
     /// Whether the rank has ever had an established connection.
     pub fn ever_connected(&self) -> bool {
         self.ever.load(Ordering::Relaxed)
-    }
-
-    /// Replies received from this rank.
-    pub fn served(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
     }
 
     /// Connected in the past but holds no live connection now.
@@ -603,7 +477,7 @@ struct ConnCell {
 }
 
 /// One rank: a server address plus its connection pool.
-struct RankLink {
+struct RankConns {
     addr: String,
     conns: Vec<Mutex<ConnCell>>,
     vitals: Arc<NetRankVitals>,
@@ -617,47 +491,34 @@ fn fresh_session() -> u64 {
     (u64::from(std::process::id()) << 32) | (SEQ.fetch_add(1, Ordering::Relaxed) & 0xFFFF_FFFF)
 }
 
-enum WaitOutcome {
-    Reply(Vec<u8>),
-    Failed(NetFail),
-    TimedOut,
-}
-
-/// A TCP-backed [`NdpDevice`]: every request crosses a real kernel socket
-/// to a [`NetServer`] (an external one via [`connect`](Self::connect), or
-/// a private loopback one via [`self_hosted`](Self::self_hosted)). See
-/// the [module docs](self) for framing and failure semantics.
-pub struct TcpEndpoint {
-    links: Vec<RankLink>,
-    shared: Arc<NetShared>,
+/// The [`Link`] to [`NetServer`] ranks over pooled TCP connections: see
+/// the [module docs](self).
+pub struct TcpLink {
+    ranks: Vec<RankConns>,
+    done: Completer,
     session: u64,
     stop: Arc<AtomicBool>,
-    next_id: AtomicU64,
-    next_rank: AtomicUsize,
     next_conn: AtomicUsize,
-    cfg: NetConfig,
-    /// Health-check registration; dropped (unregistering the check)
-    /// *before* connections are torn down so `/healthz` never scores a
-    /// torn-down endpoint.
-    health: Option<health::HealthCheckHandle>,
-    /// The component name this endpoint registered under (`net-epN`).
-    component: String,
+    /// Socket write timeout: the request deadline, at least one tick.
+    write_timeout: Duration,
+    connect_retries: u32,
+    connect_backoff: Duration,
     /// The private loopback server of a self-hosted endpoint; dropped
     /// after the connections so teardown drains cleanly.
     self_server: Option<NetServer>,
 }
 
-impl std::fmt::Debug for TcpEndpoint {
+impl std::fmt::Debug for TcpLink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpEndpoint")
-            .field("ranks", &self.links.len())
+        f.debug_struct("TcpLink")
+            .field("ranks", &self.ranks.len())
             .field("session", &self.session)
             .field("self_hosted", &self.self_server.is_some())
             .finish()
     }
 }
 
-impl TcpEndpoint {
+impl Endpoint<TcpLink> {
     /// Connects to external server(s): one rank per entry of `cfg.addrs`.
     /// Connections are lazy — no I/O happens until the first request.
     ///
@@ -671,7 +532,7 @@ impl TcpEndpoint {
                 reason: "tcp endpoint needs at least one rank address",
             });
         }
-        Ok(Self::build(cfg, None))
+        Ok(Self::over_tcp(cfg, None))
     }
 
     /// Spawns a private loopback [`NetServer`] hosting `device` and
@@ -690,29 +551,23 @@ impl TcpEndpoint {
         let server = NetServer::host_device(device, "127.0.0.1:0")?;
         let mut cfg = cfg;
         cfg.addrs = vec![server.local_addr().to_string()];
-        Ok(Self::build(cfg, Some(server)))
+        Ok(Self::over_tcp(cfg, Some(server)))
     }
 
-    fn build(cfg: NetConfig, self_server: Option<NetServer>) -> Self {
-        // Touch every net instrument so they exist (as zeros) in exported
-        // metrics before the first connection or timeout.
+    fn over_tcp(cfg: NetConfig, self_server: Option<NetServer>) -> Self {
+        // Touch the link's instruments so they exist (as zeros) in
+        // exported metrics before the first connection.
         crate::metrics::net_connects();
         crate::metrics::net_reconnects();
         crate::metrics::net_tx_bytes();
         crate::metrics::net_rx_bytes();
-        crate::metrics::net_submitted();
-        crate::metrics::net_completed();
-        crate::metrics::net_timeouts();
-        crate::metrics::net_retries();
         crate::metrics::net_conn_failures();
-        crate::metrics::net_late_replies();
-        let pool = cfg.pool.max(1);
-        let links: Vec<RankLink> = cfg
+        let ranks: Vec<RankConns> = cfg
             .addrs
             .iter()
-            .map(|addr| RankLink {
+            .map(|addr| RankConns {
                 addr: addr.clone(),
-                conns: (0..pool)
+                conns: (0..cfg.pool.max(1))
                     .map(|_| {
                         Mutex::new(ConnCell {
                             conn: None,
@@ -723,477 +578,223 @@ impl TcpEndpoint {
                 vitals: Arc::new(NetRankVitals::default()),
             })
             .collect();
-        let vitals: Vec<Arc<NetRankVitals>> = links.iter().map(|l| Arc::clone(&l.vitals)).collect();
-        let (health, component) = register_net_health(vitals, cfg.addrs.clone());
-        Self {
-            links,
-            shared: Arc::new(NetShared {
-                table: Mutex::new(HashMap::new()),
-                cv: Condvar::new(),
-            }),
+        let write_timeout = cfg.timeout.max(IO_TICK);
+        let (connect_retries, connect_backoff) = (cfg.connect_retries, cfg.connect_backoff);
+        Self::with_link(cfg, ranks.len(), |done| TcpLink {
+            ranks,
+            done,
             session: fresh_session(),
             stop: Arc::new(AtomicBool::new(false)),
-            next_id: AtomicU64::new(1),
-            next_rank: AtomicUsize::new(0),
             next_conn: AtomicUsize::new(0),
-            cfg,
-            health: Some(health),
-            component,
+            write_timeout,
+            connect_retries,
+            connect_backoff,
             self_server,
-        }
+        })
     }
+}
 
-    /// Number of ranks (server addresses).
-    pub fn ranks(&self) -> usize {
-        self.links.len()
-    }
-
-    /// The session id this endpoint namespaces its tables under.
-    pub fn session(&self) -> u64 {
-        self.session
-    }
-
-    /// The endpoint's configuration.
-    pub fn config(&self) -> &NetConfig {
-        &self.cfg
-    }
-
-    /// The health component name this endpoint registered under
-    /// (`net-epN`), as it appears in `/healthz` reports.
-    pub fn health_component(&self) -> &str {
-        &self.component
-    }
-
-    /// Per-rank connection vitals, rank order.
-    pub fn rank_vitals(&self, rank: usize) -> &NetRankVitals {
-        &self.links[rank].vitals
-    }
-
-    /// The self-hosted loopback server's address, if any.
-    pub fn self_server_addr(&self) -> Option<SocketAddr> {
-        self.self_server.as_ref().map(NetServer::local_addr)
+impl TcpLink {
+    /// Connection vitals of `rank`.
+    pub fn vitals(&self, rank: usize) -> &NetRankVitals {
+        &self.ranks[rank].vitals
     }
 
     /// Establishes (or re-establishes) the connection in `cell`, retrying
-    /// with backoff up to `connect_retries` times.
+    /// with backoff up to `connect_retries` times. Returns its generation.
     fn ensure_connected(
         &self,
         cell: &mut ConnCell,
         rank: usize,
         conn_idx: usize,
-    ) -> Result<(), Error> {
-        if cell
-            .conn
-            .as_ref()
-            .is_some_and(|c| c.alive.load(Ordering::SeqCst))
-        {
-            return Ok(());
+    ) -> Result<u64, LinkFail> {
+        if let Some(c) = &cell.conn {
+            if c.alive.load(Ordering::SeqCst) {
+                return Ok(c.gen);
+            }
         }
         // Dropping the dead connection joins its reader before dialing,
         // keeping the thread count bounded across reconnect storms.
         let reconnect = cell.conn.take().is_some() || cell.next_gen > 0;
-        let link = &self.links[rank];
+        let pool = &self.ranks[rank];
         let mut attempt = 0u32;
         let stream = loop {
-            match TcpStream::connect(&link.addr) {
+            match TcpStream::connect(&pool.addr) {
                 Ok(s) => break s,
-                Err(_) if attempt < self.cfg.connect_retries => {
+                Err(_) if attempt < self.connect_retries => {
                     attempt += 1;
-                    std::thread::sleep(self.cfg.connect_backoff);
+                    std::thread::sleep(self.connect_backoff);
                 }
-                Err(_) => {
-                    return Err(Error::ConnectionLost {
-                        attempts: attempt + 1,
-                    })
-                }
+                Err(_) => return Err(LinkFail::ConnLost),
             }
         };
         let _ = stream.set_nodelay(true);
-        let _ = stream.set_write_timeout(Some(self.cfg.timeout.max(IO_TICK)));
-        let gen = cell.next_gen;
-        cell.next_gen += 1;
-        let alive = Arc::new(AtomicBool::new(true));
-        let reader_stream = stream.try_clone().map_err(|_| Error::ConnectionLost {
-            attempts: attempt + 1,
-        })?;
+        let _ = stream.set_write_timeout(Some(self.write_timeout));
+        let reader_stream = stream.try_clone().map_err(|_| LinkFail::ConnLost)?;
         let _ = reader_stream.set_read_timeout(Some(IO_TICK));
+        let gen = cell.next_gen;
+        let alive = Arc::new(AtomicBool::new(true));
         let reader = {
-            let shared = Arc::clone(&self.shared);
+            let done = Arc::clone(&self.done);
             let alive = Arc::clone(&alive);
             let stop = Arc::clone(&self.stop);
-            let vitals = Arc::clone(&link.vitals);
+            let vitals = Arc::clone(&pool.vitals);
+            let route = (rank, conn_idx, gen);
             std::thread::Builder::new()
                 .name("secndp-net-reader".into())
-                .spawn(move || {
-                    reader_loop(
-                        reader_stream,
-                        shared,
-                        alive,
-                        stop,
-                        vitals,
-                        (rank, conn_idx, gen),
-                    )
-                })
-                .expect("spawn net reader thread")
+                .spawn(move || reader_loop(reader_stream, done, alive, stop, vitals, route))
+                .map_err(|_| LinkFail::ConnLost)?
         };
+        cell.next_gen += 1;
         crate::metrics::net_connects().inc();
         if reconnect {
             crate::metrics::net_reconnects().inc();
         }
-        link.vitals.live.fetch_add(1, Ordering::Relaxed);
-        link.vitals.ever.store(true, Ordering::Relaxed);
+        pool.vitals.live.fetch_add(1, Ordering::Relaxed);
+        pool.vitals.ever.store(true, Ordering::Relaxed);
         cell.conn = Some(LiveConn {
             stream,
             gen,
             alive,
             reader: Some(reader),
-            vitals: Arc::clone(&link.vitals),
+            vitals: Arc::clone(&pool.vitals),
         });
-        Ok(())
+        Ok(gen)
+    }
+}
+
+impl Link for TcpLink {
+    const KIND: &'static str = "net";
+    const DOWN: &'static str = "disconnected";
+    const CHURN: Option<(&'static str, &'static str)> =
+        Some(("secndp_net_reconnects_total", "tcp reconnect"));
+
+    fn ranks(&self) -> usize {
+        self.ranks.len()
     }
 
-    /// Registers a slot and writes the request on one pooled connection.
-    /// On a write failure the connection is torn down and the slot
-    /// removed, so the caller can retry on a fresh one.
-    fn send_once(&self, rank: usize, conn_idx: usize, id: u64, frame: &[u8]) -> Result<(), Error> {
-        let mut cell = self.links[rank].conns[conn_idx].lock().unwrap();
-        self.ensure_connected(&mut cell, rank, conn_idx)?;
-        let conn = cell.conn.as_mut().expect("ensure_connected leaves a conn");
-        let route = (rank, conn_idx, conn.gen);
-        self.shared.table.lock().unwrap().insert(
-            id,
-            NetSlot {
-                state: NetState::Waiting,
-                route,
-            },
-        );
-        crate::metrics::net_submitted().inc();
-        match write_request(&mut conn.stream, id, self.session, rank as u32, frame) {
+    fn route(&self, rank: usize) -> Result<Route, LinkFail> {
+        let pool = &self.ranks[rank];
+        let conn_idx = self.next_conn.fetch_add(1, Ordering::Relaxed) % pool.conns.len();
+        let mut cell = locked(&pool.conns[conn_idx]);
+        let gen = self.ensure_connected(&mut cell, rank, conn_idx)?;
+        Ok((rank, conn_idx, gen))
+    }
+
+    fn send(&self, route: Route, id: u64, frame: &Arc<Vec<u8>>) -> Result<(), LinkFail> {
+        if frame.len() > MAX_NET_FRAME {
+            return Err(LinkFail::TooLarge(frame.len()));
+        }
+        let (rank, conn_idx, gen) = route;
+        let mut cell = locked(&self.ranks[rank].conns[conn_idx]);
+        // The connection `route` picked may have died (or been replaced)
+        // since; its reader has then already failed this request.
+        let conn = cell
+            .conn
+            .as_mut()
+            .filter(|c| c.gen == gen && c.alive.load(Ordering::SeqCst))
+            .ok_or(LinkFail::ConnLost)?;
+        let mut header = [0u8; REQ_HEADER];
+        header[..8].copy_from_slice(&id.to_le_bytes());
+        header[8..16].copy_from_slice(&self.session.to_le_bytes());
+        header[16..].copy_from_slice(&(rank as u32).to_le_bytes());
+        match write_record(&mut conn.stream, &header, frame) {
             Ok(n) => {
                 crate::metrics::net_tx_bytes().add(n as u64);
-                crate::metrics::wire_packets().inc();
-                crate::metrics::wire_tx_bytes().add(frame.len() as u64);
-                secndp_telemetry::profile::add_wire_bytes(frame.len() as u64, 0);
                 Ok(())
             }
             Err(_) => {
                 // The write tore mid-record: the stream cannot be reused.
+                // Dropping it joins the reader, which fails every request
+                // in flight on this route (and counts them).
                 cell.conn = None;
-                self.shared.table.lock().unwrap().remove(&id);
-                crate::metrics::net_conn_failures().inc();
-                Err(Error::ConnectionLost { attempts: 1 })
+                Err(LinkFail::ConnLost)
             }
         }
     }
 
-    /// Blocks until the slot settles or `deadline` passes, consuming the
-    /// slot in every outcome.
-    fn wait_reply(&self, id: u64, deadline: Instant) -> WaitOutcome {
-        let mut t = self.shared.table.lock().unwrap();
-        loop {
-            match t.get(&id) {
-                None => return WaitOutcome::Failed(NetFail::ConnLost),
-                Some(slot) if !matches!(slot.state, NetState::Waiting) => {
-                    let slot = t.remove(&id).unwrap();
-                    return match slot.state {
-                        NetState::Reply(bytes) => WaitOutcome::Reply(bytes),
-                        NetState::Failed(f) => WaitOutcome::Failed(f),
-                        NetState::Waiting => unreachable!(),
-                    };
-                }
-                Some(_) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        t.remove(&id);
-                        return WaitOutcome::TimedOut;
-                    }
-                    let (guard, _) = self.shared.cv.wait_timeout(t, deadline - now).unwrap();
-                    t = guard;
-                }
-            }
-        }
-    }
-
-    /// One logical request against `rank`: send, await, retry per the
-    /// idempotency rules, decode. The frame must already be encoded (with
-    /// whatever trace envelope the caller pinned).
-    fn rank_request(&self, rank: usize, frame: &[u8], idempotent: bool) -> Result<Response, Error> {
-        let max_attempts = if idempotent {
-            1 + self.cfg.max_retries
-        } else {
-            1
-        };
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            let conn_idx =
-                self.next_conn.fetch_add(1, Ordering::Relaxed) % self.links[rank].conns.len();
-            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-            let outcome = match self.send_once(rank, conn_idx, id, frame) {
-                Ok(()) => self.wait_reply(
-                    id,
-                    Instant::now() + self.cfg.timeout + self.cfg.backoff * (attempts - 1),
-                ),
-                Err(e) => {
-                    if attempts < max_attempts {
-                        crate::metrics::net_retries().inc();
-                        secndp_telemetry::profile::add_retries(1);
-                        continue;
-                    }
-                    return Err(e);
-                }
-            };
-            match outcome {
-                WaitOutcome::Reply(bytes) => {
-                    crate::metrics::net_completed().inc();
-                    crate::metrics::wire_rx_bytes().add(bytes.len() as u64);
-                    secndp_telemetry::profile::add_wire_bytes(0, bytes.len() as u64);
-                    self.links[rank]
-                        .vitals
-                        .served
-                        .fetch_add(1, Ordering::Relaxed);
-                    return wire::decode_reply(&bytes);
-                }
-                WaitOutcome::Failed(NetFail::TooLarge(len)) => {
-                    crate::metrics::net_conn_failures().inc();
-                    return Err(Error::FrameTooLarge { len });
-                }
-                WaitOutcome::Failed(NetFail::ConnLost) => {
-                    crate::metrics::net_conn_failures().inc();
-                    if attempts < max_attempts {
-                        crate::metrics::net_retries().inc();
-                        secndp_telemetry::profile::add_retries(1);
-                        continue;
-                    }
-                    return Err(Error::ConnectionLost { attempts });
-                }
-                WaitOutcome::TimedOut => {
-                    crate::metrics::net_timeouts().inc();
-                    if attempts < max_attempts {
-                        crate::metrics::net_retries().inc();
-                        secndp_telemetry::profile::add_retries(1);
-                        continue;
-                    }
-                    return Err(Error::DeviceTimeout {
-                        deadline_ms: self.cfg.timeout.as_millis() as u64,
-                        attempts,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Routes one request: `Load` is sent once to **every** rank (never
-    /// retried — re-sending could resurrect a stale table image), other
-    /// requests go to one round-robin rank with idempotent retry. The
-    /// frame is encoded under the ambient trace context, so device-side
-    /// `ndp_serve` spans stitch under the caller's span exactly as on the
-    /// in-process transports.
-    pub(crate) fn round_trip(&self, req: &Request) -> Result<Response, Error> {
-        let ctx = trace::current();
-        let frame = {
-            let _e = trace::span(trace::names::WIRE_ENCODE);
-            req.encode_traced(ctx)?
-        };
-        if frame.len() > MAX_NET_FRAME {
-            return Err(Error::FrameTooLarge { len: frame.len() });
-        }
-        if matches!(req, Request::Load { .. }) {
-            // Broadcast: every rank must hold the table; any failure is
-            // reported only after every rank was attempted, so a partial
-            // broadcast is never silently half-done.
-            let mut first_err: Option<Result<Response, Error>> = None;
-            let mut last_ok = None;
-            for rank in 0..self.links.len() {
-                match self.rank_request(rank, &frame, false) {
-                    Ok(Response::Err(code)) if first_err.is_none() => {
-                        first_err = Some(Ok(Response::Err(code)));
-                    }
-                    Err(e) if first_err.is_none() => first_err = Some(Err(e)),
-                    r => last_ok = Some(r),
-                }
-            }
-            return first_err
-                .or(last_ok)
-                .unwrap_or_else(|| Err(crate::metrics::malformed("broadcast to zero ranks")));
-        }
-        let rank = self.next_rank.fetch_add(1, Ordering::Relaxed) % self.links.len();
-        self.rank_request(rank, &frame, true)
+    fn down(&self) -> Vec<usize> {
+        (0..self.ranks.len())
+            .filter(|&i| self.ranks[i].vitals.disconnected())
+            .collect()
     }
 }
 
-impl Drop for TcpEndpoint {
+impl Drop for TcpLink {
     fn drop(&mut self) {
-        // Unregister health first so /healthz never scores a torn-down
-        // endpoint, then stop the readers, then drain the loopback server.
-        self.health.take();
+        // Stop the readers, close every connection, then drain the
+        // loopback server.
         self.stop.store(true, Ordering::SeqCst);
-        for link in &self.links {
-            for cell in &link.conns {
-                cell.lock().unwrap().conn = None;
+        for pool in &self.ranks {
+            for cell in &pool.conns {
+                locked(cell).conn = None;
             }
         }
         self.self_server.take();
     }
 }
 
-/// Reader half of one connection: demultiplexes reply records into the
-/// pending table by request id. On any framing violation or close it
-/// fails exactly its own route's in-flight requests and exits.
+/// Reader half of one connection: hands reply records to the pending
+/// table by request id. When the connection ends — close, reset, an
+/// unframeable reply, local teardown — it fails whatever is still in
+/// flight on its own route, and nothing else.
 fn reader_loop(
     mut stream: TcpStream,
-    shared: Arc<NetShared>,
+    done: Completer,
     alive: Arc<AtomicBool>,
     stop: Arc<AtomicBool>,
     vitals: Arc<NetRankVitals>,
-    route: (usize, usize, u64),
+    route: Route,
 ) {
     let stopped = || !alive.load(Ordering::SeqCst) || stop.load(Ordering::SeqCst);
-    let fail = loop {
-        let mut len_buf = [0u8; 4];
-        match read_full(&mut stream, &mut len_buf, stopped) {
-            Ok(ReadOutcome::Full) => {}
-            Ok(ReadOutcome::Stopped) => break None,
-            _ => break Some(NetFail::ConnLost),
+    let why = loop {
+        match read_record(&mut stream, REPLY_HEADER, stopped) {
+            Record::Payload(mut payload) => {
+                crate::metrics::net_rx_bytes().add(4 + payload.len() as u64);
+                let id = u64_at(&payload, 0);
+                payload.drain(..REPLY_HEADER);
+                done.complete(id, payload);
+            }
+            Record::BadLen(len) => break LinkFail::TooLarge(len),
+            // A sentinel is the server acknowledging a drain: the
+            // connection is over.
+            Record::Sentinel | Record::Closed => break LinkFail::ConnLost,
         }
-        let len = u32::from_le_bytes(len_buf);
-        if len == SHUTDOWN_SENTINEL {
-            // The server acknowledged a drain; the connection is over.
-            break Some(NetFail::ConnLost);
-        }
-        let len = len as usize;
-        if !(REPLY_HEADER + 1..=MAX_NET_FRAME + REPLY_HEADER).contains(&len) {
-            break Some(NetFail::TooLarge(len));
-        }
-        let mut payload = vec![0u8; len];
-        match read_full(&mut stream, &mut payload, stopped) {
-            Ok(ReadOutcome::Full) => {}
-            Ok(ReadOutcome::Stopped) => break None,
-            _ => break Some(NetFail::ConnLost),
-        }
-        crate::metrics::net_rx_bytes().add(4 + len as u64);
-        let req_id = u64::from_le_bytes(payload[0..8].try_into().unwrap());
-        shared.complete(req_id, payload[REPLY_HEADER..].to_vec());
     };
     // Exactly-once live-count decrement (see LiveConn::drop).
     if alive.swap(false, Ordering::SeqCst) {
         vitals.live.fetch_sub(1, Ordering::Relaxed);
     }
-    if let Some(f) = fail {
-        shared.fail_route(route, f);
-    }
+    crate::metrics::net_conn_failures().add(done.fail(route, why) as u64);
 }
 
-/// Registers the endpoint's `net-epN` component with the process-wide
-/// [`health::monitor`]: disconnected ranks degrade (all down → failing),
-/// and reconnect churn within the health window degrades.
-fn register_net_health(
-    vitals: Vec<Arc<NetRankVitals>>,
-    addrs: Vec<String>,
-) -> (health::HealthCheckHandle, String) {
-    static EP_SEQ: AtomicU64 = AtomicU64::new(0);
-    let component = format!("net-ep{}", EP_SEQ.fetch_add(1, Ordering::Relaxed));
-    let handle = health::monitor().register(&component, move |ctx| {
-        let down: Vec<usize> = vitals
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.disconnected())
-            .map(|(i, _)| i)
-            .collect();
-        if !down.is_empty() && down.len() == vitals.len() {
-            return (
-                HealthStatus::Failing,
-                format!("all {} tcp rank(s) disconnected ({addrs:?})", vitals.len()),
-            );
-        }
-        if !down.is_empty() {
-            return (
-                HealthStatus::Degraded,
-                format!("tcp rank(s) {down:?} disconnected"),
-            );
-        }
-        let reconnects = ctx.counter_delta("secndp_net_reconnects_total");
-        if reconnects > 0 {
-            return (
-                HealthStatus::Degraded,
-                format!("{reconnects} tcp reconnect(s) within the window"),
-            );
-        }
-        let live: usize = vitals.iter().map(|v| v.live_connections()).sum();
-        let served: u64 = vitals.iter().map(|v| v.served()).sum();
-        (
-            HealthStatus::Ok,
-            format!(
-                "{} rank(s), {live} live connection(s), {served} replies",
-                vitals.len()
-            ),
-        )
-    });
-    (handle, component)
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::device::HonestNdp;
 
-/// Blocking [`NdpDevice`] facade, the same shape as the
-/// [`AsyncEndpoint`](crate::transport::AsyncEndpoint) one: trait-generic
-/// code — the full e2e suite — runs over real sockets unchanged.
-impl NdpDevice for TcpEndpoint {
-    fn load(
-        &mut self,
-        table_addr: u64,
-        ciphertext: Vec<u8>,
-        row_bytes: usize,
-        tags: Option<Vec<Fq>>,
-    ) -> Result<(), Error> {
-        validate_load(ciphertext.len(), row_bytes)?;
-        let mut sp = trace::span(trace::names::WIRE_ROUND_TRIP);
-        sp.attr_u64("ranks", self.ranks() as u64);
-        let _t = crate::metrics::wire_round_trip().start_timer();
-        let req = Request::Load {
-            table_addr,
-            row_bytes: row_bytes as u32,
-            ciphertext,
-            tags: tags.map(|ts| ts.iter().map(|t| t.value()).collect()),
-        };
-        match self.round_trip(&req)? {
-            Response::Ack => Ok(()),
-            Response::Err(code) => Err(wire::error_from_code(code, table_addr)),
-            _ => Err(crate::metrics::malformed("unexpected load reply")),
-        }
-    }
-
-    fn weighted_sum<W: RingWord>(
-        &self,
-        table_addr: u64,
-        indices: &[usize],
-        weights: &[W],
-        with_tag: bool,
-    ) -> Result<NdpResponse<W>, Error> {
-        let sp = trace::span(trace::names::WIRE_ROUND_TRIP);
-        let _t = crate::metrics::wire_round_trip().start_timer();
-        let req = Request::WeightedSum {
-            table_addr,
-            elem_bytes: W::BYTES as u8,
-            indices: indices.iter().map(|&i| i as u64).collect(),
-            weights: weights.iter().map(|w| w.as_u64()).collect(),
-            with_tag,
-        };
-        let resp = self.round_trip(&req)?;
-        drop(sp);
-        wire::sum_from_response(resp, table_addr)
-    }
-
-    fn read_row(&self, table_addr: u64, row: usize) -> Result<Vec<u8>, Error> {
-        let sp = trace::span(trace::names::WIRE_ROUND_TRIP);
-        let _t = crate::metrics::wire_round_trip().start_timer();
-        let req = Request::ReadRow {
-            table_addr,
-            row: row as u64,
-        };
-        let resp = self.round_trip(&req)?;
-        drop(sp);
-        match resp {
-            Response::Row(b) => Ok(b),
-            Response::Err(code) => Err(wire::error_from_code(code, table_addr)),
-            _ => Err(crate::metrics::malformed("wrong response kind")),
+    /// A connect-and-close flood must not leave the server holding a
+    /// thread handle per connection ever accepted: finished ones are
+    /// dropped on the next accept.
+    #[test]
+    fn closed_connections_do_not_accumulate_handles() {
+        let server = NetServer::host_device(HonestNdp::new(), "127.0.0.1:0").unwrap();
+        let cycle = || drop(TcpStream::connect(server.local_addr()).unwrap());
+        (0..200).for_each(|_| cycle());
+        // Each further accept reaps whatever finished since the last one;
+        // once the 200 threads have seen their close, a handful remain.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            cycle();
+            let retained = locked(&server.conns).len();
+            if retained <= 8 {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{retained} handles still retained after 200 closed connections"
+            );
+            std::thread::yield_now();
         }
     }
 }

@@ -438,7 +438,7 @@ impl<C: BlockCipher> TrustedProcessor<C> {
     }
 
     /// [`weighted_sum_batch`](Self::weighted_sum_batch) over an
-    /// [`AsyncEndpoint`](crate::transport::AsyncEndpoint): all queries are
+    /// [`Endpoint`](crate::endpoint::Endpoint) on any link: all queries are
     /// submitted up front (bounded by the endpoint's in-flight window) and
     /// pipelined across its device ranks, overlapping the per-query wire
     /// round trips the blocking loop serializes. Results are reconstructed
@@ -450,10 +450,10 @@ impl<C: BlockCipher> TrustedProcessor<C> {
     /// Same as [`weighted_sum_batch`](Self::weighted_sum_batch), plus
     /// [`Error::DeviceTimeout`] when a rank stalls past its deadline (and
     /// retries are exhausted).
-    pub fn weighted_sum_batch_pipelined<W: RingWord>(
+    pub fn weighted_sum_batch_pipelined<W: RingWord, L: crate::endpoint::Link>(
         &self,
         handle: &TableHandle,
-        endpoint: &crate::transport::AsyncEndpoint,
+        endpoint: &crate::endpoint::Endpoint<L>,
         queries: &[(Vec<usize>, Vec<W>)],
         verify: bool,
     ) -> Result<Vec<Vec<W>>, Error> {

@@ -1,149 +1,57 @@
-//! Non-blocking wire transport with out-of-order completion.
+//! The worker link: N device ranks on in-process threads.
 //!
-//! The blocking [`RemoteNdp`](crate::wire::RemoteNdp) path serves every
-//! frame on the caller's thread, so one processor can keep exactly one NDP
-//! rank busy. Real SecNDP deployments hang many ranks off the bus (paper
-//! §IV, Figure 4), and the channel — not the crypto — becomes the
-//! bottleneck once pads are cached. This module provides the missing
-//! piece: an [`AsyncEndpoint`] that runs N device ranks on worker threads
-//! and lets the processor *pipeline* encoded request frames through a
-//! `submit`/`poll`/`wait` interface.
+//! Real SecNDP deployments hang many ranks off the bus (paper §IV,
+//! Figure 4), and once pads are cached the channel — not the crypto — is
+//! the bottleneck. [`AsyncEndpoint`] is an [`Endpoint`] (request ids,
+//! window, deadlines, retry: see that module) over a [`WorkerLink`]: one
+//! thread per rank, each owning its device and draining an mpsc queue of
+//! encoded frames through [`wire::serve_or_reply`], so a processor can
+//! pipeline frames across ranks.
 //!
-//! # Design
+//! What this link adds to the shared rules:
 //!
-//! - **Request ids, not protocol changes.** Every submission gets a
-//!   process-local `u64` id keyed into a pending-request table; the wire
-//!   frames themselves are the unchanged PR 3 traced-frame envelope. The
-//!   id never crosses the trust boundary — matching a completion to its
-//!   request is the *trusted* side's job, so a malicious device cannot
-//!   confuse two requests by forging an id.
-//! - **Out-of-order completion.** Workers complete whichever frame they
-//!   finish first; each completion fills its slot in the pending table and
-//!   wakes waiters. `wait(id)` returns results in whatever order the
-//!   caller asks for them.
-//! - **Bounded in-flight window.** `submit` blocks while `window`
-//!   uncompleted requests are outstanding — backpressure, so a fast
-//!   submitter cannot queue unbounded frames in front of a slow device.
-//! - **Deadlines and retries.** Each request carries a deadline. When it
-//!   expires, idempotent requests (`WeightedSum`, `ReadRow` — pure reads
-//!   of device state) are re-submitted to the *next* rank with backoff, at
-//!   most `max_retries` times; then the caller gets
-//!   [`Error::DeviceTimeout`]. `Load` is **never** retried: a re-sent
-//!   Load could overwrite a table that a concurrent re-encryption already
-//!   replaced, resurrecting stale ciphertext — instead it is broadcast
-//!   once per rank and any failure surfaces immediately.
-//! - **First completion wins.** After a retry, two replies may arrive for
-//!   one id. The first fills the slot; the straggler finds the slot
-//!   settled and is dropped (counted by
-//!   `secndp_transport_late_completions_total`). This is sound precisely
-//!   because only idempotent requests retry — both replies are answers to
-//!   the same pure read.
-//!
-//! Spans stitch exactly as on the blocking path: `submit` encodes the
-//! frame under the caller's ambient span, the worker's `ndp_serve` span
-//! parents under the context carried in the envelope, and the shared
-//! journal's global ids make the cross-thread tree well-formed.
+//! - **Stall detection.** Each worker publishes [`RankVitals`]; a rank
+//!   that is busy past `stall_grace` without a heartbeat is reported
+//!   down, which degrades the endpoint's `transport-epN` health component.
+//! - **A dead rank is a closed queue.** A worker that exited (the crashed
+//!   device model) makes `send` fail, so idempotent requests fail over at
+//!   send time and a `Load` surfaces the dead rank typed.
+//! - **The chaos hook.** [`AsyncEndpoint::new_with_faults`] applies the
+//!   [`FaultInjector`]'s frame-class faults inside the worker loop, between
+//!   dequeue and serve.
 
-use crate::device::{validate_load, NdpDevice, NdpResponse};
-use crate::error::Error;
+use crate::device::NdpDevice;
+use crate::endpoint::{locked, Completer, Endpoint, EndpointConfig, Link, LinkFail, Route};
 use crate::fault::{FaultClass, FaultInjector, FaultKind};
-use crate::wire::{self, Request, Response, WireError};
-use secndp_arith::mersenne::Fq;
-use secndp_arith::ring::RingWord;
-use secndp_telemetry::health::{self, HealthStatus};
-use secndp_telemetry::trace;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use crate::wire;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Tuning knobs for an [`AsyncEndpoint`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TransportConfig {
-    /// Number of device ranks (worker threads) when replicating a device;
-    /// endpoints built from an explicit device list use its length instead.
-    pub ranks: usize,
-    /// Maximum uncompleted requests in flight before `submit` blocks.
-    pub window: usize,
-    /// Per-request deadline; expiry triggers retry or `DeviceTimeout`.
-    pub timeout: Duration,
-    /// Maximum re-submissions of an idempotent request after its first
-    /// deadline expiry (`0` disables retries).
-    pub max_retries: u32,
-    /// Extra deadline granted per retry attempt (linear backoff).
-    pub backoff: Duration,
-    /// How long a *busy* worker may go without a heartbeat before its rank
-    /// counts as stalled in health reports (see
-    /// [`AsyncEndpoint::stalled_ranks`]).
-    pub stall_grace: Duration,
-}
+/// The endpoint configuration, under the name it had when only this link
+/// existed.
+pub type TransportConfig = EndpointConfig;
 
-impl Default for TransportConfig {
-    fn default() -> Self {
-        Self {
-            ranks: 1,
-            window: 32,
-            timeout: Duration::from_millis(1000),
-            max_retries: 2,
-            backoff: Duration::from_millis(1),
-            stall_grace: Duration::from_secs(2),
-        }
-    }
-}
-
-fn env_parse<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-impl TransportConfig {
-    /// Reads the `SECNDP_TRANSPORT_*` environment knobs, falling back to
-    /// the defaults: `SECNDP_TRANSPORT_RANKS`, `SECNDP_TRANSPORT_WINDOW`,
-    /// `SECNDP_TRANSPORT_TIMEOUT_MS`, `SECNDP_TRANSPORT_RETRIES`,
-    /// `SECNDP_TRANSPORT_STALL_MS`.
-    pub fn from_env() -> Self {
-        let d = Self::default();
-        Self {
-            ranks: env_parse("SECNDP_TRANSPORT_RANKS", d.ranks).max(1),
-            window: env_parse("SECNDP_TRANSPORT_WINDOW", d.window).max(1),
-            timeout: Duration::from_millis(env_parse(
-                "SECNDP_TRANSPORT_TIMEOUT_MS",
-                d.timeout.as_millis() as u64,
-            )),
-            max_retries: env_parse("SECNDP_TRANSPORT_RETRIES", d.max_retries),
-            backoff: d.backoff,
-            stall_grace: Duration::from_millis(
-                env_parse(
-                    "SECNDP_TRANSPORT_STALL_MS",
-                    d.stall_grace.as_millis() as u64,
-                )
-                .max(10),
-            ),
-        }
-    }
-}
+/// An endpoint over in-process rank threads.
+pub type AsyncEndpoint = Endpoint<WorkerLink>;
 
 /// Liveness vitals one rank worker publishes for health scoring.
 ///
 /// The worker beats the heartbeat every loop iteration (at least every
 /// 100 ms while idle) and around each served frame; `busy` is raised for
-/// the duration of a `wire::serve` call. A rank is **stalled** when it is
-/// busy *and* the heartbeat is older than the configured grace — i.e. the
-/// untrusted device has held a frame past any plausible service time.
+/// the duration of a serve. A rank is **stalled** when it is busy *and*
+/// the heartbeat is older than the configured grace — the untrusted device
+/// has held a frame past any plausible service time.
 #[derive(Debug)]
 pub struct RankVitals {
     /// Per-endpoint monotonic epoch heartbeats are measured against.
     epoch: Instant,
     /// Milliseconds since `epoch` at the last beat.
     heartbeat_ms: AtomicU64,
-    /// Whether the worker is inside `wire::serve` right now.
+    /// Whether the worker is serving a frame right now.
     busy: AtomicBool,
-    /// Frames served to completion.
-    served: AtomicU64,
 }
 
 impl RankVitals {
@@ -152,7 +60,6 @@ impl RankVitals {
             epoch: Instant::now(),
             heartbeat_ms: AtomicU64::new(0),
             busy: AtomicBool::new(false),
-            served: AtomicU64::new(0),
         }
     }
 
@@ -168,7 +75,6 @@ impl RankVitals {
 
     fn end_serve(&self) {
         self.busy.store(false, Ordering::Relaxed);
-        self.served.fetch_add(1, Ordering::Relaxed);
         self.beat();
     }
 
@@ -183,98 +89,94 @@ impl RankVitals {
         self.busy.load(Ordering::Relaxed)
     }
 
-    /// Frames this rank has served to completion.
-    pub fn served(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
-    }
-
     /// Busy past the grace period without a heartbeat.
     pub fn stalled(&self, grace: Duration) -> bool {
         self.is_busy() && self.heartbeat_age() > grace
     }
 }
 
-/// Handle to one in-flight request; redeem it with
-/// [`AsyncEndpoint::poll`] or [`AsyncEndpoint::wait`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RequestId(u64);
-
 /// One frame queued to a rank worker.
 struct Job {
     id: u64,
-    frame: Vec<u8>,
+    frame: Arc<Vec<u8>>,
 }
 
-enum SlotState {
-    /// Submitted; no reply yet.
-    Waiting,
-    /// A worker finished serving the frame (reply bytes or a wire error).
-    Done(Result<Vec<u8>, WireError>),
-}
-
-struct Slot {
-    state: SlotState,
-    /// The encoded request frame, kept so a retry re-sends the *identical*
-    /// bytes (same trace envelope included).
-    frame: Vec<u8>,
-    /// Whether the request may be re-sent after a timeout.
-    idempotent: bool,
-    /// Total sends so far (first submission counts as 1).
-    attempts: u32,
-    deadline: Instant,
-    submitted: Instant,
-}
-
-/// Pending-request table plus the in-flight count the window is enforced
-/// against. Guarded by one mutex; `cv` signals both completions (for
-/// `wait`) and freed window slots (for `submit`).
-struct Table {
-    slots: HashMap<u64, Slot>,
-    waiting: usize,
-}
-
-struct Shared {
-    table: Mutex<Table>,
-    cv: Condvar,
-}
-
-/// A non-blocking wire endpoint running N device ranks on worker threads.
-///
-/// See the [module docs](self) for the design. The endpoint also
-/// implements [`NdpDevice`] as a blocking facade (each call is
-/// submit-then-wait, `load` broadcasts), so any code written against the
-/// trait — the whole e2e suite included — runs over it unchanged.
-pub struct AsyncEndpoint {
-    shared: Arc<Shared>,
-    /// One queue per rank. `mpsc::Sender` is `!Sync`, so each lives behind
-    /// a mutex; sends are brief (unbounded channel, no blocking).
-    senders: Vec<Mutex<Sender<Job>>>,
+/// The [`Link`] to in-process rank threads: see the [module docs](self).
+pub struct WorkerLink {
+    /// One queue per rank; `None` where the worker thread could not be
+    /// spawned. `mpsc::Sender` is `!Sync`, so each lives behind a mutex;
+    /// sends are brief (unbounded channel, no blocking).
+    senders: Vec<Option<Mutex<Sender<Job>>>>,
     workers: Vec<JoinHandle<()>>,
     vitals: Vec<Arc<RankVitals>>,
-    /// Health-check registration for this endpoint; dropped (unregistering
-    /// the check) *before* the workers are joined so `/healthz` never
-    /// scores a torn-down endpoint.
-    health: Option<health::HealthCheckHandle>,
-    /// The component name this endpoint registered under (`transport-epN`).
-    component: String,
-    next_id: AtomicU64,
-    next_rank: AtomicUsize,
-    cfg: TransportConfig,
+    stall_grace: Duration,
 }
 
-impl std::fmt::Debug for AsyncEndpoint {
+impl std::fmt::Debug for WorkerLink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AsyncEndpoint")
+        f.debug_struct("WorkerLink")
             .field("ranks", &self.senders.len())
-            .field("cfg", &self.cfg)
-            .field("in_flight", &self.in_flight())
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
-impl AsyncEndpoint {
+impl WorkerLink {
+    /// Per-rank liveness vitals, rank order.
+    pub fn vitals(&self) -> &[Arc<RankVitals>] {
+        &self.vitals
+    }
+}
+
+impl Link for WorkerLink {
+    const KIND: &'static str = "transport";
+    const DOWN: &'static str = "stalled (busy past the grace without a heartbeat)";
+
+    fn ranks(&self) -> usize {
+        self.senders.len()
+    }
+
+    fn route(&self, rank: usize) -> Result<Route, LinkFail> {
+        // No thread ever served this rank: a local resource failure, not
+        // device misbehaviour.
+        self.senders[rank]
+            .as_ref()
+            .map(|_| (rank, 0, 0))
+            .ok_or(LinkFail::ConnLost)
+    }
+
+    fn send(&self, route: Route, id: u64, frame: &Arc<Vec<u8>>) -> Result<(), LinkFail> {
+        let tx = self.senders[route.0].as_ref().ok_or(LinkFail::ConnLost)?;
+        let job = Job {
+            id,
+            frame: Arc::clone(frame),
+        };
+        locked(tx).send(job).map_err(|_| LinkFail::RankGone)
+    }
+
+    fn down(&self) -> Vec<usize> {
+        (0..self.vitals.len())
+            .filter(|&i| self.vitals[i].stalled(self.stall_grace))
+            .collect()
+    }
+}
+
+impl Drop for WorkerLink {
+    fn drop(&mut self) {
+        // Hang up every queue, then join the workers so no thread outlives
+        // the endpoint and the devices drop deterministically.
+        self.senders.clear();
+        for h in self.workers.drain(..) {
+            let _ = h.join();
+        }
+    }
+}
+
+impl Endpoint<WorkerLink> {
     /// Spawns one worker thread per device in `devices`; each worker owns
-    /// its device and serves frames through [`wire::serve`].
+    /// its device. A rank whose thread cannot be spawned is down from the
+    /// start: requests that need it get [`Error::ConnectionLost`].
+    ///
+    /// [`Error::ConnectionLost`]: crate::Error::ConnectionLost
     ///
     /// # Panics
     ///
@@ -308,490 +210,44 @@ impl AsyncEndpoint {
         injector: Option<Arc<FaultInjector>>,
     ) -> Self {
         assert!(!devices.is_empty(), "endpoint needs at least one rank");
-        // Touch every transport instrument so they exist in exported
-        // metrics (as zeros) even before the first timeout or retry.
-        crate::metrics::transport_inflight();
-        crate::metrics::transport_submitted();
-        crate::metrics::transport_timeouts();
-        crate::metrics::transport_retries();
-        crate::metrics::transport_late_completions();
-        crate::metrics::transport_completion();
-        let shared = Arc::new(Shared {
-            table: Mutex::new(Table {
-                slots: HashMap::new(),
-                waiting: 0,
-            }),
-            cv: Condvar::new(),
-        });
-        let mut senders = Vec::with_capacity(devices.len());
-        let mut workers = Vec::with_capacity(devices.len());
-        let mut vitals = Vec::with_capacity(devices.len());
-        for (rank, device) in devices.into_iter().enumerate() {
-            let (tx, rx) = mpsc::channel::<Job>();
-            let shared = shared.clone();
-            let v = Arc::new(RankVitals::new());
-            let inj = injector.clone();
-            vitals.push(Arc::clone(&v));
-            workers.push(
-                std::thread::Builder::new()
+        let stall_grace = cfg.stall_grace;
+        Self::with_link(cfg, devices.len(), |done| {
+            let mut link = WorkerLink {
+                senders: Vec::with_capacity(devices.len()),
+                workers: Vec::with_capacity(devices.len()),
+                vitals: Vec::with_capacity(devices.len()),
+                stall_grace,
+            };
+            for (rank, device) in devices.into_iter().enumerate() {
+                let (tx, rx) = mpsc::channel::<Job>();
+                let vitals = Arc::new(RankVitals::new());
+                let (done, v, inj) = (Arc::clone(&done), Arc::clone(&vitals), injector.clone());
+                let spawned = std::thread::Builder::new()
                     .name(format!("secndp-rank{rank}"))
-                    .spawn(move || worker_loop(device, rx, shared, v, rank as u32, inj))
-                    .expect("spawn transport worker"),
-            );
-            senders.push(Mutex::new(tx));
-        }
-        let (health, component) = register_transport_health(vitals.clone(), cfg.stall_grace);
-        Self {
-            shared,
-            senders,
-            workers,
-            vitals,
-            health: Some(health),
-            component,
-            next_id: AtomicU64::new(1),
-            next_rank: AtomicUsize::new(0),
-            cfg,
-        }
-    }
-
-    /// One device, one rank (the drop-in async replacement for a blocking
-    /// `RemoteNdp`).
-    pub fn single<D: NdpDevice + Send + 'static>(device: D, cfg: TransportConfig) -> Self {
-        Self::new(vec![device], cfg)
-    }
-
-    /// Clones `device` across `cfg.ranks` ranks — the multi-rank topology
-    /// where every rank holds the same tables (Loads are broadcast).
-    pub fn replicated<D: NdpDevice + Clone + Send + 'static>(
-        device: D,
-        cfg: TransportConfig,
-    ) -> Self {
-        let ranks = cfg.ranks.max(1);
-        Self::new(vec![device; ranks], cfg)
-    }
-
-    /// Number of device ranks.
-    pub fn ranks(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// The endpoint's configuration.
-    pub fn config(&self) -> &TransportConfig {
-        &self.cfg
-    }
-
-    /// Requests currently submitted but not yet completed or abandoned.
-    pub fn in_flight(&self) -> usize {
-        self.shared.table.lock().unwrap().waiting
-    }
-
-    /// Per-rank liveness vitals, rank order.
-    pub fn vitals(&self) -> &[Arc<RankVitals>] {
-        &self.vitals
-    }
-
-    /// The health component name this endpoint registered under
-    /// (`transport-epN`), as it appears in `/healthz` reports.
-    pub fn health_component(&self) -> &str {
-        &self.component
-    }
-
-    /// Ranks whose worker is busy past `cfg.stall_grace` without a
-    /// heartbeat — an unresponsive untrusted device holding a frame.
-    pub fn stalled_ranks(&self) -> Vec<usize> {
-        self.vitals
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.stalled(self.cfg.stall_grace))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Submits a request with the configured deadline. Blocks while the
-    /// in-flight window is full (backpressure), then returns immediately —
-    /// the returned id is redeemed by [`poll`](Self::poll) or
-    /// [`wait`](Self::wait).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::FrameTooLarge`] if the request cannot be encoded
-    /// and [`Error::MalformedResponse`] if every worker has shut down.
-    pub fn submit(&self, req: &Request) -> Result<RequestId, Error> {
-        self.submit_with_timeout(req, self.cfg.timeout)
-    }
-
-    /// [`submit`](Self::submit) with an explicit per-request deadline.
-    ///
-    /// # Errors
-    ///
-    /// As for [`submit`](Self::submit).
-    pub fn submit_with_timeout(
-        &self,
-        req: &Request,
-        timeout: Duration,
-    ) -> Result<RequestId, Error> {
-        // Encode under the ambient span (captured *before* the encode
-        // span opens) so the device-side `ndp_serve` stitches under the
-        // caller's context, exactly as on the blocking path.
-        let ctx = trace::current();
-        let frame = {
-            let _e = trace::span(trace::names::WIRE_ENCODE);
-            req.encode_traced(ctx)?
-        };
-        // Load mutates device state: re-sending it after a timeout could
-        // overwrite a newer table image, so it is excluded from retries.
-        let idempotent = !matches!(req, Request::Load { .. });
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let rank = self.next_rank.fetch_add(1, Ordering::Relaxed) % self.senders.len();
-        self.enqueue(id, frame, idempotent, timeout, rank)?;
-        Ok(RequestId(id))
-    }
-
-    /// Registers the slot (respecting the window) and queues the frame.
-    fn enqueue(
-        &self,
-        id: u64,
-        frame: Vec<u8>,
-        idempotent: bool,
-        timeout: Duration,
-        rank: usize,
-    ) -> Result<(), Error> {
-        {
-            let mut t = self.shared.table.lock().unwrap();
-            while t.waiting >= self.cfg.window.max(1) {
-                t = self.shared.cv.wait(t).unwrap();
+                    .spawn(move || worker_loop(device, rx, done, v, rank as u32, inj));
+                link.vitals.push(vitals);
+                link.senders.push(spawned.is_ok().then(|| Mutex::new(tx)));
+                link.workers.extend(spawned);
             }
-            let now = Instant::now();
-            t.slots.insert(
-                id,
-                Slot {
-                    state: SlotState::Waiting,
-                    frame: frame.clone(),
-                    idempotent,
-                    attempts: 1,
-                    deadline: now + timeout,
-                    submitted: now,
-                },
-            );
-            t.waiting += 1;
-        }
-        crate::metrics::wire_packets().inc();
-        crate::metrics::wire_tx_bytes().add(frame.len() as u64);
-        secndp_telemetry::profile::add_wire_bytes(frame.len() as u64, 0);
-        crate::metrics::transport_submitted().inc();
-        crate::metrics::transport_inflight().add(1);
-        self.send_to_rank(id, frame, rank, idempotent)
-    }
-
-    /// Queues the frame to `rank`. When that rank's worker is gone
-    /// (crashed device model) and `failover` is set — idempotent requests
-    /// only — the frame is re-routed to the next live rank instead, so a
-    /// dead rank degrades capacity rather than correctness. `Load`s and
-    /// broadcasts never fail over: re-routing a Load would silently load
-    /// fewer replicas than the caller asked for, so the dead rank must
-    /// surface as a typed error.
-    fn send_to_rank(
-        &self,
-        id: u64,
-        frame: Vec<u8>,
-        rank: usize,
-        failover: bool,
-    ) -> Result<(), Error> {
-        let candidates = if failover { self.senders.len() } else { 1 };
-        let mut frame = frame;
-        for i in 0..candidates {
-            let target = (rank + i) % self.senders.len();
-            let job = Job { id, frame };
-            frame = {
-                let tx = self.senders[target].lock().unwrap();
-                match tx.send(job) {
-                    Ok(()) => return Ok(()),
-                    Err(mpsc::SendError(job)) => job.frame,
-                }
-            };
-        }
-        // Every permitted rank is gone: abandon the slot so the window is
-        // not leaked, and surface a typed error.
-        self.abandon(id);
-        Err(crate::metrics::malformed("transport worker disconnected"))
-    }
-
-    /// Removes a still-waiting slot (timeout or send failure), releasing
-    /// its window credit.
-    fn abandon(&self, id: u64) {
-        let mut t = self.shared.table.lock().unwrap();
-        if let Some(slot) = t.slots.remove(&id) {
-            if matches!(slot.state, SlotState::Waiting) {
-                t.waiting -= 1;
-                crate::metrics::transport_inflight().add(-1);
-                self.shared.cv.notify_all();
-            }
-        }
-    }
-
-    /// Non-blocking check: `None` while the request is still in flight,
-    /// `Some(result)` once it completed (consuming the slot). Timeout
-    /// handling (retry, `DeviceTimeout`) only runs inside
-    /// [`wait`](Self::wait); `poll` purely observes.
-    pub fn poll(&self, id: RequestId) -> Option<Result<Response, Error>> {
-        let mut t = self.shared.table.lock().unwrap();
-        match t.slots.get(&id.0) {
-            Some(Slot {
-                state: SlotState::Waiting,
-                ..
-            }) => None,
-            Some(_) => {
-                let slot = t.slots.remove(&id.0).unwrap();
-                drop(t);
-                Some(Self::settle(slot))
-            }
-            None => Some(Err(crate::metrics::malformed("unknown request id"))),
-        }
-    }
-
-    /// Blocks until the request completes, retrying idempotent requests on
-    /// deadline expiry, and decodes the reply.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::DeviceTimeout`] when the deadline (plus permitted retries)
-    /// expires; otherwise the decoded device reply's error, as on the
-    /// blocking path.
-    pub fn wait(&self, id: RequestId) -> Result<Response, Error> {
-        loop {
-            enum Action {
-                Settle(Slot),
-                Retry(Vec<u8>, Instant),
-                TimedOut(u32),
-                Sleep(Instant),
-            }
-            let action = {
-                let mut t = self.shared.table.lock().unwrap();
-                match t.slots.get_mut(&id.0) {
-                    None => return Err(crate::metrics::malformed("unknown request id")),
-                    Some(slot) if !matches!(slot.state, SlotState::Waiting) => {
-                        Action::Settle(t.slots.remove(&id.0).unwrap())
-                    }
-                    Some(slot) => {
-                        let now = Instant::now();
-                        if now < slot.deadline {
-                            Action::Sleep(slot.deadline)
-                        } else {
-                            crate::metrics::transport_timeouts().inc();
-                            if slot.idempotent && slot.attempts <= self.cfg.max_retries {
-                                slot.attempts += 1;
-                                // Linear backoff: each retry gets a longer
-                                // deadline so a transiently slow rank is
-                                // not hammered at the original cadence.
-                                let grace =
-                                    self.cfg.timeout + self.cfg.backoff * (slot.attempts - 1);
-                                slot.deadline = now + grace;
-                                Action::Retry(slot.frame.clone(), slot.deadline)
-                            } else {
-                                let attempts = slot.attempts;
-                                let slot = t.slots.remove(&id.0).unwrap();
-                                if matches!(slot.state, SlotState::Waiting) {
-                                    t.waiting -= 1;
-                                    crate::metrics::transport_inflight().add(-1);
-                                    self.shared.cv.notify_all();
-                                }
-                                Action::TimedOut(attempts)
-                            }
-                        }
-                    }
-                }
-            };
-            match action {
-                Action::Settle(slot) => return Self::settle(slot),
-                Action::TimedOut(attempts) => {
-                    return Err(Error::DeviceTimeout {
-                        deadline_ms: self.cfg.timeout.as_millis() as u64,
-                        attempts,
-                    })
-                }
-                Action::Retry(frame, _deadline) => {
-                    crate::metrics::transport_retries().inc();
-                    secndp_telemetry::profile::add_retries(1);
-                    let rank = self.next_rank.fetch_add(1, Ordering::Relaxed) % self.senders.len();
-                    // Retries are only issued for idempotent requests, so
-                    // failing over past a dead rank is always permitted.
-                    self.send_to_rank(id.0, frame, rank, true)?;
-                }
-                Action::Sleep(deadline) => {
-                    let t = self.shared.table.lock().unwrap();
-                    // Re-check under the lock: the worker may have
-                    // completed between our peek and this wait.
-                    let still_waiting = matches!(
-                        t.slots.get(&id.0),
-                        Some(Slot {
-                            state: SlotState::Waiting,
-                            ..
-                        })
-                    );
-                    if still_waiting {
-                        let dur = deadline.saturating_duration_since(Instant::now());
-                        let _unused = self
-                            .shared
-                            .cv
-                            .wait_timeout(t, dur.max(Duration::from_micros(50)))
-                            .unwrap();
-                    }
-                }
-            }
-        }
-    }
-
-    /// Decodes a completed slot's reply and records its latency.
-    fn settle(slot: Slot) -> Result<Response, Error> {
-        match slot.state {
-            SlotState::Waiting => unreachable!("settle called on a waiting slot"),
-            SlotState::Done(Ok(reply)) => {
-                crate::metrics::transport_completion()
-                    .observe(slot.submitted.elapsed().as_nanos() as u64);
-                crate::metrics::wire_rx_bytes().add(reply.len() as u64);
-                secndp_telemetry::profile::add_wire_bytes(0, reply.len() as u64);
-                wire::decode_reply(&reply)
-            }
-            SlotState::Done(Err(_)) => {
-                Err(crate::metrics::malformed("device rejected request frame"))
-            }
-        }
-    }
-
-    /// Sends the request to **every** rank and waits for all completions
-    /// (used for `Load`, which must reach every replica). Broadcasts are
-    /// never retried; the first failing rank's error is returned after all
-    /// ranks settle.
-    ///
-    /// # Errors
-    ///
-    /// As for [`wait`](Self::wait), from the first failing rank.
-    pub fn broadcast(&self, req: &Request) -> Result<Response, Error> {
-        let ctx = trace::current();
-        let frame = {
-            let _e = trace::span(trace::names::WIRE_ENCODE);
-            req.encode_traced(ctx)?
-        };
-        let mut ids = Vec::with_capacity(self.senders.len());
-        for rank in 0..self.senders.len() {
-            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-            // idempotent = false: a broadcast is sent exactly once per
-            // rank, never re-sent after a timeout.
-            self.enqueue(id, frame.clone(), false, self.cfg.timeout, rank)?;
-            ids.push(RequestId(id));
-        }
-        // NB: the zero-rank fallback must stay lazy — `malformed()` records
-        // an audit event as a side effect, which must not fire on success.
-        let mut out: Option<Result<Response, Error>> = None;
-        let mut first_err = None;
-        for id in ids {
-            match self.wait(id) {
-                Ok(Response::Err(code)) if first_err.is_none() => {
-                    first_err = Some(Ok(Response::Err(code)));
-                }
-                Err(e) if first_err.is_none() => first_err = Some(Err(e)),
-                r => out = Some(r),
-            }
-        }
-        first_err
-            .or(out)
-            .unwrap_or_else(|| Err(crate::metrics::malformed("broadcast to zero ranks")))
-    }
-}
-
-impl Drop for AsyncEndpoint {
-    fn drop(&mut self) {
-        // Unregister the health check first: a check scoring half-joined
-        // workers would report phantom stalls.
-        self.health.take();
-        // Hang up every queue, then join the workers so no thread outlives
-        // the endpoint (and the devices it owns are dropped deterministically).
-        self.senders.clear();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Registers this endpoint's component check with the process-wide
-/// [`health::monitor`]: worker-liveness from the rank vitals plus windowed
-/// timeout / late-completion rates from the transport counters.
-fn register_transport_health(
-    vitals: Vec<Arc<RankVitals>>,
-    grace: Duration,
-) -> (health::HealthCheckHandle, String) {
-    static EP_SEQ: AtomicU64 = AtomicU64::new(0);
-    let component = format!("transport-ep{}", EP_SEQ.fetch_add(1, Ordering::Relaxed));
-    let handle = health::monitor().register(&component, move |ctx| {
-        let stalled: Vec<usize> = vitals
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.stalled(grace))
-            .map(|(i, _)| i)
-            .collect();
-        if !stalled.is_empty() && stalled.len() == vitals.len() {
-            return (
-                HealthStatus::Failing,
-                format!(
-                    "all {} transport ranks stalled (busy > {} ms without a heartbeat)",
-                    vitals.len(),
-                    grace.as_millis()
-                ),
-            );
-        }
-        if !stalled.is_empty() {
-            return (
-                HealthStatus::Degraded,
-                format!(
-                    "transport rank(s) {stalled:?} stalled (busy > {} ms without a heartbeat)",
-                    grace.as_millis()
-                ),
-            );
-        }
-        let timeouts = ctx.counter_delta("secndp_transport_timeouts_total");
-        let late = ctx.counter_delta("secndp_transport_late_completions_total");
-        if timeouts > 0 {
-            return (
-                HealthStatus::Degraded,
-                format!(
-                    "{timeouts} request timeout(s) within the window ({late} late completions)"
-                ),
-            );
-        }
-        let served: u64 = vitals.iter().map(|v| v.served()).sum();
-        (
-            HealthStatus::Ok,
-            format!("{} rank(s) live, {served} frames served", vitals.len()),
-        )
-    });
-    (handle, component)
-}
-
-/// Fills a job's slot with its reply (waking waiters) or, if the slot
-/// already settled or was abandoned, counts the straggler.
-fn complete(shared: &Shared, id: u64, reply: Result<Vec<u8>, WireError>) {
-    let mut t = shared.table.lock().unwrap();
-    match t.slots.get_mut(&id) {
-        Some(slot) if matches!(slot.state, SlotState::Waiting) => {
-            slot.state = SlotState::Done(reply);
-            t.waiting -= 1;
-            crate::metrics::transport_inflight().add(-1);
-            shared.cv.notify_all();
-        }
-        // Slot already settled (a retry answered first) or abandoned
-        // (deadline expired): drop the straggler, count it.
-        _ => crate::metrics::transport_late_completions().inc(),
+            link
+        })
     }
 }
 
 fn worker_loop<D: NdpDevice>(
     mut device: D,
     rx: mpsc::Receiver<Job>,
-    shared: Arc<Shared>,
+    done: Completer,
     vitals: Arc<RankVitals>,
     rank: u32,
     injector: Option<Arc<FaultInjector>>,
 ) {
+    let mut serve = |frame: &[u8]| {
+        vitals.begin_serve();
+        let reply = wire::serve_or_reply(&mut device, frame);
+        vitals.end_serve();
+        reply
+    };
     loop {
         vitals.beat();
         let job = match rx.recv_timeout(Duration::from_millis(100)) {
@@ -808,136 +264,54 @@ fn worker_loop<D: NdpDevice>(
         // ambient span until `wire::serve` opens one).
         let fault = injector
             .as_deref()
-            .and_then(|inj| inj.take(FaultClass::Frame));
-        if let (Some(fault), Some(inj)) = (fault, injector.as_deref()) {
-            let trace = wire::peek_trace(&job.frame);
-            match fault.kind {
-                FaultKind::DropReply => {
-                    inj.journal(&fault, rank, "reply dropped; slot left waiting", trace);
-                    continue;
-                }
-                FaultKind::RankCrash => {
-                    inj.journal(&fault, rank, "worker exited without replying", trace);
-                    return;
-                }
-                FaultKind::RankStall { stall_ms } => {
-                    inj.journal(&fault, rank, "busy-held before serving", trace);
-                    // Busy without heartbeats: exactly the signature the
-                    // stall detector scores against `stall_grace`.
-                    vitals.begin_serve();
-                    std::thread::sleep(Duration::from_millis(stall_ms as u64));
-                    let reply = wire::serve(&mut device, &job.frame);
-                    vitals.end_serve();
-                    complete(&shared, job.id, reply);
-                    continue;
-                }
-                FaultKind::LateReply { delay_ms } => {
-                    inj.journal(&fault, rank, "reply delayed past deadline", trace);
-                    vitals.begin_serve();
-                    let reply = wire::serve(&mut device, &job.frame);
-                    vitals.end_serve();
-                    std::thread::sleep(Duration::from_millis(delay_ms as u64));
-                    complete(&shared, job.id, reply);
-                    continue;
-                }
-                FaultKind::MalformedReply { mask } => {
-                    inj.journal(&fault, rank, "reply first byte corrupted", trace);
-                    vitals.begin_serve();
-                    let reply = wire::serve(&mut device, &job.frame).map(|mut bytes| {
-                        if let Some(b) = bytes.first_mut() {
-                            *b ^= mask;
-                        }
-                        bytes
-                    });
-                    vitals.end_serve();
-                    complete(&shared, job.id, reply);
-                    continue;
-                }
-                FaultKind::DuplicateReply => {
-                    inj.journal(&fault, rank, "reply completed twice", trace);
-                    vitals.begin_serve();
-                    let reply = wire::serve(&mut device, &job.frame);
-                    vitals.end_serve();
-                    complete(&shared, job.id, reply.clone());
-                    // The duplicate must hit the settled slot and be
-                    // counted as a late completion, never double-settled.
-                    complete(&shared, job.id, reply);
-                    continue;
-                }
-                // Data/Host kinds are filtered out by `take`'s class match.
-                _ => unreachable!("non-frame fault taken by worker"),
+            .and_then(|inj| Some((inj, inj.take(FaultClass::Frame)?)));
+        let Some((inj, fault)) = fault else {
+            done.complete(job.id, serve(&job.frame));
+            continue;
+        };
+        let trace = wire::peek_trace(&job.frame);
+        match fault.kind {
+            FaultKind::DropReply => {
+                inj.journal(&fault, rank, "reply dropped; slot left waiting", trace);
             }
-        }
-        vitals.begin_serve();
-        let reply = wire::serve(&mut device, &job.frame);
-        vitals.end_serve();
-        complete(&shared, job.id, reply);
-    }
-}
-
-/// Blocking [`NdpDevice`] facade: every trait call is submit-then-wait
-/// (`load` broadcasts to all ranks), so trait-generic code — the full e2e
-/// suite — runs over the async transport unchanged.
-impl NdpDevice for AsyncEndpoint {
-    fn load(
-        &mut self,
-        table_addr: u64,
-        ciphertext: Vec<u8>,
-        row_bytes: usize,
-        tags: Option<Vec<Fq>>,
-    ) -> Result<(), Error> {
-        validate_load(ciphertext.len(), row_bytes)?;
-        let mut sp = trace::span(trace::names::WIRE_ROUND_TRIP);
-        sp.attr_u64("ranks", self.ranks() as u64);
-        let req = Request::Load {
-            table_addr,
-            row_bytes: row_bytes as u32,
-            ciphertext,
-            tags: tags.map(|ts| ts.iter().map(|t| t.value()).collect()),
-        };
-        match self.broadcast(&req)? {
-            Response::Ack => Ok(()),
-            Response::Err(code) => Err(wire::error_from_code(code, table_addr)),
-            _ => Err(crate::metrics::malformed("unexpected load reply")),
-        }
-    }
-
-    fn weighted_sum<W: RingWord>(
-        &self,
-        table_addr: u64,
-        indices: &[usize],
-        weights: &[W],
-        with_tag: bool,
-    ) -> Result<NdpResponse<W>, Error> {
-        let sp = trace::span(trace::names::WIRE_ROUND_TRIP);
-        let _t = crate::metrics::wire_round_trip().start_timer();
-        let req = Request::WeightedSum {
-            table_addr,
-            elem_bytes: W::BYTES as u8,
-            indices: indices.iter().map(|&i| i as u64).collect(),
-            weights: weights.iter().map(|w| w.as_u64()).collect(),
-            with_tag,
-        };
-        let id = self.submit(&req)?;
-        let resp = self.wait(id)?;
-        drop(sp);
-        wire::sum_from_response(resp, table_addr)
-    }
-
-    fn read_row(&self, table_addr: u64, row: usize) -> Result<Vec<u8>, Error> {
-        let sp = trace::span(trace::names::WIRE_ROUND_TRIP);
-        let _t = crate::metrics::wire_round_trip().start_timer();
-        let req = Request::ReadRow {
-            table_addr,
-            row: row as u64,
-        };
-        let id = self.submit(&req)?;
-        let resp = self.wait(id)?;
-        drop(sp);
-        match resp {
-            Response::Row(b) => Ok(b),
-            Response::Err(code) => Err(wire::error_from_code(code, table_addr)),
-            _ => Err(crate::metrics::malformed("wrong response kind")),
+            FaultKind::RankCrash => {
+                inj.journal(&fault, rank, "worker exited without replying", trace);
+                return;
+            }
+            FaultKind::RankStall { stall_ms } => {
+                inj.journal(&fault, rank, "busy-held before serving", trace);
+                // Busy without heartbeats: exactly the signature the
+                // stall detector scores against `stall_grace`.
+                vitals.begin_serve();
+                std::thread::sleep(Duration::from_millis(stall_ms as u64));
+                done.complete(job.id, serve(&job.frame));
+            }
+            FaultKind::LateReply { delay_ms } => {
+                inj.journal(&fault, rank, "reply delayed past deadline", trace);
+                let reply = serve(&job.frame);
+                std::thread::sleep(Duration::from_millis(delay_ms as u64));
+                done.complete(job.id, reply);
+            }
+            FaultKind::MalformedReply { mask } => {
+                inj.journal(&fault, rank, "reply first byte corrupted", trace);
+                let mut reply = serve(&job.frame);
+                if let Some(b) = reply.first_mut() {
+                    *b ^= mask;
+                }
+                done.complete(job.id, reply);
+            }
+            FaultKind::DuplicateReply => {
+                inj.journal(&fault, rank, "reply completed twice", trace);
+                let reply = serve(&job.frame);
+                done.complete(job.id, reply.clone());
+                // The duplicate must hit the settled slot and be counted
+                // as a late completion, never double-settled.
+                done.complete(job.id, reply);
+            }
+            // `take(FaultClass::Frame)` hands out frame-class kinds only;
+            // a data or host kind here is a bug in the injector, and the
+            // frame is still owed its honest reply.
+            _ => done.complete(job.id, serve(&job.frame)),
         }
     }
 }
@@ -946,8 +320,9 @@ impl NdpDevice for AsyncEndpoint {
 mod tests {
     use super::*;
     use crate::device::HonestNdp;
+    use crate::wire::{Request, Response};
 
-    fn loaded_endpoint(ranks: usize) -> AsyncEndpoint {
+    fn loaded_endpoint() -> AsyncEndpoint {
         let mut dev = HonestNdp::new();
         let rows: Vec<u32> = (0..32).collect();
         dev.load(
@@ -957,78 +332,12 @@ mod tests {
             None,
         )
         .unwrap();
-        AsyncEndpoint::new(
-            vec![dev; ranks],
-            TransportConfig {
-                ranks,
-                ..TransportConfig::default()
-            },
-        )
-    }
-
-    #[test]
-    fn submit_wait_round_trip() {
-        let ep = loaded_endpoint(2);
-        let req = Request::WeightedSum {
-            table_addr: 0x100,
-            elem_bytes: 4,
-            indices: vec![0, 1],
-            weights: vec![1, 1],
-            with_tag: false,
-        };
-        let id = ep.submit(&req).unwrap();
-        match ep.wait(id).unwrap() {
-            Response::Sum { c_res, .. } => {
-                assert_eq!(
-                    secndp_arith::ring::words_from_le_bytes::<u32>(&c_res),
-                    vec![4, 6, 8, 10]
-                );
-            }
-            other => panic!("unexpected reply {other:?}"),
-        }
-        assert_eq!(ep.in_flight(), 0);
-    }
-
-    #[test]
-    fn wait_twice_is_a_typed_error() {
-        let ep = loaded_endpoint(1);
-        let req = Request::ReadRow {
-            table_addr: 0x100,
-            row: 0,
-        };
-        let id = ep.submit(&req).unwrap();
-        assert!(ep.wait(id).is_ok());
-        // The slot is consumed; a second wait is an error, not a hang.
-        assert!(matches!(ep.wait(id), Err(Error::MalformedResponse { .. })));
-    }
-
-    #[test]
-    fn poll_transitions_none_to_some() {
-        let ep = loaded_endpoint(1);
-        let req = Request::ReadRow {
-            table_addr: 0x100,
-            row: 1,
-        };
-        let id = ep.submit(&req).unwrap();
-        // Spin until the worker completes; each poll is non-blocking.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            match ep.poll(id) {
-                None => {
-                    assert!(Instant::now() < deadline, "completion never arrived");
-                    std::thread::yield_now();
-                }
-                Some(r) => {
-                    assert!(matches!(r.unwrap(), Response::Row(_)));
-                    break;
-                }
-            }
-        }
+        AsyncEndpoint::new(vec![dev], TransportConfig::default())
     }
 
     #[test]
     fn device_errors_cross_the_transport_typed() {
-        let ep = loaded_endpoint(1);
+        let ep = loaded_endpoint();
         let req = Request::WeightedSum {
             table_addr: 0xDEAD,
             elem_bytes: 4,
@@ -1038,6 +347,7 @@ mod tests {
         };
         let id = ep.submit(&req).unwrap();
         assert!(matches!(ep.wait(id).unwrap(), Response::Err(1)));
+        assert_eq!(ep.in_flight(), 0);
     }
 
     #[test]
@@ -1047,8 +357,8 @@ mod tests {
         // A device that sits on reads for 400 ms against a 50 ms grace:
         // the rank must show as stalled mid-serve and clean afterwards.
         let slow = crate::device::DelayedNdp::new(dev, Duration::from_millis(400));
-        let ep = AsyncEndpoint::single(
-            slow,
+        let ep = AsyncEndpoint::new(
+            vec![slow],
             TransportConfig {
                 stall_grace: Duration::from_millis(50),
                 timeout: Duration::from_secs(10),
@@ -1056,7 +366,7 @@ mod tests {
                 ..TransportConfig::default()
             },
         );
-        assert!(ep.stalled_ranks().is_empty(), "idle rank must not stall");
+        assert!(ep.down_ranks().is_empty(), "idle rank must not stall");
         let id = ep
             .submit(&Request::ReadRow {
                 table_addr: 0x1,
@@ -1064,16 +374,16 @@ mod tests {
             })
             .unwrap();
         std::thread::sleep(Duration::from_millis(200));
-        assert_eq!(ep.stalled_ranks(), vec![0]);
-        assert!(ep.vitals()[0].is_busy());
+        assert_eq!(ep.down_ranks(), vec![0]);
+        assert!(ep.link().vitals()[0].is_busy());
         ep.wait(id).unwrap();
-        assert!(ep.stalled_ranks().is_empty(), "stall clears on completion");
-        assert_eq!(ep.vitals()[0].served(), 1);
+        assert!(ep.down_ranks().is_empty(), "stall clears on completion");
+        assert_eq!(ep.served(0), 1);
     }
 
     #[test]
     fn endpoint_registers_and_unregisters_health_component() {
-        let ep = loaded_endpoint(1);
+        let ep = loaded_endpoint();
         let name = ep.health_component().to_string();
         assert!(name.starts_with("transport-ep"));
         let monitor = secndp_telemetry::health::monitor();
@@ -1083,35 +393,5 @@ mod tests {
             !monitor.components().contains(&name),
             "dropping the endpoint must unregister its health check"
         );
-    }
-
-    #[test]
-    fn window_backpressure_caps_in_flight() {
-        // One rank, tiny window: submitting more requests than the window
-        // must block until completions free slots — and in_flight never
-        // exceeds the window.
-        let mut dev = HonestNdp::new();
-        dev.load(0x1, vec![0u8; 64], 16, None).unwrap();
-        let ep = AsyncEndpoint::single(
-            dev,
-            TransportConfig {
-                window: 2,
-                ..TransportConfig::default()
-            },
-        );
-        let mut ids = Vec::new();
-        for i in 0..8 {
-            let id = ep
-                .submit(&Request::ReadRow {
-                    table_addr: 0x1,
-                    row: i % 4,
-                })
-                .unwrap();
-            assert!(ep.in_flight() <= 2, "window violated");
-            ids.push(id);
-        }
-        for id in ids {
-            assert!(ep.wait(id).is_ok());
-        }
     }
 }

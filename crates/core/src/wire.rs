@@ -29,12 +29,14 @@
 //! context is non-empty, so untraced builds produce byte-identical frames.
 
 use crate::device::{validate_load, NdpDevice, NdpResponse};
+use crate::endpoint::EndpointConfig;
 use crate::error::Error;
-use crate::net::{NetConfig, TcpEndpoint};
-use crate::transport::{AsyncEndpoint, TransportConfig};
+use crate::net::TcpEndpoint;
+use crate::transport::AsyncEndpoint;
 use secndp_arith::mersenne::Fq;
 use secndp_arith::ring::{words_from_le_bytes, words_to_le_bytes, RingWord};
 use secndp_telemetry::trace::{self, SpanContext, SpanId, TraceId};
+use std::marker::PhantomData;
 use std::sync::Mutex;
 
 /// Envelope tag for traced (v2) frames. Disjoint from every v1 frame tag
@@ -697,29 +699,18 @@ fn run_sum<W: RingWord, D: NdpDevice>(
     Ok((words_to_le_bytes(&r.c_res), r.c_t_res.map(|t| t.value())))
 }
 
-/// A device adaptor that forces every interaction through the byte-exact
-/// wire format, proving the protocol carries everything it needs.
-///
-/// Two transports back it: the default serves each frame *inline* on the
-/// caller's thread (the blocking round trip), while
-/// [`async_backed`](Self::async_backed) — or `SECNDP_TRANSPORT=async` in
-/// the environment — routes frames through an
-/// [`AsyncEndpoint`](crate::transport::AsyncEndpoint) worker, exercising
-/// the submit/wait completion path with identical semantics.
-#[derive(Debug)]
-pub struct RemoteNdp<D> {
-    backend: Backend<D>,
-}
-
-#[derive(Debug)]
-enum Backend<D> {
-    /// Serve frames on the caller's thread (the blocking path).
-    Inline(Mutex<D>),
-    /// Submit frames to a worker-thread endpoint and await completion.
-    Async(Box<AsyncEndpoint>),
-    /// Ship frames over a real kernel TCP socket to a
-    /// [`NetServer`](crate::net::NetServer) (external or self-hosted).
-    Tcp(Box<TcpEndpoint>),
+/// One request in, one reply out: the single method every path to a
+/// device behind the wire implements — [`RemoteNdp`]'s inline service on
+/// the caller's thread, and an [`Endpoint`](crate::endpoint::Endpoint)
+/// over any link. Everything that implements it is an [`NdpDevice`]
+/// through the one facade below.
+pub trait RoundTrip {
+    /// Carries `req` to the device and returns its decoded reply.
+    ///
+    /// # Errors
+    ///
+    /// Transport failures, typed; a device-side error is `Ok(Response::Err)`.
+    fn round_trip(&self, req: &Request) -> Result<Response, Error>;
 }
 
 /// Decodes a reply frame from the untrusted device, mapping any wire-level
@@ -729,8 +720,7 @@ pub(crate) fn decode_reply(reply: &[u8]) -> Result<Response, Error> {
     Response::decode(reply).map_err(|_| crate::metrics::malformed("undecodable reply frame"))
 }
 
-/// Interprets a reply to a weighted-sum request, shared by the blocking
-/// and async transports so both map device replies identically.
+/// Interprets a reply to a weighted-sum request.
 pub(crate) fn sum_from_response<W: RingWord>(
     resp: Response,
     table_addr: u64,
@@ -746,100 +736,11 @@ pub(crate) fn sum_from_response<W: RingWord>(
     }
 }
 
-impl<D: NdpDevice + Send + 'static> RemoteNdp<D> {
-    /// Wraps a device behind the wire. The transport is chosen by the
-    /// `SECNDP_TRANSPORT` environment variable: `async` routes every frame
-    /// through a single-rank [`AsyncEndpoint`](crate::transport::AsyncEndpoint)
-    /// (configured by the `SECNDP_TRANSPORT_*` knobs); anything else — or
-    /// nothing — serves frames inline on the caller's thread.
-    pub fn new(inner: D) -> Self {
-        match std::env::var("SECNDP_TRANSPORT").as_deref() {
-            Ok("async") => Self::async_backed(inner, TransportConfig::from_env()),
-            Ok("tcp") => Self::tcp_from_env(inner),
-            _ => Self::inline(inner),
-        }
-    }
-
-    /// Wraps a device behind an async (worker-thread) transport, explicitly.
-    pub fn async_backed(inner: D, cfg: TransportConfig) -> Self {
-        Self {
-            backend: Backend::Async(Box::new(AsyncEndpoint::single(inner, cfg))),
-        }
-    }
-
-    /// The `SECNDP_TRANSPORT=tcp` backend: with `SECNDP_TRANSPORT_ADDRS`
-    /// set, connects to those external server ranks (`inner` is dropped —
-    /// the server hosts the devices); otherwise self-hosts `inner` behind
-    /// a private loopback [`NetServer`](crate::net::NetServer) so every
-    /// frame still crosses a real kernel socket.
-    pub fn tcp_from_env(inner: D) -> Self {
-        let cfg = NetConfig::from_env();
-        let ep = if cfg.addrs.is_empty() {
-            TcpEndpoint::self_hosted(inner, cfg).expect("bind loopback ndp device server")
-        } else {
-            TcpEndpoint::connect(cfg).expect("connect tcp ndp endpoint")
-        };
-        Self {
-            backend: Backend::Tcp(Box::new(ep)),
-        }
-    }
-}
-
-impl<D: NdpDevice> RemoteNdp<D> {
-    /// Wraps a device behind the blocking inline transport, explicitly
-    /// (ignores `SECNDP_TRANSPORT`).
-    pub fn inline(inner: D) -> Self {
-        Self {
-            backend: Backend::Inline(Mutex::new(inner)),
-        }
-    }
-
-    /// Wraps an already-connected TCP endpoint, explicitly.
-    pub fn tcp_backed(ep: TcpEndpoint) -> Self {
-        Self {
-            backend: Backend::Tcp(Box::new(ep)),
-        }
-    }
-
-    fn round_trip(&self, req: &Request) -> Result<Response, Error> {
-        let mut sp = trace::span(trace::names::WIRE_ROUND_TRIP);
-        let _t = crate::metrics::wire_round_trip().start_timer();
-        match &self.backend {
-            Backend::Inline(dev) => {
-                let frame = {
-                    let _e = trace::span(trace::names::WIRE_ENCODE);
-                    req.encode_traced(sp.context())?
-                };
-                crate::metrics::wire_packets().inc();
-                crate::metrics::wire_tx_bytes().add(frame.len() as u64);
-                secndp_telemetry::profile::add_wire_bytes(frame.len() as u64, 0);
-                sp.attr_u64("tx_bytes", frame.len() as u64);
-                // Re-decode both directions to guarantee byte-exactness.
-                let reply = serve(&mut *dev.lock().unwrap(), &frame)
-                    .map_err(|_| crate::metrics::malformed("device rejected request frame"))?;
-                crate::metrics::wire_rx_bytes().add(reply.len() as u64);
-                secndp_telemetry::profile::add_wire_bytes(0, reply.len() as u64);
-                sp.attr_u64("rx_bytes", reply.len() as u64);
-                decode_reply(&reply)
-            }
-            Backend::Async(ep) => {
-                // `submit` encodes under the ambient context, i.e. under
-                // `sp` — device-side spans stitch exactly as inline ones.
-                if matches!(req, Request::Load { .. }) {
-                    ep.broadcast(req)
-                } else {
-                    let id = ep.submit(req)?;
-                    ep.wait(id)
-                }
-            }
-            // The endpoint encodes under the ambient context (`sp`), so
-            // server-side `ndp_serve` spans stitch across the socket.
-            Backend::Tcp(ep) => ep.round_trip(req),
-        }
-    }
-}
-
-impl<D: NdpDevice> NdpDevice for RemoteNdp<D> {
+/// The blocking device facade over any [`RoundTrip`]: each trait call
+/// frames one request under a `wire_round_trip` span and interprets the
+/// reply, so trait-generic code — the whole e2e suite — runs over every
+/// transport unchanged.
+impl<T: RoundTrip> NdpDevice for T {
     fn load(
         &mut self,
         table_addr: u64,
@@ -857,7 +758,7 @@ impl<D: NdpDevice> NdpDevice for RemoteNdp<D> {
             ciphertext,
             tags: tags.map(|ts| ts.iter().map(|t| t.value()).collect()),
         };
-        match self.round_trip(&req)? {
+        match timed_round_trip(&*self, &req)? {
             Response::Ack => Ok(()),
             Response::Err(code) => Err(error_from_code(code, table_addr)),
             _ => Err(crate::metrics::malformed("unexpected load reply")),
@@ -878,7 +779,7 @@ impl<D: NdpDevice> NdpDevice for RemoteNdp<D> {
             weights: weights.iter().map(|w| w.as_u64()).collect(),
             with_tag,
         };
-        sum_from_response(self.round_trip(&req)?, table_addr)
+        sum_from_response(timed_round_trip(self, &req)?, table_addr)
     }
 
     fn read_row(&self, table_addr: u64, row: usize) -> Result<Vec<u8>, Error> {
@@ -886,11 +787,140 @@ impl<D: NdpDevice> NdpDevice for RemoteNdp<D> {
             table_addr,
             row: row as u64,
         };
-        match self.round_trip(&req)? {
+        match timed_round_trip(self, &req)? {
             Response::Row(b) => Ok(b),
             Response::Err(code) => Err(error_from_code(code, table_addr)),
             _ => Err(crate::metrics::malformed("wrong response kind")),
         }
+    }
+}
+
+/// The span and latency histogram around one facade call. The request is
+/// encoded under this span, so device-side spans stitch beneath it.
+fn timed_round_trip(via: &impl RoundTrip, req: &Request) -> Result<Response, Error> {
+    let _sp = trace::span(trace::names::WIRE_ROUND_TRIP);
+    let _t = crate::metrics::wire_round_trip().start_timer();
+    via.round_trip(req)
+}
+
+/// Serves every frame on the caller's thread. It cannot time out or
+/// reorder, so it pays for no pending-table entry: encode, [`serve`],
+/// decode — both directions re-decoded to guarantee byte-exactness.
+struct Inline<D>(Mutex<D>);
+
+impl<D: NdpDevice> RoundTrip for Inline<D> {
+    fn round_trip(&self, req: &Request) -> Result<Response, Error> {
+        let ctx = trace::current();
+        let frame = {
+            let _e = trace::span(trace::names::WIRE_ENCODE);
+            req.encode_traced(ctx)?
+        };
+        crate::metrics::wire_packets().inc();
+        crate::metrics::wire_tx_bytes().add(frame.len() as u64);
+        secndp_telemetry::profile::add_wire_bytes(frame.len() as u64, 0);
+        let reply = serve(&mut *crate::endpoint::locked(&self.0), &frame)
+            .map_err(|_| crate::metrics::malformed("device rejected request frame"))?;
+        crate::metrics::wire_rx_bytes().add(reply.len() as u64);
+        secndp_telemetry::profile::add_wire_bytes(0, reply.len() as u64);
+        decode_reply(&reply)
+    }
+}
+
+/// A transport that could not be set up (no loopback port, no thread):
+/// every request that needs it reports the loss, typed.
+struct Unreachable;
+
+impl RoundTrip for Unreachable {
+    fn round_trip(&self, _: &Request) -> Result<Response, Error> {
+        Err(Error::ConnectionLost { attempts: 1 })
+    }
+}
+
+/// A device adaptor that forces every interaction through the byte-exact
+/// wire format, proving the protocol carries everything it needs.
+///
+/// The transport is chosen once, at construction: [`inline`](Self::inline)
+/// serves each frame on the caller's thread, [`async_backed`] and
+/// [`tcp_backed`] ride an [`Endpoint`](crate::endpoint::Endpoint) over
+/// worker threads or sockets, and [`new`](Self::new) picks by the
+/// `SECNDP_TRANSPORT` environment variable. `D` names the device type
+/// behind the wire; for a remote server it is only a label.
+///
+/// [`async_backed`]: Self::async_backed
+/// [`tcp_backed`]: Self::tcp_backed
+pub struct RemoteNdp<D> {
+    via: Box<dyn RoundTrip + Send + Sync>,
+    _device: PhantomData<fn() -> D>,
+}
+
+impl<D> std::fmt::Debug for RemoteNdp<D> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RemoteNdp").finish_non_exhaustive()
+    }
+}
+
+impl<D> RemoteNdp<D> {
+    fn over(via: impl RoundTrip + Send + Sync + 'static) -> Self {
+        Self {
+            via: Box::new(via),
+            _device: PhantomData,
+        }
+    }
+
+    /// Wraps an already-connected TCP endpoint, explicitly.
+    pub fn tcp_backed(ep: TcpEndpoint) -> Self {
+        Self::over(ep)
+    }
+}
+
+impl<D: NdpDevice + Send + 'static> RemoteNdp<D> {
+    /// Wraps a device behind the wire. `SECNDP_TRANSPORT=async` routes
+    /// every frame through a single-rank [`AsyncEndpoint`];
+    /// `SECNDP_TRANSPORT=tcp` through sockets — to the server ranks named
+    /// in `SECNDP_TRANSPORT_ADDRS` (comma-separated `host:port`; `inner`
+    /// is dropped, the server hosts the devices), else to a private
+    /// loopback [`NetServer`](crate::net::NetServer) hosting `inner`.
+    /// Anything else — or nothing — serves frames inline. Endpoints take
+    /// the default [`EndpointConfig`]. Never fails: a transport that
+    /// cannot be set up surfaces as [`Error::ConnectionLost`] from the
+    /// requests that need it.
+    pub fn new(inner: D) -> Self {
+        let cfg = EndpointConfig::default();
+        match std::env::var("SECNDP_TRANSPORT").as_deref() {
+            Ok("async") => Self::async_backed(inner, cfg),
+            Ok("tcp") => {
+                let addrs: Vec<String> = std::env::var("SECNDP_TRANSPORT_ADDRS")
+                    .unwrap_or_default()
+                    .split(',')
+                    .map(|a| a.trim().to_string())
+                    .filter(|a| !a.is_empty())
+                    .collect();
+                let ep = if addrs.is_empty() {
+                    TcpEndpoint::self_hosted(inner, cfg).ok()
+                } else {
+                    TcpEndpoint::connect(EndpointConfig { addrs, ..cfg }).ok()
+                };
+                ep.map_or_else(|| Self::over(Unreachable), Self::over)
+            }
+            _ => Self::inline(inner),
+        }
+    }
+
+    /// Wraps a device behind the blocking inline transport, explicitly
+    /// (ignores `SECNDP_TRANSPORT`).
+    pub fn inline(inner: D) -> Self {
+        Self::over(Inline(Mutex::new(inner)))
+    }
+
+    /// Wraps a device behind an async (worker-thread) transport, explicitly.
+    pub fn async_backed(inner: D, cfg: EndpointConfig) -> Self {
+        Self::over(AsyncEndpoint::new(vec![inner], cfg))
+    }
+}
+
+impl<D> RoundTrip for RemoteNdp<D> {
+    fn round_trip(&self, req: &Request) -> Result<Response, Error> {
+        self.via.round_trip(req)
     }
 }
 

@@ -1,24 +1,202 @@
-//! Acceptance tests for the non-blocking NDP transport: the async
-//! endpoint must be observationally equivalent to the blocking
-//! `RemoteNdp` path (differential check under randomized delays and
-//! completion reordering), complete out of order through `poll`, turn an
-//! injected device stall into a typed `DeviceTimeout`, transparently
-//! retry idempotent requests onto a healthy rank, and never retry the
-//! state-mutating `Load`.
+//! The endpoint conformance suite: one set of scenarios, run over every
+//! [`Link`] — `WorkerLink` (in-process rank threads) and `TcpLink`
+//! (sockets to in-process `NetServer`s, one per rank). The completion
+//! core is shared, so each rule is checked once here and must hold on
+//! both: differential ≡ blocking ≡ plaintext, out-of-order `poll`, window
+//! backpressure, stall → `DeviceTimeout` + counter, retry onto a healthy
+//! rank, `Load` never retried, `wait` twice is a typed error, a duplicate
+//! reply is counted late, and pipelined verified batches (with tamper
+//! detection). Socket-only cases (hostile framing, torn writes, MITM,
+//! kill/respawn, drain) live in `tests/net_transport.rs`.
+//!
+//! The file keeps the name it had when it covered the worker link alone.
 
-use std::time::Duration;
+use std::io::{Read, Write};
+use std::net::TcpListener;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use secndp::arith::mersenne::Fq;
 use secndp::arith::ring::RingWord;
 use secndp::core::device::{DelayedNdp, NdpResponse, Tamper, TamperingNdp};
-use secndp::core::wire::{RemoteNdp, Request};
+use secndp::core::fault::PlannedFault;
+use secndp::core::net::{NetServer, TcpLink};
+use secndp::core::transport::WorkerLink;
+use secndp::core::wire::{self, RemoteNdp, Request};
 use secndp::core::{
-    AsyncEndpoint, Error, HonestNdp, NdpDevice, SecretKey, TransportConfig, TrustedProcessor,
+    AsyncEndpoint, Endpoint, EndpointConfig, Error, FaultInjector, FaultKind, HonestNdp, Link,
+    NdpDevice, SecretKey, TcpEndpoint, TrustedProcessor,
 };
 
 const ROWS: usize = 32;
 const COLS: usize = 8;
 const ADDR: u64 = 0x7000;
+
+/// An endpoint over link `L`, plus whatever must outlive it (declared
+/// after it, so dropped after it).
+struct Rigged<L: Link> {
+    ep: Endpoint<L>,
+    _keep: Vec<NetServer>,
+    /// The worker link's fault hook, where a scenario needs one.
+    chaos: Option<Arc<FaultInjector>>,
+}
+
+impl<L: Link> Rigged<L> {
+    /// Makes the next reply arrive twice, on links where that takes
+    /// arming (the duplicating socket server does it unasked).
+    fn duplicate_next_reply(&self) {
+        if let Some(injector) = &self.chaos {
+            injector.arm(PlannedFault {
+                op: 0,
+                rank: 0,
+                kind: FaultKind::DuplicateReply,
+            });
+        }
+    }
+}
+
+/// How to stand up an endpoint over one kind of link.
+trait Rig {
+    type L: Link;
+
+    /// One rank per device.
+    fn ranks<D: NdpDevice + Send + 'static>(
+        devices: Vec<D>,
+        cfg: EndpointConfig,
+    ) -> Rigged<Self::L>;
+
+    /// A `RemoteNdp` riding a default-configured single-rank endpoint.
+    fn remote<D: NdpDevice + Send + 'static>(device: D) -> RemoteNdp<D>;
+
+    /// One honest rank whose every reply arrives twice.
+    fn duplicating() -> Rigged<Self::L>;
+}
+
+struct Worker;
+struct Tcp;
+
+impl Rig for Worker {
+    type L = WorkerLink;
+
+    fn ranks<D: NdpDevice + Send + 'static>(
+        devices: Vec<D>,
+        cfg: EndpointConfig,
+    ) -> Rigged<WorkerLink> {
+        Rigged {
+            ep: AsyncEndpoint::new(devices, cfg),
+            _keep: Vec::new(),
+            chaos: None,
+        }
+    }
+
+    fn remote<D: NdpDevice + Send + 'static>(device: D) -> RemoteNdp<D> {
+        RemoteNdp::async_backed(device, EndpointConfig::default())
+    }
+
+    fn duplicating() -> Rigged<WorkerLink> {
+        let injector = Arc::new(FaultInjector::new());
+        Rigged {
+            ep: AsyncEndpoint::new_with_faults(
+                vec![HonestNdp::new()],
+                EndpointConfig::default(),
+                Arc::clone(&injector),
+            ),
+            _keep: Vec::new(),
+            chaos: Some(injector),
+        }
+    }
+}
+
+impl Rig for Tcp {
+    type L = TcpLink;
+
+    fn ranks<D: NdpDevice + Send + 'static>(
+        devices: Vec<D>,
+        cfg: EndpointConfig,
+    ) -> Rigged<TcpLink> {
+        let servers: Vec<NetServer> = devices
+            .into_iter()
+            .map(|d| NetServer::host_device(d, "127.0.0.1:0").unwrap())
+            .collect();
+        let addrs = servers.iter().map(|s| s.local_addr().to_string()).collect();
+        Rigged {
+            ep: TcpEndpoint::connect(EndpointConfig { addrs, ..cfg }).unwrap(),
+            _keep: servers,
+            chaos: None,
+        }
+    }
+
+    fn remote<D: NdpDevice + Send + 'static>(device: D) -> RemoteNdp<D> {
+        RemoteNdp::tcp_backed(TcpEndpoint::self_hosted(device, EndpointConfig::default()).unwrap())
+    }
+
+    fn duplicating() -> Rigged<TcpLink> {
+        // A hand-rolled server: net framing in, every reply record out
+        // twice. One connection is all a pool of one ever opens.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addrs = vec![listener.local_addr().unwrap().to_string()];
+        std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut dev = HonestNdp::new();
+            let mut len = [0u8; 4];
+            while conn.read_exact(&mut len).is_ok() {
+                let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
+                if conn.read_exact(&mut payload).is_err() {
+                    return;
+                }
+                // payload = req_id(8) | session(8) | rank(4) | frame.
+                let reply = wire::serve_or_reply(&mut dev, &payload[20..]);
+                let mut record = ((8 + reply.len()) as u32).to_le_bytes().to_vec();
+                record.extend_from_slice(&payload[..8]);
+                record.extend_from_slice(&reply);
+                if conn
+                    .write_all(&[&record[..], &record[..]].concat())
+                    .is_err()
+                {
+                    return;
+                }
+            }
+        });
+        Rigged {
+            ep: TcpEndpoint::connect(EndpointConfig {
+                addrs,
+                ..EndpointConfig::default()
+            })
+            .unwrap(),
+            _keep: Vec::new(),
+            chaos: None,
+        }
+    }
+}
+
+/// Runs a scenario over every link.
+macro_rules! on_every_link {
+    ($scenario:ident) => {{
+        $scenario::<Worker>();
+        $scenario::<Tcp>();
+    }};
+}
+
+/// Scenarios that assert exact counter movement hold this, so no other
+/// scenario's timeouts land in their delta.
+fn counters() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+#[cfg(feature = "telemetry")]
+fn counter(name: &'static str) -> u64 {
+    secndp::telemetry::global()
+        .snapshot()
+        .metrics
+        .iter()
+        .find(|m| m.name == name)
+        .and_then(|m| match m.value {
+            secndp::telemetry::Value::Counter(v) => Some(v),
+            _ => None,
+        })
+        .unwrap_or(0)
+}
 
 fn plaintext() -> Vec<u32> {
     (0..ROWS * COLS).map(|x| (x * 37 + 11) as u32).collect()
@@ -54,11 +232,17 @@ fn expected(pt: &[u32], idx: &[usize], w: &[u32]) -> Vec<u32> {
     out
 }
 
-/// The async endpoint (4 jittered ranks, genuinely reordering
-/// completions) must return exactly what the blocking in-process wire
-/// path returns — which must equal the plaintext ground truth.
-#[test]
-fn async_endpoint_matches_blocking_path_differentially() {
+fn read_row(row: u64) -> Request {
+    Request::ReadRow {
+        table_addr: ADDR,
+        row,
+    }
+}
+
+/// The endpoint (4 jittered ranks, genuinely reordering completions)
+/// must return exactly what the blocking in-process wire path returns —
+/// which must equal the plaintext ground truth.
+fn differential<R: Rig>() {
     let pt = plaintext();
     let qs = queries(24, 0xD1FF);
 
@@ -82,31 +266,28 @@ fn async_endpoint_matches_blocking_path_differentially() {
             )
         })
         .collect();
-    let mut endpoint = AsyncEndpoint::new(
+    let mut rig = R::ranks(
         ranks,
-        TransportConfig {
+        EndpointConfig {
             window: 8,
             timeout: Duration::from_secs(10),
-            ..TransportConfig::default()
+            ..EndpointConfig::default()
         },
     );
     let table = cpu.encrypt_table(&pt, ROWS, COLS, ADDR).unwrap();
-    let handle = cpu.publish(&table, &mut endpoint).unwrap();
+    let handle = cpu.publish(&table, &mut rig.ep).unwrap();
     let pipelined = cpu
-        .weighted_sum_batch_pipelined(&handle, &endpoint, &qs, true)
+        .weighted_sum_batch_pipelined(&handle, &rig.ep, &qs, true)
         .unwrap();
 
-    // Single-query async leg: the env-independent async constructor.
+    // Single-query leg: a RemoteNdp riding the link.
     let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0xA53));
-    let mut remote = RemoteNdp::async_backed(
-        DelayedNdp::with_jitter(
-            HonestNdp::new(),
-            Duration::from_micros(50),
-            Duration::from_micros(500),
-            0x5A5A,
-        ),
-        TransportConfig::default(),
-    );
+    let mut remote = R::remote(DelayedNdp::with_jitter(
+        HonestNdp::new(),
+        Duration::from_micros(50),
+        Duration::from_micros(500),
+        0x5A5A,
+    ));
     let table = cpu.encrypt_table(&pt, ROWS, COLS, ADDR).unwrap();
     let handle = cpu.publish(&table, &mut remote).unwrap();
 
@@ -115,141 +296,201 @@ fn async_endpoint_matches_blocking_path_differentially() {
         assert_eq!(blocking[qi], want, "blocking leg diverged on query {qi}");
         assert_eq!(pipelined[qi], want, "pipelined leg diverged on query {qi}");
         let one = cpu.weighted_sum(&handle, &remote, idx, w, true).unwrap();
-        assert_eq!(one, want, "async single-query leg diverged on query {qi}");
+        assert_eq!(one, want, "single-query leg diverged on query {qi}");
     }
+}
+
+#[test]
+fn async_endpoint_matches_blocking_path_differentially() {
+    on_every_link!(differential);
 }
 
 /// A fast rank's reply must be redeemable through `poll` while a slow
 /// rank's earlier request is still in flight — completion order is
 /// decoupled from submission order.
-#[test]
-fn poll_redeems_completions_out_of_submission_order() {
+fn out_of_order_poll<R: Rig>() {
     let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0x00D));
     let slow = DelayedNdp::new(HonestNdp::new(), Duration::from_millis(300));
     let fast = DelayedNdp::new(HonestNdp::new(), Duration::ZERO);
-    let mut endpoint = AsyncEndpoint::new(
+    let mut rig = R::ranks(
         vec![slow, fast],
-        TransportConfig {
+        EndpointConfig {
             timeout: Duration::from_secs(10),
-            ..TransportConfig::default()
+            ..EndpointConfig::default()
         },
     );
     let pt = plaintext();
     let table = cpu.encrypt_table(&pt, ROWS, COLS, ADDR).unwrap();
-    cpu.publish(&table, &mut endpoint).unwrap();
+    cpu.publish(&table, &mut rig.ep).unwrap();
 
-    let req = |rows: [u64; 2]| Request::WeightedSum {
-        table_addr: ADDR,
-        elem_bytes: 4,
-        indices: rows.to_vec(),
-        weights: vec![1, 1],
-        with_tag: false,
-    };
     // Round-robin: the first submit lands on the slow rank, the second
     // on the fast one.
-    let a = endpoint.submit(&req([0, 1])).unwrap();
-    let b = endpoint.submit(&req([2, 3])).unwrap();
+    let a = rig.ep.submit(&read_row(0)).unwrap();
+    let b = rig.ep.submit(&read_row(1)).unwrap();
 
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let deadline = Instant::now() + Duration::from_secs(5);
     let b_result = loop {
-        if let Some(r) = endpoint.poll(b) {
+        if let Some(r) = rig.ep.poll(b) {
             break r;
         }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "fast rank never completed"
-        );
+        assert!(Instant::now() < deadline, "fast rank never completed");
         std::thread::sleep(Duration::from_micros(200));
     };
     b_result.unwrap();
     // The earlier request (slow rank) must still be pending when the
     // later one has already settled.
     assert!(
-        endpoint.poll(a).is_none(),
+        rig.ep.poll(a).is_none(),
         "slow rank finished before its 300ms delay — completion order not exercised"
     );
-    endpoint.wait(a).unwrap();
+    rig.ep.wait(a).unwrap();
 }
 
-/// An injected device stall must surface as `Error::DeviceTimeout` after
-/// the per-request deadline, with the timeout counter incremented.
 #[test]
-fn stalled_rank_times_out_with_typed_error() {
-    // With telemetry compiled out the counters are no-op stubs, so the
-    // counter movement is only asserted when the feature is on.
-    #[cfg(feature = "telemetry")]
-    let (timeouts, before) = {
-        let c = secndp::telemetry::counter!(
-            "secndp_transport_timeouts_total",
-            "Async-transport requests whose per-request deadline expired."
-        );
-        (c, c.get())
-    };
+fn poll_redeems_completions_out_of_submission_order() {
+    on_every_link!(out_of_order_poll);
+}
 
+/// Submitting more requests than the window must block until completions
+/// free credits — `in_flight` never exceeds the window.
+fn window_backpressure<R: Rig>() {
+    let mut dev = HonestNdp::new();
+    dev.load(ADDR, vec![0u8; 64], 16, None).unwrap();
+    let rig = R::ranks(
+        vec![dev],
+        EndpointConfig {
+            window: 2,
+            ..EndpointConfig::default()
+        },
+    );
+    let ids: Vec<_> = (0..8)
+        .map(|i| {
+            let id = rig.ep.submit(&read_row(i % 4)).unwrap();
+            assert!(rig.ep.in_flight() <= 2, "window violated");
+            id
+        })
+        .collect();
+    for id in ids {
+        rig.ep.wait(id).unwrap();
+    }
+    assert_eq!(rig.ep.in_flight(), 0);
+    assert_eq!(rig.ep.served(0), 8);
+}
+
+#[test]
+fn window_backpressure_caps_in_flight() {
+    on_every_link!(window_backpressure);
+}
+
+/// A redeemed id is gone: a second `wait` is a typed error, not a hang.
+fn wait_twice<R: Rig>() {
+    let mut dev = HonestNdp::new();
+    dev.load(ADDR, vec![0u8; 64], 16, None).unwrap();
+    let rig = R::ranks(vec![dev], EndpointConfig::default());
+    let id = rig.ep.submit(&read_row(0)).unwrap();
+    rig.ep.wait(id).unwrap();
+    assert!(matches!(
+        rig.ep.wait(id),
+        Err(Error::MalformedResponse { .. })
+    ));
+    assert!(matches!(
+        rig.ep.poll(id),
+        Some(Err(Error::MalformedResponse { .. }))
+    ));
+}
+
+#[test]
+fn wait_twice_is_a_typed_error() {
+    on_every_link!(wait_twice);
+}
+
+/// A device stall must surface as `Error::DeviceTimeout` after the
+/// per-request deadline, with `secndp_transport_timeouts_total` — the
+/// counter the default `timeout-spike` detector reads — moved by exactly
+/// one, whichever link carried the request.
+fn stall_times_out<R: Rig>() {
+    let _serial = counters();
     let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0xDEAD));
     let stalled = DelayedNdp::new(HonestNdp::new(), Duration::from_millis(500));
-    let mut endpoint = AsyncEndpoint::new(
+    let mut rig = R::ranks(
         vec![stalled],
-        TransportConfig {
+        EndpointConfig {
             timeout: Duration::from_millis(40),
             max_retries: 0,
-            ..TransportConfig::default()
+            ..EndpointConfig::default()
         },
     );
     let pt = plaintext();
     let table = cpu.encrypt_table(&pt, ROWS, COLS, ADDR).unwrap();
     // Load passes straight through `DelayedNdp`, so publish succeeds;
     // only the data path stalls.
-    let handle = cpu.publish(&table, &mut endpoint).unwrap();
+    let handle = cpu.publish(&table, &mut rig.ep).unwrap();
 
+    // With telemetry compiled out the counters are no-op stubs.
+    #[cfg(feature = "telemetry")]
+    let before = counter("secndp_transport_timeouts_total");
     let err = cpu
-        .weighted_sum(&handle, &endpoint, &[0], &[1u32], true)
+        .weighted_sum(&handle, &rig.ep, &[0], &[1u32], true)
         .unwrap_err();
     match err {
         Error::DeviceTimeout { attempts, .. } => assert_eq!(attempts, 1),
         other => panic!("expected DeviceTimeout, got {other:?}"),
     }
     #[cfg(feature = "telemetry")]
-    assert!(timeouts.get() > before, "timeout counter did not move");
+    assert_eq!(counter("secndp_transport_timeouts_total") - before, 1);
+    assert_eq!(rig.ep.in_flight(), 0, "the timed-out slot keeps no credit");
+}
+
+#[test]
+fn stalled_rank_times_out_with_typed_error() {
+    on_every_link!(stall_times_out);
 }
 
 /// After the slow rank misses its deadline, the retry must land on the
-/// healthy rank and the verified result must still check out — and the
-/// retry counter must record the re-send.
-#[test]
-fn retry_moves_to_a_healthy_rank_and_still_verifies() {
-    #[cfg(feature = "telemetry")]
-    let (retries, before) = {
-        let c = secndp::telemetry::counter!(
-            "secndp_transport_retries_total",
-            "Idempotent async-transport requests re-sent after a timeout."
-        );
-        (c, c.get())
-    };
-
+/// healthy rank and the verified result must still check out — one
+/// timeout, one retry, and the slow rank's eventual reply a straggler.
+fn retry_to_healthy_rank<R: Rig>() {
+    let _serial = counters();
     let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0x2E7));
     let slow = DelayedNdp::new(HonestNdp::new(), Duration::from_millis(500));
     let fast = DelayedNdp::new(HonestNdp::new(), Duration::ZERO);
-    let mut endpoint = AsyncEndpoint::new(
+    let mut rig = R::ranks(
         vec![slow, fast],
-        TransportConfig {
+        EndpointConfig {
             timeout: Duration::from_millis(60),
             max_retries: 2,
-            ..TransportConfig::default()
+            ..EndpointConfig::default()
         },
     );
     let pt = plaintext();
     let table = cpu.encrypt_table(&pt, ROWS, COLS, ADDR).unwrap();
-    let handle = cpu.publish(&table, &mut endpoint).unwrap();
+    let handle = cpu.publish(&table, &mut rig.ep).unwrap();
 
+    #[cfg(feature = "telemetry")]
+    let before = (
+        counter("secndp_transport_timeouts_total"),
+        counter("secndp_transport_retries_total"),
+    );
     // Round-robin sends the first request to the slow rank; the deadline
     // expires and the retry lands on the fast rank.
     let res = cpu
-        .weighted_sum(&handle, &endpoint, &[0, 4], &[3u32, 2], true)
+        .weighted_sum(&handle, &rig.ep, &[0, 4], &[3u32, 2], true)
         .unwrap();
     assert_eq!(res, expected(&pt, &[0, 4], &[3, 2]));
     #[cfg(feature = "telemetry")]
-    assert!(retries.get() > before, "retry counter did not move");
+    assert_eq!(
+        (
+            counter("secndp_transport_timeouts_total") - before.0,
+            counter("secndp_transport_retries_total") - before.1,
+        ),
+        (1, 1)
+    );
+    assert_eq!((rig.ep.served(0), rig.ep.served(1)), (1, 2), "load + sum");
+}
+
+#[test]
+fn retry_moves_to_a_healthy_rank_and_still_verifies() {
+    on_every_link!(retry_to_healthy_rank);
 }
 
 /// Wraps a device so that `load` stalls — `weighted_sum`/`read_row` pass
@@ -291,42 +532,79 @@ impl NdpDevice for SlowLoadNdp {
 /// A stalled `Load` must time out on its *first* attempt — never be
 /// re-sent, even with retries enabled — because re-sending a load after
 /// a timeout could overwrite a newer table image on the device.
-#[test]
-fn load_is_never_retried() {
+fn load_never_retried<R: Rig>() {
+    let _serial = counters();
     let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0x10AD));
     let device = SlowLoadNdp {
         inner: HonestNdp::new(),
         delay: Duration::from_millis(400),
     };
-    let mut endpoint = AsyncEndpoint::new(
+    let mut rig = R::ranks(
         vec![device],
-        TransportConfig {
+        EndpointConfig {
             timeout: Duration::from_millis(40),
             max_retries: 3, // retries are on; Load must still not use them
-            ..TransportConfig::default()
+            ..EndpointConfig::default()
         },
     );
     let pt = plaintext();
     let table = cpu.encrypt_table(&pt, ROWS, COLS, ADDR).unwrap();
-    let err = cpu.publish(&table, &mut endpoint).unwrap_err();
+    #[cfg(feature = "telemetry")]
+    let before = counter("secndp_transport_retries_total");
+    let err = cpu.publish(&table, &mut rig.ep).unwrap_err();
     match err {
         Error::DeviceTimeout { attempts, .. } => {
             assert_eq!(attempts, 1, "Load was retried {} times", attempts - 1)
         }
         other => panic!("expected DeviceTimeout, got {other:?}"),
     }
+    #[cfg(feature = "telemetry")]
+    assert_eq!(counter("secndp_transport_retries_total"), before);
 }
 
-/// The full end-to-end protocol — publish, verified single and batched
-/// summations, and tamper detection — must behave identically when the
-/// `RemoteNdp` rides the async endpoint.
 #[test]
-fn end_to_end_protocol_over_async_endpoint() {
+fn load_is_never_retried() {
+    on_every_link!(load_never_retried);
+}
+
+/// A reply that arrives twice settles its request once; the copy finds
+/// the slot settled (or gone) and is counted late, never delivered.
+fn duplicate_counted_late<R: Rig>() {
+    let _serial = counters();
+    let mut rig = R::duplicating();
+    rig.ep.load(ADDR, vec![7u8; 64], 16, None).unwrap();
+    #[cfg(feature = "telemetry")]
+    let before = counter("secndp_transport_late_completions_total");
+    for row in 0..4 {
+        rig.duplicate_next_reply();
+        assert_eq!(rig.ep.read_row(ADDR, row).unwrap(), vec![7u8; 16]);
+    }
+    assert_eq!(rig.ep.served(0), 5, "each request is served once");
+    // The last copy may still be in the link's hands; it lands shortly.
+    #[cfg(feature = "telemetry")]
+    {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while counter("secndp_transport_late_completions_total") - before < 4 {
+            assert!(Instant::now() < deadline, "duplicates never counted late");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+}
+
+#[test]
+fn duplicate_reply_is_counted_late() {
+    on_every_link!(duplicate_counted_late);
+}
+
+/// The full end-to-end protocol — publish, verified single, batched and
+/// pipelined summations, and tamper detection — behaves identically
+/// whichever link the frames ride.
+fn end_to_end<R: Rig>() {
     let pt = plaintext();
     let qs = queries(8, 0xE2E);
 
     let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0xE7E));
-    let mut ndp = RemoteNdp::async_backed(HonestNdp::new(), TransportConfig::default());
+    let mut ndp = R::remote(HonestNdp::new());
     let table = cpu.encrypt_table(&pt, ROWS, COLS, ADDR).unwrap();
     let handle = cpu.publish(&table, &mut ndp).unwrap();
 
@@ -340,19 +618,26 @@ fn end_to_end_protocol_over_async_endpoint() {
         assert_eq!(batch[qi], expected(&pt, idx, w));
     }
 
-    // Tampering must still be caught through the async wire.
+    // Tampering must still be caught through the wire: by a single query
+    // and by a pipelined packet whose replies are tampered.
+    let flip = Tamper::FlipResultBit { element: 0, bit: 5 };
     let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0xBAD2));
-    let mut evil = RemoteNdp::async_backed(
-        TamperingNdp::new(Tamper::FlipResultBit { element: 0, bit: 5 }),
-        TransportConfig::default(),
-    );
+    let mut evil = R::remote(TamperingNdp::new(flip));
+    let mut evil_rig = R::ranks(vec![TamperingNdp::new(flip)], EndpointConfig::default());
     let table = cpu.encrypt_table(&pt, ROWS, COLS, 0x9000).unwrap();
     let handle = cpu.publish(&table, &mut evil).unwrap();
-    let err = cpu
-        .weighted_sum(&handle, &evil, &[0, 1], &[1u32, 1], true)
-        .unwrap_err();
-    assert!(matches!(
-        err,
-        Error::VerificationFailed { table_addr: 0x9000 }
-    ));
+    cpu.publish(&table, &mut evil_rig.ep).unwrap();
+    let single = cpu.weighted_sum(&handle, &evil, &[0, 1], &[1u32, 1], true);
+    let packet = cpu.weighted_sum_batch_pipelined(&handle, &evil_rig.ep, &qs, true);
+    for err in [single.unwrap_err(), packet.unwrap_err()] {
+        assert!(matches!(
+            err,
+            Error::VerificationFailed { table_addr: 0x9000 }
+        ));
+    }
+}
+
+#[test]
+fn end_to_end_protocol_over_async_endpoint() {
+    on_every_link!(end_to_end);
 }

@@ -5,8 +5,8 @@
 //! verify *and* equal both the inline transport's answer and the
 //! plaintext ground truth per query (a cross-wired reply would produce a
 //! verification failure or a differential mismatch), and afterwards the
-//! transport counters must reconcile exactly:
-//! `submitted == completed + timeouts + connection failures`.
+//! endpoint counters must reconcile exactly:
+//! `submitted + retries == completed + timeouts + connection failures`.
 //!
 //! This file is a separate integration-test binary on purpose — it owns
 //! its process's global metric registry, so the reconciliation holds with
@@ -57,15 +57,17 @@ fn spawn_server() -> (Reaper, String) {
     panic!("server never printed its listening line");
 }
 
+/// A counter's value, or a histogram's sample count.
 #[cfg(feature = "telemetry")]
-fn counter(name: &str) -> u64 {
+fn count(name: &str) -> u64 {
     secndp::telemetry::global()
         .snapshot()
         .metrics
         .iter()
         .find(|m| m.name == name)
-        .and_then(|m| match m.value {
-            secndp::telemetry::Value::Counter(v) => Some(v),
+        .and_then(|m| match &m.value {
+            secndp::telemetry::Value::Counter(v) => Some(*v),
+            secndp::telemetry::Value::Histogram(h) => Some(h.count),
             _ => None,
         })
         .unwrap_or(0)
@@ -135,25 +137,27 @@ fn eight_threads_hundreds_of_queries_verify_and_counters_reconcile() {
     );
 
     // Both pool connections carried traffic and are still live.
-    assert!(tcp.rank_vitals(0).live_connections() >= 1);
+    assert!(tcp.link().vitals(0).live_connections() >= 1);
     assert_eq!(
-        tcp.rank_vitals(0).served() as usize,
+        tcp.served(0) as usize,
         THREADS * QUERIES_PER_THREAD + 1, // + the publish load
     );
 
-    // Counter reconciliation: every submitted request record settled into
-    // exactly one bucket. This process ran no other transport, so the
-    // totals are exact, not deltas.
+    // Counter reconciliation: every send settled into exactly one bucket
+    // (a completed request is one sample of the completion histogram).
+    // This process ran no other endpoint, so the totals are exact, not
+    // deltas.
     #[cfg(feature = "telemetry")]
     {
-        let submitted = counter("secndp_net_submitted_total");
-        let completed = counter("secndp_net_completed_total");
-        let timeouts = counter("secndp_net_timeouts_total");
-        let conn_failures = counter("secndp_net_conn_failures_total");
+        let sent =
+            count("secndp_transport_submitted_total") + count("secndp_transport_retries_total");
+        let completed = count("secndp_transport_completion_ns");
+        let timeouts = count("secndp_transport_timeouts_total");
+        let conn_failures = count("secndp_net_conn_failures_total");
         assert_eq!(
-            submitted,
+            sent,
             completed + timeouts + conn_failures,
-            "submitted must reconcile with completed + timeouts + failures"
+            "sends must reconcile with completed + timeouts + failures"
         );
         assert!(
             completed as usize > THREADS * QUERIES_PER_THREAD,

@@ -135,8 +135,8 @@ fn cross_process_differential_verified_sls() {
         assert_eq!(over_socket, expected(&pt, &idx, &w), "tcp ≢ plaintext");
     }
     // Rank vitals saw the live connection and the traffic.
-    assert!(tcp.rank_vitals(0).ever_connected());
-    assert!(tcp.rank_vitals(0).served() >= 64);
+    assert!(tcp.link().vitals(0).ever_connected());
+    assert!(tcp.served(0) >= 64);
 }
 
 /// Plaintext row readback across the process boundary (exercises the
@@ -162,6 +162,7 @@ fn cross_process_read_row_roundtrip() {
 /// one bit in every sufficiently large server reply (i.e. every
 /// weighted-sum result, skipping the small `Load` acks). Returns the
 /// proxy's listen address.
+#[cfg(feature = "telemetry")]
 fn tamper_proxy(upstream: String) -> String {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
@@ -281,7 +282,7 @@ fn server_kill_is_typed_error_then_reconnect_recovers() {
         ),
         "dead server must be a typed availability error, got {res:?}"
     );
-    assert!(tcp.rank_vitals(0).disconnected());
+    assert!(tcp.link().vitals(0).disconnected());
 
     // Respawn on the *same* address (SO_REUSEADDR makes the listener
     // rebindable immediately; retry a few times for scheduler slack).
@@ -302,7 +303,7 @@ fn server_kill_is_typed_error_then_reconnect_recovers() {
         .weighted_sum(&handle, &tcp, &[4, 5], &[2u32, 3], true)
         .unwrap();
     assert_eq!(after, expected(&pt, &[4, 5], &[2, 3]));
-    assert!(tcp.rank_vitals(0).live_connections() > 0);
+    assert!(tcp.link().vitals(0).live_connections() > 0);
 }
 
 /// Hand-writes one net request record carrying `frame` and returns the
