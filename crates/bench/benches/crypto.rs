@@ -59,7 +59,7 @@ fn bench_pad_batch(c: &mut Criterion) {
             }
         })
     });
-    // Per-row batches through encrypt_blocks_into (4-way interleaved).
+    // Per-row batches through encrypt_blocks_into (interleaved rounds).
     g.bench_function("batched_per_row", |b| {
         b.iter(|| {
             for i in 0..rows {
@@ -67,9 +67,9 @@ fn bench_pad_batch(c: &mut Criterion) {
             }
         })
     });
-    // One planned batch for the whole packet: a single 4096-block pass,
-    // thread-parallel above PARALLEL_THRESHOLD_BLOCKS on multi-core hosts.
-    g.bench_function("planned_batch_parallel", |b| {
+    // One planned batch for the whole packet: a single 4096-block pass on
+    // the caller's thread.
+    g.bench_function("planned_batch", |b| {
         let mut planner = PadPlanner::new();
         b.iter(|| {
             planner.reset();

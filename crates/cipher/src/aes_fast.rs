@@ -1,22 +1,29 @@
-//! T-table AES-128: a faster software implementation of the same cipher.
+//! Fast AES-128: hardware AES-NI where the CPU has it, T-tables elsewhere.
 //!
-//! The byte-oriented cipher in [`crate::aes`] is the readable reference;
-//! this module implements the classical 32-bit T-table formulation
-//! (Daemen & Rijmen's "32-bit implementation"), which fuses SubBytes,
-//! ShiftRows and MixColumns into four table lookups and three XORs per
-//! column per round — typically 3–5× faster in software.
+//! The byte-oriented cipher in [`crate::aes`] is the readable reference.
+//! [`Aes128Fast`] produces the same bytes two other ways and picks one,
+//! once, when it is keyed:
 //!
-//! Equivalence with the reference implementation is enforced by exhaustive
-//! randomized tests, and the FIPS-197 vector is checked independently.
+//! * **AES-NI** (x86-64 with `aes` + `sse2`, detected at run time): one
+//!   `aesenc` per round, eight independent blocks interleaved so the
+//!   pipelined unit stays full. Block encryption touches no table and
+//!   branches on no data, so this path is constant-time. The call across
+//!   the `#[target_feature]` boundary, made after detection, is the one
+//!   place the workspace steps outside safe Rust.
+//! * **T-tables** (every other host, and the only path that runs there):
+//!   the classical 32-bit formulation (Daemen & Rijmen), which fuses
+//!   SubBytes, ShiftRows and MixColumns into four table lookups and three
+//!   XORs per column per round. Like all table-based AES its lookups are
+//!   *not* constant-time with respect to data-dependent cache behaviour;
+//!   SecNDP's threat model keeps the cipher inside the trusted processor
+//!   where that channel is out of scope (paper §II).
 //!
-//! Note: like all table-based AES, lookups are *not* constant-time with
-//! respect to data-dependent cache behaviour. The threat model of SecNDP
-//! places the cipher inside the trusted processor where such side channels
-//! are out of scope (paper §II: "an attacker's software co-located in the
-//! processor cannot access protected data … through side channels"), and
-//! the hardware engine the paper models is a pipeline, not a table. For a
-//! software deployment outside that model, prefer a bitsliced or hardware
-//! AES.
+//! Key expansion is shared and runs once per key; it indexes the S-box by
+//! key bytes on both paths.
+//!
+//! Equivalence of both paths with the reference implementation is enforced
+//! by differential tests over random keys and every batch remainder, and
+//! the FIPS-197 vectors are checked independently on each.
 
 use crate::aes::{Block, BlockCipher, BLOCK_BYTES};
 
@@ -101,143 +108,284 @@ fn sub_word(w: u32) -> u32 {
         | (SBOX[(w & 0xff) as usize] as u32)
 }
 
-/// AES-128 with fused T-table rounds. Encrypt-only (counter-mode never
-/// decrypts blocks); `decrypt_block` delegates to the reference cipher.
+/// The expanded key, in the form the selected path consumes.
+#[derive(Clone)]
+enum RoundKeys {
+    /// Eleven round keys as little-endian 128-bit words (the byte order an
+    /// XMM register loads). Built only by [`Aes128Fast::new`], only after
+    /// `aes` and `sse2` were detected on the running CPU — the dispatch in
+    /// `encrypt_blocks_into` relies on that.
+    #[cfg(target_arch = "x86_64")]
+    AesNi([u128; 11]),
+    /// Forty-four big-endian words for the T-table rounds.
+    Table([u32; 44]),
+}
+
+/// AES-128 at the speed of the host: AES-NI when detected, fused T-table
+/// rounds otherwise. Encrypt-only (counter-mode never decrypts blocks);
+/// `decrypt_block` delegates to the reference cipher.
 #[derive(Clone)]
 pub struct Aes128Fast {
-    rk: [u32; 44],
+    keys: RoundKeys,
     /// Reference cipher for the (rare) inverse direction.
     reference: crate::aes::Aes128,
 }
 
+/// The FIPS-197 key expansion as 44 big-endian words.
+fn expand_key(key: &[u8; 16]) -> [u32; 44] {
+    let mut rk = [0u32; 44];
+    for (i, chunk) in key.chunks_exact(4).enumerate() {
+        rk[i] = u32::from_be_bytes(chunk.try_into().unwrap());
+    }
+    for i in 4..44 {
+        let mut temp = rk[i - 1];
+        if i % 4 == 0 {
+            temp = sub_word(temp.rotate_left(8)) ^ RCON[i / 4 - 1];
+        }
+        rk[i] = rk[i - 4] ^ temp;
+    }
+    rk
+}
+
 impl Aes128Fast {
-    /// Expands `key` into the word-oriented round-key schedule.
+    /// Expands `key` and selects the path: AES-NI if the running CPU
+    /// reports `aes` and `sse2`, the portable T-table rounds otherwise.
     pub fn new(key: &[u8; 16]) -> Self {
-        let mut rk = [0u32; 44];
-        for (i, chunk) in key.chunks_exact(4).enumerate() {
-            rk[i] = u32::from_be_bytes(chunk.try_into().unwrap());
-        }
-        for i in 4..44 {
-            let mut temp = rk[i - 1];
-            if i % 4 == 0 {
-                temp = sub_word(temp.rotate_left(8)) ^ RCON[i / 4 - 1];
-            }
-            rk[i] = rk[i - 4] ^ temp;
-        }
+        let rk = expand_key(key);
+        #[cfg(target_arch = "x86_64")]
+        let keys = if is_x86_feature_detected!("aes") && is_x86_feature_detected!("sse2") {
+            RoundKeys::AesNi(core::array::from_fn(|r| {
+                let mut bytes = [0u8; BLOCK_BYTES];
+                for (w, word) in rk[4 * r..4 * r + 4].iter().enumerate() {
+                    bytes[4 * w..4 * w + 4].copy_from_slice(&word.to_be_bytes());
+                }
+                u128::from_le_bytes(bytes)
+            }))
+        } else {
+            RoundKeys::Table(rk)
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let keys = RoundKeys::Table(rk);
         Self {
-            rk,
+            keys,
             reference: crate::aes::Aes128::new(key),
         }
     }
-}
 
-impl Aes128Fast {
-    /// Encrypts four independent blocks with their rounds interleaved.
-    ///
-    /// Counter-mode pad blocks have no data dependencies between them, so
-    /// the four state updates can issue in parallel; interleaving hides the
-    /// T-table load latency behind the other lanes' arithmetic. Produces
-    /// exactly the same bytes as four `encrypt_block` calls.
-    #[inline]
-    fn encrypt4(&self, blocks: &[Block; 4]) -> [Block; 4] {
-        let rk = &self.rk;
-        let mut s = [[0u32; 4]; 4];
-        for (lane, blk) in blocks.iter().enumerate() {
-            for w in 0..4 {
-                s[lane][w] = u32::from_be_bytes(blk[4 * w..4 * w + 4].try_into().unwrap()) ^ rk[w];
-            }
+    /// Keys the portable T-table path whatever the CPU offers, so tests can
+    /// hold both paths against each other on one host.
+    #[cfg(test)]
+    fn new_portable(key: &[u8; 16]) -> Self {
+        Self {
+            keys: RoundKeys::Table(expand_key(key)),
+            reference: crate::aes::Aes128::new(key),
         }
+    }
 
-        for round in 1..10 {
-            let k = 4 * round;
-            for lane in s.iter_mut() {
-                let [s0, s1, s2, s3] = *lane;
-                lane[0] = t0((s0 >> 24) as u8)
-                    ^ t1((s1 >> 16) as u8)
-                    ^ t2((s2 >> 8) as u8)
-                    ^ t3(s3 as u8)
-                    ^ rk[k];
-                lane[1] = t0((s1 >> 24) as u8)
-                    ^ t1((s2 >> 16) as u8)
-                    ^ t2((s3 >> 8) as u8)
-                    ^ t3(s0 as u8)
-                    ^ rk[k + 1];
-                lane[2] = t0((s2 >> 24) as u8)
-                    ^ t1((s3 >> 16) as u8)
-                    ^ t2((s0 >> 8) as u8)
-                    ^ t3(s1 as u8)
-                    ^ rk[k + 2];
-                lane[3] = t0((s3 >> 24) as u8)
-                    ^ t1((s0 >> 16) as u8)
-                    ^ t2((s1 >> 8) as u8)
-                    ^ t3(s2 as u8)
-                    ^ rk[k + 3];
-            }
-        }
+    /// Whether this instance encrypts with AES-NI.
+    #[cfg(test)]
+    fn is_hardware(&self) -> bool {
+        !matches!(self.keys, RoundKeys::Table(_))
+    }
 
-        let b = |w: u32, shift: u32| SBOX[((w >> shift) & 0xff) as usize] as u32;
-        let mut out = [[0u8; BLOCK_BYTES]; 4];
-        for (lane, o) in s.iter().zip(out.iter_mut()) {
-            let [s0, s1, s2, s3] = *lane;
-            let o0 = (b(s0, 24) << 24 | b(s1, 16) << 16 | b(s2, 8) << 8 | b(s3, 0)) ^ rk[40];
-            let o1 = (b(s1, 24) << 24 | b(s2, 16) << 16 | b(s3, 8) << 8 | b(s0, 0)) ^ rk[41];
-            let o2 = (b(s2, 24) << 24 | b(s3, 16) << 16 | b(s0, 8) << 8 | b(s1, 0)) ^ rk[42];
-            let o3 = (b(s3, 24) << 24 | b(s0, 16) << 16 | b(s1, 8) << 8 | b(s2, 0)) ^ rk[43];
-            o[0..4].copy_from_slice(&o0.to_be_bytes());
-            o[4..8].copy_from_slice(&o1.to_be_bytes());
-            o[8..12].copy_from_slice(&o2.to_be_bytes());
-            o[12..16].copy_from_slice(&o3.to_be_bytes());
+    /// Both paths keyed alike, for differential tests: the portable one
+    /// always, the detected one only where it really is AES-NI (a host
+    /// without `aes` gets a printed note instead of a second copy of the
+    /// portable path).
+    #[cfg(test)]
+    pub(crate) fn both_paths(key: &[u8; 16]) -> Vec<(&'static str, Self)> {
+        let mut paths = vec![("portable", Self::new_portable(key))];
+        let detected = Self::new(key);
+        if detected.is_hardware() {
+            paths.push(("aes-ni", detected));
+        } else {
+            println!("note: no AES-NI on this host; hardware half skipped");
         }
-        out
+        paths
     }
 }
 
-impl BlockCipher for Aes128Fast {
-    fn encrypt_block(&self, block: &Block) -> Block {
-        let rk = &self.rk;
-        let mut s0 = u32::from_be_bytes(block[0..4].try_into().unwrap()) ^ rk[0];
-        let mut s1 = u32::from_be_bytes(block[4..8].try_into().unwrap()) ^ rk[1];
-        let mut s2 = u32::from_be_bytes(block[8..12].try_into().unwrap()) ^ rk[2];
-        let mut s3 = u32::from_be_bytes(block[12..16].try_into().unwrap()) ^ rk[3];
+/// The AES-NI rounds. Everything here is safe code compiled for `aes` +
+/// `sse2`; only calling in from code compiled without them is not.
+#[cfg(target_arch = "x86_64")]
+mod ni {
+    use super::Block;
+    use core::arch::x86_64::{
+        __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_cvtsi128_si64, _mm_set_epi64x,
+        _mm_unpackhi_epi64, _mm_xor_si128,
+    };
 
-        for round in 1..10 {
-            let k = 4 * round;
-            let t_0 = t0((s0 >> 24) as u8)
+    /// Blocks in flight per loop iteration: enough independent `aesenc`
+    /// chains to cover the unit's latency at one issue per cycle.
+    const LANES: usize = 8;
+
+    #[inline]
+    #[target_feature(enable = "aes,sse2")]
+    fn load(v: u128) -> __m128i {
+        _mm_set_epi64x((v >> 64) as i64, v as i64)
+    }
+
+    #[inline]
+    #[target_feature(enable = "aes,sse2")]
+    fn store(x: __m128i) -> Block {
+        let lo = _mm_cvtsi128_si64(x) as u64;
+        let hi = _mm_cvtsi128_si64(_mm_unpackhi_epi64(x, x)) as u64;
+        ((u128::from(hi) << 64) | u128::from(lo)).to_le_bytes()
+    }
+
+    /// `N` blocks with their rounds interleaved.
+    #[inline]
+    #[target_feature(enable = "aes,sse2")]
+    fn encrypt_lanes<const N: usize>(
+        rk: &[__m128i; 11],
+        blocks: &[Block; N],
+        out: &mut [Block; N],
+    ) {
+        let mut s = [rk[0]; N];
+        for (x, b) in s.iter_mut().zip(blocks) {
+            *x = _mm_xor_si128(load(u128::from_le_bytes(*b)), rk[0]);
+        }
+        for k in &rk[1..10] {
+            for x in &mut s {
+                *x = _mm_aesenc_si128(*x, *k);
+            }
+        }
+        for (o, x) in out.iter_mut().zip(s) {
+            *o = store(_mm_aesenclast_si128(x, rk[10]));
+        }
+    }
+
+    /// Encrypts `blocks` into `out` (equal lengths, checked by the caller):
+    /// [`LANES`] at a time, then the remainder one by one.
+    #[target_feature(enable = "aes,sse2")]
+    pub(super) fn encrypt_blocks(keys: &[u128; 11], blocks: &[Block], out: &mut [Block]) {
+        let mut rk = [load(0); 11];
+        for (r, k) in rk.iter_mut().zip(keys) {
+            *r = load(*k);
+        }
+        let mut ins = blocks.chunks_exact(LANES);
+        let mut outs = out.chunks_exact_mut(LANES);
+        for (b, o) in (&mut ins).zip(&mut outs) {
+            let b: &[Block; LANES] = b.try_into().expect("chunks_exact yields LANES blocks");
+            let o: &mut [Block; LANES] = o.try_into().expect("chunks_exact yields LANES blocks");
+            encrypt_lanes(&rk, b, o);
+        }
+        for (b, o) in ins.remainder().iter().zip(outs.into_remainder()) {
+            encrypt_lanes(&rk, core::array::from_ref(b), core::array::from_mut(o));
+        }
+    }
+}
+
+/// Encrypts four independent blocks with their rounds interleaved.
+///
+/// Counter-mode pad blocks have no data dependencies between them, so
+/// the four state updates can issue in parallel; interleaving hides the
+/// T-table load latency behind the other lanes' arithmetic. Produces
+/// exactly the same bytes as four [`table_encrypt1`] calls.
+#[inline]
+fn table_encrypt4(rk: &[u32; 44], blocks: &[Block; 4]) -> [Block; 4] {
+    let mut s = [[0u32; 4]; 4];
+    for (lane, blk) in blocks.iter().enumerate() {
+        for w in 0..4 {
+            s[lane][w] = u32::from_be_bytes(blk[4 * w..4 * w + 4].try_into().unwrap()) ^ rk[w];
+        }
+    }
+
+    for round in 1..10 {
+        let k = 4 * round;
+        for lane in s.iter_mut() {
+            let [s0, s1, s2, s3] = *lane;
+            lane[0] = t0((s0 >> 24) as u8)
                 ^ t1((s1 >> 16) as u8)
                 ^ t2((s2 >> 8) as u8)
                 ^ t3(s3 as u8)
                 ^ rk[k];
-            let t_1 = t0((s1 >> 24) as u8)
+            lane[1] = t0((s1 >> 24) as u8)
                 ^ t1((s2 >> 16) as u8)
                 ^ t2((s3 >> 8) as u8)
                 ^ t3(s0 as u8)
                 ^ rk[k + 1];
-            let t_2 = t0((s2 >> 24) as u8)
+            lane[2] = t0((s2 >> 24) as u8)
                 ^ t1((s3 >> 16) as u8)
                 ^ t2((s0 >> 8) as u8)
                 ^ t3(s1 as u8)
                 ^ rk[k + 2];
-            let t_3 = t0((s3 >> 24) as u8)
+            lane[3] = t0((s3 >> 24) as u8)
                 ^ t1((s0 >> 16) as u8)
                 ^ t2((s1 >> 8) as u8)
                 ^ t3(s2 as u8)
                 ^ rk[k + 3];
-            (s0, s1, s2, s3) = (t_0, t_1, t_2, t_3);
         }
+    }
 
-        // Final round: SubBytes + ShiftRows + AddRoundKey (no MixColumns).
-        let b = |w: u32, shift: u32| SBOX[((w >> shift) & 0xff) as usize] as u32;
-        let o0 = (b(s0, 24) << 24 | b(s1, 16) << 16 | b(s2, 8) << 8 | b(s3, 0)) ^ self.rk[40];
-        let o1 = (b(s1, 24) << 24 | b(s2, 16) << 16 | b(s3, 8) << 8 | b(s0, 0)) ^ self.rk[41];
-        let o2 = (b(s2, 24) << 24 | b(s3, 16) << 16 | b(s0, 8) << 8 | b(s1, 0)) ^ self.rk[42];
-        let o3 = (b(s3, 24) << 24 | b(s0, 16) << 16 | b(s1, 8) << 8 | b(s2, 0)) ^ self.rk[43];
+    let b = |w: u32, shift: u32| SBOX[((w >> shift) & 0xff) as usize] as u32;
+    let mut out = [[0u8; BLOCK_BYTES]; 4];
+    for (lane, o) in s.iter().zip(out.iter_mut()) {
+        let [s0, s1, s2, s3] = *lane;
+        let o0 = (b(s0, 24) << 24 | b(s1, 16) << 16 | b(s2, 8) << 8 | b(s3, 0)) ^ rk[40];
+        let o1 = (b(s1, 24) << 24 | b(s2, 16) << 16 | b(s3, 8) << 8 | b(s0, 0)) ^ rk[41];
+        let o2 = (b(s2, 24) << 24 | b(s3, 16) << 16 | b(s0, 8) << 8 | b(s1, 0)) ^ rk[42];
+        let o3 = (b(s3, 24) << 24 | b(s0, 16) << 16 | b(s1, 8) << 8 | b(s2, 0)) ^ rk[43];
+        o[0..4].copy_from_slice(&o0.to_be_bytes());
+        o[4..8].copy_from_slice(&o1.to_be_bytes());
+        o[8..12].copy_from_slice(&o2.to_be_bytes());
+        o[12..16].copy_from_slice(&o3.to_be_bytes());
+    }
+    out
+}
 
-        let mut out = [0u8; BLOCK_BYTES];
-        out[0..4].copy_from_slice(&o0.to_be_bytes());
-        out[4..8].copy_from_slice(&o1.to_be_bytes());
-        out[8..12].copy_from_slice(&o2.to_be_bytes());
-        out[12..16].copy_from_slice(&o3.to_be_bytes());
-        out
+/// One block through the T-table rounds.
+fn table_encrypt1(rk: &[u32; 44], block: &Block) -> Block {
+    let mut s0 = u32::from_be_bytes(block[0..4].try_into().unwrap()) ^ rk[0];
+    let mut s1 = u32::from_be_bytes(block[4..8].try_into().unwrap()) ^ rk[1];
+    let mut s2 = u32::from_be_bytes(block[8..12].try_into().unwrap()) ^ rk[2];
+    let mut s3 = u32::from_be_bytes(block[12..16].try_into().unwrap()) ^ rk[3];
+
+    for round in 1..10 {
+        let k = 4 * round;
+        let t_0 = t0((s0 >> 24) as u8)
+            ^ t1((s1 >> 16) as u8)
+            ^ t2((s2 >> 8) as u8)
+            ^ t3(s3 as u8)
+            ^ rk[k];
+        let t_1 = t0((s1 >> 24) as u8)
+            ^ t1((s2 >> 16) as u8)
+            ^ t2((s3 >> 8) as u8)
+            ^ t3(s0 as u8)
+            ^ rk[k + 1];
+        let t_2 = t0((s2 >> 24) as u8)
+            ^ t1((s3 >> 16) as u8)
+            ^ t2((s0 >> 8) as u8)
+            ^ t3(s1 as u8)
+            ^ rk[k + 2];
+        let t_3 = t0((s3 >> 24) as u8)
+            ^ t1((s0 >> 16) as u8)
+            ^ t2((s1 >> 8) as u8)
+            ^ t3(s2 as u8)
+            ^ rk[k + 3];
+        (s0, s1, s2, s3) = (t_0, t_1, t_2, t_3);
+    }
+
+    // Final round: SubBytes + ShiftRows + AddRoundKey (no MixColumns).
+    let b = |w: u32, shift: u32| SBOX[((w >> shift) & 0xff) as usize] as u32;
+    let o0 = (b(s0, 24) << 24 | b(s1, 16) << 16 | b(s2, 8) << 8 | b(s3, 0)) ^ rk[40];
+    let o1 = (b(s1, 24) << 24 | b(s2, 16) << 16 | b(s3, 8) << 8 | b(s0, 0)) ^ rk[41];
+    let o2 = (b(s2, 24) << 24 | b(s3, 16) << 16 | b(s0, 8) << 8 | b(s1, 0)) ^ rk[42];
+    let o3 = (b(s3, 24) << 24 | b(s0, 16) << 16 | b(s1, 8) << 8 | b(s2, 0)) ^ rk[43];
+
+    let mut out = [0u8; BLOCK_BYTES];
+    out[0..4].copy_from_slice(&o0.to_be_bytes());
+    out[4..8].copy_from_slice(&o1.to_be_bytes());
+    out[8..12].copy_from_slice(&o2.to_be_bytes());
+    out[12..16].copy_from_slice(&o3.to_be_bytes());
+    out
+}
+
+impl BlockCipher for Aes128Fast {
+    fn encrypt_block(&self, block: &Block) -> Block {
+        let mut out = [[0u8; BLOCK_BYTES]];
+        self.encrypt_blocks_into(core::slice::from_ref(block), &mut out);
+        out[0]
     }
 
     fn decrypt_block(&self, block: &Block) -> Block {
@@ -248,16 +396,29 @@ impl BlockCipher for Aes128Fast {
         16
     }
 
+    #[allow(unsafe_code)]
     fn encrypt_blocks_into(&self, blocks: &[Block], out: &mut [Block]) {
         assert_eq!(blocks.len(), out.len(), "batch and output length differ");
-        let mut chunks = blocks.chunks_exact(4);
-        let mut outs = out.chunks_exact_mut(4);
-        for (quad, o) in (&mut chunks).zip(&mut outs) {
-            let quad: &[Block; 4] = quad.try_into().unwrap();
-            o.copy_from_slice(&self.encrypt4(quad));
-        }
-        for (b, o) in chunks.remainder().iter().zip(outs.into_remainder()) {
-            *o = self.encrypt_block(b);
+        match &self.keys {
+            #[cfg(target_arch = "x86_64")]
+            RoundKeys::AesNi(keys) => {
+                // SAFETY: `RoundKeys::AesNi` is built only in `Aes128Fast::new`,
+                // after `is_x86_feature_detected!` reported both `aes` and
+                // `sse2` on this CPU — the features `ni::encrypt_blocks` is
+                // compiled for. The callee itself is safe code.
+                unsafe { ni::encrypt_blocks(keys, blocks, out) }
+            }
+            RoundKeys::Table(rk) => {
+                let mut chunks = blocks.chunks_exact(4);
+                let mut outs = out.chunks_exact_mut(4);
+                for (quad, o) in (&mut chunks).zip(&mut outs) {
+                    let quad: &[Block; 4] = quad.try_into().unwrap();
+                    o.copy_from_slice(&table_encrypt4(rk, quad));
+                }
+                for (b, o) in chunks.remainder().iter().zip(outs.into_remainder()) {
+                    *o = table_encrypt1(rk, b);
+                }
+            }
         }
     }
 }
@@ -273,35 +434,72 @@ mod tests {
     use super::*;
     use crate::aes::Aes128;
 
-    #[test]
-    fn fips197_vector() {
-        let key: [u8; 16] = core::array::from_fn(|i| i as u8);
-        let pt: Block = core::array::from_fn(|i| (i as u8) << 4 | i as u8);
-        let fast = Aes128Fast::new(&key);
-        assert_eq!(
-            fast.encrypt_block(&pt),
-            [
-                0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
-                0xc5, 0x5a
-            ]
-        );
+    fn hex16(s: &str) -> [u8; 16] {
+        core::array::from_fn(|i| u8::from_str_radix(&s[2 * i..2 * i + 2], 16).unwrap())
     }
 
     #[test]
-    fn matches_reference_on_random_inputs() {
-        for seed in 0u64..32 {
-            let key: [u8; 16] = core::array::from_fn(|i| {
-                (seed.wrapping_mul(0x9e37) as u8).wrapping_add(i as u8 * 7)
-            });
-            let fast = Aes128Fast::new(&key);
-            let slow = Aes128::new(&key);
-            for n in 0u64..32 {
-                let mut blk = [0u8; 16];
-                blk[..8].copy_from_slice(&n.wrapping_mul(0xabcdef123).to_le_bytes());
-                blk[8..].copy_from_slice(&(n ^ seed).wrapping_mul(0x777).to_le_bytes());
-                assert_eq!(fast.encrypt_block(&blk), slow.encrypt_block(&blk));
+    fn fips197_vectors_on_both_paths() {
+        // (key, plaintext, ciphertext): Appendix B, then Appendix C.1.
+        let vectors = [
+            (
+                "2b7e151628aed2a6abf7158809cf4f3c",
+                "3243f6a8885a308d313198a2e0370734",
+                "3925841d02dc09fbdc118597196a0b32",
+            ),
+            (
+                "000102030405060708090a0b0c0d0e0f",
+                "00112233445566778899aabbccddeeff",
+                "69c4e0d86a7b0430d8cdb78070b4c55a",
+            ),
+        ];
+        for (key, pt, ct) in vectors {
+            for (name, cipher) in Aes128Fast::both_paths(&hex16(key)) {
+                assert_eq!(cipher.encrypt_block(&hex16(pt)), hex16(ct), "{name}");
+                assert_eq!(cipher.encrypt_blocks(&[hex16(pt)]), [hex16(ct)], "{name}");
             }
         }
+    }
+
+    #[test]
+    fn both_paths_match_reference_at_every_batch_length() {
+        // 0..=33 covers every remainder of the 8-wide AES-NI loop and of
+        // the 4-wide T-table loop, plus a batch past four full iterations.
+        let mut state = 0x5EC0_4D9Fu64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as u8
+        };
+        for _ in 0..32 {
+            let key: [u8; 16] = core::array::from_fn(|_| next());
+            let slow = Aes128::new(&key);
+            let blocks: Vec<Block> = (0..33).map(|_| core::array::from_fn(|_| next())).collect();
+            let want: Vec<Block> = blocks.iter().map(|b| slow.encrypt_block(b)).collect();
+            for (name, cipher) in Aes128Fast::both_paths(&key) {
+                for n in 0..=33 {
+                    assert_eq!(
+                        cipher.encrypt_blocks(&blocks[..n]),
+                        want[..n],
+                        "{name} diverged from the reference at batch length {n}"
+                    );
+                }
+                for (b, w) in blocks.iter().zip(&want) {
+                    assert_eq!(cipher.encrypt_block(b), *w, "{name} scalar");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn detection_matches_the_host() {
+        #[cfg(target_arch = "x86_64")]
+        let host = is_x86_feature_detected!("aes") && is_x86_feature_detected!("sse2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let host = false;
+        assert_eq!(Aes128Fast::new(&[7; 16]).is_hardware(), host);
+        assert!(!Aes128Fast::new_portable(&[7; 16]).is_hardware());
     }
 
     #[test]
@@ -325,33 +523,6 @@ mod tests {
     #[test]
     fn debug_redacts() {
         assert!(format!("{:?}", Aes128Fast::new(&[1; 16])).contains("redacted"));
-    }
-
-    #[test]
-    fn batched_matches_scalar_at_all_remainders() {
-        // Exercise the 4-way interleaved path plus every remainder size.
-        let fast = Aes128Fast::new(&[0x9c; 16]);
-        for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 15, 64, 100] {
-            let blocks: Vec<Block> = (0..n)
-                .map(|i| core::array::from_fn(|j| (i * 31 + j * 7) as u8))
-                .collect();
-            let batched = fast.encrypt_blocks(&blocks);
-            for (b, got) in blocks.iter().zip(&batched) {
-                assert_eq!(*got, fast.encrypt_block(b), "diverged at n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_matches_reference_cipher() {
-        let key = [0x42u8; 16];
-        let fast = Aes128Fast::new(&key);
-        let slow = Aes128::new(&key);
-        let blocks: Vec<Block> = (0..13u8).map(|i| [i; 16]).collect();
-        let batched = fast.encrypt_blocks(&blocks);
-        for (b, got) in blocks.iter().zip(&batched) {
-            assert_eq!(*got, slow.encrypt_block(b));
-        }
     }
 
     #[test]

@@ -298,12 +298,14 @@ impl Shard {
 
 /// Running counters of cache behaviour, independent of the telemetry
 /// feature (plain relaxed atomics; the concurrency stress suite asserts
-/// `hits + misses` equals the number of planner probes).
+/// `hits + misses` equals the number of unique blocks planners handed to
+/// the cache).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PadCacheStats {
     /// Probes answered from the cache.
     pub hits: u64,
-    /// Probes that fell through to AES.
+    /// Blocks that went to AES: probes that missed, plus the blocks of
+    /// plans too large to admit (never probed).
     pub misses: u64,
     /// Entries written (misses filled plus explicit inserts).
     pub insertions: u64,
@@ -365,6 +367,13 @@ fn misses_counter() -> &'static secndp_telemetry::Counter {
     )
 }
 
+fn bypassed_counter() -> &'static secndp_telemetry::Counter {
+    secndp_telemetry::counter!(
+        "secndp_pad_cache_bypassed_total",
+        "Blocks of plans larger than the pad cache, encrypted without probe or fill (also counted as misses)."
+    )
+}
+
 fn evictions_counter() -> &'static secndp_telemetry::Counter {
     secndp_telemetry::counter!(
         "secndp_pad_cache_evictions_total",
@@ -379,45 +388,60 @@ fn invalidations_counter() -> &'static secndp_telemetry::Counter {
     )
 }
 
+/// Scores one health window of pad-cache traffic: a collapsing hit rate
+/// or eviction thrash silently multiplies AES work, so either surfaces as
+/// `Degraded` long before it shows up in latency. `misses` includes
+/// `bypassed` — blocks of plans too large to admit, which never probed: a
+/// batch workload that bypasses by design is not a collapsed hit rate, so
+/// the rate is judged over real probes only.
+fn score_window(
+    hits: u64,
+    misses: u64,
+    bypassed: u64,
+    evictions: u64,
+) -> (secndp_telemetry::health::HealthStatus, String) {
+    use secndp_telemetry::health::HealthStatus;
+    let refs = hits + misses.saturating_sub(bypassed);
+    // Too few probes to judge a rate: idle is healthy.
+    if refs < 512 {
+        return (HealthStatus::Ok, format!("idle ({refs} probes in window)"));
+    }
+    let hit_rate = hits as f64 / refs as f64;
+    if hit_rate < 0.02 {
+        return (
+            HealthStatus::Degraded,
+            format!(
+                "hit rate collapsed to {:.1}% over {refs} probes \
+                 (full AES pad regeneration on nearly every access)",
+                hit_rate * 100.0
+            ),
+        );
+    }
+    if evictions >= refs {
+        return (
+            HealthStatus::Degraded,
+            format!("eviction thrash: {evictions} evictions vs {refs} probes"),
+        );
+    }
+    (
+        HealthStatus::Ok,
+        format!("hit rate {:.1}% over {refs} probes", hit_rate * 100.0),
+    )
+}
+
 /// Registers the `"pad-cache"` health component with the process-wide
-/// monitor (idempotent; lives for the rest of the process). The check
-/// scores the windowed hit/miss/eviction counters: a collapsing hit rate
-/// or eviction thrash silently multiplies AES work, so it surfaces as
-/// `Degraded` in `/healthz` long before it shows up in latency.
+/// monitor (idempotent; lives for the rest of the process): the windowed
+/// hit/miss/bypass/eviction counters through [`score_window`].
 fn register_pad_cache_health() {
-    use secndp_telemetry::health::{self, HealthStatus};
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
-        health::monitor()
+        secndp_telemetry::health::monitor()
             .register("pad-cache", |ctx| {
-                let hits = ctx.counter_delta("secndp_pad_cache_hits_total");
-                let misses = ctx.counter_delta("secndp_pad_cache_misses_total");
-                let evictions = ctx.counter_delta("secndp_pad_cache_evictions_total");
-                let refs = hits + misses;
-                // Too few probes to judge a rate: idle is healthy.
-                if refs < 512 {
-                    return (HealthStatus::Ok, format!("idle ({refs} probes in window)"));
-                }
-                let hit_rate = hits as f64 / refs as f64;
-                if hit_rate < 0.02 {
-                    return (
-                        HealthStatus::Degraded,
-                        format!(
-                            "hit rate collapsed to {:.1}% over {refs} probes \
-                             (full AES pad regeneration on nearly every access)",
-                            hit_rate * 100.0
-                        ),
-                    );
-                }
-                if evictions >= refs {
-                    return (
-                        HealthStatus::Degraded,
-                        format!("eviction thrash: {evictions} evictions vs {refs} probes"),
-                    );
-                }
-                (
-                    HealthStatus::Ok,
-                    format!("hit rate {:.1}% over {refs} probes", hit_rate * 100.0),
+                score_window(
+                    ctx.counter_delta("secndp_pad_cache_hits_total"),
+                    ctx.counter_delta("secndp_pad_cache_misses_total"),
+                    ctx.counter_delta("secndp_pad_cache_bypassed_total"),
+                    ctx.counter_delta("secndp_pad_cache_evictions_total"),
                 )
             })
             .leak();
@@ -580,6 +604,18 @@ impl PadCache {
             invalidations_counter().add(dropped as u64);
         }
         dropped
+    }
+
+    /// Accounts `blocks` unique blocks of a plan the planner's admission
+    /// rule kept out of the cache (more blocks than it holds): they went
+    /// straight to AES, so they are misses — `hits + misses` stays the
+    /// number of unique blocks handed to an enabled cache — but not probes,
+    /// which the health check discounts through the bypass counter.
+    pub(crate) fn note_bypassed(&self, blocks: usize) {
+        let n = blocks as u64;
+        self.misses.fetch_add(n, Relaxed);
+        misses_counter().add(n);
+        bypassed_counter().add(n);
     }
 
     /// Batch probe for the planner: fills `pads[i]` for every cached
@@ -896,6 +932,27 @@ mod tests {
         assert_eq!(s.hits, 10);
         assert_eq!(s.misses, 10);
         assert_eq!(s.hits + s.misses, 20);
+    }
+
+    #[test]
+    fn health_judges_probes_not_bypassed_blocks() {
+        use secndp_telemetry::health::HealthStatus;
+        // A batch workload whose every plan bypasses: no probes, idle, ok.
+        assert_eq!(score_window(0, 1_000_000, 1_000_000, 0).0, HealthStatus::Ok);
+        // The same bypass traffic beside a healthy probed stream.
+        assert_eq!(
+            score_window(900, 1_000_100, 1_000_000, 0).0,
+            HealthStatus::Ok
+        );
+        // Real probes that all miss are still a collapse...
+        assert_eq!(score_window(0, 1_000, 0, 0).0, HealthStatus::Degraded);
+        assert_eq!(
+            score_window(5, 1_001_000, 1_000_000, 0).0,
+            HealthStatus::Degraded
+        );
+        // ...and churn that outruns the probes is still thrash.
+        assert_eq!(score_window(500, 500, 0, 1_000).0, HealthStatus::Degraded);
+        assert_eq!(score_window(500, 500, 0, 999).0, HealthStatus::Ok);
     }
 
     #[test]

@@ -22,24 +22,24 @@
 use crate::aes::{Block, BlockCipher, BLOCK_BYTES};
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
-use std::sync::OnceLock;
 
 /// Maximum representable address in a counter block (62 bits).
 pub const MAX_ADDR: u64 = (1 << 62) - 1;
 
-/// Batch size above which [`encrypt_blocks_parallel`] fans out across OS
-/// threads. Below it, thread spawn/join overhead dominates the AES work
-/// (≈100 ns/block in software), so the batch runs on the caller's thread.
-pub const PARALLEL_THRESHOLD_BLOCKS: usize = 2048;
+/// Counter blocks [`OtpGenerator::data_pad_into`] encrypts per cipher call:
+/// 4 KiB of pad, small enough for the stack and the L1 cache, large enough
+/// that the per-call cost vanishes beside the AES work.
+const PAD_CHUNK_BLOCKS: usize = 256;
 
-/// Encrypts `blocks` into `out`, splitting large batches across OS threads.
+/// Encrypts `blocks` into `out` in one [`BlockCipher::encrypt_blocks_into`]
+/// call and counts them into `secndp_aes_blocks_total` — the single door
+/// every batched pad passes through.
 ///
 /// Mirrors the paper's pipelined pad engine (§VI-B): counter blocks are
-/// independent, so throughput scales with lanes. Batches smaller than
-/// [`PARALLEL_THRESHOLD_BLOCKS`] — and all batches on single-core hosts —
-/// run inline via [`BlockCipher::encrypt_blocks_into`]. Each worker writes
-/// a disjoint output chunk, so the result is byte-identical to the serial
-/// path regardless of scheduling.
+/// independent, so the cipher interleaves them. It runs on the caller's
+/// thread: at hardware-AES speed a 65 536-block table is ~130 µs of work,
+/// less than spawning and joining helpers costs (the name predates that
+/// measurement and is kept for callers).
 ///
 /// # Panics
 ///
@@ -55,34 +55,7 @@ pub fn encrypt_blocks_parallel<C: BlockCipher + ?Sized>(
         "AES blocks encrypted for OTP pad generation."
     )
     .add(blocks.len() as u64);
-    let workers = worker_count();
-    if workers < 2 || blocks.len() < PARALLEL_THRESHOLD_BLOCKS {
-        cipher.encrypt_blocks_into(blocks, out);
-        return;
-    }
-    secndp_telemetry::counter!(
-        "secndp_pad_parallel_batches_total",
-        "Pad batches large enough to take the multi-worker path."
-    )
-    .inc();
-    let chunk = blocks.len().div_ceil(workers);
-    std::thread::scope(|s| {
-        for (b, o) in blocks.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            s.spawn(move || cipher.encrypt_blocks_into(b, o));
-        }
-    });
-}
-
-/// Cached `available_parallelism()`. The std call walks cgroup and procfs
-/// state on Linux (~10 µs), far too slow for the per-row hot path; the core
-/// count is stable for the process lifetime, so probe it once.
-fn worker_count() -> usize {
-    static WORKERS: OnceLock<usize> = OnceLock::new();
-    *WORKERS.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    })
+    cipher.encrypt_blocks_into(blocks, out);
 }
 
 /// Domain tag separating the three pad-generation oracles of Definition A.2.
@@ -98,6 +71,7 @@ pub enum Domain {
 
 impl Domain {
     /// The 2-bit encoding placed in the top bits of the counter block.
+    #[inline]
     pub fn bits(self) -> u8 {
         match self {
             Domain::Data => 0b00,
@@ -122,6 +96,7 @@ impl CounterBlock {
     /// # Panics
     ///
     /// Panics if `addr` exceeds the 62-bit address field ([`MAX_ADDR`]).
+    #[inline]
     pub fn new(domain: Domain, addr: u64, version: u64) -> Self {
         assert!(addr <= MAX_ADDR, "address {addr:#x} exceeds 62-bit field");
         Self {
@@ -132,6 +107,7 @@ impl CounterBlock {
     }
 
     /// Serializes to the 16-byte cipher input `[D:2][addr:62][version:64]`.
+    #[inline]
     pub fn to_bytes(self) -> Block {
         let hi = ((self.domain.bits() as u64) << 62) | self.addr;
         let mut out = [0u8; BLOCK_BYTES];
@@ -199,9 +175,8 @@ impl<C: BlockCipher> OtpGenerator<C> {
     ///
     /// This is the concatenation `e` of Alg 1 sliced to the requested window;
     /// it lets callers pad single elements (Alg 4 lines 8–11) or whole rows.
-    /// All covering counter blocks are encrypted as one batch through
-    /// [`BlockCipher::encrypt_blocks_into`] (parallelized above
-    /// [`PARALLEL_THRESHOLD_BLOCKS`]); the bytes are identical to
+    /// One allocation — the returned buffer — around
+    /// [`data_pad_into`](Self::data_pad_into); the bytes are identical to
     /// [`data_pad_bytes_scalar`](Self::data_pad_bytes_scalar).
     ///
     /// # Panics
@@ -209,9 +184,23 @@ impl<C: BlockCipher> OtpGenerator<C> {
     /// Panics if `addr + len` overflows `u64` or if any byte of the range
     /// lies beyond [`MAX_ADDR`].
     pub fn data_pad_bytes(&self, addr: u64, len: usize, version: u64) -> Vec<u8> {
-        let first_block = validate_pad_range(addr, len);
-        if len == 0 {
-            return Vec::new();
+        let mut out = vec![0u8; len];
+        self.data_pad_into(addr, version, &mut out);
+        out
+    }
+
+    /// Fills `out` with the pad bytes of `[addr, addr + out.len())` without
+    /// allocating: the covering counter blocks are built and encrypted
+    /// 4 KiB at a time in stack buffers, so a caller can walk a whole table
+    /// through a small reusable window.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`data_pad_bytes`](Self::data_pad_bytes).
+    pub fn data_pad_into(&self, addr: u64, version: u64, out: &mut [u8]) {
+        let mut block_addr = validate_pad_range(addr, out.len());
+        if out.is_empty() {
+            return;
         }
         let _t = secndp_telemetry::histogram!(
             "secndp_pad_gen_ns",
@@ -219,22 +208,26 @@ impl<C: BlockCipher> OtpGenerator<C> {
             "OTP pad generation latency in nanoseconds."
         )
         .start_timer();
-        let end = addr + len as u64;
-        let n_blocks = ((end - first_block) as usize).div_ceil(BLOCK_BYTES);
-        let counters: Vec<Block> = (0..n_blocks)
-            .map(|k| {
-                CounterBlock::new(
-                    Domain::Data,
-                    first_block + (k * BLOCK_BYTES) as u64,
-                    version,
-                )
-                .to_bytes()
-            })
-            .collect();
-        let mut pads = vec![[0u8; BLOCK_BYTES]; n_blocks];
-        encrypt_blocks_parallel(&self.cipher, &counters, &mut pads);
-        let lead = (addr - first_block) as usize;
-        pads.as_flattened()[lead..lead + len].to_vec()
+        let mut counters = [[0u8; BLOCK_BYTES]; PAD_CHUNK_BLOCKS];
+        let mut pads = [[0u8; BLOCK_BYTES]; PAD_CHUNK_BLOCKS];
+        // Only the first chunk starts mid-block.
+        let mut lead = (addr - block_addr) as usize;
+        let mut rest = out;
+        while !rest.is_empty() {
+            let n = (lead + rest.len())
+                .div_ceil(BLOCK_BYTES)
+                .min(PAD_CHUNK_BLOCKS);
+            for c in &mut counters[..n] {
+                *c = CounterBlock::new(Domain::Data, block_addr, version).to_bytes();
+                block_addr += BLOCK_BYTES as u64;
+            }
+            encrypt_blocks_parallel(&self.cipher, &counters[..n], &mut pads[..n]);
+            let take = usize::min(n * BLOCK_BYTES - lead, rest.len());
+            let (head, tail) = rest.split_at_mut(take);
+            head.copy_from_slice(&pads.as_flattened()[lead..lead + take]);
+            rest = tail;
+            lead = 0;
+        }
     }
 
     /// The scalar (one cipher call per block) reference implementation of
@@ -380,9 +373,8 @@ impl PadRange {
 
 /// Collects every counter block a query (or batch of queries) needs,
 /// deduplicates repeated `(domain, addr, version)` tuples, encrypts the
-/// unique set in one batched [`BlockCipher::encrypt_blocks_into`] pass
-/// (parallelized above [`PARALLEL_THRESHOLD_BLOCKS`]), and serves the
-/// requested byte ranges back out of the shared pad buffer.
+/// unique set in one batched [`BlockCipher::encrypt_blocks_into`] pass,
+/// and serves the requested byte ranges back out of the shared pad buffer.
 ///
 /// This is the software analogue of the paper's pipelined pad engine
 /// (§VI-B, Table II): instead of one scalar AES call per block per row per
@@ -406,6 +398,13 @@ pub struct PadPlanner {
     pads: Vec<Block>,
     /// Arena of slot indices; each [`PadRange`] owns a contiguous run.
     refs: Vec<u32>,
+    /// Scratch of [`execute_cached`](Self::execute_cached): the slots the
+    /// cache missed, their counters gathered for one cipher call, and the
+    /// pads that call produced. Kept across [`reset`](Self::reset) so a
+    /// warmed planner executes without allocating.
+    miss: Vec<u32>,
+    miss_counters: Vec<Block>,
+    miss_pads: Vec<Block>,
     executed: bool,
 }
 
@@ -413,6 +412,20 @@ impl PadPlanner {
     /// An empty planner.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty planner with room for `refs` block references (and as many
+    /// unique blocks — the bound when nothing repeats), for callers that
+    /// know their request count up front: the dedup map and the buffers
+    /// are sized once instead of doubling their way up from empty.
+    pub fn with_capacity(refs: usize) -> Self {
+        Self {
+            slots: HashMap::with_capacity_and_hasher(refs, BuildHasherDefault::default()),
+            counters: Vec::with_capacity(refs),
+            pads: Vec::with_capacity(refs),
+            refs: Vec::with_capacity(refs),
+            ..Self::default()
+        }
     }
 
     /// Number of *unique* counter blocks planned so far (the number of AES
@@ -501,9 +514,8 @@ impl PadPlanner {
         }
     }
 
-    /// Encrypts the planned counter blocks (one batched pass; parallel for
-    /// large batches). After this, ranges can be read; further requests
-    /// need [`reset`](Self::reset).
+    /// Encrypts the planned counter blocks in one batched pass. After this,
+    /// ranges can be read; further requests need [`reset`](Self::reset).
     ///
     /// Equivalent to [`execute_cached`](Self::execute_cached) with no
     /// cache: every unique planned block is encrypted.
@@ -515,12 +527,20 @@ impl PadPlanner {
     /// cross-query [`PadCache`](crate::cache::PadCache) when one is supplied (and enabled).
     ///
     /// The cache is probed once per *unique* planned block (the dedup map
-    /// already collapsed repeats); only misses reach the batched/parallel
-    /// [`encrypt_blocks_parallel`] path, and their freshly generated pads
+    /// already collapsed repeats); only misses reach the batched
+    /// [`encrypt_blocks_parallel`] call, and their freshly generated pads
     /// are inserted back. Output is byte-identical to the uncached
     /// [`execute`](Self::execute) — pads are deterministic in the counter
     /// tuple — which `tests/pad_cache_differential.rs` asserts across
     /// randomized query streams.
+    ///
+    /// **Admission.** A plan with more unique blocks than the cache holds
+    /// cannot reuse what it fills — CLOCK evicts the head of the plan
+    /// before its tail is in — so it is a scan: it skips probe and fill,
+    /// encrypts straight into the pad buffer and leaves the resident hot
+    /// set alone. Its blocks still count as misses, so `hits + misses`
+    /// stays the number of unique blocks handed to an enabled cache. A
+    /// plan of exactly the capacity is admitted.
     pub fn execute_cached<C: BlockCipher + ?Sized>(
         &mut self,
         cipher: &C,
@@ -554,27 +574,37 @@ impl PadPlanner {
         self.pads.clear();
         self.pads.resize(self.counters.len(), [0u8; BLOCK_BYTES]);
         let mut generated = self.counters.len() as u64;
-        match cache.filter(|c| c.is_enabled()) {
-            None => encrypt_blocks_parallel(cipher, &self.counters, &mut self.pads),
+        let cache = cache.filter(|c| c.is_enabled());
+        let admitted = cache.filter(|c| self.counters.len() <= c.capacity_blocks());
+        match admitted {
+            None => {
+                if let Some(cache) = cache {
+                    cache.note_bypassed(self.counters.len());
+                }
+                encrypt_blocks_parallel(cipher, &self.counters, &mut self.pads);
+            }
             Some(cache) => {
-                let mut miss = Vec::new();
+                self.miss.clear();
                 {
                     let mut csp =
                         secndp_telemetry::trace::span(secndp_telemetry::trace::names::PAD_CACHE);
-                    cache.probe_into(&self.counters, &mut self.pads, &mut miss);
-                    csp.attr_u64("hits", (self.counters.len() - miss.len()) as u64);
-                    csp.attr_u64("misses", miss.len() as u64);
+                    cache.probe_into(&self.counters, &mut self.pads, &mut self.miss);
+                    csp.attr_u64("hits", (self.counters.len() - self.miss.len()) as u64);
+                    csp.attr_u64("misses", self.miss.len() as u64);
                 }
-                generated = miss.len() as u64;
-                if !miss.is_empty() {
-                    let miss_counters: Vec<Block> =
-                        miss.iter().map(|&i| self.counters[i as usize]).collect();
-                    let mut miss_pads = vec![[0u8; BLOCK_BYTES]; miss_counters.len()];
-                    encrypt_blocks_parallel(cipher, &miss_counters, &mut miss_pads);
-                    for (&i, pad) in miss.iter().zip(&miss_pads) {
+                generated = self.miss.len() as u64;
+                if !self.miss.is_empty() {
+                    self.miss_counters.clear();
+                    self.miss_counters
+                        .extend(self.miss.iter().map(|&i| self.counters[i as usize]));
+                    self.miss_pads.clear();
+                    self.miss_pads
+                        .resize(self.miss_counters.len(), [0u8; BLOCK_BYTES]);
+                    encrypt_blocks_parallel(cipher, &self.miss_counters, &mut self.miss_pads);
+                    for (&i, pad) in self.miss.iter().zip(&self.miss_pads) {
                         self.pads[i as usize] = *pad;
                     }
-                    cache.fill(&miss_counters, &miss_pads);
+                    cache.fill(&self.miss_counters, &self.miss_pads);
                 }
             }
         }
@@ -650,9 +680,9 @@ impl PadPlanner {
     /// - **Outstanding [`PadRange`]s become invalid** and must not be read
     ///   against the reset planner.
     /// - **All allocations are retained**: the dedup map, counter/pad
-    ///   buffers and the ref arena keep their capacity, so a steady-state
-    ///   packet loop performs no per-packet reallocation once warmed up to
-    ///   its peak packet shape (asserted by
+    ///   buffers, the ref arena and the cache-miss scratch keep their
+    ///   capacity, so a steady-state packet loop performs no per-packet
+    ///   reallocation once warmed up to its peak packet shape (asserted by
     ///   `planner_reset_preserves_capacity`).
     pub fn reset(&mut self) {
         self.slots.clear();
@@ -880,6 +910,192 @@ mod tests {
             assert_eq!(p.reserved_blocks(), blocks_cap, "steady state reallocated");
             assert_eq!(p.reserved_refs(), refs_cap, "steady state reallocated");
         }
+
+        // The same contract through the cache: the miss scratch is the
+        // planner's own, so once a PF-80 plan has run all-miss, neither an
+        // all-miss nor an all-hit repeat changes any buffer's capacity.
+        let cache = crate::cache::PadCache::new(4096);
+        let mut p = PadPlanner::new();
+        let plan = |p: &mut PadPlanner, version: u64| {
+            p.reset();
+            for row in 0..80u64 {
+                let _ = p.request_bytes(Domain::Data, row * 640, 128, version);
+                let _ = p.request_block(Domain::Tag, row * 640, version);
+            }
+            p.execute_cached(g.cipher(), Some(&cache));
+        };
+        let caps = |p: &PadPlanner| {
+            [
+                p.slots.capacity(),
+                p.counters.capacity(),
+                p.pads.capacity(),
+                p.refs.capacity(),
+                p.miss.capacity(),
+                p.miss_counters.capacity(),
+                p.miss_pads.capacity(),
+            ]
+        };
+        plan(&mut p, 1); // warm-up: every block misses
+        let warmed = caps(&p);
+        assert!(p.miss.capacity() >= p.planned_blocks());
+        let s0 = cache.stats();
+        plan(&mut p, 2); // fresh version: all-miss again
+        assert_eq!(caps(&p), warmed, "all-miss repeat reallocated");
+        plan(&mut p, 2); // same version: all-hit
+        assert_eq!(caps(&p), warmed, "all-hit repeat reallocated");
+        let s1 = cache.stats();
+        let n = p.planned_blocks() as u64;
+        assert_eq!((s1.misses - s0.misses, s1.hits - s0.hits), (n, n));
+    }
+
+    #[test]
+    fn with_capacity_plans_without_growing() {
+        let g = gen();
+        let mut p = PadPlanner::with_capacity(80 * 9);
+        let (blocks_cap, refs_cap, map_cap) =
+            (p.reserved_blocks(), p.reserved_refs(), p.slots.capacity());
+        assert!(blocks_cap >= 720 && refs_cap >= 720 && map_cap >= 720);
+        for row in 0..80u64 {
+            let _ = p.request_bytes(Domain::Data, row * 128, 128, 1);
+            let _ = p.request_block(Domain::Tag, row * 128, 1);
+        }
+        p.execute(g.cipher());
+        assert_eq!(p.planned_blocks(), 720);
+        assert_eq!(
+            (p.reserved_blocks(), p.reserved_refs(), p.slots.capacity()),
+            (blocks_cap, refs_cap, map_cap)
+        );
+        assert_eq!(
+            p.pads.capacity(),
+            blocks_cap,
+            "pad buffer sized with the rest"
+        );
+    }
+
+    #[test]
+    fn oversized_plan_bypasses_the_cache() {
+        // Scan-resistant admission: one block more than the cache holds and
+        // the plan neither probes nor fills; exactly the capacity still does.
+        use crate::cache::PadCache;
+        let g = gen();
+        let cache = PadCache::new(256);
+        let cap = cache.capacity_blocks();
+        let plan = |blocks: usize, version: u64| {
+            let mut p = PadPlanner::new();
+            let r = p.request_bytes(Domain::Data, 0, blocks * BLOCK_BYTES, version);
+            (p, r)
+        };
+
+        // A resident hot set the scan must not disturb.
+        let (mut hot, _) = plan(8, 1);
+        hot.execute_cached(g.cipher(), Some(&cache));
+        let resident = cache.len();
+
+        let s0 = cache.stats();
+        let (mut big, r) = plan(cap + 1, 2);
+        big.execute_cached(g.cipher(), Some(&cache));
+        let s1 = cache.stats();
+        assert_eq!(
+            big.pad_bytes(&r),
+            g.data_pad_bytes(0, (cap + 1) * BLOCK_BYTES, 2)
+        );
+        assert_eq!(s1.insertions, s0.insertions, "bypass must not fill");
+        assert_eq!(s1.evictions, s0.evictions, "bypass must not evict");
+        assert_eq!(s1.hits, s0.hits);
+        assert_eq!(
+            s1.misses - s0.misses,
+            (cap + 1) as u64,
+            "bypassed blocks are misses"
+        );
+        assert_eq!(cache.len(), resident);
+
+        let (mut exact, r) = plan(cap, 3);
+        exact.execute_cached(g.cipher(), Some(&cache));
+        let s2 = cache.stats();
+        assert_eq!(
+            exact.pad_bytes(&r),
+            g.data_pad_bytes(0, cap * BLOCK_BYTES, 3)
+        );
+        assert_eq!(s2.misses - s1.misses, cap as u64);
+        assert_eq!(
+            s2.insertions - s1.insertions,
+            cap as u64,
+            "a full-capacity plan fills"
+        );
+        // And a repeat of it is served from the cache (all of it but the
+        // few lines an unevenly loaded shard had to displace).
+        let (mut again, _) = plan(cap, 3);
+        again.execute_cached(g.cipher(), Some(&cache));
+        assert!(cache.stats().hits - s2.hits > cap as u64 / 2);
+    }
+
+    #[test]
+    fn scalar_pads_match_planner_on_both_cipher_paths() {
+        // tag_pad / checksum_secret / data_pad_block go through the same
+        // detected cipher path as the batched planner, and both paths agree
+        // with the reference cipher.
+        use crate::aes_fast::Aes128Fast;
+        let key = [0x3D; 16];
+        let reference = OtpGenerator::new(Aes128::new(&key));
+        for (name, cipher) in Aes128Fast::both_paths(&key) {
+            let g = OtpGenerator::new(cipher);
+            let mut p = PadPlanner::new();
+            let probes: Vec<(u64, u64)> = (0..19u64).map(|i| (i * 4096 + 16 * i, i + 1)).collect();
+            let ranges: Vec<_> = probes
+                .iter()
+                .map(|&(addr, v)| {
+                    (
+                        p.request_block(Domain::Tag, addr, v),
+                        p.request_block(Domain::ChecksumSecret, addr, v),
+                        p.request_bytes(Domain::Data, addr, BLOCK_BYTES, v),
+                    )
+                })
+                .collect();
+            p.execute(g.cipher());
+            for (&(addr, v), (t, s, d)) in probes.iter().zip(&ranges) {
+                assert_eq!(g.tag_pad(addr, v), p.pad_first_127_bits(t), "{name}");
+                assert_eq!(
+                    g.checksum_secret(addr, v),
+                    p.pad_first_127_bits(s),
+                    "{name}"
+                );
+                assert_eq!(g.data_pad_block(addr, v).to_vec(), p.pad_bytes(d), "{name}");
+                assert_eq!(g.tag_pad(addr, v), reference.tag_pad(addr, v), "{name}");
+                assert_eq!(
+                    g.checksum_secret(addr, v),
+                    reference.checksum_secret(addr, v),
+                    "{name}"
+                );
+                assert_eq!(
+                    g.data_pad_block(addr, v),
+                    reference.data_pad_block(addr, v),
+                    "{name}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn data_pad_into_chunks_are_seamless() {
+        // Ranges around the 4 KiB chunk size, aligned and not: the chunked
+        // fill must equal the block-at-a-time reference byte for byte.
+        let g = gen();
+        let chunk = PAD_CHUNK_BLOCKS * BLOCK_BYTES;
+        for (addr, len) in [
+            (0u64, chunk),
+            (0, chunk + 1),
+            (7, chunk - 7),
+            (7, chunk),
+            (9, 3 * chunk + 5),
+            (16, 2 * chunk),
+            (4090, 1),
+        ] {
+            assert_eq!(
+                g.data_pad_bytes(addr, len, 11),
+                g.data_pad_bytes_scalar(addr, len, 11),
+                "diverged at addr={addr} len={len}"
+            );
+        }
     }
 
     #[test]
@@ -954,22 +1170,5 @@ mod tests {
         let mut p = PadPlanner::new();
         let r = p.request_bytes(Domain::Data, 0, 16, 1);
         p.pad_bytes(&r);
-    }
-
-    #[test]
-    fn parallel_helper_is_deterministic() {
-        use crate::aes_fast::Aes128Fast;
-        let cipher = Aes128Fast::new(&[0x31; 16]);
-        // Above the threshold so the scoped-thread path runs on multi-core
-        // hosts; output must match the inline path bit-for-bit either way.
-        let n = PARALLEL_THRESHOLD_BLOCKS + 37;
-        let blocks: Vec<Block> = (0..n)
-            .map(|i| CounterBlock::new(Domain::Data, (i * BLOCK_BYTES) as u64, 5).to_bytes())
-            .collect();
-        let mut par = vec![[0u8; BLOCK_BYTES]; n];
-        encrypt_blocks_parallel(&cipher, &blocks, &mut par);
-        let mut seq = vec![[0u8; BLOCK_BYTES]; n];
-        cipher.encrypt_blocks_into(&blocks, &mut seq);
-        assert_eq!(par, seq);
     }
 }

@@ -18,9 +18,7 @@ use crate::error::Error;
 use crate::layout::TableLayout;
 use crate::version::RegionId;
 use secndp_arith::mersenne::Fq;
-use secndp_arith::ring::{
-    add_elementwise, sub_elementwise, words_from_le_bytes, words_to_le_bytes, RingWord,
-};
+use secndp_arith::ring::{words_to_le_bytes, RingWord};
 use secndp_cipher::aes::BlockCipher;
 use secndp_cipher::otp::{Domain, OtpGenerator, PadPlanner, PadRange};
 
@@ -101,14 +99,7 @@ pub fn encrypt_elements<W: RingWord, C: BlockCipher>(
     layout: &TableLayout,
     version: u64,
 ) -> Result<Vec<W>, Error> {
-    if plaintext.len() != layout.len() {
-        return Err(Error::ShapeMismatch {
-            got: plaintext.len(),
-            expected: layout.len(),
-        });
-    }
-    let pads = pad_words::<W, _>(otp, layout.base_addr(), layout.size_bytes(), version);
-    Ok(sub_elementwise(plaintext, &pads))
+    combine_with_pads(otp, plaintext, layout, version, W::wsub)
 }
 
 /// Decrypts a full ciphertext image (`p = c + e`).
@@ -122,24 +113,44 @@ pub fn decrypt_elements<W: RingWord, C: BlockCipher>(
     layout: &TableLayout,
     version: u64,
 ) -> Result<Vec<W>, Error> {
-    if ciphertext.len() != layout.len() {
+    combine_with_pads(otp, ciphertext, layout, version, W::wadd)
+}
+
+/// Pad bytes generated per step of [`combine_with_pads`]: the table's pads
+/// pass through one stack window this size instead of being materialised
+/// beside the table.
+const PAD_WINDOW_BYTES: usize = 4096;
+
+/// `op(wordⱼ, eⱼ)` over the whole table image, `e` being the data pads of
+/// `layout` under `version`, generated a window at a time and consumed at
+/// once. Windows hold whole elements, so none straddles two of them.
+fn combine_with_pads<W: RingWord, C: BlockCipher>(
+    otp: &OtpGenerator<C>,
+    words: &[W],
+    layout: &TableLayout,
+    version: u64,
+    op: impl Fn(W, W) -> W,
+) -> Result<Vec<W>, Error> {
+    if words.len() != layout.len() {
         return Err(Error::ShapeMismatch {
-            got: ciphertext.len(),
+            got: words.len(),
             expected: layout.len(),
         });
     }
-    let pads = pad_words::<W, _>(otp, layout.base_addr(), layout.size_bytes(), version);
-    Ok(add_elementwise(ciphertext, &pads))
-}
-
-/// Generates the pad words covering `len` bytes starting at `addr`.
-pub(crate) fn pad_words<W: RingWord, C: BlockCipher>(
-    otp: &OtpGenerator<C>,
-    addr: u64,
-    len: usize,
-    version: u64,
-) -> Vec<W> {
-    words_from_le_bytes(&otp.data_pad_bytes(addr, len, version))
+    let mut out = Vec::with_capacity(words.len());
+    let mut window = [0u8; PAD_WINDOW_BYTES];
+    let mut addr = layout.base_addr();
+    for span in words.chunks(PAD_WINDOW_BYTES / W::BYTES) {
+        let pads = &mut window[..span.len() * W::BYTES];
+        otp.data_pad_into(addr, version, pads);
+        out.extend(
+            span.iter()
+                .zip(pads.chunks_exact(W::BYTES))
+                .map(|(&x, e)| op(x, W::from_le_slice(e))),
+        );
+        addr += pads.len() as u64;
+    }
+    Ok(out)
 }
 
 /// Computes the encrypted per-row tags `C_{T_i}` (Algorithms 2 + 3) for the
@@ -155,7 +166,7 @@ pub fn encrypt_tags<W: RingWord, C: BlockCipher>(
     scheme: ChecksumScheme,
 ) -> Vec<Fq> {
     let secrets = derive_secrets(otp, layout.base_addr(), version, scheme);
-    let mut planner = PadPlanner::new();
+    let mut planner = PadPlanner::with_capacity(layout.rows());
     let ranges: Vec<PadRange> = (0..layout.rows())
         .map(|i| planner.request_block(Domain::Tag, layout.row_addr(i), version))
         .collect();
@@ -176,7 +187,7 @@ pub fn encrypt_tags<W: RingWord, C: BlockCipher>(
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
+    use secndp_arith::ring::words_from_le_bytes;
     use secndp_cipher::aes::Aes128;
 
     fn otp() -> OtpGenerator<Aes128> {
@@ -229,9 +240,35 @@ mod tests {
         let layout = TableLayout::new::<u32>(0x80, 2, 4).unwrap();
         let pt: Vec<u32> = vec![5, 10, 15, 20, 25, 30, 35, 40];
         let ct = encrypt_elements(&g, &pt, &layout, 9).unwrap();
-        let pads = pad_words::<u32, _>(&g, 0x80, layout.size_bytes(), 9);
+        let pads: Vec<u32> = words_from_le_bytes(&g.data_pad_bytes(0x80, layout.size_bytes(), 9));
         for ((&c, &e), &p) in ct.iter().zip(&pads).zip(&pt) {
             assert_eq!(c.wadd(e), p);
+        }
+    }
+
+    #[test]
+    fn windowed_pads_match_whole_table_pads() {
+        // Tables several pad windows long, on aligned and unaligned bases:
+        // walking the pads a window at a time must give the ciphertext the
+        // whole-table pad image gives, at every element width.
+        fn check<W: RingWord>(base: u64) {
+            let g = otp();
+            let cols = 3 * PAD_WINDOW_BYTES / W::BYTES / 7 + 1;
+            let layout = TableLayout::new::<W>(base, 7, cols).unwrap();
+            let pt: Vec<W> = (0..layout.len() as u64)
+                .map(|i| W::from_u64(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+                .collect();
+            let pads: Vec<W> = words_from_le_bytes(&g.data_pad_bytes(base, layout.size_bytes(), 5));
+            let want: Vec<W> = pt.iter().zip(&pads).map(|(&p, &e)| p.wsub(e)).collect();
+            let ct = encrypt_elements(&g, &pt, &layout, 5).unwrap();
+            assert_eq!(ct, want, "width {} base {base:#x}", W::BITS);
+            assert_eq!(decrypt_elements(&g, &ct, &layout, 5).unwrap(), pt);
+        }
+        for base in [0x4000, 0x4003, 0x400d] {
+            check::<u8>(base);
+            check::<u16>(base);
+            check::<u32>(base);
+            check::<u64>(base);
         }
     }
 

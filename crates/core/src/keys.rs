@@ -52,9 +52,9 @@ impl SecretKey {
         OtpGenerator::new(Aes128::new(&self.bytes))
     }
 
-    /// The same pad generator over the T-table AES — the same permutation,
-    /// several times faster in software (see `secndp_cipher::aes_fast` for
-    /// the side-channel caveat).
+    /// The same pad generator over [`Aes128Fast`] — the same permutation on
+    /// the host's AES-NI unit when it has one, on T-tables otherwise (see
+    /// `secndp_cipher::aes_fast` for the constant-time status of each).
     pub fn otp_generator_fast(&self) -> OtpGenerator<Aes128Fast> {
         OtpGenerator::new(Aes128Fast::new(&self.bytes))
     }

@@ -26,7 +26,7 @@ use crate::layout::TableLayout;
 use crate::version::{RegionId, VersionManager};
 use secndp_arith::mersenne::Fq;
 use secndp_arith::ring::{add_elementwise, words_from_le_bytes, RingWord};
-use secndp_cipher::aes::BlockCipher;
+use secndp_cipher::aes::{BlockCipher, BLOCK_BYTES};
 use secndp_cipher::aes_fast::Aes128Fast;
 use secndp_cipher::otp::{Domain, OtpGenerator, PadPlanner, PadRange};
 use secndp_cipher::PadCache;
@@ -80,6 +80,53 @@ struct BatchPlan {
     data_ranges: Vec<Vec<PadRange>>,
     tag_ranges: Vec<Vec<PadRange>>,
     secrets: Option<Vec<Fq>>,
+}
+
+/// The most cipher blocks a `len`-byte range can touch: it may start at the
+/// last byte of its first block. Sizes planners before their requests.
+fn max_blocks(len: usize) -> usize {
+    (len + BLOCK_BYTES - 1).div_ceil(BLOCK_BYTES)
+}
+
+/// `acc[j] += a · eⱼ` over the pad words `e` of `range` (Alg 4 lines 8–14
+/// for one row), streamed out of the executed planner block by block — no
+/// buffer per row. A range may start anywhere in its first cipher block, so
+/// an element can straddle two blocks; `carry` holds its first bytes until
+/// the next block completes it.
+///
+/// # Panics
+///
+/// Panics if `range` holds more whole elements than `acc`.
+pub(crate) fn accumulate_pads<W: RingWord>(
+    planner: &PadPlanner,
+    range: &PadRange,
+    a: W,
+    acc: &mut [W],
+) {
+    let mut acc = acc.iter_mut();
+    let mut add = |e: &[u8]| {
+        let x = acc.next().expect("pad range longer than the accumulator");
+        *x = x.wadd(a.wmul(W::from_le_slice(e)));
+    };
+    let mut carry = [0u8; 8];
+    let mut have = 0;
+    planner.with_pad_bytes(range, |mut block| {
+        if have > 0 {
+            let take = usize::min(W::BYTES - have, block.len());
+            carry[have..have + take].copy_from_slice(&block[..take]);
+            have += take;
+            block = &block[take..];
+            if have < W::BYTES {
+                return;
+            }
+            add(&carry[..W::BYTES]);
+        }
+        let words = block.chunks_exact(W::BYTES);
+        let tail = words.remainder();
+        words.for_each(&mut add);
+        carry[..tail.len()].copy_from_slice(tail);
+        have = tail.len();
+    });
 }
 
 /// The TEE-resident SecNDP engine: key, version manager, encryption and
@@ -510,7 +557,11 @@ impl<C: BlockCipher> TrustedProcessor<C> {
             return Err(Error::TagsUnavailable);
         }
         let layout = handle.layout;
-        let mut planner = PadPlanner::new();
+        // A row's data blocks plus its tag block, for every reference in
+        // the packet, plus the secrets.
+        let per_ref = max_blocks(layout.row_bytes()) + usize::from(verify);
+        let refs: usize = queries.iter().map(|(idx, _)| idx.len()).sum();
+        let mut planner = PadPlanner::with_capacity(refs * per_ref + handle.scheme.num_secrets());
         let mut data_ranges: Vec<Vec<PadRange>> = Vec::with_capacity(queries.len());
         let mut tag_ranges: Vec<Vec<PadRange>> = Vec::with_capacity(queries.len());
         for (idx, _) in queries {
@@ -577,14 +628,12 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         let res = {
             let _s = trace::span(trace::names::DECRYPT);
             let _t = crate::metrics::stage_decrypt_timer();
-            let mut e_res = vec![W::ZERO; layout.cols()];
+            // res = C_res + Σₖ aₖ·E_{iₖ}, accumulated onto the device's share.
+            let mut res = response.c_res.clone();
             for (range, &a) in plan.data_ranges[qi].iter().zip(weights) {
-                let pads = words_from_le_bytes::<W>(&plan.planner.pad_bytes(range));
-                for (acc, &e) in e_res.iter_mut().zip(&pads) {
-                    *acc = acc.wadd(a.wmul(e));
-                }
+                accumulate_pads(&plan.planner, range, a, &mut res);
             }
-            add_elementwise(&response.c_res, &e_res)
+            res
         };
         if verify {
             let _s = trace::span(trace::names::VERIFY);
@@ -621,7 +670,7 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         indices: &[usize],
         weights: &[W],
     ) -> Vec<W> {
-        let mut planner = PadPlanner::new();
+        let mut planner = PadPlanner::with_capacity(indices.len() * max_blocks(layout.row_bytes()));
         let ranges: Vec<PadRange> = indices
             .iter()
             .map(|&i| {
@@ -636,10 +685,7 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         planner.execute_cached(self.otp.cipher(), Some(&self.pad_cache));
         let mut e_res = vec![W::ZERO; layout.cols()];
         for (range, &a) in ranges.iter().zip(weights) {
-            let pads = words_from_le_bytes::<W>(&planner.pad_bytes(range));
-            for (acc, &e) in e_res.iter_mut().zip(&pads) {
-                *acc = acc.wadd(a.wmul(e));
-            }
+            accumulate_pads(&planner, range, a, &mut e_res);
         }
         e_res
     }
@@ -658,7 +704,7 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         let _t = crate::metrics::stage_verify_timer();
         let layout = handle.layout;
         // Secrets and tag pads share one batched, cache-probed execute.
-        let mut planner = PadPlanner::new();
+        let mut planner = PadPlanner::with_capacity(indices.len() + handle.scheme.num_secrets());
         let secret_ranges = plan_secrets(
             &mut planner,
             layout.base_addr(),
@@ -718,8 +764,8 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         if bytes.len() != layout.row_bytes() {
             return Err(crate::metrics::malformed("row size differs from layout"));
         }
-        let ct = words_from_le_bytes::<W>(&bytes);
-        let mut planner = PadPlanner::new();
+        let mut plain = words_from_le_bytes::<W>(&bytes);
+        let mut planner = PadPlanner::with_capacity(max_blocks(layout.row_bytes()));
         let range = planner.request_bytes(
             Domain::Data,
             layout.row_addr(row),
@@ -727,8 +773,9 @@ impl<C: BlockCipher> TrustedProcessor<C> {
             handle.version,
         );
         planner.execute_cached(self.otp.cipher(), Some(&self.pad_cache));
-        let pads = words_from_le_bytes::<W>(&planner.pad_bytes(&range));
-        Ok(add_elementwise(&ct, &pads))
+        // p = c + 1·e.
+        accumulate_pads(&planner, &range, W::ONE, &mut plain);
+        Ok(plain)
     }
 
     /// A **verified** single-row read: fetches the row as the weighted
@@ -799,7 +846,7 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         let c_res = device.weighted_sum_elements::<W>(layout.base_addr(), coords, weights)?;
         // OTP PU: Σₖ aₖ · E_{iₖ,jₖ} (Alg 4 lines 8–12), planned as one
         // batch — elements sharing a cipher block cost one encryption.
-        let mut planner = PadPlanner::new();
+        let mut planner = PadPlanner::with_capacity(coords.len() * max_blocks(W::BYTES));
         let ranges: Vec<PadRange> = coords
             .iter()
             .map(|&(i, j)| {
@@ -812,11 +859,11 @@ impl<C: BlockCipher> TrustedProcessor<C> {
             })
             .collect();
         planner.execute_cached(self.otp.cipher(), Some(&self.pad_cache));
-        let mut e_res = W::ZERO;
+        let mut res = c_res;
         for (range, &a) in ranges.iter().zip(weights) {
-            e_res = e_res.wadd(a.wmul(W::from_le_slice(&planner.pad_bytes(range))));
+            accumulate_pads(&planner, range, a, std::slice::from_mut(&mut res));
         }
-        Ok(c_res.wadd(e_res))
+        Ok(res)
     }
 
     /// Decrypts a full table image held locally (used for round-trip tests
@@ -876,6 +923,48 @@ mod tests {
             TrustedProcessor::new(SecretKey::from_bytes([0xAB; 16])),
             HonestNdp::new(),
         )
+    }
+
+    #[test]
+    fn accumulate_pads_matches_materialised_loop() {
+        // The streamed accumulate against the loop it replaced
+        // (`words_from_le_bytes(pad_bytes(..))`, then add), at every width:
+        // block-aligned rows, rows starting mid-block (elements straddle
+        // cipher blocks when the lead is odd) and row lengths that are not
+        // a multiple of 16 bytes.
+        fn check<W: RingWord>() {
+            let cipher = Aes128Fast::new(&[0x6B; 16]);
+            for (addr, cols) in [
+                (0x1000u64, 16usize),
+                (0x1003, 16),
+                (0x1009, 5),
+                (0x100f, 13),
+            ] {
+                let mut planner = PadPlanner::new();
+                let ranges: Vec<PadRange> = (0..3)
+                    .map(|r| {
+                        let row_addr = addr + (r * cols * W::BYTES) as u64;
+                        planner.request_bytes(Domain::Data, row_addr, cols * W::BYTES, 9)
+                    })
+                    .collect();
+                planner.execute(&cipher);
+                let seed: Vec<W> = (0..cols as u64).map(|j| W::from_u64(j * 77 + 1)).collect();
+                let (mut got, mut want) = (seed.clone(), seed);
+                for (k, range) in ranges.iter().enumerate() {
+                    let a = W::from_u64(0x9E37_79B9_7F4A_7C15 >> k);
+                    accumulate_pads(&planner, range, a, &mut got);
+                    let pads = words_from_le_bytes::<W>(&planner.pad_bytes(range));
+                    for (acc, &e) in want.iter_mut().zip(&pads) {
+                        *acc = acc.wadd(a.wmul(e));
+                    }
+                }
+                assert_eq!(got, want, "width {} addr {addr:#x} cols {cols}", W::BITS);
+            }
+        }
+        check::<u8>();
+        check::<u16>();
+        check::<u32>();
+        check::<u64>();
     }
 
     #[test]
@@ -1195,7 +1284,7 @@ mod tests {
 
     #[test]
     fn fast_and_reference_aes_produce_identical_ciphertext() {
-        // The default (T-table) processor and a reference-AES processor
+        // The default (`Aes128Fast`) processor and a reference-AES processor
         // with the same key are interchangeable.
         use secndp_cipher::aes::Aes128;
         let key = SecretKey::from_bytes([0x11; 16]);
