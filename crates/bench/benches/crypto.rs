@@ -78,7 +78,7 @@ fn bench_pad_batch(c: &mut Criterion) {
                 .collect();
             planner.execute(fast.cipher());
             for r in &ranges {
-                black_box(planner.pad_bytes(r));
+                black_box(planner.pad_slice(r));
             }
         })
     });

@@ -85,7 +85,7 @@ fn protocol_warmup() -> Result<(), Error> {
         let weights = [1u32, 2, 3];
         cpu.weighted_sum(&handle, &ndp, &indices, &weights, true)?;
     }
-    // One batched packet exercises the PadPlanner dedup counters.
+    // One batched packet, so the batch path's instruments exist too.
     let queries: Vec<(Vec<usize>, Vec<u32>)> = (0..8)
         .map(|q| (vec![q % rows, (q + 1) % rows], vec![1u32, 1]))
         .collect();

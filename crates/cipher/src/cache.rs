@@ -5,9 +5,9 @@
 //! `E(K, D ‖ addr ‖ v)` for every query (§VI-B, Table II). DLRM embedding
 //! traces are Zipfian: the same hot rows are referenced thousands of times
 //! per second, and each reference re-encrypts the same counter blocks. The
-//! [`PadCache`] memoizes those encryptions *across* query packets — the
-//! [`PadPlanner`](crate::otp::PadPlanner) dedups within one packet, the
-//! cache carries the result to the next.
+//! [`PadCache`] memoizes those encryptions *across* queries: the
+//! [`PadPlanner`](crate::otp::PadPlanner) remembers nothing, not even
+//! within one plan, so this is the only place a pad is reused.
 //!
 //! # Why caching a one-time pad is safe
 //!
@@ -62,7 +62,7 @@
 //! are uncacheable: they would alias a block slot of their line.
 
 use crate::aes::{Block, BLOCK_BYTES};
-use crate::otp::{CounterBlock, CounterKeyHasher};
+use crate::otp::CounterBlock;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
@@ -116,6 +116,42 @@ fn split_key(key: u128) -> Option<(u128, usize)> {
         return None;
     }
     Some((key & !(0x7F_u128 << 64), ((key >> 68) as usize) & 0x7))
+}
+
+/// Hasher for the shards' line index, keyed by the serialized 128-bit
+/// counter block. Counter keys are structured, attacker-independent values
+/// (the cache lives inside the trusted processor), so a two-round
+/// multiply–rotate mix replaces SipHash: at hundreds of probes per query
+/// the default hasher alone costs as much as the AES work a hit saves.
+#[derive(Default)]
+struct CounterKeyHasher(u64);
+
+impl std::hash::Hasher for CounterKeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut buf = [0u8; 8];
+            buf[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(buf));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(26) ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write_u128(&mut self, v: u128) {
+        // One multiply over both halves, then fold the entropy-rich high
+        // bits back down: the table index comes from the LOW bits of the
+        // hash, which a bare multiply leaves correlated for block-aligned
+        // address strides.
+        let x = ((v >> 64) as u64).rotate_left(26) ^ (v as u64);
+        let h = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
 }
 
 /// One line entry: eight pad blocks under a line-aligned counter key,
@@ -298,8 +334,8 @@ impl Shard {
 
 /// Running counters of cache behaviour, independent of the telemetry
 /// feature (plain relaxed atomics; the concurrency stress suite asserts
-/// `hits + misses` equals the number of unique blocks planners handed to
-/// the cache).
+/// `hits + misses` equals the number of blocks planners handed to the
+/// cache).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PadCacheStats {
     /// Probes answered from the cache.
@@ -606,12 +642,17 @@ impl PadCache {
         dropped
     }
 
-    /// Accounts `blocks` unique blocks of a plan the planner's admission
-    /// rule kept out of the cache (more blocks than it holds): they went
-    /// straight to AES, so they are misses — `hits + misses` stays the
-    /// number of unique blocks handed to an enabled cache — but not probes,
-    /// which the health check discounts through the bypass counter.
-    pub(crate) fn note_bypassed(&self, blocks: usize) {
+    /// Accounts `blocks` blocks an admission rule kept out of the cache —
+    /// the planner's (a plan larger than the cache) or the protocol's (a
+    /// query of a packet larger than the cache, executed uncached): they
+    /// went straight to AES, so they are misses — `hits + misses` stays the
+    /// number of blocks generated beside an enabled cache — but not probes,
+    /// which the health check discounts through the bypass counter. A
+    /// disabled cache counts nothing, here as on every other path.
+    pub fn note_bypassed(&self, blocks: usize) {
+        if !self.is_enabled() {
+            return;
+        }
         let n = blocks as u64;
         self.misses.fetch_add(n, Relaxed);
         misses_counter().add(n);
@@ -622,8 +663,8 @@ impl PadCache {
     /// `counters[i]` and records the missing indices in `miss` (assumed
     /// empty; emitted grouped by shard, not ascending — the caller
     /// scatters by index, so order is immaterial). Counts one hit or miss
-    /// per *unique planned block* — the planner has already deduplicated
-    /// repeated tuples. Blocks are visited shard by shard so each shard's
+    /// per planned block — a tuple the plan holds twice probes twice.
+    /// Blocks are visited shard by shard so each shard's
     /// mutex is taken once per batch instead of once per block, and a run
     /// of same-line blocks (a row's worth of consecutive counters — the
     /// schedule's counting sort is stable, so runs survive the shard

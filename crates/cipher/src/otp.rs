@@ -20,8 +20,6 @@
 //! the paper's layout and preserves the uniqueness argument.
 
 use crate::aes::{Block, BlockCipher, BLOCK_BYTES};
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 
 /// Maximum representable address in a counter block (62 bits).
 pub const MAX_ADDR: u64 = (1 << 62) - 1;
@@ -81,6 +79,17 @@ impl Domain {
     }
 }
 
+/// The cipher input `[D:2][addr:62][version:64]`, big-endian; `addr` must
+/// fit its 62 bits ([`CounterBlock::new`] and `validate_pad_range` check).
+#[inline]
+fn counter_bytes(domain: Domain, addr: u64, version: u64) -> Block {
+    let hi = ((domain.bits() as u64) << 62) | addr;
+    let mut out = [0u8; BLOCK_BYTES];
+    out[..8].copy_from_slice(&hi.to_be_bytes());
+    out[8..].copy_from_slice(&version.to_be_bytes());
+    out
+}
+
 /// The 128-bit block-cipher input `D ‖ addr ‖ v` of Algorithms 1–3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CounterBlock {
@@ -109,11 +118,7 @@ impl CounterBlock {
     /// Serializes to the 16-byte cipher input `[D:2][addr:62][version:64]`.
     #[inline]
     pub fn to_bytes(self) -> Block {
-        let hi = ((self.domain.bits() as u64) << 62) | self.addr;
-        let mut out = [0u8; BLOCK_BYTES];
-        out[..8].copy_from_slice(&hi.to_be_bytes());
-        out[8..].copy_from_slice(&self.version.to_be_bytes());
-        out
+        counter_bytes(self.domain, self.addr, self.version)
     }
 
     /// The domain tag.
@@ -313,49 +318,13 @@ fn validate_pad_range(addr: u64, len: usize) -> u64 {
     addr - addr % BLOCK_BYTES as u64
 }
 
-/// Hasher for the planner's dedup map, keyed by the serialized 128-bit
-/// counter block. Counter keys are structured, attacker-independent values
-/// (the planner lives inside the trusted processor), so a two-round
-/// multiply–rotate mix replaces SipHash: at thousands of inserts per query
-/// packet the default hasher alone costs as much as the AES work saved.
-#[derive(Default)]
-pub(crate) struct CounterKeyHasher(u64);
-
-impl std::hash::Hasher for CounterKeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(buf));
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(26) ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    fn write_u128(&mut self, v: u128) {
-        // One multiply over both halves, then fold the entropy-rich high
-        // bits back down: the table index comes from the LOW bits of the
-        // hash, which a bare multiply leaves correlated for block-aligned
-        // address strides.
-        let x = ((v >> 64) as u64).rotate_left(26) ^ (v as u64);
-        let h = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
-}
-
-/// A handle to one requested pad range inside a [`PadPlanner`]: which slot
-/// references cover it and how to slice the lead/tail blocks.
+/// A handle to one requested pad range inside a [`PadPlanner`]: where its
+/// bytes start in the planner's pad buffer, and how many there are.
 #[derive(Debug, Clone, Copy)]
 pub struct PadRange {
-    refs_start: usize,
-    refs_len: usize,
-    lead: usize,
+    /// Byte offset into the pad buffer: the range's first planned block
+    /// plus its lead into that block.
+    start: usize,
     len: usize,
 }
 
@@ -371,34 +340,33 @@ impl PadRange {
     }
 }
 
-/// Collects every counter block a query (or batch of queries) needs,
-/// deduplicates repeated `(domain, addr, version)` tuples, encrypts the
-/// unique set in one batched [`BlockCipher::encrypt_blocks_into`] pass,
-/// and serves the requested byte ranges back out of the shared pad buffer.
+/// Collects the counter blocks a query needs, encrypts them in one batched
+/// [`BlockCipher::encrypt_blocks_into`] pass, and serves each requested
+/// byte range back as one contiguous slice of the pad buffer.
 ///
 /// This is the software analogue of the paper's pipelined pad engine
-/// (§VI-B, Table II): instead of one scalar AES call per block per row per
-/// query, the whole packet's pad material is generated in one planned
-/// sweep. Repeated row indices within a query and overlapping queries
-/// within a batch — both common in DLRM embedding lookups — collapse to a
-/// single encryption each.
+/// (§VI-B, Table II): instead of one scalar AES call per block per row,
+/// a query's pad material is generated in one planned sweep.
+///
+/// The planner only appends: every request adds its own run of counter
+/// blocks, so a tuple requested twice is encrypted twice. At hardware-AES
+/// speed a block regenerates in under 2 ns; remembering that it was already
+/// planned cost ~60 ns per reference for the one reference in seven that
+/// repeats in a DLRM packet. Reuse *across* queries is the
+/// [`PadCache`](crate::cache::PadCache)'s job.
 ///
 /// Usage is two-phase: [`request_bytes`](Self::request_bytes) /
 /// [`request_block`](Self::request_block) during planning, one
-/// [`execute`](Self::execute), then [`pad_bytes`](Self::pad_bytes) /
+/// [`execute`](Self::execute), then [`pad_slice`](Self::pad_slice) /
 /// [`pad_first_127_bits`](Self::pad_first_127_bits) to read results.
-/// [`reset`](Self::reset) recycles the allocations for the next packet.
+/// [`reset`](Self::reset) recycles the allocations for the next query.
 #[derive(Default)]
 pub struct PadPlanner {
-    /// Dedup map: serialized counter block → slot in `counters`/`pads`.
-    slots: HashMap<u128, u32, BuildHasherDefault<CounterKeyHasher>>,
-    /// Unique serialized counter blocks, in first-request order.
+    /// Serialized counter blocks, in request order.
     counters: Vec<Block>,
     /// `pads[i] = E(K, counters[i])`, filled by [`execute`](Self::execute).
     pads: Vec<Block>,
-    /// Arena of slot indices; each [`PadRange`] owns a contiguous run.
-    refs: Vec<u32>,
-    /// Scratch of [`execute_cached`](Self::execute_cached): the slots the
+    /// Scratch of [`execute_cached`](Self::execute_cached): the blocks the
     /// cache missed, their counters gathered for one cipher call, and the
     /// pads that call produced. Kept across [`reset`](Self::reset) so a
     /// warmed planner executes without allocating.
@@ -414,42 +382,28 @@ impl PadPlanner {
         Self::default()
     }
 
-    /// An empty planner with room for `refs` block references (and as many
-    /// unique blocks — the bound when nothing repeats), for callers that
-    /// know their request count up front: the dedup map and the buffers
-    /// are sized once instead of doubling their way up from empty.
-    pub fn with_capacity(refs: usize) -> Self {
+    /// An empty planner with room for `blocks` counter blocks, for callers
+    /// that know their request count up front: the buffers are sized once
+    /// instead of doubling their way up from empty.
+    pub fn with_capacity(blocks: usize) -> Self {
         Self {
-            slots: HashMap::with_capacity_and_hasher(refs, BuildHasherDefault::default()),
-            counters: Vec::with_capacity(refs),
-            pads: Vec::with_capacity(refs),
-            refs: Vec::with_capacity(refs),
+            counters: Vec::with_capacity(blocks),
+            pads: Vec::with_capacity(blocks),
             ..Self::default()
         }
     }
 
-    /// Number of *unique* counter blocks planned so far (the number of AES
+    /// Number of counter blocks planned so far (the number of AES
     /// invocations [`execute`](Self::execute) will spend).
     pub fn planned_blocks(&self) -> usize {
         self.counters.len()
     }
 
-    /// Total slot references across all requests (≥ planned blocks; the
-    /// difference is work saved by deduplication).
+    /// Total block references across all requests. Every reference plans
+    /// its own block, so this equals
+    /// [`planned_blocks`](Self::planned_blocks).
     pub fn requested_refs(&self) -> usize {
-        self.refs.len()
-    }
-
-    fn slot_for(&mut self, cb: CounterBlock) -> u32 {
-        let bytes = cb.to_bytes();
-        let counters = &mut self.counters;
-        *self
-            .slots
-            .entry(u128::from_be_bytes(bytes))
-            .or_insert_with(|| {
-                counters.push(bytes);
-                (counters.len() - 1) as u32
-            })
+        self.counters.len()
     }
 
     /// Plans pads for the byte range `[addr, addr + len)` in `domain`.
@@ -468,26 +422,23 @@ impl PadPlanner {
     ) -> PadRange {
         assert!(!self.executed, "planner already executed; reset() first");
         let first_block = validate_pad_range(addr, len);
-        let refs_start = self.refs.len();
+        let base = self.counters.len() * BLOCK_BYTES;
         if len == 0 {
             return PadRange {
-                refs_start,
-                refs_len: 0,
-                lead: 0,
+                start: base,
                 len: 0,
             };
         }
-        let end = addr + len as u64;
-        let n_blocks = ((end - first_block) as usize).div_ceil(BLOCK_BYTES);
-        for k in 0..n_blocks {
-            let block_addr = first_block + (k * BLOCK_BYTES) as u64;
-            let slot = self.slot_for(CounterBlock::new(domain, block_addr, version));
-            self.refs.push(slot);
-        }
+        let lead = (addr - first_block) as usize;
+        let blocks = (lead + len).div_ceil(BLOCK_BYTES) as u64;
+        // The whole run ends at or below `MAX_ADDR` (just validated), so
+        // no block needs `CounterBlock::new`'s check of its own.
+        self.counters.extend(
+            (0..blocks)
+                .map(|k| counter_bytes(domain, first_block + k * BLOCK_BYTES as u64, version)),
+        );
         PadRange {
-            refs_start,
-            refs_len: n_blocks,
-            lead: (addr - first_block) as usize,
+            start: base + lead,
             len,
         }
     }
@@ -503,13 +454,11 @@ impl PadPlanner {
     /// exceeds [`MAX_ADDR`].
     pub fn request_block(&mut self, domain: Domain, addr: u64, version: u64) -> PadRange {
         assert!(!self.executed, "planner already executed; reset() first");
-        let refs_start = self.refs.len();
-        let slot = self.slot_for(CounterBlock::new(domain, addr, version));
-        self.refs.push(slot);
+        let start = self.counters.len() * BLOCK_BYTES;
+        self.counters
+            .push(CounterBlock::new(domain, addr, version).to_bytes());
         PadRange {
-            refs_start,
-            refs_len: 1,
-            lead: 0,
+            start,
             len: BLOCK_BYTES,
         }
     }
@@ -518,7 +467,7 @@ impl PadPlanner {
     /// ranges can be read; further requests need [`reset`](Self::reset).
     ///
     /// Equivalent to [`execute_cached`](Self::execute_cached) with no
-    /// cache: every unique planned block is encrypted.
+    /// cache: every planned block is encrypted.
     pub fn execute<C: BlockCipher + ?Sized>(&mut self, cipher: &C) {
         self.execute_cached(cipher, None);
     }
@@ -526,41 +475,27 @@ impl PadPlanner {
     /// Encrypts the planned counter blocks, serving hot blocks from a
     /// cross-query [`PadCache`](crate::cache::PadCache) when one is supplied (and enabled).
     ///
-    /// The cache is probed once per *unique* planned block (the dedup map
-    /// already collapsed repeats); only misses reach the batched
-    /// [`encrypt_blocks_parallel`] call, and their freshly generated pads
-    /// are inserted back. Output is byte-identical to the uncached
-    /// [`execute`](Self::execute) — pads are deterministic in the counter
-    /// tuple — which `tests/pad_cache_differential.rs` asserts across
-    /// randomized query streams.
+    /// The cache is probed once per planned block; only misses reach the
+    /// batched [`encrypt_blocks_parallel`] call, and their freshly
+    /// generated pads are inserted back. Output is byte-identical to the
+    /// uncached [`execute`](Self::execute) — pads are deterministic in the
+    /// counter tuple — which `tests/pad_cache_differential.rs` asserts
+    /// across randomized query streams.
     ///
-    /// **Admission.** A plan with more unique blocks than the cache holds
-    /// cannot reuse what it fills — CLOCK evicts the head of the plan
-    /// before its tail is in — so it is a scan: it skips probe and fill,
-    /// encrypts straight into the pad buffer and leaves the resident hot
-    /// set alone. Its blocks still count as misses, so `hits + misses`
-    /// stays the number of unique blocks handed to an enabled cache. A
-    /// plan of exactly the capacity is admitted.
+    /// **Admission.** A plan with more blocks than the cache holds cannot
+    /// reuse what it fills — CLOCK evicts the head of the plan before its
+    /// tail is in — so it is a scan: it skips probe and fill, encrypts
+    /// straight into the pad buffer and leaves the resident hot set alone.
+    /// Its blocks still count as misses, so `hits + misses` stays the
+    /// number of blocks handed to an enabled cache. A plan of exactly the
+    /// capacity is admitted.
     pub fn execute_cached<C: BlockCipher + ?Sized>(
         &mut self,
         cipher: &C,
         cache: Option<&crate::cache::PadCache>,
     ) {
-        // Dedup accounting is pure arithmetic over lengths the planner
-        // already tracks, so the hot insert path pays nothing for it.
-        secndp_telemetry::counter!(
-            "secndp_pad_dedup_hits_total",
-            "Planned pad references resolved by an already-planned block."
-        )
-        .add((self.refs.len() - self.counters.len()) as u64);
-        secndp_telemetry::counter!(
-            "secndp_pad_dedup_misses_total",
-            "Unique counter blocks a pad plan had to encrypt."
-        )
-        .add(self.counters.len() as u64);
         let mut sp = secndp_telemetry::trace::span(secndp_telemetry::trace::names::PAD_GEN);
         sp.attr_u64("blocks", self.counters.len() as u64);
-        sp.attr_u64("refs", self.refs.len() as u64);
         let _t = secndp_telemetry::histogram!(
             "secndp_pad_gen_ns",
             &[("path", "planned")],
@@ -618,37 +553,16 @@ impl PadPlanner {
         self.executed = true;
     }
 
-    /// Copies the pad bytes of `range` out of the shared buffer, in address
-    /// order — byte-identical to
-    /// [`OtpGenerator::data_pad_bytes`] over the same range.
+    /// The pad bytes of `range`, in address order, borrowed from the pad
+    /// buffer — byte-identical to [`OtpGenerator::data_pad_bytes`] over the
+    /// same range.
     ///
     /// # Panics
     ///
     /// Panics if [`execute`](Self::execute) has not run.
-    pub fn pad_bytes(&self, range: &PadRange) -> Vec<u8> {
-        let mut out = Vec::with_capacity(range.len);
-        self.with_pad_bytes(range, |chunk| out.extend_from_slice(chunk));
-        out
-    }
-
-    /// Streams the pad bytes of `range` to `sink` in address order without
-    /// allocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`execute`](Self::execute) has not run.
-    pub fn with_pad_bytes(&self, range: &PadRange, mut sink: impl FnMut(&[u8])) {
+    pub fn pad_slice(&self, range: &PadRange) -> &[u8] {
         assert!(self.executed, "planner not executed yet");
-        let mut skip = range.lead;
-        let mut need = range.len;
-        for &slot in &self.refs[range.refs_start..range.refs_start + range.refs_len] {
-            let pad = &self.pads[slot as usize];
-            let take = usize::min(BLOCK_BYTES - skip, need);
-            sink(&pad[skip..skip + take]);
-            skip = 0;
-            need -= take;
-        }
-        debug_assert_eq!(need, 0);
+        &self.pads.as_flattened()[range.start..range.start + range.len]
     }
 
     /// The first 127 bits of a single-block range — the tag-pad /
@@ -661,48 +575,34 @@ impl PadPlanner {
     pub fn pad_first_127_bits(&self, range: &PadRange) -> u128 {
         assert!(self.executed, "planner not executed yet");
         assert!(
-            range.refs_len == 1 && range.lead == 0 && range.len == BLOCK_BYTES,
+            range.start.is_multiple_of(BLOCK_BYTES) && range.len == BLOCK_BYTES,
             "127-bit extraction requires a full single-block range"
         );
-        first_127_bits(&self.pads[self.refs[range.refs_start] as usize])
+        first_127_bits(&self.pads[range.start / BLOCK_BYTES])
     }
 
     /// Clears all planned state so the planner can be reused for the next
-    /// query packet.
+    /// query.
     ///
     /// # Contract
     ///
-    /// - **Dedup state is dropped by design.** A planner only deduplicates
-    ///   *within* one packet; `reset` forgets every planned tuple, so a
-    ///   block requested again in the next packet is re-planned (and
-    ///   re-encrypted unless a cross-query [`PadCache`](crate::cache::PadCache) serves it — the
-    ///   cache, not the planner, is the inter-packet memoization layer).
     /// - **Outstanding [`PadRange`]s become invalid** and must not be read
     ///   against the reset planner.
-    /// - **All allocations are retained**: the dedup map, counter/pad
-    ///   buffers, the ref arena and the cache-miss scratch keep their
-    ///   capacity, so a steady-state packet loop performs no per-packet
-    ///   reallocation once warmed up to its peak packet shape (asserted by
-    ///   `planner_reset_preserves_capacity`).
+    /// - **All allocations are retained**: the counter/pad buffers and the
+    ///   cache-miss scratch keep their capacity, so a steady-state query
+    ///   loop performs no reallocation once warmed up to its peak query
+    ///   shape (asserted by `planner_reset_preserves_capacity`).
     pub fn reset(&mut self) {
-        self.slots.clear();
         self.counters.clear();
         self.pads.clear();
-        self.refs.clear();
         self.executed = false;
     }
 
     /// Capacity (in counter blocks) currently reserved by the planner's
     /// block buffer — survives [`reset`](Self::reset), so a warmed-up
-    /// planner replans equally-sized packets allocation-free.
+    /// planner replans equally-sized queries allocation-free.
     pub fn reserved_blocks(&self) -> usize {
         self.counters.capacity()
-    }
-
-    /// Capacity reserved by the slot-reference arena (one entry per
-    /// requested block reference) — survives [`reset`](Self::reset).
-    pub fn reserved_refs(&self) -> usize {
-        self.refs.capacity()
     }
 }
 
@@ -710,7 +610,6 @@ impl std::fmt::Debug for PadPlanner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PadPlanner")
             .field("planned_blocks", &self.planned_blocks())
-            .field("requested_refs", &self.requested_refs())
             .field("executed", &self.executed)
             .finish()
     }
@@ -842,33 +741,72 @@ mod tests {
         let t = p.request_block(Domain::Tag, 48, 7);
         let s = p.request_block(Domain::ChecksumSecret, 0, 7);
         p.execute(g.cipher());
-        assert_eq!(p.pad_bytes(&r1), g.data_pad_bytes(5, 22, 7));
-        assert_eq!(p.pad_bytes(&r2), g.data_pad_bytes(0, 64, 7));
+        assert_eq!(p.pad_slice(&r1), g.data_pad_bytes(5, 22, 7));
+        assert_eq!(p.pad_slice(&r2), g.data_pad_bytes(0, 64, 7));
         assert_eq!(p.pad_first_127_bits(&t), g.tag_pad(48, 7));
         assert_eq!(p.pad_first_127_bits(&s), g.checksum_secret(0, 7));
     }
 
     #[test]
-    fn planner_dedups_repeated_tuples() {
+    fn planner_appends_repeated_tuples() {
+        // No dedup: the same tuple requested twice plans its blocks twice,
+        // as two ranges with equal bytes.
         let g = gen();
         let mut p = PadPlanner::new();
-        // Three requests over the same two blocks + one distinct block.
         let a = p.request_bytes(Domain::Data, 0, 32, 3);
         let b = p.request_bytes(Domain::Data, 0, 32, 3);
-        let c = p.request_bytes(Domain::Data, 8, 16, 3);
-        let d = p.request_bytes(Domain::Data, 64, 16, 3);
-        // Same addr, different version/domain: NOT deduped.
-        let e = p.request_bytes(Domain::Data, 0, 16, 4);
-        let f = p.request_block(Domain::Tag, 0, 3);
-        assert_eq!(p.planned_blocks(), 5); // blocks 0,16 (v3), 64 (v3), 0 (v4), tag 0
-        assert_eq!(p.requested_refs(), 9);
+        assert_eq!((p.planned_blocks(), p.requested_refs()), (4, 4));
+        let t1 = p.request_block(Domain::Tag, 0, 3);
+        let t2 = p.request_block(Domain::Tag, 0, 3);
+        assert_eq!((p.planned_blocks(), p.requested_refs()), (6, 6));
         p.execute(g.cipher());
-        assert_eq!(p.pad_bytes(&a), g.data_pad_bytes(0, 32, 3));
-        assert_eq!(p.pad_bytes(&b), p.pad_bytes(&a));
-        assert_eq!(p.pad_bytes(&c), g.data_pad_bytes(8, 16, 3));
-        assert_eq!(p.pad_bytes(&d), g.data_pad_bytes(64, 16, 3));
-        assert_eq!(p.pad_bytes(&e), g.data_pad_bytes(0, 16, 4));
-        assert_eq!(p.pad_first_127_bits(&f), g.tag_pad(0, 3));
+        assert_eq!(p.pad_slice(&a), g.data_pad_bytes(0, 32, 3));
+        assert_eq!(p.pad_slice(&a), p.pad_slice(&b));
+        assert_eq!(p.pad_first_127_bits(&t1), g.tag_pad(0, 3));
+        assert_eq!(p.pad_first_127_bits(&t1), p.pad_first_127_bits(&t2));
+    }
+
+    #[test]
+    fn planner_ranges_match_direct_generation_at_every_alignment() {
+        // An unaligned lead, a length that is not a multiple of 16, a
+        // window inside one block, and an 8-byte element straddling two
+        // blocks — interleaved with other domains and versions, so every
+        // range's offset into the pad buffer is exercised.
+        let g = gen();
+        let mut p = PadPlanner::new();
+        let shapes = [
+            (0u64, 16usize),
+            (5, 22),
+            (3, 1),
+            (0x100c, 8),
+            (0x1009, 5 * 8),
+            (0x100f, 13 * 4),
+            (4090, 4096),
+            (MAX_ADDR - 15, 16),
+        ];
+        let ranges: Vec<_> = shapes
+            .iter()
+            .enumerate()
+            .map(|(k, &(addr, len))| {
+                let v = 3 + k as u64 % 2;
+                let _ = p.request_block(Domain::Tag, addr, v);
+                (v, p.request_bytes(Domain::Data, addr, len, v))
+            })
+            .collect();
+        let blocks: usize = shapes
+            .iter()
+            .map(|&(addr, len)| 1 + (addr as usize % 16 + len).div_ceil(16))
+            .sum();
+        assert_eq!((p.planned_blocks(), p.requested_refs()), (blocks, blocks));
+        p.execute(g.cipher());
+        for (&(addr, len), (v, r)) in shapes.iter().zip(&ranges) {
+            assert_eq!(r.len(), len);
+            assert_eq!(
+                p.pad_slice(r),
+                g.data_pad_bytes_scalar(addr, len, *v),
+                "diverged at addr={addr:#x} len={len}"
+            );
+        }
     }
 
     #[test]
@@ -881,13 +819,13 @@ mod tests {
         assert_eq!(p.planned_blocks(), 0);
         let r = p.request_bytes(Domain::Data, 32, 16, 2);
         p.execute(g.cipher());
-        assert_eq!(p.pad_bytes(&r), g.data_pad_bytes(32, 16, 2));
+        assert_eq!(p.pad_slice(&r), g.data_pad_bytes(32, 16, 2));
     }
 
     #[test]
     fn planner_reset_preserves_capacity() {
-        // The reset contract: dedup state is dropped, allocations are not —
-        // replanning a packet of the same shape must not reallocate.
+        // The reset contract: planned state is dropped, allocations are
+        // not — replanning a query of the same shape must not reallocate.
         let g = gen();
         let mut p = PadPlanner::new();
         for q in 0..8u64 {
@@ -895,20 +833,17 @@ mod tests {
         }
         p.execute(g.cipher());
         let blocks_cap = p.reserved_blocks();
-        let refs_cap = p.reserved_refs();
         assert!(blocks_cap >= p.planned_blocks());
         for _ in 0..4 {
             p.reset();
-            assert_eq!(p.planned_blocks(), 0, "dedup state dropped");
+            assert_eq!(p.planned_blocks(), 0, "planned state dropped");
             assert_eq!(p.requested_refs(), 0);
             assert_eq!(p.reserved_blocks(), blocks_cap, "reset must keep capacity");
-            assert_eq!(p.reserved_refs(), refs_cap, "reset must keep capacity");
             for q in 0..8u64 {
                 let _ = p.request_bytes(Domain::Data, q * 64, 64, 2);
             }
             p.execute(g.cipher());
             assert_eq!(p.reserved_blocks(), blocks_cap, "steady state reallocated");
-            assert_eq!(p.reserved_refs(), refs_cap, "steady state reallocated");
         }
 
         // The same contract through the cache: the miss scratch is the
@@ -916,9 +851,9 @@ mod tests {
         // all-miss nor an all-hit repeat changes any buffer's capacity.
         let cache = crate::cache::PadCache::new(4096);
         let mut p = PadPlanner::new();
-        let plan = |p: &mut PadPlanner, version: u64| {
+        let plan = |p: &mut PadPlanner, first_row: u64, version: u64| {
             p.reset();
-            for row in 0..80u64 {
+            for row in first_row..first_row + 80 {
                 let _ = p.request_bytes(Domain::Data, row * 640, 128, version);
                 let _ = p.request_block(Domain::Tag, row * 640, version);
             }
@@ -926,45 +861,46 @@ mod tests {
         };
         let caps = |p: &PadPlanner| {
             [
-                p.slots.capacity(),
                 p.counters.capacity(),
                 p.pads.capacity(),
-                p.refs.capacity(),
                 p.miss.capacity(),
                 p.miss_counters.capacity(),
                 p.miss_pads.capacity(),
             ]
         };
-        plan(&mut p, 1); // warm-up: every block misses
+        plan(&mut p, 0, 1); // warm-up: every block misses
         let warmed = caps(&p);
         assert!(p.miss.capacity() >= p.planned_blocks());
         let s0 = cache.stats();
-        plan(&mut p, 2); // fresh version: all-miss again
+        plan(&mut p, 0, 2); // fresh version: all-miss again
         assert_eq!(caps(&p), warmed, "all-miss repeat reallocated");
-        plan(&mut p, 2); // same version: all-hit
+        plan(&mut p, 0, 2); // same version: all-hit
         assert_eq!(caps(&p), warmed, "all-hit repeat reallocated");
         let s1 = cache.stats();
         let n = p.planned_blocks() as u64;
         assert_eq!((s1.misses - s0.misses, s1.hits - s0.hits), (n, n));
+
+        // A packet's worth: 256 PF-80 per-query plans through the one
+        // planner, hits and misses mixed, grow no buffer after the first.
+        for q in 0..256u64 {
+            plan(&mut p, q * 37 % 500, 3);
+            assert_eq!(caps(&p), warmed, "query {q} of the packet reallocated");
+        }
     }
 
     #[test]
     fn with_capacity_plans_without_growing() {
         let g = gen();
         let mut p = PadPlanner::with_capacity(80 * 9);
-        let (blocks_cap, refs_cap, map_cap) =
-            (p.reserved_blocks(), p.reserved_refs(), p.slots.capacity());
-        assert!(blocks_cap >= 720 && refs_cap >= 720 && map_cap >= 720);
+        let blocks_cap = p.reserved_blocks();
+        assert!(blocks_cap >= 720);
         for row in 0..80u64 {
             let _ = p.request_bytes(Domain::Data, row * 128, 128, 1);
             let _ = p.request_block(Domain::Tag, row * 128, 1);
         }
         p.execute(g.cipher());
         assert_eq!(p.planned_blocks(), 720);
-        assert_eq!(
-            (p.reserved_blocks(), p.reserved_refs(), p.slots.capacity()),
-            (blocks_cap, refs_cap, map_cap)
-        );
+        assert_eq!(p.reserved_blocks(), blocks_cap);
         assert_eq!(
             p.pads.capacity(),
             blocks_cap,
@@ -996,7 +932,7 @@ mod tests {
         big.execute_cached(g.cipher(), Some(&cache));
         let s1 = cache.stats();
         assert_eq!(
-            big.pad_bytes(&r),
+            big.pad_slice(&r),
             g.data_pad_bytes(0, (cap + 1) * BLOCK_BYTES, 2)
         );
         assert_eq!(s1.insertions, s0.insertions, "bypass must not fill");
@@ -1013,7 +949,7 @@ mod tests {
         exact.execute_cached(g.cipher(), Some(&cache));
         let s2 = cache.stats();
         assert_eq!(
-            exact.pad_bytes(&r),
+            exact.pad_slice(&r),
             g.data_pad_bytes(0, cap * BLOCK_BYTES, 3)
         );
         assert_eq!(s2.misses - s1.misses, cap as u64);
@@ -1059,7 +995,7 @@ mod tests {
                     p.pad_first_127_bits(s),
                     "{name}"
                 );
-                assert_eq!(g.data_pad_block(addr, v).to_vec(), p.pad_bytes(d), "{name}");
+                assert_eq!(g.data_pad_block(addr, v).to_vec(), p.pad_slice(d), "{name}");
                 assert_eq!(g.tag_pad(addr, v), reference.tag_pad(addr, v), "{name}");
                 assert_eq!(
                     g.checksum_secret(addr, v),
@@ -1121,8 +1057,8 @@ mod tests {
         let mut p3 = PadPlanner::new();
         let (a3, t3, s3) = plan(&mut p3);
         p3.execute(g.cipher());
-        assert_eq!(p1.pad_bytes(&a1), p3.pad_bytes(&a3));
-        assert_eq!(p2.pad_bytes(&a2), p3.pad_bytes(&a3));
+        assert_eq!(p1.pad_slice(&a1), p3.pad_slice(&a3));
+        assert_eq!(p2.pad_slice(&a2), p3.pad_slice(&a3));
         assert_eq!(p1.pad_first_127_bits(&t1), p3.pad_first_127_bits(&t3));
         assert_eq!(p2.pad_first_127_bits(&t2), p3.pad_first_127_bits(&t3));
         assert_eq!(p1.pad_first_127_bits(&s1), p3.pad_first_127_bits(&s3));
@@ -1140,7 +1076,7 @@ mod tests {
         let mut p = PadPlanner::new();
         let r = p.request_bytes(Domain::Data, 0, 64, 3);
         p.execute_cached(g.cipher(), Some(&cache));
-        assert_eq!(p.pad_bytes(&r), g.data_pad_bytes(0, 64, 3));
+        assert_eq!(p.pad_slice(&r), g.data_pad_bytes(0, 64, 3));
         let st = cache.stats();
         assert_eq!((st.hits, st.misses), (0, 0), "disabled cache never probed");
         assert!(cache.is_empty());
@@ -1153,7 +1089,7 @@ mod tests {
         let r = p.request_bytes(Domain::Data, 40, 0, 1);
         assert!(r.is_empty());
         p.execute(g.cipher());
-        assert!(p.pad_bytes(&r).is_empty());
+        assert!(p.pad_slice(&r).is_empty());
     }
 
     #[test]
@@ -1169,6 +1105,6 @@ mod tests {
     fn planner_read_before_execute_rejected() {
         let mut p = PadPlanner::new();
         let r = p.request_bytes(Domain::Data, 0, 16, 1);
-        p.pad_bytes(&r);
+        p.pad_slice(&r);
     }
 }

@@ -14,7 +14,7 @@
 
 use crate::error::Error;
 use secndp_arith::mersenne::Fq;
-use secndp_arith::ring::{words_from_le_bytes, RingWord};
+use secndp_arith::ring::RingWord;
 use std::collections::HashMap;
 
 /// The NDP's response to a weighted-summation command (Algorithm 4 line 7
@@ -232,9 +232,9 @@ impl NdpDevice for HonestNdp {
         let cols = t.row_bytes / W::BYTES;
         let mut c_res = vec![W::ZERO; cols];
         for (&i, &a) in indices.iter().zip(weights) {
-            let row = words_from_le_bytes::<W>(t.row(i, table_addr)?);
-            for (acc, &c) in c_res.iter_mut().zip(&row) {
-                *acc = acc.wadd(a.wmul(c));
+            let row = t.row(i, table_addr)?;
+            for (acc, c) in c_res.iter_mut().zip(row.chunks_exact(W::BYTES)) {
+                *acc = acc.wadd(a.wmul(W::from_le_slice(c)));
             }
         }
         let c_t_res = if with_tag {

@@ -21,7 +21,7 @@
 use crate::device::{validate_load, NdpDevice, NdpResponse};
 use crate::error::Error;
 use secndp_arith::mersenne::Fq;
-use secndp_arith::ring::{words_from_le_bytes, RingWord};
+use secndp_arith::ring::RingWord;
 use std::collections::HashMap;
 
 /// Size of one backing page in the sparse memory.
@@ -255,10 +255,9 @@ impl NdpDevice for MemoryBackedNdp {
                     rows: m.rows,
                 });
             }
-            let bytes = self.mem.read(table_addr + i as u64 * stride, m.row_bytes);
-            let row = words_from_le_bytes::<W>(&bytes);
-            for (acc, &c) in c_res.iter_mut().zip(&row) {
-                *acc = acc.wadd(a.wmul(c));
+            let row = self.mem.read(table_addr + i as u64 * stride, m.row_bytes);
+            for (acc, c) in c_res.iter_mut().zip(row.chunks_exact(W::BYTES)) {
+                *acc = acc.wadd(a.wmul(W::from_le_slice(c)));
             }
             if with_tag {
                 c_t_res += Fq::new(a.as_u128()) * self.stored_tag(table_addr, m, i)?;

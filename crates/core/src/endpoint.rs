@@ -18,7 +18,10 @@
 //!   device that swaps two ids produces two verification failures, never
 //!   a wrong answer. Completions arrive in any order.
 //! - **Bounded in-flight window.** [`submit`](Endpoint::submit) blocks
-//!   while `window` requests are unanswered (backpressure).
+//!   while `window` requests are unanswered (backpressure). A submitter
+//!   that had to block is woken once the window has drained to half, not
+//!   per completion: it then refills the window in one run instead of
+//!   being scheduled against the ranks for every single frame.
 //! - **Deadlines and idempotent-only retry.** A request with no reply by
 //!   its deadline — or whose route died ([`Pending::fail`]) — is re-sent
 //!   to the next rank, at most `max_retries` times with linear deadline
@@ -178,22 +181,21 @@ struct Table {
     slots: HashMap<u64, Slot>,
     /// Slots in `State::Waiting`: what the window is enforced against.
     waiting: usize,
-}
-
-impl Table {
-    /// Returns `n` window credits.
-    fn release(&mut self, n: usize) {
-        self.waiting -= n;
-        crate::metrics::transport_inflight().add(-(n as i64));
-    }
+    /// Submitters asleep on a full window.
+    parked: usize,
 }
 
 /// The pending-request table: the half of an endpoint its link's threads
-/// see. One mutex; `cv` signals both completions (for `wait`) and freed
-/// window credits (for `submit`).
+/// see. One mutex; `cv` signals settled requests (for `wait`), `room`
+/// freed window credits (for submitters parked on a full window).
 pub struct Pending {
     table: Mutex<Table>,
     cv: Condvar,
+    room: Condvar,
+    /// Half the window: what `waiting` must drain to before completions
+    /// wake a parked submitter. With a window of 1 or 2 that is every
+    /// completion.
+    low_water: usize,
     /// First completions per rank.
     served: Vec<AtomicU64>,
 }
@@ -218,6 +220,19 @@ pub(crate) fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 const POISONED: &str = "endpoint lock poisoned by a local panic";
 
 impl Pending {
+    /// Returns `n` window credits and wakes whoever they concern: waiters
+    /// always; parked submitters once the window has drained to its
+    /// low-water mark — or `at_once`, on the paths a dead route or a
+    /// deadline takes, where the rest of the window may never drain.
+    fn release(&self, t: &mut Table, n: usize, at_once: bool) {
+        t.waiting -= n;
+        crate::metrics::transport_inflight().add(-(n as i64));
+        self.cv.notify_all();
+        if t.parked > 0 && (at_once || t.waiting <= self.low_water) {
+            self.room.notify_all();
+        }
+    }
+
     /// Fills request `id` with its reply bytes and wakes its waiter — or,
     /// if the request already settled or was abandoned, counts the
     /// straggler.
@@ -229,8 +244,7 @@ impl Pending {
                 if let Some(n) = self.served.get(slot.route.0) {
                     n.fetch_add(1, Ordering::Relaxed);
                 }
-                t.release(1);
-                self.cv.notify_all();
+                self.release(&mut t, 1, false);
             }
             _ => crate::metrics::transport_late_completions().inc(),
         }
@@ -249,8 +263,7 @@ impl Pending {
             }
         }
         if hit > 0 {
-            t.release(hit);
-            self.cv.notify_all();
+            self.release(&mut t, hit, true);
         }
         hit
     }
@@ -305,8 +318,11 @@ impl<L: Link> Endpoint<L> {
             table: Mutex::new(Table {
                 slots: HashMap::new(),
                 waiting: 0,
+                parked: 0,
             }),
             cv: Condvar::new(),
+            room: Condvar::new(),
+            low_water: cfg.window / 2,
             served: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
         });
         let link = Arc::new(make(Arc::clone(&pending)));
@@ -444,8 +460,16 @@ impl<L: Link> Endpoint<L> {
     fn arm(&self, id: u64, route: Route, grace: Duration, fresh: &mut Option<Slot>) -> bool {
         let mut t = locked(&self.pending.table);
         if let Some(mut slot) = fresh.take() {
+            // Parked until the window drains to its low-water mark (see
+            // `Pending::release`). Re-checked after one request deadline:
+            // when the rest of the window sits on a silent rank it never
+            // drains that far, and the credits freed above the mark are
+            // taken up no later than those requests time out.
             while t.waiting >= self.cfg.window.max(1) {
-                t = self.pending.cv.wait(t).expect(POISONED);
+                t.parked += 1;
+                let woken = self.pending.room.wait_timeout(t, self.cfg.timeout);
+                t = woken.expect(POISONED).0;
+                t.parked -= 1;
             }
             slot.submitted = Instant::now();
             slot.deadline = slot.submitted + grace;
@@ -485,8 +509,7 @@ impl<L: Link> Endpoint<L> {
             return 1;
         };
         if matches!(slot.state, State::Waiting) {
-            t.release(1);
-            self.pending.cv.notify_all();
+            self.pending.release(&mut t, 1, true);
         }
         slot.attempts
     }
@@ -550,8 +573,7 @@ impl<L: Link> Endpoint<L> {
             else {
                 let slot = entry.remove();
                 if expired {
-                    t.release(1);
-                    self.pending.cv.notify_all();
+                    self.pending.release(&mut t, 1, true);
                     return Err(Error::DeviceTimeout {
                         deadline_ms: self.cfg.timeout.as_millis() as u64,
                         attempts: slot.attempts,

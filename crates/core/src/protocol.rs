@@ -25,7 +25,7 @@ use crate::keys::SecretKey;
 use crate::layout::TableLayout;
 use crate::version::{RegionId, VersionManager};
 use secndp_arith::mersenne::Fq;
-use secndp_arith::ring::{add_elementwise, words_from_le_bytes, RingWord};
+use secndp_arith::ring::{words_from_le_bytes, RingWord};
 use secndp_cipher::aes::{BlockCipher, BLOCK_BYTES};
 use secndp_cipher::aes_fast::Aes128Fast;
 use secndp_cipher::otp::{Domain, OtpGenerator, PadPlanner, PadRange};
@@ -72,61 +72,86 @@ impl TableHandle {
     }
 }
 
-/// Pad material for one batched packet, planned (and cache-probed) in a
-/// single pass: per-query data/tag pad ranges plus the checksum secrets.
-/// Built by `plan_batch`, consumed query-by-query during reconstruction.
-struct BatchPlan {
-    planner: PadPlanner,
-    data_ranges: Vec<Vec<PadRange>>,
-    tag_ranges: Vec<Vec<PadRange>>,
-    secrets: Option<Vec<Fq>>,
-}
-
 /// The most cipher blocks a `len`-byte range can touch: it may start at the
 /// last byte of its first block. Sizes planners before their requests.
 fn max_blocks(len: usize) -> usize {
     (len + BLOCK_BYTES - 1).div_ceil(BLOCK_BYTES)
 }
 
-/// `acc[j] += a · eⱼ` over the pad words `e` of `range` (Alg 4 lines 8–14
-/// for one row), streamed out of the executed planner block by block — no
-/// buffer per row. A range may start anywhere in its first cipher block, so
-/// an element can straddle two blocks; `carry` holds its first bytes until
-/// the next block completes it.
+/// The most cipher blocks the plans of `queries` queries over `refs` row
+/// references of `handle`'s table can hold: every reference's data blocks
+/// and, when verifying, its tag block, plus each query's secrets.
+fn plan_blocks(handle: &TableHandle, refs: usize, queries: usize, verify: bool) -> usize {
+    if verify {
+        refs * (max_blocks(handle.layout.row_bytes()) + 1) + queries * handle.scheme.num_secrets()
+    } else {
+        refs * max_blocks(handle.layout.row_bytes())
+    }
+}
+
+/// `acc[j] += a · eⱼ` over the pad words `e` packed little-endian in `pads`
+/// (Alg 4 lines 8–14 for one row): one pass over one contiguous slice of
+/// the planner's pad buffer. A trailing partial word is ignored.
 ///
 /// # Panics
 ///
-/// Panics if `range` holds more whole elements than `acc`.
-pub(crate) fn accumulate_pads<W: RingWord>(
-    planner: &PadPlanner,
-    range: &PadRange,
-    a: W,
-    acc: &mut [W],
-) {
-    let mut acc = acc.iter_mut();
-    let mut add = |e: &[u8]| {
-        let x = acc.next().expect("pad range longer than the accumulator");
+/// Panics if `pads` holds more whole elements than `acc`.
+pub(crate) fn accumulate_pads<W: RingWord>(pads: &[u8], a: W, acc: &mut [W]) {
+    assert!(
+        pads.len() / W::BYTES <= acc.len(),
+        "pad range longer than the accumulator"
+    );
+    for (x, e) in acc.iter_mut().zip(pads.chunks_exact(W::BYTES)) {
         *x = x.wadd(a.wmul(W::from_le_slice(e)));
-    };
-    let mut carry = [0u8; 8];
-    let mut have = 0;
-    planner.with_pad_bytes(range, |mut block| {
-        if have > 0 {
-            let take = usize::min(W::BYTES - have, block.len());
-            carry[have..have + take].copy_from_slice(&block[..take]);
-            have += take;
-            block = &block[take..];
-            if have < W::BYTES {
-                return;
-            }
-            add(&carry[..W::BYTES]);
+    }
+}
+
+/// The pad plan of one query at a time: a planner and the ranges it handed
+/// out, reset and refilled per query so a packet of queries allocates once
+/// and works in a cache-resident scratch (~26 KB for a verified PF-80
+/// query on 128-byte rows) instead of a packet-sized one.
+#[derive(Default)]
+struct QueryPads {
+    planner: PadPlanner,
+    /// The query's data ranges in index order; when it is verified, its
+    /// tag blocks in the same order and then the checksum secrets.
+    ranges: Vec<PadRange>,
+    /// Executes skip the pad cache: set for the queries of a packet with
+    /// more blocks than the cache holds (see `admit_batch`).
+    scan: bool,
+}
+
+impl QueryPads {
+    /// Scratch for one query of `refs` rows: at most `blocks` cipher blocks.
+    fn for_query(refs: usize, blocks: usize) -> Self {
+        Self {
+            planner: PadPlanner::with_capacity(blocks),
+            ranges: Vec::with_capacity(2 * refs + 1),
+            scan: false,
         }
-        let words = block.chunks_exact(W::BYTES);
-        let tail = words.remainder();
-        words.for_each(&mut add);
-        carry[..tail.len()].copy_from_slice(tail);
-        have = tail.len();
-    });
+    }
+
+    /// Starts a new plan with the data pads of rows `indices`.
+    fn request_rows(&mut self, layout: &TableLayout, version: u64, indices: &[usize]) {
+        self.planner.reset();
+        self.ranges.clear();
+        self.ranges.extend(indices.iter().map(|&i| {
+            self.planner.request_bytes(
+                Domain::Data,
+                layout.row_addr(i),
+                layout.row_bytes(),
+                version,
+            )
+        }));
+    }
+
+    /// `acc += Σₖ aₖ · E_{iₖ}` over the executed plan's rows (Alg 4 lines
+    /// 8–14).
+    fn accumulate_rows<W: RingWord>(&self, weights: &[W], acc: &mut [W]) {
+        for (range, &a) in self.ranges.iter().zip(weights) {
+            accumulate_pads(self.planner.pad_slice(range), a, acc);
+        }
+    }
 }
 
 /// The TEE-resident SecNDP engine: key, version manager, encryption and
@@ -418,29 +443,9 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         verify: bool,
     ) -> Result<Vec<W>, Error> {
         self.validate_query(handle, indices, weights)?;
-        let layout = handle.layout;
-        if response.c_res.len() != layout.cols() {
-            return Err(crate::metrics::malformed(
-                "result width differs from table columns",
-            ));
-        }
-
-        let res = {
-            let _s = trace::span(trace::names::DECRYPT);
-            let _t = crate::metrics::stage_decrypt_timer();
-            // OTP PU: E_res ← Σₖ aₖ · E_{iₖ} (Alg 4 lines 8–14).
-            let e_res = self.otp_share(&layout, handle.version, indices, weights);
-            // SecNDPLd: one final ring addition (Alg 4 line 15).
-            add_elementwise(&response.c_res, &e_res)
-        };
-
-        if verify {
-            let c_t_res = response.c_t_res.ok_or_else(|| {
-                crate::metrics::malformed("verification requested but no tag returned")
-            })?;
-            self.verify_result(handle, indices, weights, &res, c_t_res)?;
-        }
-        Ok(res)
+        let mut pads =
+            QueryPads::for_query(indices.len(), plan_blocks(handle, indices.len(), 1, verify));
+        self.reconstruct(handle, indices, weights, response, verify, &mut pads)
     }
 
     /// Executes a batch of weighted summations against one table — the
@@ -448,10 +453,11 @@ impl<C: BlockCipher> TrustedProcessor<C> {
     /// the timing consequences live in `secndp-sim`). Each query is
     /// independently verified; the first failure aborts the batch.
     ///
-    /// All pad material for the packet — data pads for every referenced row
-    /// and, when verifying, tag pads — is planned through one
-    /// [`PadPlanner`] pass, so rows shared between queries (common in DLRM
-    /// embedding batches) cost a single encryption each.
+    /// Every query is reconstructed exactly as a single
+    /// [`weighted_sum`](Self::weighted_sum) is — its data pads, tag pads
+    /// and secrets through one [`PadPlanner`] execute — with one planner
+    /// reused across the packet; only the pad cache's admission is decided
+    /// for the packet as a whole (see DESIGN.md "Pad cache").
     ///
     /// # Errors
     ///
@@ -468,29 +474,31 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         sp.attr_u64("base_addr", handle.layout.base_addr());
         sp.attr_u64("queries", queries.len() as u64);
         let _cost = secndp_telemetry::profile::begin_query("weighted_sum_batch");
-        let plan = self.plan_batch(handle, queries, verify)?;
+        let mut pads = self.admit_batch(handle, queries, verify)?;
         let layout = handle.layout;
 
         let mut out = Vec::with_capacity(queries.len());
-        for (qi, (idx, weights)) in queries.iter().enumerate() {
+        for (idx, weights) in queries {
             crate::metrics::queries().inc();
             let response = {
                 let _s = trace::span(trace::names::NDP_COMPUTE);
                 let _t = crate::metrics::stage_ndp_compute_timer();
                 device.weighted_sum::<W>(layout.base_addr(), idx, weights, verify)?
             };
-            out.push(self.reconstruct_planned(handle, &plan, qi, weights, &response, verify)?);
+            out.push(self.reconstruct(handle, idx, weights, &response, verify, &mut pads)?);
         }
         Ok(out)
     }
 
     /// [`weighted_sum_batch`](Self::weighted_sum_batch) over an
     /// [`Endpoint`](crate::endpoint::Endpoint) on any link: all queries are
-    /// submitted up front (bounded by the endpoint's in-flight window) and
-    /// pipelined across its device ranks, overlapping the per-query wire
-    /// round trips the blocking loop serializes. Results are reconstructed
-    /// and verified in submission order as completions arrive, so the
-    /// returned vector is identical to the blocking batch.
+    /// validated, then submitted (bounded by the endpoint's in-flight
+    /// window) and pipelined across its device ranks, overlapping the
+    /// per-query wire round trips the blocking loop serializes. Results are
+    /// reconstructed and verified in submission order as completions
+    /// arrive — pads for one query are generated while the ranks serve the
+    /// next, the OTP PU beside the NDP PUs (§V-C) — so the returned vector
+    /// is identical to the blocking batch.
     ///
     /// # Errors
     ///
@@ -510,7 +518,8 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         sp.attr_u64("queries", queries.len() as u64);
         sp.attr_u64("ranks", endpoint.ranks() as u64);
         let _cost = secndp_telemetry::profile::begin_query("weighted_sum_batch_pipelined");
-        let plan = self.plan_batch(handle, queries, verify)?;
+        // Nothing is sent for a packet that holds an invalid query.
+        let mut pads = self.admit_batch(handle, queries, verify)?;
         let layout = handle.layout;
 
         // Submit everything first — the endpoint's window provides the
@@ -529,95 +538,57 @@ impl<C: BlockCipher> TrustedProcessor<C> {
             ids.push(endpoint.submit(&req)?);
         }
         let mut out = Vec::with_capacity(queries.len());
-        for (qi, ((_, weights), id)) in queries.iter().zip(ids).enumerate() {
+        for ((idx, weights), id) in queries.iter().zip(ids) {
             let response = {
                 let _s = trace::span(trace::names::NDP_COMPUTE);
                 let _t = crate::metrics::stage_ndp_compute_timer();
                 sum_from_response::<W>(endpoint.wait(id)?, layout.base_addr())?
             };
-            out.push(self.reconstruct_planned(handle, &plan, qi, weights, &response, verify)?);
+            out.push(self.reconstruct(handle, idx, weights, &response, verify, &mut pads)?);
         }
         drop(wire_sp);
         Ok(out)
     }
 
-    /// Validates a batch and plans all of its pad material — data pads for
-    /// every referenced row and, when verifying, tag pads and checksum
-    /// secrets — through one cache-probed [`PadPlanner`] pass.
-    fn plan_batch<W: RingWord>(
+    /// Validates every query of a packet — before anything is computed or
+    /// sent — and returns the scratch its queries are reconstructed in,
+    /// with the packet's pad-cache admission decided: a packet that may
+    /// need more blocks than the cache holds is a scan (CLOCK would evict
+    /// its first queries' pads before a later packet could reuse them), so
+    /// its queries execute uncached and leave the resident hot set alone.
+    fn admit_batch<W: RingWord>(
         &self,
         handle: &TableHandle,
         queries: &[(Vec<usize>, Vec<W>)],
         verify: bool,
-    ) -> Result<BatchPlan, Error> {
+    ) -> Result<QueryPads, Error> {
         for (idx, w) in queries {
             self.validate_query(handle, idx, w)?;
         }
         if verify && !handle.has_tags {
             return Err(Error::TagsUnavailable);
         }
-        let layout = handle.layout;
-        // A row's data blocks plus its tag block, for every reference in
-        // the packet, plus the secrets.
-        let per_ref = max_blocks(layout.row_bytes()) + usize::from(verify);
         let refs: usize = queries.iter().map(|(idx, _)| idx.len()).sum();
-        let mut planner = PadPlanner::with_capacity(refs * per_ref + handle.scheme.num_secrets());
-        let mut data_ranges: Vec<Vec<PadRange>> = Vec::with_capacity(queries.len());
-        let mut tag_ranges: Vec<Vec<PadRange>> = Vec::with_capacity(queries.len());
-        for (idx, _) in queries {
-            data_ranges.push(
-                idx.iter()
-                    .map(|&i| {
-                        planner.request_bytes(
-                            Domain::Data,
-                            layout.row_addr(i),
-                            layout.row_bytes(),
-                            handle.version,
-                        )
-                    })
-                    .collect(),
-            );
-            if verify {
-                tag_ranges.push(
-                    idx.iter()
-                        .map(|&i| {
-                            planner.request_block(Domain::Tag, layout.row_addr(i), handle.version)
-                        })
-                        .collect(),
-                );
-            }
-        }
-        let secret_ranges = verify.then(|| {
-            plan_secrets(
-                &mut planner,
-                layout.base_addr(),
-                handle.version,
-                handle.scheme,
-            )
-        });
-        planner.execute_cached(self.otp.cipher(), Some(&self.pad_cache));
-        let secrets = secret_ranges
-            .as_ref()
-            .map(|rs| secrets_from_plan(&planner, rs));
-        Ok(BatchPlan {
-            planner,
-            data_ranges,
-            tag_ranges,
-            secrets,
+        let blocks = plan_blocks(handle, refs, queries.len(), verify);
+        Ok(QueryPads {
+            scan: blocks > self.pad_cache.capacity_blocks(),
+            ..QueryPads::default()
         })
     }
 
-    /// Reconstructs (and optionally verifies) query `qi` of a planned
-    /// batch from the device's raw response — the per-query tail shared by
-    /// the blocking and pipelined batch paths.
-    fn reconstruct_planned<W: RingWord>(
+    /// Algorithm 4 lines 8–15 and Algorithm 5 for one validated query: the
+    /// one place a device reply becomes a result, shared by every entry
+    /// point. The query's data pads and — when verifying — its tag pads
+    /// and the checksum secrets are planned into `pads` and generated by
+    /// one execute; the reply is checked where each field is first used.
+    fn reconstruct<W: RingWord>(
         &self,
         handle: &TableHandle,
-        plan: &BatchPlan,
-        qi: usize,
+        indices: &[usize],
         weights: &[W],
         response: &crate::device::NdpResponse<W>,
         verify: bool,
+        pads: &mut QueryPads,
     ) -> Result<Vec<W>, Error> {
         let layout = handle.layout;
         if response.c_res.len() != layout.cols() {
@@ -628,11 +599,31 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         let res = {
             let _s = trace::span(trace::names::DECRYPT);
             let _t = crate::metrics::stage_decrypt_timer();
-            // res = C_res + Σₖ aₖ·E_{iₖ}, accumulated onto the device's share.
-            let mut res = response.c_res.clone();
-            for (range, &a) in plan.data_ranges[qi].iter().zip(weights) {
-                accumulate_pads(&plan.planner, range, a, &mut res);
+            pads.request_rows(&layout, handle.version, indices);
+            if verify {
+                let planner = &mut pads.planner;
+                pads.ranges.extend(indices.iter().map(|&i| {
+                    planner.request_block(Domain::Tag, layout.row_addr(i), handle.version)
+                }));
+                pads.ranges.extend(plan_secrets(
+                    planner,
+                    layout.base_addr(),
+                    handle.version,
+                    handle.scheme,
+                ));
             }
+            if pads.scan {
+                pads.planner.execute(self.otp.cipher());
+                self.pad_cache.note_bypassed(pads.planner.planned_blocks());
+            } else {
+                pads.planner
+                    .execute_cached(self.otp.cipher(), Some(&self.pad_cache));
+            }
+            // SecNDPLd: res = C_res + E_res (Alg 4 line 15), with the OTP
+            // PU's E_res = Σₖ aₖ·E_{iₖ} (lines 8–14) accumulated straight
+            // onto the device's share.
+            let mut res = response.c_res.clone();
+            pads.accumulate_rows(weights, &mut res);
             res
         };
         if verify {
@@ -641,11 +632,15 @@ impl<C: BlockCipher> TrustedProcessor<C> {
             let c_t_res = response.c_t_res.ok_or_else(|| {
                 crate::metrics::malformed("verification requested but no tag returned")
             })?;
-            let t_res = row_checksum(&res, plan.secrets.as_ref().unwrap());
+            let (tags, secrets) = pads.ranges[indices.len()..].split_at(indices.len());
+            let t_res = row_checksum(&res, &secrets_from_plan(&pads.planner, secrets));
+            // E_T_res ← Σₖ aₖ · E_{T_iₖ} (Alg 5 lines 11–14).
             let mut e_t_res = Fq::ZERO;
-            for (range, &a) in plan.tag_ranges[qi].iter().zip(weights) {
-                e_t_res += Fq::new(a.as_u128()) * Fq::new(plan.planner.pad_first_127_bits(range));
+            for (range, &a) in tags.iter().zip(weights) {
+                e_t_res += Fq::new(a.as_u128()) * Fq::new(pads.planner.pad_first_127_bits(range));
             }
+            // Retrieved MAC = C_T_res + E_T_res (see mac.rs on the paper's
+            // sign typo in Alg 5 line 16).
             if t_res != c_t_res + e_t_res {
                 return Err(crate::metrics::verification_failed(
                     layout.base_addr(),
@@ -662,7 +657,7 @@ impl<C: BlockCipher> TrustedProcessor<C> {
     /// tests and the simulator's OTP-PU accounting).
     ///
     /// Pads for all referenced rows are planned and encrypted in one
-    /// batched pass; repeated indices collapse to a single encryption.
+    /// batched, cache-probed pass; a repeated index is planned again.
     pub fn otp_share<W: RingWord>(
         &self,
         layout: &TableLayout,
@@ -670,71 +665,14 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         indices: &[usize],
         weights: &[W],
     ) -> Vec<W> {
-        let mut planner = PadPlanner::with_capacity(indices.len() * max_blocks(layout.row_bytes()));
-        let ranges: Vec<PadRange> = indices
-            .iter()
-            .map(|&i| {
-                planner.request_bytes(
-                    Domain::Data,
-                    layout.row_addr(i),
-                    layout.row_bytes(),
-                    version,
-                )
-            })
-            .collect();
-        planner.execute_cached(self.otp.cipher(), Some(&self.pad_cache));
+        let blocks = indices.len() * max_blocks(layout.row_bytes());
+        let mut pads = QueryPads::for_query(indices.len(), blocks);
+        pads.request_rows(layout, version, indices);
+        pads.planner
+            .execute_cached(self.otp.cipher(), Some(&self.pad_cache));
         let mut e_res = vec![W::ZERO; layout.cols()];
-        for (range, &a) in ranges.iter().zip(weights) {
-            accumulate_pads(&planner, range, a, &mut e_res);
-        }
+        pads.accumulate_rows(weights, &mut e_res);
         e_res
-    }
-
-    /// Algorithm 5: recompute the checksum of the reconstructed result and
-    /// compare against the reconstructed tag.
-    fn verify_result<W: RingWord>(
-        &self,
-        handle: &TableHandle,
-        indices: &[usize],
-        weights: &[W],
-        res: &[W],
-        c_t_res: Fq,
-    ) -> Result<(), Error> {
-        let _s = trace::span(trace::names::VERIFY);
-        let _t = crate::metrics::stage_verify_timer();
-        let layout = handle.layout;
-        // Secrets and tag pads share one batched, cache-probed execute.
-        let mut planner = PadPlanner::with_capacity(indices.len() + handle.scheme.num_secrets());
-        let secret_ranges = plan_secrets(
-            &mut planner,
-            layout.base_addr(),
-            handle.version,
-            handle.scheme,
-        );
-        let tag_ranges: Vec<PadRange> = indices
-            .iter()
-            .map(|&i| planner.request_block(Domain::Tag, layout.row_addr(i), handle.version))
-            .collect();
-        planner.execute_cached(self.otp.cipher(), Some(&self.pad_cache));
-        let secrets = secrets_from_plan(&planner, &secret_ranges);
-        let t_res = row_checksum(res, &secrets);
-        // E_T_res ← Σₖ aₖ · E_{T_iₖ} (Alg 5 lines 11–14).
-        let mut e_t_res = Fq::ZERO;
-        for (range, &a) in tag_ranges.iter().zip(weights) {
-            e_t_res += Fq::new(a.as_u128()) * Fq::new(planner.pad_first_127_bits(range));
-        }
-        // Retrieved MAC = C_T_res + E_T_res (see mac.rs on the paper's sign
-        // typo in Alg 5 line 16).
-        if t_res == c_t_res + e_t_res {
-            Ok(())
-        } else {
-            Err(crate::metrics::verification_failed(
-                layout.base_addr(),
-                handle.region.0,
-                handle.version,
-                handle.scheme.name(),
-            ))
-        }
     }
 
     /// Fetches one row back from the device and decrypts it (a plain
@@ -774,7 +712,7 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         );
         planner.execute_cached(self.otp.cipher(), Some(&self.pad_cache));
         // p = c + 1·e.
-        accumulate_pads(&planner, &range, W::ONE, &mut plain);
+        accumulate_pads(planner.pad_slice(&range), W::ONE, &mut plain);
         Ok(plain)
     }
 
@@ -845,7 +783,7 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         }
         let c_res = device.weighted_sum_elements::<W>(layout.base_addr(), coords, weights)?;
         // OTP PU: Σₖ aₖ · E_{iₖ,jₖ} (Alg 4 lines 8–12), planned as one
-        // batch — elements sharing a cipher block cost one encryption.
+        // batch.
         let mut planner = PadPlanner::with_capacity(coords.len() * max_blocks(W::BYTES));
         let ranges: Vec<PadRange> = coords
             .iter()
@@ -861,7 +799,7 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         planner.execute_cached(self.otp.cipher(), Some(&self.pad_cache));
         let mut res = c_res;
         for (range, &a) in ranges.iter().zip(weights) {
-            accumulate_pads(&planner, range, a, std::slice::from_mut(&mut res));
+            accumulate_pads(planner.pad_slice(range), a, std::slice::from_mut(&mut res));
         }
         Ok(res)
     }
@@ -927,33 +865,36 @@ mod tests {
 
     #[test]
     fn accumulate_pads_matches_materialised_loop() {
-        // The streamed accumulate against the loop it replaced
-        // (`words_from_le_bytes(pad_bytes(..))`, then add), at every width:
-        // block-aligned rows, rows starting mid-block (elements straddle
-        // cipher blocks when the lead is odd) and row lengths that are not
-        // a multiple of 16 bytes.
+        // The in-place accumulate against the loop it replaced
+        // (materialise the pad words — here straight from the generator,
+        // not the planner — then add), at every width: block-aligned rows,
+        // rows starting mid-block (elements straddle cipher blocks when
+        // the lead is odd) and row lengths that are not a multiple of 16
+        // bytes.
         fn check<W: RingWord>() {
-            let cipher = Aes128Fast::new(&[0x6B; 16]);
+            let otp = OtpGenerator::new(Aes128Fast::new(&[0x6B; 16]));
             for (addr, cols) in [
                 (0x1000u64, 16usize),
                 (0x1003, 16),
                 (0x1009, 5),
                 (0x100f, 13),
             ] {
+                let row_addr = |r: usize| addr + (r * cols * W::BYTES) as u64;
                 let mut planner = PadPlanner::new();
                 let ranges: Vec<PadRange> = (0..3)
-                    .map(|r| {
-                        let row_addr = addr + (r * cols * W::BYTES) as u64;
-                        planner.request_bytes(Domain::Data, row_addr, cols * W::BYTES, 9)
-                    })
+                    .map(|r| planner.request_bytes(Domain::Data, row_addr(r), cols * W::BYTES, 9))
                     .collect();
-                planner.execute(&cipher);
+                planner.execute(otp.cipher());
                 let seed: Vec<W> = (0..cols as u64).map(|j| W::from_u64(j * 77 + 1)).collect();
                 let (mut got, mut want) = (seed.clone(), seed);
                 for (k, range) in ranges.iter().enumerate() {
                     let a = W::from_u64(0x9E37_79B9_7F4A_7C15 >> k);
-                    accumulate_pads(&planner, range, a, &mut got);
-                    let pads = words_from_le_bytes::<W>(&planner.pad_bytes(range));
+                    accumulate_pads(planner.pad_slice(range), a, &mut got);
+                    let pads = words_from_le_bytes::<W>(&otp.data_pad_bytes(
+                        row_addr(k),
+                        cols * W::BYTES,
+                        9,
+                    ));
                     for (acc, &e) in want.iter_mut().zip(&pads) {
                         *acc = acc.wadd(a.wmul(e));
                     }

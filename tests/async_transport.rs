@@ -2,10 +2,12 @@
 //! [`Link`] — `WorkerLink` (in-process rank threads) and `TcpLink`
 //! (sockets to in-process `NetServer`s, one per rank). The completion
 //! core is shared, so each rule is checked once here and must hold on
-//! both: differential ≡ blocking ≡ plaintext, out-of-order `poll`, window
-//! backpressure, stall → `DeviceTimeout` + counter, retry onto a healthy
-//! rank, `Load` never retried, `wait` twice is a typed error, a duplicate
-//! reply is counted late, and pipelined verified batches (with tamper
+//! both: differential ≡ blocking ≡ plaintext, batch ≡ pipelined ≡ single
+//! (results and errors), out-of-order `poll`, window backpressure (one
+//! submitter, eight, and one asleep on a full window when its route
+//! dies), stall → `DeviceTimeout` + counter, retry onto a healthy rank,
+//! `Load` never retried, `wait` twice is a typed error, a duplicate reply
+//! is counted late, and pipelined verified batches (with tamper
 //! detection). Socket-only cases (hostile framing, torn writes, MITM,
 //! kill/respawn, drain) live in `tests/net_transport.rs`.
 //!
@@ -13,7 +15,8 @@
 
 use std::io::{Read, Write};
 use std::net::TcpListener;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use secndp::arith::mersenne::Fq;
@@ -36,7 +39,8 @@ const ADDR: u64 = 0x7000;
 /// after it, so dropped after it).
 struct Rigged<L: Link> {
     ep: Endpoint<L>,
-    _keep: Vec<NetServer>,
+    /// Behind a lock so [`kill`](Self::kill) works on a shared rig.
+    _keep: Mutex<Vec<NetServer>>,
     /// The worker link's fault hook, where a scenario needs one.
     chaos: Option<Arc<FaultInjector>>,
 }
@@ -51,6 +55,20 @@ impl<L: Link> Rigged<L> {
                 rank: 0,
                 kind: FaultKind::DuplicateReply,
             });
+        }
+    }
+
+    /// Takes rank 0 of a [`Rig::mortal`] endpoint down for good: the
+    /// worker link's rank thread exits at its next frame without
+    /// replying; the socket link's server goes away.
+    fn kill(&self) {
+        match &self.chaos {
+            Some(injector) => injector.arm(PlannedFault {
+                op: 0,
+                rank: 0,
+                kind: FaultKind::RankCrash,
+            }),
+            None => self._keep.lock().unwrap().clear(),
         }
     }
 }
@@ -70,6 +88,9 @@ trait Rig {
 
     /// One honest rank whose every reply arrives twice.
     fn duplicating() -> Rigged<Self::L>;
+
+    /// One rank that [`Rigged::kill`] can take down.
+    fn mortal<D: NdpDevice + Send + 'static>(device: D, cfg: EndpointConfig) -> Rigged<Self::L>;
 }
 
 struct Worker;
@@ -84,7 +105,7 @@ impl Rig for Worker {
     ) -> Rigged<WorkerLink> {
         Rigged {
             ep: AsyncEndpoint::new(devices, cfg),
-            _keep: Vec::new(),
+            _keep: Mutex::default(),
             chaos: None,
         }
     }
@@ -101,7 +122,16 @@ impl Rig for Worker {
                 EndpointConfig::default(),
                 Arc::clone(&injector),
             ),
-            _keep: Vec::new(),
+            _keep: Mutex::default(),
+            chaos: Some(injector),
+        }
+    }
+
+    fn mortal<D: NdpDevice + Send + 'static>(device: D, cfg: EndpointConfig) -> Rigged<WorkerLink> {
+        let injector = Arc::new(FaultInjector::new());
+        Rigged {
+            ep: AsyncEndpoint::new_with_faults(vec![device], cfg, Arc::clone(&injector)),
+            _keep: Mutex::default(),
             chaos: Some(injector),
         }
     }
@@ -121,7 +151,7 @@ impl Rig for Tcp {
         let addrs = servers.iter().map(|s| s.local_addr().to_string()).collect();
         Rigged {
             ep: TcpEndpoint::connect(EndpointConfig { addrs, ..cfg }).unwrap(),
-            _keep: servers,
+            _keep: Mutex::new(servers),
             chaos: None,
         }
     }
@@ -163,9 +193,13 @@ impl Rig for Tcp {
                 ..EndpointConfig::default()
             })
             .unwrap(),
-            _keep: Vec::new(),
+            _keep: Mutex::default(),
             chaos: None,
         }
+    }
+
+    fn mortal<D: NdpDevice + Send + 'static>(device: D, cfg: EndpointConfig) -> Rigged<TcpLink> {
+        Self::ranks(vec![device], cfg)
     }
 }
 
@@ -305,6 +339,154 @@ fn async_endpoint_matches_blocking_path_differentially() {
     on_every_link!(differential);
 }
 
+/// How [`SpoilNth`] spoils the one reply it spoils.
+#[derive(Debug, Clone, Copy)]
+enum Spoil {
+    /// A wrong value in `c_res`.
+    Value,
+    /// No `c_t_res`, though a tag was asked for.
+    NoTag,
+    /// `c_res` one element short.
+    Width,
+}
+
+/// An honest device, except for its `at`-th weighted sum (from 0).
+#[derive(Debug)]
+struct SpoilNth {
+    inner: HonestNdp,
+    at: usize,
+    how: Spoil,
+    sums: AtomicUsize,
+}
+
+impl SpoilNth {
+    fn new(at: usize, how: Spoil) -> Self {
+        Self {
+            inner: HonestNdp::new(),
+            at,
+            how,
+            sums: AtomicUsize::new(0),
+        }
+    }
+}
+
+impl NdpDevice for SpoilNth {
+    fn load(
+        &mut self,
+        table_addr: u64,
+        ciphertext: Vec<u8>,
+        row_bytes: usize,
+        tags: Option<Vec<Fq>>,
+    ) -> Result<(), Error> {
+        self.inner.load(table_addr, ciphertext, row_bytes, tags)
+    }
+
+    fn weighted_sum<W: RingWord>(
+        &self,
+        table_addr: u64,
+        indices: &[usize],
+        weights: &[W],
+        with_tag: bool,
+    ) -> Result<NdpResponse<W>, Error> {
+        let mut reply = self
+            .inner
+            .weighted_sum(table_addr, indices, weights, with_tag)?;
+        if self.sums.fetch_add(1, Ordering::Relaxed) == self.at {
+            match self.how {
+                Spoil::Value => reply.c_res[0] = reply.c_res[0].wadd(W::ONE),
+                Spoil::NoTag => reply.c_t_res = None,
+                Spoil::Width => drop(reply.c_res.pop()),
+            }
+        }
+        Ok(reply)
+    }
+
+    fn read_row(&self, table_addr: u64, row: usize) -> Result<Vec<u8>, Error> {
+        self.inner.read_row(table_addr, row)
+    }
+}
+
+/// The three ways to run a packet — the blocking batch, the pipelined
+/// batch, a loop of single queries — share one reconstruct-and-verify
+/// path, so over any link they return the same vectors, and for a packet
+/// that goes wrong at query `K` the same error: whether the device spoiled
+/// that reply (a wrong value, a missing tag, a short result) or the caller
+/// asked for a row that does not exist — and then nothing is sent at all.
+fn batch_equals_single<R: Rig>() {
+    const K: usize = 5;
+    let pt = plaintext();
+    let qs = queries(12, 0xBA7C);
+    let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0xE9));
+    let table = cpu.encrypt_table(&pt, ROWS, COLS, ADDR).unwrap();
+
+    // Each leg gets a device of its own from `device`, so the K-th sum is
+    // the K-th query on every leg (one rank: replies in request order).
+    // The loop's result is its first error, after checking that every
+    // query before it came back right.
+    let legs = |device: &dyn Fn() -> SpoilNth, qs: &[(Vec<usize>, Vec<u32>)]| {
+        let mut remote = R::remote(device());
+        let handle = cpu.publish(&table, &mut remote).unwrap();
+        let batch = cpu.weighted_sum_batch(&handle, &remote, qs, true);
+
+        let mut rig = R::ranks(vec![device()], EndpointConfig::default());
+        cpu.publish(&table, &mut rig.ep).unwrap();
+        let served = rig.ep.served(0);
+        let pipelined = cpu.weighted_sum_batch_pipelined(&handle, &rig.ep, qs, true);
+        let sent = rig.ep.served(0) - served;
+
+        let mut remote = R::remote(device());
+        cpu.publish(&table, &mut remote).unwrap();
+        let singles: Result<Vec<_>, Error> = qs
+            .iter()
+            .map(|(idx, w)| {
+                let one = cpu.weighted_sum(&handle, &remote, idx, w, true)?;
+                assert_eq!(one, expected(&pt, idx, w));
+                Ok(one)
+            })
+            .collect();
+        (batch, pipelined, singles, sent)
+    };
+
+    let honest = || SpoilNth::new(usize::MAX, Spoil::Value);
+    let (batch, pipelined, singles, sent) = legs(&honest, &qs);
+    let want: Vec<_> = qs.iter().map(|(idx, w)| expected(&pt, idx, w)).collect();
+    assert_eq!(batch.unwrap(), want);
+    assert_eq!(pipelined.unwrap(), want);
+    assert_eq!(singles.unwrap(), want);
+    assert_eq!(sent, qs.len() as u64);
+
+    for how in [Spoil::Value, Spoil::NoTag, Spoil::Width] {
+        let (batch, pipelined, singles, _) = legs(&|| SpoilNth::new(K, how), &qs);
+        let err = singles.unwrap_err();
+        match how {
+            Spoil::Value => assert_eq!(err, Error::VerificationFailed { table_addr: ADDR }),
+            _ => assert!(matches!(err, Error::MalformedResponse { .. }), "{err:?}"),
+        }
+        assert_eq!(batch.unwrap_err(), err, "batch, {how:?}");
+        assert_eq!(pipelined.unwrap_err(), err, "pipelined, {how:?}");
+    }
+    // The two malformed replies are told apart.
+    let reason = |how| legs(&|| SpoilNth::new(K, how), &qs).2.unwrap_err();
+    assert_ne!(reason(Spoil::NoTag), reason(Spoil::Width));
+
+    let mut bad = qs.clone();
+    bad[K].0[0] = ROWS;
+    let (batch, pipelined, singles, sent) = legs(&honest, &bad);
+    let err = Error::RowOutOfBounds {
+        index: ROWS,
+        rows: ROWS,
+    };
+    assert_eq!(singles.unwrap_err(), err);
+    assert_eq!(batch.unwrap_err(), err);
+    assert_eq!(pipelined.unwrap_err(), err);
+    assert_eq!(sent, 0, "a packet with an invalid query was partly sent");
+}
+
+#[test]
+fn batch_pipelined_and_single_queries_agree_on_results_and_errors() {
+    on_every_link!(batch_equals_single);
+}
+
 /// A fast rank's reply must be redeemable through `poll` while a slow
 /// rank's earlier request is still in flight — completion order is
 /// decoupled from submission order.
@@ -351,35 +533,166 @@ fn poll_redeems_completions_out_of_submission_order() {
     on_every_link!(out_of_order_poll);
 }
 
-/// Submitting more requests than the window must block until completions
-/// free credits — `in_flight` never exceeds the window.
-fn window_backpressure<R: Rig>() {
+/// A device holding the 4 × 16-byte table `read_row` reads.
+fn four_rows() -> HonestNdp {
     let mut dev = HonestNdp::new();
     dev.load(ADDR, vec![0u8; 64], 16, None).unwrap();
-    let rig = R::ranks(
-        vec![dev],
-        EndpointConfig {
-            window: 2,
-            ..EndpointConfig::default()
-        },
-    );
-    let ids: Vec<_> = (0..8)
-        .map(|i| {
-            let id = rig.ep.submit(&read_row(i % 4)).unwrap();
-            assert!(rig.ep.in_flight() <= 2, "window violated");
-            id
-        })
-        .collect();
-    for id in ids {
-        rig.ep.wait(id).unwrap();
+    dev
+}
+
+/// Submitting more requests than the window must block until completions
+/// free credits — `in_flight` never exceeds the window — at the smallest
+/// windows (where a blocked submitter is woken by every completion) and at
+/// one whose low-water mark batches the wake-ups.
+fn window_backpressure<R: Rig>() {
+    for (window, ranks) in [(1, 1), (2, 1), (2, 2), (8, 2)] {
+        let rig = R::ranks(
+            (0..ranks).map(|_| four_rows()).collect(),
+            EndpointConfig {
+                window,
+                ..EndpointConfig::default()
+            },
+        );
+        let ids: Vec<_> = (0..24)
+            .map(|i| {
+                let id = rig.ep.submit(&read_row(i % 4)).unwrap();
+                assert!(rig.ep.in_flight() <= window, "window {window} violated");
+                id
+            })
+            .collect();
+        for id in ids {
+            rig.ep.wait(id).unwrap();
+        }
+        assert_eq!(rig.ep.in_flight(), 0);
+        let served: u64 = (0..ranks).map(|r| rig.ep.served(r)).sum();
+        assert_eq!(served, 24, "window {window} over {ranks} rank(s)");
     }
-    assert_eq!(rig.ep.in_flight(), 0);
-    assert_eq!(rig.ep.served(0), 8);
 }
 
 #[test]
 fn window_backpressure_caps_in_flight() {
     on_every_link!(window_backpressure);
+}
+
+/// How long a scenario's helper threads get before the scenario is
+/// declared hung (a deadlocked submitter would otherwise hang the suite).
+const WATCHDOG: Duration = Duration::from_secs(30);
+
+/// Eight threads submitting through one endpoint — each keeps several
+/// requests outstanding, so most submits find the window full — never put
+/// more than `window` requests in flight and all run to completion.
+fn many_submitters<R: Rig>() {
+    const THREADS: usize = 8;
+    const WINDOW: usize = 4;
+    let slow = || DelayedNdp::new(four_rows(), Duration::from_micros(200));
+    let rig = Arc::new(R::ranks(
+        vec![slow(), slow()],
+        EndpointConfig {
+            window: WINDOW,
+            timeout: Duration::from_secs(10),
+            ..EndpointConfig::default()
+        },
+    ));
+    let peak = Arc::new(AtomicUsize::new(0));
+    let (done, finished) = mpsc::channel();
+    for t in 0..THREADS {
+        let (rig, peak, done) = (Arc::clone(&rig), Arc::clone(&peak), done.clone());
+        std::thread::spawn(move || {
+            for round in 0..10 {
+                let ids: Vec<_> = (0..3)
+                    .map(|i| {
+                        let id = rig.ep.submit(&read_row((t + round + i) as u64 % 4));
+                        peak.fetch_max(rig.ep.in_flight(), Ordering::Relaxed);
+                        id.unwrap()
+                    })
+                    .collect();
+                for id in ids {
+                    rig.ep.wait(id).unwrap();
+                }
+            }
+            done.send(()).unwrap();
+        });
+    }
+    for _ in 0..THREADS {
+        finished
+            .recv_timeout(WATCHDOG)
+            .expect("a submitter deadlocked (or died) on the window");
+    }
+    assert!(peak.load(Ordering::Relaxed) <= WINDOW, "window violated");
+    assert_eq!(rig.ep.in_flight(), 0);
+    assert_eq!(rig.ep.served(0) + rig.ep.served(1), (THREADS * 30) as u64);
+}
+
+#[test]
+fn eight_submitters_share_the_window_without_deadlock() {
+    on_every_link!(many_submitters);
+}
+
+/// A submitter asleep on a full window whose only rank then dies must come
+/// back with a typed error — as must every request the rank took with it —
+/// and the window must end up empty. The window's other requests never
+/// complete, so it never drains to the low-water mark: the failure paths
+/// have to wake the sleeper themselves.
+fn route_dies_under_a_parked_submitter<R: Rig>() {
+    const WINDOW: usize = 4;
+    let _serial = counters(); // this scenario times requests out
+    let rig = Arc::new(R::mortal(
+        DelayedNdp::new(four_rows(), Duration::from_millis(100)),
+        EndpointConfig {
+            window: WINDOW,
+            timeout: Duration::from_millis(400),
+            max_retries: 0,
+            connect_retries: 2,
+            connect_backoff: Duration::from_millis(5),
+            ..EndpointConfig::default()
+        },
+    ));
+    // Fill the window; the rank takes 100 ms over the first request.
+    let doomed: Vec<_> = (0..WINDOW)
+        .map(|i| rig.ep.submit(&read_row(i as u64 % 4)).unwrap())
+        .collect();
+    let (done, finished) = mpsc::channel();
+    let sleeper = Arc::clone(&rig);
+    std::thread::spawn(move || {
+        let outcome = sleeper
+            .ep
+            .submit(&read_row(1))
+            .and_then(|id| sleeper.ep.wait(id));
+        done.send(outcome).unwrap();
+    });
+    // Let the extra submitter reach the full window before the rank dies
+    // under it; the assertions hold in any order.
+    std::thread::sleep(Duration::from_millis(50));
+    rig.kill();
+
+    let typed = |e: &Error| {
+        matches!(
+            e,
+            Error::DeviceTimeout { .. }
+                | Error::ConnectionLost { .. }
+                | Error::MalformedResponse { .. }
+        )
+    };
+    let mut failures = 0;
+    for id in doomed {
+        // The request the rank was serving when it died is still answered.
+        if let Err(e) = rig.ep.wait(id) {
+            assert!(typed(&e), "untyped failure {e:?}");
+            failures += 1;
+        }
+    }
+    assert!(failures > 0, "the dead rank failed nothing");
+    let err = finished
+        .recv_timeout(WATCHDOG)
+        .expect("the parked submitter never woke")
+        .expect_err("a dead rank served the parked submitter");
+    assert!(typed(&err), "untyped failure {err:?}");
+    assert_eq!(rig.ep.in_flight(), 0, "a failed request kept its credit");
+}
+
+#[test]
+fn route_failure_wakes_a_parked_submitter_with_a_typed_error() {
+    on_every_link!(route_dies_under_a_parked_submitter);
 }
 
 /// A redeemed id is gone: a second `wait` is a typed error, not a hang.
@@ -491,6 +804,58 @@ fn retry_to_healthy_rank<R: Rig>() {
 #[test]
 fn retry_moves_to_a_healthy_rank_and_still_verifies() {
     on_every_link!(retry_to_healthy_rank);
+}
+
+/// Replies that silently never come hold their credits until their
+/// requests are waited on. A lone submitter asleep on such a window is
+/// woken by nothing — the one honest completion leaves the window above
+/// its low-water mark, and no failure path runs while nobody waits — so it
+/// must re-check on its own, and take the credit that did come back, by
+/// the time those requests would have timed out. Worker link only: it is
+/// the one with a hook that drops replies.
+#[test]
+fn lone_submitter_rechecks_a_window_that_cannot_drain() {
+    let _serial = counters(); // this scenario times requests out
+    let rig = Worker::mortal(
+        DelayedNdp::new(four_rows(), Duration::from_millis(20)),
+        EndpointConfig {
+            window: 4,
+            timeout: Duration::from_millis(150),
+            max_retries: 0,
+            ..EndpointConfig::default()
+        },
+    );
+    let injector = rig.chaos.as_ref().unwrap();
+    let dropped: Vec<_> = (1..=3)
+        .map(|n| {
+            injector.arm(PlannedFault {
+                op: 0,
+                rank: 0,
+                kind: FaultKind::DropReply,
+            });
+            let id = rig.ep.submit(&read_row(0)).unwrap();
+            let deadline = Instant::now() + WATCHDOG;
+            while injector.injected() < n {
+                assert!(Instant::now() < deadline, "drop {n} never landed");
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            id
+        })
+        .collect();
+    let answered = rig.ep.submit(&read_row(1)).unwrap();
+    assert_eq!(rig.ep.in_flight(), 4, "the window is full");
+    // Parks here: 4 in flight, then 3 — above the low-water mark of 2.
+    let parked = rig.ep.submit(&read_row(2)).unwrap();
+    assert!(rig.ep.in_flight() <= 4);
+    rig.ep.wait(answered).unwrap();
+    rig.ep.wait(parked).unwrap();
+    for id in dropped {
+        assert!(matches!(
+            rig.ep.wait(id),
+            Err(Error::DeviceTimeout { attempts: 1, .. })
+        ));
+    }
+    assert_eq!(rig.ep.in_flight(), 0);
 }
 
 /// Wraps a device so that `load` stalls — `weighted_sum`/`read_row` pass

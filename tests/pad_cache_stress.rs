@@ -25,9 +25,10 @@ const QUERIES_PER_THREAD: usize = 20;
 #[test]
 fn concurrent_queries_share_one_cache_without_lost_updates() {
     let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0x5712E55));
-    // Small enough that the 4609-block working set (data + tags + secret)
+    // Large enough to admit a query's 2305-block plan (data + tags +
+    // secret in one execute), small enough that the 4609-block working set
     // must churn: eviction paths run constantly under contention.
-    cpu.set_pad_cache_blocks(1024);
+    cpu.set_pad_cache_blocks(4096);
     let mut ndp = HonestNdp::new();
     let pt: Vec<u32> = (0..ROWS * COLS).map(|x| (x % 13) as u32).collect();
     let table = cpu.encrypt_table(&pt, ROWS, COLS, 0x1_0000).unwrap();
@@ -48,8 +49,8 @@ fn concurrent_queries_share_one_cache_without_lost_updates() {
             s.spawn(move || {
                 for q in 0..QUERIES_PER_THREAD {
                     // Distinct rows per query (odd stride is coprime to
-                    // ROWS), so planner dedup is a no-op and every
-                    // requested pad ref is exactly one cache probe.
+                    // ROWS); every requested pad ref is exactly one cache
+                    // probe.
                     let start = (t * 97 + q * 31) % ROWS;
                     let stride = 2 * ((t + q) % 8) + 1;
                     let idx: Vec<usize> = (0..ROWS_PER_QUERY)
@@ -84,7 +85,7 @@ fn concurrent_queries_share_one_cache_without_lost_updates() {
     );
     // Eviction accounting: the slab never exceeds capacity, and what was
     // inserted is either still resident or was evicted/invalidated.
-    assert!(s1.evictions > s0.evictions, "1024-block cache must churn");
+    assert!(s1.evictions > s0.evictions, "4096-block cache must churn");
     assert!(cpu.pad_cache().len() <= cpu.pad_cache().capacity_blocks());
     assert_eq!(
         (s1.insertions - s0.insertions) - (s1.evictions - s0.evictions),
