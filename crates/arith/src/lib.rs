@@ -32,7 +32,10 @@ pub mod fixed;
 pub mod mersenne;
 pub mod quant;
 pub mod ring;
-pub mod smallfield;
+/// The checksum over a small prime field, where Theorem 2's forgery bound
+/// is observable: test-only, so it is not in the crate a TEE links.
+#[cfg(test)]
+mod smallfield;
 
 pub use fixed::Fixed32;
 pub use mersenne::Fq;

@@ -30,8 +30,7 @@ pub const MAX_ADDR: u64 = (1 << 62) - 1;
 const PAD_CHUNK_BLOCKS: usize = 256;
 
 /// Encrypts `blocks` into `out` in one [`BlockCipher::encrypt_blocks_into`]
-/// call and counts them into `secndp_aes_blocks_total` — the single door
-/// every batched pad passes through.
+/// call — the single door every batched pad passes through.
 ///
 /// Mirrors the paper's pipelined pad engine (§VI-B): counter blocks are
 /// independent, so the cipher interleaves them. It runs on the caller's
@@ -48,11 +47,6 @@ pub fn encrypt_blocks_parallel<C: BlockCipher + ?Sized>(
     out: &mut [Block],
 ) {
     assert_eq!(blocks.len(), out.len(), "batch and output length differ");
-    secndp_telemetry::counter!(
-        "secndp_aes_blocks_total",
-        "AES blocks encrypted for OTP pad generation."
-    )
-    .add(blocks.len() as u64);
     cipher.encrypt_blocks_into(blocks, out);
 }
 
@@ -207,12 +201,6 @@ impl<C: BlockCipher> OtpGenerator<C> {
         if out.is_empty() {
             return;
         }
-        let _t = secndp_telemetry::histogram!(
-            "secndp_pad_gen_ns",
-            &[("path", "batched")],
-            "OTP pad generation latency in nanoseconds."
-        )
-        .start_timer();
         let mut counters = [[0u8; BLOCK_BYTES]; PAD_CHUNK_BLOCKS];
         let mut pads = [[0u8; BLOCK_BYTES]; PAD_CHUNK_BLOCKS];
         // Only the first chunk starts mid-block.
@@ -247,7 +235,6 @@ impl<C: BlockCipher> OtpGenerator<C> {
         let mut out = Vec::with_capacity(len);
         let mut cur = addr;
         let end = addr + len as u64;
-        let mut blocks = 0u64;
         while cur < end {
             let block_addr = cur - (cur % BLOCK_BYTES as u64);
             let pad = self.data_pad_block(block_addr, version);
@@ -255,13 +242,7 @@ impl<C: BlockCipher> OtpGenerator<C> {
             let hi = usize::min(BLOCK_BYTES, (end - block_addr) as usize);
             out.extend_from_slice(&pad[lo..hi]);
             cur = block_addr + hi as u64;
-            blocks += 1;
         }
-        secndp_telemetry::counter!(
-            "secndp_aes_blocks_total",
-            "AES blocks encrypted for OTP pad generation."
-        )
-        .add(blocks);
         out
     }
 
@@ -494,18 +475,13 @@ impl PadPlanner {
         cipher: &C,
         cache: Option<&crate::cache::PadCache>,
     ) {
-        let mut sp = secndp_telemetry::trace::span(secndp_telemetry::trace::names::PAD_GEN);
+        use secndp_telemetry::trace;
+        let mut sp = trace::span(trace::names::PAD_GEN).timed(secndp_telemetry::histogram!(
+            "secndp_stage_latency_ns",
+            &[("stage", trace::names::PAD_GEN)],
+            "Per-stage protocol latency in nanoseconds (the Figure 4 arrows)."
+        ));
         sp.attr_u64("blocks", self.counters.len() as u64);
-        let _t = secndp_telemetry::histogram!(
-            "secndp_pad_gen_ns",
-            &[("path", "planned")],
-            "OTP pad generation latency in nanoseconds."
-        )
-        .start_timer();
-        // Per-query cost attribution needs the stage wall time itself (the
-        // Timer above only feeds the histogram), so clock it separately.
-        #[cfg(feature = "telemetry")]
-        let cost_start = std::time::Instant::now();
         self.pads.clear();
         self.pads.resize(self.counters.len(), [0u8; BLOCK_BYTES]);
         let mut generated = self.counters.len() as u64;
@@ -521,8 +497,7 @@ impl PadPlanner {
             Some(cache) => {
                 self.miss.clear();
                 {
-                    let mut csp =
-                        secndp_telemetry::trace::span(secndp_telemetry::trace::names::PAD_CACHE);
+                    let mut csp = trace::span(trace::names::PAD_CACHE);
                     cache.probe_into(&self.counters, &mut self.pads, &mut self.miss);
                     csp.attr_u64("hits", (self.counters.len() - self.miss.len()) as u64);
                     csp.attr_u64("misses", self.miss.len() as u64);
@@ -545,11 +520,6 @@ impl PadPlanner {
         }
         let cached = self.counters.len() as u64 - generated;
         secndp_telemetry::profile::add_aes_blocks(generated, cached);
-        #[cfg(feature = "telemetry")]
-        secndp_telemetry::profile::add_stage_ns(
-            secndp_telemetry::trace::names::PAD_GEN,
-            u64::try_from(cost_start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        );
         self.executed = true;
     }
 

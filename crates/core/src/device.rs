@@ -179,12 +179,6 @@ impl NdpDevice for HonestNdp {
         row_bytes: usize,
         tags: Option<Vec<Fq>>,
     ) -> Result<(), Error> {
-        secndp_telemetry::counter!(
-            "secndp_device_requests_total",
-            &[("device", "honest"), ("op", "load")],
-            "Requests served by NDP devices."
-        )
-        .inc();
         let mut sp = secndp_telemetry::trace::span("device_load");
         sp.attr_u64("table_addr", table_addr);
         sp.attr_u64("bytes", ciphertext.len() as u64);
@@ -207,18 +201,6 @@ impl NdpDevice for HonestNdp {
         weights: &[W],
         with_tag: bool,
     ) -> Result<NdpResponse<W>, Error> {
-        secndp_telemetry::counter!(
-            "secndp_device_requests_total",
-            &[("device", "honest"), ("op", "weighted_sum")],
-            "Requests served by NDP devices."
-        )
-        .inc();
-        let _t = secndp_telemetry::histogram!(
-            "secndp_device_op_ns",
-            &[("device", "honest"), ("op", "weighted_sum")],
-            "NDP device operation latency in nanoseconds."
-        )
-        .start_timer();
         let mut sp = secndp_telemetry::trace::span("device_weighted_sum");
         sp.attr_u64("table_addr", table_addr);
         sp.attr_u64("rows", indices.len() as u64);
@@ -255,12 +237,6 @@ impl NdpDevice for HonestNdp {
     }
 
     fn read_row(&self, table_addr: u64, row: usize) -> Result<Vec<u8>, Error> {
-        secndp_telemetry::counter!(
-            "secndp_device_requests_total",
-            &[("device", "honest"), ("op", "read_row")],
-            "Requests served by NDP devices."
-        )
-        .inc();
         let mut sp = secndp_telemetry::trace::span("device_read_row");
         sp.attr_u64("table_addr", table_addr);
         Ok(self.table(table_addr)?.row(row, table_addr)?.to_vec())

@@ -407,7 +407,6 @@ impl<L: Link> Endpoint<L> {
     ) -> Result<RequestId, Error> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         crate::metrics::wire_packets().inc();
-        crate::metrics::wire_tx_bytes().add(frame.len() as u64);
         secndp_telemetry::profile::add_wire_bytes(frame.len() as u64, 0);
         let now = Instant::now();
         let mut fresh = Some(Slot {
@@ -651,7 +650,6 @@ fn settle(slot: Slot) -> Result<Response, Error> {
         State::Done(reply) => {
             crate::metrics::transport_completion()
                 .observe(slot.submitted.elapsed().as_nanos() as u64);
-            crate::metrics::wire_rx_bytes().add(reply.len() as u64);
             secndp_telemetry::profile::add_wire_bytes(0, reply.len() as u64);
             wire::decode_reply(&reply)
         }

@@ -476,7 +476,7 @@ impl FaultInjector {
 
     /// Journals a consumed fault to the process-wide
     /// [fault log](secndp_telemetry::faultlog::fault_log) with the rank it
-    /// actually landed on, and bumps `secndp_faults_injected_total`.
+    /// actually landed on, and counts it into [`injected`](Self::injected).
     ///
     /// `trace_override` carries the trace id recovered from the request
     /// frame when the site has no ambient span (the transport worker
@@ -489,13 +489,6 @@ impl FaultInjector {
         trace_override: Option<u64>,
     ) {
         self.injected.fetch_add(1, Ordering::Relaxed);
-        secndp_telemetry::global()
-            .counter(
-                "secndp_faults_injected_total",
-                &[("kind", fault.kind.name())],
-                "Faults injected by the chaos harness.",
-            )
-            .inc();
         fault_log().record(
             fault.op,
             actual_rank,

@@ -6,81 +6,16 @@
 //! crate's `telemetry` feature (instruments become zero-sized).
 
 use crate::error::Error;
-use secndp_telemetry::{stages, Counter, Gauge, Histogram};
+use secndp_telemetry::trace::names;
+use secndp_telemetry::{Counter, Gauge, Histogram};
 
 const STAGE_HELP: &str = "Per-stage protocol latency in nanoseconds (the Figure 4 arrows).";
-
-/// RAII stage timer: on drop the elapsed nanoseconds land in the stage's
-/// latency histogram *and* in the active per-query cost record
-/// ([`secndp_telemetry::profile::add_stage_ns`]); for the `ndp_compute`
-/// stage they additionally count as device-busy time. With telemetry
-/// compiled out this is a ZST and never reads the clock.
-pub(crate) struct StageTimer {
-    #[cfg(feature = "telemetry")]
-    stage: &'static str,
-    #[cfg(feature = "telemetry")]
-    hist: &'static Histogram,
-    #[cfg(feature = "telemetry")]
-    device_busy: bool,
-    #[cfg(feature = "telemetry")]
-    start: std::time::Instant,
-}
-
-fn stage_timer(stage: &'static str, hist: &'static Histogram, device_busy: bool) -> StageTimer {
-    #[cfg(not(feature = "telemetry"))]
-    let _ = (stage, hist, device_busy);
-    StageTimer {
-        #[cfg(feature = "telemetry")]
-        stage,
-        #[cfg(feature = "telemetry")]
-        hist,
-        #[cfg(feature = "telemetry")]
-        device_busy,
-        #[cfg(feature = "telemetry")]
-        start: std::time::Instant::now(),
-    }
-}
-
-impl Drop for StageTimer {
-    fn drop(&mut self) {
-        #[cfg(feature = "telemetry")]
-        {
-            let ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.hist.observe(ns);
-            secndp_telemetry::profile::add_stage_ns(self.stage, ns);
-            if self.device_busy {
-                secndp_telemetry::profile::add_device_busy_ns(ns);
-            }
-        }
-    }
-}
-
-/// Cost-attributing timer for the `encrypt` stage.
-pub(crate) fn stage_encrypt_timer() -> StageTimer {
-    stage_timer(stages::ENCRYPT, stage_encrypt(), false)
-}
-
-/// Cost-attributing timer for the `ndp_compute` stage (also counts as
-/// device-busy time in the query cost).
-pub(crate) fn stage_ndp_compute_timer() -> StageTimer {
-    stage_timer(stages::NDP_COMPUTE, stage_ndp_compute(), true)
-}
-
-/// Cost-attributing timer for the `verify` stage.
-pub(crate) fn stage_verify_timer() -> StageTimer {
-    stage_timer(stages::VERIFY, stage_verify(), false)
-}
-
-/// Cost-attributing timer for the `decrypt` stage.
-pub(crate) fn stage_decrypt_timer() -> StageTimer {
-    stage_timer(stages::DECRYPT, stage_decrypt(), false)
-}
 
 /// `encrypt`: table encryption + tag generation inside the TEE.
 pub(crate) fn stage_encrypt() -> &'static Histogram {
     secndp_telemetry::histogram!(
         "secndp_stage_latency_ns",
-        &[("stage", stages::ENCRYPT)],
+        &[("stage", names::ENCRYPT)],
         STAGE_HELP
     )
 }
@@ -89,7 +24,7 @@ pub(crate) fn stage_encrypt() -> &'static Histogram {
 pub(crate) fn stage_ndp_compute() -> &'static Histogram {
     secndp_telemetry::histogram!(
         "secndp_stage_latency_ns",
-        &[("stage", stages::NDP_COMPUTE)],
+        &[("stage", names::NDP_COMPUTE)],
         STAGE_HELP
     )
 }
@@ -98,7 +33,7 @@ pub(crate) fn stage_ndp_compute() -> &'static Histogram {
 pub(crate) fn stage_verify() -> &'static Histogram {
     secndp_telemetry::histogram!(
         "secndp_stage_latency_ns",
-        &[("stage", stages::VERIFY)],
+        &[("stage", names::VERIFY)],
         STAGE_HELP
     )
 }
@@ -107,7 +42,7 @@ pub(crate) fn stage_verify() -> &'static Histogram {
 pub(crate) fn stage_decrypt() -> &'static Histogram {
     secndp_telemetry::histogram!(
         "secndp_stage_latency_ns",
-        &[("stage", stages::DECRYPT)],
+        &[("stage", names::DECRYPT)],
         STAGE_HELP
     )
 }
@@ -117,14 +52,6 @@ pub(crate) fn queries() -> &'static Counter {
     secndp_telemetry::counter!(
         "secndp_queries_total",
         "Weighted-summation queries issued by the trusted processor."
-    )
-}
-
-/// Tables encrypted (with or without tags).
-pub(crate) fn tables_encrypted() -> &'static Counter {
-    secndp_telemetry::counter!(
-        "secndp_tables_encrypted_total",
-        "Tables encrypted by the trusted processor."
     )
 }
 
@@ -141,22 +68,6 @@ pub(crate) fn wire_packets() -> &'static Counter {
     secndp_telemetry::counter!(
         "secndp_wire_packets_total",
         "Request frames sent to wire-backed NDP devices."
-    )
-}
-
-/// Encoded request bytes shipped to the device.
-pub(crate) fn wire_tx_bytes() -> &'static Counter {
-    secndp_telemetry::counter!(
-        "secndp_wire_tx_bytes_total",
-        "Request bytes sent over the device wire."
-    )
-}
-
-/// Encoded reply bytes received from the device.
-pub(crate) fn wire_rx_bytes() -> &'static Counter {
-    secndp_telemetry::counter!(
-        "secndp_wire_rx_bytes_total",
-        "Reply bytes received over the device wire."
     )
 }
 
@@ -219,37 +130,12 @@ pub(crate) fn transport_completion() -> &'static Histogram {
     )
 }
 
-/// TCP connections established by `TcpEndpoint`s (first dials and
-/// reconnects both).
-pub(crate) fn net_connects() -> &'static Counter {
-    secndp_telemetry::counter!(
-        "secndp_net_connects_total",
-        "TCP transport connections established (including reconnects)."
-    )
-}
-
 /// Re-establishments of a previously-connected pool slot — churn here
 /// degrades the `net-epN` health component.
 pub(crate) fn net_reconnects() -> &'static Counter {
     secndp_telemetry::counter!(
         "secndp_net_reconnects_total",
         "TCP transport connections re-established after a loss."
-    )
-}
-
-/// Transport bytes written to sockets (net framing included).
-pub(crate) fn net_tx_bytes() -> &'static Counter {
-    secndp_telemetry::counter!(
-        "secndp_net_tx_bytes_total",
-        "Bytes written to TCP transport sockets (framing included)."
-    )
-}
-
-/// Transport bytes read from sockets (net framing included).
-pub(crate) fn net_rx_bytes() -> &'static Counter {
-    secndp_telemetry::counter!(
-        "secndp_net_rx_bytes_total",
-        "Bytes read from TCP transport sockets (framing included)."
     )
 }
 
@@ -268,14 +154,6 @@ pub(crate) fn net_rejected_frames() -> &'static Counter {
     secndp_telemetry::counter!(
         "secndp_net_rejected_frames_total",
         "TCP server connections closed on an unframeable record or for want of a thread."
-    )
-}
-
-/// Connections accepted by in-process `NetServer` listeners.
-pub(crate) fn net_server_connections() -> &'static Counter {
-    secndp_telemetry::counter!(
-        "secndp_net_server_connections_total",
-        "Connections accepted by NDP TCP device servers."
     )
 }
 

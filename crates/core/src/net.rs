@@ -36,9 +36,9 @@
 //! # What this link adds to the shared rules
 //!
 //! - **Connections are lazy** and re-established with bounded backoff
-//!   when broken; `secndp_net_connects_total` / `_reconnects_total` count
-//!   the churn, and reconnects within the health window degrade the
-//!   `net-epN` component, as does a rank with no live connection.
+//!   when broken; `secndp_net_reconnects_total` counts the churn, and
+//!   reconnects within the health window degrade the `net-epN`
+//!   component, as does a rank with no live connection.
 //! - **Route-scoped failure.** A reader that sees EOF, a reset or an
 //!   unframeable reply fails exactly the requests in flight on its own
 //!   `(rank, connection, generation)`: idempotent ones are re-sent, a
@@ -162,7 +162,7 @@ fn u64_at(payload: &[u8], at: usize) -> u64 {
 
 /// Writes one record — length prefix, `header`, `frame` — with a single
 /// gathered write in the common case and no copy of the frame.
-fn write_record(stream: &mut TcpStream, header: &[u8], frame: &[u8]) -> io::Result<usize> {
+fn write_record(stream: &mut TcpStream, header: &[u8], frame: &[u8]) -> io::Result<()> {
     let mut head = [0u8; 4 + REQ_HEADER];
     let head = &mut head[..4 + header.len()];
     head[..4].copy_from_slice(&((header.len() + frame.len()) as u32).to_le_bytes());
@@ -182,7 +182,7 @@ fn write_record(stream: &mut TcpStream, header: &[u8], frame: &[u8]) -> io::Resu
             Err(e) => return Err(e),
         }
     }
-    Ok(total)
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -289,9 +289,8 @@ impl NetServer {
     }
 
     fn bind(host: Box<dyn FrameHost>, addr: impl ToSocketAddrs) -> io::Result<Self> {
-        // Touch the server-side instruments so they exist (as zeros) in
-        // exported metrics before the first connection or violation.
-        crate::metrics::net_server_connections();
+        // Touch the server-side instrument so it exists (as zero) in
+        // exported metrics before the first violation.
         crate::metrics::net_rejected_frames();
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -308,7 +307,6 @@ impl NetServer {
                         break;
                     }
                     let Ok(stream) = stream else { continue };
-                    crate::metrics::net_server_connections().inc();
                     let _ = stream.set_nodelay(true);
                     let _ = stream.set_read_timeout(Some(IO_TICK));
                     let host = Arc::clone(&host);
@@ -557,10 +555,7 @@ impl Endpoint<TcpLink> {
     fn over_tcp(cfg: NetConfig, self_server: Option<NetServer>) -> Self {
         // Touch the link's instruments so they exist (as zeros) in
         // exported metrics before the first connection.
-        crate::metrics::net_connects();
         crate::metrics::net_reconnects();
-        crate::metrics::net_tx_bytes();
-        crate::metrics::net_rx_bytes();
         crate::metrics::net_conn_failures();
         let ranks: Vec<RankConns> = cfg
             .addrs
@@ -646,7 +641,6 @@ impl TcpLink {
                 .map_err(|_| LinkFail::ConnLost)?
         };
         cell.next_gen += 1;
-        crate::metrics::net_connects().inc();
         if reconnect {
             crate::metrics::net_reconnects().inc();
         }
@@ -698,19 +692,13 @@ impl Link for TcpLink {
         header[..8].copy_from_slice(&id.to_le_bytes());
         header[8..16].copy_from_slice(&self.session.to_le_bytes());
         header[16..].copy_from_slice(&(rank as u32).to_le_bytes());
-        match write_record(&mut conn.stream, &header, frame) {
-            Ok(n) => {
-                crate::metrics::net_tx_bytes().add(n as u64);
-                Ok(())
-            }
-            Err(_) => {
-                // The write tore mid-record: the stream cannot be reused.
-                // Dropping it joins the reader, which fails every request
-                // in flight on this route (and counts them).
-                cell.conn = None;
-                Err(LinkFail::ConnLost)
-            }
-        }
+        write_record(&mut conn.stream, &header, frame).map_err(|_| {
+            // The write tore mid-record: the stream cannot be reused.
+            // Dropping it joins the reader, which fails every request
+            // in flight on this route (and counts them).
+            cell.conn = None;
+            LinkFail::ConnLost
+        })
     }
 
     fn down(&self) -> Vec<usize> {
@@ -750,7 +738,6 @@ fn reader_loop(
     let why = loop {
         match read_record(&mut stream, REPLY_HEADER, stopped) {
             Record::Payload(mut payload) => {
-                crate::metrics::net_rx_bytes().add(4 + payload.len() as u64);
                 let id = u64_at(&payload, 0);
                 payload.drain(..REPLY_HEADER);
                 done.complete(id, payload);

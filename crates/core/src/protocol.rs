@@ -304,12 +304,10 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         base_addr: u64,
         with_tags: bool,
     ) -> Result<EncryptedTable<W>, Error> {
-        let mut sp = trace::span(trace::names::ENCRYPT);
+        let mut sp = trace::span(trace::names::ENCRYPT).timed(crate::metrics::stage_encrypt());
         sp.attr_u64("base_addr", base_addr);
         sp.attr_u64("rows", rows as u64);
         sp.attr_u64("cols", cols as u64);
-        let _t = crate::metrics::stage_encrypt_timer();
-        crate::metrics::tables_encrypted().inc();
         let layout = TableLayout::new::<W>(base_addr, rows, cols)?;
         let (region, version) = self.versions.register()?;
         sp.attr_u64("version", version);
@@ -415,8 +413,8 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         let layout = handle.layout;
         crate::metrics::queries().inc();
         let response = {
-            let _s = trace::span(trace::names::NDP_COMPUTE);
-            let _t = crate::metrics::stage_ndp_compute_timer();
+            let _s =
+                trace::span(trace::names::NDP_COMPUTE).timed(crate::metrics::stage_ndp_compute());
             device.weighted_sum::<W>(layout.base_addr(), indices, weights, verify)?
         };
         self.reconstruct_response(handle, indices, weights, &response, verify)
@@ -481,8 +479,8 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         for (idx, weights) in queries {
             crate::metrics::queries().inc();
             let response = {
-                let _s = trace::span(trace::names::NDP_COMPUTE);
-                let _t = crate::metrics::stage_ndp_compute_timer();
+                let _s = trace::span(trace::names::NDP_COMPUTE)
+                    .timed(crate::metrics::stage_ndp_compute());
                 device.weighted_sum::<W>(layout.base_addr(), idx, weights, verify)?
             };
             out.push(self.reconstruct(handle, idx, weights, &response, verify, &mut pads)?);
@@ -540,8 +538,8 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         let mut out = Vec::with_capacity(queries.len());
         for ((idx, weights), id) in queries.iter().zip(ids) {
             let response = {
-                let _s = trace::span(trace::names::NDP_COMPUTE);
-                let _t = crate::metrics::stage_ndp_compute_timer();
+                let _s = trace::span(trace::names::NDP_COMPUTE)
+                    .timed(crate::metrics::stage_ndp_compute());
                 sum_from_response::<W>(endpoint.wait(id)?, layout.base_addr())?
             };
             out.push(self.reconstruct(handle, idx, weights, &response, verify, &mut pads)?);
@@ -597,8 +595,7 @@ impl<C: BlockCipher> TrustedProcessor<C> {
             ));
         }
         let res = {
-            let _s = trace::span(trace::names::DECRYPT);
-            let _t = crate::metrics::stage_decrypt_timer();
+            let _s = trace::span(trace::names::DECRYPT).timed(crate::metrics::stage_decrypt());
             pads.request_rows(&layout, handle.version, indices);
             if verify {
                 let planner = &mut pads.planner;
@@ -627,8 +624,7 @@ impl<C: BlockCipher> TrustedProcessor<C> {
             res
         };
         if verify {
-            let _s = trace::span(trace::names::VERIFY);
-            let _t = crate::metrics::stage_verify_timer();
+            let _s = trace::span(trace::names::VERIFY).timed(crate::metrics::stage_verify());
             let c_t_res = response.c_t_res.ok_or_else(|| {
                 crate::metrics::malformed("verification requested but no tag returned")
             })?;

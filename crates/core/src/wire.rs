@@ -726,6 +726,11 @@ pub(crate) fn sum_from_response<W: RingWord>(
     table_addr: u64,
 ) -> Result<NdpResponse<W>, Error> {
     match resp {
+        // The device chose `c_res`'s length; `words_from_le_bytes` asserts
+        // it is whole elements, so a ragged one is refused here first.
+        Response::Sum { c_res, .. } if c_res.len() % W::BYTES != 0 => Err(
+            crate::metrics::malformed("result bytes are not a whole number of elements"),
+        ),
         Response::Sum { c_res, c_t_res } => Ok(NdpResponse {
             c_res: words_from_le_bytes::<W>(&c_res),
             c_t_res: c_t_res.map(Fq::new),
@@ -798,8 +803,7 @@ impl<T: RoundTrip> NdpDevice for T {
 /// The span and latency histogram around one facade call. The request is
 /// encoded under this span, so device-side spans stitch beneath it.
 fn timed_round_trip(via: &impl RoundTrip, req: &Request) -> Result<Response, Error> {
-    let _sp = trace::span(trace::names::WIRE_ROUND_TRIP);
-    let _t = crate::metrics::wire_round_trip().start_timer();
+    let _sp = trace::span(trace::names::WIRE_ROUND_TRIP).timed(crate::metrics::wire_round_trip());
     via.round_trip(req)
 }
 
@@ -816,11 +820,9 @@ impl<D: NdpDevice> RoundTrip for Inline<D> {
             req.encode_traced(ctx)?
         };
         crate::metrics::wire_packets().inc();
-        crate::metrics::wire_tx_bytes().add(frame.len() as u64);
         secndp_telemetry::profile::add_wire_bytes(frame.len() as u64, 0);
         let reply = serve(&mut *crate::endpoint::locked(&self.0), &frame)
             .map_err(|_| crate::metrics::malformed("device rejected request frame"))?;
-        crate::metrics::wire_rx_bytes().add(reply.len() as u64);
         secndp_telemetry::profile::add_wire_bytes(0, reply.len() as u64);
         decode_reply(&reply)
     }
@@ -1261,6 +1263,30 @@ mod tests {
             decode_reply(&Response::Row(vec![1]).encode().unwrap()),
             Ok(Response::Row(_))
         ));
+        // A decodable sum whose result bytes are not whole elements: the
+        // device picks that length, so it must not reach the conversion's
+        // assert.
+        fn ragged_sum_is_typed<W: RingWord>() {
+            let cols = 4;
+            for len in [1, W::BYTES - 1, cols * W::BYTES + 1] {
+                let resp = Response::Sum {
+                    c_res: vec![0xAB; len],
+                    c_t_res: Some(1),
+                };
+                let resp = decode_reply(&resp.encode().unwrap()).unwrap();
+                assert!(
+                    matches!(
+                        sum_from_response::<W>(resp, 0x100),
+                        Err(Error::MalformedResponse { .. })
+                    ),
+                    "{len} result bytes at width {}",
+                    W::BYTES
+                );
+            }
+        }
+        ragged_sum_is_typed::<u16>();
+        ragged_sum_is_typed::<u32>();
+        ragged_sum_is_typed::<u64>();
     }
 
     #[test]

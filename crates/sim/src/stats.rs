@@ -46,34 +46,6 @@ impl DramStats {
         }
     }
 
-    /// Publishes this channel's counters into the global telemetry
-    /// registry (a no-op when telemetry is compiled out).
-    pub fn export_telemetry(&self) {
-        secndp_telemetry::counter!("secndp_dram_activates_total", "DRAM ACT commands issued.")
-            .add(self.activates);
-        secndp_telemetry::counter!("secndp_dram_reads_total", "DRAM RD commands issued.")
-            .add(self.reads);
-        secndp_telemetry::counter!("secndp_dram_writes_total", "DRAM WR commands issued.")
-            .add(self.writes);
-        secndp_telemetry::counter!(
-            "secndp_dram_row_hits_total",
-            "Column accesses hitting an open row."
-        )
-        .add(self.row_hits);
-        secndp_telemetry::counter!(
-            "secndp_dram_row_misses_total",
-            "Column accesses requiring activation."
-        )
-        .add(self.row_misses);
-        secndp_telemetry::counter!(
-            "secndp_dram_refresh_stalls_total",
-            "Requests delayed by refresh."
-        )
-        .add(self.refresh_stalls);
-        secndp_telemetry::float_gauge!("secndp_dram_hit_rate", "Row-buffer hit rate in [0, 1].")
-            .set(self.hit_rate());
-    }
-
     /// Accumulates another channel's counters (used to merge the per-rank
     /// NDP channels into one report).
     pub fn merge(&mut self, other: &DramStats) {

@@ -90,15 +90,9 @@ fn render_prometheus_histogram(
     for (i, &n) in h.buckets.iter().enumerate().take(last + 1) {
         cum += n;
         let le = HistogramSnapshot::upper_bound(i).to_string();
-        // OpenMetrics exemplar suffix: ` # {trace_id="t7"} value` links the
-        // bucket to a replayable trace (resolve it at /tracez?trace=t7).
-        let exemplar = match h.exemplars.get(i).and_then(|e| e.as_ref()) {
-            Some(e) => format!(" # {{trace_id=\"t{}\"}} {}", e.trace_id, e.value),
-            None => String::new(),
-        };
         let _ = writeln!(
             out,
-            "{name}_bucket{} {cum}{exemplar}",
+            "{name}_bucket{} {cum}",
             label_block(&m.labels, Some(("le", &le)))
         );
     }

@@ -276,9 +276,9 @@ impl Default for HealthConfig {
 }
 
 impl HealthConfig {
-    /// Reads the `SECNDP_HEALTH_INTERVAL_MS`, `SECNDP_HEALTH_WINDOW`,
-    /// `SECNDP_FLIGHT_RETAIN` and `SECNDP_FLIGHT_DIR` environment knobs,
-    /// falling back to the defaults.
+    /// Reads the `SECNDP_HEALTH_INTERVAL_MS`, `SECNDP_HEALTH_WINDOW` and
+    /// `SECNDP_FLIGHT_DIR` environment knobs, falling back to the defaults;
+    /// [`retain`](Self::retain) is set in code only.
     pub fn from_env() -> Self {
         let d = Self::default();
         let parse = |name: &str, default: u64| -> u64 {
@@ -292,8 +292,7 @@ impl HealthConfig {
                 parse("SECNDP_HEALTH_INTERVAL_MS", d.interval.as_millis() as u64).max(10),
             ),
             window: parse("SECNDP_HEALTH_WINDOW", d.window as u64).max(2) as usize,
-            retain: parse("SECNDP_FLIGHT_RETAIN", d.retain as u64).max(2) as usize,
-            flight_dir: crate::recorder::default_flight_dir(),
+            ..d
         }
     }
 }

@@ -12,13 +12,15 @@
 //! - [`Counter`] — a monotonically increasing `AtomicU64`.
 //! - [`Gauge`] / [`FloatGauge`] — last-value instruments (integer / `f64`).
 //! - [`Histogram`] — log2-bucketed value distribution with
-//!   p50/p95/p99 estimation and a cheap RAII [`Timer`] for latencies.
+//!   p50/p95/p99 estimation.
 //! - [`Registry`] — a named collection of the above with two exporters:
 //!   [Prometheus text exposition](Registry::render_prometheus) and a
 //!   [JSON snapshot](Registry::render_json).
 //! - [`trace`] — per-query distributed tracing: a fixed-capacity span
 //!   journal with RAII [`trace::Span`] guards, wire-propagatable
-//!   [`trace::SpanContext`]s, and Chrome-trace / tree exporters.
+//!   [`trace::SpanContext`]s, and Chrome-trace / tree exporters. A span is
+//!   also the only interval timer: [`trace::Span::timed`] sends the span's
+//!   one duration to a histogram and to the active query cost.
 //! - [`audit`] — a bounded security audit log recording every integrity
 //!   failure (verify / malformed-response / shape) with its trace id,
 //!   region, version and checksum scheme.
@@ -38,17 +40,18 @@
 //! # Stage taxonomy
 //!
 //! Pipeline latencies share a single histogram family,
-//! `secndp_stage_latency_ns{stage="…"}`, with the stage names of
-//! [`stages`]: `encrypt` → `ndp_compute` → `verify` → `decrypt` mirror the
-//! protocol arrows of Figure 4. See `DESIGN.md` § Telemetry for the full
-//! metric-name taxonomy.
+//! `secndp_stage_latency_ns{stage="…"}`, labelled with the span names of
+//! [`trace::names`]: `encrypt` → `ndp_compute` → `verify` → `decrypt` mirror
+//! the protocol arrows of Figure 4, and `pad_gen` is the planned pad pass
+//! inside `decrypt`. See `DESIGN.md` § Telemetry for every instrument and
+//! the reader that keeps it.
 //!
 //! # Compile-out
 //!
 //! The `enabled` cargo feature (default on, re-exported as the `telemetry`
 //! feature of every runtime crate) gates all storage and timing. With the
 //! feature off every instrument is zero-sized, every method body is empty
-//! (and inlines to nothing), `Timer` never reads the clock, and the
+//! (and inlines to nothing), a span never reads the clock, and the
 //! exporters render empty snapshots — call sites need no `cfg` of their
 //! own.
 //!
@@ -61,11 +64,12 @@
 //! reqs.inc();
 //! let lat = telemetry::histogram!("doc_latency_ns", "Request latency");
 //! {
-//!     let _t = lat.start_timer(); // records on drop
+//!     // Journals the span; on drop its duration lands in `lat`.
+//!     let _s = telemetry::trace::span("doc_request").timed(lat);
 //! }
 //! let text = telemetry::global().render_prometheus();
 //! # #[cfg(feature = "enabled")]
-//! assert!(text.contains("doc_requests_total 1"));
+//! assert!(text.contains("doc_requests_total 1") && text.contains("doc_latency_ns_count 1"));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -86,28 +90,10 @@ pub mod slo;
 mod tests;
 pub mod trace;
 
-pub use metrics::{
-    Counter, FloatGauge, Gauge, Histogram, HistogramExemplar, HistogramSnapshot, Timer, BUCKETS,
-};
+pub use metrics::{Counter, FloatGauge, Gauge, Histogram, HistogramSnapshot, BUCKETS};
 pub use process::init_process_metrics;
 pub use recorder::install_panic_hook;
 pub use registry::{global, MetricKind, MetricSnapshot, Registry, Snapshot, Value};
-
-/// Canonical stage names for `secndp_stage_latency_ns{stage="…"}`.
-///
-/// One name per protocol arrow of Figure 4: table encryption inside the
-/// TEE, the untrusted NDP computation, tag verification, and OTP-share
-/// regeneration + reconstruction ("decrypt").
-pub mod stages {
-    /// `ArithEnc`: table encryption and tag generation (Algorithms 1–3).
-    pub const ENCRYPT: &str = "encrypt";
-    /// The untrusted device computing `Σ aₖ·C_{iₖ}` (Algorithm 4 line 7).
-    pub const NDP_COMPUTE: &str = "ndp_compute";
-    /// Checksum recomputation and tag comparison (Algorithm 5).
-    pub const VERIFY: &str = "verify";
-    /// OTP-share regeneration and final reconstruction (Alg 4 lines 8–15).
-    pub const DECRYPT: &str = "decrypt";
-}
 
 /// Looks up (registering on first use) a [`Counter`] in the global
 /// registry, caching the handle in a call-site `static`. Expands to a

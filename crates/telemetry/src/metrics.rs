@@ -1,4 +1,6 @@
-//! The instruments: counters, gauges, histograms, and the RAII timer.
+//! The instruments: counters, gauges and histograms. Intervals are timed
+//! by [`Span::timed`](crate::trace::Span::timed), which observes into a
+//! [`Histogram`]; nothing here reads a clock.
 //!
 //! All instruments are lock-free (`Relaxed` atomics — each metric is an
 //! independent statistic, so no cross-metric ordering is needed) and
@@ -6,8 +8,6 @@
 
 #[cfg(feature = "enabled")]
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
-#[cfg(feature = "enabled")]
-use std::time::Instant;
 
 /// Number of histogram buckets: one for zero plus one per power of two of
 /// the `u64` range (`[2^(i-1), 2^i − 1]` for bucket `i ≥ 1`).
@@ -161,26 +161,6 @@ pub struct Histogram {
     count: AtomicU64,
     #[cfg(feature = "enabled")]
     sum: AtomicU64,
-    /// Per-bucket `(value, trace_id)` exemplar latches — see
-    /// [`HistogramExemplar`]. Fixed size: exemplar memory is bounded at
-    /// `2 × 65` atomic words per histogram regardless of sample volume.
-    #[cfg(feature = "enabled")]
-    exemplars: [ExemplarSlot; BUCKETS],
-}
-
-/// One exemplar latch: the largest value seen in the bucket while a trace
-/// was ambient, plus that trace's id. The two words are updated without a
-/// lock (`fetch_max` on the value, plain store of the trace), so a reader
-/// racing two writers can observe a `(value, trace)` pair from different
-/// samples — both still point at real tail samples in the same bucket,
-/// which is all an exemplar promises.
-#[cfg(feature = "enabled")]
-#[derive(Debug, Default)]
-struct ExemplarSlot {
-    value: AtomicU64,
-    /// 0 = no exemplar latched (works for bucket 0 too: presence is keyed
-    /// on the trace id, not the value).
-    trace: AtomicU64,
 }
 
 impl Default for Histogram {
@@ -227,16 +207,10 @@ impl Histogram {
             count: AtomicU64::new(0),
             #[cfg(feature = "enabled")]
             sum: AtomicU64::new(0),
-            #[cfg(feature = "enabled")]
-            exemplars: std::array::from_fn(|_| ExemplarSlot::default()),
         }
     }
 
-    /// Records one sample. When the calling thread has an ambient trace
-    /// ([`crate::trace::current`]), the sample's bucket latches a
-    /// `(value, trace_id)` exemplar if the value is at least the bucket's
-    /// current exemplar — so every occupied bucket links to a replayable
-    /// trace for (one of) its largest samples.
+    /// Records one sample.
     #[inline]
     pub fn observe(&self, v: u64) {
         #[cfg(feature = "enabled")]
@@ -245,32 +219,9 @@ impl Histogram {
             self.buckets[i].fetch_add(1, Relaxed);
             self.count.fetch_add(1, Relaxed);
             self.sum.fetch_add(v, Relaxed);
-            let trace = crate::trace::current().trace.0;
-            if trace != 0 {
-                let slot = &self.exemplars[i];
-                let prev = slot.value.fetch_max(v, Relaxed);
-                if v >= prev {
-                    slot.trace.store(trace, Relaxed);
-                }
-            }
         }
         #[cfg(not(feature = "enabled"))]
         let _ = v;
-    }
-
-    /// Starts an RAII timer that records the elapsed wall-clock nanoseconds
-    /// into this histogram when dropped. When telemetry is compiled out the
-    /// timer is a ZST and the clock is never read.
-    #[inline]
-    pub fn start_timer(&self) -> Timer<'_> {
-        Timer {
-            #[cfg(feature = "enabled")]
-            hist: self,
-            #[cfg(feature = "enabled")]
-            start: Instant::now(),
-            #[cfg(not(feature = "enabled"))]
-            _hist: std::marker::PhantomData,
-        }
     }
 
     /// Number of recorded samples (0 when telemetry is compiled out).
@@ -294,17 +245,6 @@ impl Histogram {
                 count: self.count.load(Relaxed),
                 sum: self.sum.load(Relaxed),
                 buckets: self.buckets.iter().map(|b| b.load(Relaxed)).collect(),
-                exemplars: self
-                    .exemplars
-                    .iter()
-                    .map(|s| {
-                        let trace_id = s.trace.load(Relaxed);
-                        (trace_id != 0).then(|| HistogramExemplar {
-                            value: s.value.load(Relaxed),
-                            trace_id,
-                        })
-                    })
-                    .collect(),
             }
         }
         #[cfg(not(feature = "enabled"))]
@@ -312,7 +252,6 @@ impl Histogram {
             count: 0,
             sum: 0,
             buckets: vec![0; BUCKETS],
-            exemplars: vec![None; BUCKETS],
         }
     }
 
@@ -325,48 +264,8 @@ impl Histogram {
             }
             self.count.store(0, Relaxed);
             self.sum.store(0, Relaxed);
-            for s in &self.exemplars {
-                s.value.store(0, Relaxed);
-                s.trace.store(0, Relaxed);
-            }
         }
     }
-}
-
-/// RAII latency timer returned by [`Histogram::start_timer`]; records on
-/// drop.
-#[must_use = "a timer records when dropped; binding it to `_` drops it immediately"]
-#[derive(Debug)]
-pub struct Timer<'a> {
-    #[cfg(feature = "enabled")]
-    hist: &'a Histogram,
-    #[cfg(feature = "enabled")]
-    start: Instant,
-    #[cfg(not(feature = "enabled"))]
-    _hist: std::marker::PhantomData<&'a Histogram>,
-}
-
-impl Timer<'_> {
-    /// Stops the timer now (equivalent to dropping it).
-    pub fn stop(self) {}
-}
-
-impl Drop for Timer<'_> {
-    fn drop(&mut self) {
-        #[cfg(feature = "enabled")]
-        self.hist
-            .observe(u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX));
-    }
-}
-
-/// A `(value, trace_id)` exemplar latched by a histogram bucket — the
-/// OpenMetrics hook linking a tail bucket to the trace that filled it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramExemplar {
-    /// The exemplar sample value.
-    pub value: u64,
-    /// The trace id ambient when the sample was recorded (never 0).
-    pub trace_id: u64,
 }
 
 /// A point-in-time copy of a [`Histogram`]'s state.
@@ -379,8 +278,6 @@ pub struct HistogramSnapshot {
     /// Per-bucket (non-cumulative) counts; `buckets[i]` covers
     /// `[2^(i-1), 2^i − 1]` (bucket 0 is exact zeros).
     pub buckets: Vec<u64>,
-    /// Per-bucket exemplars (`None` where no traced sample landed).
-    pub exemplars: Vec<Option<HistogramExemplar>>,
 }
 
 impl HistogramSnapshot {

@@ -19,13 +19,16 @@
 //!   ([`Profiler::render_collapsed`]) and JSON ([`Profiler::render_json`])
 //!   behind the `/profilez` endpoint.
 //! - A [`QueryCost`] ledger: protocol entry points open a
-//!   [`QueryCostGuard`]; the layers underneath attribute stage
-//!   nanoseconds, AES blocks (generated vs cache-served), wire bytes,
-//!   device-busy time and transport retries to the guard through the
-//!   ambient thread-local collector ([`add_stage_ns`] and friends). On
-//!   drop the finished record — stamped with its trace id — lands in the
-//!   global [`CostLedger`], which keeps a recent ring plus a
-//!   top-K-by-latency digest surfaced at `/profilez?top=K`.
+//!   [`QueryCostGuard`]; every [`timed`](crate::trace::Span::timed) span
+//!   that closes underneath bills its duration as a stage, and the layers
+//!   attribute AES blocks (generated vs cache-served), wire bytes and
+//!   transport retries to the guard through the ambient thread-local
+//!   collector ([`add_aes_blocks`] and friends). On drop the finished
+//!   record — stamped with its trace id — lands in the global
+//!   [`CostLedger`], which keeps a recent ring plus a top-K-by-latency
+//!   digest surfaced at `/profilez?top=K`: the index from a slow query to
+//!   its trace id (resolve it at `/tracez?trace=`), with the stages
+//!   attached.
 //!
 //! # Self-time algorithm
 //!
@@ -70,6 +73,12 @@ pub const RECENT_CAPACITY: usize = 256;
 
 /// Top-by-latency [`QueryCost`] digests retained by the ledger.
 pub const TOP_K_CAPACITY: usize = 64;
+
+/// Room a fresh [`QueryCost::stage_ns`] starts with: the six timed span
+/// names of `trace::names` and two to spare, so billing a query's stages
+/// never regrows the vector.
+#[cfg(feature = "enabled")]
+const STAGE_SLOTS: usize = 8;
 
 /// One node of the folded call-tree profile.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -349,8 +358,11 @@ pub struct QueryCost {
     pub op: &'static str,
     /// Wall-clock nanoseconds from guard open to close.
     pub total_ns: u64,
-    /// Per-stage nanoseconds, accumulation order (`pad_gen`, `encrypt`,
-    /// `ndp_compute`, `verify`, `decrypt`, …).
+    /// Per-stage nanoseconds, in the order the stages first closed
+    /// (`wire_round_trip`, `ndp_compute`, `pad_gen`, `decrypt`, `verify`,
+    /// …): each entry is the summed duration of the timed spans of that
+    /// name, so `ndp_compute` is the time spent waiting on the untrusted
+    /// device, wire included.
     pub stage_ns: Vec<(&'static str, u64)>,
     /// AES pad blocks freshly generated for this query.
     pub aes_blocks_generated: u64,
@@ -360,9 +372,6 @@ pub struct QueryCost {
     pub wire_tx_bytes: u64,
     /// Reply bytes received over the device wire.
     pub wire_rx_bytes: u64,
-    /// Nanoseconds spent waiting on the untrusted device (the
-    /// `ndp_compute` arrows, including the wire).
-    pub device_busy_ns: u64,
     /// Transport retries this query triggered.
     pub retries: u64,
 }
@@ -377,8 +386,7 @@ impl QueryCost {
         format!(
             "{{\"trace_id\":{},\"op\":\"{}\",\"total_ns\":{},\"stages\":{{{}}},\
              \"aes_blocks_generated\":{},\"aes_blocks_cached\":{},\
-             \"wire_tx_bytes\":{},\"wire_rx_bytes\":{},\
-             \"device_busy_ns\":{},\"retries\":{}}}",
+             \"wire_tx_bytes\":{},\"wire_rx_bytes\":{},\"retries\":{}}}",
             self.trace_id,
             crate::export::json_escape(self.op),
             self.total_ns,
@@ -387,7 +395,6 @@ impl QueryCost {
             self.aes_blocks_cached,
             self.wire_tx_bytes,
             self.wire_rx_bytes,
-            self.device_busy_ns,
             self.retries,
         )
     }
@@ -431,6 +438,7 @@ pub fn begin_query(op: &'static str) -> QueryCostGuard {
                 cost: QueryCost {
                     trace_id,
                     op,
+                    stage_ns: Vec::with_capacity(STAGE_SLOTS),
                     ..QueryCost::default()
                 },
                 start: Instant::now(),
@@ -485,15 +493,14 @@ fn with_active(f: impl FnOnce(&mut QueryCost)) {
 }
 
 /// Attributes `ns` nanoseconds of pipeline stage `stage` to the active
-/// query cost (no-op without one).
-pub fn add_stage_ns(stage: &'static str, ns: u64) {
-    #[cfg(feature = "enabled")]
+/// query cost (no-op without one). Its one caller is a closing
+/// [`timed`](crate::trace::Span::timed) span.
+#[cfg(feature = "enabled")]
+pub(crate) fn add_stage_ns(stage: &'static str, ns: u64) {
     with_active(|c| match c.stage_ns.iter_mut().find(|(s, _)| *s == stage) {
         Some((_, v)) => *v += ns,
         None => c.stage_ns.push((stage, ns)),
     });
-    #[cfg(not(feature = "enabled"))]
-    let _ = (stage, ns);
 }
 
 /// Attributes AES pad blocks (freshly `generated` vs `cached`-served) to
@@ -518,15 +525,6 @@ pub fn add_wire_bytes(tx: u64, rx: u64) {
     });
     #[cfg(not(feature = "enabled"))]
     let _ = (tx, rx);
-}
-
-/// Attributes time spent waiting on the untrusted device to the active
-/// query cost.
-pub fn add_device_busy_ns(ns: u64) {
-    #[cfg(feature = "enabled")]
-    with_active(|c| c.device_busy_ns += ns);
-    #[cfg(not(feature = "enabled"))]
-    let _ = ns;
 }
 
 /// Attributes `n` transport retries to the active query cost.
@@ -842,7 +840,6 @@ mod tests {
             add_stage_ns("verify", 25);
             add_aes_blocks(8, 24);
             add_wire_bytes(512, 128);
-            add_device_busy_ns(1000);
             add_retries(2);
         }
         assert_eq!(ledger().recorded(), before + 1);
@@ -855,7 +852,6 @@ mod tests {
         assert_eq!(rec.stage_ns, vec![("pad_gen", 150), ("verify", 25)]);
         assert_eq!((rec.aes_blocks_generated, rec.aes_blocks_cached), (8, 24));
         assert_eq!((rec.wire_tx_bytes, rec.wire_rx_bytes), (512, 128));
-        assert_eq!(rec.device_busy_ns, 1000);
         assert_eq!(rec.retries, 2);
         assert!(rec.render_json().contains("\"pad_gen\":150"));
     }

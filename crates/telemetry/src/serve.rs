@@ -6,7 +6,7 @@
 //!
 //! | route | content |
 //! |-------|---------|
-//! | `/metrics` | Prometheus text exposition of the registry (with OpenMetrics exemplars) |
+//! | `/metrics` | Prometheus text exposition of the registry |
 //! | `/metrics.json` | the JSON snapshot ([`Registry::render_json`]); `?limit=N` keeps the first N metrics |
 //! | `/healthz` | [`HealthMonitor::report`](crate::health::HealthMonitor::report) as JSON; 503 when failing |
 //! | `/tracez` | the span journal as an indented tree; `?trace=<id>` filters one trace, `?limit=N` keeps the newest N traces |

@@ -3,11 +3,10 @@
 //! The paper's pitch is *verified queries at near-native latency*; in
 //! operation that promise has to be stated as an objective ("99% of wire
 //! round trips under 2 ms", "99.9% of queries verify") and *watched*. This
-//! module lets a deployment declare [`Objective`]s — via the
-//! `SECNDP_SLO_LATENCY` / `SECNDP_SLO_ERRORS` environment knobs
-//! ([`install_from_env`]) or the builder API
-//! ([`crate::serve::ServerBuilder::slo`]) — and continuously scores them
-//! against the metric registry.
+//! module lets a deployment declare [`Objective`]s — through the builder
+//! ([`crate::serve::ServerBuilder::slo`]) or on the engine itself
+//! ([`SloEngine::add`], [`SloEngine::configure`]); there is no environment
+//! surface — and continuously scores them against the metric registry.
 //!
 //! # Burn rate
 //!
@@ -136,25 +135,6 @@ impl Default for SloConfig {
     }
 }
 
-impl SloConfig {
-    /// Reads `SECNDP_SLO_FAST_WINDOW_MS` / `SECNDP_SLO_SLOW_WINDOW_MS`,
-    /// falling back to the defaults (5 m / 1 h).
-    pub fn from_env() -> Self {
-        let d = Self::default();
-        let parse = |name: &str, default: u64| -> u64 {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-                .max(1)
-        };
-        Self {
-            fast_window_ms: parse("SECNDP_SLO_FAST_WINDOW_MS", d.fast_window_ms),
-            slow_window_ms: parse("SECNDP_SLO_SLOW_WINDOW_MS", d.slow_window_ms),
-        }
-    }
-}
-
 /// One sample: cumulative `(good, total)` per objective, index-aligned
 /// with the engine's objective list.
 #[derive(Debug, Clone)]
@@ -196,7 +176,7 @@ impl ObjectiveStatus {
 struct EngineState {
     objectives: Vec<Objective>,
     samples: Vec<SloSample>,
-    cfg: Option<SloConfig>,
+    cfg: SloConfig,
 }
 
 /// The SLO scoring engine. The process-wide instance is [`engine()`];
@@ -225,13 +205,12 @@ impl SloEngine {
 
     /// Replaces the burn-window configuration.
     pub fn configure(&self, cfg: SloConfig) {
-        self.state.lock().unwrap().cfg = Some(cfg);
+        self.state.lock().unwrap().cfg = cfg;
     }
 
-    /// The active configuration (env-resolved on first read if never set).
+    /// The active configuration (5 m / 1 h until [`configure`](Self::configure)d).
     pub fn config(&self) -> SloConfig {
-        let mut s = self.state.lock().unwrap();
-        *s.cfg.get_or_insert_with(SloConfig::from_env)
+        self.state.lock().unwrap().cfg
     }
 
     /// Adds an objective (deduplicated by name — re-adding replaces).
@@ -284,7 +263,7 @@ impl SloEngine {
         s.samples.push(SloSample { t_ms, counts });
         // Prune beyond the slow window (with one sample of slack to keep a
         // baseline at the window edge) and the hard cap.
-        let keep_after = t_ms.saturating_sub(self.config_locked(&mut s).slow_window_ms);
+        let keep_after = t_ms.saturating_sub(s.cfg.slow_window_ms);
         let first_inside = s.samples.partition_point(|x| x.t_ms < keep_after);
         let drop_n = first_inside.saturating_sub(1);
         if drop_n > 0 {
@@ -302,15 +281,11 @@ impl SloEngine {
         .inc();
     }
 
-    fn config_locked(&self, s: &mut EngineState) -> SloConfig {
-        *s.cfg.get_or_insert_with(SloConfig::from_env)
-    }
-
     /// Scores every objective over both windows against the samples taken
     /// so far.
     pub fn status(&self) -> Vec<ObjectiveStatus> {
-        let mut s = self.state.lock().unwrap();
-        let cfg = self.config_locked(&mut s);
+        let s = self.state.lock().unwrap();
+        let cfg = s.cfg;
         let Some(latest) = s.samples.last().cloned() else {
             return s
                 .objectives
@@ -429,55 +404,6 @@ fn fmt_f64(v: f64) -> String {
 pub fn engine() -> &'static SloEngine {
     static ENGINE: std::sync::OnceLock<SloEngine> = std::sync::OnceLock::new();
     ENGINE.get_or_init(SloEngine::new)
-}
-
-/// Parses `name:metric:threshold_ns:target` items (`;`-separated) from
-/// `SECNDP_SLO_LATENCY` and `name:errors:total:target` items from
-/// `SECNDP_SLO_ERRORS` into the global engine. Returns how many
-/// objectives were installed; malformed items are skipped.
-pub fn install_from_env() -> usize {
-    let mut installed = 0;
-    if let Ok(v) = std::env::var("SECNDP_SLO_LATENCY") {
-        for item in v.split(';').filter(|s| !s.trim().is_empty()) {
-            let parts: Vec<&str> = item.split(':').collect();
-            if let [name, metric, threshold, target] = parts[..] {
-                if let (Ok(threshold_ns), Ok(target)) = (
-                    threshold.trim().parse::<u64>(),
-                    target.trim().parse::<f64>(),
-                ) {
-                    if (0.0..1.0).contains(&target) {
-                        engine().add(Objective::Latency {
-                            name: name.trim().to_string(),
-                            metric: metric.trim().to_string(),
-                            threshold_ns,
-                            target,
-                        });
-                        installed += 1;
-                    }
-                }
-            }
-        }
-    }
-    if let Ok(v) = std::env::var("SECNDP_SLO_ERRORS") {
-        for item in v.split(';').filter(|s| !s.trim().is_empty()) {
-            let parts: Vec<&str> = item.split(':').collect();
-            if let [name, errors, total, target] = parts[..] {
-                if let Ok(target) = target.trim().parse::<f64>() {
-                    if (0.0..1.0).contains(&target) {
-                        engine().add(Objective::ErrorRate {
-                            name: name.trim().to_string(),
-                            errors: errors.trim().to_string(),
-                            total: total.trim().to_string(),
-                            target,
-                        });
-                        installed += 1;
-                    }
-                }
-            }
-        }
-    }
-    engine().configure(SloConfig::from_env());
-    installed
 }
 
 /// Registers (once per process) the `"slo"` component with the health

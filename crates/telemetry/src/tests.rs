@@ -75,7 +75,6 @@ fn quantiles_are_ordered_and_bracketed() {
             count: 0,
             sum: 0,
             buckets: vec![0; BUCKETS],
-            exemplars: vec![None; BUCKETS]
         }
         .quantile(0.5),
         0.0
@@ -149,19 +148,6 @@ fn reset_zeroes_but_keeps_instruments() {
     // The same Arc still feeds the same registry entry.
     c.inc();
     assert_eq!(reg.snapshot().counter_total("r_total"), 1);
-}
-
-#[test]
-fn timer_records_into_histogram() {
-    let reg = Registry::new();
-    let h = reg.histogram("t_ns", &[], "h");
-    {
-        let _t = h.start_timer();
-        std::hint::black_box(0u64);
-    }
-    let explicit = h.start_timer();
-    explicit.stop();
-    assert_eq!(h.snapshot().count, 2);
 }
 
 /// Golden test: the exact Prometheus text exposition output for a small
@@ -240,7 +226,6 @@ fn quantile_empty_histogram_is_zero() {
         count: 0,
         sum: 0,
         buckets: vec![0; BUCKETS],
-        exemplars: vec![None; BUCKETS],
     };
     assert_eq!(empty.quantile(0.0), 0.0);
     assert_eq!(empty.quantile(0.5), 0.0);
@@ -286,7 +271,6 @@ fn quantile_upper_bound_is_conservative() {
         count: 0,
         sum: 0,
         buckets: vec![0; BUCKETS],
-        exemplars: vec![None; BUCKETS],
     };
     assert_eq!(empty.quantile_upper_bound(0.5), 0.0);
     let h = Histogram::new();
@@ -373,59 +357,6 @@ fn prometheus_escapes_label_values_round_trip() {
         }
     }
     assert_eq!(unescaped, tricky);
-}
-
-// ─── histogram exemplars ────────────────────────────────────────────────
-
-#[test]
-fn exemplar_latches_max_value_trace_in_bucket() {
-    let reg = Registry::new();
-    let h = reg.histogram("exemplar_ns", &[], "h");
-    // Three traced samples in the same bucket (64..=127); the exemplar
-    // must carry the trace of the *largest*.
-    let _t_small = {
-        let sp = trace::span("exemplar_small");
-        h.observe(70);
-        sp.trace_id()
-    };
-    let t_max = {
-        let sp = trace::span("exemplar_max");
-        h.observe(101);
-        sp.trace_id()
-    };
-    let _t_mid = {
-        let sp = trace::span("exemplar_mid");
-        h.observe(80);
-        sp.trace_id()
-    };
-    let snap = h.snapshot();
-    let bucket = 7; // values 64..=127
-    assert_eq!(snap.buckets[bucket], 3);
-    let ex = snap.exemplars[bucket].expect("exemplar latched");
-    assert_eq!(ex.value, 101);
-    assert_eq!(ex.trace_id, t_max);
-    // Untraced samples never latch.
-    h.observe(5); // bucket 3, no ambient span
-    assert!(h.snapshot().exemplars[3].is_none());
-    // Prometheus exposition carries the OpenMetrics exemplar suffix.
-    let text = reg.render_prometheus();
-    assert!(
-        text.contains(&format!("# {{trace_id=\"t{t_max}\"}} 101")),
-        "{text}"
-    );
-}
-
-#[test]
-fn exemplar_reset_clears_latches() {
-    let reg = Registry::new();
-    let h = reg.histogram("exemplar_reset_ns", &[], "h");
-    {
-        let _sp = trace::span("exemplar_reset");
-        h.observe(9);
-    }
-    assert!(h.snapshot().exemplars.iter().any(|e| e.is_some()));
-    reg.reset();
-    assert!(h.snapshot().exemplars.iter().all(|e| e.is_none()));
 }
 
 // ─── span journal ───────────────────────────────────────────────────────
@@ -548,6 +479,39 @@ fn journal_ring_wraps_and_counts_drops() {
     j.clear();
     assert!(j.snapshot().is_empty());
     assert_eq!(j.recorded(), 10, "clear keeps the sequence counter");
+}
+
+/// One duration, three views: a `timed` span's journal stamps, its
+/// histogram sample and its stage entry in the active query cost are the
+/// same number — they come from one pair of clock reads.
+#[test]
+fn timed_span_reports_one_duration_to_journal_histogram_and_cost() {
+    let hist = crate::histogram!("timed_span_test_ns", "one-duration test");
+    let sum_before = hist.snapshot().sum;
+    let span_id = {
+        let _cost = crate::profile::begin_query("timed_span_test_op");
+        let sp = trace::span("timed_span_test_stage").timed(hist);
+        std::hint::black_box(0u64);
+        sp.context().span
+    };
+    let evs = trace::journal().snapshot();
+    let stamp = |kind| {
+        evs.iter()
+            .find(|e| e.span == span_id && e.kind == kind)
+            .expect("span journaled")
+            .t_ns
+    };
+    let dur = stamp(SpanEventKind::End) - stamp(SpanEventKind::Begin);
+    let snap = hist.snapshot();
+    assert_eq!(snap.count, 1);
+    assert_eq!(snap.sum - sum_before, dur, "histogram sample");
+    let cost = crate::profile::ledger()
+        .recent(crate::profile::RECENT_CAPACITY)
+        .into_iter()
+        .rev()
+        .find(|c| c.op == "timed_span_test_op")
+        .expect("cost recorded");
+    assert_eq!(cost.stage_ns, vec![("timed_span_test_stage", dur)]);
 }
 
 #[test]

@@ -248,7 +248,14 @@ mod enabled {
         }
     }
 
-    pub(super) fn begin_event(trace: TraceId, span: SpanId, parent: SpanId, name: &'static str) {
+    /// Journals a `Begin` record and returns the stamp it carries.
+    pub(super) fn begin_event(
+        trace: TraceId,
+        span: SpanId,
+        parent: SpanId,
+        name: &'static str,
+    ) -> u64 {
+        let t_ns = now_ns();
         journal().record_event(SpanEvent {
             seq: 0,
             kind: SpanEventKind::Begin,
@@ -256,18 +263,21 @@ mod enabled {
             span,
             parent,
             name,
-            t_ns: now_ns(),
+            t_ns,
             attrs: Vec::new(),
         });
+        t_ns
     }
 
+    /// Journals an `End` record and returns the stamp it carries.
     pub(super) fn end_event(
         trace: TraceId,
         span: SpanId,
         parent: SpanId,
         name: &'static str,
         attrs: Vec<(&'static str, AttrValue)>,
-    ) {
+    ) -> u64 {
+        let t_ns = now_ns();
         journal().record_event(SpanEvent {
             seq: 0,
             kind: SpanEventKind::End,
@@ -275,9 +285,10 @@ mod enabled {
             span,
             parent,
             name,
-            t_ns: now_ns(),
+            t_ns,
             attrs,
         });
+        t_ns
     }
 }
 
@@ -461,6 +472,13 @@ pub struct Span {
     name: &'static str,
     #[cfg(feature = "enabled")]
     attrs: Vec<(&'static str, AttrValue)>,
+    /// The `Begin` record's stamp.
+    #[cfg(feature = "enabled")]
+    start_ns: u64,
+    /// Set by [`timed`](Span::timed): where the span's duration goes on
+    /// close, besides the journal.
+    #[cfg(feature = "enabled")]
+    stage: Option<&'static crate::Histogram>,
 }
 
 /// Opens a span as a child of the thread's current span, or as the root of
@@ -485,7 +503,7 @@ pub fn span_child_of(name: &'static str, ctx: SpanContext) -> Span {
             (enabled::next_trace_id(), SpanId(0))
         };
         let span = enabled::next_span_id();
-        enabled::begin_event(trace, span, parent, name);
+        let start_ns = enabled::begin_event(trace, span, parent, name);
         let me = SpanContext { trace, span };
         enabled::set_current(me);
         Span {
@@ -494,6 +512,8 @@ pub fn span_child_of(name: &'static str, ctx: SpanContext) -> Span {
             prev: ambient,
             name,
             attrs: Vec::new(),
+            start_ns,
+            stage: None,
         }
     }
     #[cfg(not(feature = "enabled"))]
@@ -543,6 +563,23 @@ impl Span {
         self.attr(key, AttrValue::Str(value));
     }
 
+    /// Makes this span a pipeline stage: on close its duration — the
+    /// difference of the two stamps the journal records — is observed into
+    /// `hist` and billed to the active [`QueryCost`](crate::profile::QueryCost)
+    /// under the span's name, so the journal, the histogram and the cost
+    /// ledger report one number from one pair of clock reads.
+    /// Still zero-sized and clock-free with tracing compiled out.
+    #[cfg_attr(not(feature = "enabled"), allow(unused_mut))]
+    pub fn timed(mut self, hist: &'static crate::Histogram) -> Span {
+        #[cfg(feature = "enabled")]
+        {
+            self.stage = Some(hist);
+        }
+        #[cfg(not(feature = "enabled"))]
+        let _ = hist;
+        self
+    }
+
     /// Ends the span now (equivalent to dropping it).
     pub fn end(self) {}
 }
@@ -551,7 +588,7 @@ impl Drop for Span {
     fn drop(&mut self) {
         #[cfg(feature = "enabled")]
         {
-            enabled::end_event(
+            let end_ns = enabled::end_event(
                 self.ctx.trace,
                 self.ctx.span,
                 self.parent,
@@ -559,6 +596,11 @@ impl Drop for Span {
                 std::mem::take(&mut self.attrs),
             );
             enabled::set_current(self.prev);
+            if let Some(hist) = self.stage {
+                let ns = end_ns.saturating_sub(self.start_ns);
+                hist.observe(ns);
+                crate::profile::add_stage_ns(self.name, ns);
+            }
         }
     }
 }
@@ -691,4 +733,19 @@ pub fn render_tree(events: &[SpanEvent]) -> String {
         }
     }
     out
+}
+
+#[cfg(all(test, not(feature = "enabled")))]
+mod compiled_out {
+    /// With tracing compiled out a `timed` span is still the zero-sized
+    /// guard: no stamps to keep, nothing observed.
+    #[test]
+    fn timed_span_is_zero_sized_and_observes_nothing() {
+        let hist = crate::histogram!("timed_span_off_ns", "compiled-out test");
+        let sp = super::span("timed_span_off").timed(hist);
+        assert_eq!(std::mem::size_of::<super::Span>(), 0);
+        drop(sp);
+        assert_eq!(hist.count(), 0);
+        assert!(super::journal().snapshot().is_empty());
+    }
 }

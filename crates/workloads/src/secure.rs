@@ -101,11 +101,6 @@ impl<D: NdpDevice> SecureSls<D> {
         let mut sp = secndp_telemetry::trace::span("sls_load_table");
         sp.attr_u64("rows", rows as u64);
         sp.attr_u64("cols", cols as u64);
-        secndp_telemetry::counter!(
-            "secndp_sls_tables_loaded_total",
-            "Embedding tables encrypted and published to the device."
-        )
-        .inc();
         let encoded: Vec<u64> = data.iter().map(|&v| encode_value(v as f64)).collect();
         let table = self
             .cpu
@@ -139,11 +134,6 @@ impl<D: NdpDevice> SecureSls<D> {
     ) -> Result<Vec<f32>, Error> {
         let mut sp = secndp_telemetry::trace::span("sls");
         sp.attr_u64("pool_size", indices.len() as u64);
-        secndp_telemetry::counter!(
-            "secndp_sls_queries_total",
-            "SLS pooling queries issued through the secure engine."
-        )
-        .inc();
         let t = &self.tables[table.0];
         let encoded_w: Vec<u64> = weights.iter().map(|&w| encode_weight(w as f64)).collect();
         let raw = self

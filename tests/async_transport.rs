@@ -9,7 +9,9 @@
 //! `Load` never retried, `wait` twice is a typed error, a duplicate reply
 //! is counted late, and pipelined verified batches (with tamper
 //! detection). Socket-only cases (hostile framing, torn writes, MITM,
-//! kill/respawn, drain) live in `tests/net_transport.rs`.
+//! kill/respawn, drain) live in `tests/net_transport.rs`; one rides here
+//! because it shares the duplicate-reply rig's rogue server: a `Sum` reply
+//! of ragged length is a typed error, not a panic.
 //!
 //! The file keeps the name it had when it covered the worker link alone.
 
@@ -25,7 +27,7 @@ use secndp::core::device::{DelayedNdp, NdpResponse, Tamper, TamperingNdp};
 use secndp::core::fault::PlannedFault;
 use secndp::core::net::{NetServer, TcpLink};
 use secndp::core::transport::WorkerLink;
-use secndp::core::wire::{self, RemoteNdp, Request};
+use secndp::core::wire::{self, RemoteNdp, Request, Response};
 use secndp::core::{
     AsyncEndpoint, Endpoint, EndpointConfig, Error, FaultInjector, FaultKind, HonestNdp, Link,
     NdpDevice, SecretKey, TcpEndpoint, TrustedProcessor,
@@ -161,38 +163,8 @@ impl Rig for Tcp {
     }
 
     fn duplicating() -> Rigged<TcpLink> {
-        // A hand-rolled server: net framing in, every reply record out
-        // twice. One connection is all a pool of one ever opens.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addrs = vec![listener.local_addr().unwrap().to_string()];
-        std::thread::spawn(move || {
-            let (mut conn, _) = listener.accept().unwrap();
-            let mut dev = HonestNdp::new();
-            let mut len = [0u8; 4];
-            while conn.read_exact(&mut len).is_ok() {
-                let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
-                if conn.read_exact(&mut payload).is_err() {
-                    return;
-                }
-                // payload = req_id(8) | session(8) | rank(4) | frame.
-                let reply = wire::serve_or_reply(&mut dev, &payload[20..]);
-                let mut record = ((8 + reply.len()) as u32).to_le_bytes().to_vec();
-                record.extend_from_slice(&payload[..8]);
-                record.extend_from_slice(&reply);
-                if conn
-                    .write_all(&[&record[..], &record[..]].concat())
-                    .is_err()
-                {
-                    return;
-                }
-            }
-        });
         Rigged {
-            ep: TcpEndpoint::connect(EndpointConfig {
-                addrs,
-                ..EndpointConfig::default()
-            })
-            .unwrap(),
+            ep: rogue_server(|reply| vec![reply.clone(), reply]),
             _keep: Mutex::default(),
             chaos: None,
         }
@@ -201,6 +173,41 @@ impl Rig for Tcp {
     fn mortal<D: NdpDevice + Send + 'static>(device: D, cfg: EndpointConfig) -> Rigged<TcpLink> {
         Self::ranks(vec![device], cfg)
     }
+}
+
+/// An endpoint connected to a hand-rolled socket server: net framing in,
+/// an honest device behind it, and for every reply frame the frames
+/// `rewrite` makes of it out, one record each. One connection is all a
+/// pool of one ever opens.
+fn rogue_server(rewrite: fn(Vec<u8>) -> Vec<Vec<u8>>) -> TcpEndpoint {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addrs = vec![listener.local_addr().unwrap().to_string()];
+    std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        let mut dev = HonestNdp::new();
+        let mut len = [0u8; 4];
+        while conn.read_exact(&mut len).is_ok() {
+            let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
+            if conn.read_exact(&mut payload).is_err() {
+                return;
+            }
+            // payload = req_id(8) | session(8) | rank(4) | frame.
+            let mut records = Vec::new();
+            for reply in rewrite(wire::serve_or_reply(&mut dev, &payload[20..])) {
+                records.extend_from_slice(&((8 + reply.len()) as u32).to_le_bytes());
+                records.extend_from_slice(&payload[..8]);
+                records.extend_from_slice(&reply);
+            }
+            if conn.write_all(&records).is_err() {
+                return;
+            }
+        }
+    });
+    TcpEndpoint::connect(EndpointConfig {
+        addrs,
+        ..EndpointConfig::default()
+    })
+    .unwrap()
 }
 
 /// Runs a scenario over every link.
@@ -1005,4 +1012,39 @@ fn end_to_end<R: Rig>() {
 #[test]
 fn end_to_end_protocol_over_async_endpoint() {
     on_every_link!(end_to_end);
+}
+
+/// The device chooses how many result bytes it sends. A `Sum` reply that
+/// is not a whole number of elements must reach the caller of
+/// `weighted_sum` as a typed, audited error — over a real socket, where a
+/// hostile server can write any bytes it likes — not as a panic in the
+/// byte-to-word conversion. (Socket only: behind the worker link a device
+/// answers in typed words, so it cannot send a ragged reply.)
+#[test]
+fn ragged_sum_reply_over_a_socket_is_a_typed_error() {
+    let mut ndp = RemoteNdp::<HonestNdp>::tcp_backed(rogue_server(|reply| {
+        vec![match Response::decode(&reply) {
+            Ok(Response::Sum { mut c_res, c_t_res }) => {
+                c_res.push(0xAB);
+                Response::Sum { c_res, c_t_res }.encode().unwrap()
+            }
+            _ => reply,
+        }]
+    }));
+    let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0x4A66));
+    let table = cpu.encrypt_table(&plaintext(), ROWS, COLS, ADDR).unwrap();
+    let handle = cpu.publish(&table, &mut ndp).unwrap();
+    let res = cpu.weighted_sum(&handle, &ndp, &[1, 2], &[1u32, 1], true);
+    assert!(
+        matches!(res, Err(Error::MalformedResponse { .. })),
+        "33 result bytes for a u32 table must be typed, got {res:?}"
+    );
+    #[cfg(feature = "telemetry")]
+    assert!(
+        secndp::telemetry::audit::audit_log()
+            .snapshot()
+            .iter()
+            .any(|e| e.detail == "result bytes are not a whole number of elements"),
+        "the refusal must leave an audit event"
+    );
 }
