@@ -188,6 +188,14 @@ const TRANSPORT_COLS: usize = 32;
 /// Per-request device latency modelling the NDP's command round trip.
 const TRANSPORT_DELAY_US: u64 = 40;
 
+/// Written next to `pipelined_ns` in `BENCH_service.json`, so nobody reads
+/// that time as evidence about the transport or the caller: each rank
+/// sleeps [`TRANSPORT_DELAY_US`] per query (`thread::sleep` stretches a
+/// 40 µs nap to 120–160 µs on a 2-vCPU host), and 32 naps per rank are
+/// 4–5 ms whatever the trusted side does meanwhile.
+const PIPELINED_NS_NOTE: &str = "bound by the ranks' per-query thread::sleep(device_delay_us), \
+    not by the transport or the caller: not evidence for or against a transport change";
+
 /// What the pipelined transport leg ran with, and how long it took.
 struct TransportReport {
     ranks: usize,
@@ -199,8 +207,9 @@ struct TransportReport {
 /// Runs one verified weighted-sum batch through the async endpoint,
 /// pipelined across `ranks` device ranks, each behind a fixed per-query
 /// delay — the endpoint traffic behind the `secndp_transport_*`
-/// instruments the smoke jobs look for. The time is informational: whether
-/// the transport got faster or slower is the perf ledger's to say
+/// instruments the smoke jobs look for. The time is informational and
+/// bound by the ranks' sleep (see [`PIPELINED_NS_NOTE`]): whether the
+/// transport got faster or slower is the perf ledger's to say
 /// (`benchmark/`), and that requests overlap is asserted by
 /// `tests/async_transport.rs`, not by a ratio against a blocking leg.
 fn transport_bench(ranks: usize, window: usize, timeout_ms: u64) -> Result<TransportReport, Error> {
@@ -333,7 +342,7 @@ fn write_sweep_json(
     let tr = format!(
         "{{\"ranks\":{},\"window\":{},\"timeout_ms\":{},\"queries\":{TRANSPORT_QUERIES},\
          \"refs_per_query\":{TRANSPORT_REFS_PER_QUERY},\"device_delay_us\":{TRANSPORT_DELAY_US},\
-         \"pipelined_ns\":{}}}",
+         \"pipelined_ns\":{},\"pipelined_ns_note\":\"{PIPELINED_NS_NOTE}\"}}",
         transport.ranks, transport.window, transport.timeout_ms, transport.pipelined_ns,
     );
     // The SLO engine renders a complete JSON object; embed it verbatim so
@@ -426,7 +435,7 @@ fn main() {
     assert_health("transport bench");
     println!(
         "async transport ({} ranks, window {}): verified batch of {} queries \
-         pipelined in {:.3} ms",
+         pipelined in {:.3} ms (rank-sleep-bound)",
         transport.ranks,
         transport.window,
         TRANSPORT_QUERIES,

@@ -21,7 +21,22 @@
 //!   while `window` requests are unanswered (backpressure). A submitter
 //!   that had to block is woken once the window has drained to half, not
 //!   per completion: it then refills the window in one run instead of
-//!   being scheduled against the ranks for every single frame.
+//!   being scheduled against the ranks for every single frame. A caller
+//!   that keeps at most [`window`](Endpoint::window) of its own requests
+//!   outstanding — the pipelined batch — never blocks here when it is the
+//!   only submitter; it spends that time making pads.
+//! - **A wake-up only for somebody asleep.** A completion notifies
+//!   [`wait`](Endpoint::wait)'s condvar only when the table counts a caller
+//!   asleep on it, and parked submitters only as above: a notify is a
+//!   futex call under the table lock, and a pipelined caller is usually
+//!   on a CPU, not asleep. Sleepers are counted under the same lock that
+//!   settles slots, so a waiter either sees its reply before it sleeps or
+//!   is counted before the reply lands.
+//! - **An id is redeemed or abandoned.** [`poll`](Endpoint::poll) and
+//!   [`wait`](Endpoint::wait) consume a settled slot; a caller that will
+//!   never redeem an id (a packet that failed at an earlier query) abandons
+//!   it, which frees the slot, its retained frame, any reply it holds and
+//!   its window credit at once. A reply that arrives later is counted late.
 //! - **Deadlines and idempotent-only retry.** A request with no reply by
 //!   its deadline — or whose route died ([`Pending::fail`]) — is re-sent
 //!   to the next rank, at most `max_retries` times with linear deadline
@@ -183,6 +198,10 @@ struct Table {
     waiting: usize,
     /// Submitters asleep on a full window.
     parked: usize,
+    /// Callers asleep in `wait`. Counted under the table lock on both
+    /// sides, so a completion either sees its waiter or settles the slot
+    /// before the waiter looks at it.
+    sleepers: usize,
 }
 
 /// The pending-request table: the half of an endpoint its link's threads
@@ -220,14 +239,18 @@ pub(crate) fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 const POISONED: &str = "endpoint lock poisoned by a local panic";
 
 impl Pending {
-    /// Returns `n` window credits and wakes whoever they concern: waiters
-    /// always; parked submitters once the window has drained to its
-    /// low-water mark — or `at_once`, on the paths a dead route or a
-    /// deadline takes, where the rest of the window may never drain.
+    /// Returns `n` window credits and wakes whoever they concern: callers
+    /// asleep in `wait`, if there are any (a notify is a futex call, and a
+    /// pipelined caller is usually making pads, not sleeping); parked
+    /// submitters once the window has drained to its low-water mark — or
+    /// `at_once`, on the paths a dead route or a deadline takes, where the
+    /// rest of the window may never drain.
     fn release(&self, t: &mut Table, n: usize, at_once: bool) {
         t.waiting -= n;
         crate::metrics::transport_inflight().add(-(n as i64));
-        self.cv.notify_all();
+        if t.sleepers > 0 {
+            self.cv.notify_all();
+        }
         if t.parked > 0 && (at_once || t.waiting <= self.low_water) {
             self.room.notify_all();
         }
@@ -319,6 +342,7 @@ impl<L: Link> Endpoint<L> {
                 slots: HashMap::new(),
                 waiting: 0,
                 parked: 0,
+                sleepers: 0,
             }),
             cv: Condvar::new(),
             room: Condvar::new(),
@@ -348,9 +372,20 @@ impl<L: Link> Endpoint<L> {
         self.link.ranks()
     }
 
-    /// Requests sent and not yet answered, failed or abandoned.
+    /// Requests sent and not yet answered, failed or abandoned — what the
+    /// window is enforced against. A reply nobody has redeemed yet no
+    /// longer counts; a request its caller gave up on (a packet that failed
+    /// part-way) is abandoned, not left to count for ever.
     pub fn in_flight(&self) -> usize {
         locked(&self.pending.table).waiting
+    }
+
+    /// The in-flight window: how many unanswered requests
+    /// [`submit`](Self::submit) allows before it blocks (at least 1). A
+    /// caller that keeps no more than this outstanding, and is the only
+    /// submitter, never blocks in `submit`.
+    pub fn window(&self) -> usize {
+        self.cfg.window.max(1)
     }
 
     /// Requests `rank` answered first (stragglers are not counted).
@@ -448,7 +483,7 @@ impl<L: Link> Endpoint<L> {
                 Err(why) => last = why,
             }
         }
-        let attempts = self.abandon(id);
+        let attempts = self.abandon(RequestId(id));
         Err(link_error(last, attempts))
     }
 
@@ -460,11 +495,13 @@ impl<L: Link> Endpoint<L> {
         let mut t = locked(&self.pending.table);
         if let Some(mut slot) = fresh.take() {
             // Parked until the window drains to its low-water mark (see
-            // `Pending::release`). Re-checked after one request deadline:
+            // `Pending::release`), which is how several submitters share
+            // an endpoint; a lone pipelined caller bounds its own requests
+            // and never gets here. Re-checked after one request deadline:
             // when the rest of the window sits on a silent rank it never
             // drains that far, and the credits freed above the mark are
             // taken up no later than those requests time out.
-            while t.waiting >= self.cfg.window.max(1) {
+            while t.waiting >= self.window() {
                 t.parked += 1;
                 let woken = self.pending.room.wait_timeout(t, self.cfg.timeout);
                 t = woken.expect(POISONED).0;
@@ -500,11 +537,13 @@ impl<L: Link> Endpoint<L> {
         true
     }
 
-    /// Removes a slot that will not be sent (again), returning its window
-    /// credit and how often it was sent.
-    fn abandon(&self, id: u64) -> u32 {
+    /// Removes a slot that will not be sent (again) or whose caller will
+    /// never redeem it, with its retained frame and any reply it holds,
+    /// returning its window credit and how often it was sent. A reply that
+    /// arrives afterwards finds no slot and is counted late.
+    pub(crate) fn abandon(&self, id: RequestId) -> u32 {
         let mut t = locked(&self.pending.table);
-        let Some(slot) = t.slots.remove(&id) else {
+        let Some(slot) = t.slots.remove(&id.0) else {
             return 1;
         };
         if matches!(slot.state, State::Waiting) {
@@ -552,7 +591,9 @@ impl<L: Link> Endpoint<L> {
                     let now = Instant::now();
                     if now < slot.deadline {
                         let nap = slot.deadline - now;
+                        t.sleepers += 1;
                         t = self.pending.cv.wait_timeout(t, nap).expect(POISONED).0;
+                        t.sleepers -= 1;
                         continue;
                     }
                     crate::metrics::transport_timeouts().inc();
@@ -710,4 +751,58 @@ fn register_health<L: Link>(
         )
     });
     (handle, component)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::locked;
+    use crate::device::{HonestNdp, NdpDevice, Tamper, TamperingNdp};
+    use crate::error::Error;
+    use crate::keys::SecretKey;
+    use crate::protocol::TrustedProcessor;
+    use crate::transport::{AsyncEndpoint, TransportConfig};
+
+    /// A packet that fails part-way leaves nothing behind in the trusted
+    /// side's pending table: not the slots of the requests it had sent
+    /// ahead, with their retained frames and whatever replies arrived.
+    /// Denial of service is all a device is allowed — one spoiled reply per
+    /// packet must not also grow the TEE's heap by the rest of the window.
+    #[test]
+    fn failed_packets_leave_no_slots_behind() {
+        const ADDR: u64 = 0x5000;
+        let pt: Vec<u32> = (0..64 * 8).collect();
+        let queries: Vec<(Vec<usize>, Vec<u32>)> =
+            (0..40).map(|q| (vec![q, q + 1], vec![1, 2])).collect();
+        let slots = |ep: &AsyncEndpoint| locked(&ep.pending.table).slots.len();
+
+        let mut cpu = TrustedProcessor::new(SecretKey::from_bytes([0x1E; 16]));
+        let table = cpu.encrypt_table(&pt, 64, 8, ADDR).unwrap();
+        let cfg = TransportConfig {
+            window: 8,
+            ..TransportConfig::default()
+        };
+        // Every reply is spoiled, so each packet fails at its first query
+        // with the other seven requests of the window outstanding.
+        let mut spoiled =
+            AsyncEndpoint::new(vec![TamperingNdp::new(Tamper::ZeroResult)], cfg.clone());
+        let handle = cpu.publish(&table, &mut spoiled).unwrap();
+        for packet in 0..200 {
+            let err = cpu
+                .weighted_sum_batch_pipelined(&handle, &spoiled, &queries, true)
+                .unwrap_err();
+            assert_eq!(err, Error::VerificationFailed { table_addr: ADDR });
+            assert_eq!(slots(&spoiled), 0, "packet {packet} left slots behind");
+            assert_eq!(spoiled.in_flight(), 0, "packet {packet} kept credits");
+        }
+        // Abandoned requests are still served (and counted late); the
+        // endpoint itself is as good as new.
+        spoiled.read_row(ADDR, 3).unwrap();
+
+        // An honest packet redeems every id it was given.
+        let mut honest = AsyncEndpoint::new(vec![HonestNdp::new()], cfg);
+        cpu.publish(&table, &mut honest).unwrap();
+        cpu.weighted_sum_batch_pipelined(&handle, &honest, &queries, true)
+            .unwrap();
+        assert_eq!(slots(&honest), 0);
+    }
 }

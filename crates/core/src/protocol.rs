@@ -20,6 +20,7 @@
 use crate::checksum::{plan_secrets, row_checksum, secrets_from_plan, ChecksumScheme};
 use crate::device::NdpDevice;
 use crate::encrypt::{decrypt_elements, encrypt_elements, encrypt_tags, EncryptedTable};
+use crate::endpoint::{Endpoint, Link, RequestId};
 use crate::error::Error;
 use crate::keys::SecretKey;
 use crate::layout::TableLayout;
@@ -31,6 +32,7 @@ use secndp_cipher::aes_fast::Aes128Fast;
 use secndp_cipher::otp::{Domain, OtpGenerator, PadPlanner, PadRange};
 use secndp_cipher::PadCache;
 use secndp_telemetry::trace;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// A reference to a published table: everything the processor needs to
@@ -152,6 +154,40 @@ impl QueryPads {
             accumulate_pads(self.planner.pad_slice(range), a, acc);
         }
     }
+}
+
+/// A pipelined packet's requests that are sent and not yet waited on,
+/// oldest first. Whatever is left when the packet ends — it failed at an
+/// earlier query — is abandoned, so a device that spoils one reply cannot
+/// make the trusted side keep the others' slots, frames and replies.
+struct Outstanding<'a, L: Link> {
+    endpoint: &'a Endpoint<L>,
+    ids: VecDeque<RequestId>,
+}
+
+impl<L: Link> Drop for Outstanding<'_, L> {
+    fn drop(&mut self) {
+        // `abandon` takes the table lock, which panics when poisoned; an
+        // unwinding thread must not panic again.
+        if std::thread::panicking() {
+            return;
+        }
+        for &id in &self.ids {
+            self.endpoint.abandon(id);
+        }
+    }
+}
+
+/// The processor's half of one query — everything Algorithms 4 and 5 let
+/// it compute before the device has answered. Made by
+/// [`TrustedProcessor::prepare`], consumed by [`TrustedProcessor::finish`].
+struct Prepared<W> {
+    /// `E_res = Σₖ aₖ·E_{iₖ}` (Alg 4 lines 8–14), in the buffer that
+    /// becomes the query's result.
+    res: Vec<W>,
+    /// For a verified query: `E_T_res = Σₖ aₖ·E_{T_iₖ}` (Alg 5 lines
+    /// 11–14) and the checksum secrets.
+    tag: Option<(Fq, Vec<Fq>)>,
 }
 
 /// The TEE-resident SecNDP engine: key, version manager, encryption and
@@ -489,24 +525,31 @@ impl<C: BlockCipher> TrustedProcessor<C> {
     }
 
     /// [`weighted_sum_batch`](Self::weighted_sum_batch) over an
-    /// [`Endpoint`](crate::endpoint::Endpoint) on any link: all queries are
-    /// validated, then submitted (bounded by the endpoint's in-flight
-    /// window) and pipelined across its device ranks, overlapping the
-    /// per-query wire round trips the blocking loop serializes. Results are
-    /// reconstructed and verified in submission order as completions
-    /// arrive — pads for one query are generated while the ranks serve the
-    /// next, the OTP PU beside the NDP PUs (§V-C) — so the returned vector
-    /// is identical to the blocking batch.
+    /// [`Endpoint`] on any link, with the OTP PU working beside the NDP PUs
+    /// (§V-C): all queries are validated, then for each query in submission
+    /// order the caller tops its own outstanding requests up to the
+    /// endpoint's window (once they have drained to half of it), prepares
+    /// the query — its pads, `E_res` and `E_T_res` are made while the ranks
+    /// serve it and the requests behind it — waits for its reply and
+    /// finishes it: reconstruct, verify. Prepared state is held for one
+    /// query at a time and nothing is sized by the packet but the returned
+    /// vector, which is identical to the blocking batch's.
+    ///
+    /// The caller bounds only its *own* requests, so as the endpoint's one
+    /// submitter it never blocks in `submit`; beside other submitters it
+    /// may, as any of them. If the packet fails part-way, the requests
+    /// still outstanding are abandoned: their slots, retained frames and
+    /// window credits are returned, and their replies are counted late.
     ///
     /// # Errors
     ///
     /// Same as [`weighted_sum_batch`](Self::weighted_sum_batch), plus
     /// [`Error::DeviceTimeout`] when a rank stalls past its deadline (and
     /// retries are exhausted).
-    pub fn weighted_sum_batch_pipelined<W: RingWord, L: crate::endpoint::Link>(
+    pub fn weighted_sum_batch_pipelined<W: RingWord, L: Link>(
         &self,
         handle: &TableHandle,
-        endpoint: &crate::endpoint::Endpoint<L>,
+        endpoint: &Endpoint<L>,
         queries: &[(Vec<usize>, Vec<W>)],
         verify: bool,
     ) -> Result<Vec<Vec<W>>, Error> {
@@ -520,31 +563,44 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         let mut pads = self.admit_batch(handle, queries, verify)?;
         let layout = handle.layout;
 
-        // Submit everything first — the endpoint's window provides the
-        // backpressure — then reap in order while later queries execute.
-        let wire_sp = trace::span(trace::names::WIRE_ROUND_TRIP);
-        let mut ids = Vec::with_capacity(queries.len());
-        for (idx, weights) in queries {
-            crate::metrics::queries().inc();
-            let req = Request::WeightedSum {
-                table_addr: layout.base_addr(),
-                elem_bytes: W::BYTES as u8,
-                indices: idx.iter().map(|&i| i as u64).collect(),
-                weights: weights.iter().map(|w| w.as_u64()).collect(),
-                with_tag: verify,
-            };
-            ids.push(endpoint.submit(&req)?);
-        }
+        let _wire = trace::span(trace::names::WIRE_ROUND_TRIP);
+        let window = endpoint.window();
+        let mut unsent = queries.iter();
+        let mut outstanding = Outstanding {
+            endpoint,
+            ids: VecDeque::with_capacity(window.min(queries.len())),
+        };
         let mut out = Vec::with_capacity(queries.len());
-        for ((idx, weights), id) in queries.iter().zip(ids) {
+        for (idx, weights) in queries {
+            // Top up to the window once half of it has been reaped — the
+            // endpoint's own low-water idea: the ranks outrun a caller that
+            // is making pads and sleep between bursts, so a refill per
+            // reaped query would pay a futex wake-up per frame. Query k is
+            // always among the sent: an empty queue is under any mark.
+            if outstanding.ids.len() <= window / 2 {
+                for (idx, weights) in unsent.by_ref().take(window - outstanding.ids.len()) {
+                    crate::metrics::queries().inc();
+                    let req = Request::WeightedSum {
+                        table_addr: layout.base_addr(),
+                        elem_bytes: W::BYTES as u8,
+                        indices: idx.iter().map(|&i| i as u64).collect(),
+                        weights: weights.iter().map(|w| w.as_u64()).collect(),
+                        with_tag: verify,
+                    };
+                    outstanding.ids.push_back(endpoint.submit(&req)?);
+                }
+            }
+            let prepared = self.prepare(handle, idx, weights, verify, &mut pads);
             let response = {
                 let _s = trace::span(trace::names::NDP_COMPUTE)
                     .timed(crate::metrics::stage_ndp_compute());
+                let id = outstanding.ids.pop_front().ok_or_else(|| {
+                    crate::metrics::malformed("pipelined query was never submitted")
+                })?;
                 sum_from_response::<W>(endpoint.wait(id)?, layout.base_addr())?
             };
-            out.push(self.reconstruct(handle, idx, weights, &response, verify, &mut pads)?);
+            out.push(self.finish(handle, prepared, &response)?);
         }
-        drop(wire_sp);
         Ok(out)
     }
 
@@ -574,11 +630,10 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         })
     }
 
-    /// Algorithm 4 lines 8–15 and Algorithm 5 for one validated query: the
-    /// one place a device reply becomes a result, shared by every entry
-    /// point. The query's data pads and — when verifying — its tag pads
-    /// and the checksum secrets are planned into `pads` and generated by
-    /// one execute; the reply is checked where each field is first used.
+    /// Algorithm 4 lines 8–15 and Algorithm 5 for one validated query, shared
+    /// by every entry point: [`prepare`](Self::prepare), which needs no
+    /// reply, then [`finish`](Self::finish), the one place a device reply
+    /// becomes a result.
     fn reconstruct<W: RingWord>(
         &self,
         handle: &TableHandle,
@@ -588,58 +643,93 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         verify: bool,
         pads: &mut QueryPads,
     ) -> Result<Vec<W>, Error> {
+        let prepared = self.prepare(handle, indices, weights, verify, pads);
+        self.finish(handle, prepared, response)
+    }
+
+    /// The OTP PU's half of one validated query (Alg 4 lines 8–14, Alg 5
+    /// lines 11–14): its data pads and — when verifying — its tag pads and
+    /// the checksum secrets are planned into `pads` and generated by one
+    /// execute, then folded into `E_res`, `E_T_res` and the secrets.
+    ///
+    /// There is no reply among the parameters, and that is the point: the
+    /// paper's processor computes its share *while* the NDP computes
+    /// `C_res` (§V-C), so this may run before the reply exists, and no
+    /// byte from the untrusted side can reach it.
+    fn prepare<W: RingWord>(
+        &self,
+        handle: &TableHandle,
+        indices: &[usize],
+        weights: &[W],
+        verify: bool,
+        pads: &mut QueryPads,
+    ) -> Prepared<W> {
+        let _s = trace::span(trace::names::DECRYPT).timed(crate::metrics::stage_decrypt());
         let layout = handle.layout;
-        if response.c_res.len() != layout.cols() {
-            return Err(crate::metrics::malformed(
-                "result width differs from table columns",
+        pads.request_rows(&layout, handle.version, indices);
+        if verify {
+            let planner = &mut pads.planner;
+            pads.ranges.extend(
+                indices.iter().map(|&i| {
+                    planner.request_block(Domain::Tag, layout.row_addr(i), handle.version)
+                }),
+            );
+            pads.ranges.extend(plan_secrets(
+                planner,
+                layout.base_addr(),
+                handle.version,
+                handle.scheme,
             ));
         }
-        let res = {
-            let _s = trace::span(trace::names::DECRYPT).timed(crate::metrics::stage_decrypt());
-            pads.request_rows(&layout, handle.version, indices);
-            if verify {
-                let planner = &mut pads.planner;
-                pads.ranges.extend(indices.iter().map(|&i| {
-                    planner.request_block(Domain::Tag, layout.row_addr(i), handle.version)
-                }));
-                pads.ranges.extend(plan_secrets(
-                    planner,
-                    layout.base_addr(),
-                    handle.version,
-                    handle.scheme,
-                ));
-            }
-            if pads.scan {
-                pads.planner.execute(self.otp.cipher());
-                self.pad_cache.note_bypassed(pads.planner.planned_blocks());
-            } else {
-                pads.planner
-                    .execute_cached(self.otp.cipher(), Some(&self.pad_cache));
-            }
-            // SecNDPLd: res = C_res + E_res (Alg 4 line 15), with the OTP
-            // PU's E_res = Σₖ aₖ·E_{iₖ} (lines 8–14) accumulated straight
-            // onto the device's share.
-            let mut res = response.c_res.clone();
-            pads.accumulate_rows(weights, &mut res);
-            res
-        };
-        if verify {
-            let _s = trace::span(trace::names::VERIFY).timed(crate::metrics::stage_verify());
-            let c_t_res = response.c_t_res.ok_or_else(|| {
-                crate::metrics::malformed("verification requested but no tag returned")
-            })?;
+        if pads.scan {
+            pads.planner.execute(self.otp.cipher());
+            self.pad_cache.note_bypassed(pads.planner.planned_blocks());
+        } else {
+            pads.planner
+                .execute_cached(self.otp.cipher(), Some(&self.pad_cache));
+        }
+        let mut res = vec![W::ZERO; layout.cols()];
+        pads.accumulate_rows(weights, &mut res);
+        let tag = verify.then(|| {
             let (tags, secrets) = pads.ranges[indices.len()..].split_at(indices.len());
-            let t_res = row_checksum(&res, &secrets_from_plan(&pads.planner, secrets));
-            // E_T_res ← Σₖ aₖ · E_{T_iₖ} (Alg 5 lines 11–14).
             let mut e_t_res = Fq::ZERO;
             for (range, &a) in tags.iter().zip(weights) {
                 e_t_res += Fq::new(a.as_u128()) * Fq::new(pads.planner.pad_first_127_bits(range));
             }
+            (e_t_res, secrets_from_plan(&pads.planner, secrets))
+        });
+        Prepared { res, tag }
+    }
+
+    /// `SecNDPLd` and the verification engine (Alg 4 line 15, Alg 5 lines
+    /// 15–17): the first and only place a reply to a weighted summation is
+    /// read. Each field is checked where it is first used.
+    fn finish<W: RingWord>(
+        &self,
+        handle: &TableHandle,
+        prepared: Prepared<W>,
+        response: &crate::device::NdpResponse<W>,
+    ) -> Result<Vec<W>, Error> {
+        let Prepared { mut res, tag } = prepared;
+        if response.c_res.len() != handle.layout.cols() {
+            return Err(crate::metrics::malformed(
+                "result width differs from table columns",
+            ));
+        }
+        // res = C_res + E_res.
+        for (x, &c) in res.iter_mut().zip(&response.c_res) {
+            *x = x.wadd(c);
+        }
+        if let Some((e_t_res, secrets)) = tag {
+            let _s = trace::span(trace::names::VERIFY).timed(crate::metrics::stage_verify());
+            let c_t_res = response.c_t_res.ok_or_else(|| {
+                crate::metrics::malformed("verification requested but no tag returned")
+            })?;
             // Retrieved MAC = C_T_res + E_T_res (see mac.rs on the paper's
             // sign typo in Alg 5 line 16).
-            if t_res != c_t_res + e_t_res {
+            if row_checksum(&res, &secrets) != c_t_res + e_t_res {
                 return Err(crate::metrics::verification_failed(
-                    layout.base_addr(),
+                    handle.layout.base_addr(),
                     handle.region.0,
                     handle.version,
                     handle.scheme.name(),
@@ -902,6 +992,173 @@ mod tests {
         check::<u16>();
         check::<u32>();
         check::<u64>();
+    }
+
+    /// xorshift64*: the seeded stream behind the split differential — its
+    /// own, so the pinned digest does not hang on the `rand` shim's stream.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+    }
+
+    /// One validated query through the two halves, as every entry point
+    /// composes them — `prepare` returning before the reply is looked at.
+    fn via_split<W: RingWord>(
+        cpu: &TrustedProcessor,
+        handle: &TableHandle,
+        indices: &[usize],
+        weights: &[W],
+        reply: &crate::device::NdpResponse<W>,
+        verify: bool,
+    ) -> Result<Vec<W>, Error> {
+        let blocks = plan_blocks(handle, indices.len(), 1, verify);
+        let mut pads = QueryPads::for_query(indices.len(), blocks);
+        let prepared = cpu.prepare(handle, indices, weights, verify, &mut pads);
+        cpu.finish(handle, prepared, reply)
+    }
+
+    /// The seeded cases of [`split_matches_the_unsplit_reconstruct`] at one
+    /// width and scheme. Every outcome is checked against the plaintext (or
+    /// the error the mutation must raise), against `reconstruct_response`,
+    /// and folded, as its `Debug` text, into the FNV-1a `digest`.
+    fn split_cases<W: RingWord>(scheme: ChecksumScheme, digest: &mut u64) {
+        const ROWS: usize = 24;
+        const ADDR: u64 = 0x1003; // rows start mid-block
+        let width = Error::MalformedResponse {
+            reason: "result width differs from table columns",
+        };
+        let no_tag = Error::MalformedResponse {
+            reason: "verification requested but no tag returned",
+        };
+        let rejected = Error::VerificationFailed { table_addr: ADDR };
+        let mut rng = Rng(0x5EC0_4D90 ^ u64::from(W::BITS) ^ ((scheme.num_secrets() as u64) << 8));
+        // 5, 13 and 16 columns: at every width but u8 × 16 a row is not a
+        // whole number of cipher blocks.
+        for cols in [5usize, 13, 16] {
+            let mut cpu = TrustedProcessor::with_options(
+                SecretKey::from_bytes([0x5C; 16]),
+                scheme,
+                VersionManager::new(),
+            );
+            let mut ndp = HonestNdp::new();
+            let pt: Vec<W> = (0..ROWS * cols)
+                .map(|_| W::from_u64(rng.next() % 4))
+                .collect();
+            let table = cpu.encrypt_table(&pt, ROWS, cols, ADDR).unwrap();
+            let handle = cpu.publish(&table, &mut ndp).unwrap();
+            for pf in [1usize, 8, 80] {
+                let mut idx: Vec<usize> = (0..pf).map(|_| rng.next() as usize % ROWS).collect();
+                idx[pf - 1] = idx[0]; // a repeated index at every PF > 1
+                let small: Vec<W> = (0..pf).map(|_| W::from_u64(1 + rng.next() % 3)).collect();
+                let huge: Vec<W> = (0..pf)
+                    .map(|_| W::from_u64(u64::MAX - rng.next() % 7))
+                    .collect();
+                for verify in [true, false] {
+                    let mut case = |w: &[W],
+                                    what: &str,
+                                    want: Option<Result<Vec<W>, Error>>,
+                                    spoil: &dyn Fn(&mut crate::device::NdpResponse<W>)| {
+                        // The plaintext sum over the integers, and whether
+                        // it left ℤ(2^wₑ) (Theorem A.2).
+                        let exact: Vec<u128> = (0..cols)
+                            .map(|j| {
+                                idx.iter()
+                                    .zip(w)
+                                    .map(|(&i, a)| a.as_u128() * pt[i * cols + j].as_u128())
+                                    .sum()
+                            })
+                            .collect();
+                        let overflowed = exact.iter().any(|&x| x >> W::BITS != 0);
+                        let wrapped: Vec<W> = exact.iter().map(|&x| W::from_u64(x as u64)).collect();
+                        let honest = ndp.weighted_sum::<W>(ADDR, &idx, w, verify).unwrap();
+                        let mut reply = honest.clone();
+                        spoil(&mut reply);
+                        let want = want.unwrap_or(if verify && overflowed {
+                            Err(rejected.clone())
+                        } else {
+                            // Unverified, a changed `c_res` moves the
+                            // result by exactly the change.
+                            Ok(wrapped
+                                .iter()
+                                .zip(&reply.c_res)
+                                .zip(&honest.c_res)
+                                .map(|((&p, &got), &sent)| p.wadd(got.wsub(sent)))
+                                .collect())
+                        });
+                        let at = format!("u{} {scheme:?} cols {cols} pf {pf} verify {verify} {what}", W::BITS);
+                        let got = via_split(&cpu, &handle, &idx, w, &reply, verify);
+                        assert_eq!(got, want, "{at}");
+                        assert_eq!(
+                            cpu.reconstruct_response(&handle, &idx, w, &reply, verify),
+                            want,
+                            "{at}, through reconstruct_response"
+                        );
+                        for b in format!("{got:?}").bytes() {
+                            *digest = (*digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
+                        }
+                    };
+                    case(&small, "honest", None, &|_| {});
+                    // The spoiled replies on one shape per width, scheme
+                    // and PF: each refusal is an audit event, and the log
+                    // other tests read is a 1024-entry ring.
+                    if cols != 13 {
+                        continue;
+                    }
+                    case(&huge, "ring overflow", None, &|_| {});
+                    case(&small, "short", Some(Err(width.clone())), &|r| {
+                        r.c_res.pop();
+                    });
+                    case(&small, "long", Some(Err(width.clone())), &|r| {
+                        r.c_res.push(W::ONE);
+                    });
+                    let flip = (rng.next() as usize % cols, rng.next() as u32);
+                    let value_bit = |r: &mut crate::device::NdpResponse<W>| {
+                        let x = &mut r.c_res[flip.0];
+                        *x = W::from_u64(x.as_u64() ^ (1 << (flip.1 % W::BITS)));
+                    };
+                    let tag_bit = |r: &mut crate::device::NdpResponse<W>| {
+                        let t = r.c_t_res.map_or(0, Fq::value);
+                        r.c_t_res = Some(Fq::new(t ^ (1 << (flip.1 % 126))));
+                    };
+                    if verify {
+                        case(&small, "missing tag", Some(Err(no_tag.clone())), &|r| {
+                            r.c_t_res = None;
+                        });
+                        case(&small, "value bit", Some(Err(rejected.clone())), &value_bit);
+                        case(&small, "tag bit", Some(Err(rejected.clone())), &tag_bit);
+                    } else {
+                        // Unverified, a tag is never looked at.
+                        case(&small, "value bit", None, &value_bit);
+                        case(&small, "unasked tag", None, &tag_bit);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `finish(prepare(..), reply)` returns what the single `reconstruct`
+    /// it was split from returned — results and every error: width
+    /// mismatch, missing tag, a flipped value bit, a flipped tag bit, ring
+    /// overflow — at u8/u16/u32/u64, one secret and three, verified or
+    /// not, PF 1, 8 and 80 with repeated indices, rows that are not whole
+    /// cipher blocks. The digest is the one these same cases produced
+    /// through `reconstruct_response` on the commit before the split.
+    #[test]
+    fn split_matches_the_unsplit_reconstruct() {
+        let mut digest = 0xCBF2_9CE4_8422_2325u64;
+        for scheme in [ChecksumScheme::SingleS, ChecksumScheme::MultiS { cnt: 3 }] {
+            split_cases::<u8>(scheme, &mut digest);
+            split_cases::<u16>(scheme, &mut digest);
+            split_cases::<u32>(scheme, &mut digest);
+            split_cases::<u64>(scheme, &mut digest);
+        }
+        assert_eq!(digest, 0x605A_FB96_24F6_7CA7, "{digest:#018x}");
     }
 
     #[test]

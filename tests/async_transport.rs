@@ -7,8 +7,10 @@
 //! submitter, eight, and one asleep on a full window when its route
 //! dies), stall → `DeviceTimeout` + counter, retry onto a healthy rank,
 //! `Load` never retried, `wait` twice is a typed error, a duplicate reply
-//! is counted late, and pipelined verified batches (with tamper
-//! detection). Socket-only cases (hostile framing, torn writes, MITM,
+//! is counted late, pipelined verified batches (with tamper detection) at
+//! every window against every packet length, a packet that fails part-way
+//! abandoning what it had sent ahead, and no waiter left asleep by a
+//! completion that skipped its wake-up. Socket-only cases (hostile framing, torn writes, MITM,
 //! kill/respawn, drain) live in `tests/net_transport.rs`; one rides here
 //! because it shares the duplicate-reply rig's rogue server: a `Sum` reply
 //! of ragged length is a typed error, not a panic.
@@ -494,6 +496,162 @@ fn batch_pipelined_and_single_queries_agree_on_results_and_errors() {
     on_every_link!(batch_equals_single);
 }
 
+/// What a request on a dead or silent rank may fail with — never a panic,
+/// never an untyped error. (`MalformedResponse` is the worker link's word
+/// for a rank thread that is gone.)
+fn typed_failure(e: &Error) -> bool {
+    matches!(
+        e,
+        Error::DeviceTimeout { .. }
+            | Error::ConnectionLost { .. }
+            | Error::MalformedResponse { .. }
+    )
+}
+
+/// Requests answered first by any rank.
+fn served_total<L: Link>(ep: &Endpoint<L>) -> u64 {
+    (0..ep.ranks()).map(|r| ep.served(r)).sum()
+}
+
+/// The pipelined packet keeps at most a window of its own requests
+/// outstanding and prepares each query while its reply is on the way — at
+/// the smallest windows (1: submit, prepare, wait, finish; 2 and 3: the
+/// top-up runs every query) and the default, for packets shorter than the
+/// window, exactly it, one longer and five times it. Three ranks of
+/// different speeds complete out of order; the results come back in
+/// submission order, equal to the blocking batch's and a loop of single
+/// queries', and each packet redeems every id it was given. A packet
+/// holding an out-of-range index still sends nothing.
+fn pipelined_windows<R: Rig>() {
+    let pt = plaintext();
+    let qs = queries(5 * 32, 0x91BE);
+    let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0x3157));
+    let table = cpu.encrypt_table(&pt, ROWS, COLS, ADDR).unwrap();
+
+    // The blocking legs once, over the longest packet: every shorter one
+    // is a prefix of it.
+    let mut remote = R::remote(HonestNdp::new());
+    let handle = cpu.publish(&table, &mut remote).unwrap();
+    let batch = cpu.weighted_sum_batch(&handle, &remote, &qs, true).unwrap();
+    for ((idx, w), got) in qs.iter().zip(&batch) {
+        assert_eq!(got, &expected(&pt, idx, w));
+        assert_eq!(
+            &cpu.weighted_sum(&handle, &remote, idx, w, true).unwrap(),
+            got
+        );
+    }
+
+    for window in [1, 2, 3, 32] {
+        let ranks = [0, 150, 40]
+            .into_iter()
+            .map(|us| DelayedNdp::new(HonestNdp::new(), Duration::from_micros(us)))
+            .collect();
+        let mut rig = R::ranks(
+            ranks,
+            EndpointConfig {
+                window,
+                timeout: Duration::from_secs(10),
+                ..EndpointConfig::default()
+            },
+        );
+        cpu.publish(&table, &mut rig.ep).unwrap();
+        for n in [1, window - 1, window, window + 1, 5 * window] {
+            let before = served_total(&rig.ep);
+            let got = cpu
+                .weighted_sum_batch_pipelined(&handle, &rig.ep, &qs[..n], true)
+                .unwrap();
+            assert_eq!(got, batch[..n], "window {window}, {n} queries");
+            assert_eq!(rig.ep.in_flight(), 0, "window {window}, {n} queries");
+            assert_eq!(served_total(&rig.ep) - before, n as u64);
+        }
+
+        let mut bad = qs[..window + 1].to_vec();
+        bad[window].0[0] = ROWS;
+        let before = served_total(&rig.ep);
+        assert_eq!(
+            cpu.weighted_sum_batch_pipelined(&handle, &rig.ep, &bad, true),
+            Err(Error::RowOutOfBounds {
+                index: ROWS,
+                rows: ROWS,
+            })
+        );
+        assert_eq!(served_total(&rig.ep), before, "an invalid packet was sent");
+    }
+}
+
+#[test]
+fn pipelined_packets_agree_at_every_window_and_length() {
+    on_every_link!(pipelined_windows);
+}
+
+/// A packet that fails at query `K` — a spoiled value, a missing tag, a
+/// short result, or its rank dying under it — has requests sent ahead that
+/// nobody will wait for. They are abandoned with the packet: their window
+/// credits come back at once, so the endpoint serves the next, honest
+/// packet as if nothing had happened. (That their slots and retained
+/// frames are freed too is pinned where the table can be seen, in
+/// `core::endpoint`'s unit test.)
+fn failed_packet_abandons<R: Rig>() {
+    const K: usize = 5;
+    let _serial = counters(); // the killed rank times requests out
+    let pt = plaintext();
+    let qs = queries(24, 0xAB4D);
+    let want: Vec<_> = qs.iter().map(|(idx, w)| expected(&pt, idx, w)).collect();
+    let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0x1EAC));
+    let table = cpu.encrypt_table(&pt, ROWS, COLS, ADDR).unwrap();
+    // Window 4: when reply K is refused, K+1..K+3 are out and the rest of
+    // the packet is not yet sent.
+    let cfg = EndpointConfig {
+        window: 4,
+        ..EndpointConfig::default()
+    };
+
+    for how in [Spoil::Value, Spoil::NoTag, Spoil::Width] {
+        let mut rig = R::ranks(vec![SpoilNth::new(K, how)], cfg.clone());
+        let handle = cpu.publish(&table, &mut rig.ep).unwrap();
+        let err = cpu
+            .weighted_sum_batch_pipelined(&handle, &rig.ep, &qs, true)
+            .unwrap_err();
+        assert!(err.is_integrity_violation(), "{how:?}: {err:?}");
+        assert_eq!(
+            rig.ep.in_flight(),
+            0,
+            "{how:?}: abandoned requests kept credits"
+        );
+        let next = cpu.weighted_sum_batch_pipelined(&handle, &rig.ep, &qs, true);
+        assert_eq!(next.unwrap(), want, "{how:?}: the next packet");
+        assert_eq!(rig.ep.in_flight(), 0);
+    }
+
+    // The only rank dies a few queries into a 24-query packet.
+    let mut rig = R::mortal(
+        DelayedNdp::new(HonestNdp::new(), Duration::from_millis(2)),
+        EndpointConfig {
+            timeout: Duration::from_millis(300),
+            max_retries: 0,
+            connect_retries: 2,
+            connect_backoff: Duration::from_millis(5),
+            ..cfg
+        },
+    );
+    let handle = cpu.publish(&table, &mut rig.ep).unwrap();
+    let err = std::thread::scope(|s| {
+        s.spawn(|| {
+            std::thread::sleep(Duration::from_millis(15));
+            rig.kill();
+        });
+        cpu.weighted_sum_batch_pipelined(&handle, &rig.ep, &qs, true)
+            .unwrap_err()
+    });
+    assert!(typed_failure(&err), "untyped failure {err:?}");
+    assert_eq!(rig.ep.in_flight(), 0, "a dead rank's packet kept credits");
+}
+
+#[test]
+fn failed_packet_abandons_its_outstanding_requests() {
+    on_every_link!(failed_packet_abandons);
+}
+
 /// A fast rank's reply must be redeemable through `poll` while a slow
 /// rank's earlier request is still in flight — completion order is
 /// decoupled from submission order.
@@ -700,6 +858,94 @@ fn route_dies_under_a_parked_submitter<R: Rig>() {
 #[test]
 fn route_failure_wakes_a_parked_submitter_with_a_typed_error() {
     on_every_link!(route_dies_under_a_parked_submitter);
+}
+
+/// A completion wakes `wait`'s condvar only when somebody sleeps on it, and
+/// the count of sleepers is kept under the same lock as the slots — so a
+/// waiter either sees its reply before it sleeps or is counted before the
+/// reply lands. Two threads, 10 000 submit-then-wait rounds each, against
+/// a rank that replies at once (the reply races the waiter to the lock)
+/// and one that replies late (the waiter is asleep): a skipped wake-up
+/// would leave a waiter asleep until its 5 s deadline and fail its round
+/// with `DeviceTimeout`. Then the failure side: a waiter asleep on a
+/// request whose rank dies is woken by the dead route on the socket link —
+/// before its deadline — and by its own deadline on the worker link,
+/// whose crashed rank reports nothing.
+fn no_waiter_left_asleep<R: Rig>() {
+    const ROUNDS: usize = 10_000;
+    let _serial = counters(); // the second half times a request out
+    let rig = Arc::new(R::ranks(
+        vec![
+            DelayedNdp::new(four_rows(), Duration::ZERO),
+            DelayedNdp::new(four_rows(), Duration::from_micros(50)),
+        ],
+        EndpointConfig {
+            window: 4,
+            timeout: Duration::from_secs(5),
+            max_retries: 0,
+            ..EndpointConfig::default()
+        },
+    ));
+    let (done, finished) = mpsc::channel();
+    for t in 0..2 {
+        let (rig, done) = (Arc::clone(&rig), done.clone());
+        std::thread::spawn(move || {
+            for round in 0..ROUNDS {
+                let id = rig.ep.submit(&read_row((t + round) as u64 % 4)).unwrap();
+                if let Err(e) = rig.ep.wait(id) {
+                    panic!("round {round}: {e:?}");
+                }
+            }
+            done.send(()).unwrap();
+        });
+    }
+    for _ in 0..2 {
+        finished
+            .recv_timeout(WATCHDOG)
+            .expect("a waiter was left asleep (or its round failed)");
+    }
+    assert_eq!(rig.ep.in_flight(), 0);
+    assert_eq!(rig.ep.served(0) + rig.ep.served(1), 2 * ROUNDS as u64);
+
+    const DEADLINE: Duration = Duration::from_secs(2);
+    let rig = Arc::new(R::mortal(
+        DelayedNdp::new(four_rows(), Duration::from_millis(100)),
+        EndpointConfig {
+            timeout: DEADLINE,
+            max_retries: 0,
+            connect_retries: 2,
+            connect_backoff: Duration::from_millis(5),
+            ..EndpointConfig::default()
+        },
+    ));
+    // The rank is busy with the first request when it dies; the second
+    // is queued behind it and is never served.
+    let served = rig.ep.submit(&read_row(0)).unwrap();
+    let doomed = rig.ep.submit(&read_row(1)).unwrap();
+    let (done, finished) = mpsc::channel();
+    let sleeper = Arc::clone(&rig);
+    std::thread::spawn(move || {
+        let asleep = Instant::now();
+        let outcome = sleeper.ep.wait(doomed);
+        done.send((outcome, asleep.elapsed())).unwrap();
+    });
+    std::thread::sleep(Duration::from_millis(30));
+    rig.kill();
+    let (outcome, took) = finished
+        .recv_timeout(WATCHDOG)
+        .expect("the waiter on a dead rank never woke");
+    let err = outcome.expect_err("a dead rank served the queued request");
+    assert!(typed_failure(&err), "untyped failure {err:?}");
+    if rig.chaos.is_none() {
+        assert!(took < DEADLINE, "the dead route did not wake its waiter");
+    }
+    let _ = rig.ep.wait(served);
+    assert_eq!(rig.ep.in_flight(), 0);
+}
+
+#[test]
+fn completions_and_dead_routes_leave_no_waiter_asleep() {
+    on_every_link!(no_waiter_left_asleep);
 }
 
 /// A redeemed id is gone: a second `wait` is a typed error, not a hang.
