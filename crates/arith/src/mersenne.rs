@@ -9,8 +9,11 @@
 //!
 //! Elements are kept in canonical form `0 ≤ x < q` inside a `u128`.
 //! Multiplication forms the full 254-bit product via 64-bit limbs and folds
-//! with `2¹²⁷ ≡ 1 (mod q)`.
+//! with `2¹²⁷ ≡ 1 (mod q)`. Sums of elements times machine words — every
+//! checksum, tag combination and dot product the protocol computes — go
+//! through [`WideAcc`] instead, which folds once at the end.
 
+use crate::ring::RingWord;
 use std::fmt;
 use std::iter::{Product, Sum};
 use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -244,6 +247,79 @@ pub fn horner_high_to_low(coeffs: &[Fq], s: Fq) -> Fq {
     acc * s
 }
 
+/// Terms a [`WideAcc`] takes before it must fold: every half-product is
+/// below 2⁹⁶, so 2³² of them stay below 2¹²⁸.
+const LANE_TERMS: u64 = 1 << 32;
+
+/// [`LANE_TERMS`] as a slice length (a slice on a 32-bit target is shorter).
+const LANE_CHUNK: usize = if LANE_TERMS > usize::MAX as u64 {
+    usize::MAX
+} else {
+    LANE_TERMS as usize
+};
+
+/// `x · 2^k mod q` for a canonical `x` and `k < 127`: a rotation of the 127
+/// bits, since `2¹²⁷ ≡ 1`. The result is canonical too — only `q` itself
+/// rotates to all ones.
+#[inline]
+fn rotate(x: u128, k: u32) -> u128 {
+    ((x << k) & Q) | (x >> (127 - k))
+}
+
+/// A lazily reduced sum `Σ xⱼ·kⱼ` of field elements `xⱼ` times words `kⱼ`
+/// of at most 64 bits, computed by [`WideAcc::dot`]: row checksums (a dot
+/// product of the row with a power table), and the weighted tag sums
+/// `Σ aₖ·Tₖ` on both sides of the wire.
+///
+/// Each term splits as `x = x₁·2⁶⁴ + x₀` and `k = k₁·2³² + k₀` into four
+/// half-products `x₀k₀, x₁k₀, x₀k₁, x₁k₁`, each below 2⁹⁶, which four plain
+/// `u128` lanes add without a carry for up to 2³² terms. The lanes are
+/// independent, so terms do not wait on each other the way a chain of
+/// reduced products does; at the end the lanes are weighted by 2⁰, 2⁶⁴,
+/// 2³² and 2⁹⁶ and folded once. A word of at most 32 bits leaves `k₁ = 0`,
+/// and the two high lanes compile away: one routine serves every width.
+/// Past 2³² terms the lanes fold and start again — they never wrap.
+#[derive(Debug, Default)]
+pub struct WideAcc {
+    /// `Σx₀k₀, Σx₁k₀, Σx₀k₁, Σx₁k₁`: weights 2⁰, 2⁶⁴, 2³², 2⁹⁶.
+    lanes: [u128; 4],
+}
+
+impl WideAcc {
+    /// `Σⱼ xs[j] · ks[j] mod q` over the shorter of the two slices.
+    #[inline]
+    pub fn dot<W: RingWord>(xs: &[Fq], ks: &[W]) -> Fq {
+        let mut sum = Fq::ZERO;
+        for (xs, ks) in xs.chunks(LANE_CHUNK).zip(ks.chunks(LANE_CHUNK)) {
+            let mut acc = WideAcc::default();
+            for (&x, k) in xs.iter().zip(ks) {
+                acc.add(x, k.as_u64());
+            }
+            sum += acc.fold();
+        }
+        sum
+    }
+
+    /// Adds the four half-products of `x · k`. At most [`LANE_TERMS`]
+    /// calls between folds.
+    #[inline]
+    fn add(&mut self, x: Fq, k: u64) {
+        let (x0, x1) = (x.0 as u64 as u128, x.0 >> 64);
+        let (k0, k1) = (k as u32 as u128, (k >> 32) as u128);
+        self.lanes[0] += x0 * k0;
+        self.lanes[1] += x1 * k0;
+        self.lanes[2] += x0 * k1;
+        self.lanes[3] += x1 * k1;
+    }
+
+    /// The sum in 𝔽_q: each lane reduced, weighted and added.
+    #[inline]
+    fn fold(self) -> Fq {
+        let [l0, l1, l2, l3] = self.lanes.map(reduce);
+        Fq(l0) + Fq(rotate(l1, 64)) + Fq(rotate(l2, 32)) + Fq(rotate(l3, 96))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,6 +407,44 @@ mod tests {
         assert_eq!(horner_high_to_low(&[], Fq::new(5)), Fq::ZERO);
     }
 
+    /// Lanes holding 2³² of the largest half-products any `x < 2¹²⁷` and
+    /// 64-bit `k` make — the most a fold ever sees — have not wrapped (a
+    /// debug build panics on overflow) and fold to the right value: those
+    /// of `x = q`, so 0, and then plus one more term.
+    #[test]
+    fn wide_acc_folds_at_lane_capacity() {
+        let full = (LANE_TERMS - 1) as u128;
+        let (x0, x1, k_half) = (u64::MAX as u128, Q >> 64, u32::MAX as u128);
+        let lanes = [
+            full * x0 * k_half,
+            full * x1 * k_half,
+            full * x0 * k_half,
+            full * x1 * k_half,
+        ];
+        assert_eq!(WideAcc { lanes }.fold(), Fq::ZERO);
+        let (x, k) = (Fq::new(Q - 1), u64::MAX);
+        let mut acc = WideAcc { lanes };
+        acc.add(x, k);
+        assert_eq!(acc.fold(), x * Fq::from(k));
+    }
+
+    #[test]
+    fn rotate_is_multiplication_by_a_power_of_two() {
+        for x in [
+            0,
+            1,
+            3,
+            Q - 1,
+            1 << 126,
+            (1 << 64) - 1,
+            0x1234_5678_9ABC_DEF0_1357_9BDF,
+        ] {
+            for k in [32, 64, 96] {
+                assert_eq!(Fq(rotate(x, k)), Fq(x) * Fq::new(1 << k), "{x:#x} · 2^{k}");
+            }
+        }
+    }
+
     #[test]
     fn sum_and_product_iterators() {
         let v = [Fq::new(1), Fq::new(2), Fq::new(3)];
@@ -410,6 +524,14 @@ mod tests {
             let lhs = horner_high_to_low(&combo, s);
             let rhs = a * horner_high_to_low(&x, s) + b * horner_high_to_low(&y, s);
             prop_assert_eq!(lhs, rhs);
+        }
+
+        /// The lazily reduced dot product against one full product per term.
+        #[test]
+        fn wide_acc_matches_reduced_products(terms in proptest::collection::vec((arb_fq(), any::<u64>()), 0..64)) {
+            let (xs, ks): (Vec<Fq>, Vec<u64>) = terms.iter().copied().unzip();
+            let want: Fq = terms.iter().map(|&(x, k)| x * Fq::from(k)).sum();
+            prop_assert_eq!(WideAcc::dot(&xs, &ks), want);
         }
     }
 }

@@ -11,7 +11,7 @@
 //! axioms — the same oracle style the chaos harness uses end to end.
 
 use secndp_arith::fixed::{dequantize_i32_slice, quantize_f32_slice, Fixed32};
-use secndp_arith::mersenne::{Fq, Q};
+use secndp_arith::mersenne::{Fq, WideAcc, Q};
 use secndp_arith::quant::{Granularity, Quantized8};
 use secndp_arith::ring::{
     add_elementwise, sub_elementwise, weighted_sum, words_from_le_bytes, words_to_le_bytes,
@@ -286,4 +286,74 @@ fn mersenne_field_axioms_hold_on_random_and_boundary_values() {
         Fq::ZERO,
         "wraparound at q (seed {seed})"
     );
+}
+
+/// `WideAcc::dot` — the lanes and the final fold, at every word width —
+/// against the generic `Mul` summed term by term, on the edge
+/// values where a lazily reduced sum would first go wrong, at lengths 0,
+/// 1, 80 (a PF-80 tag sum) and 4 096, and on 2²⁰ maximal terms.
+#[test]
+fn wide_acc_matches_the_generic_product_sum() {
+    let seed = master_seed();
+    let mut rng = Rng(seed ^ 0xACC);
+    let xs_edge = [
+        Fq::ZERO,
+        Fq::ONE,
+        Fq::new(Q - 1),
+        Fq::new(u64::MAX as u128),
+        Fq::new(1 << 64),
+        Fq::new(1 << 126),
+    ];
+    let ks_edge = [0, 1, u32::MAX as u64, 1 << 32, u64::MAX];
+    fn check<W: RingWord>(xs: &[Fq], ks: &[u64], seed: u64, what: &str) {
+        let ks: Vec<W> = ks.iter().map(|&k| W::from_u64(k)).collect();
+        let want: Fq = xs
+            .iter()
+            .zip(&ks)
+            .map(|(&x, k)| x * Fq::from(k.as_u64()))
+            .sum();
+        assert_eq!(
+            WideAcc::dot(xs, &ks),
+            want,
+            "dot over {} {what} terms at width {} (seed {seed})",
+            xs.len(),
+            W::BITS
+        );
+    }
+    // Every edge pair on its own, then all of them in one sum.
+    let (mut all_x, mut all_k) = (Vec::new(), Vec::new());
+    for &x in &xs_edge {
+        for &k in &ks_edge {
+            check::<u64>(&[x], &[k], seed, "edge");
+            all_x.push(x);
+            all_k.push(k);
+        }
+    }
+    check::<u64>(&all_x, &all_k, seed, "edge");
+    for len in [0usize, 1, 80, 4096] {
+        for case in 0..8 {
+            let pick = |rng: &mut Rng, edge: bool| edge && rng.below(4) == 0;
+            let xs: Vec<Fq> = (0..len)
+                .map(|_| match pick(&mut rng, case % 2 == 0) {
+                    true => xs_edge[rng.below(xs_edge.len() as u64) as usize],
+                    false => Fq::new(((rng.next_u64() as u128) << 64) | rng.next_u64() as u128),
+                })
+                .collect();
+            let ks: Vec<u64> = (0..len)
+                .map(|_| match pick(&mut rng, case % 2 == 0) {
+                    true => ks_edge[rng.below(ks_edge.len() as u64) as usize],
+                    false => rng.next_u64(),
+                })
+                .collect();
+            check::<u8>(&xs, &ks, seed, "seeded");
+            check::<u16>(&xs, &ks, seed, "seeded");
+            check::<u32>(&xs, &ks, seed, "seeded");
+            check::<u64>(&xs, &ks, seed, "seeded");
+        }
+    }
+    // 2²⁰ terms of the largest element times the largest word.
+    let n = 1 << 20;
+    let xs = vec![Fq::new(Q - 1); n];
+    let ks = vec![u64::MAX; n];
+    check::<u64>(&xs, &ks, seed, "maximal");
 }

@@ -20,7 +20,7 @@
 //! top byte (documented substitution — the secrets stay independent
 //! pseudo-random values, which is all the proof uses).
 
-use secndp_arith::mersenne::Fq;
+use secndp_arith::mersenne::{Fq, WideAcc};
 use secndp_arith::ring::RingWord;
 use secndp_cipher::aes::BlockCipher;
 use secndp_cipher::otp::{Domain, OtpGenerator, PadPlanner, PadRange};
@@ -130,37 +130,44 @@ pub fn secrets_from_plan(planner: &PadPlanner, ranges: &[PadRange]) -> Vec<Fq> {
         .collect()
 }
 
+/// The power table of an `m`-column checksum: `powers[j]` is the field
+/// element coefficient `j` is multiplied by, `s^(m−j)` for one secret and
+/// `s_{(m−j) mod cnt}^{⌊(m−j)/cnt⌋}` for Algorithm 8's `cnt`. It depends on
+/// the table and version alone, so a table's tags share one.
+///
+/// Built from the constant end with at most `m` multiplications: the power
+/// for exponent index `e = m − j` is the one for `e − cnt` (1 past the
+/// end) times `s_{e mod cnt}`, and those for `e < cnt` are 1.
+///
+/// # Panics
+///
+/// Panics if `secrets` is empty.
+pub fn checksum_powers(secrets: &[Fq], m: usize) -> Vec<Fq> {
+    assert!(!secrets.is_empty(), "need at least one checksum secret");
+    let cnt = secrets.len();
+    let mut powers = vec![Fq::ONE; m];
+    // `j` walks down from `e = cnt`, the first index whose power is not 1;
+    // `r` is `e mod cnt`, kept without a division.
+    let mut r = 0;
+    for j in (0..(m + 1).saturating_sub(cnt)).rev() {
+        powers[j] = powers.get(j + cnt).copied().unwrap_or(Fq::ONE) * secrets[r];
+        r = if r + 1 == cnt { 0 } else { r + 1 };
+    }
+    powers
+}
+
 /// Computes the row checksum `Tᵢ` (Algorithm 2 for one secret, Algorithm 8
-/// for several).
+/// for several): the dot product of the row with its
+/// [`checksum_powers`].
 ///
 /// Elements are embedded into 𝔽_q as their *unsigned* residues — the same
 /// convention Theorem A.2's overflow analysis uses.
 ///
 /// # Panics
 ///
-/// Panics if `secrets.len()` does not match a supported scheme (must be
-/// ≥ 1).
+/// Panics if `secrets` is empty.
 pub fn row_checksum<W: RingWord>(row: &[W], secrets: &[Fq]) -> Fq {
-    assert!(!secrets.is_empty(), "need at least one checksum secret");
-    let m = row.len();
-    if secrets.len() == 1 {
-        // Horner form of Σ_j P_j · s^(m−j).
-        let s = secrets[0];
-        let mut acc = Fq::ZERO;
-        for &p in row {
-            acc = acc * s + Fq::new(p.as_u128());
-        }
-        return acc * s;
-    }
-    // Multi-secret: coefficient j pairs with s_{(m−j) mod cnt}^{⌊(m−j)/cnt⌋}.
-    let cnt = secrets.len();
-    let mut acc = Fq::ZERO;
-    for (j, &p) in row.iter().enumerate() {
-        let e = m - j; // exponent index (m−j), ranges m..1
-        let s = secrets[e % cnt];
-        acc += Fq::new(p.as_u128()) * s.pow((e / cnt) as u128);
-    }
-    acc
+    WideAcc::dot(&checksum_powers(secrets, row.len()), row)
 }
 
 /// Weighted combination of checksums: `Σₖ aₖ · Tₖ mod q` with weights
@@ -168,11 +175,7 @@ pub fn row_checksum<W: RingWord>(row: &[W], secrets: &[Fq]) -> Fq {
 /// computes on the reconstructed tags (Alg 5 line 14/15 shape).
 pub fn combine_weighted<W: RingWord>(weights: &[W], tags: &[Fq]) -> Fq {
     debug_assert_eq!(weights.len(), tags.len());
-    weights
-        .iter()
-        .zip(tags)
-        .map(|(&a, &t)| Fq::new(a.as_u128()) * t)
-        .sum()
+    WideAcc::dot(tags, weights)
 }
 
 #[cfg(test)]
@@ -200,21 +203,68 @@ mod tests {
         assert_eq!(row_checksum(&row, &[s]), naive);
     }
 
+    /// Algorithm 8 written out: coefficient `j` times
+    /// `s_{(m−j) mod cnt}^{⌊(m−j)/cnt⌋}`, one `pow` per coefficient.
+    fn alg8_naive<W: RingWord>(row: &[W], secrets: &[Fq]) -> Fq {
+        let (m, cnt) = (row.len(), secrets.len());
+        row.iter()
+            .enumerate()
+            .map(|(j, &p)| {
+                let e = m - j;
+                Fq::new(p.as_u128()) * secrets[e % cnt].pow((e / cnt) as u128)
+            })
+            .sum()
+    }
+
     #[test]
     fn multi_s_matches_alg8_formula() {
         let row = [7u32, 11, 13, 17, 19, 23];
         let secrets = [Fq::new(123), Fq::new(456), Fq::new(789)];
-        let m = row.len();
-        let cnt = secrets.len();
-        let naive: Fq = row
-            .iter()
-            .enumerate()
-            .map(|(j, &p)| {
-                let e = m - j;
-                Fq::new(p as u128) * secrets[e % cnt].pow((e / cnt) as u128)
-            })
-            .sum();
-        assert_eq!(row_checksum(&row, &secrets), naive);
+        assert_eq!(row_checksum(&row, &secrets), alg8_naive(&row, &secrets));
+        // Every secret count against every row length around it, with
+        // full-width secrets and words.
+        for cnt in [1usize, 2, 3, 5, 8] {
+            let secrets: Vec<Fq> = (0..cnt as u128)
+                .map(|k| Fq::new((u128::MAX / (k + 3)) ^ 0x9E37_79B9_7F4A_7C15))
+                .collect();
+            for m in [1, cnt - 1, cnt, 31, 32, 33, 257] {
+                let row: Vec<u64> = (0..m as u64)
+                    .map(|j| j.wrapping_mul(0xD134_2543_DE82_EF95) | (j & 1) << 63)
+                    .collect();
+                assert_eq!(
+                    row_checksum(&row, &secrets),
+                    alg8_naive(&row, &secrets),
+                    "cnt {cnt} m {m}"
+                );
+            }
+        }
+    }
+
+    /// One secret used round-robin is Algorithm 2: the same secret, the
+    /// same power table, the same checksum and the same tags.
+    #[test]
+    fn multi_s_with_one_secret_is_single_s() {
+        let g = otp();
+        let multi = ChecksumScheme::MultiS { cnt: 1 };
+        let secrets = derive_secrets(&g, 0x700, 5, multi);
+        assert_eq!(
+            secrets,
+            derive_secrets(&g, 0x700, 5, ChecksumScheme::SingleS)
+        );
+        let row: Vec<u16> = (0..33).map(|j| j * 1999).collect();
+        assert_eq!(
+            checksum_powers(&secrets, 33),
+            (0..33).map(|j| secrets[0].pow(33 - j)).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            row_checksum(&row, &secrets),
+            alg8_naive(&row, &[secrets[0]])
+        );
+        let layout = crate::layout::TableLayout::new::<u16>(0x700, 3, 11).unwrap();
+        assert_eq!(
+            crate::encrypt::encrypt_tags(&g, &row, &layout, 5, multi),
+            crate::encrypt::encrypt_tags(&g, &row, &layout, 5, ChecksumScheme::SingleS)
+        );
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! the verification scheme (Theorems 2/A.4) must catch; security tests and
 //! the `tamper_detection` example use them.
 
+use crate::checksum::combine_weighted;
 use crate::error::Error;
 use secndp_arith::mersenne::Fq;
 use secndp_arith::ring::RingWord;
@@ -221,15 +222,16 @@ impl NdpDevice for HonestNdp {
         }
         let c_t_res = if with_tag {
             let tags = t.tags.as_ref().ok_or(Error::TagsUnavailable)?;
-            let mut acc = Fq::ZERO;
-            for (&i, &a) in indices.iter().zip(weights) {
-                let tag = *tags.get(i).ok_or(Error::RowOutOfBounds {
-                    index: i,
-                    rows: tags.len(),
-                })?;
-                acc += Fq::new(a.as_u128()) * tag;
-            }
-            Some(acc)
+            let picked = indices
+                .iter()
+                .map(|&i| {
+                    tags.get(i).copied().ok_or(Error::RowOutOfBounds {
+                        index: i,
+                        rows: tags.len(),
+                    })
+                })
+                .collect::<Result<Vec<Fq>, Error>>()?;
+            Some(combine_weighted(weights, &picked))
         } else {
             None
         };

@@ -18,6 +18,7 @@
 //! writes, Rowhammer flips) can be mounted directly with
 //! [`UntrustedMemory::corrupt`] — and are caught by verification.
 
+use crate::checksum::combine_weighted;
 use crate::device::{validate_load, NdpDevice, NdpResponse};
 use crate::error::Error;
 use secndp_arith::mersenne::Fq;
@@ -247,7 +248,7 @@ impl NdpDevice for MemoryBackedNdp {
         let stride = self.row_stride(m);
         let cols = m.row_bytes / W::BYTES;
         let mut c_res = vec![W::ZERO; cols];
-        let mut c_t_res = Fq::ZERO;
+        let mut tags = Vec::with_capacity(if with_tag { indices.len() } else { 0 });
         for (&i, &a) in indices.iter().zip(weights) {
             if i >= m.rows {
                 return Err(Error::RowOutOfBounds {
@@ -260,12 +261,12 @@ impl NdpDevice for MemoryBackedNdp {
                 *acc = acc.wadd(a.wmul(W::from_le_slice(c)));
             }
             if with_tag {
-                c_t_res += Fq::new(a.as_u128()) * self.stored_tag(table_addr, m, i)?;
+                tags.push(self.stored_tag(table_addr, m, i)?);
             }
         }
         Ok(NdpResponse {
             c_res,
-            c_t_res: with_tag.then_some(c_t_res),
+            c_t_res: with_tag.then(|| combine_weighted(weights, &tags)),
         })
     }
 

@@ -13,11 +13,11 @@
 //! the two shares. Security is the same as counter-mode (Theorem 1): pads
 //! are indistinguishable from uniform as long as `(addr, v)` never repeats.
 
-use crate::checksum::{derive_secrets, row_checksum, ChecksumScheme};
+use crate::checksum::{checksum_powers, derive_secrets, ChecksumScheme};
 use crate::error::Error;
 use crate::layout::TableLayout;
 use crate::version::RegionId;
-use secndp_arith::mersenne::Fq;
+use secndp_arith::mersenne::{Fq, WideAcc};
 use secndp_arith::ring::{words_to_le_bytes, RingWord};
 use secndp_cipher::aes::BlockCipher;
 use secndp_cipher::otp::{Domain, OtpGenerator, PadPlanner, PadRange};
@@ -116,6 +116,17 @@ pub fn decrypt_elements<W: RingWord, C: BlockCipher>(
     combine_with_pads(otp, ciphertext, layout, version, W::wadd)
 }
 
+/// Refuses a table image of `len` words that is not `layout`'s shape.
+pub(crate) fn check_shape(len: usize, layout: &TableLayout) -> Result<(), Error> {
+    if len != layout.len() {
+        return Err(Error::ShapeMismatch {
+            got: len,
+            expected: layout.len(),
+        });
+    }
+    Ok(())
+}
+
 /// Pad bytes generated per step of [`combine_with_pads`]: the table's pads
 /// pass through one stack window this size instead of being materialised
 /// beside the table.
@@ -131,12 +142,7 @@ fn combine_with_pads<W: RingWord, C: BlockCipher>(
     version: u64,
     op: impl Fn(W, W) -> W,
 ) -> Result<Vec<W>, Error> {
-    if words.len() != layout.len() {
-        return Err(Error::ShapeMismatch {
-            got: words.len(),
-            expected: layout.len(),
-        });
-    }
+    check_shape(words.len(), layout)?;
     let mut out = Vec::with_capacity(words.len());
     let mut window = [0u8; PAD_WINDOW_BYTES];
     let mut addr = layout.base_addr();
@@ -157,7 +163,9 @@ fn combine_with_pads<W: RingWord, C: BlockCipher>(
 /// whole table.
 ///
 /// All tag pads `E_{T_i}` are planned and encrypted in one batched pass
-/// rather than one cipher call per row.
+/// rather than one cipher call per row, and the table's
+/// [`checksum_powers`] are built once: each row's checksum is then one
+/// [`WideAcc::dot`] with them.
 pub fn encrypt_tags<W: RingWord, C: BlockCipher>(
     otp: &OtpGenerator<C>,
     plaintext: &[W],
@@ -166,17 +174,18 @@ pub fn encrypt_tags<W: RingWord, C: BlockCipher>(
     scheme: ChecksumScheme,
 ) -> Vec<Fq> {
     let secrets = derive_secrets(otp, layout.base_addr(), version, scheme);
+    let m = layout.cols();
+    let powers = checksum_powers(&secrets, m);
     let mut planner = PadPlanner::with_capacity(layout.rows());
     let ranges: Vec<PadRange> = (0..layout.rows())
         .map(|i| planner.request_block(Domain::Tag, layout.row_addr(i), version))
         .collect();
     planner.execute(otp.cipher());
-    let m = layout.cols();
     ranges
         .iter()
         .enumerate()
         .map(|(i, range)| {
-            let t = row_checksum(&plaintext[i * m..(i + 1) * m], &secrets);
+            let t = WideAcc::dot(&powers, &plaintext[i * m..(i + 1) * m]);
             // C_T = T − E_T (mod q), Algorithm 3 line 5.
             t - Fq::new(planner.pad_first_127_bits(range))
         })
@@ -187,6 +196,7 @@ pub fn encrypt_tags<W: RingWord, C: BlockCipher>(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use secndp_arith::mersenne::horner_high_to_low;
     use secndp_arith::ring::words_from_le_bytes;
     use secndp_cipher::aes::Aes128;
 
@@ -315,6 +325,81 @@ mod tests {
         let ct = encrypt_elements(&g, &pt, &layout, 1).unwrap();
         let table = EncryptedTable::from_parts(layout, RegionId(0), 1, ct.clone(), None);
         assert_eq!(words_from_le_bytes::<u32>(&table.ciphertext_bytes()), ct);
+    }
+
+    /// Algorithm 2/8's tag of one row by Horner's rule alone, as the
+    /// reference the tag pass is checked against. Alg 8 is one chain per
+    /// secret: coefficient `j` sits in chain `(m − j) mod cnt` at exponent
+    /// `⌊(m − j)/cnt⌋`, and `horner_high_to_low` lifts each chain's lowest
+    /// term to `s¹` — one power too high for every chain but chain 0.
+    fn horner_tag<W: RingWord>(row: &[W], secrets: &[Fq]) -> Fq {
+        let (m, cnt) = (row.len(), secrets.len());
+        (0..cnt)
+            .map(|r| {
+                let chain: Vec<Fq> = (0..m)
+                    .filter(|j| (m - j) % cnt == r)
+                    .map(|j| Fq::new(row[j].as_u128()))
+                    .collect();
+                let h = horner_high_to_low(&chain, secrets[r]);
+                if r == 0 {
+                    h
+                } else {
+                    h * secrets[r].inv().unwrap()
+                }
+            })
+            .sum()
+    }
+
+    /// Every tag equals `horner_tag(row) − E_T` at every width, one secret
+    /// and three, 1/5/32/33 columns on a base that starts mid-block, with
+    /// rows at the width's maximum between seeded ones. The digest over the
+    /// tables' ciphertext and tags was taken on the commit before the tag
+    /// pass became a dot product over a power table.
+    #[test]
+    fn tags_match_per_row_horner_and_the_pinned_digest() {
+        fn check<W: RingWord>(digest: &mut u64) {
+            let g = otp();
+            let (base, rows, version) = (0x2003u64, 6usize, 7u64);
+            for scheme in [ChecksumScheme::SingleS, ChecksumScheme::MultiS { cnt: 3 }] {
+                for cols in [1usize, 5, 32, 33] {
+                    let layout = TableLayout::new::<W>(base, rows, cols).unwrap();
+                    let pt: Vec<W> = (0..(rows * cols) as u64)
+                        .map(|i| match (i as usize / cols) % 2 {
+                            1 => W::from_u64(u64::MAX),
+                            _ => W::from_u64(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+                        })
+                        .collect();
+                    let secrets = derive_secrets(&g, base, version, scheme);
+                    let tags = encrypt_tags(&g, &pt, &layout, version, scheme);
+                    for (i, &tag) in tags.iter().enumerate() {
+                        let e_t = Fq::new(g.tag_pad(layout.row_addr(i), version));
+                        assert_eq!(
+                            tag,
+                            horner_tag(&pt[i * cols..(i + 1) * cols], &secrets) - e_t,
+                            "u{} {scheme:?} cols {cols} row {i}",
+                            W::BITS
+                        );
+                    }
+                    let ct = encrypt_elements(&g, &pt, &layout, version).unwrap();
+                    let table =
+                        EncryptedTable::from_parts(layout, RegionId(0), version, ct, Some(tags));
+                    let tag_bytes = table
+                        .tags()
+                        .unwrap()
+                        .iter()
+                        .flat_map(|t| t.value().to_le_bytes());
+                    for b in table.ciphertext_bytes().into_iter().chain(tag_bytes) {
+                        *digest = (*digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
+                    }
+                }
+            }
+        }
+        let mut digest = 0xCBF2_9CE4_8422_2325u64;
+        check::<u8>(&mut digest);
+        check::<u16>(&mut digest);
+        check::<u32>(&mut digest);
+        check::<u64>(&mut digest);
+        assert_eq!(digest, 0x7EA8_09B7_78EB_F7A5, "{digest:#018x}");
     }
 
     proptest! {

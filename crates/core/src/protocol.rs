@@ -17,9 +17,13 @@
 //!     verify: h(res) =? C_T_res + E_T_res
 //! ```
 
-use crate::checksum::{plan_secrets, row_checksum, secrets_from_plan, ChecksumScheme};
+use crate::checksum::{
+    combine_weighted, plan_secrets, row_checksum, secrets_from_plan, ChecksumScheme,
+};
 use crate::device::NdpDevice;
-use crate::encrypt::{decrypt_elements, encrypt_elements, encrypt_tags, EncryptedTable};
+use crate::encrypt::{
+    check_shape, decrypt_elements, encrypt_elements, encrypt_tags, EncryptedTable,
+};
 use crate::endpoint::{Endpoint, Link, RequestId};
 use crate::error::Error;
 use crate::keys::SecretKey;
@@ -118,6 +122,8 @@ struct QueryPads {
     /// The query's data ranges in index order; when it is verified, its
     /// tag blocks in the same order and then the checksum secrets.
     ranges: Vec<PadRange>,
+    /// A verified query's tag pads `E_{T_iₖ}`, in index order.
+    tag_pads: Vec<Fq>,
     /// Executes skip the pad cache: set for the queries of a packet with
     /// more blocks than the cache holds (see `admit_batch`).
     scan: bool,
@@ -129,6 +135,7 @@ impl QueryPads {
         Self {
             planner: PadPlanner::with_capacity(blocks),
             ranges: Vec::with_capacity(2 * refs + 1),
+            tag_pads: Vec::with_capacity(refs),
             scan: false,
         }
     }
@@ -345,6 +352,8 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         sp.attr_u64("rows", rows as u64);
         sp.attr_u64("cols", cols as u64);
         let layout = TableLayout::new::<W>(base_addr, rows, cols)?;
+        // Before the version manager: a refused plaintext takes no region.
+        check_shape(plaintext.len(), &layout)?;
         let (region, version) = self.versions.register()?;
         sp.attr_u64("version", version);
         let ciphertext = encrypt_elements(&self.otp, plaintext, &layout, version)?;
@@ -368,6 +377,9 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         plaintext: &[W],
     ) -> Result<EncryptedTable<W>, Error> {
         let layout = table.layout();
+        // Before the bump: a refused plaintext must not retire the live
+        // table's version (and sweep its pads).
+        check_shape(plaintext.len(), &layout)?;
         let version = self.versions.bump(table.region())?;
         let ciphertext = encrypt_elements(&self.otp, plaintext, &layout, version)?;
         let tags = table
@@ -692,10 +704,12 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         pads.accumulate_rows(weights, &mut res);
         let tag = verify.then(|| {
             let (tags, secrets) = pads.ranges[indices.len()..].split_at(indices.len());
-            let mut e_t_res = Fq::ZERO;
-            for (range, &a) in tags.iter().zip(weights) {
-                e_t_res += Fq::new(a.as_u128()) * Fq::new(pads.planner.pad_first_127_bits(range));
-            }
+            pads.tag_pads.clear();
+            pads.tag_pads.extend(
+                tags.iter()
+                    .map(|range| Fq::new(pads.planner.pad_first_127_bits(range))),
+            );
+            let e_t_res = combine_weighted(weights, &pads.tag_pads);
             (e_t_res, secrets_from_plan(&pads.planner, secrets))
         });
         Prepared { res, tag }
@@ -1357,6 +1371,70 @@ mod tests {
             .weighted_sum(&handle2, &ndp, &[0], &[1u32], true)
             .unwrap_err();
         assert!(matches!(err, Error::VerificationFailed { .. }));
+    }
+
+    /// A plaintext of the wrong shape is refused before the version
+    /// manager is touched. It used to register a region first and leak it,
+    /// so 64 refusals exhausted the manager and every valid table after
+    /// them failed with `VersionExhausted`.
+    #[test]
+    fn shape_errors_take_no_version_region() {
+        let (mut cpu, _) = setup();
+        let refused = Error::ShapeMismatch {
+            got: 7,
+            expected: 8,
+        };
+        for call in 1..=100 {
+            assert_eq!(
+                cpu.encrypt_table::<u32>(&[1; 7], 2, 4, 0x100),
+                Err(refused.clone()),
+                "call {call}"
+            );
+        }
+        for call in 1..=100 {
+            assert_eq!(
+                cpu.encrypt_table_untagged::<u32>(&[1; 7], 2, 4, 0x100),
+                Err(refused.clone()),
+                "untagged call {call}"
+            );
+        }
+        assert_eq!(cpu.version_manager().live_regions(), 0);
+        let table = cpu.encrypt_table::<u32>(&[1; 8], 2, 4, 0x100).unwrap();
+        assert_eq!(cpu.decrypt_table(&table).unwrap(), [1; 8]);
+        assert_eq!(cpu.version_manager().live_regions(), 1);
+    }
+
+    /// A re-encryption refused for its shape leaves everything as it was:
+    /// the region's version (it used to be bumped first, retiring the live
+    /// table's version), the pad cache (the bump swept the live table's
+    /// pads) and the published table, which still verifies.
+    #[test]
+    fn refused_reencrypt_changes_nothing() {
+        let (mut cpu, mut ndp) = setup();
+        cpu.set_pad_cache_blocks(4096);
+        let pt: Vec<u32> = (0..16).collect();
+        let table = cpu.encrypt_table(&pt, 4, 4, 0x800).unwrap();
+        let handle = cpu.publish(&table, &mut ndp).unwrap();
+        let want = cpu
+            .weighted_sum(&handle, &ndp, &[0, 3], &[1u32, 2], true)
+            .unwrap();
+        let versions = format!("{:?}", cpu.version_manager());
+        let stats = cpu.pad_cache().stats();
+        for bad in [&pt[..15], &[0u32; 17][..]] {
+            assert_eq!(
+                cpu.reencrypt_table(&table, bad),
+                Err(Error::ShapeMismatch {
+                    got: bad.len(),
+                    expected: 16
+                })
+            );
+        }
+        assert_eq!(format!("{:?}", cpu.version_manager()), versions);
+        assert_eq!(cpu.pad_cache().stats(), stats);
+        assert_eq!(
+            cpu.weighted_sum(&handle, &ndp, &[0, 3], &[1u32, 2], true),
+            Ok(want)
+        );
     }
 
     #[test]

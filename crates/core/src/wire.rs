@@ -78,16 +78,17 @@ pub(crate) fn peek_trace(frame: &[u8]) -> Option<u64> {
     }
 }
 
-/// Prefixes `inner` with a trace envelope when `ctx` is non-empty.
-fn wrap_envelope(ctx: SpanContext, inner: Vec<u8>) -> Vec<u8> {
+/// A frame buffer of exactly `body_len` bytes plus the trace envelope
+/// `ctx` calls for, with that envelope (if any) already written: the body
+/// follows in the same allocation, which never grows.
+fn frame_with_envelope(ctx: SpanContext, body_len: usize) -> Vec<u8> {
     if ctx.is_none() {
-        return inner;
+        return Vec::with_capacity(body_len);
     }
-    let mut out = Vec::with_capacity(ENVELOPE_LEN + inner.len());
+    let mut out = Vec::with_capacity(ENVELOPE_LEN + body_len);
     out.push(FRAME_TRACED);
     out.extend_from_slice(&ctx.trace.0.to_le_bytes());
     out.extend_from_slice(&ctx.span.0.to_le_bytes());
-    out.extend_from_slice(&inner);
     out
 }
 
@@ -267,7 +268,8 @@ fn put_bytes(out: &mut Vec<u8>, b: &[u8]) -> Result<(), Error> {
 }
 
 impl Request {
-    /// Serializes the request frame.
+    /// Serializes the request frame (the legacy form, without a trace
+    /// envelope).
     ///
     /// # Errors
     ///
@@ -275,7 +277,35 @@ impl Request {
     /// not fit its `u32` length prefix (a ≥ 4 GiB payload would otherwise
     /// silently truncate into a decodable-but-corrupt frame).
     pub fn encode(&self) -> Result<Vec<u8>, Error> {
-        let mut out = Vec::new();
+        self.encode_traced(SpanContext::NONE)
+    }
+
+    /// The encoded length of the frame body (everything after the
+    /// envelope).
+    fn body_len(&self) -> usize {
+        match self {
+            Request::Load {
+                ciphertext, tags, ..
+            } => {
+                1 + 8 + 4 + 4 + ciphertext.len() + 1 + tags.as_ref().map_or(0, |t| 4 + 16 * t.len())
+            }
+            Request::WeightedSum {
+                indices, weights, ..
+            } => 1 + 8 + 1 + 1 + 4 + 8 * indices.len() + 4 + 8 * weights.len(),
+            Request::ReadRow { .. } => 1 + 8 + 8,
+        }
+    }
+
+    /// Serializes the request, wrapping it in a trace envelope when `ctx`
+    /// is non-empty (an empty context yields the legacy byte-identical
+    /// encoding). The frame is written once, into a buffer allocated at
+    /// its final length.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::FrameTooLarge`] as for [`encode`](Self::encode).
+    pub fn encode_traced(&self, ctx: SpanContext) -> Result<Vec<u8>, Error> {
+        let mut out = frame_with_envelope(ctx, self.body_len());
         match self {
             Request::Load {
                 table_addr,
@@ -325,17 +355,6 @@ impl Request {
             }
         }
         Ok(out)
-    }
-
-    /// Serializes the request, wrapping it in a trace envelope when `ctx`
-    /// is non-empty (an empty context yields the legacy byte-identical
-    /// encoding).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::FrameTooLarge`] as for [`encode`](Self::encode).
-    pub fn encode_traced(&self, ctx: SpanContext) -> Result<Vec<u8>, Error> {
-        Ok(wrap_envelope(ctx, self.encode()?))
     }
 
     /// Parses a request frame (legacy or traced), discarding any carried
@@ -424,14 +443,37 @@ impl Request {
 }
 
 impl Response {
-    /// Serializes the response frame.
+    /// Serializes the response frame (the legacy form, without a trace
+    /// envelope).
     ///
     /// # Errors
     ///
     /// Returns [`Error::FrameTooLarge`] when a variable-length field does
     /// not fit its `u32` length prefix.
     pub fn encode(&self) -> Result<Vec<u8>, Error> {
-        let mut out = Vec::new();
+        self.encode_traced(SpanContext::NONE)
+    }
+
+    /// The encoded length of the frame body (everything after the
+    /// envelope).
+    fn body_len(&self) -> usize {
+        match self {
+            Response::Ack => 1,
+            Response::Sum { c_res, c_t_res } => 1 + 4 + c_res.len() + 1 + c_t_res.map_or(0, |_| 16),
+            Response::Row(b) => 1 + 4 + b.len(),
+            Response::Err(_) => 1 + 2,
+        }
+    }
+
+    /// Serializes the response, wrapping it in a trace envelope when `ctx`
+    /// is non-empty. The frame is written once, into a buffer allocated at
+    /// its final length.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::FrameTooLarge`] as for [`encode`](Self::encode).
+    pub fn encode_traced(&self, ctx: SpanContext) -> Result<Vec<u8>, Error> {
+        let mut out = frame_with_envelope(ctx, self.body_len());
         match self {
             Response::Ack => out.push(0x81),
             Response::Sum { c_res, c_t_res } => {
@@ -455,16 +497,6 @@ impl Response {
             }
         }
         Ok(out)
-    }
-
-    /// Serializes the response, wrapping it in a trace envelope when `ctx`
-    /// is non-empty.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::FrameTooLarge`] as for [`encode`](Self::encode).
-    pub fn encode_traced(&self, ctx: SpanContext) -> Result<Vec<u8>, Error> {
-        Ok(wrap_envelope(ctx, self.encode()?))
     }
 
     /// Parses a response frame (legacy or traced), discarding any carried
@@ -1322,6 +1354,14 @@ mod tests {
         remote.load(0x100, vec![0u8; 32], 16, None).unwrap();
     }
 
+    /// `inner` behind a trace envelope, whatever it is — for frames the
+    /// encoder never makes, such as a doubled envelope.
+    fn envelope(ctx: SpanContext, inner: &[u8]) -> Vec<u8> {
+        let mut out = frame_with_envelope(ctx, inner.len());
+        out.extend_from_slice(inner);
+        out
+    }
+
     fn sample_requests() -> Vec<Request> {
         vec![
             Request::Load {
@@ -1403,9 +1443,9 @@ mod tests {
             Err(WireError::Truncated)
         );
         // An envelope cannot nest: the inner bytes must be a v1 frame.
-        let double = wrap_envelope(
+        let double = envelope(
             ctx,
-            Request::ReadRow {
+            &Request::ReadRow {
                 table_addr: 1,
                 row: 2,
             }
@@ -1416,6 +1456,81 @@ mod tests {
             Request::decode(&double),
             Err(WireError::BadTag(FRAME_TRACED))
         );
+    }
+
+    /// Every request and response shape, legacy and traced, encodes to the
+    /// bytes the encoder that built the body and then copied it behind the
+    /// envelope produced (the digest was taken on that commit), into one
+    /// buffer allocated at the frame's final size.
+    #[test]
+    fn frames_are_byte_identical_and_allocated_at_final_size() {
+        let ctx = SpanContext {
+            trace: TraceId(0x0123_4567_89AB_CDEF),
+            span: SpanId(0xFEDC_BA98_7654_3210),
+        };
+        let mut requests = sample_requests();
+        requests.extend([
+            Request::Load {
+                table_addr: u64::MAX,
+                row_bytes: 16,
+                ciphertext: vec![0xA5; 4096],
+                tags: Some(vec![]),
+            },
+            Request::Load {
+                table_addr: 1,
+                row_bytes: 0,
+                ciphertext: vec![],
+                tags: Some((0..256u128).map(|t| t * 0x1_0000_0001).collect()),
+            },
+            Request::WeightedSum {
+                table_addr: 0,
+                elem_bytes: 8,
+                indices: vec![],
+                weights: vec![],
+                with_tag: false,
+            },
+            Request::WeightedSum {
+                table_addr: 0x4000,
+                elem_bytes: 1,
+                indices: (0..80).collect(),
+                weights: (0..80).map(|w| u64::MAX - w).collect(),
+                with_tag: true,
+            },
+        ]);
+        let mut responses = sample_responses();
+        responses.extend([
+            Response::Sum {
+                c_res: vec![],
+                c_t_res: None,
+            },
+            Response::Sum {
+                c_res: vec![7; 4096],
+                c_t_res: Some(u128::MAX >> 1),
+            },
+            Response::Row(vec![]),
+            Response::Err(u16::MAX),
+        ]);
+        let mut frames = Vec::new();
+        for req in &requests {
+            frames.push(req.encode().unwrap());
+            frames.push(req.encode_traced(SpanContext::NONE).unwrap());
+            frames.push(req.encode_traced(ctx).unwrap());
+        }
+        for resp in &responses {
+            frames.push(resp.encode().unwrap());
+            frames.push(resp.encode_traced(SpanContext::NONE).unwrap());
+            frames.push(resp.encode_traced(ctx).unwrap());
+        }
+        let mut digest = 0xCBF2_9CE4_8422_2325u64;
+        for f in &frames {
+            for b in (f.len() as u64).to_le_bytes().iter().chain(f) {
+                digest = (digest ^ u64::from(*b)).wrapping_mul(0x0100_0000_01B3);
+            }
+        }
+        for f in &frames {
+            assert_eq!(f.len(), f.capacity(), "{:02x?}", &f[..f.len().min(24)]);
+        }
+        assert_eq!(digest, 0x8F4C_A372_0B73_451A, "{digest:#018x}");
     }
 
     /// Satellite: exhaustive small-frame + truncation + byte-flip matrix.
@@ -1544,7 +1659,7 @@ mod tests {
         // 3) Envelopes do not nest, in either direction and for both
         //    frame families: the duplicate tag is a typed BadTag.
         for req in sample_requests() {
-            let doubled = wrap_envelope(ctx, req.encode_traced(ctx).unwrap());
+            let doubled = envelope(ctx, &req.encode_traced(ctx).unwrap());
             assert_eq!(
                 Request::decode(&doubled),
                 Err(WireError::BadTag(FRAME_TRACED))
@@ -1555,7 +1670,7 @@ mod tests {
             );
         }
         for resp in sample_responses() {
-            let doubled = wrap_envelope(ctx, resp.encode_traced(ctx).unwrap());
+            let doubled = envelope(ctx, &resp.encode_traced(ctx).unwrap());
             assert_eq!(
                 Response::decode(&doubled),
                 Err(WireError::BadTag(FRAME_TRACED))
