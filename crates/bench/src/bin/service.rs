@@ -263,9 +263,9 @@ fn write_sweep_json(rows: &[SweepRow], batch: usize, transport: &TransportReport
          \"pipelined_ns\":{},\"pipelined_ns_note\":\"{PIPELINED_NS_NOTE}\"}}",
         transport.ranks, transport.window, transport.timeout_ms, transport.pipelined_ns,
     );
-    // The SLO engine renders a complete JSON object; embed it verbatim so
-    // the sweep file carries the run's burn rates and budget verdicts.
-    let slo = secndp_telemetry::slo::engine().render_json();
+    // `/sloz` renders a complete JSON object; embed it verbatim so the
+    // sweep file carries the run's burn rates and budget verdicts.
+    let slo = secndp_telemetry::health::monitor().render_sloz(secndp_telemetry::global());
     let costs = secndp_telemetry::profile::ledger().recorded();
     let json = format!(
         "{{\"bench\":\"service\",\"batch\":{batch},\"pf\":{HEADLINE_PF},\
@@ -290,21 +290,19 @@ fn main() {
     // loose — the tampering self-test spends a little budget on every run
     // by design.
     use secndp_telemetry::slo::Objective;
-    let slo = secndp_telemetry::slo::engine();
-    slo.add(Objective::Latency {
+    let monitor = secndp_telemetry::health::monitor();
+    monitor.add_objective(Objective::Latency {
         name: "wire_rtt".into(),
         metric: "secndp_wire_round_trip_ns".into(),
         threshold_ns: 100_000_000,
         target: 0.99,
     });
-    slo.add(Objective::ErrorRate {
+    monitor.add_objective(Objective::ErrorRate {
         name: "verified_queries".into(),
         errors: "secndp_verify_failures_total".into(),
         total: "secndp_queries_total".into(),
         target: 0.5,
     });
-    secndp_telemetry::slo::register_slo_health();
-    let monitor = secndp_telemetry::health::monitor();
     monitor.install_default_detectors();
     let _sampler = monitor.start_sampler(secndp_telemetry::global(), HealthConfig::from_env());
     let _server = serve_metrics_addr().map(|addr| {
@@ -397,11 +395,10 @@ fn main() {
 
     assert_health("service sweep");
 
-    // Fold the span journal into the continuous profile and take a final
-    // SLO sample so `/profilez`, `/sloz`, BENCH_service.json, and the
-    // exposition below all reflect the whole run.
+    // Fold the span journal into the continuous profile so `/profilez`,
+    // BENCH_service.json, and the exposition below all reflect the whole
+    // run (the SLO status scores a fresh snapshot by itself).
     secndp_telemetry::profile::profiler().fold(secndp_telemetry::trace::journal());
-    secndp_telemetry::slo::engine().sample(secndp_telemetry::global());
     write_sweep_json(&rows, batch, &transport);
 
     let ledger = secndp_telemetry::profile::ledger();
@@ -411,7 +408,7 @@ fn main() {
     );
     print!("{}", ledger.render_top_json(3));
     println!("\n--- SLO status ---");
-    println!("{}", secndp_telemetry::slo::engine().render_json());
+    println!("{}", monitor.render_sloz(secndp_telemetry::global()));
 
     println!("\n--- telemetry (Prometheus text exposition) ---");
     print!("{}", secndp_telemetry::global().render_prometheus());

@@ -784,4 +784,49 @@ mod tests {
             std::thread::yield_now();
         }
     }
+
+    /// A length prefix over the frame cap is refused before any
+    /// allocation, closes that connection and counts in
+    /// `secndp_net_rejected_frames_total`; the server still answers a
+    /// well-framed request on the next connection.
+    #[cfg(feature = "telemetry")]
+    #[test]
+    fn unframeable_record_is_counted_and_the_server_keeps_serving() {
+        let mut dev = HonestNdp::new();
+        dev.load(0x1, vec![7u8; 64], 16, None).unwrap();
+        let server = NetServer::host_device(dev, "127.0.0.1:0").unwrap();
+        let rejected = crate::metrics::net_rejected_frames();
+        let before = rejected.get();
+
+        let mut bad = TcpStream::connect(server.local_addr()).unwrap();
+        bad.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let over_cap = (REQ_HEADER + MAX_NET_FRAME + 1) as u32;
+        bad.write_all(&over_cap.to_le_bytes()).unwrap();
+        // The server counts the record, then shuts the socket: EOF here.
+        assert_eq!(bad.read(&mut [0u8; 1]).unwrap_or(0), 0);
+        assert!(rejected.get() > before, "rejection not counted");
+
+        let mut good = TcpStream::connect(server.local_addr()).unwrap();
+        good.set_read_timeout(Some(IO_TICK)).unwrap();
+        let frame = wire::Request::ReadRow {
+            table_addr: 0x1,
+            row: 1,
+        }
+        .encode()
+        .unwrap();
+        let mut header = [0u8; REQ_HEADER];
+        header[..8].copy_from_slice(&42u64.to_le_bytes());
+        write_record(&mut good, &header, &frame).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let Record::Payload(reply) = read_record(&mut good, REPLY_HEADER, || {
+            std::time::Instant::now() > deadline
+        }) else {
+            panic!("no reply after a rejected connection");
+        };
+        assert_eq!(u64_at(&reply, 0), 42, "reply must echo the request id");
+        assert_eq!(
+            wire::Response::decode(&reply[REPLY_HEADER..]).unwrap(),
+            wire::Response::Row(vec![7u8; 16])
+        );
+    }
 }

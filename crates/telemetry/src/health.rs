@@ -1,10 +1,14 @@
-//! Component health scoring and sliding-window anomaly detection.
+//! Component health scoring, SLO burn rates and sliding-window anomaly
+//! detection over one ring of registry snapshots.
 //!
 //! SecNDP's threat model makes *operational* signals *security* signals: a
 //! verify-failure spike is possible active tampering (paper §V), a stalled
 //! transport rank is an unresponsive untrusted device. This module watches
 //! them live:
 //!
+//! - A background sampler ([`HealthMonitor::start_sampler`]) snapshots the
+//!   registry every [`HealthConfig::interval`] into the monitor's ring, the
+//!   only sample store: the newest [`HealthConfig::retain`] snapshots.
 //! - Components (the async transport endpoints, the protocol core)
 //!   [`register`](HealthMonitor::register) a check closure with
 //!   the process-wide [`monitor`]. Each check folds its component into
@@ -12,13 +16,13 @@
 //!   [`Failing`](HealthStatus::Failing) with a human-readable reason;
 //!   [`HealthMonitor::report`] aggregates them (worst status wins) and
 //!   drives the `/healthz` endpoint of [`serve`](crate::serve).
-//! - A background sampler ([`HealthMonitor::start_sampler`]) snapshots the
-//!   registry every [`HealthConfig::interval`] into the flight-recorder
-//!   ring. Checks read **windowed counter deltas** from those snapshots
-//!   through [`HealthCtx`], so a burst ages out of the verdict once the
-//!   window slides past it.
-//! - [`AnomalyDetector`]s (rate-over-threshold and delta-spike rules) run
-//!   on every sample; on trigger the monitor dumps a
+//! - Checks, [`AnomalyDetector`]s and SLO [`Objective`]s all read windowed
+//!   counter deltas through one [`HealthCtx`] over the newest
+//!   [`HealthConfig::window`] snapshots, so a burst ages out of every
+//!   verdict once the window slides past it. Objectives are scored as the
+//!   built-in `"slo"` component (see [`crate::slo`]).
+//! - Detectors (rate-over-threshold and delta-spike rules) run on every
+//!   sample; on trigger the monitor dumps a
 //!   [flight-recorder artifact](crate::recorder) to
 //!   [`HealthConfig::flight_dir`] so the incident is diagnosable after the
 //!   fact.
@@ -27,11 +31,13 @@
 //! empty (all deltas zero), but liveness-style checks that consult their
 //! own state — e.g. transport worker heartbeats — still score honestly.
 
-use crate::recorder::{FlightRecorder, WindowSample};
-use crate::registry::{Registry, Snapshot};
+use crate::recorder::WindowSample;
+use crate::registry::Registry;
+use crate::slo::Objective;
+use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -47,8 +53,8 @@ pub fn uptime_ms() -> u64 {
 pub enum HealthStatus {
     /// Operating normally.
     Ok,
-    /// Alive but impaired (recent integrity failures, a stalled rank,
-    /// cache thrash); `/healthz` still answers 200.
+    /// Alive but impaired (recent integrity failures, a stalled rank, an
+    /// SLO burning its error budget); `/healthz` still answers 200.
     Degraded,
     /// Unable to make progress (e.g. every transport rank stalled);
     /// `/healthz` answers 503.
@@ -120,53 +126,47 @@ impl HealthReport {
     }
 }
 
-/// The sliding window a health check scores against: the newest
-/// [`HealthConfig::window`] snapshots from the sampler ring (possibly
-/// empty before the sampler has run).
+/// The sliding window a check, detector or objective scores against:
+/// snapshots from the sampler ring, oldest first (possibly empty before
+/// the sampler has run).
 pub struct HealthCtx<'a> {
-    samples: &'a [WindowSample],
+    pub(crate) samples: &'a [WindowSample],
+}
+
+/// How much the counter family `name` rose from `old` to `new`; 0 across
+/// a registry reset.
+fn rise(old: &WindowSample, new: &WindowSample, name: &str) -> u64 {
+    new.snapshot
+        .counter_total(name)
+        .saturating_sub(old.snapshot.counter_total(name))
 }
 
 impl HealthCtx<'_> {
-    /// Number of snapshots in the window.
-    pub fn window_len(&self) -> usize {
-        self.samples.len()
+    /// The window's oldest and newest snapshots (the same one with a
+    /// single point; `None` when empty).
+    pub(crate) fn ends(&self) -> Option<(&WindowSample, &WindowSample)> {
+        Some((self.samples.first()?, self.samples.last()?))
     }
 
     /// Wall-clock span of the window in milliseconds (0 with < 2 samples).
     pub fn window_ms(&self) -> u64 {
-        match (self.samples.first(), self.samples.last()) {
-            (Some(a), Some(b)) => b.t_ms.saturating_sub(a.t_ms),
-            _ => 0,
-        }
+        self.ends()
+            .map_or(0, |(a, b)| b.t_ms.saturating_sub(a.t_ms))
     }
 
     /// How much the counter family `name` (summed across label sets) rose
     /// across the window. Saturates to 0 on < 2 samples or a registry
     /// reset mid-window.
     pub fn counter_delta(&self, name: &str) -> u64 {
-        match (self.samples.first(), self.samples.last()) {
-            (Some(a), Some(b)) => b
-                .snapshot
-                .counter_total(name)
-                .saturating_sub(a.snapshot.counter_total(name)),
-            _ => 0,
-        }
+        self.ends().map_or(0, |(a, b)| rise(a, b, name))
     }
 
-    /// [`counter_delta`](Self::counter_delta) per second of window span.
-    pub fn rate_per_sec(&self, name: &str) -> f64 {
-        let ms = self.window_ms();
-        if ms == 0 {
-            0.0
-        } else {
-            self.counter_delta(name) as f64 * 1000.0 / ms as f64
-        }
-    }
-
-    /// The newest snapshot in the window, if any.
-    pub fn latest(&self) -> Option<&Snapshot> {
-        self.samples.last().map(|s| &s.snapshot)
+    /// The rise of `name` between each pair of consecutive points.
+    fn deltas(&self, name: &str) -> Vec<u64> {
+        self.samples
+            .windows(2)
+            .map(|p| rise(&p[0], &p[1], name))
+            .collect()
     }
 }
 
@@ -211,11 +211,10 @@ impl AnomalyDetector {
         if window.len() < 2 {
             return None;
         }
+        let ctx = HealthCtx { samples: window };
         match self.rule {
             DetectorRule::RateOver { metric, threshold } => {
-                let first = window.first()?.snapshot.counter_total(metric);
-                let last = window.last()?.snapshot.counter_total(metric);
-                let delta = last.saturating_sub(first);
+                let delta = ctx.counter_delta(metric);
                 (delta >= threshold).then(|| {
                     format!("{metric} rose by {delta} (threshold {threshold}) within the window")
                 })
@@ -228,14 +227,7 @@ impl AnomalyDetector {
                 if window.len() < 3 {
                     return None;
                 }
-                let deltas: Vec<u64> = window
-                    .windows(2)
-                    .map(|p| {
-                        p[1].snapshot
-                            .counter_total(metric)
-                            .saturating_sub(p[0].snapshot.counter_total(metric))
-                    })
-                    .collect();
+                let deltas = ctx.deltas(metric);
                 let (latest, prior) = deltas.split_last()?;
                 let mean = prior.iter().sum::<u64>() as f64 / prior.len() as f64;
                 (*latest >= min && *latest as f64 > factor * mean).then(|| {
@@ -249,14 +241,16 @@ impl AnomalyDetector {
     }
 }
 
-/// Sampler and flight-recorder tuning.
+/// Sampler and ring tuning.
 #[derive(Debug, Clone)]
 pub struct HealthConfig {
     /// Background sampling period (default 1 s).
     pub interval: Duration,
-    /// Snapshots per detector / check window (default 5).
+    /// Snapshots per check / detector window, and the SLO fast window
+    /// (default 5).
     pub window: usize,
-    /// Snapshots retained in the flight-recorder ring (default 64).
+    /// Snapshots retained in the ring, and the SLO slow window (default
+    /// 64).
     pub retain: usize,
     /// Directory anomaly dumps are written to (default
     /// [`default_flight_dir`](crate::recorder::default_flight_dir)).
@@ -310,18 +304,39 @@ struct DetectorState {
     cooldown: u32,
 }
 
+#[derive(Default)]
 struct MonitorState {
     checks: Vec<CheckEntry>,
     detectors: Vec<DetectorState>,
-    recorder: FlightRecorder,
+    objectives: Vec<Objective>,
+    /// The newest `cfg.retain` snapshots, oldest first.
+    ring: VecDeque<WindowSample>,
     cfg: HealthConfig,
     last_dump: Option<PathBuf>,
     dump_seq: u64,
     next_id: u64,
 }
 
+impl MonitorState {
+    /// Appends `sample`, evicting the oldest when the ring is full.
+    fn record(&mut self, sample: WindowSample) {
+        if self.ring.len() >= self.cfg.retain {
+            self.ring.pop_front();
+        }
+        self.ring.push_back(sample);
+    }
+}
+
+/// The fast window (the newest `n` samples: the one checks and detectors
+/// read) and the slow window (the whole ring), oldest first.
+fn windows(ring: &mut VecDeque<WindowSample>, n: usize) -> (&[WindowSample], &[WindowSample]) {
+    let ring = &*ring.make_contiguous();
+    (&ring[ring.len().saturating_sub(n)..], ring)
+}
+
 /// The per-component health registry plus the sampling/anomaly engine.
 /// The process-wide instance is [`monitor()`].
+#[derive(Default)]
 pub struct HealthMonitor {
     state: Mutex<MonitorState>,
 }
@@ -332,32 +347,16 @@ impl std::fmt::Debug for HealthMonitor {
         f.debug_struct("HealthMonitor")
             .field("checks", &s.checks.len())
             .field("detectors", &s.detectors.len())
-            .field("samples", &s.recorder.len())
+            .field("objectives", &s.objectives.len())
+            .field("samples", &s.ring.len())
             .finish()
-    }
-}
-
-impl Default for HealthMonitor {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
 impl HealthMonitor {
     /// An empty monitor with the default [`HealthConfig`].
     pub fn new() -> Self {
-        let cfg = HealthConfig::default();
-        Self {
-            state: Mutex::new(MonitorState {
-                checks: Vec::new(),
-                detectors: Vec::new(),
-                recorder: FlightRecorder::with_capacity(cfg.retain),
-                cfg,
-                last_dump: None,
-                dump_seq: 0,
-                next_id: 1,
-            }),
-        }
+        Self::default()
     }
 
     /// Locks the state, recovering from poisoning: health reporting must
@@ -366,10 +365,13 @@ impl HealthMonitor {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Replaces the sampler/recorder configuration (resizing the ring).
-    pub fn configure(&self, cfg: HealthConfig) {
+    /// Replaces the sampler/ring configuration (evicting the oldest
+    /// samples when the ring shrinks).
+    pub fn configure(&self, mut cfg: HealthConfig) {
+        cfg.retain = cfg.retain.max(1);
         let mut s = self.lock();
-        s.recorder.set_capacity(cfg.retain);
+        let excess = s.ring.len().saturating_sub(cfg.retain);
+        s.ring.drain(..excess);
         s.cfg = cfg;
     }
 
@@ -415,6 +417,18 @@ impl HealthMonitor {
         }
     }
 
+    /// Adds (or replaces, matched by name) a service-level objective,
+    /// scored from then on as part of the `"slo"` component of
+    /// [`report`](Self::report) and at `/sloz`. It is scored over the
+    /// samples already in the ring: there is no reset and no warm-up.
+    pub fn add_objective(&self, obj: Objective) {
+        let mut s = self.lock();
+        match s.objectives.iter_mut().find(|o| o.name() == obj.name()) {
+            Some(existing) => *existing = obj,
+            None => s.objectives.push(obj),
+        }
+    }
+
     /// Installs the stock detectors (idempotent, matched by name):
     ///
     /// | name | rule |
@@ -452,29 +466,29 @@ impl HealthMonitor {
     }
 
     /// Runs every registered check against the current window and folds
-    /// the verdicts (worst status wins; an empty monitor reports Ok).
+    /// the verdicts (worst status wins; an empty monitor reports Ok). With
+    /// objectives added, they fold in as one `"slo"` component: Degraded
+    /// while any fast-window burn exceeds 1, never Failing — a burned
+    /// error budget means the service misses its objective, not that it
+    /// cannot serve.
     pub fn report(&self) -> HealthReport {
-        let mut s = self.lock();
-        let window = s.cfg.window;
-        // Split the borrow: the window slice lives in the recorder, the
-        // checks alongside it.
-        let MonitorState {
-            ref mut recorder,
-            ref checks,
-            ..
-        } = *s;
-        let ctx = HealthCtx {
-            samples: recorder.window(window),
-        };
-        let components: Vec<ComponentHealth> = checks
+        let mut guard = self.lock();
+        let s = &mut *guard;
+        let (fast, slow) = windows(&mut s.ring, s.cfg.window);
+        let (fast, slow) = (HealthCtx { samples: fast }, HealthCtx { samples: slow });
+        let slo = (!s.objectives.is_empty()).then(|| {
+            let statuses = crate::slo::status(&s.objectives, &fast, &slow);
+            ("slo".to_string(), crate::slo::verdict(&statuses))
+        });
+        let components: Vec<ComponentHealth> = s
+            .checks
             .iter()
-            .map(|c| {
-                let (status, reason) = (c.check)(&ctx);
-                ComponentHealth {
-                    component: c.component.clone(),
-                    status,
-                    reason,
-                }
+            .map(|c| (c.component.clone(), (c.check)(&fast)))
+            .chain(slo)
+            .map(|(component, (status, reason))| ComponentHealth {
+                component,
+                status,
+                reason,
             })
             .collect();
         let status = components
@@ -485,63 +499,70 @@ impl HealthMonitor {
         HealthReport { status, components }
     }
 
-    /// Takes one sample: snapshots `registry` into the recorder ring,
-    /// refreshes the uptime gauge, and evaluates every detector over the
-    /// new window. Triggered detectors (outside their cooldown of one
-    /// window) dump a flight-recorder artifact to
-    /// [`HealthConfig::flight_dir`] and count in
-    /// `secndp_anomaly_dumps_total`.
+    /// Renders `/sloz`: every objective scored over the ring's fast and
+    /// slow windows with a fresh snapshot of `registry` as their newest
+    /// point. The snapshot is not stored, so a scrape moves no window and
+    /// no detector cooldown.
+    pub fn render_sloz(&self, registry: &Registry) -> String {
+        let fresh = WindowSample {
+            t_ms: uptime_ms(),
+            snapshot: registry.snapshot(),
+        };
+        let mut guard = self.lock();
+        let s = &mut *guard;
+        let (fast, slow) = windows(&mut s.ring, s.cfg.window);
+        // Objectives read only a window's ends: its oldest stored sample
+        // and, in place of the newest, the fresh snapshot.
+        let ends = |w: &[WindowSample]| -> Vec<WindowSample> {
+            w.first().into_iter().chain([&fresh]).cloned().collect()
+        };
+        let (fast_ends, slow_ends) = (ends(fast), ends(slow));
+        crate::slo::render_json(
+            &s.objectives,
+            &HealthCtx {
+                samples: &fast_ends,
+            },
+            &HealthCtx {
+                samples: &slow_ends,
+            },
+            slow.len(),
+        )
+    }
+
+    /// Takes one sample: snapshots `registry` into the ring, refreshes the
+    /// uptime gauge, and evaluates every detector over the new window.
+    /// Triggered detectors (outside their cooldown of one window) dump a
+    /// flight-recorder artifact to [`HealthConfig::flight_dir`] and count
+    /// in `secndp_anomaly_dumps_total`.
     pub fn sample(&self, registry: &Registry) {
         crate::process::touch_uptime();
-        // The health sampler doubles as the SLO engine's clock: every
-        // window sample also advances the burn-rate baselines.
-        crate::slo::engine().sample(registry);
         let sample = WindowSample {
             t_ms: uptime_ms(),
             snapshot: registry.snapshot(),
         };
-        let dump = {
-            let mut s = self.lock();
-            s.recorder.push(sample);
+        let mut reasons = Vec::new();
+        {
+            let mut guard = self.lock();
+            let s = &mut *guard;
+            s.record(sample);
             let window_n = s.cfg.window;
-            let MonitorState {
-                ref mut recorder,
-                ref mut detectors,
-                ..
-            } = *s;
-            let window = recorder.window(window_n);
-            let mut reasons = Vec::new();
-            for d in detectors.iter_mut() {
+            let (window, _) = windows(&mut s.ring, window_n);
+            for d in s.detectors.iter_mut() {
                 if d.cooldown > 0 {
                     d.cooldown -= 1;
-                    continue;
-                }
-                if let Some(reason) = d.det.evaluate(window) {
+                } else if let Some(reason) = d.det.evaluate(window) {
                     d.cooldown = window_n as u32;
                     reasons.push(format!("{}: {reason}", d.det.name));
                 }
             }
-            if reasons.is_empty() {
-                None
-            } else {
-                let reason = reasons.join("; ");
-                s.dump_seq += 1;
-                let path = s
-                    .cfg
-                    .flight_dir
-                    .join(format!("secndp-flight-{:04}.json", s.dump_seq));
-                Some((reason, path, s.recorder.samples()))
-            }
-        };
-        if let Some((reason, path, samples)) = dump {
+        }
+        if !reasons.is_empty() {
             crate::counter!(
                 "secndp_anomaly_dumps_total",
                 "Flight-recorder dumps triggered by anomaly detectors."
             )
             .inc();
-            if crate::recorder::write_flight_dump(&path, &reason, &samples).is_ok() {
-                self.lock().last_dump = Some(path);
-            }
+            let _ = self.trigger_dump(&reasons.join("; "));
         }
     }
 
@@ -554,11 +575,11 @@ impl HealthMonitor {
         let (path, samples) = {
             let mut s = self.lock();
             s.dump_seq += 1;
-            let path = s
-                .cfg
-                .flight_dir
-                .join(format!("secndp-flight-{:04}.json", s.dump_seq));
-            (path, s.recorder.samples())
+            let name = format!("secndp-flight-{:04}.json", s.dump_seq);
+            (
+                s.cfg.flight_dir.join(name),
+                s.ring.iter().cloned().collect::<Vec<_>>(),
+            )
         };
         crate::recorder::write_flight_dump(&path, reason, &samples)?;
         self.lock().last_dump = Some(path.clone());
@@ -570,14 +591,15 @@ impl HealthMonitor {
         self.lock().last_dump.clone()
     }
 
-    /// The recorder ring contents without blocking: empty when the monitor
-    /// lock is held (used by the panic hook, which must never deadlock).
+    /// The ring contents without blocking: empty when the monitor lock is
+    /// held (used by the panic hook, which must never deadlock).
     pub fn try_samples(&self) -> Vec<WindowSample> {
-        match self.state.try_lock() {
-            Ok(s) => s.recorder.samples(),
-            Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner().recorder.samples(),
-            Err(std::sync::TryLockError::WouldBlock) => Vec::new(),
-        }
+        let s = match self.state.try_lock() {
+            Ok(s) => s,
+            Err(TryLockError::Poisoned(p)) => p.into_inner(),
+            Err(TryLockError::WouldBlock) => return Vec::new(),
+        };
+        s.ring.iter().cloned().collect()
     }
 
     /// Starts the background sampler: one [`sample`](Self::sample) every
@@ -669,6 +691,7 @@ pub fn monitor() -> &'static HealthMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::Snapshot;
 
     fn snap_with(counter: &'static str, value: u64) -> Snapshot {
         // Build a snapshot through a private registry so tests don't
@@ -693,13 +716,9 @@ mod tests {
     fn ctx_deltas_and_rates() {
         let w = window_of("x_total", &[10, 12, 19]);
         let ctx = HealthCtx { samples: &w };
-        assert_eq!(ctx.window_len(), 3);
         assert_eq!(ctx.window_ms(), 200);
         #[cfg(feature = "enabled")]
-        {
-            assert_eq!(ctx.counter_delta("x_total"), 9);
-            assert!((ctx.rate_per_sec("x_total") - 45.0).abs() < 1e-9);
-        }
+        assert_eq!(ctx.counter_delta("x_total"), 9);
         assert_eq!(ctx.counter_delta("missing_total"), 0);
         let empty = HealthCtx { samples: &[] };
         assert_eq!(empty.counter_delta("x_total"), 0);
@@ -809,5 +828,114 @@ mod tests {
         m.install_default_detectors();
         m.install_default_detectors();
         assert_eq!(m.lock().detectors.len(), 4);
+    }
+
+    #[test]
+    fn ring_is_bounded_and_ordered() {
+        let m = HealthMonitor::new();
+        m.configure(HealthConfig {
+            retain: 3,
+            ..HealthConfig::default()
+        });
+        let mut s = m.lock();
+        assert!(s.ring.is_empty());
+        for t in 0..5 {
+            s.record(WindowSample {
+                t_ms: t,
+                snapshot: crate::global().snapshot(),
+            });
+        }
+        let ts: Vec<u64> = s.ring.iter().map(|x| x.t_ms).collect();
+        assert_eq!(ts, vec![2, 3, 4]);
+        let (fast, slow) = windows(&mut s.ring, 2);
+        assert_eq!((fast.len(), fast[0].t_ms, slow.len()), (2, 3, 3));
+        assert_eq!(windows(&mut s.ring, 99).0.len(), 3);
+        drop(s);
+        m.configure(HealthConfig {
+            retain: 1,
+            ..HealthConfig::default()
+        });
+        let ts: Vec<u64> = m.lock().ring.iter().map(|x| x.t_ms).collect();
+        assert_eq!(ts, vec![4]);
+    }
+
+    /// One window, three readers: an objective's fast burn, a check's
+    /// `counter_delta` and a `RateOver` detector all turn on at the sample
+    /// that first holds a burst, and off together once the window slides
+    /// past it. A `/sloz` scrape moves neither the ring nor a cooldown.
+    #[cfg(feature = "enabled")]
+    #[test]
+    fn objective_check_and_detector_share_one_window() {
+        let m = private_monitor();
+        let dir = std::env::temp_dir().join(format!("secndp-shared-window-{}", std::process::id()));
+        m.configure(HealthConfig {
+            window: 3,
+            flight_dir: dir.clone(),
+            ..HealthConfig::default()
+        });
+        let reg = Registry::new();
+        let bad = reg.counter("shared_bad_total", &[], "t");
+        let lat = reg.histogram("shared_lat_ns", &[], "t");
+        m.add_objective(Objective::Latency {
+            name: "shared_lat".into(),
+            metric: "shared_lat_ns".into(),
+            threshold_ns: 1000,
+            target: 0.9,
+        });
+        m.add_detector(AnomalyDetector {
+            name: "shared-burst",
+            rule: DetectorRule::RateOver {
+                metric: "shared_bad_total",
+                threshold: 4,
+            },
+        });
+        let _check = m.register("shared-check", |ctx| {
+            if ctx.counter_delta("shared_bad_total") >= 4 {
+                (HealthStatus::Degraded, "burst".into())
+            } else {
+                (HealthStatus::Ok, "quiet".into())
+            }
+        });
+        let degraded = |name: &str| {
+            m.report()
+                .components
+                .iter()
+                .any(|c| c.component == name && c.status == HealthStatus::Degraded)
+        };
+        let mut seen = Vec::new();
+        for i in 0..8 {
+            lat.observe(10);
+            if i == 4 {
+                bad.add(4);
+                (0..5).for_each(|_| lat.observe(1 << 30));
+            }
+            let dumps = m.lock().dump_seq;
+            m.sample(&reg);
+            let fired = m.lock().dump_seq > dumps;
+            seen.push((degraded("slo"), degraded("shared-check"), fired));
+        }
+        // On at sample 4 (the burst), held while sample 3 is still in the
+        // three-sample window, off from sample 6. The detector fires once,
+        // then sits out its cooldown.
+        let on = |i: usize| seen[i].0 && seen[i].1;
+        assert!((0..4).all(|i| seen[i] == (false, false, false)), "{seen:?}");
+        assert!(on(4) && seen[4].2, "{seen:?}");
+        assert!(on(5) && !seen[5].2, "{seen:?}");
+        assert!((6..8).all(|i| !seen[i].0 && !seen[i].1), "{seen:?}");
+
+        let state = |m: &HealthMonitor| {
+            let s = m.lock();
+            let cooldowns: Vec<u32> = s.detectors.iter().map(|d| d.cooldown).collect();
+            (s.ring.len(), cooldowns)
+        };
+        let before = state(m);
+        let sloz = crate::serve::dispatch("/sloz", "", &reg, m, &[]);
+        assert!(
+            sloz.body.contains("\"name\":\"shared_lat\""),
+            "{}",
+            sloz.body
+        );
+        assert_eq!(state(m), before);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

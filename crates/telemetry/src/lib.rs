@@ -27,9 +27,13 @@
 //! - [`profile`] — a continuous profiler folding completed spans into a
 //!   flamegraph-ready self-time call tree (`/profilez`), plus per-query
 //!   cost attribution with a top-K-by-latency ledger.
-//! - [`slo`] — declarative latency/error objectives scored as
-//!   multi-window burn rates (`/sloz`), degrading `/healthz` on budget
-//!   exhaustion.
+//! - [`health`] — one ring of registry snapshots, sampled in the
+//!   background, read through one window by component checks (`/healthz`),
+//!   anomaly detectors (which write [`recorder`] dumps) and [`slo`]
+//!   objectives.
+//! - [`slo`] — declarative latency/error objectives scored as burn rates
+//!   over the health ring's fast and slow windows (`/sloz`), degrading
+//!   `/healthz` on budget exhaustion.
 //!
 //! Metrics live in the process-wide [`global()`] registry and are looked up
 //! once per call site through the [`counter!`], [`gauge!`],

@@ -1,12 +1,13 @@
-//! Flight recorder: a bounded ring of metric snapshots plus crash dumps.
+//! Flight-recorder dumps: the health monitor's snapshot ring plus the span
+//! journal, audit and fault logs in one artifact, and the crash-dump hook.
 //!
 //! When something goes wrong in a live SecNDP deployment — a verify-failure
 //! burst signalling tampering, a stalled transport rank, a crash — the
-//! counters alone say *that* it happened, not *how it unfolded*. The flight
-//! recorder keeps the last N registry snapshots (sampled by the
-//! [`health`](crate::health) background thread) in a ring, and on demand
-//! serializes them **together with the span journal and the security audit
-//! log** into one self-contained JSON artifact:
+//! counters alone say *that* it happened, not *how it unfolded*. The
+//! [`HealthMonitor`](crate::health::HealthMonitor) keeps the last N
+//! registry snapshots in its ring; this module serializes them **together
+//! with the span journal and the security audit log** into one
+//! self-contained JSON artifact:
 //!
 //! ```json
 //! {"flight_recorder":{
@@ -26,12 +27,11 @@
 //! the same artifact as `secndp-crash-<pid>.json` before unwinding.
 
 use crate::registry::Snapshot;
-use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Once;
 
-/// One timestamped registry snapshot inside the recorder ring.
+/// One timestamped registry snapshot of the health monitor's ring.
 #[derive(Debug, Clone)]
 pub struct WindowSample {
     /// Milliseconds since the process epoch
@@ -39,64 +39,6 @@ pub struct WindowSample {
     pub t_ms: u64,
     /// The full registry snapshot at that instant.
     pub snapshot: Snapshot,
-}
-
-/// A bounded ring of [`WindowSample`]s, oldest evicted first.
-///
-/// The recorder itself is not synchronized; the process-wide instance
-/// lives inside the [`HealthMonitor`](crate::health::HealthMonitor)'s
-/// mutex.
-#[derive(Debug)]
-pub struct FlightRecorder {
-    capacity: usize,
-    ring: VecDeque<WindowSample>,
-}
-
-impl FlightRecorder {
-    /// A recorder retaining at most `capacity` snapshots (minimum 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            capacity: capacity.max(1),
-            ring: VecDeque::new(),
-        }
-    }
-
-    /// Changes the retention bound, evicting oldest samples if shrinking.
-    pub fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity.max(1);
-        while self.ring.len() > self.capacity {
-            self.ring.pop_front();
-        }
-    }
-
-    /// Appends a sample, evicting the oldest when full.
-    pub fn push(&mut self, sample: WindowSample) {
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(sample);
-    }
-
-    /// Number of retained samples.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether the ring holds no samples yet.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// The newest `n` samples, oldest first, as a contiguous slice.
-    pub fn window(&mut self, n: usize) -> &[WindowSample] {
-        let s = self.ring.make_contiguous();
-        &s[s.len().saturating_sub(n)..]
-    }
-
-    /// A copy of every retained sample, oldest first.
-    pub fn samples(&self) -> Vec<WindowSample> {
-        self.ring.iter().cloned().collect()
-    }
 }
 
 /// Renders a flight-recorder artifact: `reason`, the given metric
@@ -212,24 +154,6 @@ mod tests {
             t_ms,
             snapshot: crate::global().snapshot(),
         }
-    }
-
-    #[test]
-    fn ring_is_bounded_and_ordered() {
-        let mut r = FlightRecorder::with_capacity(3);
-        assert!(r.is_empty());
-        for t in 0..5 {
-            r.push(sample(t));
-        }
-        assert_eq!(r.len(), 3);
-        let ts: Vec<u64> = r.samples().iter().map(|s| s.t_ms).collect();
-        assert_eq!(ts, vec![2, 3, 4]);
-        assert_eq!(r.window(2).len(), 2);
-        assert_eq!(r.window(2)[0].t_ms, 3);
-        assert_eq!(r.window(99).len(), 3);
-        r.set_capacity(1);
-        assert_eq!(r.len(), 1);
-        assert_eq!(r.samples()[0].t_ms, 4);
     }
 
     #[test]

@@ -11,16 +11,16 @@
 //! | `/healthz` | [`HealthMonitor::report`](crate::health::HealthMonitor::report) as JSON; 503 when failing |
 //! | `/tracez` | the span journal as an indented tree; `?trace=<id>` filters one trace, `?limit=N` keeps the newest N traces |
 //! | `/profilez` | continuous profile, flamegraph-ready collapsed stacks; `?format=json` for JSON, `?top=K` for the K costliest queries |
-//! | `/sloz` | SLO burn rates and error budgets ([`crate::slo`]) as JSON |
+//! | `/sloz` | SLO burn rates and error budgets ([`HealthMonitor::render_sloz`](crate::health::HealthMonitor::render_sloz)) as JSON |
 //! | `/` | a plain-text index of the routes |
 //!
 //! Malformed query parameter values (a non-numeric `limit`, an unparsable
 //! trace id) answer 400 rather than silently serving the unfiltered
 //! document.
 //!
-//! Start it with [`Registry::serve`] (typically
-//! `telemetry::global().serve("127.0.0.1:9184")`) or through a
-//! [`ServerBuilder`] to add custom routes. The returned [`ServeHandle`]
+//! Start it with [`ServerBuilder`] (typically
+//! `ServerBuilder::new(telemetry::global()).bind("127.0.0.1:9184")`), which
+//! also adds custom routes. The returned [`ServeHandle`]
 //! owns the accept thread: dropping it shuts the server down and joins the
 //! thread, so no thread outlives the handle.
 //!
@@ -29,7 +29,7 @@
 //! the inline design makes clean shutdown trivial. Connections carry short
 //! read/write timeouts so a stuck client cannot wedge the server.
 
-use crate::health;
+use crate::health::{self, HealthMonitor};
 use crate::registry::Registry;
 use std::io::{Read, Write};
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -58,11 +58,7 @@ pub struct HttpResponse {
 impl HttpResponse {
     /// A 200 response with `text/plain; charset=utf-8` content.
     pub fn text(body: impl Into<String>) -> Self {
-        Self {
-            status: 200,
-            content_type: "text/plain; charset=utf-8",
-            body: body.into(),
-        }
+        Self::plain(200, body.into())
     }
 
     /// A 200 response with `application/json` content.
@@ -74,28 +70,16 @@ impl HttpResponse {
         }
     }
 
-    fn not_found(path: &str) -> Self {
+    fn plain(status: u16, body: String) -> Self {
         Self {
-            status: 404,
+            status,
             content_type: "text/plain; charset=utf-8",
-            body: format!("no such route: {path}\n"),
-        }
-    }
-
-    fn bad_request() -> Self {
-        Self {
-            status: 400,
-            content_type: "text/plain; charset=utf-8",
-            body: "malformed request\n".to_string(),
+            body,
         }
     }
 
     fn bad_param(detail: &str) -> Self {
-        Self {
-            status: 400,
-            content_type: "text/plain; charset=utf-8",
-            body: format!("malformed query parameter: {detail}\n"),
-        }
+        Self::plain(400, format!("malformed query parameter: {detail}\n"))
     }
 }
 
@@ -136,16 +120,6 @@ impl ServerBuilder {
         self
     }
 
-    /// Declares a service-level objective: adds it to the global
-    /// [`slo::engine`](crate::slo::engine) scored at `/sloz`, and registers
-    /// the `"slo"` health component so a burning error budget degrades
-    /// `/healthz`.
-    pub fn slo(self, objective: crate::slo::Objective) -> Self {
-        crate::slo::engine().add(objective);
-        crate::slo::register_slo_health();
-        self
-    }
-
     /// Binds `addr` (e.g. `"127.0.0.1:9184"`, port 0 for an ephemeral
     /// port) and spawns the accept thread.
     ///
@@ -168,20 +142,6 @@ impl ServerBuilder {
             shutdown,
             thread: Some(thread),
         })
-    }
-}
-
-impl Registry {
-    /// Starts the HTTP scrape server on `addr` with the built-in routes
-    /// (`/metrics`, `/metrics.json`, `/healthz`, `/tracez`). See
-    /// [`serve`](crate::serve) for the route table and
-    /// [`ServerBuilder`] for custom routes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind/spawn I/O errors.
-    pub fn serve<A: ToSocketAddrs>(&'static self, addr: A) -> std::io::Result<ServeHandle> {
-        ServerBuilder::new(self).bind(addr)
     }
 }
 
@@ -236,14 +196,15 @@ fn accept_loop(
         let Ok(mut stream) = conn else { continue };
         let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
         let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-        let _ = serve_conn(&mut stream, registry, routes);
+        let _ = serve_conn(&mut stream, registry, health::monitor(), routes);
     }
 }
 
 /// Reads one request head, dispatches, writes one response.
 fn serve_conn(
     stream: &mut TcpStream,
-    registry: &'static Registry,
+    registry: &Registry,
+    monitor: &HealthMonitor,
     routes: &[(String, Handler)],
 ) -> std::io::Result<()> {
     let mut head = Vec::new();
@@ -257,8 +218,8 @@ fn serve_conn(
     }
     let text = String::from_utf8_lossy(&head);
     let resp = match request_target(&text) {
-        Some((path, query)) => dispatch(&path, &query, registry, routes),
-        None => HttpResponse::bad_request(),
+        Some((path, query)) => dispatch(&path, &query, registry, monitor, routes),
+        None => HttpResponse::plain(400, "malformed request\n".to_string()),
     };
     write_response(stream, &resp)
 }
@@ -294,6 +255,9 @@ fn query_param<'q>(query: &'q str, key: &str) -> Option<&'q str> {
         .map(|(_, v)| v)
 }
 
+/// A route's answer; `Err` carries a 400 for a malformed parameter.
+type Answer = Result<HttpResponse, HttpResponse>;
+
 /// Parses an optional numeric query parameter; `Err` carries a 400.
 fn opt_usize(query: &str, key: &str) -> Result<Option<usize>, HttpResponse> {
     match query_param(query, key) {
@@ -323,15 +287,9 @@ fn opt_trace_id(query: &str) -> Result<Option<u64>, HttpResponse> {
 
 /// `/tracez`: the journal tree, optionally filtered to one trace
 /// (`?trace=<id>`) and/or the newest `?limit=N` traces.
-fn tracez(query: &str) -> HttpResponse {
-    let trace = match opt_trace_id(query) {
-        Ok(t) => t,
-        Err(resp) => return resp,
-    };
-    let limit = match opt_usize(query, "limit") {
-        Ok(l) => l,
-        Err(resp) => return resp,
-    };
+fn tracez(query: &str) -> Answer {
+    let trace = opt_trace_id(query)?;
+    let limit = opt_usize(query, "limit")?;
     let mut events = crate::trace::journal().snapshot();
     if let Some(id) = trace {
         events.retain(|e| e.trace.0 == id);
@@ -349,7 +307,7 @@ fn tracez(query: &str) -> HttpResponse {
         latest.truncate(n);
         events.retain(|e| latest.iter().any(|(t, _)| *t == e.trace.0));
     }
-    HttpResponse::text(crate::trace::render_tree(&events))
+    Ok(HttpResponse::text(crate::trace::render_tree(&events)))
 }
 
 /// `/profilez`: folds the journal into the global profiler, then serves
@@ -373,26 +331,21 @@ fn profilez(query: &str) -> HttpResponse {
 
 /// `/metrics.json`: the JSON snapshot, optionally truncated to the first
 /// `?limit=N` metrics (sorted by `name{labels}`).
-fn metrics_json(query: &str, registry: &'static Registry) -> HttpResponse {
-    let limit = match opt_usize(query, "limit") {
-        Ok(l) => l,
-        Err(resp) => return resp,
-    };
+fn metrics_json(query: &str, registry: &Registry) -> Answer {
+    let limit = opt_usize(query, "limit")?;
     crate::process::touch_uptime();
-    match limit {
-        None => HttpResponse::json(registry.render_json()),
-        Some(n) => {
-            let mut snap = registry.snapshot();
-            snap.metrics.truncate(n);
-            HttpResponse::json(crate::export::render_json(&snap))
-        }
-    }
+    let mut snap = registry.snapshot();
+    snap.metrics.truncate(limit.unwrap_or(usize::MAX));
+    Ok(HttpResponse::json(crate::export::render_json(&snap)))
 }
 
-fn dispatch(
+/// Answers one request from `registry` and `monitor` (the process-wide
+/// ones when served).
+pub(crate) fn dispatch(
     path: &str,
     query: &str,
-    registry: &'static Registry,
+    registry: &Registry,
+    monitor: &HealthMonitor,
     routes: &[(String, Handler)],
 ) -> HttpResponse {
     if let Some((_, handler)) = routes.iter().find(|(p, _)| p == path) {
@@ -407,28 +360,23 @@ fn dispatch(
                 body: registry.render_prometheus(),
             }
         }
-        "/metrics.json" => metrics_json(query, registry),
+        "/metrics.json" => metrics_json(query, registry).unwrap_or_else(|e| e),
         "/healthz" => {
-            let report = health::monitor().report();
+            let report = monitor.report();
             HttpResponse {
                 status: report.http_status(),
                 content_type: "application/json",
                 body: report.render_json(),
             }
         }
-        "/tracez" => tracez(query),
+        "/tracez" => tracez(query).unwrap_or_else(|e| e),
         "/profilez" => profilez(query),
-        "/sloz" => {
-            // A scrape is a sample: burn rates move even without the
-            // background health sampler running.
-            crate::slo::engine().sample(registry);
-            HttpResponse::json(crate::slo::engine().render_json())
-        }
+        "/sloz" => HttpResponse::json(monitor.render_sloz(registry)),
         "/" => HttpResponse::text(
             "secndp telemetry\n\
              routes: /metrics /metrics.json /healthz /tracez /profilez /sloz\n",
         ),
-        other => HttpResponse::not_found(other),
+        other => HttpResponse::plain(404, format!("no such route: {other}\n")),
     }
 }
 
@@ -499,38 +447,53 @@ mod tests {
     #[test]
     fn dispatch_builtin_routes() {
         let reg = crate::global();
-        let m = dispatch("/metrics", "", reg, &[]);
+        let m = dispatch("/metrics", "", reg, health::monitor(), &[]);
         assert_eq!(m.status, 200);
         assert_eq!(m.content_type, CONTENT_TYPE_PROMETHEUS);
-        let j = dispatch("/metrics.json", "", reg, &[]);
+        let j = dispatch("/metrics.json", "", reg, health::monitor(), &[]);
         assert_eq!(j.content_type, "application/json");
         assert!(j.body.starts_with('{'));
-        let h = dispatch("/healthz", "", reg, &[]);
+        let h = dispatch("/healthz", "", reg, health::monitor(), &[]);
         assert!(h.body.contains("\"status\""));
-        assert_eq!(dispatch("/tracez", "", reg, &[]).status, 200);
-        assert_eq!(dispatch("/nope", "", reg, &[]).status, 404);
+        assert_eq!(
+            dispatch("/tracez", "", reg, health::monitor(), &[]).status,
+            200
+        );
+        assert_eq!(
+            dispatch("/nope", "", reg, health::monitor(), &[]).status,
+            404
+        );
         let custom: Vec<(String, Handler)> = vec![(
             "/metrics".to_string(),
             Arc::new(|| HttpResponse::text("override")),
         )];
-        assert_eq!(dispatch("/metrics", "", reg, &custom).body, "override");
+        assert_eq!(
+            dispatch("/metrics", "", reg, health::monitor(), &custom).body,
+            "override"
+        );
     }
 
     #[test]
     fn dispatch_profilez_and_sloz() {
         let reg = crate::global();
-        let p = dispatch("/profilez", "", reg, &[]);
+        let p = dispatch("/profilez", "", reg, health::monitor(), &[]);
         assert_eq!(p.status, 200);
         assert_eq!(p.content_type, "text/plain; charset=utf-8");
-        let pj = dispatch("/profilez", "format=json", reg, &[]);
+        let pj = dispatch("/profilez", "format=json", reg, health::monitor(), &[]);
         assert_eq!(pj.status, 200);
         assert!(pj.body.contains("\"nodes\""));
-        let top = dispatch("/profilez", "top=5", reg, &[]);
+        let top = dispatch("/profilez", "top=5", reg, health::monitor(), &[]);
         assert_eq!(top.status, 200);
         assert!(top.body.contains("\"top\""));
-        assert_eq!(dispatch("/profilez", "top=x", reg, &[]).status, 400);
-        assert_eq!(dispatch("/profilez", "format=xml", reg, &[]).status, 400);
-        let s = dispatch("/sloz", "", reg, &[]);
+        assert_eq!(
+            dispatch("/profilez", "top=x", reg, health::monitor(), &[]).status,
+            400
+        );
+        assert_eq!(
+            dispatch("/profilez", "format=xml", reg, health::monitor(), &[]).status,
+            400
+        );
+        let s = dispatch("/sloz", "", reg, health::monitor(), &[]);
         assert_eq!(s.status, 200);
         assert!(s.body.contains("\"objectives\""));
     }
@@ -538,13 +501,25 @@ mod tests {
     #[test]
     fn dispatch_rejects_malformed_params() {
         let reg = crate::global();
-        assert_eq!(dispatch("/tracez", "trace=banana", reg, &[]).status, 400);
-        assert_eq!(dispatch("/tracez", "limit=-1", reg, &[]).status, 400);
-        assert_eq!(dispatch("/metrics.json", "limit=zz", reg, &[]).status, 400);
         assert_eq!(
-            dispatch("/tracez", "trace=t9&limit=1", reg, &[]).status,
+            dispatch("/tracez", "trace=banana", reg, health::monitor(), &[]).status,
+            400
+        );
+        assert_eq!(
+            dispatch("/tracez", "limit=-1", reg, health::monitor(), &[]).status,
+            400
+        );
+        assert_eq!(
+            dispatch("/metrics.json", "limit=zz", reg, health::monitor(), &[]).status,
+            400
+        );
+        assert_eq!(
+            dispatch("/tracez", "trace=t9&limit=1", reg, health::monitor(), &[]).status,
             200
         );
-        assert_eq!(dispatch("/metrics.json", "limit=1", reg, &[]).status, 200);
+        assert_eq!(
+            dispatch("/metrics.json", "limit=1", reg, health::monitor(), &[]).status,
+            200
+        );
     }
 }

@@ -1,19 +1,19 @@
-//! Declarative SLOs with multi-window burn-rate tracking.
+//! Declarative SLOs scored as multi-window burn rates.
 //!
 //! The paper's pitch is *verified queries at near-native latency*; in
 //! operation that promise has to be stated as an objective ("99% of wire
-//! round trips under 2 ms", "99.9% of queries verify") and *watched*. This
-//! module lets a deployment declare [`Objective`]s — through the builder
-//! ([`crate::serve::ServerBuilder::slo`]) or on the engine itself
-//! ([`SloEngine::add`], [`SloEngine::configure`]); there is no environment
-//! surface — and continuously scores them against the metric registry.
+//! round trips under 2 ms", "99.9% of queries verify") and *watched*. A
+//! deployment declares [`Objective`]s in code with
+//! [`HealthMonitor::add_objective`](crate::health::HealthMonitor::add_objective);
+//! there is no environment surface. They are scored over the health
+//! monitor's snapshot ring — the same samples, and the same
+//! [`HealthCtx`] window, its checks and detectors read.
 //!
 //! # Burn rate
 //!
-//! Each [`SloEngine::sample`] appends cumulative `(good, total)` event
-//! counts per objective (latency objectives estimate *good* from the
-//! histogram buckets via
-//! [`count_at_or_below`](crate::HistogramSnapshot::count_at_or_below);
+//! An objective reads cumulative `(good, total)` event counts from a
+//! snapshot (latency objectives estimate *good* from the histogram buckets
+//! via [`count_at_or_below`](crate::HistogramSnapshot::count_at_or_below);
 //! error objectives use `total − errors`). The burn rate over a window is
 //!
 //! ```text
@@ -22,28 +22,17 @@
 //!
 //! i.e. how many times faster than "exactly on objective" the error budget
 //! is being spent: 1.0 spends the budget exactly at the allowed rate, > 1
-//! exhausts it early, 0 spends nothing. Two windows are evaluated
-//! ([`SloConfig`]: 5 minutes and 1 hour by default) following the
-//! multi-window multi-burn-rate alerting practice — the fast window
-//! catches an active incident, the slow window a smoulder.
-//!
-//! The engine is sampled from [`HealthMonitor::sample`]
-//! ((crate::health::HealthMonitor::sample)) so the background health
-//! sampler drives it for free, and freshly on every `/sloz` scrape.
-//! [`register_slo_health`] folds "any objective's fast burn > 1" into the
-//! process [`health monitor`](crate::health::monitor) as a `Degraded`
-//! verdict — budget exhaustion degrades `/healthz` without ever claiming
-//! the process is unable to serve (that stays the transports' call).
+//! exhausts it early, 0 spends nothing. Two windows are evaluated,
+//! counted in samples: the fast window is
+//! [`HealthConfig::window`](crate::health::HealthConfig::window) (the
+//! window the checks read; it catches an active incident) and the slow
+//! window is the whole ring,
+//! [`HealthConfig::retain`](crate::health::HealthConfig::retain) (a
+//! smoulder). Any fast burn > 1 degrades `/healthz` through the monitor's
+//! built-in `"slo"` component.
 
-use crate::registry::{Registry, Snapshot, Value};
-use std::sync::Mutex;
-
-/// Default fast burn window: 5 minutes.
-pub const DEFAULT_FAST_WINDOW_MS: u64 = 5 * 60 * 1000;
-/// Default slow burn window: 1 hour.
-pub const DEFAULT_SLOW_WINDOW_MS: u64 = 60 * 60 * 1000;
-/// Hard cap on retained samples (a sampler at 1 s fills an hour in 3600).
-const MAX_SAMPLES: usize = 8 * 1024;
+use crate::health::{HealthCtx, HealthStatus};
+use crate::registry::{Snapshot, Value};
 
 /// A declarative service-level objective.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,32 +104,25 @@ impl Objective {
             }
         }
     }
-}
 
-/// Burn-window configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SloConfig {
-    /// Fast (incident) burn window in milliseconds.
-    pub fast_window_ms: u64,
-    /// Slow (smoulder / budget) burn window in milliseconds.
-    pub slow_window_ms: u64,
-}
+    /// Burn rate across `window`: [`counts`](Self::counts) on its first
+    /// and last snapshots (0 with < 2 points or no traffic).
+    fn burn(&self, window: &HealthCtx<'_>) -> f64 {
+        window.ends().map_or(0.0, |(a, b)| {
+            burn_between(
+                self.counts(&a.snapshot),
+                self.counts(&b.snapshot),
+                self.target(),
+            )
+        })
+    }
 
-impl Default for SloConfig {
-    fn default() -> Self {
-        Self {
-            fast_window_ms: DEFAULT_FAST_WINDOW_MS,
-            slow_window_ms: DEFAULT_SLOW_WINDOW_MS,
+    fn kind(&self) -> &'static str {
+        match self {
+            Objective::Latency { .. } => "latency",
+            Objective::ErrorRate { .. } => "error_rate",
         }
     }
-}
-
-/// One sample: cumulative `(good, total)` per objective, index-aligned
-/// with the engine's objective list.
-#[derive(Debug, Clone)]
-struct SloSample {
-    t_ms: u64,
-    counts: Vec<(f64, f64)>,
 }
 
 /// A scored objective as reported at `/sloz`.
@@ -172,20 +154,6 @@ impl ObjectiveStatus {
     }
 }
 
-#[derive(Debug, Default)]
-struct EngineState {
-    objectives: Vec<Objective>,
-    samples: Vec<SloSample>,
-    cfg: SloConfig,
-}
-
-/// The SLO scoring engine. The process-wide instance is [`engine()`];
-/// tests can build private ones.
-#[derive(Debug, Default)]
-pub struct SloEngine {
-    state: Mutex<EngineState>,
-}
-
 /// Burn rate between two cumulative `(good, total)` readings.
 fn burn_between(old: (f64, f64), new: (f64, f64), target: f64) -> f64 {
     let dtotal = new.1 - old.1;
@@ -197,199 +165,97 @@ fn burn_between(old: (f64, f64), new: (f64, f64), target: f64) -> f64 {
     bad_frac / (1.0 - target).max(1e-9)
 }
 
-impl SloEngine {
-    /// An empty engine (no objectives, default windows).
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// Scores every objective over a fast and a slow window that end at the
+/// same newest point.
+pub(crate) fn status(
+    objectives: &[Objective],
+    fast: &HealthCtx<'_>,
+    slow: &HealthCtx<'_>,
+) -> Vec<ObjectiveStatus> {
+    objectives
+        .iter()
+        .map(|o| {
+            let (good, total) = fast
+                .ends()
+                .map_or((0.0, 0.0), |(_, b)| o.counts(&b.snapshot));
+            let burn_slow = o.burn(slow);
+            ObjectiveStatus {
+                name: o.name().to_string(),
+                kind: o.kind(),
+                target: o.target(),
+                burn_fast: o.burn(fast),
+                burn_slow,
+                budget_remaining: 1.0 - burn_slow,
+                good,
+                total,
+            }
+        })
+        .collect()
+}
 
-    /// Replaces the burn-window configuration.
-    pub fn configure(&self, cfg: SloConfig) {
-        self.state.lock().unwrap().cfg = cfg;
-    }
-
-    /// The active configuration (5 m / 1 h until [`configure`](Self::configure)d).
-    pub fn config(&self) -> SloConfig {
-        self.state.lock().unwrap().cfg
-    }
-
-    /// Adds an objective (deduplicated by name — re-adding replaces).
-    /// Changing the objective list restarts sampling, since samples are
-    /// index-aligned with it.
-    pub fn add(&self, obj: Objective) {
-        let mut s = self.state.lock().unwrap();
-        if let Some(existing) = s.objectives.iter_mut().find(|o| o.name() == obj.name()) {
-            *existing = obj;
-        } else {
-            s.objectives.push(obj);
-        }
-        s.samples.clear();
-    }
-
-    /// Names of the configured objectives.
-    pub fn objectives(&self) -> Vec<String> {
-        self.state
-            .lock()
-            .unwrap()
-            .objectives
-            .iter()
-            .map(|o| o.name().to_string())
-            .collect()
-    }
-
-    /// Removes every objective and sample (tests).
-    pub fn clear(&self) {
-        let mut s = self.state.lock().unwrap();
-        s.objectives.clear();
-        s.samples.clear();
-    }
-
-    /// Takes one sample from `registry` at the current process uptime.
-    pub fn sample(&self, registry: &Registry) {
-        self.sample_snapshot(crate::health::uptime_ms(), &registry.snapshot());
-    }
-
-    /// Takes one sample from an explicit snapshot at an explicit
-    /// timestamp — the deterministic entry point tests drive directly.
-    pub fn sample_snapshot(&self, t_ms: u64, snap: &Snapshot) {
-        let mut s = self.state.lock().unwrap();
-        if s.objectives.is_empty() {
-            return;
-        }
-        let counts: Vec<(f64, f64)> = s.objectives.iter().map(|o| o.counts(snap)).collect();
-        // Monotonic guard: a sample stamped earlier than the newest one
-        // (clock quirks in tests) is appended with the newest stamp.
-        let t_ms = s.samples.last().map_or(t_ms, |l| t_ms.max(l.t_ms));
-        s.samples.push(SloSample { t_ms, counts });
-        // Prune beyond the slow window (with one sample of slack to keep a
-        // baseline at the window edge) and the hard cap.
-        let keep_after = t_ms.saturating_sub(s.cfg.slow_window_ms);
-        let first_inside = s.samples.partition_point(|x| x.t_ms < keep_after);
-        let drop_n = first_inside.saturating_sub(1);
-        if drop_n > 0 {
-            s.samples.drain(..drop_n);
-        }
-        if s.samples.len() > MAX_SAMPLES {
-            let excess = s.samples.len() - MAX_SAMPLES;
-            s.samples.drain(..excess);
-        }
-        drop(s);
-        crate::counter!(
-            "secndp_slo_samples_total",
-            "Samples folded into the SLO burn-rate engine."
+/// The `"slo"` component's verdict: Degraded while any objective's fast
+/// burn exceeds 1, otherwise Ok.
+pub(crate) fn verdict(statuses: &[ObjectiveStatus]) -> (HealthStatus, String) {
+    let breached: Vec<String> = statuses
+        .iter()
+        .filter(|s| s.breached())
+        .map(|s| format!("{} burn {:.2}", s.name, s.burn_fast))
+        .collect();
+    if breached.is_empty() {
+        (
+            HealthStatus::Ok,
+            format!("{} objectives within budget", statuses.len()),
         )
-        .inc();
-    }
-
-    /// Scores every objective over both windows against the samples taken
-    /// so far.
-    pub fn status(&self) -> Vec<ObjectiveStatus> {
-        let s = self.state.lock().unwrap();
-        let cfg = s.cfg;
-        let Some(latest) = s.samples.last().cloned() else {
-            return s
-                .objectives
-                .iter()
-                .map(|o| ObjectiveStatus {
-                    name: o.name().to_string(),
-                    kind: kind_of(o),
-                    target: o.target(),
-                    burn_fast: 0.0,
-                    burn_slow: 0.0,
-                    budget_remaining: 1.0,
-                    good: 0.0,
-                    total: 0.0,
-                })
-                .collect();
-        };
-        // Baseline for a window: the oldest sample at or after the window
-        // cutoff that is not the newest sample itself (burn needs an
-        // interval). `None` with a single sample.
-        let baseline = |window_ms: u64| -> Option<SloSample> {
-            let cutoff = latest.t_ms.saturating_sub(window_ms);
-            let i = s.samples.partition_point(|x| x.t_ms < cutoff);
-            (i + 1 < s.samples.len()).then(|| s.samples[i].clone())
-        };
-        let fast = baseline(cfg.fast_window_ms);
-        let slow = baseline(cfg.slow_window_ms);
-        s.objectives
-            .iter()
-            .enumerate()
-            .map(|(i, o)| {
-                let new = latest.counts.get(i).copied().unwrap_or((0.0, 0.0));
-                let burn = |b: &Option<SloSample>| -> f64 {
-                    match b {
-                        Some(b) => burn_between(
-                            b.counts.get(i).copied().unwrap_or((0.0, 0.0)),
-                            new,
-                            o.target(),
-                        ),
-                        None => 0.0,
-                    }
-                };
-                let burn_fast = burn(&fast);
-                let burn_slow = burn(&slow);
-                ObjectiveStatus {
-                    name: o.name().to_string(),
-                    kind: kind_of(o),
-                    target: o.target(),
-                    burn_fast,
-                    burn_slow,
-                    budget_remaining: 1.0 - burn_slow,
-                    good: new.0,
-                    total: new.1,
-                }
-            })
-            .collect()
-    }
-
-    /// Renders the `/sloz` JSON document:
-    ///
-    /// ```json
-    /// {"fast_window_ms":300000,"slow_window_ms":3600000,"samples":12,
-    ///  "objectives":[{"name":"...","kind":"latency","target":0.99,
-    ///    "burn_fast":0.0,"burn_slow":0.0,"budget_remaining":1.0,
-    ///    "good":100,"total":100,"breached":false}]}
-    /// ```
-    pub fn render_json(&self) -> String {
-        let cfg = self.config();
-        let n_samples = self.state.lock().unwrap().samples.len();
-        let objectives: Vec<String> = self
-            .status()
-            .iter()
-            .map(|st| {
-                format!(
-                    "{{\"name\":\"{}\",\"kind\":\"{}\",\"target\":{},\
-                     \"burn_fast\":{},\"burn_slow\":{},\"budget_remaining\":{},\
-                     \"good\":{},\"total\":{},\"breached\":{}}}",
-                    crate::export::json_escape(&st.name),
-                    st.kind,
-                    fmt_f64(st.target),
-                    fmt_f64(st.burn_fast),
-                    fmt_f64(st.burn_slow),
-                    fmt_f64(st.budget_remaining),
-                    fmt_f64(st.good),
-                    fmt_f64(st.total),
-                    st.breached(),
-                )
-            })
-            .collect();
-        format!(
-            "{{\"fast_window_ms\":{},\"slow_window_ms\":{},\"samples\":{},\
-             \"objectives\":[{}]}}\n",
-            cfg.fast_window_ms,
-            cfg.slow_window_ms,
-            n_samples,
-            objectives.join(",")
+    } else {
+        (
+            HealthStatus::Degraded,
+            format!("error budget burning: {}", breached.join(", ")),
         )
     }
 }
 
-fn kind_of(o: &Objective) -> &'static str {
-    match o {
-        Objective::Latency { .. } => "latency",
-        Objective::ErrorRate { .. } => "error_rate",
-    }
+/// Renders the `/sloz` JSON document, with the measured span of each
+/// window and the number of `samples` in the ring:
+///
+/// ```json
+/// {"fast_window_ms":5000,"slow_window_ms":64000,"samples":64,
+///  "objectives":[{"name":"...","kind":"latency","target":0.99,
+///    "burn_fast":0.0,"burn_slow":0.0,"budget_remaining":1.0,
+///    "good":100,"total":100,"breached":false}]}
+/// ```
+pub(crate) fn render_json(
+    objectives: &[Objective],
+    fast: &HealthCtx<'_>,
+    slow: &HealthCtx<'_>,
+    samples: usize,
+) -> String {
+    let objectives: Vec<String> = status(objectives, fast, slow)
+        .iter()
+        .map(|st| {
+            format!(
+                "{{\"name\":\"{}\",\"kind\":\"{}\",\"target\":{},\
+                 \"burn_fast\":{},\"burn_slow\":{},\"budget_remaining\":{},\
+                 \"good\":{},\"total\":{},\"breached\":{}}}",
+                crate::export::json_escape(&st.name),
+                st.kind,
+                fmt_f64(st.target),
+                fmt_f64(st.burn_fast),
+                fmt_f64(st.burn_slow),
+                fmt_f64(st.budget_remaining),
+                fmt_f64(st.good),
+                fmt_f64(st.total),
+                st.breached(),
+            )
+        })
+        .collect();
+    format!(
+        "{{\"fast_window_ms\":{},\"slow_window_ms\":{},\"samples\":{},\
+         \"objectives\":[{}]}}\n",
+        fast.window_ms(),
+        slow.window_ms(),
+        samples,
+        objectives.join(",")
+    )
 }
 
 fn fmt_f64(v: f64) -> String {
@@ -400,53 +266,12 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-/// The process-wide SLO engine behind `/sloz`.
-pub fn engine() -> &'static SloEngine {
-    static ENGINE: std::sync::OnceLock<SloEngine> = std::sync::OnceLock::new();
-    ENGINE.get_or_init(SloEngine::new)
-}
-
-/// Registers (once per process) the `"slo"` component with the health
-/// monitor: any objective whose fast-window burn exceeds 1 folds to
-/// [`Degraded`](crate::health::HealthStatus::Degraded). Deliberately never
-/// `Failing` — a burned error budget means the service is missing its
-/// objective, not that it cannot serve.
-pub fn register_slo_health() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        crate::health::monitor()
-            .register("slo", |_ctx| {
-                let statuses = engine().status();
-                if statuses.is_empty() {
-                    return (
-                        crate::health::HealthStatus::Ok,
-                        "no objectives configured".to_string(),
-                    );
-                }
-                let breached: Vec<String> = statuses
-                    .iter()
-                    .filter(|s| s.breached())
-                    .map(|s| format!("{} burn {:.2}", s.name, s.burn_fast))
-                    .collect();
-                if breached.is_empty() {
-                    (
-                        crate::health::HealthStatus::Ok,
-                        format!("{} objectives within budget", statuses.len()),
-                    )
-                } else {
-                    (
-                        crate::health::HealthStatus::Degraded,
-                        format!("error budget burning: {}", breached.join(", ")),
-                    )
-                }
-            })
-            .leak();
-    });
-}
-
 #[cfg(all(test, feature = "enabled"))]
 mod tests {
     use super::*;
+    use crate::health::HealthMonitor;
+    use crate::recorder::WindowSample;
+    use crate::registry::Registry;
 
     fn lat_snapshot(values: &[u64]) -> Snapshot {
         let r = Registry::new();
@@ -466,17 +291,32 @@ mod tests {
         }
     }
 
+    /// A ring of samples stamped 0, 500, 1000, … ms.
+    fn ring(snaps: Vec<Snapshot>) -> Vec<WindowSample> {
+        snaps
+            .into_iter()
+            .enumerate()
+            .map(|(i, snapshot)| WindowSample {
+                t_ms: i as u64 * 500,
+                snapshot,
+            })
+            .collect()
+    }
+
+    fn window(samples: &[WindowSample]) -> HealthCtx<'_> {
+        HealthCtx { samples }
+    }
+
+    /// Scores one objective with the whole ring as both windows.
+    fn score(o: Objective, samples: &[WindowSample]) -> ObjectiveStatus {
+        status(&[o], &window(samples), &window(samples)).remove(0)
+    }
+
     #[test]
     fn burn_is_zero_when_within_objective() {
-        let e = SloEngine::new();
-        e.configure(SloConfig {
-            fast_window_ms: 1000,
-            slow_window_ms: 10_000,
-        });
-        e.add(lat_objective(1 << 20, 0.99)); // every sample is "good"
-        e.sample_snapshot(0, &lat_snapshot(&[100]));
-        e.sample_snapshot(500, &lat_snapshot(&[100, 200, 300]));
-        let st = &e.status()[0];
+        // Every sample is "good".
+        let w = ring(vec![lat_snapshot(&[100]), lat_snapshot(&[100, 200, 300])]);
+        let st = score(lat_objective(1 << 20, 0.99), &w);
         assert!(st.burn_fast < 0.2, "burn_fast={}", st.burn_fast);
         assert!(!st.breached());
         assert!(st.budget_remaining > 0.8);
@@ -484,79 +324,56 @@ mod tests {
 
     #[test]
     fn breach_flips_fast_burn_above_one() {
-        let e = SloEngine::new();
-        e.configure(SloConfig {
-            fast_window_ms: 1000,
-            slow_window_ms: 10_000,
-        });
         // Impossible threshold: nothing is good → bad_frac 1 → burn 1/0.01.
-        e.add(lat_objective(0, 0.99));
-        e.sample_snapshot(0, &lat_snapshot(&[100]));
-        e.sample_snapshot(500, &lat_snapshot(&[100, 200, 300]));
-        let st = &e.status()[0];
+        let o = lat_objective(0, 0.99);
+        let w = ring(vec![lat_snapshot(&[100]), lat_snapshot(&[100, 200, 300])]);
+        let st = score(o.clone(), &w);
         assert!(st.burn_fast > 50.0, "burn_fast={}", st.burn_fast);
         assert!(st.breached());
         assert!(st.budget_remaining < 0.0);
-        let json = e.render_json();
+        let json = render_json(&[o], &window(&w), &window(&w), w.len());
         assert!(json.contains("\"breached\":true"), "{json}");
     }
 
     #[test]
     fn no_traffic_means_no_burn() {
-        let e = SloEngine::new();
-        e.add(lat_objective(0, 0.99));
-        let snap = lat_snapshot(&[100]);
-        e.sample_snapshot(0, &snap);
-        e.sample_snapshot(500, &snap); // identical cumulative counts
-        let st = &e.status()[0];
+        // Identical cumulative counts.
+        let w = ring(vec![lat_snapshot(&[100]), lat_snapshot(&[100])]);
+        let st = score(lat_objective(0, 0.99), &w);
         assert_eq!(st.burn_fast, 0.0);
         assert_eq!(st.burn_slow, 0.0);
     }
 
     #[test]
     fn error_rate_objective_counts_failures() {
-        let e = SloEngine::new();
-        e.configure(SloConfig {
-            fast_window_ms: 1000,
-            slow_window_ms: 10_000,
-        });
-        e.add(Objective::ErrorRate {
+        let o = Objective::ErrorRate {
             name: "verify".into(),
             errors: "slo_err_total".into(),
             total: "slo_all_total".into(),
             target: 0.9,
-        });
+        };
         let snap_at = |errs: u64, all: u64| {
             let r = Registry::new();
             r.counter("slo_err_total", &[], "t").add(errs);
             r.counter("slo_all_total", &[], "t").add(all);
             r.snapshot()
         };
-        e.sample_snapshot(0, &snap_at(0, 10));
         // 5 of the next 10 events fail: bad_frac 0.5, budget 0.1 → burn 5.
-        e.sample_snapshot(500, &snap_at(5, 20));
-        let st = &e.status()[0];
+        let st = score(o, &ring(vec![snap_at(0, 10), snap_at(5, 20)]));
         assert!((st.burn_fast - 5.0).abs() < 1e-9, "burn={}", st.burn_fast);
         assert!(st.breached());
     }
 
     #[test]
     fn windows_see_different_baselines() {
-        let e = SloEngine::new();
-        e.configure(SloConfig {
-            fast_window_ms: 1_000,
-            slow_window_ms: 100_000,
-        });
-        e.add(lat_objective(1000, 0.5));
-        // Old sample: all good. Then a long quiet gap. Then a bad burst
-        // inside the fast window only.
-        e.sample_snapshot(0, &lat_snapshot(&[100]));
-        e.sample_snapshot(99_500, &lat_snapshot(&[100, 100, 100]));
-        e.sample_snapshot(
-            99_900,
-            &lat_snapshot(&[100, 100, 100, 1 << 30, 1 << 30, 1 << 30]),
-        );
-        let st = &e.status()[0];
+        // Old sample: all good. Then more good events. Then a bad burst
+        // inside the fast window (the newest two samples) only.
+        let w = ring(vec![
+            lat_snapshot(&[100]),
+            lat_snapshot(&[100, 100, 100]),
+            lat_snapshot(&[100, 100, 100, 1 << 30, 1 << 30, 1 << 30]),
+        ]);
+        let st = status(&[lat_objective(1000, 0.5)], &window(&w[1..]), &window(&w)).remove(0);
         // Fast window: 3 events, all bad → burn 1/0.5 = 2.
         assert!((st.burn_fast - 2.0).abs() < 1e-9, "fast={}", st.burn_fast);
         // Slow window: 5 events, 2 good 3 bad → 0.6/0.5 = 1.2.
@@ -565,22 +382,35 @@ mod tests {
 
     #[test]
     fn adding_objectives_resets_samples_and_dedups_by_name() {
-        let e = SloEngine::new();
-        e.add(lat_objective(10, 0.9));
-        e.sample_snapshot(0, &lat_snapshot(&[1]));
-        assert_eq!(e.state.lock().unwrap().samples.len(), 1);
-        e.add(lat_objective(20, 0.9)); // same name "lat" → replace + reset
-        assert_eq!(e.objectives(), vec!["lat".to_string()]);
-        assert_eq!(e.state.lock().unwrap().samples.len(), 0);
+        let m = HealthMonitor::new();
+        let reg = Registry::new();
+        let h = reg.histogram("slo_test_ns", &[], "t");
+        h.observe(1);
+        m.sample(&reg);
+        h.observe(1 << 20);
+        m.sample(&reg);
+        m.add_objective(lat_objective(10, 0.9));
+        m.add_objective(lat_objective(20, 0.9)); // same name "lat" → replace
+        let json = m.render_sloz(&reg);
+        assert_eq!(json.matches("\"name\":\"lat\"").count(), 1, "{json}");
+        // No reset: the late objective scores the history already in the
+        // ring, whose one new event missed the bound.
+        assert!(json.contains("\"samples\":2"), "{json}");
+        let slo = m
+            .report()
+            .components
+            .into_iter()
+            .find(|c| c.component == "slo");
+        assert_eq!(slo.map(|c| c.status), Some(HealthStatus::Degraded));
     }
 
     #[test]
     fn status_without_samples_is_idle() {
-        let e = SloEngine::new();
-        e.add(lat_objective(10, 0.9));
-        let st = &e.status()[0];
+        let st = score(lat_objective(10, 0.9), &[]);
         assert_eq!((st.burn_fast, st.burn_slow), (0.0, 0.0));
         assert_eq!(st.budget_remaining, 1.0);
-        assert!(e.render_json().contains("\"samples\":0"));
+        let m = HealthMonitor::new();
+        m.add_objective(lat_objective(10, 0.9));
+        assert!(m.render_sloz(&Registry::new()).contains("\"samples\":0"));
     }
 }

@@ -8,7 +8,7 @@
 //! 2. the slowest query's trace id, taken from `/profilez?top=K`,
 //!    resolves to the matching trace at `/tracez?trace=<id>`, and
 //! 3. a breached latency objective pushes `/sloz` burn above 1 and
-//!    degrades `/healthz` through the registered `slo` component.
+//!    degrades `/healthz` through the health monitor's `slo` component.
 #![cfg(feature = "telemetry")]
 
 use std::io::{Read as _, Write as _};
@@ -19,11 +19,12 @@ use std::time::{Duration, Instant};
 use secndp::core::device::DelayedNdp;
 use secndp::core::wire::RemoteNdp;
 use secndp::core::{HonestNdp, SecretKey, TrustedProcessor};
+use secndp::telemetry::health::monitor;
 use secndp::telemetry::serve::ServerBuilder;
-use secndp::telemetry::slo::{engine, register_slo_health, Objective, SloConfig};
+use secndp::telemetry::slo::Objective;
 use secndp::telemetry::{profile, trace};
 
-/// The profiler, SLO engine, journal, and registry are process globals:
+/// The profiler, health monitor, journal, and registry are process globals:
 /// serialize the tests that mutate them.
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -216,36 +217,31 @@ fn tail_exemplar_trace_resolves_in_tracez() {
 #[test]
 fn latency_slo_breach_flips_sloz_and_degrades_healthz() {
     let _g = serial();
-    let slo = engine();
-    slo.clear();
-    // Hour-wide windows: the baseline below stays inside both windows for
-    // the whole test regardless of process uptime.
-    slo.configure(SloConfig {
-        fast_window_ms: 3_600_000,
-        slow_window_ms: 3_600_000,
-    });
-    slo.add(Objective::Latency {
+    let m = monitor();
+    let impossible = |threshold_ns| Objective::Latency {
         name: "impossible_rtt".into(),
         metric: "secndp_wire_round_trip_ns".into(),
-        threshold_ns: 1,
+        threshold_ns,
         target: 0.99,
-    });
-    register_slo_health();
+    };
+    m.add_objective(impossible(1));
     let server = ServerBuilder::new(secndp::telemetry::global())
         .bind("127.0.0.1:0")
         .unwrap();
     let addr = server.local_addr();
 
-    // Baseline sample, then traffic that cannot meet a 1 ns bound.
-    slo.sample(secndp::telemetry::global());
+    // Baseline sample, then traffic that cannot meet a 1 ns bound, then
+    // the sample a background sampler would take next.
+    m.sample(secndp::telemetry::global());
     std::thread::sleep(Duration::from_millis(5));
     let (cpu, ndp, handle) = wired_setup(0x510, Duration::ZERO);
     for q in 0..8 {
         cpu.weighted_sum(&handle, &ndp, &[q % 64], &[1u32], true)
             .unwrap();
     }
+    m.sample(secndp::telemetry::global());
 
-    // `/sloz` takes its own fresh sample, so the burn is live.
+    // `/sloz` scores the ring's window up to a fresh snapshot.
     let sloz = http_get(addr, "/sloz");
     assert_eq!(sloz.status, 200);
     assert!(
@@ -267,7 +263,7 @@ fn latency_slo_breach_flips_sloz_and_degrades_healthz() {
         .expect("burn_fast missing");
     assert!(burn > 1.0, "burn rate must exceed 1, got {burn}");
 
-    // The registered `slo` health component degrades the process verdict.
+    // The monitor's `slo` component degrades the process verdict.
     let health = http_get(addr, "/healthz");
     assert_eq!(health.status, 200, "degraded is still scrapeable");
     assert!(
@@ -281,8 +277,9 @@ fn latency_slo_breach_flips_sloz_and_degrades_healthz() {
         health.body
     );
 
-    // Clean up: later tests must not inherit the breached objective.
-    slo.clear();
+    // Clean up: later tests must not inherit the breached objective, so
+    // replace it with one every round trip meets.
+    m.add_objective(impossible(u64::MAX));
     server.shutdown();
 }
 
