@@ -266,7 +266,7 @@ fn write_sweep_json(rows: &[SweepRow], batch: usize, transport: &TransportReport
     // `/sloz` renders a complete JSON object; embed it verbatim so the
     // sweep file carries the run's burn rates and budget verdicts.
     let slo = secndp_telemetry::health::monitor().render_sloz(secndp_telemetry::global());
-    let costs = secndp_telemetry::profile::ledger().recorded();
+    let costs = secndp_telemetry::profile::profiler().recorded();
     let json = format!(
         "{{\"bench\":\"service\",\"batch\":{batch},\"pf\":{HEADLINE_PF},\
          \"transport\":{tr},\"query_costs_recorded\":{costs},\"slo\":{},\"rows\":[{}]}}\n",
@@ -395,18 +395,19 @@ fn main() {
 
     assert_health("service sweep");
 
-    // Fold the span journal into the continuous profile so `/profilez`,
-    // BENCH_service.json, and the exposition below all reflect the whole
-    // run (the SLO status scores a fresh snapshot by itself).
-    secndp_telemetry::profile::profiler().fold(secndp_telemetry::trace::journal());
+    // Fold the span journal into the continuous profile and its cost
+    // records so `/profilez`, BENCH_service.json, and the exposition below
+    // all reflect the whole run (the SLO status scores a fresh snapshot by
+    // itself).
+    let profiler = secndp_telemetry::profile::profiler();
+    profiler.fold(secndp_telemetry::trace::journal());
     write_sweep_json(&rows, batch, &transport);
 
-    let ledger = secndp_telemetry::profile::ledger();
     println!(
         "\n--- per-query cost digest ({} costs recorded; top 3 by latency) ---",
-        ledger.recorded()
+        profiler.recorded()
     );
-    print!("{}", ledger.render_top_json(3));
+    print!("{}", profiler.render_top_json(3));
     println!("\n--- SLO status ---");
     println!("{}", monitor.render_sloz(secndp_telemetry::global()));
 

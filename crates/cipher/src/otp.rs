@@ -186,8 +186,7 @@ impl<C: BlockCipher> OtpGenerator<C> {
     /// encrypted one whole window per
     /// [`encrypt_blocks_into`](BlockCipher::encrypt_blocks_into) call. A
     /// range wider than the window grows the window to its own size, so no
-    /// range is ever split. Returns the number of blocks encrypted, which
-    /// are also billed to the active query cost.
+    /// range is ever split. Returns the number of blocks encrypted.
     ///
     /// # Panics
     ///
@@ -274,7 +273,6 @@ impl<C: BlockCipher> OtpGenerator<C> {
             &mut sink,
         );
         total += used as u64;
-        secndp_telemetry::profile::add_aes_blocks(total);
         total
     }
 
@@ -510,7 +508,6 @@ impl PadPlanner {
     ) {
         self.pads.clear();
         self.pads.resize(self.counters.len(), [0u8; BLOCK_BYTES]);
-        let mut generated = self.counters.len();
         let cache = cache.filter(|c| c.is_enabled());
         match cache.filter(|c| self.counters.len() <= c.capacity_blocks()) {
             None => {
@@ -522,7 +519,6 @@ impl PadPlanner {
             Some(cache) => {
                 self.miss.clear();
                 cache.probe_into(&self.counters, &mut self.pads, &mut self.miss);
-                generated = self.miss.len();
                 if !self.miss.is_empty() {
                     self.miss_counters.clear();
                     self.miss_counters
@@ -538,7 +534,6 @@ impl PadPlanner {
                 }
             }
         }
-        secndp_telemetry::profile::add_aes_blocks(generated as u64);
         self.executed = true;
     }
 

@@ -67,8 +67,7 @@ impl ChecksumScheme {
 ///
 /// Secret `k` is the first 127 bits of
 /// `E(K, 01 ‖ table_addr ‖ (version | k·2⁵⁶))`; `k = 0` reproduces
-/// Algorithm 2's `s` exactly. The blocks are billed to the active query
-/// cost, like every other pad.
+/// Algorithm 2's `s` exactly.
 ///
 /// # Panics
 ///
@@ -84,14 +83,12 @@ pub fn derive_secrets<C: BlockCipher>(
         0,
         "top version byte reserved for multi-s index"
     );
-    let secrets: Vec<Fq> = (0..scheme.num_secrets())
+    (0..scheme.num_secrets())
         .map(|k| {
             let tweaked = version | ((k as u64) << 56);
             Fq::new(otp.checksum_secret(table_addr, tweaked))
         })
-        .collect();
-    secndp_telemetry::profile::add_aes_blocks(secrets.len() as u64);
-    secrets
+        .collect()
 }
 
 /// Plans the cipher blocks behind [`derive_secrets`] on a [`PadPlanner`]

@@ -442,7 +442,6 @@ impl<L: Link> Endpoint<L> {
     ) -> Result<RequestId, Error> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         crate::metrics::wire_packets().inc();
-        secndp_telemetry::profile::add_wire_bytes(frame.len() as u64, 0);
         let now = Instant::now();
         let mut fresh = Some(Slot {
             state: State::Waiting,
@@ -628,7 +627,6 @@ impl<L: Link> Endpoint<L> {
             let grace = self.cfg.timeout + self.cfg.backoff * (slot.attempts - 1);
             drop(t);
             crate::metrics::transport_retries().inc();
-            secndp_telemetry::profile::add_retries(1);
             self.dispatch(id.0, &frame, self.pick_rank(), true, grace, &mut None)?;
             t = locked(&self.pending.table);
         }
@@ -685,13 +683,12 @@ fn link_error(why: LinkFail, attempts: u32) -> Error {
 }
 
 /// Turns a settled slot into the caller's result, recording the reply's
-/// latency and size.
+/// latency.
 fn settle(slot: Slot) -> Result<Response, Error> {
     match slot.state {
         State::Done(reply) => {
             crate::metrics::transport_completion()
                 .observe(slot.submitted.elapsed().as_nanos() as u64);
-            secndp_telemetry::profile::add_wire_bytes(0, reply.len() as u64);
             wire::decode_reply(&reply)
         }
         State::Failed(why) => Err(link_error(why, slot.attempts)),

@@ -806,7 +806,7 @@ impl InvariantReport {
         let violations: Vec<String> = self
             .violations
             .iter()
-            .map(|v| format!("\"{}\"", json_escape(v)))
+            .map(|v| format!("\"{}\"", secndp_telemetry::json_escape(v)))
             .collect();
         format!(
             "{{\"seed\":{},\"ops\":{},\"injected\":{},\"masked\":{},\
@@ -822,23 +822,6 @@ impl InvariantReport {
             violations.join(","),
         )
     }
-}
-
-/// Minimal JSON string escaping for violation messages.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Reconciles the fault journal against query outcomes and the audit log:

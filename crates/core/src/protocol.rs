@@ -366,7 +366,6 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         let mut sp = trace::span("weighted_sum");
         sp.attr_u64("base_addr", handle.layout.base_addr());
         sp.attr_u64("rows", indices.len() as u64);
-        let _cost = secndp_telemetry::profile::begin_query("weighted_sum");
         self.validate_query(handle, indices, weights)?;
         if verify && !handle.has_tags {
             return Err(Error::TagsUnavailable);
@@ -428,7 +427,6 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         let mut sp = trace::span("weighted_sum_batch");
         sp.attr_u64("base_addr", handle.layout.base_addr());
         sp.attr_u64("queries", queries.len() as u64);
-        let _cost = secndp_telemetry::profile::begin_query("weighted_sum_batch");
         self.validate_batch(handle, queries, verify)?;
         let layout = handle.layout;
 
@@ -479,7 +477,6 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         sp.attr_u64("base_addr", handle.layout.base_addr());
         sp.attr_u64("queries", queries.len() as u64);
         sp.attr_u64("ranks", endpoint.ranks() as u64);
-        let _cost = secndp_telemetry::profile::begin_query("weighted_sum_batch_pipelined");
         // Nothing is sent for a packet that holds an invalid query.
         self.validate_batch(handle, queries, verify)?;
         let layout = handle.layout;

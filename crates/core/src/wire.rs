@@ -852,10 +852,8 @@ impl<D: NdpDevice> RoundTrip for Inline<D> {
             req.encode_traced(ctx)?
         };
         crate::metrics::wire_packets().inc();
-        secndp_telemetry::profile::add_wire_bytes(frame.len() as u64, 0);
         let reply = serve(&mut *crate::endpoint::locked(&self.0), &frame)
             .map_err(|_| crate::metrics::malformed("device rejected request frame"))?;
-        secndp_telemetry::profile::add_wire_bytes(0, reply.len() as u64);
         decode_reply(&reply)
     }
 }

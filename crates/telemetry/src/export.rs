@@ -111,7 +111,9 @@ fn render_prometheus_histogram(
     );
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
+/// Escapes `s` for use inside a JSON string literal: quotes, backslashes
+/// and every control character; the workspace's one JSON string escaper.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -20,13 +20,13 @@
 //!   journal with RAII [`trace::Span`] guards, wire-propagatable
 //!   [`trace::SpanContext`]s, and Chrome-trace / tree exporters. A span is
 //!   also the only interval timer: [`trace::Span::timed`] sends the span's
-//!   one duration to a histogram and to the active query cost.
+//!   one duration to a histogram as well as the journal.
 //! - [`audit`] — a bounded security audit log recording every integrity
 //!   failure (verify / malformed-response / shape) with its trace id,
 //!   region, version and checksum scheme.
 //! - [`profile`] — a continuous profiler folding completed spans into a
-//!   flamegraph-ready self-time call tree (`/profilez`), plus per-query
-//!   cost attribution with a top-K-by-latency ledger.
+//!   flamegraph-ready self-time call tree (`/profilez`), and into one
+//!   cost record per local trace root, kept as a top-K-by-latency digest.
 //! - [`health`] — one ring of registry snapshots, sampled in the
 //!   background, read through one window by component checks (`/healthz`),
 //!   anomaly detectors (which write [`recorder`] dumps) and [`slo`]
@@ -94,6 +94,7 @@ pub mod slo;
 mod tests;
 pub mod trace;
 
+pub use export::json_escape;
 pub use metrics::{Counter, FloatGauge, Gauge, Histogram, HistogramSnapshot, BUCKETS};
 pub use process::init_process_metrics;
 pub use recorder::install_panic_hook;

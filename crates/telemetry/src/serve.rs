@@ -318,14 +318,15 @@ fn profilez(query: &str) -> HttpResponse {
         Ok(t) => t,
         Err(resp) => return resp,
     };
-    crate::profile::profiler().fold(crate::trace::journal());
+    let profiler = crate::profile::profiler();
+    profiler.fold(crate::trace::journal());
     if let Some(k) = top {
-        return HttpResponse::json(crate::profile::ledger().render_top_json(k));
+        return HttpResponse::json(profiler.render_top_json(k));
     }
     match query_param(query, "format") {
-        Some("json") => HttpResponse::json(crate::profile::profiler().render_json()),
+        Some("json") => HttpResponse::json(profiler.render_json()),
         Some(other) => HttpResponse::bad_param(&format!("format={other} (want json)")),
-        None => HttpResponse::text(crate::profile::profiler().render_collapsed()),
+        None => HttpResponse::text(profiler.render_collapsed()),
     }
 }
 

@@ -482,36 +482,42 @@ fn journal_ring_wraps_and_counts_drops() {
 }
 
 /// One duration, three views: a `timed` span's journal stamps, its
-/// histogram sample and its stage entry in the active query cost are the
-/// same number — they come from one pair of clock reads.
+/// histogram sample and its stage entry in the cost the profiler folds
+/// for its trace are the same number — they come from one pair of clock
+/// reads.
 #[test]
 fn timed_span_reports_one_duration_to_journal_histogram_and_cost() {
     let hist = crate::histogram!("timed_span_test_ns", "one-duration test");
     let sum_before = hist.snapshot().sum;
-    let span_id = {
-        let _cost = crate::profile::begin_query("timed_span_test_op");
+    let (root_ctx, span_id) = {
+        let root = trace::span("timed_span_test_op");
         let sp = trace::span("timed_span_test_stage").timed(hist);
         std::hint::black_box(0u64);
-        sp.context().span
+        (root.context(), sp.context().span)
     };
     let evs = trace::journal().snapshot();
-    let stamp = |kind| {
+    let stamp = |span, kind| {
         evs.iter()
-            .find(|e| e.span == span_id && e.kind == kind)
+            .find(|e| e.span == span && e.kind == kind)
             .expect("span journaled")
             .t_ns
     };
-    let dur = stamp(SpanEventKind::End) - stamp(SpanEventKind::Begin);
+    let dur = stamp(span_id, SpanEventKind::End) - stamp(span_id, SpanEventKind::Begin);
     let snap = hist.snapshot();
     assert_eq!(snap.count, 1);
     assert_eq!(snap.sum - sum_before, dur, "histogram sample");
-    let cost = crate::profile::ledger()
+    let profiler = crate::profile::Profiler::new();
+    profiler.fold(trace::journal());
+    let cost = profiler
         .recent(crate::profile::RECENT_CAPACITY)
         .into_iter()
-        .rev()
-        .find(|c| c.op == "timed_span_test_op")
+        .find(|c| c.trace_id == root_ctx.trace.0)
         .expect("cost recorded");
+    assert_eq!(cost.op, "timed_span_test_op");
     assert_eq!(cost.stage_ns, vec![("timed_span_test_stage", dur)]);
+    let root_dur =
+        stamp(root_ctx.span, SpanEventKind::End) - stamp(root_ctx.span, SpanEventKind::Begin);
+    assert_eq!(cost.total_ns, root_dur, "root duration");
 }
 
 #[test]

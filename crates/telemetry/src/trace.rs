@@ -564,9 +564,9 @@ impl Span {
 
     /// Makes this span a pipeline stage: on close its duration — the
     /// difference of the two stamps the journal records — is observed into
-    /// `hist` and billed to the active [`QueryCost`](crate::profile::QueryCost)
-    /// under the span's name, so the journal, the histogram and the cost
-    /// ledger report one number from one pair of clock reads.
+    /// `hist`, so the journal, the histogram and the
+    /// [`QueryCost`](crate::profile::QueryCost) the profiler folds from the
+    /// journal report one number from one pair of clock reads.
     /// Still zero-sized and clock-free with tracing compiled out.
     #[cfg_attr(not(feature = "enabled"), allow(unused_mut))]
     pub fn timed(mut self, hist: &'static crate::Histogram) -> Span {
@@ -596,9 +596,7 @@ impl Drop for Span {
             );
             enabled::set_current(self.prev);
             if let Some(hist) = self.stage {
-                let ns = end_ns.saturating_sub(self.start_ns);
-                hist.observe(ns);
-                crate::profile::add_stage_ns(self.name, ns);
+                hist.observe(end_ns.saturating_sub(self.start_ns));
             }
         }
     }
