@@ -8,15 +8,19 @@
 //!
 //! [`HonestNdp`] implements the paper's NDP command semantics faithfully —
 //! multiply each ciphertext row by its weight, accumulate in registers,
-//! return the register contents. The adversarial devices model the attacks
-//! the verification scheme (Theorems 2/A.4) must catch; security tests and
-//! the `tamper_detection` example use them.
+//! return the register contents. [`Tamper`] writes down, once, each attack
+//! the verification scheme (Theorems 2/A.4) must catch: [`TamperingNdp`]
+//! mounts one on every operation (security tests, the `tamper_detection`
+//! example), and the chaos harness's [`FaultyNdp`](crate::fault::FaultyNdp)
+//! lands them on scheduled operations.
 
 use crate::checksum::combine_weighted;
 use crate::error::Error;
 use secndp_arith::mersenne::Fq;
 use secndp_arith::ring::RingWord;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 /// The NDP's response to a weighted-summation command (Algorithm 4 line 7
 /// plus, when verification is on, Algorithm 5 line 15).
@@ -124,15 +128,31 @@ pub(crate) fn validate_load(ciphertext_len: usize, row_bytes: usize) -> Result<(
     Ok(())
 }
 
+/// One table as a device stores it: the ciphertext image, its row width
+/// and its encrypted tags, shaped by [`validate_load`].
 #[derive(Debug, Clone)]
-struct StoredTable {
+pub(crate) struct StoredTable {
     data: Vec<u8>,
     row_bytes: usize,
     tags: Option<Vec<Fq>>,
 }
 
 impl StoredTable {
-    fn rows(&self) -> usize {
+    /// Takes a load command's image once its shape is valid.
+    pub(crate) fn new(
+        data: Vec<u8>,
+        row_bytes: usize,
+        tags: Option<Vec<Fq>>,
+    ) -> Result<Self, Error> {
+        validate_load(data.len(), row_bytes)?;
+        Ok(Self {
+            data,
+            row_bytes,
+            tags,
+        })
+    }
+
+    pub(crate) fn rows(&self) -> usize {
         self.data.len() / self.row_bytes
     }
 
@@ -165,6 +185,13 @@ impl HonestNdp {
         self.tables.len()
     }
 
+    /// A device holding exactly `table`, at `table_addr`.
+    pub(crate) fn serving(table_addr: u64, table: StoredTable) -> Self {
+        Self {
+            tables: HashMap::from([(table_addr, table)]),
+        }
+    }
+
     fn table(&self, table_addr: u64) -> Result<&StoredTable, Error> {
         self.tables
             .get(&table_addr)
@@ -183,15 +210,8 @@ impl NdpDevice for HonestNdp {
         let mut sp = secndp_telemetry::trace::span("device_load");
         sp.attr_u64("table_addr", table_addr);
         sp.attr_u64("bytes", ciphertext.len() as u64);
-        validate_load(ciphertext.len(), row_bytes)?;
-        self.tables.insert(
-            table_addr,
-            StoredTable {
-                data: ciphertext,
-                row_bytes,
-                tags,
-            },
-        );
+        let table = StoredTable::new(ciphertext, row_bytes, tags)?;
+        self.tables.insert(table_addr, table);
         Ok(())
     }
 
@@ -254,33 +274,28 @@ impl NdpDevice for HonestNdp {
 #[derive(Debug)]
 pub struct DelayedNdp<D> {
     inner: D,
-    delay: std::time::Duration,
+    delay: Duration,
     /// Maximum extra jitter; 0 disables it.
-    jitter: std::time::Duration,
+    jitter: Duration,
     /// LCG state for the jitter sequence — deterministic per seed, but
     /// distinct per clone/rank so completions genuinely reorder.
-    state: std::sync::atomic::AtomicU64,
+    state: AtomicU64,
 }
 
 impl<D> DelayedNdp<D> {
     /// Wraps `inner` with a fixed per-query delay.
-    pub fn new(inner: D, delay: std::time::Duration) -> Self {
-        Self::with_jitter(inner, delay, std::time::Duration::ZERO, 0)
+    pub fn new(inner: D, delay: Duration) -> Self {
+        Self::with_jitter(inner, delay, Duration::ZERO, 0)
     }
 
     /// Wraps `inner` with `delay` plus uniformly LCG-distributed jitter in
     /// `[0, jitter)`, seeded so delay sequences replay exactly.
-    pub fn with_jitter(
-        inner: D,
-        delay: std::time::Duration,
-        jitter: std::time::Duration,
-        seed: u64,
-    ) -> Self {
+    pub fn with_jitter(inner: D, delay: Duration, jitter: Duration, seed: u64) -> Self {
         Self {
             inner,
             delay,
             jitter,
-            state: std::sync::atomic::AtomicU64::new(seed | 1),
+            state: AtomicU64::new(seed | 1),
         }
     }
 
@@ -288,13 +303,12 @@ impl<D> DelayedNdp<D> {
         let mut d = self.delay;
         let jitter_ns = self.jitter.as_nanos() as u64;
         if jitter_ns > 0 {
-            use std::sync::atomic::Ordering;
             let mut s = self.state.load(Ordering::Relaxed);
             s = s
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1_442_695_040_888_963_407);
             self.state.store(s, Ordering::Relaxed);
-            d += std::time::Duration::from_nanos((s >> 11) % jitter_ns);
+            d += Duration::from_nanos((s >> 11) % jitter_ns);
         }
         if !d.is_zero() {
             std::thread::sleep(d);
@@ -304,16 +318,13 @@ impl<D> DelayedNdp<D> {
 
 impl<D: Clone> Clone for DelayedNdp<D> {
     fn clone(&self) -> Self {
-        use std::sync::atomic::Ordering;
         Self {
             inner: self.inner.clone(),
             delay: self.delay,
             jitter: self.jitter,
             // Decorrelate the clone's jitter stream so replicated ranks
             // do not sleep in lockstep.
-            state: std::sync::atomic::AtomicU64::new(
-                self.state.load(Ordering::Relaxed) ^ 0x9E37_79B9_7F4A_7C15,
-            ),
+            state: AtomicU64::new(self.state.load(Ordering::Relaxed) ^ 0x9E37_79B9_7F4A_7C15),
         }
     }
 }
@@ -347,7 +358,11 @@ impl<D: NdpDevice> NdpDevice for DelayedNdp<D> {
     }
 }
 
-/// The attack a [`TamperingNdp`] mounts on each response.
+/// The attacks of a malicious device, each written once: a
+/// [`TamperingNdp`] mounts one on every operation, and
+/// [`FaultyNdp`](crate::fault::FaultyNdp) lands the one its armed
+/// data-class fault maps to. Every arm covers a weighted sum, a row read
+/// and an element query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tamper {
     /// Flip one bit of the returned ciphertext result.
@@ -376,8 +391,98 @@ pub enum Tamper {
     },
 }
 
+/// `x` with bit `bit` (reduced mod the width) flipped.
+fn flip<W: RingWord>(x: W, bit: u32) -> W {
+    W::from_u64(x.as_u64() ^ (1u64 << (bit % W::BITS)))
+}
+
+/// Each arm runs `dev`'s operation with its first row swapped, then
+/// corrupts the reply. [`CorruptStoredRow`](Tamper::CorruptStoredRow)
+/// attacks memory, not replies: [`TamperingNdp`] corrupts the row as it is
+/// stored, and its arms here serve `dev` as it is.
+impl Tamper {
+    /// The row read in place of the operation's first row `first`.
+    fn row(self, first: usize) -> usize {
+        match self {
+            Tamper::SwapFirstRow { with } => with,
+            _ => first,
+        }
+    }
+
+    pub(crate) fn weighted_sum<D: NdpDevice, W: RingWord>(
+        self,
+        dev: &D,
+        table_addr: u64,
+        indices: &[usize],
+        weights: &[W],
+        with_tag: bool,
+    ) -> Result<NdpResponse<W>, Error> {
+        let mut idx = indices.to_vec();
+        if let Some(i) = idx.first_mut() {
+            // The swapped row's tag is combined too: the checksum still
+            // catches it because tag pads are bound to row addresses.
+            *i = self.row(*i);
+        }
+        let mut r = dev.weighted_sum(table_addr, &idx, weights, with_tag)?;
+        match self {
+            Tamper::FlipResultBit { element, bit } => {
+                let slot = element % r.c_res.len().max(1);
+                if let Some(x) = r.c_res.get_mut(slot) {
+                    *x = flip(*x, bit);
+                }
+            }
+            Tamper::ForgeTag => r.c_t_res = r.c_t_res.map(|t| t + Fq::new(0xf_026e_d7a6)),
+            Tamper::ZeroResult => r.c_res.fill(W::ZERO),
+            Tamper::SwapFirstRow { .. } | Tamper::CorruptStoredRow { .. } => {}
+        }
+        Ok(r)
+    }
+
+    /// Row reads are plain memory fetches, so every attack applies to them
+    /// too, except `ForgeTag`: a raw row carries no tag (a verified read
+    /// travels as a weighted sum, where it fires).
+    pub(crate) fn read_row<D: NdpDevice>(
+        self,
+        dev: &D,
+        table_addr: u64,
+        row: usize,
+    ) -> Result<Vec<u8>, Error> {
+        let mut bytes = dev.read_row(table_addr, self.row(row))?;
+        match self {
+            Tamper::FlipResultBit { element, bit } if !bytes.is_empty() => {
+                let i = element % bytes.len();
+                bytes[i] ^= 1 << (bit % 8);
+            }
+            Tamper::ZeroResult => bytes.fill(0),
+            _ => {}
+        }
+        Ok(bytes)
+    }
+
+    /// A bare scalar, with no tag possible: what an unverifiable query
+    /// surface is exposed to.
+    pub(crate) fn weighted_sum_elements<D: NdpDevice, W: RingWord>(
+        self,
+        dev: &D,
+        table_addr: u64,
+        coords: &[(usize, usize)],
+        weights: &[W],
+    ) -> Result<W, Error> {
+        let mut swapped = coords.to_vec();
+        if let Some(c) = swapped.first_mut() {
+            c.0 = self.row(c.0);
+        }
+        let r = dev.weighted_sum_elements(table_addr, &swapped, weights)?;
+        Ok(match self {
+            Tamper::FlipResultBit { bit, .. } => flip(r, bit),
+            Tamper::ZeroResult => W::ZERO,
+            _ => r,
+        })
+    }
+}
+
 /// An NDP device with a Trojan: behaves like [`HonestNdp`] but applies a
-/// [`Tamper`] to every weighted-summation response.
+/// [`Tamper`] to every operation.
 #[derive(Debug, Clone)]
 pub struct TamperingNdp {
     inner: HonestNdp,
@@ -397,22 +502,6 @@ impl TamperingNdp {
     pub fn tamper(&self) -> Tamper {
         self.tamper
     }
-
-    /// A clone of the inner device with `row` of `table_addr`
-    /// XOR-corrupted — the memory-content attack all
-    /// [`CorruptStoredRow`](Tamper::CorruptStoredRow) arms serve from.
-    fn corrupted_copy(&self, table_addr: u64, row: usize) -> HonestNdp {
-        let mut copy = self.inner.clone();
-        if let Some(t) = copy.tables.get_mut(&table_addr) {
-            let rb = t.row_bytes;
-            if row < t.rows() {
-                for b in &mut t.data[row * rb..(row + 1) * rb] {
-                    *b ^= 0xA5;
-                }
-            }
-        }
-        copy
-    }
 }
 
 impl NdpDevice for TamperingNdp {
@@ -423,7 +512,17 @@ impl NdpDevice for TamperingNdp {
         row_bytes: usize,
         tags: Option<Vec<Fq>>,
     ) -> Result<(), Error> {
-        self.inner.load(table_addr, ciphertext, row_bytes, tags)
+        self.inner.load(table_addr, ciphertext, row_bytes, tags)?;
+        // Memory is attacked after initialization: the stored row changes,
+        // the tags the processor wrote do not.
+        if let (Tamper::CorruptStoredRow { row }, Some(t)) =
+            (self.tamper, self.inner.tables.get_mut(&table_addr))
+        {
+            if let Some(bytes) = t.data.chunks_exact_mut(t.row_bytes).nth(row) {
+                bytes.iter_mut().for_each(|b| *b ^= 0xA5);
+            }
+        }
+        Ok(())
     }
 
     fn weighted_sum<W: RingWord>(
@@ -433,77 +532,12 @@ impl NdpDevice for TamperingNdp {
         weights: &[W],
         with_tag: bool,
     ) -> Result<NdpResponse<W>, Error> {
-        match self.tamper {
-            Tamper::FlipResultBit { element, bit } => {
-                let mut r = self
-                    .inner
-                    .weighted_sum(table_addr, indices, weights, with_tag)?;
-                let slot = element % r.c_res.len().max(1);
-                if let Some(x) = r.c_res.get_mut(slot) {
-                    let flipped = x.as_u64() ^ (1u64 << (bit % W::BITS));
-                    *x = W::from_u64(flipped);
-                }
-                Ok(r)
-            }
-            Tamper::SwapFirstRow { with } => {
-                let mut idx = indices.to_vec();
-                if !idx.is_empty() {
-                    idx[0] = with;
-                }
-                // Data uses the swapped row; the tag is combined over the
-                // swapped row's tag too — the checksum still catches it
-                // because tag pads are bound to row addresses.
-                self.inner.weighted_sum(table_addr, &idx, weights, with_tag)
-            }
-            Tamper::ForgeTag => {
-                let mut r = self
-                    .inner
-                    .weighted_sum(table_addr, indices, weights, with_tag)?;
-                if let Some(t) = r.c_t_res.as_mut() {
-                    *t += Fq::new(0xf_026e_d7a6_u128);
-                }
-                Ok(r)
-            }
-            Tamper::ZeroResult => {
-                let mut r = self
-                    .inner
-                    .weighted_sum(table_addr, indices, weights, with_tag)?;
-                r.c_res.iter_mut().for_each(|x| *x = W::ZERO);
-                Ok(r)
-            }
-            Tamper::CorruptStoredRow { row } => {
-                // Recompute over a corrupted copy of the table.
-                self.corrupted_copy(table_addr, row)
-                    .weighted_sum(table_addr, indices, weights, with_tag)
-            }
-        }
+        self.tamper
+            .weighted_sum(&self.inner, table_addr, indices, weights, with_tag)
     }
 
     fn read_row(&self, table_addr: u64, row: usize) -> Result<Vec<u8>, Error> {
-        // Row reads are plain encrypted-memory fetches, so every tamper
-        // applies to them too — a device that only cheats on summations
-        // would be an oddly principled adversary. `ForgeTag` alone passes
-        // through: a raw row carries no tag to forge (it still fires on
-        // the verified-read path, which travels as a weighted sum).
-        match self.tamper {
-            Tamper::FlipResultBit { element, bit } => {
-                let mut bytes = self.inner.read_row(table_addr, row)?;
-                if !bytes.is_empty() {
-                    let i = element % bytes.len();
-                    bytes[i] ^= 1 << (bit % 8);
-                }
-                Ok(bytes)
-            }
-            Tamper::SwapFirstRow { with } => self.inner.read_row(table_addr, with),
-            Tamper::ForgeTag => self.inner.read_row(table_addr, row),
-            Tamper::ZeroResult => {
-                let bytes = self.inner.read_row(table_addr, row)?;
-                Ok(vec![0u8; bytes.len()])
-            }
-            Tamper::CorruptStoredRow { row: bad } => self
-                .corrupted_copy(table_addr, bad)
-                .read_row(table_addr, row),
-        }
+        self.tamper.read_row(&self.inner, table_addr, row)
     }
 
     fn weighted_sum_elements<W: RingWord>(
@@ -512,36 +546,8 @@ impl NdpDevice for TamperingNdp {
         coords: &[(usize, usize)],
         weights: &[W],
     ) -> Result<W, Error> {
-        // The element-granular path returns a bare scalar (no tag is
-        // even possible), so these tampers model what an unverifiable
-        // query surface is exposed to.
-        match self.tamper {
-            Tamper::FlipResultBit { bit, .. } => {
-                let r = self
-                    .inner
-                    .weighted_sum_elements(table_addr, coords, weights)?;
-                Ok(W::from_u64(r.as_u64() ^ (1u64 << (bit % W::BITS))))
-            }
-            Tamper::SwapFirstRow { with } => {
-                let mut coords = coords.to_vec();
-                if let Some(c) = coords.first_mut() {
-                    c.0 = with;
-                }
-                self.inner
-                    .weighted_sum_elements(table_addr, &coords, weights)
-            }
-            Tamper::ForgeTag => self
-                .inner
-                .weighted_sum_elements(table_addr, coords, weights),
-            Tamper::ZeroResult => {
-                self.inner
-                    .weighted_sum_elements(table_addr, coords, weights)?;
-                Ok(W::ZERO)
-            }
-            Tamper::CorruptStoredRow { row } => self
-                .corrupted_copy(table_addr, row)
-                .weighted_sum_elements(table_addr, coords, weights),
-        }
+        self.tamper
+            .weighted_sum_elements(&self.inner, table_addr, coords, weights)
     }
 }
 

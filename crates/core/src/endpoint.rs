@@ -122,9 +122,9 @@ pub type Route = (usize, usize, u64);
 /// Why a link could not carry (or stopped carrying) a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkFail {
-    /// The rank's device model is gone (its worker exited).
-    RankGone,
-    /// The connection to the rank was lost or could not be established.
+    /// The connection to the rank was lost or could not be established,
+    /// or the rank's worker is gone: the device denied service, it sent
+    /// no bytes to distrust.
     ConnLost,
     /// The peer declared a reply of this many bytes, past the frame cap.
     TooLarge(usize),
@@ -468,7 +468,7 @@ impl<L: Link> Endpoint<L> {
         fresh: &mut Option<Slot>,
     ) -> Result<(), Error> {
         let ranks = self.ranks();
-        let mut last = LinkFail::RankGone;
+        let mut last = LinkFail::ConnLost;
         for i in 0..if failover { ranks } else { 1 } {
             let sent = self.link.route((first + i) % ranks).and_then(|route| {
                 if self.arm(id, route, grace, fresh) {
@@ -676,7 +676,6 @@ impl<L: Link> RoundTrip for Endpoint<L> {
 
 fn link_error(why: LinkFail, attempts: u32) -> Error {
     match why {
-        LinkFail::RankGone => crate::metrics::malformed("transport worker disconnected"),
         LinkFail::ConnLost => Error::ConnectionLost { attempts },
         LinkFail::TooLarge(len) => Error::FrameTooLarge { len },
     }

@@ -2,12 +2,12 @@
 //!
 //! SecNDP's safety argument (paper §II, Theorems 2/A.4) is conditional:
 //! *whatever* the untrusted device does, the trusted side either gets the
-//! correct result or a verification failure. The unit adversaries in
-//! [`device`](crate::device) each probe one attack; this module turns the
-//! argument into a **soak-testable invariant** — schedule a randomized mix
-//! of faults against real queries (including under the concurrent
-//! [`AsyncEndpoint`](crate::transport::AsyncEndpoint) path) and prove that
-//! every injected fault was either
+//! correct result or a verification failure. Each device attack is written
+//! once, as a [`Tamper`] arm in [`device`](crate::device); this module
+//! turns the argument into a **soak-testable invariant** — schedule a
+//! randomized mix of faults against real queries (including under the
+//! concurrent [`AsyncEndpoint`](crate::transport::AsyncEndpoint) path) and
+//! prove that every injected fault was either
 //!
 //! - **masked**: the query still returned the correct, verified result
 //!   (retries, replication or fault-free luck absorbed it), or
@@ -36,7 +36,8 @@
 //!   [`FaultClass`] and journal to the telemetry
 //!   [fault log](secndp_telemetry::faultlog)).
 //! - [`FaultyNdp`] — a device wrapper landing data-class faults inside
-//!   the serve path, with stale-image tracking for replay attacks.
+//!   the serve path through their [`Tamper`] arms, plus the one attack
+//!   only it can mount: replaying a table's previous image.
 //! - [`InvariantChecker`] — reconciles the fault journal against query
 //!   outcomes and the audit log into an [`InvariantReport`].
 //!
@@ -45,7 +46,7 @@
 //! [`AsyncEndpoint::new_with_faults`](crate::transport::AsyncEndpoint::new_with_faults)
 //! — so they hit under real submit/poll/wait concurrency.
 
-use crate::device::{HonestNdp, NdpDevice, NdpResponse};
+use crate::device::{HonestNdp, NdpDevice, NdpResponse, StoredTable, Tamper};
 use crate::error::Error;
 use secndp_arith::mersenne::Fq;
 use secndp_arith::ring::RingWord;
@@ -95,7 +96,7 @@ impl SplitMix64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultClass {
     /// Device-computation faults, applied by [`FaultyNdp`] inside the
-    /// serve path (bit flips, swaps, stale replays…).
+    /// serve path.
     Data,
     /// Transport-frame faults, applied by the endpoint's worker loop
     /// (drops, duplicates, stalls, crashes…).
@@ -108,26 +109,25 @@ pub enum FaultClass {
 /// model — see `DESIGN.md` § Fault injection & chaos for the full mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Flip one bit of one element of the weighted-sum response (or one
-    /// bit of one byte of a row read) — a Trojan corrupting results.
+    /// Lands as [`Tamper::FlipResultBit`].
     FlipResponseBit {
         /// Element (or byte) index, reduced mod the response length.
         element: u32,
         /// Bit to flip, reduced mod the element width.
         bit: u32,
     },
-    /// Substitute a different row for the first requested index — the
-    /// "copy valid ciphertext from another address" attack.
+    /// Lands as [`Tamper::SwapFirstRow`], with the row `offset` past the
+    /// first requested one.
     SwapValue {
         /// Row-index offset added mod the table's row count (≥ 1).
         offset: u32,
     },
-    /// Return the correct result with a forged combined tag.
+    /// Lands as [`Tamper::ForgeTag`].
     SwapTag,
     /// Serve the query from the table image *before* the latest load —
     /// a stale-version replay against the OTP versioning scheme.
     ReplayStale,
-    /// Return all-zero results (lazy / denial-of-quality device).
+    /// Lands as [`Tamper::ZeroResult`].
     ZeroResult,
     /// Never complete the reply frame — the request must time out.
     DropReply,
@@ -253,20 +253,10 @@ impl FaultSel {
     /// Parses one `SECNDP_FAULT_KINDS` entry (the snake-case
     /// [`FaultKind::name`] strings).
     pub fn parse(s: &str) -> Option<FaultSel> {
-        match s.trim() {
-            "flip_response_bit" => Some(FaultSel::Flip),
-            "swap_value" => Some(FaultSel::Swap),
-            "swap_tag" => Some(FaultSel::SwapTag),
-            "replay_stale" => Some(FaultSel::Stale),
-            "zero_result" => Some(FaultSel::Zero),
-            "drop_reply" => Some(FaultSel::Drop),
-            "duplicate_reply" => Some(FaultSel::Duplicate),
-            "late_reply" => Some(FaultSel::Late),
-            "malformed_reply" => Some(FaultSel::Malformed),
-            "rank_stall" => Some(FaultSel::Stall),
-            "rank_crash" => Some(FaultSel::Crash),
-            _ => None,
-        }
+        // A kind's name does not depend on its parameters.
+        let (plan, mut rng) = (FaultPlan::new(0), SplitMix64::new(0));
+        let named = |sel: &FaultSel| plan.materialize(*sel, &mut rng).name() == s.trim();
+        Self::ALL.iter().copied().find(named)
     }
 }
 
@@ -362,7 +352,13 @@ impl FaultPlan {
         }
         let sel = self.mix[rng.below(self.mix.len() as u64) as usize];
         let rank = rng.below(self.ranks.max(1) as u64) as u32;
-        let kind = match sel {
+        let kind = self.materialize(sel, &mut rng);
+        Some(PlannedFault { op, rank, kind })
+    }
+
+    /// `sel`'s kind, with its parameters drawn from `rng` and this plan.
+    fn materialize(&self, sel: FaultSel, rng: &mut SplitMix64) -> FaultKind {
+        match sel {
             FaultSel::Flip => FaultKind::FlipResponseBit {
                 element: rng.below(64) as u32,
                 bit: rng.below(64) as u32,
@@ -385,8 +381,7 @@ impl FaultPlan {
                 stall_ms: self.stall_ms,
             },
             FaultSel::Crash => FaultKind::RankCrash,
-        };
-        Some(PlannedFault { op, rank, kind })
+        }
     }
 
     /// The full schedule for ops `0..ops`.
@@ -444,12 +439,10 @@ impl FaultInjector {
 
     /// Consumes the armed fault if its class matches the calling site.
     pub fn take(&self, class: FaultClass) -> Option<PlannedFault> {
-        let mut armed = self.armed.lock().unwrap();
-        if armed.map(|f| f.kind.class()) == Some(class) {
-            armed.take()
-        } else {
-            None
-        }
+        self.armed
+            .lock()
+            .unwrap()
+            .take_if(|f| f.kind.class() == class)
     }
 
     /// Journals a consumed fault to the process-wide
@@ -482,35 +475,17 @@ impl FaultInjector {
     }
 }
 
-/// A retained copy of one loaded table, for stale-replay faults.
-#[derive(Debug, Clone)]
-struct TableImage {
-    data: Vec<u8>,
-    row_bytes: usize,
-    tags: Option<Vec<Fq>>,
-}
-
-impl TableImage {
-    fn rows(&self) -> usize {
-        self.data.len().checked_div(self.row_bytes).unwrap_or(0)
-    }
-
-    /// A throwaway honest device serving exactly this image.
-    fn as_device(&self, table_addr: u64) -> Result<HonestNdp, Error> {
-        let mut d = HonestNdp::new();
-        d.load(
-            table_addr,
-            self.data.clone(),
-            self.row_bytes,
-            self.tags.clone(),
-        )?;
-        Ok(d)
-    }
+/// Where an armed data fault sends the one operation it lands on.
+enum Landing<'a> {
+    /// Through the wrapped device, under this attack.
+    Tamper(Tamper),
+    /// To the table's image before its latest load.
+    Stale(&'a HonestNdp),
 }
 
 /// A device wrapper that lands **data-class** faults inside the serve
-/// path: bit flips, value/tag swaps, zeroed results, and stale-version
-/// replays (it retains the previous image of every reloaded table).
+/// path: each maps to its [`Tamper`] arm, except the stale-version replay,
+/// which serves the previous image of a reloaded table.
 ///
 /// Wrap one per rank around the real device and hand the fleet to
 /// [`AsyncEndpoint::new_with_faults`](crate::transport::AsyncEndpoint::new_with_faults)
@@ -522,8 +497,10 @@ pub struct FaultyNdp<D> {
     inner: D,
     injector: Arc<FaultInjector>,
     rank: u32,
-    current: Mutex<HashMap<u64, TableImage>>,
-    stale: Mutex<HashMap<u64, TableImage>>,
+    /// The image of every loaded table, tracked for its row count.
+    current: HashMap<u64, StoredTable>,
+    /// Each reloaded table's previous image, as a device serving it.
+    stale: HashMap<u64, HonestNdp>,
 }
 
 impl<D: NdpDevice> FaultyNdp<D> {
@@ -533,9 +510,21 @@ impl<D: NdpDevice> FaultyNdp<D> {
             inner,
             injector,
             rank,
-            current: Mutex::new(HashMap::new()),
-            stale: Mutex::new(HashMap::new()),
+            current: HashMap::new(),
+            stale: HashMap::new(),
         }
+    }
+
+    /// A fleet of `ranks` wrappers around clones of `device`, all
+    /// consuming from one shared injector — the input to
+    /// [`AsyncEndpoint::new_with_faults`](crate::transport::AsyncEndpoint::new_with_faults).
+    pub fn fleet(device: D, ranks: usize, injector: Arc<FaultInjector>) -> Vec<Self>
+    where
+        D: Clone,
+    {
+        (0..ranks.max(1))
+            .map(|rank| Self::new(device.clone(), Arc::clone(&injector), rank as u32))
+            .collect()
     }
 
     /// The rank this wrapper journals injections under.
@@ -548,28 +537,40 @@ impl<D: NdpDevice> FaultyNdp<D> {
         &self.injector
     }
 
-    fn journal(&self, fault: &PlannedFault, detail: &'static str) {
-        self.injector.journal(fault, self.rank, detail, None);
-    }
-
-    /// Rows of the currently loaded image at `table_addr`, if tracked.
-    fn current_rows(&self, table_addr: u64) -> Option<usize> {
-        self.current
-            .lock()
-            .unwrap()
-            .get(&table_addr)
-            .map(|img| img.rows())
-    }
-}
-
-impl<D: NdpDevice + Clone> FaultyNdp<D> {
-    /// A fleet of `ranks` wrappers around clones of `device`, all
-    /// consuming from one shared injector — the input to
-    /// [`AsyncEndpoint::new_with_faults`](crate::transport::AsyncEndpoint::new_with_faults).
-    pub fn fleet(device: D, ranks: usize, injector: Arc<FaultInjector>) -> Vec<Self> {
-        (0..ranks.max(1))
-            .map(|rank| Self::new(device.clone(), Arc::clone(&injector), rank as u32))
-            .collect()
+    /// Consumes the armed data fault, if any, for one operation on
+    /// `table_addr` whose first row is `first`, and journals it. `None`
+    /// serves the operation honestly: nothing was armed, or the fault
+    /// cannot land on it, which the journal says why.
+    fn land(&self, table_addr: u64, first: Option<usize>, tagged: bool) -> Option<Landing<'_>> {
+        let fault = self.injector.take(FaultClass::Data)?;
+        let landed = match fault.kind {
+            FaultKind::FlipResponseBit { element, bit } => {
+                let element = element as usize;
+                Ok(Landing::Tamper(Tamper::FlipResultBit { element, bit }))
+            }
+            FaultKind::SwapValue { offset } => {
+                let rows = self.current.get(&table_addr).map_or(0, StoredTable::rows);
+                match first {
+                    Some(i) if rows >= 2 => {
+                        let with = i.wrapping_add(offset as usize) % rows;
+                        Ok(Landing::Tamper(Tamper::SwapFirstRow { with }))
+                    }
+                    _ => Err("untracked or trivial table; passthrough"),
+                }
+            }
+            FaultKind::SwapTag if !tagged => Err("no tag to forge; passthrough"),
+            FaultKind::SwapTag => Ok(Landing::Tamper(Tamper::ForgeTag)),
+            FaultKind::ZeroResult => Ok(Landing::Tamper(Tamper::ZeroResult)),
+            FaultKind::ReplayStale => match self.stale.get(&table_addr) {
+                Some(image) => Ok(Landing::Stale(image)),
+                None => Err("no stale image; served fresh"),
+            },
+            // Frame kinds are filtered out by `take`'s class match.
+            _ => unreachable!("non-data fault taken by FaultyNdp"),
+        };
+        let detail = landed.as_ref().err().copied().unwrap_or("");
+        self.injector.journal(&fault, self.rank, detail, None);
+        landed.ok()
     }
 }
 
@@ -581,17 +582,13 @@ impl<D: NdpDevice> NdpDevice for FaultyNdp<D> {
         row_bytes: usize,
         tags: Option<Vec<Fq>>,
     ) -> Result<(), Error> {
-        let image = TableImage {
-            data: ciphertext.clone(),
-            row_bytes,
-            tags: tags.clone(),
-        };
+        let image = StoredTable::new(ciphertext.clone(), row_bytes, tags.clone())?;
         self.inner.load(table_addr, ciphertext, row_bytes, tags)?;
         // Only successful loads rotate the image history: the previous
         // image becomes the stale-replay source.
-        let mut current = self.current.lock().unwrap();
-        if let Some(prev) = current.insert(table_addr, image) {
-            self.stale.lock().unwrap().insert(table_addr, prev);
+        if let Some(prev) = self.current.insert(table_addr, image) {
+            self.stale
+                .insert(table_addr, HonestNdp::serving(table_addr, prev));
         }
         Ok(())
     }
@@ -603,127 +600,22 @@ impl<D: NdpDevice> NdpDevice for FaultyNdp<D> {
         weights: &[W],
         with_tag: bool,
     ) -> Result<NdpResponse<W>, Error> {
-        let Some(fault) = self.injector.take(FaultClass::Data) else {
-            return self
+        match self.land(table_addr, indices.first().copied(), with_tag) {
+            None => self
                 .inner
-                .weighted_sum(table_addr, indices, weights, with_tag);
-        };
-        match fault.kind {
-            FaultKind::FlipResponseBit { element, bit } => {
-                self.journal(&fault, "");
-                let mut r = self
-                    .inner
-                    .weighted_sum(table_addr, indices, weights, with_tag)?;
-                let slot = element as usize % r.c_res.len().max(1);
-                if let Some(x) = r.c_res.get_mut(slot) {
-                    *x = W::from_u64(x.as_u64() ^ (1u64 << (bit % W::BITS)));
-                }
-                Ok(r)
+                .weighted_sum(table_addr, indices, weights, with_tag),
+            Some(Landing::Tamper(t)) => {
+                t.weighted_sum(&self.inner, table_addr, indices, weights, with_tag)
             }
-            FaultKind::SwapValue { offset } => {
-                let rows = self.current_rows(table_addr).unwrap_or(0);
-                if rows < 2 || indices.is_empty() {
-                    self.journal(&fault, "untracked or trivial table; passthrough");
-                    return self
-                        .inner
-                        .weighted_sum(table_addr, indices, weights, with_tag);
-                }
-                self.journal(&fault, "");
-                let mut idx = indices.to_vec();
-                // Combine the swapped row's tag too: the checksum still
-                // catches it because tag pads bind to row addresses.
-                idx[0] = (idx[0] + offset as usize) % rows;
-                self.inner.weighted_sum(table_addr, &idx, weights, with_tag)
-            }
-            FaultKind::SwapTag => {
-                let mut r = self
-                    .inner
-                    .weighted_sum(table_addr, indices, weights, with_tag)?;
-                match r.c_t_res.as_mut() {
-                    Some(t) => {
-                        self.journal(&fault, "");
-                        *t += Fq::new(0xD15E_A5ED_u128);
-                    }
-                    None => self.journal(&fault, "untagged response; passthrough"),
-                }
-                Ok(r)
-            }
-            FaultKind::ReplayStale => {
-                let stale = self.stale.lock().unwrap().get(&table_addr).cloned();
-                match stale {
-                    Some(img) => {
-                        self.journal(&fault, "");
-                        img.as_device(table_addr)?
-                            .weighted_sum(table_addr, indices, weights, with_tag)
-                    }
-                    None => {
-                        self.journal(&fault, "no stale image; served fresh");
-                        self.inner
-                            .weighted_sum(table_addr, indices, weights, with_tag)
-                    }
-                }
-            }
-            FaultKind::ZeroResult => {
-                self.journal(&fault, "");
-                let mut r = self
-                    .inner
-                    .weighted_sum(table_addr, indices, weights, with_tag)?;
-                r.c_res.iter_mut().for_each(|x| *x = W::ZERO);
-                Ok(r)
-            }
-            // Frame kinds are filtered out by `take`'s class match.
-            _ => unreachable!("non-data fault taken by FaultyNdp"),
+            Some(Landing::Stale(d)) => d.weighted_sum(table_addr, indices, weights, with_tag),
         }
     }
 
     fn read_row(&self, table_addr: u64, row: usize) -> Result<Vec<u8>, Error> {
-        let Some(fault) = self.injector.take(FaultClass::Data) else {
-            return self.inner.read_row(table_addr, row);
-        };
-        match fault.kind {
-            FaultKind::FlipResponseBit { element, bit } => {
-                self.journal(&fault, "");
-                let mut bytes = self.inner.read_row(table_addr, row)?;
-                if !bytes.is_empty() {
-                    let i = element as usize % bytes.len();
-                    bytes[i] ^= 1 << (bit % 8);
-                }
-                Ok(bytes)
-            }
-            FaultKind::SwapValue { offset } => {
-                let rows = self.current_rows(table_addr).unwrap_or(0);
-                if rows < 2 {
-                    self.journal(&fault, "untracked or trivial table; passthrough");
-                    return self.inner.read_row(table_addr, row);
-                }
-                self.journal(&fault, "");
-                self.inner
-                    .read_row(table_addr, (row + offset as usize) % rows)
-            }
-            FaultKind::SwapTag => {
-                // A raw row read carries no tag to forge.
-                self.journal(&fault, "row read carries no tag; passthrough");
-                self.inner.read_row(table_addr, row)
-            }
-            FaultKind::ReplayStale => {
-                let stale = self.stale.lock().unwrap().get(&table_addr).cloned();
-                match stale {
-                    Some(img) => {
-                        self.journal(&fault, "");
-                        img.as_device(table_addr)?.read_row(table_addr, row)
-                    }
-                    None => {
-                        self.journal(&fault, "no stale image; served fresh");
-                        self.inner.read_row(table_addr, row)
-                    }
-                }
-            }
-            FaultKind::ZeroResult => {
-                self.journal(&fault, "");
-                let bytes = self.inner.read_row(table_addr, row)?;
-                Ok(vec![0u8; bytes.len()])
-            }
-            _ => unreachable!("non-data fault taken by FaultyNdp"),
+        match self.land(table_addr, Some(row), false) {
+            None => self.inner.read_row(table_addr, row),
+            Some(Landing::Tamper(t)) => t.read_row(&self.inner, table_addr, row),
+            Some(Landing::Stale(d)) => d.read_row(table_addr, row),
         }
     }
 }
@@ -900,15 +792,13 @@ impl InvariantChecker {
                 Outcome::Failed(e) => {
                     report.detected += 1;
                     tally.detected += 1;
-                    if self.require_audit && e.is_integrity_violation() {
-                        let audited = audit.iter().any(|a| a.trace.0 == q.trace);
-                        if !audited {
-                            report.violations.push(format!(
-                                "seed {}: fault {} at op {} detected ({e}) but no \
-                                 audit event in trace {}",
-                                self.seed, f.kind, f.op, q.trace
-                            ));
-                        }
+                    let audited = || audit.iter().any(|a| a.trace.0 == q.trace);
+                    if self.require_audit && e.is_integrity_violation() && !audited() {
+                        report.violations.push(format!(
+                            "seed {}: fault {} at op {} detected ({e}) but no \
+                             audit event in trace {}",
+                            self.seed, f.kind, f.op, q.trace
+                        ));
                     }
                 }
             }
@@ -1094,6 +984,73 @@ mod tests {
         });
         assert_eq!(dev.read_row(0x10, 0).unwrap(), new);
         assert!(inj.disarm().is_some(), "frame fault left armed");
+    }
+
+    /// One implementation of each attack: a `FaultyNdp` armed with a
+    /// shared data kind answers exactly as a `TamperingNdp` mounting the
+    /// matching `Tamper`, on a weighted sum and on a row read.
+    #[test]
+    fn faulty_and_tampering_ndp_land_each_data_kind_identically() {
+        use crate::device::TamperingNdp;
+        const ADDR: u64 = 0x20;
+        let bytes = secndp_arith::ring::words_to_le_bytes(&(1..=16).collect::<Vec<u32>>());
+        let tags: Vec<Fq> = (0..4).map(|i| Fq::new(100 + i)).collect();
+        let (first, offset) = (2usize, 3u32);
+        let (indices, weights) = ([first, 0], [3u32, 5]);
+        let mut honest = HonestNdp::new();
+        honest
+            .load(ADDR, bytes.clone(), 16, Some(tags.clone()))
+            .unwrap();
+        let honest = honest.weighted_sum(ADDR, &indices, &weights, true).unwrap();
+        for (kind, tamper) in [
+            (
+                FaultKind::FlipResponseBit { element: 5, bit: 9 },
+                Tamper::FlipResultBit { element: 5, bit: 9 },
+            ),
+            (
+                FaultKind::SwapValue { offset },
+                Tamper::SwapFirstRow {
+                    with: (first + offset as usize) % 4,
+                },
+            ),
+            (FaultKind::SwapTag, Tamper::ForgeTag),
+            (FaultKind::ZeroResult, Tamper::ZeroResult),
+        ] {
+            let inj = Arc::new(FaultInjector::new());
+            let mut faulty = FaultyNdp::new(HonestNdp::new(), Arc::clone(&inj), 0);
+            let mut tampering = TamperingNdp::new(tamper);
+            faulty
+                .load(ADDR, bytes.clone(), 16, Some(tags.clone()))
+                .unwrap();
+            tampering
+                .load(ADDR, bytes.clone(), 16, Some(tags.clone()))
+                .unwrap();
+            let arm = || {
+                inj.arm(PlannedFault {
+                    op: 0,
+                    rank: 0,
+                    kind,
+                })
+            };
+
+            arm();
+            let got = faulty.weighted_sum(ADDR, &indices, &weights, true).unwrap();
+            let want = tampering.weighted_sum(ADDR, &indices, &weights, true);
+            assert_eq!(got, want.unwrap(), "{kind}: weighted sum");
+            assert_ne!(got, honest, "{kind}: the weighted sum was not attacked");
+            arm();
+            let got = faulty.read_row(ADDR, first).unwrap();
+            assert_eq!(
+                got,
+                tampering.read_row(ADDR, first).unwrap(),
+                "{kind}: row read"
+            );
+            assert_eq!(
+                inj.injected(),
+                2,
+                "{kind}: not journaled once per operation"
+            );
+        }
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!   that is busy past `stall_grace` without a heartbeat is reported
 //!   down, which degrades the endpoint's `transport-epN` health component.
 //! - **A dead rank is a closed queue.** A worker that exited (the crashed
-//!   device model) makes `send` fail, so idempotent requests fail over at
-//!   send time and a `Load` surfaces the dead rank typed.
+//!   device model) makes `send` fail with a lost connection, so idempotent
+//!   requests fail over at send time and a `Load` surfaces the dead rank as
+//!   [`Error::ConnectionLost`](crate::Error::ConnectionLost).
 //! - **The chaos hook.** [`AsyncEndpoint::new_with_faults`] applies the
 //!   [`FaultInjector`]'s frame-class faults inside the worker loop, between
 //!   dequeue and serve.
@@ -150,7 +151,7 @@ impl Link for WorkerLink {
             id,
             frame: Arc::clone(frame),
         };
-        locked(tx).send(job).map_err(|_| LinkFail::RankGone)
+        locked(tx).send(job).map_err(|_| LinkFail::ConnLost)
     }
 
     fn down(&self) -> Vec<usize> {

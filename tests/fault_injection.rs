@@ -270,10 +270,11 @@ fn crashed_rank_fails_over_queries_but_fails_loads_typed() {
             .unwrap();
         assert_eq!(res, ground_truth(&pt, &[0, 1], &[3, 2]));
     }
-    // A broadcast Load cannot fail over — the dead rank must surface.
+    // A broadcast Load cannot fail over — the dead rank must surface, as
+    // a lost connection (it sent no bytes), never as an integrity error.
     let table2 = cpu.reencrypt_table(&table, &pt).unwrap();
     match cpu.publish(&table2, &mut ep) {
-        Err(Error::MalformedResponse { .. }) | Err(Error::DeviceTimeout { .. }) => {}
+        Err(Error::ConnectionLost { .. }) | Err(Error::DeviceTimeout { .. }) => {}
         other => panic!("Load to a crashed rank must fail typed, got {other:?}"),
     }
 }
