@@ -7,9 +7,10 @@
 //! 2. **Controller scheduling** — FR-FCFS-style reordering vs strict
 //!    in-order issue.
 //! 3. **Checksum scheme** — single-`s` (Alg 2) vs multi-`s` (Alg 8): the
-//!    forgery bound improves by `cnt_s` at the cost of extra field
-//!    exponentiations (throughput measured by `cargo bench`, bound printed
-//!    here).
+//!    forgery bound improves by `cnt_s` at the cost of `cnt_s` AES blocks of
+//!    secret derivation per query (both printed here).
+//! 4. **`NDP_reg`** — rank-level register count: more registers balance
+//!    the irregular SLS lookups of a packet across ranks (simulated cycles).
 //!
 //! Run with: `cargo run --release -p secndp-bench --bin ablation [batch]`
 
@@ -93,15 +94,45 @@ fn main() {
                 format!("m={m}"),
                 format!("deg {degree}"),
                 format!("{bits:.1} bits/query"),
+                format!("{}", scheme.num_secrets()),
             ]);
         }
     }
     print_table(
         "Ablation 3: checksum scheme forgery bounds",
-        &["scheme", "row width", "poly degree", "security"],
+        &[
+            "scheme",
+            "row width",
+            "poly degree",
+            "security",
+            "secret AES blocks/query",
+        ],
         &rows,
     );
-    println!("\n(throughput comparison: `cargo bench -p secndp-bench -- checksum`)");
+    println!(
+        "\n(either scheme checksums a row as one dot product over an m-entry power \
+         table, so per query they differ only in secret derivation)"
+    );
+
+    // ── 4. NDP_reg ablation (load balancing on irregular SLS). ─────────
+    let mut rows = Vec::new();
+    for reg in [1usize, 4, 8, 16] {
+        let cfg = SimConfig::paper_default(NdpConfig {
+            ndp_rank: 8,
+            ndp_reg: reg,
+        });
+        let ndp = simulate(&trace, Mode::UnprotectedNdp, &cfg);
+        rows.push(vec![
+            format!("ndp_reg={reg}"),
+            format!("{}", ndp.packets),
+            format!("{}", ndp.total_cycles),
+        ]);
+    }
+    print_table(
+        "Ablation 4: NDP_reg (SLS 32-bit, rank=8)",
+        &["registers", "packets", "NDP cyc"],
+        &rows,
+    );
 
     secndp_bench::write_metrics_json_if_requested();
     secndp_bench::write_trace_if_requested();

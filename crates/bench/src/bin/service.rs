@@ -20,10 +20,9 @@
 
 use secndp_bench::{
     batch_from_args, headline_config, hold_secs_from_args, print_table, serve_metrics_addr,
-    transport_ranks_from_args, transport_timeout_ms_from_args, transport_window_from_args,
     write_metrics_json_if_requested, write_trace_if_requested, HEADLINE_PF,
 };
-use secndp_core::device::{DelayedNdp, Tamper, TamperingNdp};
+use secndp_core::device::{Tamper, TamperingNdp};
 use secndp_core::wire::RemoteNdp;
 use secndp_core::{AsyncEndpoint, Error, HonestNdp, SecretKey, TransportConfig, TrustedProcessor};
 use secndp_sim::config::{VerifPlacement, NS_PER_CYCLE};
@@ -69,8 +68,9 @@ fn tamper_burst(n: usize) -> Result<usize, Error> {
 }
 
 /// Drives the full software stack once — encrypt, publish over the wire,
-/// verified weighted summations, and a tampering self-test — so the
-/// metrics snapshot contains live values for every pipeline stage.
+/// verified weighted summations, one packet pipelined over an async
+/// endpoint, and a tampering self-test — so the metrics snapshot contains
+/// live values for every pipeline stage.
 fn protocol_warmup() -> Result<(), Error> {
     let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0x5EC));
     let mut ndp = RemoteNdp::new(HonestNdp::new());
@@ -89,6 +89,14 @@ fn protocol_warmup() -> Result<(), Error> {
         .map(|q| (vec![q % rows, (q + 1) % rows], vec![1u32, 1]))
         .collect();
     cpu.weighted_sum_batch(&handle, &ndp, &queries, true)?;
+    // The same packet pipelined across two ranks, so the endpoint's
+    // `secndp_transport_*` instruments the smoke jobs read get traffic.
+    let mut endpoint = AsyncEndpoint::new(
+        vec![HonestNdp::new(), HonestNdp::new()],
+        TransportConfig::default(),
+    );
+    let handle = cpu.publish(&table, &mut endpoint)?;
+    cpu.weighted_sum_batch_pipelined(&handle, &endpoint, &queries, true)?;
 
     // Verification self-test: a tampering device must fail (and count).
     // One deliberate failure — below every anomaly-detector threshold, so
@@ -110,85 +118,6 @@ fn assert_health(phase: &str) {
         report.render_json()
     );
     println!("health after {phase}: {}", report.status.as_str());
-}
-
-/// Async-transport phase: one verified batch pipelined across N device
-/// ranks.
-const TRANSPORT_QUERIES: usize = 128;
-const TRANSPORT_REFS_PER_QUERY: usize = 8;
-const TRANSPORT_ROWS: usize = 256;
-const TRANSPORT_COLS: usize = 32;
-/// Per-request device latency modelling the NDP's command round trip.
-const TRANSPORT_DELAY_US: u64 = 40;
-
-/// Written next to `pipelined_ns` in `BENCH_service.json`, so nobody reads
-/// that time as evidence about the transport or the caller: each rank
-/// sleeps [`TRANSPORT_DELAY_US`] per query (`thread::sleep` stretches a
-/// 40 µs nap to 120–160 µs on a 2-vCPU host), and 32 naps per rank are
-/// 4–5 ms whatever the trusted side does meanwhile.
-const PIPELINED_NS_NOTE: &str = "bound by the ranks' per-query thread::sleep(device_delay_us), \
-    not by the transport or the caller: not evidence for or against a transport change";
-
-/// What the pipelined transport leg ran with, and how long it took.
-struct TransportReport {
-    ranks: usize,
-    window: usize,
-    timeout_ms: u64,
-    pipelined_ns: u64,
-}
-
-/// Runs one verified weighted-sum batch through the async endpoint,
-/// pipelined across `ranks` device ranks, each behind a fixed per-query
-/// delay — the endpoint traffic behind the `secndp_transport_*`
-/// instruments the smoke jobs look for. The time is informational and
-/// bound by the ranks' sleep (see [`PIPELINED_NS_NOTE`]): whether the
-/// transport got faster or slower is the perf ledger's to say
-/// (`benchmark/`), and that requests overlap is asserted by
-/// `tests/async_transport.rs`, not by a ratio against a blocking leg.
-fn transport_bench(ranks: usize, window: usize, timeout_ms: u64) -> Result<TransportReport, Error> {
-    let delay = std::time::Duration::from_micros(TRANSPORT_DELAY_US);
-    let pt: Vec<u32> = (0..TRANSPORT_ROWS * TRANSPORT_COLS)
-        .map(|x| (x % 257) as u32)
-        .collect();
-    let mut state = 0x7AB5_u64;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        (state >> 33) as usize
-    };
-    let queries: Vec<(Vec<usize>, Vec<u32>)> = (0..TRANSPORT_QUERIES)
-        .map(|_| {
-            let idx: Vec<usize> = (0..TRANSPORT_REFS_PER_QUERY)
-                .map(|_| next() % TRANSPORT_ROWS)
-                .collect();
-            let w = vec![1u32; idx.len()];
-            (idx, w)
-        })
-        .collect();
-
-    let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0x7A1));
-    let devices: Vec<DelayedNdp<HonestNdp>> = (0..ranks)
-        .map(|_| DelayedNdp::new(HonestNdp::new(), delay))
-        .collect();
-    let mut endpoint = AsyncEndpoint::new(
-        devices,
-        TransportConfig {
-            window,
-            timeout: std::time::Duration::from_millis(timeout_ms),
-            ..TransportConfig::default()
-        },
-    );
-    let table = cpu.encrypt_table(&pt, TRANSPORT_ROWS, TRANSPORT_COLS, 0x40_0000)?;
-    let handle = cpu.publish(&table, &mut endpoint)?;
-    let t0 = std::time::Instant::now();
-    cpu.weighted_sum_batch_pipelined(&handle, &endpoint, &queries, true)?;
-    Ok(TransportReport {
-        ranks,
-        window,
-        timeout_ms,
-        pipelined_ns: t0.elapsed().as_nanos() as u64,
-    })
 }
 
 struct SweepRow {
@@ -236,7 +165,7 @@ fn sweep_row(offered_pct: u64, gap_cycles: u64, r: &ServiceReport) -> SweepRow {
     }
 }
 
-fn write_sweep_json(rows: &[SweepRow], batch: usize, transport: &TransportReport) {
+fn write_sweep_json(rows: &[SweepRow], batch: usize) {
     let entries: Vec<String> = rows
         .iter()
         .map(|r| {
@@ -257,19 +186,13 @@ fn write_sweep_json(rows: &[SweepRow], batch: usize, transport: &TransportReport
             )
         })
         .collect();
-    let tr = format!(
-        "{{\"ranks\":{},\"window\":{},\"timeout_ms\":{},\"queries\":{TRANSPORT_QUERIES},\
-         \"refs_per_query\":{TRANSPORT_REFS_PER_QUERY},\"device_delay_us\":{TRANSPORT_DELAY_US},\
-         \"pipelined_ns\":{},\"pipelined_ns_note\":\"{PIPELINED_NS_NOTE}\"}}",
-        transport.ranks, transport.window, transport.timeout_ms, transport.pipelined_ns,
-    );
     // `/sloz` renders a complete JSON object; embed it verbatim so the
     // sweep file carries the run's burn rates and budget verdicts.
     let slo = secndp_telemetry::health::monitor().render_sloz(secndp_telemetry::global());
     let costs = secndp_telemetry::profile::profiler().recorded();
     let json = format!(
         "{{\"bench\":\"service\",\"batch\":{batch},\"pf\":{HEADLINE_PF},\
-         \"transport\":{tr},\"query_costs_recorded\":{costs},\"slo\":{},\"rows\":[{}]}}\n",
+         \"query_costs_recorded\":{costs},\"slo\":{},\"rows\":[{}]}}\n",
         slo.trim_end(),
         entries.join(",")
     );
@@ -280,6 +203,8 @@ fn write_sweep_json(rows: &[SweepRow], batch: usize, transport: &TransportReport
 }
 
 fn main() {
+    // An unknown flag exits here, before any phase runs.
+    let batch = batch_from_args().max(256);
     // Observability first, so every later phase is covered: crash dumps,
     // build-info gauges, the health sampler + anomaly detectors, and (when
     // requested) the live scrape server.
@@ -329,22 +254,6 @@ fn main() {
     protocol_warmup().expect("protocol warm-up failed");
     assert_health("protocol warm-up");
 
-    // Async-transport phase: one batch pipelined across the ranks.
-    let ranks = transport_ranks_from_args().unwrap_or(4).max(1);
-    let window = transport_window_from_args().unwrap_or(16).max(1);
-    let timeout_ms = transport_timeout_ms_from_args().unwrap_or(1000).max(1);
-    let transport = transport_bench(ranks, window, timeout_ms).expect("transport bench failed");
-    assert_health("transport bench");
-    println!(
-        "async transport ({} ranks, window {}): verified batch of {} queries \
-         pipelined in {:.3} ms (rank-sleep-bound)",
-        transport.ranks,
-        transport.window,
-        TRANSPORT_QUERIES,
-        transport.pipelined_ns as f64 / 1e6,
-    );
-
-    let batch = batch_from_args().max(256);
     let sim = headline_config();
     let trace = sls_trace(&DlrmConfig::rmc1_small(), HEADLINE_PF, batch, 7);
     let mode = Mode::SecNdpVer(VerifPlacement::Ecc);
@@ -401,7 +310,7 @@ fn main() {
     // itself).
     let profiler = secndp_telemetry::profile::profiler();
     profiler.fold(secndp_telemetry::trace::journal());
-    write_sweep_json(&rows, batch, &transport);
+    write_sweep_json(&rows, batch);
 
     println!(
         "\n--- per-query cost digest ({} costs recorded; top 3 by latency) ---",

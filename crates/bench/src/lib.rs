@@ -12,7 +12,7 @@
 //! | `fig11`  | Figure 11 — end-to-end breakdown and batch scaling |
 //! | `table4` | Table IV — quantization accuracy (LogLoss) |
 //! | `table5` | Table V — memory energy, plus engine area (§VII-C) |
-//! | `ablation` | DESIGN.md ablations: address mapping, scheduler, checksum scheme |
+//! | `ablation` | DESIGN.md ablations: address mapping, scheduler, checksum scheme, `NDP_reg` |
 //! | `simulate` | free-form CLI simulation (built-in workloads or trace files) |
 //! | `service`  | open-loop load sweep with response-time percentiles |
 //!
@@ -36,36 +36,48 @@ pub const HEADLINE_PF: usize = 80;
 pub const DEFAULT_BATCH: usize = 64;
 
 /// Flags that consume a following value (so the batch-size scan can skip
-/// them in either `--flag value` or `--flag=value` form).
+/// them in either `--flag value` or `--flag=value` form). No binary that
+/// reads a batch size takes any other flag.
 const VALUE_FLAGS: &[&str] = &[
     "--metrics-json",
     "--trace-out",
     "--profile-out",
-    "--transport-ranks",
-    "--transport-window",
-    "--transport-timeout-ms",
     "--serve-metrics",
     "--hold-secs",
 ];
 
-/// Parses the optional batch-size CLI argument: the first argument that is
-/// not a `--flag` (so `--metrics-json out.json 256` and
-/// `256 --trace-out trace.json` both work).
-pub fn batch_from_args() -> usize {
-    let mut args = std::env::args().skip(1);
+/// The batch size in `args`: the first bare number, skipping each known
+/// flag and its value (so `--metrics-json out.json 256` and
+/// `256 --trace-out trace.json` both work). An unknown `--flag` is an
+/// error rather than skipped, so its value is never taken for the batch.
+fn parse_batch(args: impl IntoIterator<Item = String>) -> Result<usize, String> {
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
         if VALUE_FLAGS.contains(&a.as_str()) {
             let _ = args.next(); // skip the flag's value
             continue;
         }
         if a.starts_with("--") {
-            continue;
+            let name = a.split_once('=').map_or(a.as_str(), |(name, _)| name);
+            if VALUE_FLAGS.contains(&name) {
+                continue;
+            }
+            return Err(format!("unknown flag {a}"));
         }
         if let Ok(v) = a.parse() {
-            return v;
+            return Ok(v);
         }
     }
-    DEFAULT_BATCH
+    Ok(DEFAULT_BATCH)
+}
+
+/// Parses the optional batch-size CLI argument (see [`parse_batch`]);
+/// prints an unknown flag and exits with status 2.
+pub fn batch_from_args() -> usize {
+    parse_batch(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
 }
 
 /// The path given via `--<flag> <path>` (or `--<flag>=<path>`), if any.
@@ -119,24 +131,6 @@ pub fn parse_value_flag<T: std::str::FromStr>(
         }
     }
     None
-}
-
-/// Device-rank count for the async-transport bench leg, via
-/// `--transport-ranks <n>` (or `--transport-ranks=<n>`), if any.
-pub fn transport_ranks_from_args() -> Option<usize> {
-    parse_value_flag("--transport-ranks", std::env::args().skip(1))
-}
-
-/// In-flight window for the async-transport bench leg, via
-/// `--transport-window <n>`, if any.
-pub fn transport_window_from_args() -> Option<usize> {
-    parse_value_flag("--transport-window", std::env::args().skip(1))
-}
-
-/// Per-request deadline for the async-transport bench leg, via
-/// `--transport-timeout-ms <ms>`, if any.
-pub fn transport_timeout_ms_from_args() -> Option<u64> {
-    parse_value_flag("--transport-timeout-ms", std::env::args().skip(1))
 }
 
 /// The live-scrape address for the `service` bench, via
@@ -296,33 +290,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn transport_flag_forms() {
-        let parse = |flag, args: &[&str]| -> Option<u64> {
-            parse_value_flag(flag, args.iter().map(|s| s.to_string()))
-        };
-        assert_eq!(
-            parse("--transport-ranks", &["--transport-ranks", "4"]),
-            Some(4)
-        );
-        assert_eq!(
-            parse("--transport-window", &["--transport-window=16"]),
-            Some(16)
-        );
-        assert_eq!(
-            parse(
-                "--transport-timeout-ms",
-                &["256", "--transport-timeout-ms", "50"]
-            ),
-            Some(50)
-        );
-        assert_eq!(
-            parse("--transport-ranks", &["--transport-window", "4"]),
-            None
-        );
-        assert_eq!(
-            parse("--transport-ranks", &["--transport-ranks", "nope"]),
-            None
-        );
+    fn parse_batch_rejects_unknown_flags() {
+        let parse = |args: &[&str]| parse_batch(args.iter().map(|s| s.to_string()));
+        assert!(parse(&["--transport-ranks", "8"]).is_err());
+        assert_eq!(parse(&["--trace-out", "t.json", "32"]), Ok(32));
+        assert_eq!(parse(&["--hold-secs=5", "64"]), Ok(64));
+        assert_eq!(parse(&[]), Ok(DEFAULT_BATCH));
     }
 
     #[test]
