@@ -19,10 +19,6 @@
 //! `cmp`s them. On an invariant violation the binary prints the seed and
 //! the full fault schedule, drops a flight-recorder dump (honoring
 //! `SECNDP_FLIGHT_DIR`), and exits nonzero.
-//!
-//! The fault mix also honors the `SECNDP_FAULT_SEED` / `SECNDP_FAULT_RATE`
-//! / `SECNDP_FAULT_KINDS` / `SECNDP_FAULT_LATE_MS` / `SECNDP_FAULT_STALL_MS`
-//! environment knobs; CLI flags win where both are given.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -84,12 +80,11 @@ fn main() {
     let ranks: usize = flag::<usize>("--ranks").unwrap_or(3).max(2);
     let report_path: Option<String> = flag("--report");
 
-    let mut plan = FaultPlan::from_env(seed);
+    let mut plan = FaultPlan::new(seed);
     plan.ranks = ranks as u32;
     if let Some(rate) = flag::<u32>("--rate") {
         plan.rate_permille = rate;
     }
-    let seed = plan.seed; // SECNDP_FAULT_SEED may have overridden the flag
     eprintln!(
         "soak: seed={seed} ops={ops_budget} ranks={ranks} rate={}permille mix={} kinds",
         plan.rate_permille,

@@ -65,6 +65,11 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+/// Extra deadline granted per retry attempt (linear backoff). The deadline
+/// itself bounds how long a rank is given; this only staggers successive
+/// re-sends. Reconnect pacing is the TCP link's own `connect_backoff`.
+const RETRY_BACKOFF: Duration = Duration::from_millis(1);
+
 /// Configuration of an [`Endpoint`]; `TransportConfig` and `NetConfig`
 /// are aliases of it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,8 +84,6 @@ pub struct EndpointConfig {
     pub timeout: Duration,
     /// Maximum re-sends of an idempotent request (`0` disables retries).
     pub max_retries: u32,
-    /// Extra deadline granted per retry attempt (linear backoff).
-    pub backoff: Duration,
     /// Worker link: how long a *busy* rank thread may go without a
     /// heartbeat before the rank counts as stalled.
     pub stall_grace: Duration,
@@ -102,10 +105,6 @@ impl Default for EndpointConfig {
             window: 32,
             timeout: Duration::from_millis(1000),
             max_retries: 2,
-            // The deadline itself bounds how long a rank is given; this
-            // only staggers successive re-sends. Reconnect pacing is the
-            // TCP link's own `connect_backoff`.
-            backoff: Duration::from_millis(1),
             stall_grace: Duration::from_secs(2),
             addrs: Vec::new(),
             pool: 1,
@@ -624,7 +623,7 @@ impl<L: Link> Endpoint<L> {
             slot.attempts += 1;
             // Linear backoff: each retry gets a longer deadline, so a
             // transiently slow rank is not hammered at the same cadence.
-            let grace = self.cfg.timeout + self.cfg.backoff * (slot.attempts - 1);
+            let grace = self.cfg.timeout + RETRY_BACKOFF * (slot.attempts - 1);
             drop(t);
             crate::metrics::transport_retries().inc();
             self.dispatch(id.0, &frame, self.pick_rank(), true, grace, &mut None)?;

@@ -206,8 +206,7 @@ impl std::fmt::Display for FaultKind {
     }
 }
 
-/// A parameter-free fault selector — the unit of the plan's kind mix and
-/// of the `SECNDP_FAULT_KINDS` environment knob.
+/// A parameter-free fault selector — the unit of the plan's kind mix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSel {
     /// → [`FaultKind::FlipResponseBit`]
@@ -250,13 +249,28 @@ impl FaultSel {
         FaultSel::Crash,
     ];
 
-    /// Parses one `SECNDP_FAULT_KINDS` entry (the snake-case
-    /// [`FaultKind::name`] strings).
-    pub fn parse(s: &str) -> Option<FaultSel> {
-        // A kind's name does not depend on its parameters.
-        let (plan, mut rng) = (FaultPlan::new(0), SplitMix64::new(0));
-        let named = |sel: &FaultSel| plan.materialize(*sel, &mut rng).name() == s.trim();
-        Self::ALL.iter().copied().find(named)
+    /// This selector's kind, with its parameters drawn from `rng`.
+    fn materialize(self, rng: &mut SplitMix64) -> FaultKind {
+        match self {
+            FaultSel::Flip => FaultKind::FlipResponseBit {
+                element: rng.below(64) as u32,
+                bit: rng.below(64) as u32,
+            },
+            FaultSel::Swap => FaultKind::SwapValue {
+                offset: 1 + rng.below(7) as u32,
+            },
+            FaultSel::SwapTag => FaultKind::SwapTag,
+            FaultSel::Stale => FaultKind::ReplayStale,
+            FaultSel::Zero => FaultKind::ZeroResult,
+            FaultSel::Drop => FaultKind::DropReply,
+            FaultSel::Duplicate => FaultKind::DuplicateReply,
+            FaultSel::Late => FaultKind::LateReply { delay_ms: LATE_MS },
+            FaultSel::Malformed => FaultKind::MalformedReply {
+                mask: 1 << rng.below(8),
+            },
+            FaultSel::Stall => FaultKind::RankStall { stall_ms: STALL_MS },
+            FaultSel::Crash => FaultKind::RankCrash,
+        }
     }
 }
 
@@ -293,49 +307,25 @@ pub struct FaultPlan {
     pub mix: Vec<FaultSel>,
     /// Ranks the plan draws the (advisory) landing rank from.
     pub ranks: u32,
-    /// `delay_ms` for [`FaultKind::LateReply`].
-    pub late_ms: u32,
-    /// `stall_ms` for [`FaultKind::RankStall`].
-    pub stall_ms: u32,
 }
+
+/// `delay_ms` of every [`FaultKind::LateReply`]: past the soak's 150 ms
+/// deadline, so a retry races the straggler.
+const LATE_MS: u32 = 350;
+/// `stall_ms` of every [`FaultKind::RankStall`]: past the soak's 40 ms
+/// stall grace but under its deadline.
+const STALL_MS: u32 = 60;
 
 impl FaultPlan {
     /// A plan with the full kind mix and the soak defaults: 8 ‰ rate,
-    /// late replies past a 150 ms deadline, stalls past a 40 ms grace but
-    /// under the deadline.
+    /// late replies of 350 ms and stalls of 60 ms.
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
             rate_permille: 8,
             mix: FaultSel::ALL.to_vec(),
             ranks: 1,
-            late_ms: 350,
-            stall_ms: 60,
         }
-    }
-
-    /// Overrides from the environment: `SECNDP_FAULT_SEED`,
-    /// `SECNDP_FAULT_RATE` (permille), `SECNDP_FAULT_KINDS`
-    /// (comma-separated [`FaultKind::name`]s; unknown names are ignored),
-    /// `SECNDP_FAULT_LATE_MS`, `SECNDP_FAULT_STALL_MS`.
-    pub fn from_env(seed_default: u64) -> Self {
-        fn parse<T: std::str::FromStr>(name: &str, default: T) -> T {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        }
-        let mut plan = Self::new(parse("SECNDP_FAULT_SEED", seed_default));
-        plan.rate_permille = parse("SECNDP_FAULT_RATE", plan.rate_permille).min(1000);
-        plan.late_ms = parse("SECNDP_FAULT_LATE_MS", plan.late_ms);
-        plan.stall_ms = parse("SECNDP_FAULT_STALL_MS", plan.stall_ms);
-        if let Ok(kinds) = std::env::var("SECNDP_FAULT_KINDS") {
-            let mix: Vec<FaultSel> = kinds.split(',').filter_map(FaultSel::parse).collect();
-            if !mix.is_empty() {
-                plan.mix = mix;
-            }
-        }
-        plan
     }
 
     /// The fault (if any) scheduled for operation `op` — a pure function
@@ -352,36 +342,8 @@ impl FaultPlan {
         }
         let sel = self.mix[rng.below(self.mix.len() as u64) as usize];
         let rank = rng.below(self.ranks.max(1) as u64) as u32;
-        let kind = self.materialize(sel, &mut rng);
+        let kind = sel.materialize(&mut rng);
         Some(PlannedFault { op, rank, kind })
-    }
-
-    /// `sel`'s kind, with its parameters drawn from `rng` and this plan.
-    fn materialize(&self, sel: FaultSel, rng: &mut SplitMix64) -> FaultKind {
-        match sel {
-            FaultSel::Flip => FaultKind::FlipResponseBit {
-                element: rng.below(64) as u32,
-                bit: rng.below(64) as u32,
-            },
-            FaultSel::Swap => FaultKind::SwapValue {
-                offset: 1 + rng.below(7) as u32,
-            },
-            FaultSel::SwapTag => FaultKind::SwapTag,
-            FaultSel::Stale => FaultKind::ReplayStale,
-            FaultSel::Zero => FaultKind::ZeroResult,
-            FaultSel::Drop => FaultKind::DropReply,
-            FaultSel::Duplicate => FaultKind::DuplicateReply,
-            FaultSel::Late => FaultKind::LateReply {
-                delay_ms: self.late_ms,
-            },
-            FaultSel::Malformed => FaultKind::MalformedReply {
-                mask: 1 << rng.below(8),
-            },
-            FaultSel::Stall => FaultKind::RankStall {
-                stall_ms: self.stall_ms,
-            },
-            FaultSel::Crash => FaultKind::RankCrash,
-        }
     }
 
     /// The full schedule for ops `0..ops`.
@@ -719,28 +681,21 @@ impl InvariantReport {
 /// Reconciles the fault journal against query outcomes and the audit log:
 /// every journaled fault must be **masked** (its query verified and
 /// returned the correct result) or **detected** (its query failed with a
-/// typed error — and, when the error is integrity-class and
-/// `require_audit` is set, an [`AuditEvent`] exists in the *same trace*).
+/// typed error — and, when the error is integrity-class, an
+/// [`AuditEvent`] exists in the *same trace*; with telemetry compiled out
+/// every trace id is 0, so any audit event backs it).
 /// Wrong results — with or without a matching fault — are silent
 /// corruptions, and every violation message carries the seed for replay.
 #[derive(Debug, Clone, Copy)]
 pub struct InvariantChecker {
     /// Seed echoed into the report and every violation message.
     pub seed: u64,
-    /// Whether detections must be backed by a same-trace audit event
-    /// (true only when telemetry is compiled in *and* traces are on —
-    /// with the feature off, trace ids are all zero and audit is empty).
-    pub require_audit: bool,
 }
 
 impl InvariantChecker {
-    /// A checker for a run produced from `seed`, demanding audit-event
-    /// backing exactly when the `telemetry` feature is compiled in.
+    /// A checker for a run produced from `seed`.
     pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            require_audit: cfg!(feature = "telemetry"),
-        }
+        Self { seed }
     }
 
     /// Runs the reconciliation. `faults` is the journal snapshot,
@@ -793,7 +748,7 @@ impl InvariantChecker {
                     report.detected += 1;
                     tally.detected += 1;
                     let audited = || audit.iter().any(|a| a.trace.0 == q.trace);
-                    if self.require_audit && e.is_integrity_violation() && !audited() {
+                    if e.is_integrity_violation() && !audited() {
                         report.violations.push(format!(
                             "seed {}: fault {} at op {} detected ({e}) but no \
                              audit event in trace {}",
@@ -911,19 +866,6 @@ mod tests {
         let text = plan.render_schedule(50);
         assert!(text.contains("seed=9"));
         assert!(text.lines().count() > 50 / 2);
-    }
-
-    #[test]
-    fn sel_parse_round_trips_every_kind_name() {
-        let plan = FaultPlan {
-            rate_permille: 1000,
-            ..FaultPlan::new(3)
-        };
-        for f in plan.schedule(200) {
-            let sel = FaultSel::parse(f.kind.name());
-            assert!(sel.is_some(), "unparseable kind name {}", f.kind.name());
-        }
-        assert_eq!(FaultSel::parse("nonsense"), None);
     }
 
     #[test]
@@ -1102,10 +1044,7 @@ mod tests {
             scheme: "single_s",
             detail: "",
         }];
-        let checker = InvariantChecker {
-            seed: 42,
-            require_audit: true,
-        };
+        let checker = InvariantChecker::new(42);
         let report = checker.check(&faults, &queries, &audit);
         assert_eq!(report.injected, 4);
         assert_eq!(report.masked, 1);
@@ -1140,20 +1079,10 @@ mod tests {
             scheme: "single_s",
             detail: "",
         }];
-        let strict = InvariantChecker {
-            seed: 7,
-            require_audit: true,
-        };
-        let report = strict.check(&faults, &queries, &audit);
+        let report = InvariantChecker::new(7).check(&faults, &queries, &audit);
         assert_eq!(report.detected, 1);
         assert!(!report.ok());
         assert!(report.violations[0].contains("no audit event"));
-        // Without the audit requirement the same run is clean.
-        let lax = InvariantChecker {
-            seed: 7,
-            require_audit: false,
-        };
-        assert!(lax.check(&faults, &queries, &audit).ok());
     }
 
     #[test]
@@ -1170,11 +1099,7 @@ mod tests {
                 outcome: Outcome::Failed(Error::TagsUnavailable),
             },
         ];
-        let report = InvariantChecker {
-            seed: 1,
-            require_audit: false,
-        }
-        .check(&[], &queries, &[]);
+        let report = InvariantChecker::new(1).check(&[], &queries, &[]);
         assert_eq!(report.silent_corruptions, 1);
         assert_eq!(report.violations.len(), 2);
         assert_eq!(report.injected, 0);
@@ -1195,10 +1120,7 @@ mod tests {
                 outcome: Outcome::Correct,
             },
         ];
-        let checker = InvariantChecker {
-            seed: 5,
-            require_audit: false,
-        };
+        let checker = InvariantChecker::new(5);
         let a = checker.check(&faults, &queries, &[]).render_json();
         let b = checker.check(&faults, &queries, &[]).render_json();
         assert_eq!(a, b);

@@ -258,25 +258,11 @@ impl Channel {
 
     /// Serves a batch of reads that may all issue from `earliest`, returning
     /// the completion cycle of the last one.
-    ///
-    /// When [`secndp_telemetry::trace::set_io_spans`] is on, each burst
-    /// records a `dram_burst` span (opt-in: hot simulation loops would
-    /// otherwise wrap the span journal in milliseconds).
     pub fn read_lines(&mut self, locs: &[LineLoc], earliest: u64) -> u64 {
-        let sp = secndp_telemetry::trace::io_spans_enabled().then(|| {
-            let mut s = secndp_telemetry::trace::span("dram_burst");
-            s.attr_u64("lines", locs.len() as u64);
-            s
-        });
-        let done = locs
-            .iter()
+        locs.iter()
             .map(|&l| self.read_line(l, earliest))
             .max()
-            .unwrap_or(earliest);
-        if let Some(mut s) = sp {
-            s.attr_u64("done_cycle", done);
-        }
-        done
+            .unwrap_or(earliest)
     }
 
     /// Peak data-bus bandwidth in bytes per cycle (64 bytes per tBL).

@@ -1,4 +1,5 @@
-//! Security audit log: a bounded record of protocol-integrity events.
+//! Security audit log: a bounded record of protocol-integrity events, and
+//! the one bounded log the [fault journal](crate::faultlog) shares.
 //!
 //! In SecNDP the device is *untrusted*: a failed verification is not an
 //! operational hiccup but a security signal — possibly an active tamper
@@ -13,18 +14,16 @@
 //! calling thread's current [`trace`](crate::trace) context so audit
 //! records join the same timeline as the span journal.
 //!
-//! The log is a fixed-capacity FIFO behind a plain mutex — integrity
+//! [`AuditLog`] is a fixed-capacity FIFO behind a plain mutex — integrity
 //! events are rare by construction (an honest deployment records none), so
-//! lock cost is irrelevant and boundedness matters more than speed. With
-//! the `enabled` feature off, recording is a no-op and snapshots are
-//! empty.
+//! lock cost is irrelevant and boundedness matters more than speed. It is
+//! compiled in every build: the guarantee that every detection leaves an
+//! audit event is a correctness property, not an observability one. With
+//! the `enabled` feature off, trace and span ids are 0.
 
-use crate::trace::{self, SpanId, TraceId};
-
-#[cfg(feature = "enabled")]
+use crate::trace::{self, SpanContext, SpanId, TraceId};
 use std::collections::VecDeque;
-#[cfg(feature = "enabled")]
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Default bound on retained audit events.
 pub const DEFAULT_AUDIT_CAPACITY: usize = 1024;
@@ -53,23 +52,20 @@ pub struct AuditEvent {
     pub detail: &'static str,
 }
 
-#[cfg(feature = "enabled")]
-struct AuditState {
-    events: VecDeque<AuditEvent>,
+struct Fifo<E> {
+    records: VecDeque<E>,
     next_seq: u64,
-    evicted: u64,
 }
 
-/// A bounded FIFO of [`AuditEvent`]s. The process-wide instance is
-/// [`audit_log()`].
-pub struct AuditLog {
-    #[cfg(feature = "enabled")]
-    inner: Mutex<AuditState>,
-    #[cfg(feature = "enabled")]
+/// A bounded FIFO of sequence-numbered, trace-stamped records: integrity
+/// [`AuditEvent`]s (the process-wide instance is [`audit_log()`]) or
+/// injected faults ([`FaultLog`](crate::faultlog::FaultLog)).
+pub struct AuditLog<E = AuditEvent> {
+    inner: Mutex<Fifo<E>>,
     capacity: usize,
 }
 
-impl std::fmt::Debug for AuditLog {
+impl<E: Clone> std::fmt::Debug for AuditLog<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AuditLog")
             .field("len", &self.len())
@@ -77,27 +73,70 @@ impl std::fmt::Debug for AuditLog {
     }
 }
 
-impl AuditLog {
-    /// A log retaining at most `capacity` events (oldest evicted first).
+impl<E: Clone> AuditLog<E> {
+    /// A log retaining at most `capacity` records (oldest evicted first).
     pub fn with_capacity(capacity: usize) -> Self {
-        #[cfg(feature = "enabled")]
-        {
-            Self {
-                inner: Mutex::new(AuditState {
-                    events: VecDeque::new(),
-                    next_seq: 0,
-                    evicted: 0,
-                }),
-                capacity: capacity.max(1),
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = capacity;
-            Self {}
+        Self {
+            inner: Mutex::new(Fifo {
+                records: VecDeque::new(),
+                next_seq: 0,
+            }),
+            capacity: capacity.max(1),
         }
     }
 
+    /// Locks the FIFO, recovering from poisoning: a panic elsewhere must
+    /// not cost the evidence already recorded.
+    fn lock(&self) -> MutexGuard<'_, Fifo<E>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Appends the record `make` builds from the next sequence number and
+    /// the calling thread's trace context, evicting the oldest when full.
+    pub(crate) fn push(&self, make: impl FnOnce(u64, SpanContext) -> E) {
+        let ctx = trace::current();
+        let mut fifo = self.lock();
+        let seq = fifo.next_seq;
+        fifo.next_seq += 1;
+        if fifo.records.len() == self.capacity {
+            fifo.records.pop_front();
+        }
+        fifo.records.push_back(make(seq, ctx));
+    }
+
+    /// Number of currently retained records.
+    pub fn len(&self) -> usize {
+        self.lock().records.len()
+    }
+
+    /// Whether the log holds no records.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Total records ever recorded, including evicted ones.
+    pub fn total(&self) -> u64 {
+        self.lock().next_seq
+    }
+
+    /// A point-in-time copy of the retained records, oldest first.
+    pub fn snapshot(&self) -> Vec<E> {
+        self.lock().records.iter().cloned().collect()
+    }
+
+    /// Drops all retained records (sequence numbers keep advancing).
+    pub fn clear(&self) {
+        self.lock().records.clear();
+    }
+
+    /// `{"<key>":[…]}`, one JSON object per retained record.
+    pub(crate) fn render(&self, key: &str, one: impl Fn(&E) -> String) -> String {
+        let records: Vec<String> = self.lock().records.iter().map(one).collect();
+        format!("{{\"{key}\":[{}]}}\n", records.join(","))
+    }
+}
+
+impl AuditLog {
     /// Records an integrity event, stamping the calling thread's current
     /// trace context. `kind`, `scheme` and `detail` are static so the hot
     /// (error) path never allocates strings.
@@ -110,74 +149,17 @@ impl AuditLog {
         scheme: &'static str,
         detail: &'static str,
     ) {
-        #[cfg(feature = "enabled")]
-        {
-            let ctx = trace::current();
-            let mut inner = self.inner.lock().unwrap();
-            let seq = inner.next_seq;
-            inner.next_seq += 1;
-            if inner.events.len() == self.capacity {
-                inner.events.pop_front();
-                inner.evicted += 1;
-            }
-            inner.events.push_back(AuditEvent {
-                seq,
-                trace: ctx.trace,
-                span: ctx.span,
-                kind,
-                table_addr,
-                region,
-                version,
-                scheme,
-                detail,
-            });
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (kind, table_addr, region, version, scheme, detail);
-            let _ = trace::current();
-        }
-    }
-
-    /// Number of currently retained events.
-    pub fn len(&self) -> usize {
-        #[cfg(feature = "enabled")]
-        {
-            self.inner.lock().unwrap().events.len()
-        }
-        #[cfg(not(feature = "enabled"))]
-        0
-    }
-
-    /// Whether the log holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total events ever recorded, including evicted ones.
-    pub fn total(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.inner.lock().unwrap().next_seq
-        }
-        #[cfg(not(feature = "enabled"))]
-        0
-    }
-
-    /// A point-in-time copy of the retained events, oldest first.
-    pub fn snapshot(&self) -> Vec<AuditEvent> {
-        #[cfg(feature = "enabled")]
-        {
-            self.inner.lock().unwrap().events.iter().cloned().collect()
-        }
-        #[cfg(not(feature = "enabled"))]
-        Vec::new()
-    }
-
-    /// Drops all retained events (sequence numbers keep advancing).
-    pub fn clear(&self) {
-        #[cfg(feature = "enabled")]
-        self.inner.lock().unwrap().events.clear();
+        self.push(|seq, ctx| AuditEvent {
+            seq,
+            trace: ctx.trace,
+            span: ctx.span,
+            kind,
+            table_addr,
+            region,
+            version,
+            scheme,
+            detail,
+        });
     }
 
     /// Renders the log as a JSON document in the same spirit as
@@ -190,40 +172,27 @@ impl AuditLog {
     ///   …]}
     /// ```
     pub fn render_json(&self) -> String {
-        let events: Vec<String> = self
-            .snapshot()
-            .iter()
-            .map(|e| {
-                format!(
-                    "{{\"seq\":{},\"trace\":{},\"span\":{},\"kind\":\"{}\",\
-                     \"table_addr\":{},\"region\":{},\"version\":{},\
-                     \"scheme\":\"{}\",\"detail\":\"{}\"}}",
-                    e.seq,
-                    e.trace.0,
-                    e.span.0,
-                    crate::export::json_escape(e.kind),
-                    e.table_addr,
-                    e.region,
-                    e.version,
-                    crate::export::json_escape(e.scheme),
-                    crate::export::json_escape(e.detail),
-                )
-            })
-            .collect();
-        format!("{{\"audit_events\":[{}]}}\n", events.join(","))
+        self.render("audit_events", |e| {
+            format!(
+                "{{\"seq\":{},\"trace\":{},\"span\":{},\"kind\":\"{}\",\
+                 \"table_addr\":{},\"region\":{},\"version\":{},\
+                 \"scheme\":\"{}\",\"detail\":\"{}\"}}",
+                e.seq,
+                e.trace.0,
+                e.span.0,
+                crate::export::json_escape(e.kind),
+                e.table_addr,
+                e.region,
+                e.version,
+                crate::export::json_escape(e.scheme),
+                crate::export::json_escape(e.detail),
+            )
+        })
     }
 }
 
 /// The process-wide audit log.
 pub fn audit_log() -> &'static AuditLog {
-    #[cfg(feature = "enabled")]
-    {
-        static LOG: std::sync::OnceLock<AuditLog> = std::sync::OnceLock::new();
-        LOG.get_or_init(|| AuditLog::with_capacity(DEFAULT_AUDIT_CAPACITY))
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        static LOG: AuditLog = AuditLog {};
-        &LOG
-    }
+    static LOG: std::sync::OnceLock<AuditLog> = std::sync::OnceLock::new();
+    LOG.get_or_init(|| AuditLog::with_capacity(DEFAULT_AUDIT_CAPACITY))
 }

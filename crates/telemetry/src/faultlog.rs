@@ -12,18 +12,17 @@
 //! harness-assigned operation index, the rank the fault landed on, and a
 //! static kind name matching `FaultKind` in `secndp-core`. The
 //! `InvariantChecker` reconciles these records against query outcomes and
-//! the [audit log](crate::audit).
+//! the [audit log](crate::audit), whose bounded FIFO the journal is.
 //!
-//! Unlike the metrics registry, the journal works even with the
-//! `enabled` feature off: the masked-or-detected invariant is a
-//! correctness property of the chaos suite, not an observability nicety,
-//! so it must hold in `--no-default-features` builds too. (Trace ids are
-//! then zero — context propagation is a telemetry feature — but op-index
-//! reconciliation still works.)
+//! Like the audit log, the journal is compiled in every build: the
+//! masked-or-detected invariant is a correctness property of the chaos
+//! suite, not an observability nicety, so it must hold in
+//! `--no-default-features` builds too. (Trace ids are then zero — context
+//! propagation is a telemetry feature — but op-index reconciliation still
+//! works.)
 
-use crate::trace::{self, SpanId, TraceId};
-use std::collections::VecDeque;
-use std::sync::Mutex;
+use crate::audit::AuditLog;
+use crate::trace::{SpanId, TraceId};
 
 /// Default bound on retained fault records.
 pub const DEFAULT_FAULT_CAPACITY: usize = 4096;
@@ -48,39 +47,11 @@ pub struct FaultRecord {
     pub detail: &'static str,
 }
 
-struct FaultState {
-    records: VecDeque<FaultRecord>,
-    next_seq: u64,
-}
-
-/// A bounded FIFO of [`FaultRecord`]s. The process-wide instance is
-/// [`fault_log()`].
-pub struct FaultLog {
-    inner: Mutex<FaultState>,
-    capacity: usize,
-}
-
-impl std::fmt::Debug for FaultLog {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FaultLog")
-            .field("len", &self.len())
-            .finish()
-    }
-}
+/// The fault journal: the [`AuditLog`] FIFO over [`FaultRecord`]s. The
+/// process-wide instance is [`fault_log()`].
+pub type FaultLog = AuditLog<FaultRecord>;
 
 impl FaultLog {
-    /// A journal retaining at most `capacity` records (oldest evicted
-    /// first).
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            inner: Mutex::new(FaultState {
-                records: VecDeque::new(),
-                next_seq: 0,
-            }),
-            capacity: capacity.max(1),
-        }
-    }
-
     /// Journals an injected fault, stamping the calling thread's current
     /// trace context. When the injection site has no ambient context (the
     /// transport worker outside its serve span), callers pass the trace id
@@ -93,51 +64,18 @@ impl FaultLog {
         detail: &'static str,
         trace_override: Option<u64>,
     ) {
-        let ctx = trace::current();
-        let trace = match trace_override {
-            Some(t) if ctx.trace.0 == 0 => TraceId(t),
-            _ => ctx.trace,
-        };
-        let mut inner = self.inner.lock().unwrap();
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        if inner.records.len() == self.capacity {
-            inner.records.pop_front();
-        }
-        inner.records.push_back(FaultRecord {
+        self.push(|seq, ctx| FaultRecord {
             seq,
             op,
             rank,
             kind,
-            trace,
+            trace: match trace_override {
+                Some(t) if ctx.trace.0 == 0 => TraceId(t),
+                _ => ctx.trace,
+            },
             span: ctx.span,
             detail,
         });
-    }
-
-    /// Number of currently retained records.
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().records.len()
-    }
-
-    /// Whether the journal holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total records ever journaled, including evicted ones.
-    pub fn total(&self) -> u64 {
-        self.inner.lock().unwrap().next_seq
-    }
-
-    /// A point-in-time copy of the retained records, oldest first.
-    pub fn snapshot(&self) -> Vec<FaultRecord> {
-        self.inner.lock().unwrap().records.iter().cloned().collect()
-    }
-
-    /// Drops all retained records (sequence numbers keep advancing).
-    pub fn clear(&self) {
-        self.inner.lock().unwrap().records.clear();
     }
 
     /// Renders the journal as a JSON document:
@@ -147,24 +85,19 @@ impl FaultLog {
     ///   "kind":"drop_reply","trace":9,"span":12,"detail":""}, …]}
     /// ```
     pub fn render_json(&self) -> String {
-        let records: Vec<String> = self
-            .snapshot()
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"seq\":{},\"op\":{},\"rank\":{},\"kind\":\"{}\",\
-                     \"trace\":{},\"span\":{},\"detail\":\"{}\"}}",
-                    r.seq,
-                    r.op,
-                    r.rank,
-                    crate::export::json_escape(r.kind),
-                    r.trace.0,
-                    r.span.0,
-                    crate::export::json_escape(r.detail),
-                )
-            })
-            .collect();
-        format!("{{\"fault_events\":[{}]}}\n", records.join(","))
+        self.render("fault_events", |r| {
+            format!(
+                "{{\"seq\":{},\"op\":{},\"rank\":{},\"kind\":\"{}\",\
+                 \"trace\":{},\"span\":{},\"detail\":\"{}\"}}",
+                r.seq,
+                r.op,
+                r.rank,
+                crate::export::json_escape(r.kind),
+                r.trace.0,
+                r.span.0,
+                crate::export::json_escape(r.detail),
+            )
+        })
     }
 }
 

@@ -1,5 +1,5 @@
-//! Component health scoring, SLO burn rates and sliding-window anomaly
-//! detection over one ring of registry snapshots.
+//! Component health scoring and SLO burn rates over one ring of registry
+//! snapshots, and the flight dump their verdicts trigger.
 //!
 //! SecNDP's threat model makes *operational* signals *security* signals: a
 //! verify-failure spike is possible active tampering (paper §V), a stalled
@@ -16,16 +16,16 @@
 //!   [`Failing`](HealthStatus::Failing) with a human-readable reason;
 //!   [`HealthMonitor::report`] aggregates them (worst status wins) and
 //!   drives the `/healthz` endpoint of [`serve`](crate::serve).
-//! - Checks, [`AnomalyDetector`]s and SLO [`Objective`]s all read windowed
-//!   counter deltas through one [`HealthCtx`] over the newest
-//!   [`HealthConfig::window`] snapshots, so a burst ages out of every
-//!   verdict once the window slides past it. Objectives are scored as the
-//!   built-in `"slo"` component (see [`crate::slo`]).
-//! - Detectors (rate-over-threshold and delta-spike rules) run on every
-//!   sample; on trigger the monitor dumps a
+//! - Checks and SLO [`Objective`]s read windowed counter deltas through
+//!   one [`HealthCtx`] over the newest [`HealthConfig::window`] snapshots,
+//!   so a burst ages out of every verdict once the window slides past it.
+//!   Objectives are scored as the built-in `"slo"` component (see
+//!   [`crate::slo`]).
+//! - Every sample scores the components over the new window; one whose
+//!   status got worse since the previous sample dumps a
 //!   [flight-recorder artifact](crate::recorder) to
 //!   [`HealthConfig::flight_dir`] so the incident is diagnosable after the
-//!   fact.
+//!   fact. The verdict that degrades `/healthz` is the one that dumps.
 //!
 //! Everything here works with telemetry compiled out: snapshots are then
 //! empty (all deltas zero), but liveness-style checks that consult their
@@ -126,19 +126,11 @@ impl HealthReport {
     }
 }
 
-/// The sliding window a check, detector or objective scores against:
-/// snapshots from the sampler ring, oldest first (possibly empty before
-/// the sampler has run).
+/// The sliding window a check or objective scores against: snapshots
+/// from the sampler ring, oldest first (possibly empty before the sampler
+/// has run).
 pub struct HealthCtx<'a> {
     pub(crate) samples: &'a [WindowSample],
-}
-
-/// How much the counter family `name` rose from `old` to `new`; 0 across
-/// a registry reset.
-fn rise(old: &WindowSample, new: &WindowSample, name: &str) -> u64 {
-    new.snapshot
-        .counter_total(name)
-        .saturating_sub(old.snapshot.counter_total(name))
 }
 
 impl HealthCtx<'_> {
@@ -158,86 +150,11 @@ impl HealthCtx<'_> {
     /// across the window. Saturates to 0 on < 2 samples or a registry
     /// reset mid-window.
     pub fn counter_delta(&self, name: &str) -> u64 {
-        self.ends().map_or(0, |(a, b)| rise(a, b, name))
-    }
-
-    /// The rise of `name` between each pair of consecutive points.
-    fn deltas(&self, name: &str) -> Vec<u64> {
-        self.samples
-            .windows(2)
-            .map(|p| rise(&p[0], &p[1], name))
-            .collect()
-    }
-}
-
-/// An anomaly rule evaluated over the sampler window.
-#[derive(Debug, Clone, Copy)]
-pub enum DetectorRule {
-    /// Triggers when a counter family rises by at least `threshold` across
-    /// the window.
-    RateOver {
-        /// Counter family name.
-        metric: &'static str,
-        /// Minimum windowed rise that triggers.
-        threshold: u64,
-    },
-    /// Triggers when the newest inter-sample delta is at least `min` *and*
-    /// exceeds `factor ×` the mean of the window's earlier deltas — a
-    /// sudden spike against recent history (a quiet history counts as
-    /// mean 0, so the first burst ≥ `min` triggers).
-    DeltaSpike {
-        /// Counter family name.
-        metric: &'static str,
-        /// Spike factor over the mean of prior deltas.
-        factor: f64,
-        /// Minimum newest delta that can trigger.
-        min: u64,
-    },
-}
-
-/// A named anomaly detector; triggering dumps a flight-recorder artifact.
-#[derive(Debug, Clone, Copy)]
-pub struct AnomalyDetector {
-    /// Detector name, used in the dump reason and for deduplication.
-    pub name: &'static str,
-    /// The rule evaluated each sample.
-    pub rule: DetectorRule,
-}
-
-impl AnomalyDetector {
-    /// Evaluates the rule over `window` (oldest first); `Some(reason)` on
-    /// trigger.
-    fn evaluate(&self, window: &[WindowSample]) -> Option<String> {
-        if window.len() < 2 {
-            return None;
-        }
-        let ctx = HealthCtx { samples: window };
-        match self.rule {
-            DetectorRule::RateOver { metric, threshold } => {
-                let delta = ctx.counter_delta(metric);
-                (delta >= threshold).then(|| {
-                    format!("{metric} rose by {delta} (threshold {threshold}) within the window")
-                })
-            }
-            DetectorRule::DeltaSpike {
-                metric,
-                factor,
-                min,
-            } => {
-                if window.len() < 3 {
-                    return None;
-                }
-                let deltas = ctx.deltas(metric);
-                let (latest, prior) = deltas.split_last()?;
-                let mean = prior.iter().sum::<u64>() as f64 / prior.len() as f64;
-                (*latest >= min && *latest as f64 > factor * mean).then(|| {
-                    format!(
-                        "{metric} jumped by {latest} in one sample \
-                         (vs mean {mean:.1} over the prior window, factor {factor})"
-                    )
-                })
-            }
-        }
+        self.ends().map_or(0, |(a, b)| {
+            b.snapshot
+                .counter_total(name)
+                .saturating_sub(a.snapshot.counter_total(name))
+        })
     }
 }
 
@@ -246,13 +163,14 @@ impl AnomalyDetector {
 pub struct HealthConfig {
     /// Background sampling period (default 1 s).
     pub interval: Duration,
-    /// Snapshots per check / detector window, and the SLO fast window
-    /// (default 5).
+    /// Snapshots per check window, and the SLO fast window (default 5).
+    /// A component that turns bad holds its verdict, and so dumps once,
+    /// for as long as the burst stays inside this window.
     pub window: usize,
     /// Snapshots retained in the ring, and the SLO slow window (default
     /// 64).
     pub retain: usize,
-    /// Directory anomaly dumps are written to (default
+    /// Directory flight dumps are written to (default
     /// [`default_flight_dir`](crate::recorder::default_flight_dir)).
     pub flight_dir: PathBuf,
 }
@@ -298,19 +216,14 @@ struct CheckEntry {
     check: CheckFn,
 }
 
-struct DetectorState {
-    det: AnomalyDetector,
-    /// Samples to skip before this detector may re-trigger.
-    cooldown: u32,
-}
-
 #[derive(Default)]
 struct MonitorState {
     checks: Vec<CheckEntry>,
-    detectors: Vec<DetectorState>,
     objectives: Vec<Objective>,
     /// The newest `cfg.retain` snapshots, oldest first.
     ring: VecDeque<WindowSample>,
+    /// Each component's status at the previous sample.
+    last: Vec<(String, HealthStatus)>,
     cfg: HealthConfig,
     last_dump: Option<PathBuf>,
     dump_seq: u64,
@@ -325,17 +238,38 @@ impl MonitorState {
         }
         self.ring.push_back(sample);
     }
+
+    /// Every registered check and, with objectives added, the `"slo"`
+    /// component, scored over the current window.
+    fn score(&mut self) -> Vec<ComponentHealth> {
+        let (fast, slow) = windows(&mut self.ring, self.cfg.window);
+        let (fast, slow) = (HealthCtx { samples: fast }, HealthCtx { samples: slow });
+        let slo = (!self.objectives.is_empty()).then(|| {
+            let statuses = crate::slo::status(&self.objectives, &fast, &slow);
+            ("slo".to_string(), crate::slo::verdict(&statuses))
+        });
+        self.checks
+            .iter()
+            .map(|c| (c.component.clone(), (c.check)(&fast)))
+            .chain(slo)
+            .map(|(component, (status, reason))| ComponentHealth {
+                component,
+                status,
+                reason,
+            })
+            .collect()
+    }
 }
 
-/// The fast window (the newest `n` samples: the one checks and detectors
-/// read) and the slow window (the whole ring), oldest first.
+/// The fast window (the newest `n` samples: the one checks read) and the
+/// slow window (the whole ring), oldest first.
 fn windows(ring: &mut VecDeque<WindowSample>, n: usize) -> (&[WindowSample], &[WindowSample]) {
     let ring = &*ring.make_contiguous();
     (&ring[ring.len().saturating_sub(n)..], ring)
 }
 
-/// The per-component health registry plus the sampling/anomaly engine.
-/// The process-wide instance is [`monitor()`].
+/// The per-component health registry plus the sampler and its flight
+/// dumps. The process-wide instance is [`monitor()`].
 #[derive(Default)]
 pub struct HealthMonitor {
     state: Mutex<MonitorState>,
@@ -346,7 +280,6 @@ impl std::fmt::Debug for HealthMonitor {
         let s = self.lock();
         f.debug_struct("HealthMonitor")
             .field("checks", &s.checks.len())
-            .field("detectors", &s.detectors.len())
             .field("objectives", &s.objectives.len())
             .field("samples", &s.ring.len())
             .finish()
@@ -407,16 +340,6 @@ impl HealthMonitor {
             .collect()
     }
 
-    /// Adds (or replaces, matched by name) an anomaly detector.
-    pub fn add_detector(&self, det: AnomalyDetector) {
-        let mut s = self.lock();
-        if let Some(existing) = s.detectors.iter_mut().find(|d| d.det.name == det.name) {
-            existing.det = det;
-        } else {
-            s.detectors.push(DetectorState { det, cooldown: 0 });
-        }
-    }
-
     /// Adds (or replaces, matched by name) a service-level objective,
     /// scored from then on as part of the `"slo"` component of
     /// [`report`](Self::report) and at `/sloz`. It is scored over the
@@ -429,68 +352,15 @@ impl HealthMonitor {
         }
     }
 
-    /// Installs the stock detectors (idempotent, matched by name):
-    ///
-    /// | name | rule |
-    /// |------|------|
-    /// | `verify-failure-burst` | ≥ 4 verify failures within one window |
-    /// | `malformed-burst` | ≥ 8 malformed device replies within one window |
-    /// | `timeout-spike` | newest-sample timeout delta ≥ 8 and > 4× the prior mean |
-    ///
-    /// The verify threshold sits above the single deliberate failure the
-    /// service bench's tampering self-test records, so a healthy run never
-    /// dumps.
-    pub fn install_default_detectors(&self) {
-        self.add_detector(AnomalyDetector {
-            name: "verify-failure-burst",
-            rule: DetectorRule::RateOver {
-                metric: "secndp_verify_failures_total",
-                threshold: 4,
-            },
-        });
-        self.add_detector(AnomalyDetector {
-            name: "malformed-burst",
-            rule: DetectorRule::RateOver {
-                metric: "secndp_malformed_responses_total",
-                threshold: 8,
-            },
-        });
-        self.add_detector(AnomalyDetector {
-            name: "timeout-spike",
-            rule: DetectorRule::DeltaSpike {
-                metric: "secndp_transport_timeouts_total",
-                factor: 4.0,
-                min: 8,
-            },
-        });
-    }
-
     /// Runs every registered check against the current window and folds
     /// the verdicts (worst status wins; an empty monitor reports Ok). With
     /// objectives added, they fold in as one `"slo"` component: Degraded
     /// while any fast-window burn exceeds 1, never Failing — a burned
     /// error budget means the service misses its objective, not that it
-    /// cannot serve.
+    /// cannot serve. A report never dumps; only [`sample`](Self::sample)
+    /// does.
     pub fn report(&self) -> HealthReport {
-        let mut guard = self.lock();
-        let s = &mut *guard;
-        let (fast, slow) = windows(&mut s.ring, s.cfg.window);
-        let (fast, slow) = (HealthCtx { samples: fast }, HealthCtx { samples: slow });
-        let slo = (!s.objectives.is_empty()).then(|| {
-            let statuses = crate::slo::status(&s.objectives, &fast, &slow);
-            ("slo".to_string(), crate::slo::verdict(&statuses))
-        });
-        let components: Vec<ComponentHealth> = s
-            .checks
-            .iter()
-            .map(|c| (c.component.clone(), (c.check)(&fast)))
-            .chain(slo)
-            .map(|(component, (status, reason))| ComponentHealth {
-                component,
-                status,
-                reason,
-            })
-            .collect();
+        let components = self.lock().score();
         let status = components
             .iter()
             .map(|c| c.status)
@@ -502,7 +372,7 @@ impl HealthMonitor {
     /// Renders `/sloz`: every objective scored over the ring's fast and
     /// slow windows with a fresh snapshot of `registry` as their newest
     /// point. The snapshot is not stored, so a scrape moves no window and
-    /// no detector cooldown.
+    /// never dumps.
     pub fn render_sloz(&self, registry: &Registry) -> String {
         let fresh = WindowSample {
             t_ms: uptime_ms(),
@@ -530,43 +400,49 @@ impl HealthMonitor {
     }
 
     /// Takes one sample: snapshots `registry` into the ring, refreshes the
-    /// uptime gauge, and evaluates every detector over the new window.
-    /// Triggered detectors (outside their cooldown of one window) dump a
-    /// flight-recorder artifact to [`HealthConfig::flight_dir`] and count
-    /// in `secndp_anomaly_dumps_total`.
+    /// uptime gauge, and scores every component over the new window, as
+    /// [`report`](Self::report) does. When any component's status is worse
+    /// than at the previous sample (a new component counts as having been
+    /// Ok), writes a flight-recorder dump to [`HealthConfig::flight_dir`]
+    /// whose reason names each such component, and counts it in
+    /// `secndp_anomaly_dumps_total`. A component that stays bad does not
+    /// dump again: its burst holds the verdict for one window, which is
+    /// the cooldown.
     pub fn sample(&self, registry: &Registry) {
         crate::process::touch_uptime();
         let sample = WindowSample {
             t_ms: uptime_ms(),
             snapshot: registry.snapshot(),
         };
-        let mut reasons = Vec::new();
-        {
-            let mut guard = self.lock();
-            let s = &mut *guard;
+        let worse: Vec<String> = {
+            let mut s = self.lock();
             s.record(sample);
-            let window_n = s.cfg.window;
-            let (window, _) = windows(&mut s.ring, window_n);
-            for d in s.detectors.iter_mut() {
-                if d.cooldown > 0 {
-                    d.cooldown -= 1;
-                } else if let Some(reason) = d.det.evaluate(window) {
-                    d.cooldown = window_n as u32;
-                    reasons.push(format!("{}: {reason}", d.det.name));
-                }
-            }
-        }
-        if !reasons.is_empty() {
+            let now = s.score();
+            let was = |c: &ComponentHealth| {
+                s.last
+                    .iter()
+                    .find(|(name, _)| *name == c.component)
+                    .map_or(HealthStatus::Ok, |&(_, status)| status)
+            };
+            let worse = now
+                .iter()
+                .filter(|c| c.status > was(c))
+                .map(|c| format!("{}: {}", c.component, c.reason))
+                .collect();
+            s.last = now.into_iter().map(|c| (c.component, c.status)).collect();
+            worse
+        };
+        if !worse.is_empty() {
             crate::counter!(
                 "secndp_anomaly_dumps_total",
-                "Flight-recorder dumps triggered by anomaly detectors."
+                "Flight-recorder dumps written because a health component got worse."
             )
             .inc();
-            let _ = self.trigger_dump(&reasons.join("; "));
+            let _ = self.trigger_dump(&worse.join("; "));
         }
     }
 
-    /// Writes a flight-recorder dump now, regardless of detectors.
+    /// Writes a flight-recorder dump now, whatever the verdicts.
     ///
     /// # Errors
     ///
@@ -725,48 +601,6 @@ mod tests {
         assert_eq!(empty.window_ms(), 0);
     }
 
-    #[cfg(feature = "enabled")]
-    #[test]
-    fn rate_over_detector_triggers_on_burst() {
-        let det = AnomalyDetector {
-            name: "t",
-            rule: DetectorRule::RateOver {
-                metric: "x_total",
-                threshold: 4,
-            },
-        };
-        assert!(det.evaluate(&window_of("x_total", &[0, 1, 3])).is_none());
-        let reason = det.evaluate(&window_of("x_total", &[0, 1, 5])).unwrap();
-        assert!(reason.contains("rose by 5"), "{reason}");
-        // A registry reset mid-window saturates instead of underflowing.
-        assert!(det.evaluate(&window_of("x_total", &[9, 0, 2])).is_none());
-    }
-
-    #[cfg(feature = "enabled")]
-    #[test]
-    fn delta_spike_detector_wants_a_quiet_history() {
-        let det = AnomalyDetector {
-            name: "t",
-            rule: DetectorRule::DeltaSpike {
-                metric: "x_total",
-                factor: 4.0,
-                min: 8,
-            },
-        };
-        // Steady growth: newest delta (10) is not 4× the mean (10).
-        assert!(det
-            .evaluate(&window_of("x_total", &[0, 10, 20, 30]))
-            .is_none());
-        // Quiet then a burst ≥ min.
-        assert!(det
-            .evaluate(&window_of("x_total", &[5, 5, 5, 15]))
-            .is_some());
-        // Burst below min never triggers.
-        assert!(det.evaluate(&window_of("x_total", &[0, 0, 0, 7])).is_none());
-        // Too little history.
-        assert!(det.evaluate(&window_of("x_total", &[0, 50])).is_none());
-    }
-
     /// A private leaked monitor, so concurrent unit tests never race on
     /// the global one's fold.
     fn private_monitor() -> &'static HealthMonitor {
@@ -807,27 +641,46 @@ mod tests {
         drop(h);
     }
 
+    /// The dump rule: a sample dumps when a component's status is worse
+    /// than at the previous sample, naming it. A held verdict stays quiet,
+    /// scrapes never dump, and a recovery re-arms the component.
     #[test]
-    fn detector_dedup_by_name() {
-        let m = HealthMonitor::new();
-        m.add_detector(AnomalyDetector {
-            name: "dup",
-            rule: DetectorRule::RateOver {
-                metric: "a",
-                threshold: 1,
-            },
+    fn worse_verdict_dumps_once_per_incident() {
+        use std::sync::atomic::AtomicU8;
+        let m = private_monitor();
+        let dir = std::env::temp_dir().join(format!("secndp-dump-rule-{}", std::process::id()));
+        m.configure(HealthConfig {
+            flight_dir: dir.clone(),
+            ..HealthConfig::default()
         });
-        m.add_detector(AnomalyDetector {
-            name: "dup",
-            rule: DetectorRule::RateOver {
-                metric: "b",
-                threshold: 2,
-            },
+        let level = Arc::new(AtomicU8::new(0));
+        let lvl = Arc::clone(&level);
+        let _check = m.register("unit-dump", move |_| match lvl.load(Ordering::SeqCst) {
+            0 => (HealthStatus::Ok, "quiet".into()),
+            1 => (HealthStatus::Degraded, "limping".into()),
+            _ => (HealthStatus::Failing, "down".into()),
         });
-        assert_eq!(m.lock().detectors.len(), 1);
-        m.install_default_detectors();
-        m.install_default_detectors();
-        assert_eq!(m.lock().detectors.len(), 4);
+        let reg = Registry::new();
+        let dumps = || m.lock().dump_seq;
+        let step = |l: u8| {
+            level.store(l, Ordering::SeqCst);
+            m.sample(&reg);
+            dumps()
+        };
+        assert_eq!(step(0), 0, "an ok component dumped");
+        assert_eq!(step(1), 1, "ok → degraded did not dump");
+        let json = std::fs::read_to_string(m.last_flight_dump().unwrap()).unwrap();
+        assert!(
+            json.contains("\"reason\":\"unit-dump: limping\""),
+            "{json:.200}"
+        );
+        assert_eq!(step(1), 1, "a held verdict dumped again");
+        let _ = (m.report(), m.render_sloz(&reg));
+        assert_eq!(dumps(), 1, "a scrape dumped");
+        assert_eq!(step(2), 2, "degraded → failing did not dump");
+        assert_eq!(step(0), 2, "a recovery dumped");
+        assert_eq!(step(1), 3, "a relapse did not dump");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -859,10 +712,11 @@ mod tests {
         assert_eq!(ts, vec![4]);
     }
 
-    /// One window, three readers: an objective's fast burn, a check's
-    /// `counter_delta` and a `RateOver` detector all turn on at the sample
-    /// that first holds a burst, and off together once the window slides
-    /// past it. A `/sloz` scrape moves neither the ring nor a cooldown.
+    /// One window, one verdict: an objective's fast burn and a check's
+    /// `counter_delta` turn on at the sample that first holds a burst,
+    /// which is the sample that dumps, and off together once the window
+    /// slides past it. A `/sloz` scrape moves neither the ring nor the
+    /// dump count.
     #[cfg(feature = "enabled")]
     #[test]
     fn objective_check_and_detector_share_one_window() {
@@ -881,13 +735,6 @@ mod tests {
             metric: "shared_lat_ns".into(),
             threshold_ns: 1000,
             target: 0.9,
-        });
-        m.add_detector(AnomalyDetector {
-            name: "shared-burst",
-            rule: DetectorRule::RateOver {
-                metric: "shared_bad_total",
-                threshold: 4,
-            },
         });
         let _check = m.register("shared-check", |ctx| {
             if ctx.counter_delta("shared_bad_total") >= 4 {
@@ -915,18 +762,22 @@ mod tests {
             seen.push((degraded("slo"), degraded("shared-check"), fired));
         }
         // On at sample 4 (the burst), held while sample 3 is still in the
-        // three-sample window, off from sample 6. The detector fires once,
-        // then sits out its cooldown.
+        // three-sample window, off from sample 6. The dump fires with the
+        // check, once: the held verdict is the cooldown.
         let on = |i: usize| seen[i].0 && seen[i].1;
         assert!((0..4).all(|i| seen[i] == (false, false, false)), "{seen:?}");
         assert!(on(4) && seen[4].2, "{seen:?}");
         assert!(on(5) && !seen[5].2, "{seen:?}");
-        assert!((6..8).all(|i| !seen[i].0 && !seen[i].1), "{seen:?}");
+        assert!((6..8).all(|i| seen[i] == (false, false, false)), "{seen:?}");
+        let json = std::fs::read_to_string(m.last_flight_dump().unwrap()).unwrap();
+        assert!(
+            json.contains("shared-check: burst") && json.contains("slo: "),
+            "{json:.300}"
+        );
 
         let state = |m: &HealthMonitor| {
             let s = m.lock();
-            let cooldowns: Vec<u32> = s.detectors.iter().map(|d| d.cooldown).collect();
-            (s.ring.len(), cooldowns)
+            (s.ring.len(), s.dump_seq)
         };
         let before = state(m);
         let sloz = crate::serve::dispatch("/sloz", "", &reg, m, &[]);

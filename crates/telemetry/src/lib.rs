@@ -23,14 +23,15 @@
 //!   one duration to a histogram as well as the journal.
 //! - [`audit`] — a bounded security audit log recording every integrity
 //!   failure (verify / malformed-response / shape) with its trace id,
-//!   region, version and checksum scheme.
+//!   region, version and checksum scheme; its FIFO also holds the
+//!   [`faultlog`] of injected faults. Both are compiled in every build.
 //! - [`profile`] — a continuous profiler folding completed spans into a
 //!   flamegraph-ready self-time call tree (`/profilez`), and into one
 //!   cost record per local trace root, kept as a top-K-by-latency digest.
 //! - [`health`] — one ring of registry snapshots, sampled in the
-//!   background, read through one window by component checks (`/healthz`),
-//!   anomaly detectors (which write [`recorder`] dumps) and [`slo`]
-//!   objectives.
+//!   background, read through one window by component checks and [`slo`]
+//!   objectives (`/healthz`); a verdict that gets worse at a sample writes
+//!   a [`recorder`] dump.
 //! - [`slo`] — declarative latency/error objectives scored as burn rates
 //!   over the health ring's fast and slow windows (`/sloz`), degrading
 //!   `/healthz` on budget exhaustion.
@@ -57,7 +58,8 @@
 //! feature off every instrument is zero-sized, every method body is empty
 //! (and inlines to nothing), a span never reads the clock, and the
 //! exporters render empty snapshots — call sites need no `cfg` of their
-//! own.
+//! own. The [`audit`] and [`faultlog`] logs are evidence, not
+//! instrumentation, and stay (with trace ids of 0).
 //!
 //! # Example
 //!

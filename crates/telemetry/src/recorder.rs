@@ -1,8 +1,8 @@
 //! Flight-recorder dumps: the health monitor's snapshot ring plus the span
 //! journal, audit and fault logs in one artifact, and the crash-dump hook.
 //!
-//! When something goes wrong in a live SecNDP deployment — a verify-failure
-//! burst signalling tampering, a stalled transport rank, a crash — the
+//! When something goes wrong in a live SecNDP deployment — verify failures
+//! signalling tampering, a stalled transport rank, a crash — the
 //! counters alone say *that* it happened, not *how it unfolded*. The
 //! [`HealthMonitor`](crate::health::HealthMonitor) keeps the last N
 //! registry snapshots in its ring; this module serializes them **together
@@ -11,7 +11,7 @@
 //!
 //! ```json
 //! {"flight_recorder":{
-//!    "reason":"verify-failure-burst: …",
+//!    "reason":"protocol: integrity errors within the window: …",
 //!    "t_ms":12345,
 //!    "snapshots":[{"t_ms":11900,"metrics":{"counters":[…],…}}, …],
 //!    "spans":{"displayTimeUnit":"ns","traceEvents":[…]},
@@ -20,8 +20,9 @@
 //! }}
 //! ```
 //!
-//! Dumps are written by the anomaly detectors of
-//! [`HealthMonitor::sample`](crate::health::HealthMonitor::sample), by
+//! Dumps are written by
+//! [`HealthMonitor::sample`](crate::health::HealthMonitor::sample) when a
+//! health component's verdict gets worse, by
 //! [`HealthMonitor::trigger_dump`](crate::health::HealthMonitor::trigger_dump),
 //! and by the panic hook installed with [`install_panic_hook`], which ships
 //! the same artifact as `secndp-crash-<pid>.json` before unwinding.

@@ -7,7 +7,7 @@
 //! [`HealthMonitor::add_objective`](crate::health::HealthMonitor::add_objective);
 //! there is no environment surface. They are scored over the health
 //! monitor's snapshot ring — the same samples, and the same
-//! [`HealthCtx`] window, its checks and detectors read.
+//! [`HealthCtx`] window, its checks read.
 //!
 //! # Burn rate
 //!

@@ -2,7 +2,7 @@
 //! with the `enabled` feature; without it every instrument is a no-op and
 //! there is nothing to test).
 
-use crate::audit::AuditLog;
+use crate::audit::{AuditEvent, AuditLog};
 use crate::metrics::{Histogram, HistogramSnapshot, BUCKETS};
 use crate::registry::Registry;
 use crate::trace::{
@@ -612,7 +612,7 @@ fn tree_export_golden() {
 
 #[test]
 fn audit_log_is_bounded_fifo_with_stable_seq() {
-    let log = AuditLog::with_capacity(2);
+    let log: AuditLog = AuditLog::with_capacity(2);
     log.record("verification_failed", 0x1000, 1, 2, "single_s", "tag");
     log.record("malformed_response", 0, 0, 0, "", "short frame");
     log.record("shape_mismatch", 0, 0, 0, "", "bad length");
@@ -632,7 +632,7 @@ fn audit_log_is_bounded_fifo_with_stable_seq() {
 
 #[test]
 fn audit_events_stamp_the_current_trace() {
-    let log = AuditLog::with_capacity(8);
+    let log: AuditLog = AuditLog::with_capacity(8);
     let sp = trace::span("test_audit_span");
     log.record("verification_failed", 0x9000, 4, 7, "multi_s", "tamper");
     let e = &log.snapshot()[0];
@@ -651,7 +651,7 @@ fn audit_events_stamp_the_current_trace() {
 
 #[test]
 fn audit_json_export_golden() {
-    let log = AuditLog::with_capacity(4);
+    let log: AuditLog = AuditLog::with_capacity(4);
     log.record(
         "verification_failed",
         4096,
@@ -666,7 +666,7 @@ fn audit_json_export_golden() {
         \"detail\":\"checksum tag mismatch\"}]}\n";
     assert_eq!(log.render_json(), want);
     assert_eq!(
-        AuditLog::with_capacity(1).render_json(),
+        AuditLog::<AuditEvent>::with_capacity(1).render_json(),
         "{\"audit_events\":[]}\n"
     );
 }

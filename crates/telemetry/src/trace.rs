@@ -47,7 +47,7 @@ use std::fmt;
 #[cfg(feature = "enabled")]
 use std::cell::Cell;
 #[cfg(feature = "enabled")]
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 #[cfg(feature = "enabled")]
 use std::sync::{Mutex, OnceLock};
 #[cfg(feature = "enabled")]
@@ -183,7 +183,6 @@ mod enabled {
 
     static NEXT_TRACE: AtomicU64 = AtomicU64::new(1);
     static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
-    static IO_SPANS: AtomicBool = AtomicBool::new(false);
 
     thread_local! {
         static CURRENT: Cell<SpanContext> = const { Cell::new(SpanContext::NONE) };
@@ -212,14 +211,6 @@ mod enabled {
 
     pub(super) fn set_current(ctx: SpanContext) {
         CURRENT.with(|c| c.set(ctx));
-    }
-
-    pub(super) fn io_spans() -> bool {
-        IO_SPANS.load(Relaxed)
-    }
-
-    pub(super) fn set_io_spans(on: bool) {
-        IO_SPANS.store(on, Relaxed);
     }
 
     /// Ring-buffer state: slot reservation is a wait-free `fetch_add` on
@@ -432,26 +423,6 @@ pub fn current() -> SpanContext {
     }
     #[cfg(not(feature = "enabled"))]
     SpanContext::NONE
-}
-
-/// Whether high-frequency I/O spans (e.g. per-burst DRAM access spans in
-/// the simulator) should be recorded. Off by default — they are opt-in
-/// because hot simulation loops can wrap the journal in milliseconds.
-pub fn io_spans_enabled() -> bool {
-    #[cfg(feature = "enabled")]
-    {
-        enabled::io_spans()
-    }
-    #[cfg(not(feature = "enabled"))]
-    false
-}
-
-/// Enables or disables high-frequency I/O spans process-wide.
-pub fn set_io_spans(on: bool) {
-    #[cfg(feature = "enabled")]
-    enabled::set_io_spans(on);
-    #[cfg(not(feature = "enabled"))]
-    let _ = on;
 }
 
 /// An RAII span guard: records a `Begin` event on creation, installs

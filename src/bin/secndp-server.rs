@@ -28,9 +28,8 @@ fn main() {
     // sampler, and (when requested) the live scrape server.
     secndp_telemetry::install_panic_hook();
     secndp_telemetry::init_process_metrics();
-    let monitor = secndp_telemetry::health::monitor();
-    monitor.install_default_detectors();
-    let _sampler = monitor.start_sampler(secndp_telemetry::global(), HealthConfig::from_env());
+    let _sampler = secndp_telemetry::health::monitor()
+        .start_sampler(secndp_telemetry::global(), HealthConfig::from_env());
 
     let mut addr = String::from("127.0.0.1:0");
     let mut metrics_addr: Option<String> = None;

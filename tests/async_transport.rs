@@ -962,7 +962,7 @@ fn wait_twice_is_a_typed_error() {
 
 /// A device stall must surface as `Error::DeviceTimeout` after the
 /// per-request deadline, with `secndp_transport_timeouts_total` — the
-/// counter the default `timeout-spike` detector reads — moved by exactly
+/// counter the endpoint's health check reads — moved by exactly
 /// one, whichever link carried the request.
 fn stall_times_out<R: Rig>() {
     let _serial = counters();
@@ -1275,7 +1275,6 @@ fn ragged_sum_reply_over_a_socket_is_a_typed_error() {
         matches!(res, Err(Error::MalformedResponse { .. })),
         "33 result bytes for a u32 table must be typed, got {res:?}"
     );
-    #[cfg(feature = "telemetry")]
     assert!(
         secndp::telemetry::audit::audit_log()
             .snapshot()

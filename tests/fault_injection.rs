@@ -23,7 +23,7 @@ use secndp::core::{
     TrustedProcessor,
 };
 use secndp::telemetry::audit::audit_log;
-use secndp::telemetry::faultlog::fault_log;
+use secndp::telemetry::faultlog::{fault_log, FaultRecord};
 use secndp::telemetry::trace;
 
 const ROWS: usize = 4;
@@ -131,15 +131,13 @@ fn faulty_ndp_data_faults_are_detected_and_audited() {
             .find(|r| r.op == op)
             .unwrap_or_else(|| panic!("{kind:?} was not journaled"));
         assert_eq!(rec.kind, kind.name());
-        // Trace coupling and audit events only exist with telemetry
-        // compiled in; the journal itself is unconditional.
-        if cfg!(feature = "telemetry") {
-            assert_eq!(rec.trace.0, my_trace, "journal must carry the query trace");
-            assert!(
-                audit_log().snapshot().iter().any(|e| e.trace.0 == my_trace),
-                "{kind:?} detection must be audited in the same trace"
-            );
-        }
+        // Both logs are unconditional; with telemetry compiled out every
+        // trace id is 0.
+        assert_eq!(rec.trace.0, my_trace, "journal must carry the query trace");
+        assert!(
+            audit_log().snapshot().iter().any(|e| e.trace.0 == my_trace),
+            "{kind:?} detection must be audited in the same trace"
+        );
     }
 
     // Stale replay with no prior image is served fresh → masked, correct.
@@ -173,6 +171,60 @@ fn faulty_ndp_data_faults_are_detected_and_audited() {
         Err(Error::VerificationFailed { .. })
     ));
     let _ = handle;
+}
+
+/// The evidence path is not telemetry: with or without the feature, a
+/// tampered verified query leaves an audit event, and the checker refuses
+/// a detection that has none.
+#[test]
+fn integrity_errors_are_audited_in_every_build() {
+    let pt = plaintext();
+    let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0xA0D17));
+    let mut dev = TamperingNdp::new(Tamper::ZeroResult);
+    let table = cpu.encrypt_table(&pt, ROWS, COLS, ADDR).unwrap();
+    let handle = cpu.publish(&table, &mut dev).unwrap();
+    let before = audit_log().total();
+    let sp = trace::span("audit_in_every_build");
+    let my_trace = trace::current().trace;
+    let err = cpu
+        .weighted_sum::<u32, _>(&handle, &dev, &[0, 1], &[3, 2], true)
+        .unwrap_err();
+    drop(sp);
+    assert!(matches!(err, Error::VerificationFailed { .. }), "{err:?}");
+    assert!(audit_log().total() > before, "no audit event recorded");
+    let event = audit_log()
+        .snapshot()
+        .into_iter()
+        .find(|e| e.trace == my_trace && e.kind == "verification_failed")
+        .expect("no audit event in the query's trace");
+
+    let fault = FaultRecord {
+        seq: 0,
+        op: 0,
+        rank: 0,
+        kind: "zero_result",
+        trace: my_trace,
+        span: event.span,
+        detail: "",
+    };
+    let query = QueryRecord {
+        op: 0,
+        trace: my_trace.0,
+        outcome: Outcome::Failed(err),
+    };
+    let checker = InvariantChecker::new(0xA0D17);
+    let (faults, queries) = ([fault], [query]);
+    assert!(checker.check(&faults, &queries, &[event]).ok());
+    let unaudited = checker.check(&faults, &queries, &[]);
+    assert_eq!(unaudited.detected, 1);
+    assert!(
+        unaudited
+            .violations
+            .iter()
+            .any(|v| v.contains("no audit event")),
+        "{:?}",
+        unaudited.violations
+    );
 }
 
 fn chaos_endpoint(ranks: usize, injector: &Arc<FaultInjector>) -> AsyncEndpoint {

@@ -1,11 +1,11 @@
-//! Acceptance tests for the live health & anomaly subsystem: the
+//! Acceptance tests for the live health subsystem: the
 //! `/metrics` + `/healthz` scrape server, component health scoring fed by
-//! transport vitals and protocol counters, and the anomaly-triggered
-//! flight recorder.
+//! transport vitals and protocol counters, and the flight recorder a
+//! worse verdict triggers.
 //!
 //! The paper's threat model makes these *security* signals: a burst of
 //! verification failures is indistinguishable from active tampering
-//! (§V-C), so the detectors must catch it and capture forensics.
+//! (§V-C), so the health verdict must catch it and capture forensics.
 #![cfg(feature = "telemetry")]
 
 use std::io::{Read as _, Write as _};
@@ -31,7 +31,7 @@ fn serial() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Flushes cross-test residue out of the monitor's detector/check window:
+/// Flushes cross-test residue out of the monitor's check window:
 /// two fresh samples make every `counter_delta` over a window of 2 zero.
 fn reset_health_window() {
     let m = monitor();
@@ -179,8 +179,8 @@ fn stalled_transport_rank_degrades_healthz_and_recovers() {
     server.shutdown();
 }
 
-/// A burst of tampered NDP replies must trip the verify-failure detector
-/// on the next sample and dump a flight-recorder artifact carrying the
+/// A burst of tampered NDP replies must degrade the `protocol` component
+/// at the next sample and so dump a flight-recorder artifact carrying the
 /// counter spike, the matching audit events, and their trace ids.
 #[test]
 fn tamper_burst_triggers_flight_dump_with_forensics() {
@@ -193,7 +193,6 @@ fn tamper_burst_triggers_flight_dump_with_forensics() {
         retain: 16,
         flight_dir: dir.clone(),
     });
-    m.install_default_detectors();
     let reg = secndp::telemetry::global();
     // Clean baseline window so only the burst below registers as a delta.
     m.sample(reg);
@@ -209,7 +208,7 @@ fn tamper_burst_triggers_flight_dump_with_forensics() {
     let pt: Vec<u32> = (0..32).collect();
     let table = cpu.encrypt_table(&pt, 8, 4, 0x9000).unwrap();
     let handle = cpu.publish(&table, &mut ndp).unwrap();
-    // 6 failures clears the detector threshold of 4 within one window.
+    // Any verify failure within the window degrades `protocol`.
     for i in 0..6 {
         match cpu.weighted_sum(&handle, &ndp, &[i % 8], &[1u32], true) {
             Err(Error::VerificationFailed { .. }) => {}
@@ -221,12 +220,14 @@ fn tamper_burst_triggers_flight_dump_with_forensics() {
     m.sample(reg);
     let dump = m
         .last_flight_dump()
-        .expect("tamper burst must write an anomaly dump");
+        .expect("tamper burst must write a flight dump");
     assert_ne!(Some(&dump), before.as_ref(), "a NEW dump must be written");
     let json = std::fs::read_to_string(&dump).unwrap();
+    let reason = json.split("\"reason\":\"").nth(1).unwrap_or("");
+    let reason = reason.split('"').next().unwrap_or("");
     assert!(
-        json.contains("verify-failure-burst"),
-        "dump reason must name the detector: {json:.200}"
+        reason.contains("protocol: "),
+        "dump reason must name the component: {reason}"
     );
     assert!(
         json.contains("secndp_verify_failures_total"),

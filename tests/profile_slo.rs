@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use secndp::core::device::DelayedNdp;
 use secndp::core::wire::RemoteNdp;
 use secndp::core::{HonestNdp, SecretKey, TrustedProcessor};
-use secndp::telemetry::health::monitor;
+use secndp::telemetry::health::{monitor, HealthConfig};
 use secndp::telemetry::serve::ServerBuilder;
 use secndp::telemetry::slo::Objective;
 use secndp::telemetry::{profile, trace};
@@ -220,6 +220,13 @@ fn tail_exemplar_trace_resolves_in_tracez() {
 fn latency_slo_breach_flips_sloz_and_degrades_healthz() {
     let _g = serial();
     let m = monitor();
+    // The breach degrades `slo`, which dumps: keep the dump out of the
+    // working directory.
+    let dir = std::env::temp_dir().join(format!("secndp-slo-dump-{}", std::process::id()));
+    m.configure(HealthConfig {
+        flight_dir: dir.clone(),
+        ..HealthConfig::default()
+    });
     let impossible = |threshold_ns| Objective::Latency {
         name: "impossible_rtt".into(),
         metric: "secndp_wire_round_trip_ns".into(),
@@ -279,9 +286,13 @@ fn latency_slo_breach_flips_sloz_and_degrades_healthz() {
         health.body
     );
 
+    let dump = m.last_flight_dump().expect("the breach must dump");
+    assert!(dump.starts_with(&dir), "{}", dump.display());
+
     // Clean up: later tests must not inherit the breached objective, so
     // replace it with one every round trip meets.
     m.add_objective(impossible(u64::MAX));
+    std::fs::remove_dir_all(&dir).ok();
     server.shutdown();
 }
 
