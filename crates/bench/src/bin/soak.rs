@@ -1,24 +1,28 @@
-//! Chaos soak: randomized SLS traffic against the concurrent transport
+//! Chaos soak: randomized SLS traffic against the concurrent endpoint
 //! under a seeded fault mix, with the masked-or-detected invariant
 //! checked at the end.
 //!
 //! Every op draws its indices/weights from a seeded LCG and compares the
 //! verified result against a plaintext oracle; every fault the
-//! [`FaultPlan`] schedules is journaled at the moment it lands. After the
-//! traffic (plus a dedicated stall-and-recover phase for the health
-//! pipeline), the [`InvariantChecker`] reconciles journal, query
-//! outcomes, and audit events: each fault must be *masked* (correct
-//! verified result) or *detected* (typed error with a same-trace audit
-//! event) — zero silent corruptions.
+//! [`FaultPlan`] schedules is journaled at the moment it lands — channel
+//! faults by the [`FaultyLink`] every frame crosses, device faults by the
+//! [`FaultyNdp`] serving each rank. After the traffic (plus, on the worker
+//! link, a dedicated stall-and-recover phase for its stall detector), the
+//! [`InvariantChecker`] reconciles journal, query outcomes, and audit
+//! events: each fault must be *masked* (correct verified result) or
+//! *detected* (typed error with a same-trace audit event) — zero silent
+//! corruptions.
 //!
 //! Run with:
-//! `cargo run --release -p secndp-bench --bin soak -- --seed 42 --ops 20000 [--secs S] [--ranks 3] [--rate 8] [--report soak.json]`
+//! `cargo run --release -p secndp-bench --bin soak -- --seed 42 --ops 20000 [--secs S] [--ranks 3] [--rate 8] [--link worker|tcp] [--report soak.json]`
 //!
-//! The JSON report contains no wall-clock fields, so two runs with the
-//! same seed and `--ops` budget produce byte-identical reports — CI
-//! `cmp`s them. On an invariant violation the binary prints the seed and
-//! the full fault schedule, drops a flight-recorder dump (honoring
-//! `SECNDP_FLIGHT_DIR`), and exits nonzero.
+//! `--link tcp` serves each rank from its own loopback `NetServer`, so
+//! every fault crosses real sockets; its report names the link and has no
+//! stall phase. The JSON report contains no wall-clock fields, so two runs
+//! with the same seed, link and `--ops` budget produce byte-identical
+//! reports — CI `cmp`s them. On an invariant violation the binary prints
+//! the seed and the full fault schedule, drops a flight-recorder dump
+//! (honoring `SECNDP_FLIGHT_DIR`), and exits nonzero.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -28,8 +32,8 @@ use secndp_core::fault::{
     FaultKind, FaultPlan, InvariantChecker, Outcome, PlannedFault, QueryRecord,
 };
 use secndp_core::{
-    AsyncEndpoint, FaultInjector, FaultyNdp, HonestNdp, SecretKey, TransportConfig,
-    TrustedProcessor,
+    Endpoint, FaultInjector, FaultyLink, FaultyNdp, HonestNdp, Link, NetServer, SecretKey,
+    TransportConfig, TrustedProcessor,
 };
 use secndp_telemetry::audit::audit_log;
 use secndp_telemetry::faultlog::fault_log;
@@ -75,35 +79,65 @@ fn ground_truth(pt: &[u32], idx: &[usize], w: &[u32]) -> Vec<u32> {
 
 fn main() {
     let seed: u64 = flag("--seed").unwrap_or(0x5EC_C4A05);
-    let ops_budget: u64 = flag("--ops").unwrap_or(20_000);
-    let secs: Option<u64> = flag("--secs");
     let ranks: usize = flag::<usize>("--ranks").unwrap_or(3).max(2);
-    let report_path: Option<String> = flag("--report");
+    let link: String = flag("--link").unwrap_or_else(|| "worker".into());
 
     let mut plan = FaultPlan::new(seed);
     plan.ranks = ranks as u32;
     if let Some(rate) = flag::<u32>("--rate") {
         plan.rate_permille = rate;
     }
+
+    let injector = Arc::new(FaultInjector::new());
+    let fleet = FaultyNdp::fleet(HonestNdp::new(), ranks, Arc::clone(&injector));
+    let cfg = TransportConfig {
+        ranks,
+        timeout: Duration::from_millis(150),
+        max_retries: 3,
+        stall_grace: Duration::from_millis(40),
+        ..TransportConfig::default()
+    };
+    match link.as_str() {
+        "worker" => soak(
+            FaultyLink::over_workers(fleet, cfg, Arc::clone(&injector)),
+            &plan,
+            &injector,
+            "worker",
+        ),
+        "tcp" => {
+            let servers: Vec<NetServer> = fleet
+                .into_iter()
+                .map(|d| NetServer::host_device(d, "127.0.0.1:0").expect("bind rank server"))
+                .collect();
+            let addrs = servers.iter().map(|s| s.local_addr().to_string()).collect();
+            let ep = FaultyLink::over_tcp(TransportConfig { addrs, ..cfg }, Arc::clone(&injector))
+                .expect("tcp endpoint");
+            // `servers` outlives the endpoint, which `soak` drops.
+            soak(ep, &plan, &injector, "tcp");
+        }
+        other => {
+            eprintln!("soak: unknown --link {other} (worker or tcp)");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Runs the traffic, and — on the worker link, whose stall detector it
+/// scores — the stall phase, over `ep`; then reconciles and reports. A
+/// report for another `link` names it.
+fn soak<L: Link>(mut ep: Endpoint<L>, plan: &FaultPlan, injector: &FaultInjector, link: &str) {
+    let seed = plan.seed;
+    let ranks = plan.ranks as usize;
+    let ops_budget: u64 = flag("--ops").unwrap_or(20_000);
+    let secs: Option<u64> = flag("--secs");
+    let report_path: Option<String> = flag("--report");
+    let worker = link == "worker";
     eprintln!(
-        "soak: seed={seed} ops={ops_budget} ranks={ranks} rate={}permille mix={} kinds",
+        "soak: seed={seed} ops={ops_budget} ranks={ranks} link={link} rate={}permille mix={} kinds",
         plan.rate_permille,
         plan.mix.len()
     );
-
-    let injector = Arc::new(FaultInjector::new());
     let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(seed));
-    let mut ep = AsyncEndpoint::new_with_faults(
-        FaultyNdp::fleet(HonestNdp::new(), ranks, Arc::clone(&injector)),
-        TransportConfig {
-            ranks,
-            timeout: Duration::from_millis(150),
-            max_retries: 3,
-            stall_grace: Duration::from_millis(40),
-            ..TransportConfig::default()
-        },
-        Arc::clone(&injector),
-    );
 
     let pt: Vec<u32> = (0..ROWS * COLS).map(|x| (x as u32 % 97) + 1).collect();
     let mut table = cpu.encrypt_table(&pt, ROWS, COLS, ADDR).expect("encrypt");
@@ -197,74 +231,80 @@ fn main() {
     }
     let traffic_ops = op;
 
-    // Dedicated health phase: one long rank stall must trip the stall
-    // detector (endpoint component leaves Ok) while the query itself is
-    // masked by a deadline retry — and the component must recover once
-    // the worker wakes.
-    let stall_fault = PlannedFault {
-        op: traffic_ops,
-        rank: 0,
-        kind: FaultKind::RankStall {
-            stall_ms: HEALTH_STALL_MS,
-        },
-    };
-    injector.arm(stall_fault);
-    let component = ep.health_component().to_string();
-    // The query blocks for the whole stall when only one rank survives
-    // (retries queue behind the sleeping worker), so the stall has to be
-    // observed concurrently: run the query on a scoped thread and poll
-    // the vitals plus the health monitor from here while it is held.
-    let mut stall_seen = false;
-    let mut degraded = false;
-    let (my_trace, outcome) = std::thread::scope(|s| {
-        let q = s.spawn(|| {
-            let sp = trace::span("soak_health_stall");
-            let t = trace::current().trace.0;
-            let out = match cpu.weighted_sum::<u32, _>(&handle, &ep, &[0, 1], &[3, 2], true) {
-                Ok(v) if v == ground_truth(&pt, &[0, 1], &[3, 2]) => Outcome::Correct,
-                Ok(_) => Outcome::Wrong,
-                Err(e) => Outcome::Failed(e),
-            };
-            drop(sp);
-            (t, out)
+    // Dedicated health phase, on the worker link (the one with a stall
+    // detector): one long rank stall must trip the stall detector
+    // (endpoint component leaves Ok) while the query itself is masked by a
+    // deadline retry — and the component must recover once the worker
+    // wakes.
+    let stall = worker.then(|| {
+        let stall_fault = PlannedFault {
+            op: traffic_ops,
+            rank: 0,
+            kind: FaultKind::RankStall {
+                stall_ms: HEALTH_STALL_MS,
+            },
+        };
+        injector.arm(stall_fault);
+        let component = ep.health_component().to_string();
+        // The query blocks for the whole stall when only one rank survives
+        // (retries queue behind the sleeping worker), so the stall has to be
+        // observed concurrently: run the query on a scoped thread and poll
+        // the vitals plus the health monitor from here while it is held.
+        let mut stall_seen = false;
+        let mut degraded = false;
+        let (my_trace, outcome) = std::thread::scope(|s| {
+            let q = s.spawn(|| {
+                let sp = trace::span("soak_health_stall");
+                let t = trace::current().trace.0;
+                let out = match cpu.weighted_sum::<u32, _>(&handle, &ep, &[0, 1], &[3, 2], true) {
+                    Ok(v) if v == ground_truth(&pt, &[0, 1], &[3, 2]) => Outcome::Correct,
+                    Ok(_) => Outcome::Wrong,
+                    Err(e) => Outcome::Failed(e),
+                };
+                drop(sp);
+                (t, out)
+            });
+            let watch_until = Instant::now() + Duration::from_millis(2 * HEALTH_STALL_MS as u64);
+            while (!q.is_finished() || !stall_seen) && Instant::now() < watch_until {
+                if !ep.down_ranks().is_empty() {
+                    stall_seen = true;
+                }
+                if health::monitor().report().components.iter().any(|c| {
+                    c.component == component
+                        && c.status != secndp_telemetry::health::HealthStatus::Ok
+                }) {
+                    degraded = true;
+                }
+                if stall_seen && degraded && q.is_finished() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            q.join().expect("health-phase query thread")
         });
-        let watch_until = Instant::now() + Duration::from_millis(2 * HEALTH_STALL_MS as u64);
-        while (!q.is_finished() || !stall_seen) && Instant::now() < watch_until {
-            if !ep.down_ranks().is_empty() {
-                stall_seen = true;
-            }
-            if health::monitor().report().components.iter().any(|c| {
-                c.component == component && c.status != secndp_telemetry::health::HealthStatus::Ok
-            }) {
-                degraded = true;
-            }
-            if stall_seen && degraded && q.is_finished() {
+        injector.disarm();
+        queries.push(QueryRecord {
+            op: traffic_ops,
+            trace: my_trace,
+            outcome,
+        });
+        let mut recovered = false;
+        let deadline = Instant::now() + Duration::from_millis(3 * HEALTH_STALL_MS as u64);
+        while Instant::now() < deadline {
+            let clear = ep.down_ranks().is_empty()
+                && health::monitor().report().components.iter().any(|c| {
+                    c.component == component
+                        && c.status == secndp_telemetry::health::HealthStatus::Ok
+                });
+            if clear {
+                recovered = true;
                 break;
             }
-            std::thread::sleep(Duration::from_millis(10));
+            std::thread::sleep(Duration::from_millis(25));
         }
-        q.join().expect("health-phase query thread")
+        (stall_seen && degraded, recovered)
     });
-    injector.disarm();
-    queries.push(QueryRecord {
-        op: traffic_ops,
-        trace: my_trace,
-        outcome,
-    });
-    let mut recovered = false;
-    let deadline = Instant::now() + Duration::from_millis(3 * HEALTH_STALL_MS as u64);
-    while Instant::now() < deadline {
-        let clear = ep.down_ranks().is_empty()
-            && health::monitor().report().components.iter().any(|c| {
-                c.component == component && c.status == secndp_telemetry::health::HealthStatus::Ok
-            });
-        if clear {
-            recovered = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(25));
-    }
-    let total_ops = traffic_ops + 1;
+    let total_ops = queries.len() as u64;
 
     // Joining the workers before reconciling guarantees every completion
     // (including duplicates and stragglers) has landed.
@@ -272,12 +312,18 @@ fn main() {
 
     let faults = fault_log().snapshot();
     let report = InvariantChecker::new(seed).check(&faults, &queries, &audit_log().snapshot());
-    let stall_degraded_observed = stall_seen && degraded;
 
+    let link_field = if worker {
+        String::new()
+    } else {
+        format!("\"link\":\"{link}\",")
+    };
+    let stall_fields = stall.map_or(String::new(), |(observed, recovered)| {
+        format!("\"stall_degraded_observed\":{observed},\"stall_recovered\":{recovered},")
+    });
     let json = format!(
-        "{{\"seed\":{seed},\"ranks\":{ranks},\"rate_permille\":{},\"ops\":{total_ops},\
-         \"stall_degraded_observed\":{stall_degraded_observed},\"stall_recovered\":{recovered},\
-         \"invariant\":{}}}\n",
+        "{{\"seed\":{seed},\"ranks\":{ranks},{link_field}\"rate_permille\":{},\
+         \"ops\":{total_ops},{stall_fields}\"invariant\":{}}}\n",
         plan.rate_permille,
         report.render_json()
     );
@@ -290,17 +336,15 @@ fn main() {
         report.injected, report.masked, report.detected, report.silent_corruptions
     );
 
-    let healthy = stall_degraded_observed && recovered;
+    let healthy = stall.is_none_or(|(observed, recovered)| observed && recovered);
     if !report.ok() || !healthy {
         eprintln!("soak: INVARIANT VIOLATED (seed {seed}) — fault schedule:");
         eprintln!("{}", plan.render_schedule(total_ops));
         for v in &report.violations {
             eprintln!("  {v}");
         }
-        if !healthy {
-            eprintln!(
-                "  health: stall_degraded_observed={stall_degraded_observed} recovered={recovered}"
-            );
+        if let Some((observed, recovered)) = stall.filter(|_| !healthy) {
+            eprintln!("  health: stall_degraded_observed={observed} recovered={recovered}");
         }
         match health::monitor().trigger_dump("chaos-soak-violation") {
             Ok(p) => eprintln!("soak: flight dump written to {}", p.display()),

@@ -361,7 +361,7 @@ impl<D: NdpDevice> NdpDevice for DelayedNdp<D> {
 /// The attacks of a malicious device, each written once: a
 /// [`TamperingNdp`] mounts one on every operation, and
 /// [`FaultyNdp`](crate::fault::FaultyNdp) lands the one its armed
-/// data-class fault maps to. Every arm covers a weighted sum, a row read
+/// data fault maps to. Every arm covers a weighted sum, a row read
 /// and an element query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tamper {

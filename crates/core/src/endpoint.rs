@@ -13,7 +13,7 @@
 //!
 //! - **Request ids, not protocol changes.** Every submission gets a
 //!   process-local `u64` id keyed into a pending table; a link hands the
-//!   reply bytes back by id ([`Pending::complete`]). The id only routes
+//!   reply bytes back by id ([`Complete::complete`]). The id only routes
 //!   bytes — reply *content* is still verified cryptographically, so a
 //!   device that swaps two ids produces two verification failures, never
 //!   a wrong answer. Completions arrive in any order.
@@ -38,7 +38,7 @@
 //!   it, which frees the slot, its retained frame, any reply it holds and
 //!   its window credit at once. A reply that arrives later is counted late.
 //! - **Deadlines and idempotent-only retry.** A request with no reply by
-//!   its deadline — or whose route died ([`Pending::fail`]) — is re-sent
+//!   its deadline — or whose route died ([`Complete::fail`]) — is re-sent
 //!   to the next rank, at most `max_retries` times with linear deadline
 //!   backoff, **only if it is idempotent** (`WeightedSum`, `ReadRow`: pure
 //!   reads). Then the caller gets [`Error::DeviceTimeout`] or
@@ -164,6 +164,19 @@ pub trait Link: Send + Sync + 'static {
     fn down(&self) -> Vec<usize>;
 }
 
+/// Where a [`Link`] hands back what it carried. The endpoint's own is its
+/// pending table; a decorating link
+/// ([`FaultyLink`](crate::fault::FaultyLink)) gives the link it wraps one
+/// of its own, so it sees every reply before the table does.
+pub trait Complete: Send + Sync {
+    /// Reply bytes for request `id`.
+    fn complete(&self, id: u64, reply: Vec<u8>);
+
+    /// `route` died: fails every request still waiting on it, returning
+    /// how many there were.
+    fn fail(&self, route: Route, why: LinkFail) -> usize;
+}
+
 /// Handle to one in-flight request; redeem it with [`Endpoint::poll`] or
 /// [`Endpoint::wait`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -219,7 +232,7 @@ pub struct Pending {
 }
 
 /// What a [`Link`] completes requests through.
-pub type Completer = Arc<Pending>;
+pub type Completer = Arc<dyn Complete>;
 
 impl std::fmt::Debug for Pending {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -254,11 +267,13 @@ impl Pending {
             self.room.notify_all();
         }
     }
+}
 
+impl Complete for Pending {
     /// Fills request `id` with its reply bytes and wakes its waiter — or,
     /// if the request already settled or was abandoned, counts the
     /// straggler.
-    pub fn complete(&self, id: u64, reply: Vec<u8>) {
+    fn complete(&self, id: u64, reply: Vec<u8>) {
         let mut t = locked(&self.table);
         match t.slots.get_mut(&id) {
             Some(slot) if matches!(slot.state, State::Waiting) => {
@@ -275,7 +290,7 @@ impl Pending {
     /// Fails every request still waiting on `route`, so they error typed
     /// (or retry) at once instead of waiting out their deadline. Returns
     /// how many there were.
-    pub fn fail(&self, route: Route, why: LinkFail) -> usize {
+    fn fail(&self, route: Route, why: LinkFail) -> usize {
         let mut t = locked(&self.table);
         let mut hit = 0;
         for slot in t.slots.values_mut() {
@@ -303,7 +318,7 @@ pub struct Endpoint<L: Link> {
     _health: health::HealthCheckHandle,
     component: String,
     link: Arc<L>,
-    pending: Completer,
+    pending: Arc<Pending>,
     next_id: AtomicU64,
     next_rank: AtomicUsize,
     cfg: EndpointConfig,
@@ -348,7 +363,7 @@ impl<L: Link> Endpoint<L> {
             low_water: cfg.window / 2,
             served: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
         });
-        let link = Arc::new(make(Arc::clone(&pending)));
+        let link = Arc::new(make(Arc::clone(&pending) as Completer));
         let (health, component) = register_health(Arc::clone(&link), Arc::clone(&pending));
         Self {
             _health: health,
@@ -701,7 +716,7 @@ fn settle(slot: Slot) -> Result<Response, Error> {
 /// failing), request timeouts and link churn within the health window.
 fn register_health<L: Link>(
     link: Arc<L>,
-    pending: Completer,
+    pending: Arc<Pending>,
 ) -> (health::HealthCheckHandle, String) {
     static EP_SEQ: AtomicU64 = AtomicU64::new(0);
     let component = format!("{}-ep{}", L::KIND, EP_SEQ.fetch_add(1, Ordering::Relaxed));

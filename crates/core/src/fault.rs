@@ -5,9 +5,8 @@
 //! correct result or a verification failure. Each device attack is written
 //! once, as a [`Tamper`] arm in [`device`](crate::device); this module
 //! turns the argument into a **soak-testable invariant** — schedule a
-//! randomized mix of faults against real queries (including under the
-//! concurrent [`AsyncEndpoint`](crate::transport::AsyncEndpoint) path) and
-//! prove that every injected fault was either
+//! randomized mix of faults against real queries (under the concurrent
+//! endpoint, over any link) and prove that every injected fault was either
 //!
 //! - **masked**: the query still returned the correct, verified result
 //!   (retries, replication or fault-free luck absorbed it), or
@@ -32,29 +31,37 @@
 //! - [`FaultPlan`] — pure seeded schedule: which op gets which
 //!   [`FaultKind`] on which rank.
 //! - [`FaultInjector`] — the armed-fault mailbox shared between the
-//!   harness (which arms) and the injection sites (which consume by
+//!   harness (which arms) and the two injection sites (which consume by
 //!   [`FaultClass`] and journal to the telemetry
 //!   [fault log](secndp_telemetry::faultlog)).
-//! - [`FaultyNdp`] — a device wrapper landing data-class faults inside
-//!   the serve path through their [`Tamper`] arms, plus the one attack
-//!   only it can mount: replaying a table's previous image.
+//! - [`FaultyNdp`] — a device wrapper landing device-class faults inside
+//!   the serve path: each data attack through its [`Tamper`] arm, the
+//!   stale-image replay only it can mount, and a rank holding a frame.
+//! - [`FaultyLink`] — a [`Link`] decorator landing channel-class faults
+//!   (drops, duplicates, late and corrupted replies, a cut link) on the
+//!   frames it carries, over the worker link and the TCP link alike.
 //! - [`InvariantChecker`] — reconciles the fault journal against query
 //!   outcomes and the audit log into an [`InvariantReport`].
 //!
-//! Frame-class faults (drops, duplicates, stalls, crashes…) are landed by
-//! the transport worker loop itself — see
-//! [`AsyncEndpoint::new_with_faults`](crate::transport::AsyncEndpoint::new_with_faults)
-//! — so they hit under real submit/poll/wait concurrency.
+//! Both sites sit on seams every deployment has — the device trait and the
+//! link trait — so no transport carries a fault hook of its own, and faults
+//! hit under real submit/poll/wait concurrency.
 
 use crate::device::{HonestNdp, NdpDevice, NdpResponse, StoredTable, Tamper};
+use crate::endpoint::{
+    locked, Complete, Completer, Endpoint, EndpointConfig, Link, LinkFail, Route,
+};
 use crate::error::Error;
+use crate::net::{require_addrs, NetConfig, TcpLink};
+use crate::transport::{TransportConfig, WorkerLink};
 use secndp_arith::mersenne::Fq;
 use secndp_arith::ring::RingWord;
 use secndp_telemetry::audit::AuditEvent;
 use secndp_telemetry::faultlog::{fault_log, FaultRecord};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Weyl-sequence increment shared by SplitMix64 and the repo's jitter
 /// decorrelation constant.
@@ -95,12 +102,12 @@ impl SplitMix64 {
 /// Which layer of the stack an injected fault lands in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultClass {
-    /// Device-computation faults, applied by [`FaultyNdp`] inside the
-    /// serve path.
-    Data,
-    /// Transport-frame faults, applied by the endpoint's worker loop
-    /// (drops, duplicates, stalls, crashes…).
-    Frame,
+    /// Device faults, landed by [`FaultyNdp`] inside the serve path: wrong
+    /// data, and a rank holding a frame.
+    Device,
+    /// Channel faults, landed by [`FaultyLink`] on the frames and replies
+    /// it carries: drops, duplicates, late or corrupted replies, a cut link.
+    Channel,
 }
 
 /// One kind of injectable fault, with its materialized parameters.
@@ -129,7 +136,7 @@ pub enum FaultKind {
     ReplayStale,
     /// Lands as [`Tamper::ZeroResult`].
     ZeroResult,
-    /// Never complete the reply frame — the request must time out.
+    /// Never deliver the frame — the request must time out.
     DropReply,
     /// Complete the reply twice; the second must be dropped as a late
     /// completion, never double-settled.
@@ -145,13 +152,16 @@ pub enum FaultKind {
         /// Nonzero mask XORed into the reply's first byte.
         mask: u8,
     },
-    /// Hold the frame busy for `stall_ms` before serving — long enough to
-    /// trip the health monitor's stall detector, short enough to recover.
+    /// The device holds the frame for `stall_ms` before serving — long
+    /// enough to trip the worker link's stall detector, short enough to
+    /// recover.
     RankStall {
-        /// Busy-sleep before serving, in milliseconds.
+        /// Sleep before serving, in milliseconds.
         stall_ms: u32,
     },
-    /// The rank's worker exits without replying and never comes back.
+    /// The link to the rank is cut for good: the frame, and whatever else
+    /// is in flight to that rank, fails as a lost connection, and so does
+    /// every later send to it.
     RankCrash,
 }
 
@@ -180,13 +190,13 @@ impl FaultKind {
             | FaultKind::SwapValue { .. }
             | FaultKind::SwapTag
             | FaultKind::ReplayStale
-            | FaultKind::ZeroResult => FaultClass::Data,
+            | FaultKind::ZeroResult
+            | FaultKind::RankStall { .. } => FaultClass::Device,
             FaultKind::DropReply
             | FaultKind::DuplicateReply
             | FaultKind::LateReply { .. }
             | FaultKind::MalformedReply { .. }
-            | FaultKind::RankStall { .. }
-            | FaultKind::RankCrash => FaultClass::Frame,
+            | FaultKind::RankCrash => FaultClass::Channel,
         }
     }
 }
@@ -276,7 +286,7 @@ impl FaultSel {
 
 /// One scheduled fault: which op, which rank the plan *suggested*, and the
 /// fully materialized kind. The rank is advisory — the consuming site
-/// journals the rank the fault actually landed on, since the transport's
+/// journals the rank the fault actually landed on, since the endpoint's
 /// round-robin decides which rank serves an op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlannedFault {
@@ -370,7 +380,7 @@ impl FaultPlan {
 /// The harness arms at most one [`PlannedFault`] before issuing the op it
 /// is scheduled for; whichever injection site of the matching
 /// [`FaultClass`] serves that op consumes it with [`take`](Self::take)
-/// and journals it (exactly once) via [`journal`](Self::journal). Faults
+/// and journals it (exactly once) to the fault log. Faults
 /// are journaled at *consumption* time: an armed fault that never fires
 /// (e.g. the op errored before reaching the device) is simply
 /// [`disarm`](Self::disarm)ed and never counted, so the checker only
@@ -410,25 +420,12 @@ impl FaultInjector {
     /// Journals a consumed fault to the process-wide
     /// [fault log](secndp_telemetry::faultlog::fault_log) with the rank it
     /// actually landed on, and counts it into [`injected`](Self::injected).
-    ///
-    /// `trace_override` carries the trace id recovered from the request
-    /// frame when the site has no ambient span (the transport worker
-    /// outside `ndp_serve`).
-    pub fn journal(
-        &self,
-        fault: &PlannedFault,
-        actual_rank: u32,
-        detail: &'static str,
-        trace_override: Option<u64>,
-    ) {
+    /// Both sites run inside the query's trace — the device under its
+    /// `ndp_serve` span, the link on the caller's thread — so the record
+    /// carries the query's trace id.
+    fn journal(&self, fault: &PlannedFault, actual_rank: u32, detail: &'static str) {
         self.injected.fetch_add(1, Ordering::Relaxed);
-        fault_log().record(
-            fault.op,
-            actual_rank,
-            fault.kind.name(),
-            detail,
-            trace_override,
-        );
+        fault_log().record(fault.op, actual_rank, fault.kind.name(), detail);
     }
 
     /// Faults journaled through this injector so far.
@@ -445,15 +442,16 @@ enum Landing<'a> {
     Stale(&'a HonestNdp),
 }
 
-/// A device wrapper that lands **data-class** faults inside the serve
-/// path: each maps to its [`Tamper`] arm, except the stale-version replay,
-/// which serves the previous image of a reloaded table.
+/// A device wrapper that lands **device-class** faults inside the serve
+/// path: each data attack maps to its [`Tamper`] arm, except the
+/// stale-version replay, which serves the previous image of a reloaded
+/// table; a rank stall holds the frame before serving it honestly.
 ///
-/// Wrap one per rank around the real device and hand the fleet to
-/// [`AsyncEndpoint::new_with_faults`](crate::transport::AsyncEndpoint::new_with_faults)
-/// so faults land under real concurrency; the shared [`FaultInjector`]
-/// decides which op is hit. With nothing armed the wrapper is a pure
-/// pass-through.
+/// Wrap one per rank around the real device and serve the fleet behind
+/// any link — [`FaultyLink::over_workers`], or one
+/// [`NetServer`](crate::net::NetServer) per rank — so faults land under
+/// real concurrency; the shared [`FaultInjector`] decides which op is hit.
+/// With nothing armed the wrapper is a pure pass-through.
 #[derive(Debug)]
 pub struct FaultyNdp<D> {
     inner: D,
@@ -479,7 +477,7 @@ impl<D: NdpDevice> FaultyNdp<D> {
 
     /// A fleet of `ranks` wrappers around clones of `device`, all
     /// consuming from one shared injector — the input to
-    /// [`AsyncEndpoint::new_with_faults`](crate::transport::AsyncEndpoint::new_with_faults).
+    /// [`FaultyLink::over_workers`].
     pub fn fleet(device: D, ranks: usize, injector: Arc<FaultInjector>) -> Vec<Self>
     where
         D: Clone,
@@ -489,22 +487,12 @@ impl<D: NdpDevice> FaultyNdp<D> {
             .collect()
     }
 
-    /// The rank this wrapper journals injections under.
-    pub fn rank(&self) -> u32 {
-        self.rank
-    }
-
-    /// The shared injector.
-    pub fn injector(&self) -> &Arc<FaultInjector> {
-        &self.injector
-    }
-
-    /// Consumes the armed data fault, if any, for one operation on
+    /// Consumes the armed device fault, if any, for one operation on
     /// `table_addr` whose first row is `first`, and journals it. `None`
-    /// serves the operation honestly: nothing was armed, or the fault
-    /// cannot land on it, which the journal says why.
+    /// serves the operation honestly: nothing was armed, the fault only
+    /// held the frame, or it cannot land on it, which the journal says why.
     fn land(&self, table_addr: u64, first: Option<usize>, tagged: bool) -> Option<Landing<'_>> {
-        let fault = self.injector.take(FaultClass::Data)?;
+        let fault = self.injector.take(FaultClass::Device)?;
         let landed = match fault.kind {
             FaultKind::FlipResponseBit { element, bit } => {
                 let element = element as usize;
@@ -527,11 +515,17 @@ impl<D: NdpDevice> FaultyNdp<D> {
                 Some(image) => Ok(Landing::Stale(image)),
                 None => Err("no stale image; served fresh"),
             },
-            // Frame kinds are filtered out by `take`'s class match.
-            _ => unreachable!("non-data fault taken by FaultyNdp"),
+            FaultKind::RankStall { .. } => Err("held before serving"),
+            // Channel kinds are filtered out by `take`'s class match.
+            _ => unreachable!("channel fault taken by FaultyNdp"),
         };
         let detail = landed.as_ref().err().copied().unwrap_or("");
-        self.injector.journal(&fault, self.rank, detail, None);
+        self.injector.journal(&fault, self.rank, detail);
+        if let FaultKind::RankStall { stall_ms } = fault.kind {
+            // Busy with a frame and silent: the signature the worker
+            // link's stall detector scores against `stall_grace`.
+            std::thread::sleep(Duration::from_millis(stall_ms.into()));
+        }
         landed.ok()
     }
 }
@@ -579,6 +573,224 @@ impl<D: NdpDevice> NdpDevice for FaultyNdp<D> {
             Some(Landing::Tamper(t)) => t.read_row(&self.inner, table_addr, row),
             Some(Landing::Stale(d)) => d.read_row(table_addr, row),
         }
+    }
+}
+
+/// A [`Link`] decorator that lands **channel-class** faults on the frames
+/// it carries, over any link: the adversary owns the channel, whichever
+/// transport the channel is.
+///
+/// An armed channel fault lands on the next frame sent, on the caller's
+/// thread and so inside the query's trace:
+///
+/// - [`DropReply`](FaultKind::DropReply): the frame is never delivered;
+/// - [`RankCrash`](FaultKind::RankCrash): the link to the frame's rank is
+///   [cut](Self::crash);
+/// - [`DuplicateReply`](FaultKind::DuplicateReply),
+///   [`LateReply`](FaultKind::LateReply) and
+///   [`MalformedReply`](FaultKind::MalformedReply): the frame is delivered,
+///   and its reply arrives twice, `delay_ms` late (the completing thread
+///   sleeps, as a slow channel would hold it), or with its first byte
+///   XORed.
+///
+/// The wrapped link completes through this link's own [`Complete`], which
+/// applies those reply faults before the endpoint's table sees the reply.
+/// With nothing armed every frame and reply passes through unchanged.
+pub struct FaultyLink<L> {
+    inner: L,
+    injector: Arc<FaultInjector>,
+    tap: Arc<Tap>,
+}
+
+/// The completer a [`FaultyLink`] hands the link it wraps.
+struct Tap {
+    done: Completer,
+    state: Mutex<TapState>,
+}
+
+#[derive(Default)]
+struct TapState {
+    /// The route each delivered request was last sent on, until its reply.
+    routes: HashMap<u64, Route>,
+    /// Reply faults landed at send, by request id.
+    replies: HashMap<u64, FaultKind>,
+    /// Ranks whose link was cut.
+    dead: HashSet<usize>,
+}
+
+impl Complete for Tap {
+    fn complete(&self, id: u64, mut reply: Vec<u8>) {
+        let fault = {
+            let mut st = locked(&self.state);
+            if let Some(route) = st.routes.remove(&id) {
+                if st.dead.contains(&route.0) {
+                    return; // a cut link delivers nothing
+                }
+            }
+            st.replies.remove(&id)
+        };
+        match fault {
+            Some(FaultKind::DuplicateReply) => {
+                // The copy must hit the settled slot and be counted as a
+                // late completion, never double-settled.
+                self.done.complete(id, reply.clone());
+                self.done.complete(id, reply);
+            }
+            Some(FaultKind::LateReply { delay_ms }) => {
+                std::thread::sleep(Duration::from_millis(delay_ms.into()));
+                self.done.complete(id, reply);
+            }
+            Some(FaultKind::MalformedReply { mask }) => {
+                if let Some(b) = reply.first_mut() {
+                    *b ^= mask;
+                }
+                self.done.complete(id, reply);
+            }
+            _ => self.done.complete(id, reply),
+        }
+    }
+
+    fn fail(&self, route: Route, why: LinkFail) -> usize {
+        self.done.fail(route, why)
+    }
+}
+
+impl<L: Link> FaultyLink<L> {
+    /// An endpoint over the link `inner` builds, every frame of which
+    /// crosses this decorator.
+    fn endpoint(
+        cfg: EndpointConfig,
+        ranks: usize,
+        injector: Arc<FaultInjector>,
+        inner: impl FnOnce(Completer) -> L,
+    ) -> Endpoint<Self> {
+        Endpoint::with_link(cfg, ranks, |done| {
+            let tap = Arc::new(Tap {
+                done,
+                state: Mutex::default(),
+            });
+            FaultyLink {
+                inner: inner(Arc::clone(&tap) as Completer),
+                injector,
+                tap,
+            }
+        })
+    }
+
+    /// Cuts the link to `rank` for good, as a dead server or a severed
+    /// cable would: every request in flight to it fails as a lost
+    /// connection (idempotent ones fail over), its replies are never
+    /// delivered, and later sends to it fail at once.
+    pub fn crash(&self, rank: usize) {
+        let routes: HashSet<Route> = {
+            let mut st = locked(&self.tap.state);
+            st.dead.insert(rank);
+            st.routes
+                .values()
+                .filter(|r| r.0 == rank)
+                .copied()
+                .collect()
+        };
+        for route in routes {
+            self.tap.done.fail(route, LinkFail::ConnLost);
+        }
+    }
+
+    fn is_dead(&self, rank: usize) -> bool {
+        locked(&self.tap.state).dead.contains(&rank)
+    }
+}
+
+impl FaultyLink<WorkerLink> {
+    /// [`AsyncEndpoint::new`](crate::transport::AsyncEndpoint::new) with
+    /// channel faults from `injector`: one worker thread per device, every
+    /// frame crossing a `FaultyLink`. Serve
+    /// [`FaultyNdp::fleet`] ranks to land device faults too.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `devices` is empty.
+    pub fn over_workers<D: NdpDevice + Send + 'static>(
+        devices: Vec<D>,
+        cfg: TransportConfig,
+        injector: Arc<FaultInjector>,
+    ) -> Endpoint<Self> {
+        assert!(!devices.is_empty(), "endpoint needs at least one rank");
+        let stall_grace = cfg.stall_grace;
+        Self::endpoint(cfg, devices.len(), injector, |done| {
+            WorkerLink::spawn(devices, stall_grace, done)
+        })
+    }
+}
+
+impl FaultyLink<TcpLink> {
+    /// [`TcpEndpoint::connect`](crate::net::TcpEndpoint::connect) with
+    /// channel faults from `injector`: one rank per entry of `cfg.addrs`,
+    /// every frame crossing a `FaultyLink`. Host [`FaultyNdp`] ranks behind
+    /// the servers to land device faults too.
+    ///
+    /// # Errors
+    ///
+    /// As for `connect`: `cfg.addrs` is empty.
+    pub fn over_tcp(cfg: NetConfig, injector: Arc<FaultInjector>) -> Result<Endpoint<Self>, Error> {
+        require_addrs(&cfg)?;
+        let ranks = cfg.addrs.len();
+        Ok(Self::endpoint(cfg.clone(), ranks, injector, |done| {
+            TcpLink::open(&cfg, None, done)
+        }))
+    }
+}
+
+impl<L: Link> Link for FaultyLink<L> {
+    const KIND: &'static str = L::KIND;
+    const DOWN: &'static str = L::DOWN;
+    const CHURN: Option<(&'static str, &'static str)> = L::CHURN;
+
+    fn ranks(&self) -> usize {
+        self.inner.ranks()
+    }
+
+    fn route(&self, rank: usize) -> Result<Route, LinkFail> {
+        if self.is_dead(rank) {
+            return Err(LinkFail::ConnLost);
+        }
+        self.inner.route(rank)
+    }
+
+    fn send(&self, route: Route, id: u64, frame: &Arc<Vec<u8>>) -> Result<(), LinkFail> {
+        if self.is_dead(route.0) {
+            return Err(LinkFail::ConnLost);
+        }
+        if let Some(fault) = self.injector.take(FaultClass::Channel) {
+            let rank = route.0 as u32;
+            match fault.kind {
+                FaultKind::DropReply => {
+                    self.injector
+                        .journal(&fault, rank, "frame dropped; slot left waiting");
+                    return Ok(());
+                }
+                FaultKind::RankCrash => {
+                    self.injector.journal(&fault, rank, "link to the rank cut");
+                    self.crash(route.0);
+                    return Err(LinkFail::ConnLost);
+                }
+                kind => {
+                    let detail = match kind {
+                        FaultKind::DuplicateReply => "reply completed twice",
+                        FaultKind::LateReply { .. } => "reply delayed past deadline",
+                        _ => "reply first byte corrupted",
+                    };
+                    self.injector.journal(&fault, rank, detail);
+                    locked(&self.tap.state).replies.insert(id, kind);
+                }
+            }
+        }
+        locked(&self.tap.state).routes.insert(id, route);
+        self.inner.send(route, id, frame)
+    }
+
+    fn down(&self) -> Vec<usize> {
+        self.inner.down()
     }
 }
 
@@ -878,12 +1090,12 @@ mod tests {
         };
         inj.arm(fault);
         assert_eq!(
-            inj.take(FaultClass::Data),
+            inj.take(FaultClass::Device),
             None,
             "wrong class must not consume"
         );
-        assert_eq!(inj.take(FaultClass::Frame), Some(fault));
-        assert_eq!(inj.take(FaultClass::Frame), None, "consumed exactly once");
+        assert_eq!(inj.take(FaultClass::Channel), Some(fault));
+        assert_eq!(inj.take(FaultClass::Channel), None, "consumed exactly once");
         inj.arm(fault);
         assert_eq!(inj.disarm(), Some(fault));
         assert_eq!(inj.injected(), 0, "journal only counts consumed faults");
@@ -918,14 +1130,14 @@ mod tests {
         assert_eq!(r.c_res, vec![9 ^ 2, 9, 9, 9]);
         assert_eq!(inj.injected(), 2);
 
-        // A frame-class fault must pass through the device untouched.
+        // A channel-class fault must pass through the device untouched.
         inj.arm(PlannedFault {
             op: 9,
             rank: 0,
             kind: FaultKind::DropReply,
         });
         assert_eq!(dev.read_row(0x10, 0).unwrap(), new);
-        assert!(inj.disarm().is_some(), "frame fault left armed");
+        assert!(inj.disarm().is_some(), "channel fault left armed");
     }
 
     /// One implementation of each attack: a `FaultyNdp` armed with a

@@ -74,7 +74,7 @@ pub use device_mem::{MemoryBackedNdp, TagPlacement, UntrustedMemory};
 pub use encrypt::EncryptedTable;
 pub use endpoint::{Endpoint, EndpointConfig, Link};
 pub use error::Error;
-pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultyNdp, InvariantChecker};
+pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultyLink, FaultyNdp, InvariantChecker};
 pub use keys::SecretKey;
 pub use layout::TableLayout;
 pub use net::{NetConfig, NetServer, TcpEndpoint};

@@ -525,11 +525,7 @@ impl Endpoint<TcpLink> {
     /// Returns [`Error::MalformedResponse`] when `cfg.addrs` is empty (a
     /// TCP endpoint with zero ranks could answer nothing).
     pub fn connect(cfg: NetConfig) -> Result<Self, Error> {
-        if cfg.addrs.is_empty() {
-            return Err(Error::MalformedResponse {
-                reason: "tcp endpoint needs at least one rank address",
-            });
-        }
+        require_addrs(&cfg)?;
         Ok(Self::over_tcp(cfg, None))
     }
 
@@ -553,11 +549,32 @@ impl Endpoint<TcpLink> {
     }
 
     fn over_tcp(cfg: NetConfig, self_server: Option<NetServer>) -> Self {
+        let ranks = cfg.addrs.len();
+        Self::with_link(cfg.clone(), ranks, |done| {
+            TcpLink::open(&cfg, self_server, done)
+        })
+    }
+}
+
+/// A TCP endpoint with zero ranks could answer nothing.
+pub(crate) fn require_addrs(cfg: &NetConfig) -> Result<(), Error> {
+    if cfg.addrs.is_empty() {
+        return Err(Error::MalformedResponse {
+            reason: "tcp endpoint needs at least one rank address",
+        });
+    }
+    Ok(())
+}
+
+impl TcpLink {
+    /// One lazily connected pool per entry of `cfg.addrs`, completing
+    /// through `done`. `self_server` is dropped after the connections.
+    pub(crate) fn open(cfg: &NetConfig, self_server: Option<NetServer>, done: Completer) -> Self {
         // Touch the link's instruments so they exist (as zeros) in
         // exported metrics before the first connection.
         crate::metrics::net_reconnects();
         crate::metrics::net_conn_failures();
-        let ranks: Vec<RankConns> = cfg
+        let ranks = cfg
             .addrs
             .iter()
             .map(|addr| RankConns {
@@ -573,23 +590,19 @@ impl Endpoint<TcpLink> {
                 vitals: Arc::new(NetRankVitals::default()),
             })
             .collect();
-        let write_timeout = cfg.timeout.max(IO_TICK);
-        let (connect_retries, connect_backoff) = (cfg.connect_retries, cfg.connect_backoff);
-        Self::with_link(cfg, ranks.len(), |done| TcpLink {
+        TcpLink {
             ranks,
             done,
             session: fresh_session(),
             stop: Arc::new(AtomicBool::new(false)),
             next_conn: AtomicUsize::new(0),
-            write_timeout,
-            connect_retries,
-            connect_backoff,
+            write_timeout: cfg.timeout.max(IO_TICK),
+            connect_retries: cfg.connect_retries,
+            connect_backoff: cfg.connect_backoff,
             self_server,
-        })
+        }
     }
-}
 
-impl TcpLink {
     /// Connection vitals of `rank`.
     pub fn vitals(&self, rank: usize) -> &NetRankVitals {
         &self.ranks[rank].vitals

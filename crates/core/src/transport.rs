@@ -13,17 +13,18 @@
 //! - **Stall detection.** Each worker publishes [`RankVitals`]; a rank
 //!   that is busy past `stall_grace` without a heartbeat is reported
 //!   down, which degrades the endpoint's `transport-epN` health component.
-//! - **A dead rank is a closed queue.** A worker that exited (the crashed
-//!   device model) makes `send` fail with a lost connection, so idempotent
-//!   requests fail over at send time and a `Load` surfaces the dead rank as
+//! - **A dead rank is a closed queue.** A worker that is gone makes `send`
+//!   fail with a lost connection, so idempotent requests fail over at send
+//!   time and a `Load` surfaces the dead rank as
 //!   [`Error::ConnectionLost`](crate::Error::ConnectionLost).
-//! - **The chaos hook.** [`AsyncEndpoint::new_with_faults`] applies the
-//!   [`FaultInjector`]'s frame-class faults inside the worker loop, between
-//!   dequeue and serve.
+//!
+//! The worker loop knows nothing of fault injection: channel faults ride a
+//! [`FaultyLink`](crate::fault::FaultyLink) over this link, and device
+//! faults (a rank holding a frame included) a
+//! [`FaultyNdp`](crate::fault::FaultyNdp) inside it.
 
 use crate::device::NdpDevice;
 use crate::endpoint::{locked, Completer, Endpoint, EndpointConfig, Link, LinkFail, Route};
-use crate::fault::{FaultClass, FaultInjector, FaultKind};
 use crate::wire;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, Sender};
@@ -172,6 +173,35 @@ impl Drop for WorkerLink {
     }
 }
 
+impl WorkerLink {
+    /// Spawns one worker thread per device, each owning its device and
+    /// completing through `done` (see [`AsyncEndpoint::new`]).
+    pub(crate) fn spawn<D: NdpDevice + Send + 'static>(
+        devices: Vec<D>,
+        stall_grace: Duration,
+        done: Completer,
+    ) -> Self {
+        let mut link = WorkerLink {
+            senders: Vec::with_capacity(devices.len()),
+            workers: Vec::with_capacity(devices.len()),
+            vitals: Vec::with_capacity(devices.len()),
+            stall_grace,
+        };
+        for (rank, device) in devices.into_iter().enumerate() {
+            let (tx, rx) = mpsc::channel::<Job>();
+            let vitals = Arc::new(RankVitals::new());
+            let (done, v) = (Arc::clone(&done), Arc::clone(&vitals));
+            let spawned = std::thread::Builder::new()
+                .name(format!("secndp-rank{rank}"))
+                .spawn(move || worker_loop(device, rx, done, v));
+            link.vitals.push(vitals);
+            link.senders.push(spawned.is_ok().then(|| Mutex::new(tx)));
+            link.workers.extend(spawned);
+        }
+        link
+    }
+}
+
 impl Endpoint<WorkerLink> {
     /// Spawns one worker thread per device in `devices`; each worker owns
     /// its device. A rank whose thread cannot be spawned is down from the
@@ -183,54 +213,10 @@ impl Endpoint<WorkerLink> {
     ///
     /// Panics if `devices` is empty.
     pub fn new<D: NdpDevice + Send + 'static>(devices: Vec<D>, cfg: TransportConfig) -> Self {
-        Self::build(devices, cfg, None)
-    }
-
-    /// [`new`](Self::new), with the chaos harness's [`FaultInjector`]
-    /// wired into every rank worker: frame-class faults (drops,
-    /// duplicates, late/malformed replies, stalls, crashes) are consumed
-    /// and applied *inside* the worker loop, so they land under real
-    /// submit/poll/wait concurrency. Pair with
-    /// [`FaultyNdp`](crate::fault::FaultyNdp)-wrapped devices sharing the
-    /// same injector so data-class faults land too.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `devices` is empty.
-    pub fn new_with_faults<D: NdpDevice + Send + 'static>(
-        devices: Vec<D>,
-        cfg: TransportConfig,
-        injector: Arc<FaultInjector>,
-    ) -> Self {
-        Self::build(devices, cfg, Some(injector))
-    }
-
-    fn build<D: NdpDevice + Send + 'static>(
-        devices: Vec<D>,
-        cfg: TransportConfig,
-        injector: Option<Arc<FaultInjector>>,
-    ) -> Self {
         assert!(!devices.is_empty(), "endpoint needs at least one rank");
         let stall_grace = cfg.stall_grace;
         Self::with_link(cfg, devices.len(), |done| {
-            let mut link = WorkerLink {
-                senders: Vec::with_capacity(devices.len()),
-                workers: Vec::with_capacity(devices.len()),
-                vitals: Vec::with_capacity(devices.len()),
-                stall_grace,
-            };
-            for (rank, device) in devices.into_iter().enumerate() {
-                let (tx, rx) = mpsc::channel::<Job>();
-                let vitals = Arc::new(RankVitals::new());
-                let (done, v, inj) = (Arc::clone(&done), Arc::clone(&vitals), injector.clone());
-                let spawned = std::thread::Builder::new()
-                    .name(format!("secndp-rank{rank}"))
-                    .spawn(move || worker_loop(device, rx, done, v, rank as u32, inj));
-                link.vitals.push(vitals);
-                link.senders.push(spawned.is_ok().then(|| Mutex::new(tx)));
-                link.workers.extend(spawned);
-            }
-            link
+            WorkerLink::spawn(devices, stall_grace, done)
         })
     }
 }
@@ -240,15 +226,7 @@ fn worker_loop<D: NdpDevice>(
     rx: mpsc::Receiver<Job>,
     done: Completer,
     vitals: Arc<RankVitals>,
-    rank: u32,
-    injector: Option<Arc<FaultInjector>>,
 ) {
-    let mut serve = |frame: &[u8]| {
-        vitals.begin_serve();
-        let reply = wire::serve_or_reply(&mut device, frame);
-        vitals.end_serve();
-        reply
-    };
     loop {
         vitals.beat();
         let job = match rx.recv_timeout(Duration::from_millis(100)) {
@@ -258,62 +236,10 @@ fn worker_loop<D: NdpDevice>(
             Err(RecvTimeoutError::Timeout) => continue,
             Err(RecvTimeoutError::Disconnected) => break,
         };
-        // Chaos hook: frame-class faults land here, between dequeue and
-        // serve, so they perturb the transport exactly where a flaky bus
-        // or a hostile rank would. Each consumed fault is journaled with
-        // the trace id carried in the request frame (the worker has no
-        // ambient span until `wire::serve` opens one).
-        let fault = injector
-            .as_deref()
-            .and_then(|inj| Some((inj, inj.take(FaultClass::Frame)?)));
-        let Some((inj, fault)) = fault else {
-            done.complete(job.id, serve(&job.frame));
-            continue;
-        };
-        let trace = wire::peek_trace(&job.frame);
-        match fault.kind {
-            FaultKind::DropReply => {
-                inj.journal(&fault, rank, "reply dropped; slot left waiting", trace);
-            }
-            FaultKind::RankCrash => {
-                inj.journal(&fault, rank, "worker exited without replying", trace);
-                return;
-            }
-            FaultKind::RankStall { stall_ms } => {
-                inj.journal(&fault, rank, "busy-held before serving", trace);
-                // Busy without heartbeats: exactly the signature the
-                // stall detector scores against `stall_grace`.
-                vitals.begin_serve();
-                std::thread::sleep(Duration::from_millis(stall_ms as u64));
-                done.complete(job.id, serve(&job.frame));
-            }
-            FaultKind::LateReply { delay_ms } => {
-                inj.journal(&fault, rank, "reply delayed past deadline", trace);
-                let reply = serve(&job.frame);
-                std::thread::sleep(Duration::from_millis(delay_ms as u64));
-                done.complete(job.id, reply);
-            }
-            FaultKind::MalformedReply { mask } => {
-                inj.journal(&fault, rank, "reply first byte corrupted", trace);
-                let mut reply = serve(&job.frame);
-                if let Some(b) = reply.first_mut() {
-                    *b ^= mask;
-                }
-                done.complete(job.id, reply);
-            }
-            FaultKind::DuplicateReply => {
-                inj.journal(&fault, rank, "reply completed twice", trace);
-                let reply = serve(&job.frame);
-                done.complete(job.id, reply.clone());
-                // The duplicate must hit the settled slot and be counted
-                // as a late completion, never double-settled.
-                done.complete(job.id, reply);
-            }
-            // `take(FaultClass::Frame)` hands out frame-class kinds only;
-            // a data or host kind here is a bug in the injector, and the
-            // frame is still owed its honest reply.
-            _ => done.complete(job.id, serve(&job.frame)),
-        }
+        vitals.begin_serve();
+        let reply = wire::serve_or_reply(&mut device, &job.frame);
+        vitals.end_serve();
+        done.complete(job.id, reply);
     }
 }
 

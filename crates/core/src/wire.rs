@@ -67,17 +67,6 @@ fn strip_envelope(buf: &[u8]) -> Result<(&[u8], SpanContext), WireError> {
     ))
 }
 
-/// Reads the trace id out of a traced frame without consuming it — used
-/// by the transport's fault hooks to journal injections against the
-/// query's trace even though the worker has no ambient span open.
-pub(crate) fn peek_trace(frame: &[u8]) -> Option<u64> {
-    if frame.first() == Some(&FRAME_TRACED) && frame.len() >= ENVELOPE_LEN {
-        Some(u64::from_le_bytes(frame[1..9].try_into().unwrap()))
-    } else {
-        None
-    }
-}
-
 /// A frame buffer of exactly `body_len` bytes plus the trace envelope
 /// `ctx` calls for, with that envelope (if any) already written: the body
 /// follows in the same allocation, which never grows.
@@ -1694,9 +1683,7 @@ mod tests {
             assert_eq!(Response::decode(&traced).unwrap(), resp);
             assert_eq!(Response::decode(&legacy).unwrap(), resp);
         }
-        // 6) LCG-driven random 0x7E-prefixed frames: never a panic, and
-        //    `peek_trace` agrees with the full decoder on the trace id
-        //    whenever the frame decodes at all.
+        // 6) LCG-driven random 0x7E-prefixed frames: never a panic.
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
             state = state
@@ -1708,16 +1695,10 @@ mod tests {
             let len = (next() as usize) % 64;
             let mut bytes = vec![FRAME_TRACED];
             bytes.extend((0..len).map(|_| next()));
-            let peeked = peek_trace(&bytes);
-            if let Ok((_, got)) = Request::decode_traced(&bytes) {
-                assert_eq!(peeked, Some(got.trace.0));
-            }
+            let _ = Request::decode_traced(&bytes);
             let _ = Request::decode(&bytes);
             let _ = Response::decode(&bytes);
         }
-        // peek_trace itself: short frames and legacy frames peek nothing.
-        assert_eq!(peek_trace(&[FRAME_TRACED; 5]), None);
-        assert_eq!(peek_trace(&inner_req.encode().unwrap()), None);
     }
 
     proptest! {

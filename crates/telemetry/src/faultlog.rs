@@ -8,7 +8,8 @@
 //!
 //! Each record stamps the injecting thread's current
 //! [`trace`](crate::trace) context (device-side injections run inside the
-//! worker's `ndp_serve` span, so the query's trace id is ambient) plus the
+//! device's `ndp_serve` span, channel-side ones on the caller's thread, so
+//! the query's trace id is ambient at both) plus the
 //! harness-assigned operation index, the rank the fault landed on, and a
 //! static kind name matching `FaultKind` in `secndp-core`. The
 //! `InvariantChecker` reconciles these records against query outcomes and
@@ -53,26 +54,14 @@ pub type FaultLog = AuditLog<FaultRecord>;
 
 impl FaultLog {
     /// Journals an injected fault, stamping the calling thread's current
-    /// trace context. When the injection site has no ambient context (the
-    /// transport worker outside its serve span), callers pass the trace id
-    /// recovered from the request frame via `trace_override`.
-    pub fn record(
-        &self,
-        op: u64,
-        rank: u32,
-        kind: &'static str,
-        detail: &'static str,
-        trace_override: Option<u64>,
-    ) {
+    /// trace context.
+    pub fn record(&self, op: u64, rank: u32, kind: &'static str, detail: &'static str) {
         self.push(|seq, ctx| FaultRecord {
             seq,
             op,
             rank,
             kind,
-            trace: match trace_override {
-                Some(t) if ctx.trace.0 == 0 => TraceId(t),
-                _ => ctx.trace,
-            },
+            trace: ctx.trace,
             span: ctx.span,
             detail,
         });
@@ -115,7 +104,7 @@ mod tests {
     fn journal_is_bounded_and_sequenced() {
         let log = FaultLog::with_capacity(3);
         for op in 0..5u64 {
-            log.record(op, 0, "flip_response_bit", "", None);
+            log.record(op, 0, "flip_response_bit", "");
         }
         assert_eq!(log.len(), 3);
         assert_eq!(log.total(), 5);
@@ -129,19 +118,9 @@ mod tests {
     }
 
     #[test]
-    fn trace_override_applies_only_without_ambient_context() {
-        let log = FaultLog::with_capacity(8);
-        log.record(0, 1, "drop_reply", "", Some(0xABCD));
-        let rec = &log.snapshot()[0];
-        // Outside any span the override wins (ambient trace is 0).
-        assert_eq!(rec.trace, TraceId(0xABCD));
-        assert_eq!(rec.rank, 1);
-    }
-
-    #[test]
     fn render_json_is_well_formed() {
         let log = FaultLog::with_capacity(8);
-        log.record(7, 2, "rank_stall", "300ms", None);
+        log.record(7, 2, "rank_stall", "300ms");
         let json = log.render_json();
         assert!(json.starts_with("{\"fault_events\":["));
         assert!(json.contains("\"op\":7"));

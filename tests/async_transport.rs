@@ -31,8 +31,8 @@ use secndp::core::net::{NetServer, TcpLink};
 use secndp::core::transport::WorkerLink;
 use secndp::core::wire::{self, RemoteNdp, Request, Response};
 use secndp::core::{
-    AsyncEndpoint, Endpoint, EndpointConfig, Error, FaultInjector, FaultKind, HonestNdp, Link,
-    NdpDevice, SecretKey, TcpEndpoint, TrustedProcessor,
+    AsyncEndpoint, Endpoint, EndpointConfig, Error, FaultInjector, FaultKind, FaultyLink,
+    HonestNdp, Link, NdpDevice, SecretKey, TcpEndpoint, TrustedProcessor,
 };
 
 const ROWS: usize = 32;
@@ -43,9 +43,9 @@ const ADDR: u64 = 0x7000;
 /// after it, so dropped after it).
 struct Rigged<L: Link> {
     ep: Endpoint<L>,
-    /// Behind a lock so [`kill`](Self::kill) works on a shared rig.
+    /// Behind a lock so [`Rig::kill`] works on a shared rig.
     _keep: Mutex<Vec<NetServer>>,
-    /// The worker link's fault hook, where a scenario needs one.
+    /// The injector of a [`FaultyLink`], where a scenario needs one.
     chaos: Option<Arc<FaultInjector>>,
 }
 
@@ -61,25 +61,14 @@ impl<L: Link> Rigged<L> {
             });
         }
     }
-
-    /// Takes rank 0 of a [`Rig::mortal`] endpoint down for good: the
-    /// worker link's rank thread exits at its next frame without
-    /// replying; the socket link's server goes away.
-    fn kill(&self) {
-        match &self.chaos {
-            Some(injector) => injector.arm(PlannedFault {
-                op: 0,
-                rank: 0,
-                kind: FaultKind::RankCrash,
-            }),
-            None => self._keep.lock().unwrap().clear(),
-        }
-    }
 }
 
 /// How to stand up an endpoint over one kind of link.
 trait Rig {
     type L: Link;
+    /// The link of the [`duplicating`](Self::duplicating) and
+    /// [`mortal`](Self::mortal) rigs.
+    type Chaos: Link;
 
     /// One rank per device.
     fn ranks<D: NdpDevice + Send + 'static>(
@@ -90,11 +79,18 @@ trait Rig {
     /// A `RemoteNdp` riding a default-configured single-rank endpoint.
     fn remote<D: NdpDevice + Send + 'static>(device: D) -> RemoteNdp<D>;
 
-    /// One honest rank whose every reply arrives twice.
-    fn duplicating() -> Rigged<Self::L>;
+    /// One honest rank whose replies [`Rigged::duplicate_next_reply`]
+    /// makes arrive twice.
+    fn duplicating() -> Rigged<Self::Chaos>;
 
-    /// One rank that [`Rigged::kill`] can take down.
-    fn mortal<D: NdpDevice + Send + 'static>(device: D, cfg: EndpointConfig) -> Rigged<Self::L>;
+    /// One rank that [`kill`](Self::kill) can take down.
+    fn mortal<D: NdpDevice + Send + 'static>(device: D, cfg: EndpointConfig)
+        -> Rigged<Self::Chaos>;
+
+    /// Takes rank 0 of a [`mortal`](Self::mortal) rig down for good: the
+    /// worker link's `FaultyLink` cuts it, the socket link's server goes
+    /// away. Either way what was in flight to it fails as a dead route.
+    fn kill(rig: &Rigged<Self::Chaos>);
 }
 
 struct Worker;
@@ -102,6 +98,7 @@ struct Tcp;
 
 impl Rig for Worker {
     type L = WorkerLink;
+    type Chaos = FaultyLink<WorkerLink>;
 
     fn ranks<D: NdpDevice + Send + 'static>(
         devices: Vec<D>,
@@ -118,31 +115,30 @@ impl Rig for Worker {
         RemoteNdp::async_backed(device, EndpointConfig::default())
     }
 
-    fn duplicating() -> Rigged<WorkerLink> {
+    fn duplicating() -> Rigged<Self::Chaos> {
+        Self::mortal(HonestNdp::new(), EndpointConfig::default())
+    }
+
+    fn mortal<D: NdpDevice + Send + 'static>(
+        device: D,
+        cfg: EndpointConfig,
+    ) -> Rigged<Self::Chaos> {
         let injector = Arc::new(FaultInjector::new());
         Rigged {
-            ep: AsyncEndpoint::new_with_faults(
-                vec![HonestNdp::new()],
-                EndpointConfig::default(),
-                Arc::clone(&injector),
-            ),
+            ep: FaultyLink::over_workers(vec![device], cfg, Arc::clone(&injector)),
             _keep: Mutex::default(),
             chaos: Some(injector),
         }
     }
 
-    fn mortal<D: NdpDevice + Send + 'static>(device: D, cfg: EndpointConfig) -> Rigged<WorkerLink> {
-        let injector = Arc::new(FaultInjector::new());
-        Rigged {
-            ep: AsyncEndpoint::new_with_faults(vec![device], cfg, Arc::clone(&injector)),
-            _keep: Mutex::default(),
-            chaos: Some(injector),
-        }
+    fn kill(rig: &Rigged<Self::Chaos>) {
+        rig.ep.link().crash(0);
     }
 }
 
 impl Rig for Tcp {
     type L = TcpLink;
+    type Chaos = TcpLink;
 
     fn ranks<D: NdpDevice + Send + 'static>(
         devices: Vec<D>,
@@ -174,6 +170,10 @@ impl Rig for Tcp {
 
     fn mortal<D: NdpDevice + Send + 'static>(device: D, cfg: EndpointConfig) -> Rigged<TcpLink> {
         Self::ranks(vec![device], cfg)
+    }
+
+    fn kill(rig: &Rigged<TcpLink>) {
+        rig._keep.lock().unwrap().clear();
     }
 }
 
@@ -636,7 +636,7 @@ fn failed_packet_abandons<R: Rig>() {
     let err = std::thread::scope(|s| {
         s.spawn(|| {
             std::thread::sleep(Duration::from_millis(15));
-            rig.kill();
+            R::kill(&rig);
         });
         cpu.weighted_sum_batch_pipelined(&handle, &rig.ep, &qs, true)
             .unwrap_err()
@@ -826,7 +826,7 @@ fn route_dies_under_a_parked_submitter<R: Rig>() {
     // Let the extra submitter reach the full window before the rank dies
     // under it; the assertions hold in any order.
     std::thread::sleep(Duration::from_millis(50));
-    rig.kill();
+    R::kill(&rig);
 
     let mut failures = 0;
     for id in doomed {
@@ -858,9 +858,8 @@ fn route_failure_wakes_a_parked_submitter_with_a_typed_error() {
 /// and one that replies late (the waiter is asleep): a skipped wake-up
 /// would leave a waiter asleep until its 5 s deadline and fail its round
 /// with `DeviceTimeout`. Then the failure side: a waiter asleep on a
-/// request whose rank dies is woken by the dead route on the socket link —
-/// before its deadline — and by its own deadline on the worker link,
-/// whose crashed rank reports nothing.
+/// request whose rank dies is woken by the dead route, before its
+/// deadline, on every link.
 fn no_waiter_left_asleep<R: Rig>() {
     const ROUNDS: usize = 10_000;
     let _serial = counters(); // the second half times a request out
@@ -909,7 +908,7 @@ fn no_waiter_left_asleep<R: Rig>() {
         },
     ));
     // The rank is busy with the first request when it dies; the second
-    // is queued behind it and is never served.
+    // is queued behind it and is never answered.
     let served = rig.ep.submit(&read_row(0)).unwrap();
     let doomed = rig.ep.submit(&read_row(1)).unwrap();
     let (done, finished) = mpsc::channel();
@@ -920,15 +919,13 @@ fn no_waiter_left_asleep<R: Rig>() {
         done.send((outcome, asleep.elapsed())).unwrap();
     });
     std::thread::sleep(Duration::from_millis(30));
-    rig.kill();
+    R::kill(&rig);
     let (outcome, took) = finished
         .recv_timeout(WATCHDOG)
         .expect("the waiter on a dead rank never woke");
-    let err = outcome.expect_err("a dead rank served the queued request");
+    let err = outcome.expect_err("a dead rank answered the queued request");
     assert!(typed_failure(&err), "untyped failure {err:?}");
-    if rig.chaos.is_none() {
-        assert!(took < DEADLINE, "the dead route did not wake its waiter");
-    }
+    assert!(took < DEADLINE, "the dead route did not wake its waiter");
     let _ = rig.ep.wait(served);
     assert_eq!(rig.ep.in_flight(), 0);
 }
@@ -1054,8 +1051,8 @@ fn retry_moves_to_a_healthy_rank_and_still_verifies() {
 /// woken by nothing — the one honest completion leaves the window above
 /// its low-water mark, and no failure path runs while nobody waits — so it
 /// must re-check on its own, and take the credit that did come back, by
-/// the time those requests would have timed out. Worker link only: it is
-/// the one with a hook that drops replies.
+/// the time those requests would have timed out. On the worker link's
+/// `FaultyLink`, which drops the frames.
 #[test]
 fn lone_submitter_rechecks_a_window_that_cannot_drain() {
     let _serial = counters(); // this scenario times requests out

@@ -1,10 +1,11 @@
 //! Acceptance tests for the deterministic fault-injection harness.
 //!
 //! The masked-or-detected invariant, end to end: every fault injected
-//! into the device path (data corruption, tag forgery, stale replays) or
-//! the transport path (drops, duplicates, malformed frames, crashes) must
-//! leave the query either *correct* or *failed with a typed error* — never
-//! silently wrong.
+//! into the device path (data corruption, tag forgery, stale replays,
+//! held frames) or the channel (drops, duplicates, late and malformed
+//! replies, cut links — on the worker link and over real sockets alike)
+//! must leave the query either *correct* or *failed with a typed error* —
+//! never silently wrong.
 //!
 //! Also covers the satellites: every [`Tamper`] arm now fires on plain
 //! row reads (demonstrating the unverified-read blind spot) and is caught
@@ -18,9 +19,10 @@ use secndp::core::device::{Tamper, TamperingNdp};
 use secndp::core::fault::{
     FaultKind, FaultPlan, FaultSel, InvariantChecker, Outcome, PlannedFault, QueryRecord,
 };
+use secndp::core::transport::WorkerLink;
 use secndp::core::{
-    AsyncEndpoint, Error, FaultInjector, FaultyNdp, HonestNdp, SecretKey, TransportConfig,
-    TrustedProcessor,
+    Endpoint, Error, FaultInjector, FaultyLink, FaultyNdp, HonestNdp, Link, NetServer, SecretKey,
+    TransportConfig, TrustedProcessor,
 };
 use secndp::telemetry::audit::audit_log;
 use secndp::telemetry::faultlog::{fault_log, FaultRecord};
@@ -227,8 +229,8 @@ fn integrity_errors_are_audited_in_every_build() {
     );
 }
 
-fn chaos_endpoint(ranks: usize, injector: &Arc<FaultInjector>) -> AsyncEndpoint {
-    AsyncEndpoint::new_with_faults(
+fn chaos_endpoint(ranks: usize, injector: &Arc<FaultInjector>) -> Endpoint<FaultyLink<WorkerLink>> {
+    FaultyLink::over_workers(
         FaultyNdp::fleet(HonestNdp::new(), ranks, Arc::clone(injector)),
         TransportConfig {
             ranks,
@@ -430,4 +432,85 @@ fn mini_soak_invariant_holds_under_mixed_faults() {
     );
     assert_eq!(report.masked + report.detected, report.injected);
     assert_eq!(report.silent_corruptions, 0);
+}
+
+/// One chaos seam over any link: each channel kind, armed on the same
+/// injector, lands on the next frame the `FaultyLink` carries — over the
+/// worker link and over real sockets — with the same outcome, journaled
+/// under the query's own trace.
+#[test]
+fn channel_faults_land_alike_on_every_link() {
+    fn run<L: Link>(mut ep: Endpoint<L>, injector: &FaultInjector, op_base: u64) {
+        let pt = plaintext();
+        let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0xC4A2));
+        let table = cpu.encrypt_table(&pt, ROWS, COLS, ADDR).unwrap();
+        let handle = cpu.publish(&table, &mut ep).unwrap();
+        let want = ground_truth(&pt, &[0, 1], &[3, 2]);
+        for (i, kind) in [
+            FaultKind::DropReply,
+            FaultKind::DuplicateReply,
+            FaultKind::LateReply { delay_ms: 250 },
+            FaultKind::MalformedReply { mask: 0x40 },
+            FaultKind::RankCrash,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let op = op_base + i as u64;
+            injector.arm(PlannedFault { op, rank: 0, kind });
+            let sp = trace::span("channel_fault_query");
+            let my_trace = trace::current().trace;
+            let res = cpu.weighted_sum::<u32, _>(&handle, &ep, &[0, 1], &[3, 2], true);
+            drop(sp);
+            match kind {
+                FaultKind::MalformedReply { .. } => assert!(
+                    matches!(res, Err(Error::MalformedResponse { .. })),
+                    "{kind}: {res:?}"
+                ),
+                _ => assert_eq!(res.unwrap(), want, "{kind} must be masked"),
+            }
+            let rec = fault_log()
+                .snapshot()
+                .into_iter()
+                .find(|r| r.op == op)
+                .unwrap_or_else(|| panic!("{kind} was not journaled"));
+            assert_eq!(rec.trace, my_trace, "{kind}: journaled outside its trace");
+            if let FaultKind::LateReply { delay_ms } = kind {
+                // Let the straggler land before the next fault is armed.
+                std::thread::sleep(Duration::from_millis(delay_ms as u64 + 50));
+            }
+        }
+        // The cut rank stays cut: queries fail over, a broadcast `Load`
+        // cannot, and says so as a lost connection.
+        for _ in 0..3 {
+            let res = cpu.weighted_sum::<u32, _>(&handle, &ep, &[2, 3], &[1, 1], true);
+            assert_eq!(res.unwrap(), ground_truth(&pt, &[2, 3], &[1, 1]));
+        }
+        let table2 = cpu.reencrypt_table(&table, &pt).unwrap();
+        assert!(matches!(
+            cpu.publish(&table2, &mut ep),
+            Err(Error::ConnectionLost { .. })
+        ));
+        assert!(injector.disarm().is_none(), "a fault was left unlanded");
+    }
+
+    let cfg = TransportConfig {
+        timeout: Duration::from_millis(150),
+        max_retries: 3,
+        ..TransportConfig::default()
+    };
+    let injector = Arc::new(FaultInjector::new());
+    let ranks = vec![HonestNdp::new(), HonestNdp::new()];
+    run(
+        FaultyLink::over_workers(ranks, cfg.clone(), Arc::clone(&injector)),
+        &injector,
+        0xCA00_0000,
+    );
+
+    let servers: Vec<NetServer> = (0..2)
+        .map(|_| NetServer::host_device(HonestNdp::new(), "127.0.0.1:0").unwrap())
+        .collect();
+    let addrs = servers.iter().map(|s| s.local_addr().to_string()).collect();
+    let tcp = FaultyLink::over_tcp(TransportConfig { addrs, ..cfg }, Arc::clone(&injector));
+    run(tcp.unwrap(), &injector, 0xCB00_0000);
 }
