@@ -200,7 +200,7 @@ pub fn write_trace_if_requested() {
                 println!(
                     "trace written to {} ({} events, {} dropped)",
                     path.display(),
-                    journal.recorded().min(journal.capacity() as u64),
+                    journal.recorded() - journal.dropped(),
                     journal.dropped()
                 );
             }

@@ -14,9 +14,8 @@
 //! example), and the chaos harness's [`FaultyNdp`](crate::fault::FaultyNdp)
 //! lands them on scheduled operations.
 
-use crate::checksum::combine_weighted;
 use crate::error::Error;
-use secndp_arith::mersenne::Fq;
+use secndp_arith::mersenne::{Fq, WideAcc};
 use secndp_arith::ring::RingWord;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -242,16 +241,15 @@ impl NdpDevice for HonestNdp {
         }
         let c_t_res = if with_tag {
             let tags = t.tags.as_ref().ok_or(Error::TagsUnavailable)?;
-            let picked = indices
-                .iter()
-                .map(|&i| {
-                    tags.get(i).copied().ok_or(Error::RowOutOfBounds {
-                        index: i,
-                        rows: tags.len(),
-                    })
-                })
-                .collect::<Result<Vec<Fq>, Error>>()?;
-            Some(combine_weighted(weights, &picked))
+            let mut acc = WideAcc::default();
+            for (&i, &a) in indices.iter().zip(weights) {
+                let tag = tags.get(i).ok_or(Error::RowOutOfBounds {
+                    index: i,
+                    rows: tags.len(),
+                })?;
+                acc.push(*tag, a.as_u64());
+            }
+            Some(acc.sum())
         } else {
             None
         };

@@ -293,17 +293,15 @@ impl Profiler {
     pub fn fold(&self, journal: &SpanJournal) -> u64 {
         let events = journal.snapshot();
         let mut s = self.state.lock().unwrap();
-        // Events older than the cursor were folded already; events
-        // whose seq jumped past the cursor were lost to the ring
-        // (2 events per span).
-        if let Some(first) = events.iter().find(|e| e.seq >= s.cursor) {
-            if s.cursor > 0 && first.seq > s.cursor {
-                s.lost_spans += (first.seq - s.cursor).div_ceil(2);
-            }
-        }
+        // Events older than the cursor were folded already. A seq past the
+        // cursor skips events lost to the ring or left out of the snapshot
+        // (2 per span); a first fold does not count the history before it.
         let (mut consumed, mut costs) = (0u64, 0u64);
         let start_cursor = s.cursor;
         for ev in events.iter().filter(|e| e.seq >= start_cursor) {
+            if s.cursor > 0 && ev.seq > s.cursor {
+                s.lost_spans += (ev.seq - s.cursor).div_ceil(2);
+            }
             consumed += 1;
             match ev.kind {
                 SpanEventKind::Begin => s.begin(ev),
@@ -442,27 +440,8 @@ pub fn profiler() -> &'static Profiler {
 #[cfg(all(test, feature = "enabled"))]
 mod tests {
     use super::*;
+    use crate::tests::ev;
     use crate::trace::{SpanContext, SpanId, TraceId};
-
-    fn ev(
-        kind: SpanEventKind,
-        trace: u64,
-        span: u64,
-        parent: u64,
-        name: &'static str,
-        t_ns: u64,
-    ) -> SpanEvent {
-        SpanEvent {
-            seq: 0,
-            kind,
-            trace: TraceId(trace),
-            span: SpanId(span),
-            parent: SpanId(parent),
-            name,
-            t_ns,
-            attrs: Vec::new(),
-        }
-    }
 
     /// A synthetic well-nested tree with known self/total times:
     ///
@@ -613,9 +592,11 @@ mod tests {
         let p = Profiler::new();
         let pad_gen = |span, begin, end, blocks| {
             j.record_event(ev(SpanEventKind::Begin, 7, span, 2, "pad_gen", begin));
-            let mut e = ev(SpanEventKind::End, 7, span, 2, "pad_gen", end);
-            e.attrs = vec![("blocks", AttrValue::U64(blocks))];
-            j.record_event(e);
+            let attrs = vec![("blocks", AttrValue::U64(blocks))];
+            j.record_event(SpanEvent {
+                attrs,
+                ..ev(SpanEventKind::End, 7, span, 2, "pad_gen", end)
+            });
         };
         j.record_event(ev(SpanEventKind::Begin, 7, 1, 0, "weighted_sum", 0));
         j.record_event(ev(SpanEventKind::Begin, 7, 2, 1, "decrypt", 10));

@@ -5,9 +5,10 @@
 use crate::audit::{AuditEvent, AuditLog};
 use crate::metrics::{Histogram, HistogramSnapshot, BUCKETS};
 use crate::registry::Registry;
+use crate::trace::SpanEventKind::{self, Begin, End};
 use crate::trace::{
-    self, render_chrome_trace, render_tree, AttrValue, SpanContext, SpanEvent, SpanEventKind,
-    SpanId, SpanJournal, TraceId,
+    self, render_chrome_trace, render_tree, AttrValue, SpanContext, SpanEvent, SpanId, SpanJournal,
+    TraceId,
 };
 
 /// Returns the single bucket index a value lands in.
@@ -361,27 +362,25 @@ fn prometheus_escapes_label_values_round_trip() {
 
 // ─── span journal ───────────────────────────────────────────────────────
 
-/// A synthetic journal event with everything pinned.
-#[allow(clippy::too_many_arguments)]
-fn ev(
-    seq: u64,
+/// A synthetic journal event with no attributes (`seq` is the journal's
+/// to assign).
+pub(crate) fn ev(
     kind: SpanEventKind,
     trace: u64,
     span: u64,
     parent: u64,
     name: &'static str,
     t_ns: u64,
-    attrs: Vec<(&'static str, AttrValue)>,
 ) -> SpanEvent {
     SpanEvent {
-        seq,
+        seq: 0,
         kind,
         trace: TraceId(trace),
         span: SpanId(span),
         parent: SpanId(parent),
         name,
         t_ns,
-        attrs,
+        attrs: Vec::new(),
     }
 }
 
@@ -419,7 +418,7 @@ fn span_child_of_stitches_remote_context() {
     let evs = trace::journal().snapshot();
     let begin = evs
         .iter()
-        .find(|e| e.span == remote_span && e.kind == SpanEventKind::Begin)
+        .find(|e| e.span == remote_span && e.kind == Begin)
         .expect("remote begin journaled");
     assert_eq!(begin.parent, carried.span);
     assert_eq!(begin.trace, carried.trace);
@@ -439,8 +438,8 @@ fn journal_records_begin_end_pairs_with_attrs() {
         .filter(|e| e.trace.0 == tid)
         .collect();
     assert_eq!(evs.len(), 2);
-    assert_eq!(evs[0].kind, SpanEventKind::Begin);
-    assert_eq!(evs[1].kind, SpanEventKind::End);
+    assert_eq!(evs[0].kind, Begin);
+    assert_eq!(evs[1].kind, End);
     assert_eq!(evs[0].span, evs[1].span);
     assert!(evs[0].seq < evs[1].seq);
     assert!(evs[0].t_ns <= evs[1].t_ns, "monotonic timestamps");
@@ -458,16 +457,7 @@ fn journal_records_begin_end_pairs_with_attrs() {
 fn journal_ring_wraps_and_counts_drops() {
     let j = SpanJournal::with_capacity(4);
     for i in 0..10u64 {
-        j.record_event(ev(
-            0,
-            SpanEventKind::Begin,
-            1,
-            i + 1,
-            0,
-            "w",
-            i * 10,
-            vec![],
-        ));
+        j.record_event(ev(Begin, 1, i + 1, 0, "w", i * 10));
     }
     assert_eq!(j.capacity(), 4);
     assert_eq!(j.recorded(), 10);
@@ -479,6 +469,103 @@ fn journal_ring_wraps_and_counts_drops() {
     j.clear();
     assert!(j.snapshot().is_empty());
     assert_eq!(j.recorded(), 10, "clear keeps the sequence counter");
+}
+
+/// Three writers lap a 64-record ring every few spans while a reader
+/// snapshots and folds it until they finish: every `End` carries exactly
+/// its own span's attributes (they encode its writer and index), no seq
+/// repeats, and every folded span pairs its own stamps.
+#[test]
+fn journal_snapshot_never_tears_a_span_under_laps() {
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+    let attrs = |t: u64, i: u64| {
+        let parity = ["even", "odd"][i as usize % 2];
+        vec![
+            ("t", AttrValue::U64(t)),
+            ("i", AttrValue::U64(i)),
+            ("parity", AttrValue::Str(parity)),
+        ]
+    };
+    let (j, done) = (SpanJournal::with_capacity(64), AtomicUsize::new(0));
+    let profiler = crate::profile::Profiler::new();
+    std::thread::scope(|s| {
+        for t in 1..=3u64 {
+            let (j, done) = (&j, &done);
+            s.spawn(move || {
+                for i in 0..20_000 {
+                    let span = t << 32 | i;
+                    j.record_event(ev(Begin, t, span, 0, "tear", i));
+                    let end = ev(End, t, span, 0, "tear", i + 1);
+                    j.record_event(SpanEvent {
+                        attrs: attrs(t, i),
+                        ..end
+                    });
+                }
+                done.fetch_add(1, Relaxed);
+            });
+        }
+        // Writers stop on their own, so a failed assertion cannot hang.
+        let mut rounds = 0;
+        while rounds < 2_000 || done.load(Relaxed) < 3 {
+            let snap = j.snapshot();
+            assert!(
+                snap.windows(2).all(|w| w[0].seq < w[1].seq),
+                "a seq repeated"
+            );
+            for e in &snap {
+                let (t, i) = (e.span.0 >> 32, e.span.0 & 0xFFFF_FFFF);
+                assert_eq!((e.trace.0, e.name), (t, "tear"));
+                match e.kind {
+                    Begin => assert_eq!((e.t_ns, e.attrs.len()), (i, 0)),
+                    End => assert_eq!((e.t_ns, &e.attrs), (i + 1, &attrs(t, i))),
+                }
+            }
+            profiler.fold(&j);
+            rounds += 1;
+        }
+    });
+    let nodes = profiler.snapshot().nodes;
+    assert!(
+        nodes.iter().all(|n| n.total_ns == n.count),
+        "stamps of two spans paired"
+    );
+}
+
+/// A span whose `Attr` records a lap overwrote in part is lost whole: no
+/// snapshot shows it with some of its attributes, and the fold counts it.
+/// (A record is one cache line at most.)
+#[test]
+fn journal_lapped_span_is_lost_never_partial() {
+    assert!(std::mem::size_of::<trace::Slot>() <= 64);
+    let (j, p) = (
+        SpanJournal::with_capacity(8),
+        crate::profile::Profiler::new(),
+    );
+    let four: Vec<_> = (0..4).map(|k| ("k", AttrValue::U64(k))).collect();
+    let record = |kind, span, a: &[_]| {
+        j.record_event(SpanEvent {
+            attrs: a.to_vec(),
+            ..ev(kind, 1, span, 0, "s", 0)
+        })
+    };
+    record(Begin, 9, &[]);
+    record(End, 9, &[]);
+    assert_eq!(p.fold(&j), 2);
+    // Span 1 fills slots 2..=7: its Begin, four attributes, its End.
+    record(Begin, 1, &[]);
+    record(End, 1, &four);
+    let end_of_1 = || {
+        j.snapshot()
+            .into_iter()
+            .find(|e| e.span.0 == 1 && e.kind == End)
+    };
+    assert_eq!(end_of_1().map(|e| e.attrs), Some(four));
+    // Four Begins wrap onto slots 0..=3: span 1's Begin and first attribute.
+    (2..6).for_each(|span| record(Begin, span, &[]));
+    assert_eq!(end_of_1(), None, "partial attributes reported");
+    assert_eq!((j.snapshot().len(), j.dropped()), (4, 8 - 4));
+    p.fold(&j);
+    assert_eq!(p.snapshot().lost_spans, 1);
 }
 
 /// One duration, three views: a `timed` span's journal stamps, its
@@ -502,7 +589,7 @@ fn timed_span_reports_one_duration_to_journal_histogram_and_cost() {
             .expect("span journaled")
             .t_ns
     };
-    let dur = stamp(span_id, SpanEventKind::End) - stamp(span_id, SpanEventKind::Begin);
+    let dur = stamp(span_id, End) - stamp(span_id, Begin);
     let snap = hist.snapshot();
     assert_eq!(snap.count, 1);
     assert_eq!(snap.sum - sum_before, dur, "histogram sample");
@@ -515,37 +602,21 @@ fn timed_span_reports_one_duration_to_journal_histogram_and_cost() {
         .expect("cost recorded");
     assert_eq!(cost.op, "timed_span_test_op");
     assert_eq!(cost.stage_ns, vec![("timed_span_test_stage", dur)]);
-    let root_dur =
-        stamp(root_ctx.span, SpanEventKind::End) - stamp(root_ctx.span, SpanEventKind::Begin);
+    let root_dur = stamp(root_ctx.span, End) - stamp(root_ctx.span, Begin);
     assert_eq!(cost.total_ns, root_dur, "root duration");
 }
 
 #[test]
 fn chrome_trace_export_golden() {
     let events = [
-        ev(
-            0,
-            SpanEventKind::Begin,
-            7,
-            1,
-            0,
-            "wire_round_trip",
-            1000,
-            vec![],
-        ),
-        ev(
-            1,
-            SpanEventKind::End,
-            7,
-            1,
-            0,
-            "wire_round_trip",
-            3500,
-            vec![
+        ev(Begin, 7, 1, 0, "wire_round_trip", 1000),
+        SpanEvent {
+            attrs: vec![
                 ("tx_bytes", AttrValue::U64(42)),
                 ("op", AttrValue::Str("load")),
             ],
-        ),
+            ..ev(End, 7, 1, 0, "wire_round_trip", 3500)
+        },
     ];
     let want = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\
         {\"name\":\"wire_round_trip\",\"cat\":\"secndp\",\"ph\":\"B\",\"pid\":1,\
@@ -560,12 +631,12 @@ fn chrome_trace_export_golden() {
 fn chrome_trace_drops_unpaired_events() {
     let events = [
         // Complete span.
-        ev(0, SpanEventKind::Begin, 1, 1, 0, "a", 0, vec![]),
-        ev(1, SpanEventKind::End, 1, 1, 0, "a", 10, vec![]),
+        ev(Begin, 1, 1, 0, "a", 0),
+        ev(End, 1, 1, 0, "a", 10),
         // Still-open span: begin without end.
-        ev(2, SpanEventKind::Begin, 1, 2, 1, "open", 5, vec![]),
+        ev(Begin, 1, 2, 1, "open", 5),
         // Begin overwritten by the ring: end without begin.
-        ev(3, SpanEventKind::End, 1, 3, 1, "lost", 8, vec![]),
+        ev(End, 1, 3, 1, "lost", 8),
     ];
     let json = render_chrome_trace(&events);
     assert_eq!(json.matches("\"ph\":\"B\"").count(), 1);
@@ -581,28 +652,13 @@ fn chrome_trace_drops_unpaired_events() {
 #[test]
 fn tree_export_golden() {
     let events = [
-        ev(
-            0,
-            SpanEventKind::Begin,
-            5,
-            1,
-            0,
-            "weighted_sum",
-            1000,
-            vec![],
-        ),
-        ev(1, SpanEventKind::Begin, 5, 2, 1, "verify", 1200, vec![]),
-        ev(
-            2,
-            SpanEventKind::End,
-            5,
-            2,
-            1,
-            "verify",
-            1700,
-            vec![("rows", AttrValue::U64(3))],
-        ),
-        ev(3, SpanEventKind::End, 5, 1, 0, "weighted_sum", 2000, vec![]),
+        ev(Begin, 5, 1, 0, "weighted_sum", 1000),
+        ev(Begin, 5, 2, 1, "verify", 1200),
+        SpanEvent {
+            attrs: vec![("rows", AttrValue::U64(3))],
+            ..ev(End, 5, 2, 1, "verify", 1700)
+        },
+        ev(End, 5, 1, 0, "weighted_sum", 2000),
     ];
     let want = "t5\n  weighted_sum [s1] 1000ns\n    verify [s2] 500ns  rows=3\n";
     assert_eq!(render_tree(&events), want);

@@ -14,10 +14,19 @@
 //! - [`TraceId`] / [`SpanId`] come from process-wide atomic counters —
 //!   deterministic, allocation-free, and `Date`-free (ids are stable under
 //!   `--test-threads=1` replay and never depend on wall-clock identity).
-//! - The journal ([`SpanJournal`]) is a fixed-capacity ring: slot
-//!   reservation is one wait-free `fetch_add`; each slot is guarded by its
-//!   own tiny mutex that is only ever contended across ring wrap-arounds.
-//!   Memory is bounded — old events are overwritten, never reallocated.
+//! - The journal ([`SpanJournal`]) is a fixed ring of 64-byte plain
+//!   records, overwritten in place: a span writes a `Begin` record, then on
+//!   close one `Attr` record per attribute (key and `U64` or `Str` value,
+//!   strings as interned indices) and an `End` record. It allocates
+//!   nothing; [`SpanJournal::snapshot`] puts the attributes back on their
+//!   `End`, so readers see one `Begin`/`End` stream with one seq per event.
+//! - Capacity is counted in records and sized by its largest reader's
+//!   need, one whole 256-query pipelined batch trace with its rank-side
+//!   spans (4 617 records): 8 Ki records, 512 KiB. At the ledger's rates
+//!   (2-vCPU host) 8 Ki records hold ~2.7 ms of `sls_hot_inline` (24 a
+//!   query at ~125 k/s), ~7 ms of `sls_small_tcp` (17 client-side, ~65
+//!   k/s), ~4 ms of `batch256_async` (18 a query, ~105 k/s: 1.8 packets)
+//!   and ~20 ms of `table_update_inline` (399 an update, ~1 k/s).
 //! - The *current* span context lives in a thread-local and is managed by
 //!   RAII [`Span`] guards, so call sites never thread an explicit context
 //!   argument through the protocol stack. Remote sides stitch into the
@@ -44,14 +53,9 @@
 
 use std::fmt;
 
-#[cfg(feature = "enabled")]
-use std::cell::Cell;
-#[cfg(feature = "enabled")]
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-#[cfg(feature = "enabled")]
-use std::sync::{Mutex, OnceLock};
-#[cfg(feature = "enabled")]
-use std::time::Instant;
+use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
+use std::sync::atomic::{fence, AtomicU64};
+use std::sync::OnceLock;
 
 /// Identifier of one end-to-end request (all spans of one query share it).
 /// `TraceId(0)` means "no trace".
@@ -104,8 +108,6 @@ impl SpanContext {
 pub enum AttrValue {
     /// Unsigned integer (counts, addresses, byte sizes).
     U64(u64),
-    /// Signed integer.
-    I64(i64),
     /// Static string (mode names, error kinds).
     Str(&'static str),
 }
@@ -114,7 +116,6 @@ impl fmt::Display for AttrValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             AttrValue::U64(v) => write!(f, "{v}"),
-            AttrValue::I64(v) => write!(f, "{v}"),
             AttrValue::Str(s) => f.write_str(s),
         }
     }
@@ -174,12 +175,19 @@ pub mod names {
     pub const DECRYPT: &str = "decrypt";
 }
 
-/// Default journal capacity (events, not spans; one span = two events).
-pub const DEFAULT_JOURNAL_CAPACITY: usize = 32 * 1024;
+/// Most attributes one span carries (the most any shipped span sets);
+/// later ones are ignored.
+pub const MAX_SPAN_ATTRS: usize = 4;
+
+/// Default journal capacity, in records: one whole 256-query pipelined
+/// batch trace, rank side included, is ~4.6 k (see the module docs).
+pub const DEFAULT_JOURNAL_CAPACITY: usize = 8 * 1024;
 
 #[cfg(feature = "enabled")]
 mod enabled {
     use super::*;
+    use std::cell::Cell;
+    use std::time::Instant;
 
     static NEXT_TRACE: AtomicU64 = AtomicU64::new(1);
     static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
@@ -193,7 +201,7 @@ mod enabled {
         *EPOCH.get_or_init(Instant::now)
     }
 
-    fn now_ns() -> u64 {
+    pub(super) fn now_ns() -> u64 {
         u64::try_from(epoch().elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
@@ -212,83 +220,99 @@ mod enabled {
     pub(super) fn set_current(ctx: SpanContext) {
         CURRENT.with(|c| c.set(ctx));
     }
+}
 
-    /// Ring-buffer state: slot reservation is a wait-free `fetch_add` on
-    /// `cursor`; each slot's mutex only serializes the (rare) writer that
-    /// laps the ring against a concurrent snapshot reader.
-    pub(super) struct JournalState {
-        pub slots: Box<[Mutex<Option<SpanEvent>>]>,
-        pub cursor: AtomicU64,
-    }
+/// The strings records name (span names, attribute keys and values), held
+/// as indices into write-once cells: open addressing on address and length.
+/// Past 1 024 distinct strings, a new one reads back as `?`.
+static INTERNED: [OnceLock<&'static str>; 1024] = [const { OnceLock::new() }; 1024];
 
-    impl JournalState {
-        pub fn with_capacity(capacity: usize) -> Self {
-            let cap = capacity.max(2);
-            Self {
-                slots: (0..cap).map(|_| Mutex::new(None)).collect(),
-                cursor: AtomicU64::new(0),
-            }
+fn intern(s: &'static str) -> u64 {
+    let key = (s.as_ptr() as usize ^ s.len()) as u64;
+    let home = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 54) as usize;
+    let same = |t: &&str| std::ptr::eq(t.as_ptr(), s.as_ptr()) && t.len() == s.len();
+    let mut cells = (0..1024).map(|i| (home + i) % 1024);
+    let i = cells.find(|&i| same(INTERNED[i].get_or_init(|| s)));
+    i.unwrap_or(1024) as u64
+}
+
+fn interned(i: u64) -> &'static str {
+    let cell = INTERNED.get(i as usize);
+    cell.and_then(OnceLock::get).map_or("?", |s| s)
+}
+
+// Word 1 of a record: its kind in bits 0..8 (`SpanEventKind` as a number,
+// or `ATTR`), a string index (name or key) in bits 8..40, and from bit 40
+// an event's attribute count or whether an attribute's value is a string.
+const ATTR: u64 = 2;
+
+fn attr_words(key: &'static str, value: AttrValue) -> [u64; 2] {
+    let (is_str, v) = match value {
+        AttrValue::U64(v) => (0, v),
+        AttrValue::Str(s) => (1, intern(s)),
+    };
+    [ATTR | (intern(key) << 8) | (is_str << 40), v]
+}
+
+fn attr_of(w: &[u64; 5]) -> (&'static str, AttrValue) {
+    let value = match w[0] >> 40 {
+        0 => AttrValue::U64(w[1]),
+        _ => AttrValue::Str(interned(w[1])),
+    };
+    (interned((w[0] >> 8) & 0xFFFF_FFFF), value)
+}
+
+/// The stamp of a slot a writer is inside; an empty slot's is 0. Any other
+/// is `(event seq + 1) << 3 | the record's offset in its group`.
+const BUSY: u64 = u64::MAX;
+
+/// One ring record: its stamp and five plain words (an event's kind and
+/// name, trace, span, parent and time; an attribute's key and value). A
+/// cache line of its own: two writers never share one.
+#[repr(align(64))]
+#[derive(Default)]
+pub(crate) struct Slot([AtomicU64; 6]);
+
+impl Slot {
+    /// Writes one record, unless another writer is inside (a lap caught up
+    /// with a stalled writer): then the record is lost, never mixed.
+    fn write(&self, stamp: u64, words: &[u64]) {
+        if self.0[0].swap(BUSY, Acquire) == BUSY {
+            return;
         }
-
-        pub fn record(&self, mut ev: SpanEvent) {
-            let seq = self.cursor.fetch_add(1, Relaxed);
-            ev.seq = seq;
-            let slot = (seq % self.slots.len() as u64) as usize;
-            *self.slots[slot].lock().unwrap() = Some(ev);
+        fence(Release);
+        for (w, &v) in self.0[1..].iter().zip(words) {
+            w.store(v, Relaxed);
         }
+        self.0[0].store(stamp, Release);
     }
 
-    /// Journals a `Begin` record and returns the stamp it carries.
-    pub(super) fn begin_event(
-        trace: TraceId,
-        span: SpanId,
-        parent: SpanId,
-        name: &'static str,
-    ) -> u64 {
-        let t_ns = now_ns();
-        journal().record_event(SpanEvent {
-            seq: 0,
-            kind: SpanEventKind::Begin,
-            trace,
-            span,
-            parent,
-            name,
-            t_ns,
-            attrs: Vec::new(),
-        });
-        t_ns
-    }
-
-    /// Journals an `End` record and returns the stamp it carries.
-    pub(super) fn end_event(
-        trace: TraceId,
-        span: SpanId,
-        parent: SpanId,
-        name: &'static str,
-        attrs: Vec<(&'static str, AttrValue)>,
-    ) -> u64 {
-        let t_ns = now_ns();
-        journal().record_event(SpanEvent {
-            seq: 0,
-            kind: SpanEventKind::End,
-            trace,
-            span,
-            parent,
-            name,
-            t_ns,
-            attrs,
-        });
-        t_ns
+    /// The stamp and words, unless the slot is empty or was written while
+    /// being read.
+    fn read(&self) -> Option<(u64, [u64; 5])> {
+        let stamp = self.0[0].load(Acquire);
+        let words = std::array::from_fn(|i| self.0[i + 1].load(Relaxed));
+        fence(Acquire);
+        let valid = stamp != 0 && stamp != BUSY && self.0[0].load(Relaxed) == stamp;
+        valid.then_some((stamp, words))
     }
 }
 
-/// The fixed-capacity span journal.
+/// The cursor holds the next event seq above the next slot's index. It is
+/// `Relaxed`: stamps (`Release` store, `Acquire` load) publish records.
+const POS_BITS: u32 = 16;
+
+/// The fixed-capacity span journal: a ring of plain records. An event and
+/// the `Attr` records before it are one group of contiguous slots,
+/// reserved by one compare-exchange that takes the event's seq and the
+/// group's first slot together. Writers share no lock; a reader checks
+/// each slot's stamp around its copy (a seqlock).
 ///
-/// With tracing compiled out this is an empty type whose snapshot is
-/// always empty and whose exporters render valid empty documents.
+/// With tracing compiled out it has no slots: it records nothing, its
+/// snapshot is empty and its exporters render valid empty documents.
 pub struct SpanJournal {
-    #[cfg(feature = "enabled")]
-    state: enabled::JournalState,
+    slots: Box<[Slot]>,
+    cursor: AtomicU64,
 }
 
 impl fmt::Debug for SpanJournal {
@@ -301,80 +325,114 @@ impl fmt::Debug for SpanJournal {
 }
 
 impl SpanJournal {
-    /// A journal holding at most `capacity` events (clamped to ≥ 2).
+    /// A journal holding at most `capacity` records (clamped to 2..=65 536).
     pub fn with_capacity(capacity: usize) -> Self {
-        #[cfg(feature = "enabled")]
-        {
-            Self {
-                state: enabled::JournalState::with_capacity(capacity),
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = capacity;
-            Self {}
+        let cap = if cfg!(feature = "enabled") {
+            capacity.clamp(2, 1 << POS_BITS)
+        } else {
+            0
+        };
+        let slots = (0..cap).map(|_| Slot::default()).collect();
+        Self {
+            slots,
+            cursor: AtomicU64::new(0),
         }
     }
 
-    /// Maximum number of retained events (0 when tracing is compiled out).
+    /// Maximum number of retained records (0 when tracing is compiled out).
     pub fn capacity(&self) -> usize {
-        #[cfg(feature = "enabled")]
-        {
-            self.state.slots.len()
-        }
-        #[cfg(not(feature = "enabled"))]
-        0
+        self.slots.len()
     }
 
     /// Total events ever recorded (including overwritten ones).
     pub fn recorded(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.state.cursor.load(std::sync::atomic::Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "enabled"))]
-        0
+        self.cursor.load(Relaxed) >> POS_BITS
     }
 
-    /// Events lost to ring overwrites so far.
+    /// Events recorded but not in a snapshot taken now: lost to ring
+    /// overwrites (or cleared).
     pub fn dropped(&self) -> u64 {
-        self.recorded().saturating_sub(self.capacity() as u64)
+        self.recorded().saturating_sub(self.snapshot().len() as u64)
     }
 
-    /// Appends one event (used by [`Span`]; public so tests and custom
-    /// instrumentation can journal synthetic events).
+    /// Appends one event and at most [`MAX_SPAN_ATTRS`] of its attributes
+    /// (used by [`Span`]; public so tests and custom instrumentation can
+    /// journal synthetic events). `ev.seq` is assigned, not read.
     pub fn record_event(&self, ev: SpanEvent) {
-        #[cfg(feature = "enabled")]
-        self.state.record(ev);
-        #[cfg(not(feature = "enabled"))]
-        let _ = ev;
+        let mut attrs = [[0; 2]; MAX_SPAN_ATTRS];
+        for (w, &(k, v)) in attrs.iter_mut().zip(&ev.attrs) {
+            *w = attr_words(k, v);
+        }
+        let n = ev.attrs.len().min(MAX_SPAN_ATTRS);
+        let ids = [ev.trace.0, ev.span.0, ev.parent.0, ev.t_ns];
+        self.record(ev.kind, ids, ev.name, &attrs[..n]);
     }
 
-    /// A point-in-time copy of the retained events, in recording order.
-    /// Like metric snapshots, a snapshot taken during concurrent recording
-    /// may miss a handful of in-flight events.
-    pub fn snapshot(&self) -> Vec<SpanEvent> {
-        #[cfg(feature = "enabled")]
-        {
-            let mut evs: Vec<SpanEvent> = self
-                .state
-                .slots
-                .iter()
-                .filter_map(|s| s.lock().unwrap().clone())
-                .collect();
-            evs.sort_by_key(|e| e.seq);
-            evs
+    /// Journals one event (trace, span, parent and time) after its
+    /// attributes' records.
+    fn record(&self, kind: SpanEventKind, ids: [u64; 4], name: &'static str, attrs: &[[u64; 2]]) {
+        let (cap, n) = (self.slots.len() as u64, attrs.len() as u64);
+        if cap == 0 {
+            return;
         }
-        #[cfg(not(feature = "enabled"))]
-        Vec::new()
+        let mut cur = self.cursor.load(Relaxed);
+        let (seq, first) = loop {
+            let (seq, pos) = (cur >> POS_BITS, cur & ((1 << POS_BITS) - 1));
+            let next = ((seq + 1) << POS_BITS) | ((pos + n + 1) % cap);
+            match self
+                .cursor
+                .compare_exchange_weak(cur, next, Relaxed, Relaxed)
+            {
+                Ok(_) => break (seq, pos),
+                Err(now) => cur = now,
+            }
+        };
+        let stamp = |i: u64| ((seq + 1) << 3) | i;
+        let slot = |i: u64| &self.slots[((first + i) % cap) as usize];
+        for (i, a) in (0..).zip(attrs) {
+            slot(i).write(stamp(i), a);
+        }
+        let head = kind as u64 | (intern(name) << 8) | (n << 40);
+        let [trace, span, parent, t_ns] = ids;
+        slot(n).write(stamp(n), &[head, trace, span, parent, t_ns]);
+    }
+
+    /// A point-in-time copy of the retained events, in recording order,
+    /// each with its attributes. An event missing any of its `Attr` records
+    /// (lapped, or still being written) is left out whole: a lost span,
+    /// never a partial one. Like metric snapshots, a snapshot taken during
+    /// concurrent recording may miss a handful of in-flight events.
+    pub fn snapshot(&self) -> Vec<SpanEvent> {
+        let mut recs: Vec<_> = self.slots.iter().filter_map(Slot::read).collect();
+        recs.sort_unstable_by_key(|r| r.0);
+        let mut out = Vec::new();
+        for (i, &(stamp, w)) in recs.iter().enumerate() {
+            let (kind, n) = (w[0] & 0xFF, w[0] >> 40);
+            let Some(group) = recs.get(i.wrapping_sub(n as usize)..i) else {
+                continue;
+            };
+            if kind == ATTR || group.iter().zip(stamp - n..).any(|(r, s)| r.0 != s) {
+                continue;
+            }
+            out.push(SpanEvent {
+                seq: (stamp >> 3) - 1,
+                kind: [SpanEventKind::Begin, SpanEventKind::End][kind as usize],
+                trace: TraceId(w[1]),
+                span: SpanId(w[2]),
+                parent: SpanId(w[3]),
+                name: interned((w[0] >> 8) & 0xFFFF_FFFF),
+                t_ns: w[4],
+                attrs: group.iter().map(|(_, a)| attr_of(a)).collect(),
+            });
+        }
+        out
     }
 
     /// Clears all retained events (the sequence counter keeps advancing so
     /// `seq` values stay unique per process).
     pub fn clear(&self) {
-        #[cfg(feature = "enabled")]
-        for s in self.state.slots.iter() {
-            *s.lock().unwrap() = None;
+        for s in self.slots.iter() {
+            let _ = s.0[0].fetch_update(Relaxed, Relaxed, |st| (st != BUSY).then_some(0));
         }
     }
 
@@ -401,16 +459,8 @@ impl SpanJournal {
 
 /// The process-wide journal that [`Span`] guards record into.
 pub fn journal() -> &'static SpanJournal {
-    #[cfg(feature = "enabled")]
-    {
-        static JOURNAL: OnceLock<SpanJournal> = OnceLock::new();
-        JOURNAL.get_or_init(|| SpanJournal::with_capacity(DEFAULT_JOURNAL_CAPACITY))
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        static JOURNAL: SpanJournal = SpanJournal {};
-        &JOURNAL
-    }
+    static JOURNAL: OnceLock<SpanJournal> = OnceLock::new();
+    JOURNAL.get_or_init(|| SpanJournal::with_capacity(DEFAULT_JOURNAL_CAPACITY))
 }
 
 /// The calling thread's current span context ([`SpanContext::NONE`] when
@@ -440,8 +490,10 @@ pub struct Span {
     prev: SpanContext,
     #[cfg(feature = "enabled")]
     name: &'static str,
+    /// Attributes as their `Attr` records, journaled before the `End`
+    /// (an unset one is all zero: no record's first word is).
     #[cfg(feature = "enabled")]
-    attrs: Vec<(&'static str, AttrValue)>,
+    attrs: [[u64; 2]; MAX_SPAN_ATTRS],
     /// The `Begin` record's stamp.
     #[cfg(feature = "enabled")]
     start_ns: u64,
@@ -472,16 +524,20 @@ pub fn span_child_of(name: &'static str, ctx: SpanContext) -> Span {
         } else {
             (enabled::next_trace_id(), SpanId(0))
         };
-        let span = enabled::next_span_id();
-        let start_ns = enabled::begin_event(trace, span, parent, name);
-        let me = SpanContext { trace, span };
+        let me = SpanContext {
+            trace,
+            span: enabled::next_span_id(),
+        };
+        let start_ns = enabled::now_ns();
+        let ids = [trace.0, me.span.0, parent.0, start_ns];
+        journal().record(SpanEventKind::Begin, ids, name, &[]);
         enabled::set_current(me);
         Span {
             ctx: me,
             parent,
             prev: ambient,
             name,
-            attrs: Vec::new(),
+            attrs: [[0; 2]; MAX_SPAN_ATTRS],
             start_ns,
             stage: None,
         }
@@ -515,10 +571,13 @@ impl Span {
         self.context().span.0
     }
 
-    /// Attaches a typed attribute, recorded on the span's `End` event.
+    /// Attaches a typed attribute, recorded on the span's `End` event (at
+    /// most [`MAX_SPAN_ATTRS`]; later ones are ignored).
     pub fn attr(&mut self, key: &'static str, value: AttrValue) {
         #[cfg(feature = "enabled")]
-        self.attrs.push((key, value));
+        if let Some(slot) = self.attrs.iter_mut().find(|a| a[0] == 0) {
+            *slot = attr_words(key, value);
+        }
         #[cfg(not(feature = "enabled"))]
         let _ = (key, value);
     }
@@ -558,13 +617,11 @@ impl Drop for Span {
     fn drop(&mut self) {
         #[cfg(feature = "enabled")]
         {
-            let end_ns = enabled::end_event(
-                self.ctx.trace,
-                self.ctx.span,
-                self.parent,
-                self.name,
-                std::mem::take(&mut self.attrs),
-            );
+            let end_ns = enabled::now_ns();
+            let ids = [self.ctx.trace.0, self.ctx.span.0, self.parent.0, end_ns];
+            let n = self.attrs.iter().take_while(|a| a[0] != 0).count();
+            let attrs = &self.attrs[..n];
+            journal().record(SpanEventKind::End, ids, self.name, attrs);
             enabled::set_current(self.prev);
             if let Some(hist) = self.stage {
                 hist.observe(end_ns.saturating_sub(self.start_ns));
@@ -583,15 +640,10 @@ fn complete_spans(events: &[SpanEvent]) -> Vec<(&SpanEvent, &SpanEvent)> {
     let mut begins: HashMap<SpanId, &SpanEvent> = HashMap::new();
     let mut pairs: Vec<(&SpanEvent, &SpanEvent)> = Vec::new();
     for ev in events {
-        match ev.kind {
-            SpanEventKind::Begin => {
-                begins.insert(ev.span, ev);
-            }
-            SpanEventKind::End => {
-                if let Some(b) = begins.remove(&ev.span) {
-                    pairs.push((b, ev));
-                }
-            }
+        if ev.kind == SpanEventKind::Begin {
+            begins.insert(ev.span, ev);
+        } else if let Some(b) = begins.remove(&ev.span) {
+            pairs.push((b, ev));
         }
     }
     pairs.sort_by_key(|(b, _)| b.seq);
@@ -607,7 +659,6 @@ fn chrome_args(ev: &SpanEvent, attrs: &[(&'static str, AttrValue)]) -> String {
     for (k, v) in attrs {
         let val = match v {
             AttrValue::U64(n) => n.to_string(),
-            AttrValue::I64(n) => n.to_string(),
             AttrValue::Str(s) => format!("\"{}\"", crate::export::json_escape(s)),
         };
         fields.push(format!("\"{}\":{val}", crate::export::json_escape(k)));
@@ -621,26 +672,18 @@ pub fn render_chrome_trace(events: &[SpanEvent]) -> String {
     let mut out: Vec<(u64, String)> = Vec::new();
     for (b, e) in complete_spans(events) {
         let name = crate::export::json_escape(b.name);
-        out.push((
-            b.seq,
-            format!(
-                "{{\"name\":\"{name}\",\"cat\":\"secndp\",\"ph\":\"B\",\"pid\":1,\
-                 \"tid\":{},\"ts\":{:.3},\"args\":{}}}",
-                b.trace.0,
-                b.t_ns as f64 / 1000.0,
-                chrome_args(b, &[]),
-            ),
-        ));
-        out.push((
-            e.seq,
-            format!(
-                "{{\"name\":\"{name}\",\"cat\":\"secndp\",\"ph\":\"E\",\"pid\":1,\
-                 \"tid\":{},\"ts\":{:.3},\"args\":{}}}",
-                e.trace.0,
-                e.t_ns as f64 / 1000.0,
-                chrome_args(e, &e.attrs),
-            ),
-        ));
+        for (ph, ev, attrs) in [("B", b, &[][..]), ("E", e, &e.attrs[..])] {
+            let ts = ev.t_ns as f64 / 1000.0;
+            out.push((
+                ev.seq,
+                format!(
+                    "{{\"name\":\"{name}\",\"cat\":\"secndp\",\"ph\":\"{ph}\",\"pid\":1,\
+                     \"tid\":{},\"ts\":{ts:.3},\"args\":{}}}",
+                    ev.trace.0,
+                    chrome_args(ev, attrs),
+                ),
+            ));
+        }
     }
     // Seq order is begin/end recording order, which is well-nested per
     // thread and therefore per trace row for the synchronous pipeline.

@@ -10,7 +10,7 @@ use std::collections::{HashMap, HashSet};
 
 use secndp::core::device::{Tamper, TamperingNdp};
 use secndp::core::wire::RemoteNdp;
-use secndp::core::{Error, HonestNdp, SecretKey, TrustedProcessor};
+use secndp::core::{AsyncEndpoint, Error, HonestNdp, SecretKey, TransportConfig, TrustedProcessor};
 use secndp::telemetry::audit::audit_log;
 use secndp::telemetry::trace::{self, SpanEvent, SpanEventKind};
 
@@ -220,4 +220,107 @@ fn tampered_response_leaves_audit_event_in_the_same_trace() {
     assert_eq!(ev.version, version);
     assert_eq!(ev.scheme, "single_s");
     assert!(ev.span.0 != 0, "recorded inside an open span");
+}
+
+/// The journal is sized to hold one whole pipelined batch of the paper's
+/// headline shape (256 PF-80 queries over two ranks): every caller-side
+/// and rank-side span of that trace is in the snapshot, with its
+/// attributes, and the tree nests each rank's `ndp_serve` under the
+/// caller's `wire_round_trip`.
+#[test]
+fn a_whole_batch_trace_fits_the_journal() {
+    const QUERIES: usize = 256;
+    const ROWS: usize = 1024;
+    const COLS: usize = 32;
+    let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0xB256));
+    let pt: Vec<u32> = (0..ROWS * COLS).map(|x| x as u32).collect();
+    let table = cpu.encrypt_table(&pt, ROWS, COLS, 0x6000).unwrap();
+    let mut ep = AsyncEndpoint::new(
+        vec![HonestNdp::new(), HonestNdp::new()],
+        TransportConfig {
+            ranks: 2,
+            ..TransportConfig::default()
+        },
+    );
+    let handle = cpu.publish(&table, &mut ep).unwrap();
+    let queries: Vec<(Vec<usize>, Vec<u32>)> = (0..QUERIES)
+        .map(|q| {
+            let idx = (0..80).map(|k| (q * 131 + k * 17) % ROWS).collect();
+            (idx, (1..=80).collect())
+        })
+        .collect();
+    let tid = {
+        let batch = trace::span("test_batch_root");
+        let out = cpu
+            .weighted_sum_batch_pipelined(&handle, &ep, &queries, true)
+            .unwrap();
+        assert_eq!(out.len(), QUERIES);
+        batch.trace_id()
+    };
+    let events: Vec<SpanEvent> = trace::journal()
+        .snapshot()
+        .into_iter()
+        .filter(|e| e.trace.0 == tid)
+        .collect();
+    let spans = |kind| -> HashMap<u64, &SpanEvent> {
+        events
+            .iter()
+            .filter(|e| e.kind == kind)
+            .map(|e| (e.span.0, e))
+            .collect()
+    };
+    let (begins, ends) = (spans(SpanEventKind::Begin), spans(SpanEventKind::End));
+    let ids = |m: &HashMap<u64, &SpanEvent>| m.keys().copied().collect::<HashSet<_>>();
+    assert_eq!(
+        ids(&begins),
+        ids(&ends),
+        "a span of the trace is incomplete"
+    );
+    let count = |name| ends.values().filter(|e| e.name == name).count();
+    assert!(begins.values().any(|e| e.name == "test_batch_root"));
+    for name in [
+        trace::names::PAD_GEN,
+        trace::names::DECRYPT,
+        trace::names::VERIFY,
+        trace::names::WIRE_ENCODE,
+        trace::names::NDP_SERVE,
+        "device_weighted_sum",
+    ] {
+        assert_eq!(count(name), QUERIES, "{name} spans");
+    }
+    let attrs_of = |name| {
+        ends.values()
+            .filter(move |e| e.name == name)
+            .map(|e| e.attrs.iter().map(|(k, _)| *k).collect::<Vec<_>>())
+    };
+    assert!(attrs_of(trace::names::PAD_GEN).all(|a| a == ["blocks"]));
+    assert!(attrs_of(trace::names::NDP_SERVE).all(|a| a == ["op"]));
+    assert!(attrs_of("device_weighted_sum").all(|a| a == ["table_addr", "rows"]));
+    let root = &ends
+        .values()
+        .find(|e| e.name == "weighted_sum_batch")
+        .unwrap()
+        .attrs;
+    assert_eq!(
+        root[..],
+        [
+            ("base_addr", trace::AttrValue::U64(0x6000)),
+            ("queries", trace::AttrValue::U64(QUERIES as u64)),
+            ("ranks", trace::AttrValue::U64(2)),
+        ]
+    );
+    // One round trip carries the packet; each rank's serve nests under it.
+    let tree = trace::render_tree(&events);
+    let depth = |l: &str| l.len() - l.trim_start().len();
+    let round_trip = tree
+        .lines()
+        .position(|l| l.trim_start().starts_with("wire_round_trip "))
+        .expect("no wire_round_trip in the tree");
+    let under = tree.lines().skip(round_trip + 1);
+    let d = depth(tree.lines().nth(round_trip).unwrap());
+    let served = under
+        .take_while(|l| depth(l) > d)
+        .filter(|l| depth(l) == d + 2 && l.trim_start().starts_with("ndp_serve "))
+        .count();
+    assert_eq!(served, QUERIES, "{tree}");
 }
