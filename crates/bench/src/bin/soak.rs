@@ -6,23 +6,23 @@
 //! verified result against a plaintext oracle; every fault the
 //! [`FaultPlan`] schedules is journaled at the moment it lands — channel
 //! faults by the [`FaultyLink`] every frame crosses, device faults by the
-//! [`FaultyNdp`] serving each rank. After the traffic (plus, on the worker
-//! link, a dedicated stall-and-recover phase for its stall detector), the
+//! [`FaultyNdp`] serving each rank. After the traffic, the
 //! [`InvariantChecker`] reconciles journal, query outcomes, and audit
 //! events: each fault must be *masked* (correct verified result) or
 //! *detected* (typed error with a same-trace audit event) — zero silent
 //! corruptions.
 //!
 //! Run with:
-//! `cargo run --release -p secndp-bench --bin soak -- --seed 42 --ops 20000 [--secs S] [--ranks 3] [--rate 8] [--link worker|tcp] [--report soak.json]`
+//! `cargo run --release -p secndp-bench --bin soak -- --seed 42 --ops 20000 [--secs S] [--ranks 3] [--rate 8] [--link inline|tcp] [--report soak.json]`
 //!
-//! `--link tcp` serves each rank from its own loopback `NetServer`, so
-//! every fault crosses real sockets; its report names the link and has no
-//! stall phase. The JSON report contains no wall-clock fields, so two runs
-//! with the same seed, link and `--ops` budget produce byte-identical
-//! reports — CI `cmp`s them. On an invariant violation the binary prints
-//! the seed and the full fault schedule, drops a flight-recorder dump
-//! (honoring `SECNDP_FLIGHT_DIR`), and exits nonzero.
+//! The default link serves each rank on the caller's thread; `--link tcp`
+//! serves each from its own loopback `NetServer`, so every fault crosses
+//! real sockets, and its report names the link. The JSON report contains
+//! no wall-clock fields, so two runs with the same seed, link and `--ops`
+//! budget produce byte-identical reports — CI `cmp`s them. On an
+//! invariant violation the binary prints the seed and the full fault
+//! schedule, drops a flight-recorder dump (honoring `SECNDP_FLIGHT_DIR`),
+//! and exits nonzero.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -45,9 +45,6 @@ const ADDR: u64 = 0x4_0000;
 /// Re-encrypt (version bump + republish) cadence, in ops. Stale replays
 /// are only *detectable* once at least one re-encryption has happened.
 const REENCRYPT_EVERY: u64 = 4096;
-/// The dedicated health-phase stall is long enough to observe Degraded
-/// from the main thread while the worker is still busy-held.
-const HEALTH_STALL_MS: u32 = 600;
 
 fn flag<T: std::str::FromStr>(name: &str) -> Option<T> {
     parse_value_flag(name, std::env::args().skip(1))
@@ -80,7 +77,7 @@ fn ground_truth(pt: &[u32], idx: &[usize], w: &[u32]) -> Vec<u32> {
 fn main() {
     let seed: u64 = flag("--seed").unwrap_or(0x5EC_C4A05);
     let ranks: usize = flag::<usize>("--ranks").unwrap_or(3).max(2);
-    let link: String = flag("--link").unwrap_or_else(|| "worker".into());
+    let link: String = flag("--link").unwrap_or_else(|| "inline".into());
 
     let mut plan = FaultPlan::new(seed);
     plan.ranks = ranks as u32;
@@ -94,15 +91,14 @@ fn main() {
         ranks,
         timeout: Duration::from_millis(150),
         max_retries: 3,
-        stall_grace: Duration::from_millis(40),
         ..TransportConfig::default()
     };
     match link.as_str() {
-        "worker" => soak(
-            FaultyLink::over_workers(fleet, cfg, Arc::clone(&injector)),
+        "inline" => soak(
+            FaultyLink::over_inline(fleet, cfg, Arc::clone(&injector)),
             &plan,
             &injector,
-            "worker",
+            "inline",
         ),
         "tcp" => {
             let servers: Vec<NetServer> = fleet
@@ -116,22 +112,20 @@ fn main() {
             soak(ep, &plan, &injector, "tcp");
         }
         other => {
-            eprintln!("soak: unknown --link {other} (worker or tcp)");
+            eprintln!("soak: unknown --link {other} (inline or tcp)");
             std::process::exit(2);
         }
     }
 }
 
-/// Runs the traffic, and — on the worker link, whose stall detector it
-/// scores — the stall phase, over `ep`; then reconciles and reports. A
-/// report for another `link` names it.
+/// Runs the traffic over `ep`, then reconciles and reports. A report for a
+/// link other than the default names it.
 fn soak<L: Link>(mut ep: Endpoint<L>, plan: &FaultPlan, injector: &FaultInjector, link: &str) {
     let seed = plan.seed;
     let ranks = plan.ranks as usize;
     let ops_budget: u64 = flag("--ops").unwrap_or(20_000);
     let secs: Option<u64> = flag("--secs");
     let report_path: Option<String> = flag("--report");
-    let worker = link == "worker";
     eprintln!(
         "soak: seed={seed} ops={ops_budget} ranks={ranks} link={link} rate={}permille mix={} kinds",
         plan.rate_permille,
@@ -158,7 +152,7 @@ fn soak<L: Link>(mut ep: Endpoint<L>, plan: &FaultPlan, injector: &FaultInjector
         // Periodic re-encryption: version bump + republish, so stale
         // replays past this point decrypt with the wrong pads. A crashed
         // rank can no longer accept the broadcast Load, so stop once the
-        // fleet has lost a worker.
+        // fleet has lost a rank.
         if op > 0 && op.is_multiple_of(REENCRYPT_EVERY) && crashes == 0 {
             table = cpu.reencrypt_table(&table, &pt).expect("reencrypt");
             handle = cpu.publish(&table, &mut ep).expect("republish");
@@ -216,10 +210,10 @@ fn soak<L: Link>(mut ep: Endpoint<L>, plan: &FaultPlan, injector: &FaultInjector
         });
         drop(sp);
 
-        // A Late fault leaves its worker asleep with the reply pending;
-        // drain the straggler before the next op so which frame consumes
-        // the *next* fault never depends on OS scheduling — that is what
-        // keeps same-seed reports byte-identical.
+        // On a socket link a Late fault leaves the reader asleep with the
+        // reply pending; drain the straggler before the next op so which
+        // frame consumes the *next* fault never depends on OS scheduling —
+        // that is what keeps same-seed reports byte-identical.
         if let Some(PlannedFault {
             kind: FaultKind::LateReply { delay_ms },
             ..
@@ -229,101 +223,23 @@ fn soak<L: Link>(mut ep: Endpoint<L>, plan: &FaultPlan, injector: &FaultInjector
         }
         op += 1;
     }
-    let traffic_ops = op;
-
-    // Dedicated health phase, on the worker link (the one with a stall
-    // detector): one long rank stall must trip the stall detector
-    // (endpoint component leaves Ok) while the query itself is masked by a
-    // deadline retry — and the component must recover once the worker
-    // wakes.
-    let stall = worker.then(|| {
-        let stall_fault = PlannedFault {
-            op: traffic_ops,
-            rank: 0,
-            kind: FaultKind::RankStall {
-                stall_ms: HEALTH_STALL_MS,
-            },
-        };
-        injector.arm(stall_fault);
-        let component = ep.health_component().to_string();
-        // The query blocks for the whole stall when only one rank survives
-        // (retries queue behind the sleeping worker), so the stall has to be
-        // observed concurrently: run the query on a scoped thread and poll
-        // the vitals plus the health monitor from here while it is held.
-        let mut stall_seen = false;
-        let mut degraded = false;
-        let (my_trace, outcome) = std::thread::scope(|s| {
-            let q = s.spawn(|| {
-                let sp = trace::span("soak_health_stall");
-                let t = trace::current().trace.0;
-                let out = match cpu.weighted_sum::<u32, _>(&handle, &ep, &[0, 1], &[3, 2], true) {
-                    Ok(v) if v == ground_truth(&pt, &[0, 1], &[3, 2]) => Outcome::Correct,
-                    Ok(_) => Outcome::Wrong,
-                    Err(e) => Outcome::Failed(e),
-                };
-                drop(sp);
-                (t, out)
-            });
-            let watch_until = Instant::now() + Duration::from_millis(2 * HEALTH_STALL_MS as u64);
-            while (!q.is_finished() || !stall_seen) && Instant::now() < watch_until {
-                if !ep.down_ranks().is_empty() {
-                    stall_seen = true;
-                }
-                if health::monitor().report().components.iter().any(|c| {
-                    c.component == component
-                        && c.status != secndp_telemetry::health::HealthStatus::Ok
-                }) {
-                    degraded = true;
-                }
-                if stall_seen && degraded && q.is_finished() {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            q.join().expect("health-phase query thread")
-        });
-        injector.disarm();
-        queries.push(QueryRecord {
-            op: traffic_ops,
-            trace: my_trace,
-            outcome,
-        });
-        let mut recovered = false;
-        let deadline = Instant::now() + Duration::from_millis(3 * HEALTH_STALL_MS as u64);
-        while Instant::now() < deadline {
-            let clear = ep.down_ranks().is_empty()
-                && health::monitor().report().components.iter().any(|c| {
-                    c.component == component
-                        && c.status == secndp_telemetry::health::HealthStatus::Ok
-                });
-            if clear {
-                recovered = true;
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        }
-        (stall_seen && degraded, recovered)
-    });
     let total_ops = queries.len() as u64;
 
-    // Joining the workers before reconciling guarantees every completion
+    // Dropping the endpoint before reconciling guarantees every completion
     // (including duplicates and stragglers) has landed.
     drop(ep);
 
     let faults = fault_log().snapshot();
     let report = InvariantChecker::new(seed).check(&faults, &queries, &audit_log().snapshot());
 
-    let link_field = if worker {
+    let link_field = if link == "inline" {
         String::new()
     } else {
         format!("\"link\":\"{link}\",")
     };
-    let stall_fields = stall.map_or(String::new(), |(observed, recovered)| {
-        format!("\"stall_degraded_observed\":{observed},\"stall_recovered\":{recovered},")
-    });
     let json = format!(
         "{{\"seed\":{seed},\"ranks\":{ranks},{link_field}\"rate_permille\":{},\
-         \"ops\":{total_ops},{stall_fields}\"invariant\":{}}}\n",
+         \"ops\":{total_ops},\"invariant\":{}}}\n",
         plan.rate_permille,
         report.render_json()
     );
@@ -336,15 +252,11 @@ fn soak<L: Link>(mut ep: Endpoint<L>, plan: &FaultPlan, injector: &FaultInjector
         report.injected, report.masked, report.detected, report.silent_corruptions
     );
 
-    let healthy = stall.is_none_or(|(observed, recovered)| observed && recovered);
-    if !report.ok() || !healthy {
+    if !report.ok() {
         eprintln!("soak: INVARIANT VIOLATED (seed {seed}) — fault schedule:");
         eprintln!("{}", plan.render_schedule(total_ops));
         for v in &report.violations {
             eprintln!("  {v}");
-        }
-        if let Some((observed, recovered)) = stall.filter(|_| !healthy) {
-            eprintln!("  health: stall_degraded_observed={observed} recovered={recovered}");
         }
         match health::monitor().trigger_dump("chaos-soak-violation") {
             Ok(p) => eprintln!("soak: flight dump written to {}", p.display()),

@@ -267,8 +267,9 @@ impl NdpDevice for HonestNdp {
 /// a fixed delay — plus optional deterministic jitter — before serving
 /// each *query* (`weighted_sum` / `read_row`). `load` passes straight
 /// through so test and bench setup is never throttled. Used to model bus
-/// latency in transport tests and the multi-rank service bench, where the
-/// delay is what pipelining across ranks overlaps.
+/// latency in transport tests; behind socket ranks the delay is what
+/// pipelining across ranks overlaps, while an in-caller rank holds its
+/// caller for it.
 #[derive(Debug)]
 pub struct DelayedNdp<D> {
     inner: D,

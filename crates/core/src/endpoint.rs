@@ -5,9 +5,9 @@
 //! reply to its request, deadlines, retry, at-most-once `Load` — is
 //! trusted-side logic. It lives here exactly once, in [`Endpoint`]; what
 //! differs per transport is a small [`Link`] that moves frame bytes:
-//! [`WorkerLink`](crate::transport::WorkerLink) (channels to in-process
-//! rank threads) and [`TcpLink`](crate::net::TcpLink) (pooled sockets to a
-//! [`NetServer`](crate::net::NetServer)).
+//! [`InlineLink`](crate::transport::InlineLink) (in-process ranks served
+//! on the caller's thread) and [`TcpLink`](crate::net::TcpLink) (pooled
+//! sockets to a [`NetServer`](crate::net::NetServer)).
 //!
 //! # Rules (the same on every link)
 //!
@@ -84,9 +84,6 @@ pub struct EndpointConfig {
     pub timeout: Duration,
     /// Maximum re-sends of an idempotent request (`0` disables retries).
     pub max_retries: u32,
-    /// Worker link: how long a *busy* rank thread may go without a
-    /// heartbeat before the rank counts as stalled.
-    pub stall_grace: Duration,
     /// TCP link: server address per rank (`host:port`). Duplicates address
     /// several ranks on one server; the rank header tells them apart.
     pub addrs: Vec<String>,
@@ -105,7 +102,6 @@ impl Default for EndpointConfig {
             window: 32,
             timeout: Duration::from_millis(1000),
             max_retries: 2,
-            stall_grace: Duration::from_secs(2),
             addrs: Vec::new(),
             pool: 1,
             connect_retries: 20,
@@ -122,8 +118,8 @@ pub type Route = (usize, usize, u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkFail {
     /// The connection to the rank was lost or could not be established,
-    /// or the rank's worker is gone: the device denied service, it sent
-    /// no bytes to distrust.
+    /// or the link to it was cut: the device denied service, it sent no
+    /// bytes to distrust.
     ConnLost,
     /// The peer declared a reply of this many bytes, past the frame cap.
     TooLarge(usize),
@@ -135,8 +131,6 @@ pub enum LinkFail {
 pub trait Link: Send + Sync + 'static {
     /// Health component prefix (`transport`, `net`).
     const KIND: &'static str;
-    /// What a rank reported by [`down`](Self::down) is doing.
-    const DOWN: &'static str;
     /// A counter of this link whose movement within the health window
     /// degrades the endpoint, with the noun for it.
     const CHURN: Option<(&'static str, &'static str)> = None;
@@ -160,8 +154,10 @@ pub trait Link: Send + Sync + 'static {
     /// The route is gone (it died since [`route`](Self::route) picked it).
     fn send(&self, route: Route, id: u64, frame: &Arc<Vec<u8>>) -> Result<(), LinkFail>;
 
-    /// Ranks that cannot serve right now.
-    fn down(&self) -> Vec<usize>;
+    /// Ranks that cannot serve right now (none, unless the link can tell).
+    fn down(&self) -> Vec<usize> {
+        Vec::new()
+    }
 }
 
 /// Where a [`Link`] hands back what it carried. The endpoint's own is its
@@ -313,8 +309,8 @@ impl Complete for Pending {
 /// any link unchanged.
 pub struct Endpoint<L: Link> {
     /// Held for its drop, and declared first so it drops first: the check
-    /// is unregistered before the link joins its threads, and `/healthz`
-    /// never scores a half-torn-down endpoint.
+    /// is unregistered before the link closes its connections, and
+    /// `/healthz` never scores a half-torn-down endpoint.
     _health: health::HealthCheckHandle,
     component: String,
     link: Arc<L>,
@@ -376,7 +372,7 @@ impl<L: Link> Endpoint<L> {
         }
     }
 
-    /// The link, for what only it knows (rank vitals, connections).
+    /// The link, for what only it knows (connection vitals, a cut rank).
     pub fn link(&self) -> &L {
         &self.link
     }
@@ -405,12 +401,6 @@ impl<L: Link> Endpoint<L> {
     /// Requests `rank` answered first (stragglers are not counted).
     pub fn served(&self, rank: usize) -> u64 {
         self.pending.served[rank].load(Ordering::Relaxed)
-    }
-
-    /// Ranks that cannot serve right now: stalled worker threads,
-    /// disconnected servers.
-    pub fn down_ranks(&self) -> Vec<usize> {
-        self.link.down()
     }
 
     /// The name this endpoint is scored under in `/healthz`
@@ -728,8 +718,8 @@ fn register_health<L: Link>(
             } else {
                 HealthStatus::Degraded
             };
-            let (kind, what) = (L::KIND, L::DOWN);
-            return (status, format!("{kind} rank(s) {down:?} of {ranks} {what}"));
+            let kind = L::KIND;
+            return (status, format!("{kind} rank(s) {down:?} of {ranks} down"));
         }
         let timeouts = ctx.counter_delta("secndp_transport_timeouts_total");
         if timeouts > 0 {

@@ -39,7 +39,7 @@
 //!   stale-image replay only it can mount, and a rank holding a frame.
 //! - [`FaultyLink`] — a [`Link`] decorator landing channel-class faults
 //!   (drops, duplicates, late and corrupted replies, a cut link) on the
-//!   frames it carries, over the worker link and the TCP link alike.
+//!   frames it carries, over the in-caller link and the TCP link alike.
 //! - [`InvariantChecker`] — reconciles the fault journal against query
 //!   outcomes and the audit log into an [`InvariantReport`].
 //!
@@ -53,7 +53,7 @@ use crate::endpoint::{
 };
 use crate::error::Error;
 use crate::net::{require_addrs, NetConfig, TcpLink};
-use crate::transport::{TransportConfig, WorkerLink};
+use crate::transport::{InlineLink, TransportConfig};
 use secndp_arith::mersenne::Fq;
 use secndp_arith::ring::RingWord;
 use secndp_telemetry::audit::AuditEvent;
@@ -152,9 +152,9 @@ pub enum FaultKind {
         /// Nonzero mask XORed into the reply's first byte.
         mask: u8,
     },
-    /// The device holds the frame for `stall_ms` before serving — long
-    /// enough to trip the worker link's stall detector, short enough to
-    /// recover.
+    /// The device holds the frame for `stall_ms` before serving: past the
+    /// deadline, so a socket rank's request times out and is retried; an
+    /// in-caller rank holds its caller that long.
     RankStall {
         /// Sleep before serving, in milliseconds.
         stall_ms: u32,
@@ -448,7 +448,7 @@ enum Landing<'a> {
 /// table; a rank stall holds the frame before serving it honestly.
 ///
 /// Wrap one per rank around the real device and serve the fleet behind
-/// any link — [`FaultyLink::over_workers`], or one
+/// any link — [`FaultyLink::over_inline`], or one
 /// [`NetServer`](crate::net::NetServer) per rank — so faults land under
 /// real concurrency; the shared [`FaultInjector`] decides which op is hit.
 /// With nothing armed the wrapper is a pure pass-through.
@@ -477,7 +477,7 @@ impl<D: NdpDevice> FaultyNdp<D> {
 
     /// A fleet of `ranks` wrappers around clones of `device`, all
     /// consuming from one shared injector — the input to
-    /// [`FaultyLink::over_workers`].
+    /// [`FaultyLink::over_inline`].
     pub fn fleet(device: D, ranks: usize, injector: Arc<FaultInjector>) -> Vec<Self>
     where
         D: Clone,
@@ -522,8 +522,7 @@ impl<D: NdpDevice> FaultyNdp<D> {
         let detail = landed.as_ref().err().copied().unwrap_or("");
         self.injector.journal(&fault, self.rank, detail);
         if let FaultKind::RankStall { stall_ms } = fault.kind {
-            // Busy with a frame and silent: the signature the worker
-            // link's stall detector scores against `stall_grace`.
+            // Busy with a frame and silent past the request deadline.
             std::thread::sleep(Duration::from_millis(stall_ms.into()));
         }
         landed.ok()
@@ -610,24 +609,41 @@ struct Tap {
 
 #[derive(Default)]
 struct TapState {
-    /// The route each delivered request was last sent on, until its reply.
-    routes: HashMap<u64, Route>,
-    /// Reply faults landed at send, by request id.
-    replies: HashMap<u64, FaultKind>,
+    /// Each delivered request, by id, until its reply or its route's
+    /// failure: the route it was last sent on, and the reply fault landed
+    /// at that send.
+    routes: HashMap<u64, (Route, Option<FaultKind>)>,
     /// Ranks whose link was cut.
     dead: HashSet<usize>,
+}
+
+impl TapState {
+    /// Forgets every request in flight on a route `gone` picks, returning
+    /// those routes: their replies will never come, and a request that is
+    /// re-sent is entered again.
+    fn forget(&mut self, gone: impl Fn(&Route) -> bool) -> HashSet<Route> {
+        let mut routes = HashSet::new();
+        self.routes.retain(|_, (route, _)| {
+            let keep = !gone(route);
+            if !keep {
+                routes.insert(*route);
+            }
+            keep
+        });
+        routes
+    }
 }
 
 impl Complete for Tap {
     fn complete(&self, id: u64, mut reply: Vec<u8>) {
         let fault = {
             let mut st = locked(&self.state);
-            if let Some(route) = st.routes.remove(&id) {
-                if st.dead.contains(&route.0) {
-                    return; // a cut link delivers nothing
-                }
+            match st.routes.remove(&id) {
+                // A cut link delivers nothing.
+                Some((route, _)) if st.dead.contains(&route.0) => return,
+                Some((_, fault)) => fault,
+                None => None,
             }
-            st.replies.remove(&id)
         };
         match fault {
             Some(FaultKind::DuplicateReply) => {
@@ -651,6 +667,7 @@ impl Complete for Tap {
     }
 
     fn fail(&self, route: Route, why: LinkFail) -> usize {
+        locked(&self.state).forget(|r| *r == route);
         self.done.fail(route, why)
     }
 }
@@ -679,17 +696,14 @@ impl<L: Link> FaultyLink<L> {
 
     /// Cuts the link to `rank` for good, as a dead server or a severed
     /// cable would: every request in flight to it fails as a lost
-    /// connection (idempotent ones fail over), its replies are never
-    /// delivered, and later sends to it fail at once.
+    /// connection (idempotent ones fail over) and is forgotten here, so a
+    /// reply the rank still sends for it reaches the endpoint like any
+    /// straggler; later sends to it fail at once.
     pub fn crash(&self, rank: usize) {
-        let routes: HashSet<Route> = {
+        let routes = {
             let mut st = locked(&self.tap.state);
             st.dead.insert(rank);
-            st.routes
-                .values()
-                .filter(|r| r.0 == rank)
-                .copied()
-                .collect()
+            st.forget(|r| r.0 == rank)
         };
         for route in routes {
             self.tap.done.fail(route, LinkFail::ConnLost);
@@ -701,24 +715,23 @@ impl<L: Link> FaultyLink<L> {
     }
 }
 
-impl FaultyLink<WorkerLink> {
+impl FaultyLink<InlineLink> {
     /// [`AsyncEndpoint::new`](crate::transport::AsyncEndpoint::new) with
-    /// channel faults from `injector`: one worker thread per device, every
-    /// frame crossing a `FaultyLink`. Serve
-    /// [`FaultyNdp::fleet`] ranks to land device faults too.
+    /// channel faults from `injector`: one in-caller rank per device, every
+    /// frame crossing a `FaultyLink`. Serve [`FaultyNdp::fleet`] ranks to
+    /// land device faults too.
     ///
     /// # Panics
     ///
     /// Panics if `devices` is empty.
-    pub fn over_workers<D: NdpDevice + Send + 'static>(
+    pub fn over_inline<D: NdpDevice + Send + 'static>(
         devices: Vec<D>,
         cfg: TransportConfig,
         injector: Arc<FaultInjector>,
     ) -> Endpoint<Self> {
         assert!(!devices.is_empty(), "endpoint needs at least one rank");
-        let stall_grace = cfg.stall_grace;
         Self::endpoint(cfg, devices.len(), injector, |done| {
-            WorkerLink::spawn(devices, stall_grace, done)
+            InlineLink::new(devices, Some(done))
         })
     }
 }
@@ -743,7 +756,6 @@ impl FaultyLink<TcpLink> {
 
 impl<L: Link> Link for FaultyLink<L> {
     const KIND: &'static str = L::KIND;
-    const DOWN: &'static str = L::DOWN;
     const CHURN: Option<(&'static str, &'static str)> = L::CHURN;
 
     fn ranks(&self) -> usize {
@@ -761,6 +773,7 @@ impl<L: Link> Link for FaultyLink<L> {
         if self.is_dead(route.0) {
             return Err(LinkFail::ConnLost);
         }
+        let mut reply_fault = None;
         if let Some(fault) = self.injector.take(FaultClass::Channel) {
             let rank = route.0 as u32;
             match fault.kind {
@@ -781,12 +794,19 @@ impl<L: Link> Link for FaultyLink<L> {
                         _ => "reply first byte corrupted",
                     };
                     self.injector.journal(&fault, rank, detail);
-                    locked(&self.tap.state).replies.insert(id, kind);
+                    reply_fault = Some(kind);
                 }
             }
         }
-        locked(&self.tap.state).routes.insert(id, route);
-        self.inner.send(route, id, frame)
+        locked(&self.tap.state)
+            .routes
+            .insert(id, (route, reply_fault));
+        let sent = self.inner.send(route, id, frame);
+        if sent.is_err() {
+            // No reply will come for a frame the link refused.
+            locked(&self.tap.state).routes.remove(&id);
+        }
+        sent
     }
 
     fn down(&self) -> Vec<usize> {
@@ -1205,6 +1225,60 @@ mod tests {
                 "{kind}: not journaled once per operation"
             );
         }
+    }
+
+    /// A link that takes every frame and answers none: whatever is sent
+    /// stays in flight until its route dies.
+    struct Silent(Completer);
+
+    impl Link for Silent {
+        const KIND: &'static str = "silent";
+
+        fn ranks(&self) -> usize {
+            2
+        }
+
+        fn route(&self, rank: usize) -> Result<Route, LinkFail> {
+            Ok((rank, 0, 0))
+        }
+
+        fn send(&self, _: Route, _: u64, _: &Arc<Vec<u8>>) -> Result<(), LinkFail> {
+            Ok(())
+        }
+    }
+
+    /// Requests a cut link or a dead route failed, and that are never
+    /// re-sent — a `Load`, or a read out of retries — leave nothing behind
+    /// in the decorator: denial of service must not also grow the trusted
+    /// side's heap.
+    #[test]
+    fn crashed_and_dead_routes_leave_no_tapped_requests_behind() {
+        use crate::wire::Request;
+        let cfg = EndpointConfig {
+            max_retries: 0,
+            ..EndpointConfig::default()
+        };
+        let ep = FaultyLink::endpoint(cfg, 2, Arc::new(FaultInjector::new()), Silent);
+        let tapped = || locked(&ep.link().tap.state).routes.len();
+        let read = |row| Request::ReadRow { table_addr: 1, row };
+        // Reads to ranks 0, 1, 0, 1, then a `Load` to rank 0.
+        let mut ids: Vec<_> = (0..4).map(|r| ep.submit(&read(r)).unwrap()).collect();
+        let load = Request::Load {
+            table_addr: 1,
+            row_bytes: 4,
+            ciphertext: vec![0; 8],
+            tags: None,
+        };
+        ids.push(ep.submit(&load).unwrap());
+        assert_eq!(tapped(), 5);
+
+        ep.link().crash(0);
+        ep.link().inner.0.fail((1, 0, 0), LinkFail::ConnLost);
+        for id in ids {
+            assert!(matches!(ep.wait(id), Err(Error::ConnectionLost { .. })));
+        }
+        assert_eq!(tapped(), 0, "failed requests left tapped routes behind");
+        assert_eq!(ep.in_flight(), 0);
     }
 
     #[test]

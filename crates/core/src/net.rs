@@ -189,17 +189,18 @@ fn write_record(stream: &mut TcpStream, header: &[u8], frame: &[u8]) -> io::Resu
 // Server
 // ---------------------------------------------------------------------------
 
-/// How a [`NetServer`] turns an incoming wire frame into a reply frame.
-/// One instance is shared (behind a mutex) by every connection thread, so
-/// frame service is serialized exactly as on the inline transport.
-trait FrameHost: Send {
+/// How a host turns an incoming wire frame into a reply frame. A
+/// [`NetServer`] shares one instance (behind a mutex) among its connection
+/// threads; an [`InlineLink`](crate::transport::InlineLink) holds one per
+/// rank. Either way a host serves one frame at a time.
+pub(crate) trait FrameHost: Send {
     fn serve_frame(&mut self, session: u64, rank: u32, frame: &[u8]) -> Vec<u8>;
 }
 
-/// A single shared device serving every session and rank — the
-/// self-hosted backend behind `SECNDP_TRANSPORT=tcp`, where one endpoint
-/// owns one wrapped device.
-struct DeviceHost<D>(D);
+/// A single device serving every session and rank — the self-hosted
+/// backend behind `SECNDP_TRANSPORT=tcp`, where one endpoint owns one
+/// wrapped device, and each rank of an in-caller link.
+pub(crate) struct DeviceHost<D>(pub(crate) D);
 
 impl<D: NdpDevice + Send> FrameHost for DeviceHost<D> {
     fn serve_frame(&mut self, _session: u64, _rank: u32, frame: &[u8]) -> Vec<u8> {
@@ -418,7 +419,7 @@ fn connection_loop(
 /// Liveness vitals for one rank's connection pool, feeding the `net-epN`
 /// health component.
 #[derive(Debug, Default)]
-pub struct NetRankVitals {
+pub struct PoolVitals {
     /// Currently-established connections.
     live: AtomicUsize,
     /// Whether this rank ever connected (a rank that was never used is
@@ -426,7 +427,7 @@ pub struct NetRankVitals {
     ever: AtomicBool,
 }
 
-impl NetRankVitals {
+impl PoolVitals {
     /// Currently-established connections in this rank's pool.
     pub fn live_connections(&self) -> usize {
         self.live.load(Ordering::Relaxed)
@@ -449,7 +450,7 @@ struct LiveConn {
     gen: u64,
     alive: Arc<AtomicBool>,
     reader: Option<JoinHandle<()>>,
-    vitals: Arc<NetRankVitals>,
+    vitals: Arc<PoolVitals>,
 }
 
 impl Drop for LiveConn {
@@ -478,7 +479,7 @@ struct ConnCell {
 struct RankConns {
     addr: String,
     conns: Vec<Mutex<ConnCell>>,
-    vitals: Arc<NetRankVitals>,
+    vitals: Arc<PoolVitals>,
 }
 
 /// Process-unique session ids: the pid keeps concurrent *processes*
@@ -587,7 +588,7 @@ impl TcpLink {
                         })
                     })
                     .collect(),
-                vitals: Arc::new(NetRankVitals::default()),
+                vitals: Arc::new(PoolVitals::default()),
             })
             .collect();
         TcpLink {
@@ -604,7 +605,7 @@ impl TcpLink {
     }
 
     /// Connection vitals of `rank`.
-    pub fn vitals(&self, rank: usize) -> &NetRankVitals {
+    pub fn vitals(&self, rank: usize) -> &PoolVitals {
         &self.ranks[rank].vitals
     }
 
@@ -672,7 +673,6 @@ impl TcpLink {
 
 impl Link for TcpLink {
     const KIND: &'static str = "net";
-    const DOWN: &'static str = "disconnected";
     const CHURN: Option<(&'static str, &'static str)> =
         Some(("secndp_net_reconnects_total", "tcp reconnect"));
 
@@ -744,7 +744,7 @@ fn reader_loop(
     done: Completer,
     alive: Arc<AtomicBool>,
     stop: Arc<AtomicBool>,
-    vitals: Arc<NetRankVitals>,
+    vitals: Arc<PoolVitals>,
     route: Route,
 ) {
     let stopped = || !alive.load(Ordering::SeqCst) || stop.load(Ordering::SeqCst);

@@ -32,12 +32,11 @@ use crate::device::{validate_load, NdpDevice, NdpResponse};
 use crate::endpoint::EndpointConfig;
 use crate::error::Error;
 use crate::net::TcpEndpoint;
-use crate::transport::AsyncEndpoint;
+use crate::transport::InlineLink;
 use secndp_arith::mersenne::Fq;
 use secndp_arith::ring::{words_from_le_bytes, words_to_le_bytes, RingWord};
 use secndp_telemetry::trace::{self, SpanContext, SpanId, TraceId};
 use std::marker::PhantomData;
-use std::sync::Mutex;
 
 /// Envelope tag for traced (v2) frames. Disjoint from every v1 frame tag
 /// (requests `0x01–0x03`, responses `0x81–0x83` / `0xFF`).
@@ -828,26 +827,7 @@ fn timed_round_trip(via: &impl RoundTrip, req: &Request) -> Result<Response, Err
     via.round_trip(req)
 }
 
-/// Serves every frame on the caller's thread. It cannot time out or
-/// reorder, so it pays for no pending-table entry: encode, [`serve`],
-/// decode — both directions re-decoded to guarantee byte-exactness.
-struct Inline<D>(Mutex<D>);
-
-impl<D: NdpDevice> RoundTrip for Inline<D> {
-    fn round_trip(&self, req: &Request) -> Result<Response, Error> {
-        let ctx = trace::current();
-        let frame = {
-            let _e = trace::span(trace::names::WIRE_ENCODE);
-            req.encode_traced(ctx)?
-        };
-        crate::metrics::wire_packets().inc();
-        let reply = serve(&mut *crate::endpoint::locked(&self.0), &frame)
-            .map_err(|_| crate::metrics::malformed("device rejected request frame"))?;
-        decode_reply(&reply)
-    }
-}
-
-/// A transport that could not be set up (no loopback port, no thread):
+/// A transport that could not be set up (no loopback port):
 /// every request that needs it reports the loss, typed.
 struct Unreachable;
 
@@ -861,13 +841,12 @@ impl RoundTrip for Unreachable {
 /// wire format, proving the protocol carries everything it needs.
 ///
 /// The transport is chosen once, at construction: [`inline`](Self::inline)
-/// serves each frame on the caller's thread, [`async_backed`] and
-/// [`tcp_backed`] ride an [`Endpoint`](crate::endpoint::Endpoint) over
-/// worker threads or sockets, and [`new`](Self::new) picks by the
-/// `SECNDP_TRANSPORT` environment variable. `D` names the device type
-/// behind the wire; for a remote server it is only a label.
+/// serves each frame on the caller's thread, [`tcp_backed`] rides an
+/// [`Endpoint`](crate::endpoint::Endpoint) over sockets, and
+/// [`new`](Self::new) picks by the `SECNDP_TRANSPORT` environment variable.
+/// `D` names the device type behind the wire; for a remote server it is
+/// only a label.
 ///
-/// [`async_backed`]: Self::async_backed
 /// [`tcp_backed`]: Self::tcp_backed
 pub struct RemoteNdp<D> {
     via: Box<dyn RoundTrip + Send + Sync>,
@@ -895,20 +874,18 @@ impl<D> RemoteNdp<D> {
 }
 
 impl<D: NdpDevice + Send + 'static> RemoteNdp<D> {
-    /// Wraps a device behind the wire. `SECNDP_TRANSPORT=async` routes
-    /// every frame through a single-rank [`AsyncEndpoint`];
-    /// `SECNDP_TRANSPORT=tcp` through sockets — to the server ranks named
-    /// in `SECNDP_TRANSPORT_ADDRS` (comma-separated `host:port`; `inner`
-    /// is dropped, the server hosts the devices), else to a private
-    /// loopback [`NetServer`](crate::net::NetServer) hosting `inner`.
-    /// Anything else — or nothing — serves frames inline. Endpoints take
-    /// the default [`EndpointConfig`]. Never fails: a transport that
-    /// cannot be set up surfaces as [`Error::ConnectionLost`] from the
-    /// requests that need it.
+    /// Wraps a device behind the wire. `SECNDP_TRANSPORT=tcp` routes every
+    /// frame through sockets — to the server ranks named in
+    /// `SECNDP_TRANSPORT_ADDRS` (comma-separated `host:port`; `inner` is
+    /// dropped, the server hosts the devices), else to a private loopback
+    /// [`NetServer`](crate::net::NetServer) hosting `inner`. Anything else
+    /// — or nothing — serves frames inline. Endpoints take the default
+    /// [`EndpointConfig`]. Never fails: a transport that cannot be set up
+    /// surfaces as [`Error::ConnectionLost`] from the requests that need
+    /// it.
     pub fn new(inner: D) -> Self {
         let cfg = EndpointConfig::default();
         match std::env::var("SECNDP_TRANSPORT").as_deref() {
-            Ok("async") => Self::async_backed(inner, cfg),
             Ok("tcp") => {
                 let addrs: Vec<String> = std::env::var("SECNDP_TRANSPORT_ADDRS")
                     .unwrap_or_default()
@@ -928,14 +905,10 @@ impl<D: NdpDevice + Send + 'static> RemoteNdp<D> {
     }
 
     /// Wraps a device behind the blocking inline transport, explicitly
-    /// (ignores `SECNDP_TRANSPORT`).
+    /// (ignores `SECNDP_TRANSPORT`): an [`InlineLink`] serving each frame
+    /// on the caller's thread.
     pub fn inline(inner: D) -> Self {
-        Self::over(Inline(Mutex::new(inner)))
-    }
-
-    /// Wraps a device behind an async (worker-thread) transport, explicitly.
-    pub fn async_backed(inner: D, cfg: EndpointConfig) -> Self {
-        Self::over(AsyncEndpoint::new(vec![inner], cfg))
+        Self::over(InlineLink::new(vec![inner], None))
     }
 }
 

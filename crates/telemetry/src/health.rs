@@ -29,7 +29,7 @@
 //!
 //! Everything here works with telemetry compiled out: snapshots are then
 //! empty (all deltas zero), but liveness-style checks that consult their
-//! own state — e.g. transport worker heartbeats — still score honestly.
+//! own state — e.g. a TCP endpoint's live connections — still score honestly.
 
 use crate::recorder::WindowSample;
 use crate::registry::Registry;

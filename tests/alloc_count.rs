@@ -1,14 +1,15 @@
 //! Allocations counted by a std-only counting allocator, per thread: a
 //! span with attributes allocates nothing once the span journal has
-//! wrapped, and a verified inline `weighted_sum` allocates a pinned number
-//! of times at PF 8 and at PF 80, the same with telemetry compiled in or
-//! out.
+//! wrapped, and a verified inline `weighted_sum`, and a pipelined packet
+//! over a 2-rank `AsyncEndpoint` (whose ranks serve on the counting
+//! thread), allocate a pinned number of times at PF 8 and at PF 80, the
+//! same with telemetry compiled in or out.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use secndp::core::wire::RemoteNdp;
-use secndp::core::{HonestNdp, SecretKey, TrustedProcessor};
+use secndp::core::{AsyncEndpoint, HonestNdp, SecretKey, TransportConfig, TrustedProcessor};
 use secndp::telemetry::trace;
 
 thread_local! {
@@ -115,4 +116,55 @@ fn allocs_per_query(pf: usize) -> u64 {
 #[test]
 fn verified_inline_weighted_sum_allocations_are_pinned() {
     assert_eq!((allocs_per_query(8), allocs_per_query(80)), (16, 20));
+}
+
+/// Queries in the pipelined packet.
+const QUERIES: usize = 32;
+
+/// Allocations of one verified `QUERIES`-query
+/// `weighted_sum_batch_pipelined` over PF rows on a 2-rank
+/// `AsyncEndpoint`, after one warm-up packet has registered its
+/// instruments and grown the pending table.
+fn allocs_per_packet(pf: usize) -> u64 {
+    const ROWS: usize = 128;
+    const COLS: usize = 32;
+    let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0xA110D));
+    let pt: Vec<u32> = (0..ROWS * COLS).map(|x| x as u32).collect();
+    let table = cpu.encrypt_table(&pt, ROWS, COLS, 0x4000).unwrap();
+    let mut ep = AsyncEndpoint::new(
+        vec![HonestNdp::new(), HonestNdp::new()],
+        TransportConfig {
+            ranks: 2,
+            ..TransportConfig::default()
+        },
+    );
+    let handle = cpu.publish(&table, &mut ep).unwrap();
+    let queries: Vec<(Vec<usize>, Vec<u32>)> = (0..QUERIES)
+        .map(|q| {
+            let idx = (0..pf).map(|k| (q + k * 7) % ROWS).collect();
+            (idx, (0..pf as u32).map(|k| k + 1).collect())
+        })
+        .collect();
+    let packet = || {
+        let out = cpu.weighted_sum_batch_pipelined(&handle, &ep, &queries, true);
+        assert_eq!(out.unwrap().len(), QUERIES);
+    };
+    packet();
+    let packets = 8;
+    let n = allocs(|| (0..packets).for_each(|_| packet()));
+    assert_eq!(n % packets, 0, "{n} allocations over {packets} packets");
+    n / packets
+}
+
+/// Each query allocates at the inline sites above, plus the `Arc` its
+/// frame is submitted in (the pending table keeps it for a retry); the
+/// pending table itself allocates nothing once warm. The packet adds its
+/// results' `Vec` and its queue of outstanding ids.
+#[test]
+fn pipelined_packet_allocations_are_pinned() {
+    let packet = |per_query: u64| QUERIES as u64 * per_query + 2;
+    assert_eq!(
+        (allocs_per_packet(8), allocs_per_packet(80)),
+        (packet(17), packet(21))
+    );
 }

@@ -1,21 +1,26 @@
 //! The endpoint conformance suite: one set of scenarios, run over every
-//! [`Link`] — `WorkerLink` (in-process rank threads) and `TcpLink`
-//! (sockets to in-process `NetServer`s, one per rank). The completion
-//! core is shared, so each rule is checked once here and must hold on
-//! both: differential ≡ blocking ≡ plaintext, batch ≡ pipelined ≡ single
-//! (results and errors), out-of-order `poll`, window backpressure (one
-//! submitter, eight, and one asleep on a full window when its route
-//! dies), stall → `DeviceTimeout` + counter, retry onto a healthy rank,
-//! `Load` never retried, `wait` twice is a typed error, a duplicate reply
-//! is counted late, pipelined verified batches (with tamper detection) at
-//! every window against every packet length, a packet that fails part-way
-//! abandoning what it had sent ahead, and no waiter left asleep by a
-//! completion that skipped its wake-up. Socket-only cases (hostile framing, torn writes, MITM,
-//! kill/respawn, drain) live in `tests/net_transport.rs`; one rides here
-//! because it shares the duplicate-reply rig's rogue server: a `Sum` reply
-//! of ragged length is a typed error, not a panic.
+//! [`Link`] — `InlineLink` (in-process ranks served on the caller's
+//! thread) and `TcpLink` (sockets to in-process `NetServer`s, one per
+//! rank). The completion core is shared, so each rule is checked once here
+//! and must hold on both: differential ≡ blocking ≡ plaintext, batch ≡
+//! pipelined ≡ single (results and errors), eight submitters sharing the
+//! window, `wait` twice is a typed error, a duplicate reply is counted
+//! late, pipelined verified batches (with tamper detection) at every
+//! window against every packet length, and a packet that fails part-way
+//! abandoning what it had sent ahead.
 //!
-//! The file keeps the name it had when it covered the worker link alone.
+//! An in-caller rank has settled its reply before `submit` returns, so the
+//! scenarios that need a reply to arrive later run over sockets only:
+//! out-of-order `poll`, window backpressure (one submitter, and one asleep
+//! on a full window when its route dies), stall → `DeviceTimeout` +
+//! counter, retry onto a healthy rank, `Load` never retried, the lone
+//! submitter's re-check, and no waiter left asleep by a completion that
+//! skipped its wake-up. Socket-only cases (hostile framing, torn writes,
+//! MITM, kill/respawn, drain) live in `tests/net_transport.rs`; one rides
+//! here because it shares the duplicate-reply rig's rogue server: a `Sum`
+//! reply of ragged length is a typed error, not a panic.
+//!
+//! The file is named for `AsyncEndpoint`, the in-process endpoint.
 
 use std::io::{Read, Write};
 use std::net::TcpListener;
@@ -28,7 +33,7 @@ use secndp::arith::ring::RingWord;
 use secndp::core::device::{DelayedNdp, NdpResponse, Tamper, TamperingNdp};
 use secndp::core::fault::PlannedFault;
 use secndp::core::net::{NetServer, TcpLink};
-use secndp::core::transport::WorkerLink;
+use secndp::core::transport::InlineLink;
 use secndp::core::wire::{self, RemoteNdp, Request, Response};
 use secndp::core::{
     AsyncEndpoint, Endpoint, EndpointConfig, Error, FaultInjector, FaultKind, FaultyLink,
@@ -76,7 +81,7 @@ trait Rig {
         cfg: EndpointConfig,
     ) -> Rigged<Self::L>;
 
-    /// A `RemoteNdp` riding a default-configured single-rank endpoint.
+    /// A `RemoteNdp` over one default-configured rank of this link.
     fn remote<D: NdpDevice + Send + 'static>(device: D) -> RemoteNdp<D>;
 
     /// One honest rank whose replies [`Rigged::duplicate_next_reply`]
@@ -88,22 +93,22 @@ trait Rig {
         -> Rigged<Self::Chaos>;
 
     /// Takes rank 0 of a [`mortal`](Self::mortal) rig down for good: the
-    /// worker link's `FaultyLink` cuts it, the socket link's server goes
+    /// in-caller link's `FaultyLink` cuts it, the socket link's server goes
     /// away. Either way what was in flight to it fails as a dead route.
     fn kill(rig: &Rigged<Self::Chaos>);
 }
 
-struct Worker;
+struct Inline;
 struct Tcp;
 
-impl Rig for Worker {
-    type L = WorkerLink;
-    type Chaos = FaultyLink<WorkerLink>;
+impl Rig for Inline {
+    type L = InlineLink;
+    type Chaos = FaultyLink<InlineLink>;
 
     fn ranks<D: NdpDevice + Send + 'static>(
         devices: Vec<D>,
         cfg: EndpointConfig,
-    ) -> Rigged<WorkerLink> {
+    ) -> Rigged<InlineLink> {
         Rigged {
             ep: AsyncEndpoint::new(devices, cfg),
             _keep: Mutex::default(),
@@ -112,7 +117,7 @@ impl Rig for Worker {
     }
 
     fn remote<D: NdpDevice + Send + 'static>(device: D) -> RemoteNdp<D> {
-        RemoteNdp::async_backed(device, EndpointConfig::default())
+        RemoteNdp::inline(device)
     }
 
     fn duplicating() -> Rigged<Self::Chaos> {
@@ -125,7 +130,7 @@ impl Rig for Worker {
     ) -> Rigged<Self::Chaos> {
         let injector = Arc::new(FaultInjector::new());
         Rigged {
-            ep: FaultyLink::over_workers(vec![device], cfg, Arc::clone(&injector)),
+            ep: FaultyLink::over_inline(vec![device], cfg, Arc::clone(&injector)),
             _keep: Mutex::default(),
             chaos: Some(injector),
         }
@@ -215,7 +220,7 @@ fn rogue_server(rewrite: fn(Vec<u8>) -> Vec<Vec<u8>>) -> TcpEndpoint {
 /// Runs a scenario over every link.
 macro_rules! on_every_link {
     ($scenario:ident) => {{
-        $scenario::<Worker>();
+        $scenario::<Inline>();
         $scenario::<Tcp>();
     }};
 }
@@ -282,9 +287,9 @@ fn read_row(row: u64) -> Request {
     }
 }
 
-/// The endpoint (4 jittered ranks, genuinely reordering completions)
-/// must return exactly what the blocking in-process wire path returns —
-/// which must equal the plaintext ground truth.
+/// The endpoint (4 jittered ranks, which reorder completions on a socket
+/// link) must return exactly what the blocking in-process wire path
+/// returns — which must equal the plaintext ground truth.
 fn differential<R: Rig>() {
     let pt = plaintext();
     let qs = queries(24, 0xD1FF);
@@ -693,7 +698,7 @@ fn out_of_order_poll<R: Rig>() {
 
 #[test]
 fn poll_redeems_completions_out_of_submission_order() {
-    on_every_link!(out_of_order_poll);
+    out_of_order_poll::<Tcp>();
 }
 
 /// A device holding the 4 × 16-byte table `read_row` reads.
@@ -734,7 +739,7 @@ fn window_backpressure<R: Rig>() {
 
 #[test]
 fn window_backpressure_caps_in_flight() {
-    on_every_link!(window_backpressure);
+    window_backpressure::<Tcp>();
 }
 
 /// How long a scenario's helper threads get before the scenario is
@@ -847,7 +852,7 @@ fn route_dies_under_a_parked_submitter<R: Rig>() {
 
 #[test]
 fn route_failure_wakes_a_parked_submitter_with_a_typed_error() {
-    on_every_link!(route_dies_under_a_parked_submitter);
+    route_dies_under_a_parked_submitter::<Tcp>();
 }
 
 /// A completion wakes `wait`'s condvar only when somebody sleeps on it, and
@@ -859,7 +864,7 @@ fn route_failure_wakes_a_parked_submitter_with_a_typed_error() {
 /// would leave a waiter asleep until its 5 s deadline and fail its round
 /// with `DeviceTimeout`. Then the failure side: a waiter asleep on a
 /// request whose rank dies is woken by the dead route, before its
-/// deadline, on every link.
+/// deadline.
 fn no_waiter_left_asleep<R: Rig>() {
     const ROUNDS: usize = 10_000;
     let _serial = counters(); // the second half times a request out
@@ -932,7 +937,7 @@ fn no_waiter_left_asleep<R: Rig>() {
 
 #[test]
 fn completions_and_dead_routes_leave_no_waiter_asleep() {
-    on_every_link!(no_waiter_left_asleep);
+    no_waiter_left_asleep::<Tcp>();
 }
 
 /// A redeemed id is gone: a second `wait` is a typed error, not a hang.
@@ -960,7 +965,7 @@ fn wait_twice_is_a_typed_error() {
 /// A device stall must surface as `Error::DeviceTimeout` after the
 /// per-request deadline, with `secndp_transport_timeouts_total` — the
 /// counter the endpoint's health check reads — moved by exactly
-/// one, whichever link carried the request.
+/// one.
 fn stall_times_out<R: Rig>() {
     let _serial = counters();
     let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0xDEAD));
@@ -996,7 +1001,7 @@ fn stall_times_out<R: Rig>() {
 
 #[test]
 fn stalled_rank_times_out_with_typed_error() {
-    on_every_link!(stall_times_out);
+    stall_times_out::<Tcp>();
 }
 
 /// After the slow rank misses its deadline, the retry must land on the
@@ -1043,7 +1048,7 @@ fn retry_to_healthy_rank<R: Rig>() {
 
 #[test]
 fn retry_moves_to_a_healthy_rank_and_still_verifies() {
-    on_every_link!(retry_to_healthy_rank);
+    retry_to_healthy_rank::<Tcp>();
 }
 
 /// Replies that silently never come hold their credits until their
@@ -1051,21 +1056,29 @@ fn retry_moves_to_a_healthy_rank_and_still_verifies() {
 /// woken by nothing — the one honest completion leaves the window above
 /// its low-water mark, and no failure path runs while nobody waits — so it
 /// must re-check on its own, and take the credit that did come back, by
-/// the time those requests would have timed out. On the worker link's
-/// `FaultyLink`, which drops the frames.
+/// the time those requests would have timed out. On a socket link under a
+/// `FaultyLink`, which drops the frames: an in-caller rank has answered
+/// before its `submit` returns, so its window is never full.
 #[test]
 fn lone_submitter_rechecks_a_window_that_cannot_drain() {
     let _serial = counters(); // this scenario times requests out
-    let rig = Worker::mortal(
+    let server = NetServer::host_device(
         DelayedNdp::new(four_rows(), Duration::from_millis(20)),
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let injector = Arc::new(FaultInjector::new());
+    let ep = FaultyLink::over_tcp(
         EndpointConfig {
+            addrs: vec![server.local_addr().to_string()],
             window: 4,
             timeout: Duration::from_millis(150),
             max_retries: 0,
             ..EndpointConfig::default()
         },
-    );
-    let injector = rig.chaos.as_ref().unwrap();
+        Arc::clone(&injector),
+    )
+    .unwrap();
     let dropped: Vec<_> = (1..=3)
         .map(|n| {
             injector.arm(PlannedFault {
@@ -1073,7 +1086,7 @@ fn lone_submitter_rechecks_a_window_that_cannot_drain() {
                 rank: 0,
                 kind: FaultKind::DropReply,
             });
-            let id = rig.ep.submit(&read_row(0)).unwrap();
+            let id = ep.submit(&read_row(0)).unwrap();
             let deadline = Instant::now() + WATCHDOG;
             while injector.injected() < n {
                 assert!(Instant::now() < deadline, "drop {n} never landed");
@@ -1082,20 +1095,20 @@ fn lone_submitter_rechecks_a_window_that_cannot_drain() {
             id
         })
         .collect();
-    let answered = rig.ep.submit(&read_row(1)).unwrap();
-    assert_eq!(rig.ep.in_flight(), 4, "the window is full");
+    let answered = ep.submit(&read_row(1)).unwrap();
+    assert_eq!(ep.in_flight(), 4, "the window is full");
     // Parks here: 4 in flight, then 3 — above the low-water mark of 2.
-    let parked = rig.ep.submit(&read_row(2)).unwrap();
-    assert!(rig.ep.in_flight() <= 4);
-    rig.ep.wait(answered).unwrap();
-    rig.ep.wait(parked).unwrap();
+    let parked = ep.submit(&read_row(2)).unwrap();
+    assert!(ep.in_flight() <= 4);
+    ep.wait(answered).unwrap();
+    ep.wait(parked).unwrap();
     for id in dropped {
         assert!(matches!(
-            rig.ep.wait(id),
+            ep.wait(id),
             Err(Error::DeviceTimeout { attempts: 1, .. })
         ));
     }
-    assert_eq!(rig.ep.in_flight(), 0);
+    assert_eq!(ep.in_flight(), 0);
 }
 
 /// Wraps a device so that `load` stalls — `weighted_sum`/`read_row` pass
@@ -1169,7 +1182,7 @@ fn load_never_retried<R: Rig>() {
 
 #[test]
 fn load_is_never_retried() {
-    on_every_link!(load_never_retried);
+    load_never_retried::<Tcp>();
 }
 
 /// A reply that arrives twice settles its request once; the copy finds
@@ -1251,8 +1264,8 @@ fn end_to_end_protocol_over_async_endpoint() {
 /// is not a whole number of elements must reach the caller of
 /// `weighted_sum` as a typed, audited error — over a real socket, where a
 /// hostile server can write any bytes it likes — not as a panic in the
-/// byte-to-word conversion. (Socket only: behind the worker link a device
-/// answers in typed words, so it cannot send a ragged reply.)
+/// byte-to-word conversion. (Socket only: behind the in-caller link a
+/// device answers in typed words, so it cannot send a ragged reply.)
 #[test]
 fn ragged_sum_reply_over_a_socket_is_a_typed_error() {
     let mut ndp = RemoteNdp::<HonestNdp>::tcp_backed(rogue_server(|reply| {

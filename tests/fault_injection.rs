@@ -3,7 +3,7 @@
 //! The masked-or-detected invariant, end to end: every fault injected
 //! into the device path (data corruption, tag forgery, stale replays,
 //! held frames) or the channel (drops, duplicates, late and malformed
-//! replies, cut links — on the worker link and over real sockets alike)
+//! replies, cut links — on the in-caller link and over real sockets alike)
 //! must leave the query either *correct* or *failed with a typed error* —
 //! never silently wrong.
 //!
@@ -19,7 +19,7 @@ use secndp::core::device::{Tamper, TamperingNdp};
 use secndp::core::fault::{
     FaultKind, FaultPlan, FaultSel, InvariantChecker, Outcome, PlannedFault, QueryRecord,
 };
-use secndp::core::transport::WorkerLink;
+use secndp::core::transport::InlineLink;
 use secndp::core::{
     Endpoint, Error, FaultInjector, FaultyLink, FaultyNdp, HonestNdp, Link, NetServer, SecretKey,
     TransportConfig, TrustedProcessor,
@@ -229,14 +229,13 @@ fn integrity_errors_are_audited_in_every_build() {
     );
 }
 
-fn chaos_endpoint(ranks: usize, injector: &Arc<FaultInjector>) -> Endpoint<FaultyLink<WorkerLink>> {
-    FaultyLink::over_workers(
+fn chaos_endpoint(ranks: usize, injector: &Arc<FaultInjector>) -> Endpoint<FaultyLink<InlineLink>> {
+    FaultyLink::over_inline(
         FaultyNdp::fleet(HonestNdp::new(), ranks, Arc::clone(injector)),
         TransportConfig {
             ranks,
             timeout: Duration::from_millis(150),
             max_retries: 3,
-            stall_grace: Duration::from_millis(40),
             ..TransportConfig::default()
         },
         Arc::clone(injector),
@@ -316,8 +315,8 @@ fn crashed_rank_fails_over_queries_but_fails_loads_typed() {
         rank: 0,
         kind: FaultKind::RankCrash,
     });
-    // This query's worker exits without replying; the retry lands on the
-    // survivor. Subsequent queries fail over at send time (no timeout).
+    // This query's link is cut as it is sent, and it fails over to the
+    // survivor at once; so do the queries after it (no timeout).
     for _ in 0..3 {
         let res = cpu
             .weighted_sum::<u32, _>(&handle, &ep, &[0, 1], &[3, 2], true)
@@ -411,7 +410,7 @@ fn mini_soak_invariant_holds_under_mixed_faults() {
         });
         drop(sp);
     }
-    drop(ep); // joins workers: all completions land before reconciling
+    drop(ep); // every completion has landed before reconciling
 
     let faults: Vec<_> = fault_log()
         .snapshot()
@@ -436,7 +435,7 @@ fn mini_soak_invariant_holds_under_mixed_faults() {
 
 /// One chaos seam over any link: each channel kind, armed on the same
 /// injector, lands on the next frame the `FaultyLink` carries — over the
-/// worker link and over real sockets — with the same outcome, journaled
+/// in-caller link and over real sockets — with the same outcome, journaled
 /// under the query's own trace.
 #[test]
 fn channel_faults_land_alike_on_every_link() {
@@ -502,7 +501,7 @@ fn channel_faults_land_alike_on_every_link() {
     let injector = Arc::new(FaultInjector::new());
     let ranks = vec![HonestNdp::new(), HonestNdp::new()];
     run(
-        FaultyLink::over_workers(ranks, cfg.clone(), Arc::clone(&injector)),
+        FaultyLink::over_inline(ranks, cfg.clone(), Arc::clone(&injector)),
         &injector,
         0xCA00_0000,
     );

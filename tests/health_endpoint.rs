@@ -16,9 +16,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use secndp::core::device::{DelayedNdp, Tamper, TamperingNdp};
-use secndp::core::wire::Request;
 use secndp::core::{
-    AsyncEndpoint, Error, HonestNdp, NdpDevice, SecretKey, TransportConfig, TrustedProcessor,
+    Error, HonestNdp, NdpDevice, NetConfig, NetServer, SecretKey, TcpEndpoint, TrustedProcessor,
 };
 use secndp::telemetry::health::{monitor, HealthConfig};
 use secndp::telemetry::serve::{ServerBuilder, CONTENT_TYPE_PROMETHEUS};
@@ -100,28 +99,37 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A transport rank that stops heartbeating mid-serve must flip `/healthz`
-/// from ok to degraded — with the transport component named in the reason
-/// — and recover once the request completes.
+/// A socket rank that holds frames past the request deadline must flip
+/// `/healthz` from ok to degraded — the endpoint's `net-epN` component
+/// blaming the timeouts in its window — and recover once the window has
+/// slid past them. The query itself is masked by a retry onto the other
+/// rank.
 #[test]
 fn stalled_transport_rank_degrades_healthz_and_recovers() {
     let _g = serial();
     reset_health_window();
-    let mut dev = HonestNdp::new();
-    dev.load(0x1, vec![0u8; 64], 16, None).unwrap();
-    // Two ranks, the first stalling 800 ms against a 50 ms grace period:
-    // one stalled rank of two is Degraded (all stalled would be Failing).
-    let slow = DelayedNdp::new(dev, Duration::from_millis(800));
-    let live = DelayedNdp::new(HonestNdp::new(), Duration::ZERO);
-    let ep = AsyncEndpoint::new(
-        vec![slow, live],
-        TransportConfig {
-            stall_grace: Duration::from_millis(50),
-            timeout: Duration::from_secs(10),
-            max_retries: 0,
-            ..TransportConfig::default()
-        },
-    );
+    let m = monitor();
+    let loaded = || {
+        let mut dev = HonestNdp::new();
+        dev.load(0x1, vec![0u8; 64], 16, None).unwrap();
+        dev
+    };
+    // Two ranks, the first holding every read 800 ms against a 200 ms
+    // deadline.
+    let slow = DelayedNdp::new(loaded(), Duration::from_millis(800));
+    let servers = [
+        NetServer::host_device(slow, "127.0.0.1:0").unwrap(),
+        NetServer::host_device(loaded(), "127.0.0.1:0").unwrap(),
+    ];
+    let ep = TcpEndpoint::connect(NetConfig {
+        addrs: servers.iter().map(|s| s.local_addr().to_string()).collect(),
+        timeout: Duration::from_millis(200),
+        max_retries: 1,
+        ..NetConfig::default()
+    })
+    .unwrap();
+    let component = ep.health_component().to_string();
+    assert!(component.starts_with("net-ep"), "{component}");
     let server = ServerBuilder::new(secndp::telemetry::global())
         .bind("127.0.0.1:0")
         .unwrap();
@@ -135,45 +143,39 @@ fn stalled_transport_rank_degrades_healthz_and_recovers() {
         healthy.body
     );
     assert!(
-        healthy.body.contains(ep.health_component()),
+        healthy.body.contains(&component),
         "transport component must be scored: {}",
         healthy.body
     );
 
-    let id = ep
-        .submit(&Request::ReadRow {
-            table_addr: 0x1,
-            row: 0,
-        })
-        .unwrap();
-    // The stall must surface within one health window (well under the
-    // device's 800 ms nap); poll until the verdict flips.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let degraded = loop {
-        std::thread::sleep(Duration::from_millis(25));
-        let r = http_get(addr, "/healthz");
-        if r.body.contains("\"status\":\"degraded\"") {
-            break r;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "stalled rank never degraded /healthz: {}",
-            r.body
-        );
-    };
+    // Round-robin sends the read to the slow rank first; it times out and
+    // the retry lands on the live one.
+    assert_eq!(ep.read_row(0x1, 0).unwrap(), vec![0u8; 16]);
+    m.sample(secndp::telemetry::global());
+    let degraded = http_get(addr, "/healthz");
     // Degraded is still scrapeable (200); only Failing returns 503.
     assert_eq!(degraded.status, 200);
     assert!(
-        degraded.body.contains("transport") && degraded.body.contains("stalled"),
-        "degradation must blame the stalled transport: {}",
+        degraded.body.contains("\"status\":\"degraded\""),
+        "a stalled rank never degraded /healthz: {}",
+        degraded.body
+    );
+    let blamed = format!(
+        "\"component\":\"{component}\",\"status\":\"degraded\",\"reason\":\"1 request timeout(s)"
+    );
+    assert!(
+        degraded.body.contains(&blamed),
+        "degradation must blame the endpoint's timeouts: {}",
         degraded.body
     );
 
-    ep.wait(id).unwrap();
+    // Two samples with no timeout between them slide the window past it.
+    m.sample(secndp::telemetry::global());
+    m.sample(secndp::telemetry::global());
     let recovered = http_get(addr, "/healthz");
     assert!(
         recovered.body.contains("\"status\":\"ok\""),
-        "health must recover once the rank completes: {}",
+        "health must recover once the window slides: {}",
         recovered.body
     );
     server.shutdown();
