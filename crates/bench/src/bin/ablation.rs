@@ -133,7 +133,4 @@ fn main() {
         &["registers", "packets", "NDP cyc"],
         &rows,
     );
-
-    secndp_bench::write_metrics_json_if_requested();
-    secndp_bench::write_trace_if_requested();
 }

@@ -54,7 +54,4 @@ fn main() {
     println!("\npaper reference: Ver-ECC needs the most AES engines (tag pads add");
     println!("engine work but no DRAM traffic); with quantization far fewer engines");
     println!("are needed because less OTP material is required per packet.");
-
-    secndp_bench::write_metrics_json_if_requested();
-    secndp_bench::write_trace_if_requested();
 }

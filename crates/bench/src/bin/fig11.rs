@@ -70,7 +70,4 @@ fn main() {
     );
     println!("\npaper reference: 2.3x–4.3x end-to-end at batch=256; speedup grows");
     println!("with batch size (SGX, by contrast, does not scale with batch).");
-
-    secndp_bench::write_metrics_json_if_requested();
-    secndp_bench::write_trace_if_requested();
 }

@@ -90,7 +90,4 @@ fn main() {
     println!("\npaper reference: NDP speedup up to 5.59x (6.89x quantized) for SLS,");
     println!("7.46x for analytics; SecNDP-Enc approaches unprotected NDP once the");
     println!("AES-engine count matches the NDP memory throughput.");
-
-    secndp_bench::write_metrics_json_if_requested();
-    secndp_bench::write_trace_if_requested();
 }

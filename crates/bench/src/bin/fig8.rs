@@ -49,7 +49,4 @@ fn main() {
     println!("\npaper reference: more NDP_rank needs more AES engines; ~10 engines");
     println!("match burst-mode memory throughput at rank=8; quantization cuts the");
     println!("engine requirement to about one third.");
-
-    secndp_bench::write_metrics_json_if_requested();
-    secndp_bench::write_trace_if_requested();
 }

@@ -68,7 +68,4 @@ fn main() {
     println!("\npaper reference: Ver-ECC matches Enc-only; Ver-coloc close behind");
     println!("(misaligned rows); Ver-sep worst (~40% degradation: extra row");
     println!("activation per tag fetch); analytics barely affected (large rows).");
-
-    secndp_bench::write_metrics_json_if_requested();
-    secndp_bench::write_trace_if_requested();
 }

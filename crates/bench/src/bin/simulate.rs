@@ -140,7 +140,4 @@ fn main() {
         ],
         &rows,
     );
-
-    secndp_bench::write_metrics_json_if_requested();
-    secndp_bench::write_trace_if_requested();
 }

@@ -13,21 +13,31 @@
 //! corruptions.
 //!
 //! Run with:
-//! `cargo run --release -p secndp-bench --bin soak -- --seed 42 --ops 20000 [--secs S] [--ranks 3] [--rate 8] [--link inline|tcp] [--report soak.json]`
+//! `cargo run --release -p secndp-bench --bin soak -- --seed 42 --ops 20000 [--secs S] [--ranks 3] [--rate 8] [--link inline|tcp] [--report soak.json] [--metrics-json m.json] [--trace-out t.json] [--profile-out p.collapsed]`
 //!
 //! The default link serves each rank on the caller's thread; `--link tcp`
 //! serves each from its own loopback `NetServer`, so every fault crosses
 //! real sockets, and its report names the link. The JSON report contains
 //! no wall-clock fields, so two runs with the same seed, link and `--ops`
-//! budget produce byte-identical reports — CI `cmp`s them. On an
-//! invariant violation the binary prints the seed and the full fault
-//! schedule, drops a flight-recorder dump (honoring `SECNDP_FLIGHT_DIR`),
-//! and exits nonzero.
+//! budget produce byte-identical reports — CI `cmp`s them. An unknown
+//! flag or a value that does not parse exits 2 with the usage line.
+//!
+//! The run is observed like a deployed client: the health sampler scores
+//! the `protocol` component (and each endpoint's) every second, and a
+//! verdict that gets worse writes a flight-recorder dump to
+//! `SECNDP_FLIGHT_DIR`. On exit the registry, span journal and folded
+//! profile go to the `--metrics-json`, `--trace-out` and `--profile-out`
+//! paths when given. On an invariant violation the binary prints the seed
+//! and the full fault schedule, drops one more flight dump, and exits
+//! nonzero.
 
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use secndp_bench::parse_value_flag;
+use secndp_bench::{
+    write_metrics_json_if_requested, write_profile_if_requested, write_trace_if_requested, Flags,
+};
 use secndp_core::fault::{
     FaultKind, FaultPlan, InvariantChecker, Outcome, PlannedFault, QueryRecord,
 };
@@ -37,7 +47,8 @@ use secndp_core::{
 };
 use secndp_telemetry::audit::audit_log;
 use secndp_telemetry::faultlog::fault_log;
-use secndp_telemetry::{health, trace};
+use secndp_telemetry::health::{self, HealthConfig};
+use secndp_telemetry::trace;
 
 const ROWS: usize = 256;
 const COLS: usize = 16;
@@ -46,8 +57,42 @@ const ADDR: u64 = 0x4_0000;
 /// are only *detectable* once at least one re-encryption has happened.
 const REENCRYPT_EVERY: u64 = 4096;
 
-fn flag<T: std::str::FromStr>(name: &str) -> Option<T> {
-    parse_value_flag(name, std::env::args().skip(1))
+const USAGE: &str = "usage: soak [--seed N] [--ops N] [--secs S] [--ranks N] [--rate PERMILLE] \
+                     [--link inline|tcp] [--report PATH] [--metrics-json PATH] \
+                     [--trace-out PATH] [--profile-out PATH]";
+
+const KNOWN_FLAGS: &[&str] = &[
+    "--seed",
+    "--ops",
+    "--secs",
+    "--ranks",
+    "--rate",
+    "--link",
+    "--report",
+    "--metrics-json",
+    "--trace-out",
+    "--profile-out",
+];
+
+fn usage_exit(err: &str) -> ! {
+    eprintln!("soak: {err}");
+    eprintln!("{USAGE}");
+    std::process::exit(2)
+}
+
+/// `name`'s value, or exit 2 when it does not parse.
+fn flag<T: std::str::FromStr>(flags: &Flags, name: &str) -> Option<T> {
+    flags.get(name).unwrap_or_else(|e| usage_exit(&e))
+}
+
+/// The run's shape and output files, from the command line.
+struct Opts {
+    ops: u64,
+    secs: Option<u64>,
+    report: Option<PathBuf>,
+    metrics_json: Option<PathBuf>,
+    trace_out: Option<PathBuf>,
+    profile_out: Option<PathBuf>,
 }
 
 /// Small deterministic LCG driving the traffic shape (indices, weights,
@@ -75,15 +120,35 @@ fn ground_truth(pt: &[u32], idx: &[usize], w: &[u32]) -> Vec<u32> {
 }
 
 fn main() {
-    let seed: u64 = flag("--seed").unwrap_or(0x5EC_C4A05);
-    let ranks: usize = flag::<usize>("--ranks").unwrap_or(3).max(2);
-    let link: String = flag("--link").unwrap_or_else(|| "inline".into());
+    let flags =
+        Flags::parse(std::env::args().skip(1), KNOWN_FLAGS).unwrap_or_else(|e| usage_exit(&e));
+    let seed: u64 = flag(&flags, "--seed").unwrap_or(0x5EC_C4A05);
+    let ranks: usize = flag(&flags, "--ranks").unwrap_or(3).max(2);
+    let link: String = flag(&flags, "--link").unwrap_or_else(|| "inline".into());
+    if link != "inline" && link != "tcp" {
+        usage_exit(&format!("unknown --link {link} (inline or tcp)"));
+    }
+    let opts = Opts {
+        ops: flag(&flags, "--ops").unwrap_or(20_000),
+        secs: flag(&flags, "--secs"),
+        report: flag(&flags, "--report"),
+        metrics_json: flag(&flags, "--metrics-json"),
+        trace_out: flag(&flags, "--trace-out"),
+        profile_out: flag(&flags, "--profile-out"),
+    };
 
     let mut plan = FaultPlan::new(seed);
     plan.ranks = ranks as u32;
-    if let Some(rate) = flag::<u32>("--rate") {
+    if let Some(rate) = flag(&flags, "--rate") {
         plan.rate_permille = rate;
     }
+
+    // Observed like a deployed client: crash dumps, build-info gauges and
+    // the health sampler, whose worse verdicts dump to SECNDP_FLIGHT_DIR.
+    secndp_telemetry::install_panic_hook();
+    secndp_telemetry::init_process_metrics();
+    let _sampler =
+        health::monitor().start_sampler(secndp_telemetry::global(), HealthConfig::default());
 
     let injector = Arc::new(FaultInjector::new());
     let fleet = FaultyNdp::fleet(HonestNdp::new(), ranks, Arc::clone(&injector));
@@ -93,39 +158,34 @@ fn main() {
         max_retries: 3,
         ..TransportConfig::default()
     };
-    match link.as_str() {
-        "inline" => soak(
-            FaultyLink::over_inline(fleet, cfg, Arc::clone(&injector)),
-            &plan,
-            &injector,
-            "inline",
-        ),
-        "tcp" => {
-            let servers: Vec<NetServer> = fleet
-                .into_iter()
-                .map(|d| NetServer::host_device(d, "127.0.0.1:0").expect("bind rank server"))
-                .collect();
-            let addrs = servers.iter().map(|s| s.local_addr().to_string()).collect();
-            let ep = FaultyLink::over_tcp(TransportConfig { addrs, ..cfg }, Arc::clone(&injector))
-                .expect("tcp endpoint");
-            // `servers` outlives the endpoint, which `soak` drops.
-            soak(ep, &plan, &injector, "tcp");
-        }
-        other => {
-            eprintln!("soak: unknown --link {other} (inline or tcp)");
-            std::process::exit(2);
-        }
+    if link == "tcp" {
+        let servers: Vec<NetServer> = fleet
+            .into_iter()
+            .map(|d| NetServer::host_device(d, "127.0.0.1:0").expect("bind rank server"))
+            .collect();
+        let addrs = servers.iter().map(|s| s.local_addr().to_string()).collect();
+        let ep = FaultyLink::over_tcp(TransportConfig { addrs, ..cfg }, Arc::clone(&injector))
+            .expect("tcp endpoint");
+        // `servers` outlives the endpoint, which `soak` drops.
+        soak(ep, &plan, &injector, "tcp", &opts);
+    } else {
+        let ep = FaultyLink::over_inline(fleet, cfg, Arc::clone(&injector));
+        soak(ep, &plan, &injector, "inline", &opts);
     }
 }
 
 /// Runs the traffic over `ep`, then reconciles and reports. A report for a
 /// link other than the default names it.
-fn soak<L: Link>(mut ep: Endpoint<L>, plan: &FaultPlan, injector: &FaultInjector, link: &str) {
+fn soak<L: Link>(
+    mut ep: Endpoint<L>,
+    plan: &FaultPlan,
+    injector: &FaultInjector,
+    link: &str,
+    opts: &Opts,
+) {
     let seed = plan.seed;
     let ranks = plan.ranks as usize;
-    let ops_budget: u64 = flag("--ops").unwrap_or(20_000);
-    let secs: Option<u64> = flag("--secs");
-    let report_path: Option<String> = flag("--report");
+    let (ops_budget, secs) = (opts.ops, opts.secs);
     eprintln!(
         "soak: seed={seed} ops={ops_budget} ranks={ranks} link={link} rate={}permille mix={} kinds",
         plan.rate_permille,
@@ -243,7 +303,7 @@ fn soak<L: Link>(mut ep: Endpoint<L>, plan: &FaultPlan, injector: &FaultInjector
         plan.rate_permille,
         report.render_json()
     );
-    if let Some(path) = &report_path {
+    if let Some(path) = &opts.report {
         std::fs::write(path, &json).expect("write report");
     }
     print!("{json}");
@@ -251,6 +311,10 @@ fn soak<L: Link>(mut ep: Endpoint<L>, plan: &FaultPlan, injector: &FaultInjector
         "soak: {} faults injected over {total_ops} ops — {} masked, {} detected, {} silent",
         report.injected, report.masked, report.detected, report.silent_corruptions
     );
+    // The profile first: its fold is counted in the metrics snapshot.
+    write_profile_if_requested(opts.profile_out.as_deref());
+    write_metrics_json_if_requested(opts.metrics_json.as_deref());
+    write_trace_if_requested(opts.trace_out.as_deref());
 
     if !report.ok() {
         eprintln!("soak: INVARIANT VIOLATED (seed {seed}) — fault schedule:");

@@ -64,7 +64,4 @@ fn main() {
     );
     println!("\npaper reference: unprot NDP {{2.46, 3.11, 4.05, 4.44, 7.46}}x;");
     println!("SGX-CFL 0.0038x / 0.1738x; SGX-ICL ~0.59x; SecNDP {{2.36, 3.02, 3.95, 4.33, 7.46}}x");
-
-    secndp_bench::write_metrics_json_if_requested();
-    secndp_bench::write_trace_if_requested();
 }

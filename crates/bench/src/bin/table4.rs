@@ -60,7 +60,4 @@ fn main() {
             fp32 as f64 / q.footprint_bytes() as f64
         );
     }
-
-    secndp_bench::write_metrics_json_if_requested();
-    secndp_bench::write_trace_if_requested();
 }

@@ -51,7 +51,4 @@ fn main() {
         AesEngineModel::new(EngineConfig::paper_default(1)).throughput_gbps(),
         EngineConfig::paper_default(1).ns_per_block
     );
-
-    secndp_bench::write_metrics_json_if_requested();
-    secndp_bench::write_trace_if_requested();
 }

@@ -14,11 +14,16 @@
 //! | `table5` | Table V — memory energy, plus engine area (§VII-C) |
 //! | `ablation` | DESIGN.md ablations: address mapping, scheduler, checksum scheme, `NDP_reg` |
 //! | `simulate` | free-form CLI simulation (built-in workloads or trace files) |
-//! | `service`  | open-loop load sweep with response-time percentiles |
 //!
 //! All binaries accept an optional first argument scaling the batch/query
 //! count (default chosen so each binary finishes in seconds in release
 //! mode; the paper's full batch of 256 can be requested explicitly).
+//!
+//! The one binary that runs the real protocol, the chaos `soak` driver,
+//! parses its flags with [`Flags`] and writes the telemetry files it is
+//! asked for with the `write_*_if_requested` helpers.
+
+use std::path::Path;
 
 use secndp_sim::config::{NdpConfig, SimConfig};
 use secndp_sim::exec::{simulate, Mode, SimReport};
@@ -35,33 +40,12 @@ pub const HEADLINE_PF: usize = 80;
 /// keeps runtimes short).
 pub const DEFAULT_BATCH: usize = 64;
 
-/// Flags that consume a following value (so the batch-size scan can skip
-/// them in either `--flag value` or `--flag=value` form). No binary that
-/// reads a batch size takes any other flag.
-const VALUE_FLAGS: &[&str] = &[
-    "--metrics-json",
-    "--trace-out",
-    "--profile-out",
-    "--serve-metrics",
-    "--hold-secs",
-];
-
-/// The batch size in `args`: the first bare number, skipping each known
-/// flag and its value (so `--metrics-json out.json 256` and
-/// `256 --trace-out trace.json` both work). An unknown `--flag` is an
-/// error rather than skipped, so its value is never taken for the batch.
+/// The batch size in `args`: the first bare number. No binary that reads
+/// a batch size takes a flag, so any `--flag` is an error rather than
+/// skipped, and its value is never taken for the batch.
 fn parse_batch(args: impl IntoIterator<Item = String>) -> Result<usize, String> {
-    let mut args = args.into_iter();
-    while let Some(a) = args.next() {
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            let _ = args.next(); // skip the flag's value
-            continue;
-        }
+    for a in args {
         if a.starts_with("--") {
-            let name = a.split_once('=').map_or(a.as_str(), |(name, _)| name);
-            if VALUE_FLAGS.contains(&name) {
-                continue;
-            }
             return Err(format!("unknown flag {a}"));
         }
         if let Ok(v) = a.parse() {
@@ -80,83 +64,59 @@ pub fn batch_from_args() -> usize {
     })
 }
 
-/// The path given via `--<flag> <path>` (or `--<flag>=<path>`), if any.
-fn flag_path(flag: &str) -> Option<std::path::PathBuf> {
-    let prefixed = format!("{flag}=");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next().map(std::path::PathBuf::from);
+/// The `--flag value` / `--flag=value` pairs of a binary that takes only
+/// named flags (the chaos `soak` driver), checked against the flags it
+/// knows.
+#[derive(Debug)]
+pub struct Flags(Vec<(String, String)>);
+
+impl Flags {
+    /// Parses `args` against `known`. An unknown flag, a bare word, a flag
+    /// given twice or a flag without a value is an error, so a typo never
+    /// leaves a default in force unnoticed.
+    pub fn parse(args: impl IntoIterator<Item = String>, known: &[&str]) -> Result<Self, String> {
+        let mut args = args.into_iter();
+        let mut pairs: Vec<(String, String)> = Vec::new();
+        while let Some(a) = args.next() {
+            let (name, value) = match a.split_once('=') {
+                Some((name, value)) => (name.to_string(), Some(value.to_string())),
+                None => (a.clone(), None),
+            };
+            if !known.contains(&name.as_str()) {
+                return Err(format!("unknown argument {a}"));
+            }
+            if pairs.iter().any(|(n, _)| *n == name) {
+                return Err(format!("{name} given twice"));
+            }
+            let value = value
+                .or_else(|| args.next())
+                .ok_or_else(|| format!("{name} needs a value"))?;
+            pairs.push((name, value));
         }
-        if let Some(p) = a.strip_prefix(&prefixed) {
-            return Some(std::path::PathBuf::from(p));
-        }
+        Ok(Self(pairs))
     }
-    None
-}
 
-/// The path given via `--metrics-json <path>` (or `--metrics-json=<path>`),
-/// if any.
-pub fn metrics_json_path() -> Option<std::path::PathBuf> {
-    flag_path("--metrics-json")
-}
-
-/// The path given via `--trace-out <path>` (or `--trace-out=<path>`), if
-/// any.
-pub fn trace_out_path() -> Option<std::path::PathBuf> {
-    flag_path("--trace-out")
-}
-
-/// The path given via `--profile-out <path>` (or `--profile-out=<path>`),
-/// if any.
-pub fn profile_out_path() -> Option<std::path::PathBuf> {
-    flag_path("--profile-out")
-}
-
-/// Parses `--<flag> <v>` / `--<flag>=<v>` from an argument stream.
-/// Public so single-purpose binaries (e.g. the chaos `soak` driver) can
-/// reuse it for their own flags.
-pub fn parse_value_flag<T: std::str::FromStr>(
-    flag: &str,
-    args: impl Iterator<Item = String>,
-) -> Option<T> {
-    let prefixed = format!("{flag}=");
-    let mut args = args.peekable();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next().and_then(|v| v.parse().ok());
-        }
-        if let Some(v) = a.strip_prefix(&prefixed) {
-            return v.parse().ok();
-        }
+    /// The value of `flag` parsed as a `T`: `None` when the flag is absent,
+    /// an error when its value does not parse.
+    pub fn get<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        self.0
+            .iter()
+            .find(|(name, _)| name == flag)
+            .map(|(_, v)| {
+                v.parse()
+                    .map_err(|_| format!("{flag} {v}: not a valid value"))
+            })
+            .transpose()
     }
-    None
 }
 
-/// The live-scrape address for the `service` bench, via
-/// `--serve-metrics <addr>` (or `--serve-metrics=<addr>`), falling back to
-/// the `SECNDP_METRICS_ADDR` environment variable. `None` leaves the
-/// scrape server off.
-pub fn serve_metrics_addr() -> Option<String> {
-    parse_value_flag("--serve-metrics", std::env::args().skip(1))
-        .or_else(|| std::env::var("SECNDP_METRICS_ADDR").ok())
-}
-
-/// How long the `service` bench should stay alive (serving scrapes) after
-/// the sweep completes, via `--hold-secs <n>`, if any. Used by the CI
-/// health-smoke job to keep `/healthz` up while it curls.
-pub fn hold_secs_from_args() -> Option<u64> {
-    parse_value_flag("--hold-secs", std::env::args().skip(1))
-}
-
-/// Writes the global telemetry registry as JSON to the `--metrics-json`
-/// path, when the flag is present. Every reproduction binary calls this
-/// once on exit; without the flag (or with telemetry compiled out, which
-/// yields an empty snapshot) it does nothing observable beyond the write.
-pub fn write_metrics_json_if_requested() {
-    if let Some(path) = metrics_json_path() {
+/// Writes the global telemetry registry as JSON to `path` (a
+/// `--metrics-json` value), when given. With telemetry compiled out the
+/// snapshot is empty but valid.
+pub fn write_metrics_json_if_requested(path: Option<&Path>) {
+    if let Some(path) = path {
         let json = secndp_telemetry::global().render_json();
-        match std::fs::write(&path, &json) {
+        match std::fs::write(path, &json) {
             Ok(()) => println!("\nmetrics snapshot written to {}", path.display()),
             Err(e) => eprintln!("failed to write {}: {e}", path.display()),
         }
@@ -164,17 +124,17 @@ pub fn write_metrics_json_if_requested() {
 }
 
 /// Writes the continuous profile as flamegraph-ready collapsed-stack text
-/// to the `--profile-out` path, when the flag is present (pipe the file
+/// to `path` (a `--profile-out` value), when given (pipe the file
 /// through `flamegraph.pl` or drop it into <https://www.speedscope.app>).
 /// Folds whatever is still pending in the span journal first, so the dump
 /// covers every completed span. With telemetry compiled out the file is
 /// empty but valid.
-pub fn write_profile_if_requested() {
-    if let Some(path) = profile_out_path() {
+pub fn write_profile_if_requested(path: Option<&Path>) {
+    if let Some(path) = path {
         let profiler = secndp_telemetry::profile::profiler();
         profiler.fold(secndp_telemetry::trace::journal());
         let collapsed = profiler.render_collapsed();
-        match std::fs::write(&path, &collapsed) {
+        match std::fs::write(path, &collapsed) {
             Ok(()) => println!(
                 "collapsed-stack profile written to {} ({} stacks)",
                 path.display(),
@@ -185,17 +145,15 @@ pub fn write_profile_if_requested() {
     }
 }
 
-/// Writes the span journal as Chrome `trace_event` JSON to the
-/// `--trace-out` path, when the flag is present (open the file in
-/// `chrome://tracing` or <https://ui.perfetto.dev>). Like
-/// [`write_metrics_json_if_requested`], every reproduction binary calls
-/// this once on exit; with tracing compiled out the file is a valid empty
-/// trace.
-pub fn write_trace_if_requested() {
-    if let Some(path) = trace_out_path() {
+/// Writes the span journal as Chrome `trace_event` JSON to `path` (a
+/// `--trace-out` value), when given (open the file in
+/// `chrome://tracing` or <https://ui.perfetto.dev>). With tracing
+/// compiled out the file is a valid empty trace.
+pub fn write_trace_if_requested(path: Option<&Path>) {
+    if let Some(path) = path {
         let journal = secndp_telemetry::trace::journal();
         let json = journal.render_chrome_trace();
-        match std::fs::write(&path, &json) {
+        match std::fs::write(path, &json) {
             Ok(()) => {
                 println!(
                     "trace written to {} ({} events, {} dropped)",
@@ -293,31 +251,30 @@ mod tests {
     fn parse_batch_rejects_unknown_flags() {
         let parse = |args: &[&str]| parse_batch(args.iter().map(|s| s.to_string()));
         assert!(parse(&["--transport-ranks", "8"]).is_err());
-        assert_eq!(parse(&["--trace-out", "t.json", "32"]), Ok(32));
-        assert_eq!(parse(&["--hold-secs=5", "64"]), Ok(64));
+        assert!(parse(&["--trace-out", "t.json", "32"]).is_err());
+        assert_eq!(parse(&["32"]), Ok(32));
         assert_eq!(parse(&[]), Ok(DEFAULT_BATCH));
     }
 
+    /// A misspelt flag or a value that does not parse is an error, never
+    /// a silent default: `--ops 2k` must not run the default op count, and
+    /// `--lnk tcp` must not run the default link.
     #[test]
-    fn serve_and_hold_flag_forms() {
-        let parse_addr = |args: &[&str]| -> Option<String> {
-            parse_value_flag("--serve-metrics", args.iter().map(|s| s.to_string()))
-        };
-        assert_eq!(
-            parse_addr(&["--serve-metrics", "127.0.0.1:9184"]).as_deref(),
-            Some("127.0.0.1:9184")
-        );
-        assert_eq!(
-            parse_addr(&["64", "--serve-metrics=0.0.0.0:0"]).as_deref(),
-            Some("0.0.0.0:0")
-        );
-        assert_eq!(parse_addr(&["--hold-secs", "30"]), None);
-        let parse_hold = |args: &[&str]| -> Option<u64> {
-            parse_value_flag("--hold-secs", args.iter().map(|s| s.to_string()))
-        };
-        assert_eq!(parse_hold(&["--hold-secs", "30"]), Some(30));
-        assert_eq!(parse_hold(&["--hold-secs=5"]), Some(5));
-        assert_eq!(parse_hold(&["--hold-secs", "soon"]), None);
+    fn flags_reject_unknown_names_and_bad_values() {
+        const KNOWN: &[&str] = &["--ops", "--link", "--report"];
+        let parse = |args: &[&str]| Flags::parse(args.iter().map(|s| s.to_string()), KNOWN);
+        let flags = parse(&["--ops", "2000", "--link=tcp"]).unwrap();
+        assert_eq!(flags.get::<u64>("--ops"), Ok(Some(2000)));
+        assert_eq!(flags.get::<String>("--link"), Ok(Some("tcp".into())));
+        assert_eq!(flags.get::<String>("--report"), Ok(None));
+        let bad_ops = |args: &[&str]| parse(args).unwrap().get::<u64>("--ops").is_err();
+        assert!(bad_ops(&["--ops", "2k"]) && bad_ops(&["--ops=2k"]));
+        assert!(parse(&["--lnk", "tcp"]).is_err());
+        assert!(parse(&["--lnk=tcp"]).is_err());
+        assert!(parse(&["20000"]).is_err());
+        assert!(parse(&["--ops"]).is_err());
+        assert!(parse(&["--ops", "1", "--ops", "2"]).is_err());
+        assert!(parse(&[]).is_ok());
     }
 
     #[test]

@@ -56,14 +56,6 @@ pub(crate) fn stage_pad_gen() -> &'static Histogram {
     )
 }
 
-/// Weighted-summation queries issued by the trusted processor.
-pub(crate) fn queries() -> &'static Counter {
-    secndp_telemetry::counter!(
-        "secndp_queries_total",
-        "Weighted-summation queries issued by the trusted processor."
-    )
-}
-
 /// Ciphertext loads rejected for shape violations.
 pub(crate) fn shape_errors() -> &'static Counter {
     secndp_telemetry::counter!(
@@ -77,14 +69,6 @@ pub(crate) fn wire_packets() -> &'static Counter {
     secndp_telemetry::counter!(
         "secndp_wire_packets_total",
         "Request frames sent to wire-backed NDP devices."
-    )
-}
-
-/// Full encode → serve → decode round-trip latency.
-pub(crate) fn wire_round_trip() -> &'static Histogram {
-    secndp_telemetry::histogram!(
-        "secndp_wire_round_trip_ns",
-        "Wire round-trip latency in nanoseconds (encode, serve, decode)."
     )
 }
 

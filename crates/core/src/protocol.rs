@@ -371,7 +371,6 @@ impl<C: BlockCipher> TrustedProcessor<C> {
             return Err(Error::TagsUnavailable);
         }
         let layout = handle.layout;
-        crate::metrics::queries().inc();
         let response = {
             let _s =
                 trace::span(trace::names::NDP_COMPUTE).timed(crate::metrics::stage_ndp_compute());
@@ -432,7 +431,6 @@ impl<C: BlockCipher> TrustedProcessor<C> {
 
         let mut out = Vec::with_capacity(queries.len());
         for (idx, weights) in queries {
-            crate::metrics::queries().inc();
             let response = {
                 let _s = trace::span(trace::names::NDP_COMPUTE)
                     .timed(crate::metrics::stage_ndp_compute());
@@ -497,7 +495,6 @@ impl<C: BlockCipher> TrustedProcessor<C> {
             // always among the sent: an empty queue is under any mark.
             if outstanding.ids.len() <= window / 2 {
                 for (idx, weights) in unsent.by_ref().take(window - outstanding.ids.len()) {
-                    crate::metrics::queries().inc();
                     let req = Request::WeightedSum {
                         table_addr: layout.base_addr(),
                         elem_bytes: W::BYTES as u8,

@@ -783,7 +783,7 @@ impl<T: RoundTrip> NdpDevice for T {
             ciphertext,
             tags: tags.map(|ts| ts.iter().map(|t| t.value()).collect()),
         };
-        match timed_round_trip(&*self, &req)? {
+        match traced_round_trip(&*self, &req)? {
             Response::Ack => Ok(()),
             Response::Err(code) => Err(error_from_code(code, table_addr)),
             _ => Err(crate::metrics::malformed("unexpected load reply")),
@@ -804,7 +804,7 @@ impl<T: RoundTrip> NdpDevice for T {
             weights: weights.iter().map(|w| w.as_u64()).collect(),
             with_tag,
         };
-        sum_from_response(timed_round_trip(self, &req)?, table_addr)
+        sum_from_response(traced_round_trip(self, &req)?, table_addr)
     }
 
     fn read_row(&self, table_addr: u64, row: usize) -> Result<Vec<u8>, Error> {
@@ -812,7 +812,7 @@ impl<T: RoundTrip> NdpDevice for T {
             table_addr,
             row: row as u64,
         };
-        match timed_round_trip(self, &req)? {
+        match traced_round_trip(self, &req)? {
             Response::Row(b) => Ok(b),
             Response::Err(code) => Err(error_from_code(code, table_addr)),
             _ => Err(crate::metrics::malformed("wrong response kind")),
@@ -820,10 +820,10 @@ impl<T: RoundTrip> NdpDevice for T {
     }
 }
 
-/// The span and latency histogram around one facade call. The request is
-/// encoded under this span, so device-side spans stitch beneath it.
-fn timed_round_trip(via: &impl RoundTrip, req: &Request) -> Result<Response, Error> {
-    let _sp = trace::span(trace::names::WIRE_ROUND_TRIP).timed(crate::metrics::wire_round_trip());
+/// The span around one facade call. The request is encoded under this
+/// span, so device-side spans stitch beneath it.
+fn traced_round_trip(via: &impl RoundTrip, req: &Request) -> Result<Response, Error> {
+    let _sp = trace::span(trace::names::WIRE_ROUND_TRIP);
     via.round_trip(req)
 }
 

@@ -221,77 +221,6 @@ pub fn simulate_initialization(trace: &WorkloadTrace, mode: Mode, cfg: &SimConfi
     }
 }
 
-/// Outcome of a service-mode (open-loop) simulation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServiceReport {
-    /// The underlying batch-mode report (service timing overrides
-    /// `total_cycles`).
-    pub report: SimReport,
-    /// Per-packet **response times** in cycles: arrival (not dispatch) to
-    /// completion, i.e. queueing delay included.
-    pub response_cycles: Vec<u64>,
-    /// Offered interarrival gap between packets, in cycles.
-    pub interarrival_cycles: u64,
-}
-
-impl ServiceReport {
-    /// Response-time percentile in cycles (nearest rank).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]` or no packets ran.
-    pub fn response_percentile(&self, p: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&p));
-        assert!(!self.response_cycles.is_empty(), "no packets served");
-        let mut sorted = self.response_cycles.clone();
-        sorted.sort_unstable();
-        let rank = ((sorted.len() as f64 * p).ceil() as usize).clamp(1, sorted.len());
-        sorted[rank - 1]
-    }
-
-    /// Whether the offered load exceeded capacity: under a stable queue,
-    /// response times plateau; under overload they grow with every
-    /// arrival, so the last quarter's mean response dwarfs the first
-    /// quarter's.
-    pub fn saturated(&self) -> bool {
-        let n = self.response_cycles.len();
-        if n < 8 {
-            return false;
-        }
-        let quarter = n / 4;
-        let mean = |s: &[u64]| s.iter().sum::<u64>() as f64 / s.len() as f64;
-        let head = mean(&self.response_cycles[..quarter]);
-        let tail = mean(&self.response_cycles[n - quarter..]);
-        tail > 2.0 * head + self.interarrival_cycles as f64
-    }
-}
-
-/// Open-loop service simulation: packets *arrive* every
-/// `interarrival_cycles` (an inference service receiving requests at a
-/// fixed rate) instead of being dispatched back-to-back. Response time =
-/// queueing + service; percentiles come from [`ServiceReport`].
-///
-/// Only meaningful for NDP modes (the batch path serves non-NDP modes).
-///
-/// # Panics
-///
-/// Panics if `mode` is not an NDP mode.
-pub fn simulate_service(
-    trace: &WorkloadTrace,
-    mode: Mode,
-    cfg: &SimConfig,
-    interarrival_cycles: u64,
-) -> ServiceReport {
-    assert!(mode.uses_ndp(), "service simulation is for NDP modes");
-    let mut report = simulate_ndp_paced(trace, mode, cfg, Some(interarrival_cycles));
-    let response_cycles = std::mem::take(&mut report.service_response);
-    ServiceReport {
-        report: report.report,
-        response_cycles,
-        interarrival_cycles,
-    }
-}
-
 /// Non-NDP path: every row streams over one shared channel. The MAC-TEE
 /// mode lays tags out in a separate region (like Ver-sep) and fetches one
 /// tag line per row, modelling Figure 2(b)'s per-access integrity check.
@@ -349,23 +278,6 @@ fn simulate_cpu(trace: &WorkloadTrace, mode: Mode, cfg: &SimConfig) -> SimReport
 
 /// NDP path: per-rank channels, packet barriers, optional AES constraint.
 fn simulate_ndp(trace: &WorkloadTrace, mode: Mode, cfg: &SimConfig) -> SimReport {
-    simulate_ndp_paced(trace, mode, cfg, None).report
-}
-
-struct PacedOutcome {
-    report: SimReport,
-    service_response: Vec<u64>,
-}
-
-/// The NDP engine shared by batch mode (`pacing = None`, packets dispatch
-/// back-to-back) and service mode (`pacing = Some(gap)`, packet `i` arrives
-/// at cycle `i·gap` and may queue).
-fn simulate_ndp_paced(
-    trace: &WorkloadTrace,
-    mode: Mode,
-    cfg: &SimConfig,
-    pacing: Option<u64>,
-) -> PacedOutcome {
     let placement = mode.placement();
     let verify = placement.is_some();
     let packets = build_packets(trace, cfg, placement, verify);
@@ -382,13 +294,7 @@ fn simulate_ndp_paced(
     let mut bytes_over_io = 0u64;
     let mut imbalance_sum = 0.0f64;
     let mut packet_cycles = Vec::with_capacity(packets.len());
-    let mut service_response = Vec::new();
-    for (pi, p) in packets.iter().enumerate() {
-        // Service mode: the packet cannot start before it arrives.
-        let arrival = pacing.map(|gap| pi as u64 * gap);
-        if let Some(a) = arrival {
-            time = time.max(a);
-        }
+    for p in &packets {
         let dispatch = time;
         let start = time + cfg.overheads.init_cycles;
         // Load-balance metric: busiest rank vs the average.
@@ -430,9 +336,6 @@ fn simulate_ndp_paced(
         bytes_over_io += p.rank_results * result_unit;
         io_free = done.max(io_free) + result_lines * cfg.overheads.ld_cycles_per_line;
         packet_cycles.push(io_free - dispatch);
-        if let Some(a) = arrival {
-            service_response.push(io_free - a);
-        }
         time = done;
     }
     let time = time.max(io_free);
@@ -441,7 +344,7 @@ fn simulate_ndp_paced(
     for c in &chans {
         dram.merge(c.stats());
     }
-    let report = SimReport {
+    SimReport {
         mode,
         total_cycles: time,
         packets: packets.len() as u64,
@@ -456,10 +359,6 @@ fn simulate_ndp_paced(
             imbalance_sum / packets.len() as f64
         },
         packet_cycles,
-    };
-    PacedOutcome {
-        report,
-        service_response,
     }
 }
 
@@ -692,61 +591,6 @@ mod tests {
         assert_eq!(
             Mode::SecNdpVer(VerifPlacement::Sep).to_string(),
             "SecNDP Enc+Ver-sep"
-        );
-    }
-
-    #[test]
-    fn service_mode_queueing_behaviour() {
-        // Enough packets (128 queries / 8 regs = 16) for a backlog to show.
-        let t = WorkloadTrace::uniform_sls(1 << 26, 128, 80, 128, 7);
-        let c = cfg(8, 8, 12);
-        // Service time per packet from the batch run.
-        let batch = simulate(&t, Mode::UnprotectedNdp, &c);
-        let per_packet = batch.total_cycles / batch.packets;
-        // Generous interarrival gap: responses ≈ service time, no queueing.
-        let light = simulate_service(&t, Mode::UnprotectedNdp, &c, per_packet * 4);
-        assert!(!light.saturated(), "light load must not saturate");
-        let light_p99 = light.response_percentile(0.99);
-        // Overload: packets arrive 10× faster than they can be served.
-        let heavy = simulate_service(&t, Mode::UnprotectedNdp, &c, (per_packet / 10).max(1));
-        assert!(heavy.saturated(), "overload must saturate the queue");
-        assert!(
-            heavy.response_percentile(0.99) > light_p99,
-            "queueing must inflate tail latency"
-        );
-        // Response time can never be below the unqueued service time.
-        assert!(light.response_percentile(0.0) >= *batch.packet_cycles.iter().min().unwrap() / 2);
-    }
-
-    #[test]
-    fn service_dram_stats_are_per_run_deltas() {
-        // Every simulate_service call builds fresh channels, so the DRAM
-        // stats in its report are THIS run's deltas, not an accumulation
-        // across calls — and they must respond to pacing. 32 queries with
-        // NDP_reg = 8 → 4 packets.
-        let t = WorkloadTrace::uniform_sls(1 << 22, 128, 8, 32, 7);
-        let c = cfg(8, 8, 12);
-        let mode = Mode::SecNdpVer(VerifPlacement::Ecc);
-        let fast = simulate_service(&t, mode, &c, 2);
-        let fast_again = simulate_service(&t, mode, &c, 2);
-        // Interarrival = tREFI: packets 1..4 arrive exactly when a refresh
-        // starts and dispatch at phase `init_cycles` < tRFC, so their
-        // reads all stall behind the refresh.
-        let slow = simulate_service(&t, mode, &c, c.timing.t_refi);
-        // Repeatable (per-run, not accumulated)...
-        assert_eq!(fast.report.dram.reads, fast_again.report.dram.reads);
-        assert_eq!(
-            fast.report.dram.refresh_stalls,
-            fast_again.report.dram.refresh_stalls
-        );
-        // ...with a load-independent access sequence...
-        assert_eq!(fast.report.dram.reads, slow.report.dram.reads);
-        // ...but pacing-dependent refresh interference.
-        assert!(
-            slow.report.dram.refresh_stalls > fast.report.dram.refresh_stalls,
-            "refresh stalls must track pacing (fast={}, slow={})",
-            fast.report.dram.refresh_stalls,
-            slow.report.dram.refresh_stalls
         );
     }
 

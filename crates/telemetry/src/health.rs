@@ -1,5 +1,5 @@
-//! Component health scoring and SLO burn rates over one ring of registry
-//! snapshots, and the flight dump their verdicts trigger.
+//! Component health scoring over one ring of registry snapshots, and the
+//! flight dump its verdicts trigger.
 //!
 //! SecNDP's threat model makes *operational* signals *security* signals: a
 //! verify-failure spike is possible active tampering (paper §V), a stalled
@@ -8,7 +8,7 @@
 //!
 //! - A background sampler ([`HealthMonitor::start_sampler`]) snapshots the
 //!   registry every [`HealthConfig::interval`] into the monitor's ring, the
-//!   only sample store: the newest [`HealthConfig::retain`] snapshots.
+//!   only sample store: the newest [`HealthConfig::window`] snapshots.
 //! - Components (the async transport endpoints, the protocol core)
 //!   [`register`](HealthMonitor::register) a check closure with
 //!   the process-wide [`monitor`]. Each check folds its component into
@@ -16,11 +16,9 @@
 //!   [`Failing`](HealthStatus::Failing) with a human-readable reason;
 //!   [`HealthMonitor::report`] aggregates them (worst status wins) and
 //!   drives the `/healthz` endpoint of [`serve`](crate::serve).
-//! - Checks and SLO [`Objective`]s read windowed counter deltas through
-//!   one [`HealthCtx`] over the newest [`HealthConfig::window`] snapshots,
-//!   so a burst ages out of every verdict once the window slides past it.
-//!   Objectives are scored as the built-in `"slo"` component (see
-//!   [`crate::slo`]).
+//! - Checks read windowed counter deltas through one [`HealthCtx`] over
+//!   the ring, so a burst ages out of every verdict once the window slides
+//!   past it.
 //! - Every sample scores the components over the new window; one whose
 //!   status got worse since the previous sample dumps a
 //!   [flight-recorder artifact](crate::recorder) to
@@ -33,7 +31,6 @@
 
 use crate::recorder::WindowSample;
 use crate::registry::Registry;
-use crate::slo::Objective;
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -53,8 +50,8 @@ pub fn uptime_ms() -> u64 {
 pub enum HealthStatus {
     /// Operating normally.
     Ok,
-    /// Alive but impaired (recent integrity failures, a stalled rank, an
-    /// SLO burning its error budget); `/healthz` still answers 200.
+    /// Alive but impaired (recent integrity failures, a stalled rank);
+    /// `/healthz` still answers 200.
     Degraded,
     /// Unable to make progress (e.g. every transport rank stalled);
     /// `/healthz` answers 503.
@@ -126,9 +123,8 @@ impl HealthReport {
     }
 }
 
-/// The sliding window a check or objective scores against: snapshots
-/// from the sampler ring, oldest first (possibly empty before the sampler
-/// has run).
+/// The sliding window a check scores against: the sampler ring's
+/// snapshots, oldest first (possibly empty before the sampler has run).
 pub struct HealthCtx<'a> {
     pub(crate) samples: &'a [WindowSample],
 }
@@ -163,13 +159,10 @@ impl HealthCtx<'_> {
 pub struct HealthConfig {
     /// Background sampling period (default 1 s).
     pub interval: Duration,
-    /// Snapshots per check window, and the SLO fast window (default 5).
-    /// A component that turns bad holds its verdict, and so dumps once,
-    /// for as long as the burst stays inside this window.
+    /// Snapshots the ring holds, which is the window every check reads
+    /// (default 5). A component that turns bad holds its verdict, and so
+    /// dumps once, for as long as the burst stays inside this window.
     pub window: usize,
-    /// Snapshots retained in the ring, and the SLO slow window (default
-    /// 64).
-    pub retain: usize,
     /// Directory flight dumps are written to (default
     /// [`default_flight_dir`](crate::recorder::default_flight_dir)).
     pub flight_dir: PathBuf,
@@ -180,30 +173,7 @@ impl Default for HealthConfig {
         Self {
             interval: Duration::from_millis(1000),
             window: 5,
-            retain: 64,
             flight_dir: crate::recorder::default_flight_dir(),
-        }
-    }
-}
-
-impl HealthConfig {
-    /// Reads the `SECNDP_HEALTH_INTERVAL_MS`, `SECNDP_HEALTH_WINDOW` and
-    /// `SECNDP_FLIGHT_DIR` environment knobs, falling back to the defaults;
-    /// [`retain`](Self::retain) is set in code only.
-    pub fn from_env() -> Self {
-        let d = Self::default();
-        let parse = |name: &str, default: u64| -> u64 {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        };
-        Self {
-            interval: Duration::from_millis(
-                parse("SECNDP_HEALTH_INTERVAL_MS", d.interval.as_millis() as u64).max(10),
-            ),
-            window: parse("SECNDP_HEALTH_WINDOW", d.window as u64).max(2) as usize,
-            ..d
         }
     }
 }
@@ -219,8 +189,7 @@ struct CheckEntry {
 #[derive(Default)]
 struct MonitorState {
     checks: Vec<CheckEntry>,
-    objectives: Vec<Objective>,
-    /// The newest `cfg.retain` snapshots, oldest first.
+    /// The newest `cfg.window` snapshots, oldest first.
     ring: VecDeque<WindowSample>,
     /// Each component's status at the previous sample.
     last: Vec<(String, HealthStatus)>,
@@ -233,39 +202,29 @@ struct MonitorState {
 impl MonitorState {
     /// Appends `sample`, evicting the oldest when the ring is full.
     fn record(&mut self, sample: WindowSample) {
-        if self.ring.len() >= self.cfg.retain {
+        if self.ring.len() >= self.cfg.window {
             self.ring.pop_front();
         }
         self.ring.push_back(sample);
     }
 
-    /// Every registered check and, with objectives added, the `"slo"`
-    /// component, scored over the current window.
+    /// Every registered check, scored over the current window.
     fn score(&mut self) -> Vec<ComponentHealth> {
-        let (fast, slow) = windows(&mut self.ring, self.cfg.window);
-        let (fast, slow) = (HealthCtx { samples: fast }, HealthCtx { samples: slow });
-        let slo = (!self.objectives.is_empty()).then(|| {
-            let statuses = crate::slo::status(&self.objectives, &fast, &slow);
-            ("slo".to_string(), crate::slo::verdict(&statuses))
-        });
+        let ctx = HealthCtx {
+            samples: self.ring.make_contiguous(),
+        };
         self.checks
             .iter()
-            .map(|c| (c.component.clone(), (c.check)(&fast)))
-            .chain(slo)
-            .map(|(component, (status, reason))| ComponentHealth {
-                component,
-                status,
-                reason,
+            .map(|c| {
+                let (status, reason) = (c.check)(&ctx);
+                ComponentHealth {
+                    component: c.component.clone(),
+                    status,
+                    reason,
+                }
             })
             .collect()
     }
-}
-
-/// The fast window (the newest `n` samples: the one checks read) and the
-/// slow window (the whole ring), oldest first.
-fn windows(ring: &mut VecDeque<WindowSample>, n: usize) -> (&[WindowSample], &[WindowSample]) {
-    let ring = &*ring.make_contiguous();
-    (&ring[ring.len().saturating_sub(n)..], ring)
 }
 
 /// The per-component health registry plus the sampler and its flight
@@ -280,7 +239,6 @@ impl std::fmt::Debug for HealthMonitor {
         let s = self.lock();
         f.debug_struct("HealthMonitor")
             .field("checks", &s.checks.len())
-            .field("objectives", &s.objectives.len())
             .field("samples", &s.ring.len())
             .finish()
     }
@@ -301,9 +259,9 @@ impl HealthMonitor {
     /// Replaces the sampler/ring configuration (evicting the oldest
     /// samples when the ring shrinks).
     pub fn configure(&self, mut cfg: HealthConfig) {
-        cfg.retain = cfg.retain.max(1);
+        cfg.window = cfg.window.max(1);
         let mut s = self.lock();
-        let excess = s.ring.len().saturating_sub(cfg.retain);
+        let excess = s.ring.len().saturating_sub(cfg.window);
         s.ring.drain(..excess);
         s.cfg = cfg;
     }
@@ -340,25 +298,9 @@ impl HealthMonitor {
             .collect()
     }
 
-    /// Adds (or replaces, matched by name) a service-level objective,
-    /// scored from then on as part of the `"slo"` component of
-    /// [`report`](Self::report) and at `/sloz`. It is scored over the
-    /// samples already in the ring: there is no reset and no warm-up.
-    pub fn add_objective(&self, obj: Objective) {
-        let mut s = self.lock();
-        match s.objectives.iter_mut().find(|o| o.name() == obj.name()) {
-            Some(existing) => *existing = obj,
-            None => s.objectives.push(obj),
-        }
-    }
-
     /// Runs every registered check against the current window and folds
-    /// the verdicts (worst status wins; an empty monitor reports Ok). With
-    /// objectives added, they fold in as one `"slo"` component: Degraded
-    /// while any fast-window burn exceeds 1, never Failing — a burned
-    /// error budget means the service misses its objective, not that it
-    /// cannot serve. A report never dumps; only [`sample`](Self::sample)
-    /// does.
+    /// the verdicts (worst status wins; an empty monitor reports Ok). A
+    /// report never dumps; only [`sample`](Self::sample) does.
     pub fn report(&self) -> HealthReport {
         let components = self.lock().score();
         let status = components
@@ -367,36 +309,6 @@ impl HealthMonitor {
             .max()
             .unwrap_or(HealthStatus::Ok);
         HealthReport { status, components }
-    }
-
-    /// Renders `/sloz`: every objective scored over the ring's fast and
-    /// slow windows with a fresh snapshot of `registry` as their newest
-    /// point. The snapshot is not stored, so a scrape moves no window and
-    /// never dumps.
-    pub fn render_sloz(&self, registry: &Registry) -> String {
-        let fresh = WindowSample {
-            t_ms: uptime_ms(),
-            snapshot: registry.snapshot(),
-        };
-        let mut guard = self.lock();
-        let s = &mut *guard;
-        let (fast, slow) = windows(&mut s.ring, s.cfg.window);
-        // Objectives read only a window's ends: its oldest stored sample
-        // and, in place of the newest, the fresh snapshot.
-        let ends = |w: &[WindowSample]| -> Vec<WindowSample> {
-            w.first().into_iter().chain([&fresh]).cloned().collect()
-        };
-        let (fast_ends, slow_ends) = (ends(fast), ends(slow));
-        crate::slo::render_json(
-            &s.objectives,
-            &HealthCtx {
-                samples: &fast_ends,
-            },
-            &HealthCtx {
-                samples: &slow_ends,
-            },
-            slow.len(),
-        )
     }
 
     /// Takes one sample: snapshots `registry` into the ring, refreshes the
@@ -675,7 +587,7 @@ mod tests {
             "{json:.200}"
         );
         assert_eq!(step(1), 1, "a held verdict dumped again");
-        let _ = (m.report(), m.render_sloz(&reg));
+        let _ = m.report();
         assert_eq!(dumps(), 1, "a scrape dumped");
         assert_eq!(step(2), 2, "degraded → failing did not dump");
         assert_eq!(step(0), 2, "a recovery dumped");
@@ -687,7 +599,7 @@ mod tests {
     fn ring_is_bounded_and_ordered() {
         let m = HealthMonitor::new();
         m.configure(HealthConfig {
-            retain: 3,
+            window: 3,
             ..HealthConfig::default()
         });
         let mut s = m.lock();
@@ -700,26 +612,22 @@ mod tests {
         }
         let ts: Vec<u64> = s.ring.iter().map(|x| x.t_ms).collect();
         assert_eq!(ts, vec![2, 3, 4]);
-        let (fast, slow) = windows(&mut s.ring, 2);
-        assert_eq!((fast.len(), fast[0].t_ms, slow.len()), (2, 3, 3));
-        assert_eq!(windows(&mut s.ring, 99).0.len(), 3);
         drop(s);
         m.configure(HealthConfig {
-            retain: 1,
+            window: 1,
             ..HealthConfig::default()
         });
         let ts: Vec<u64> = m.lock().ring.iter().map(|x| x.t_ms).collect();
         assert_eq!(ts, vec![4]);
     }
 
-    /// One window, one verdict: an objective's fast burn and a check's
-    /// `counter_delta` turn on at the sample that first holds a burst,
-    /// which is the sample that dumps, and off together once the window
-    /// slides past it. A `/sloz` scrape moves neither the ring nor the
-    /// dump count.
+    /// One window, one verdict: a check's `counter_delta` turns on at the
+    /// sample that first holds a burst, which is the sample that dumps,
+    /// and off once the window slides past it. A `/healthz` scrape moves
+    /// neither the ring nor the dump count.
     #[cfg(feature = "enabled")]
     #[test]
-    fn objective_check_and_detector_share_one_window() {
+    fn check_and_dump_share_one_window() {
         let m = private_monitor();
         let dir = std::env::temp_dir().join(format!("secndp-shared-window-{}", std::process::id()));
         m.configure(HealthConfig {
@@ -729,13 +637,6 @@ mod tests {
         });
         let reg = Registry::new();
         let bad = reg.counter("shared_bad_total", &[], "t");
-        let lat = reg.histogram("shared_lat_ns", &[], "t");
-        m.add_objective(Objective::Latency {
-            name: "shared_lat".into(),
-            metric: "shared_lat_ns".into(),
-            threshold_ns: 1000,
-            target: 0.9,
-        });
         let _check = m.register("shared-check", |ctx| {
             if ctx.counter_delta("shared_bad_total") >= 4 {
                 (HealthStatus::Degraded, "burst".into())
@@ -743,48 +644,37 @@ mod tests {
                 (HealthStatus::Ok, "quiet".into())
             }
         });
-        let degraded = |name: &str| {
-            m.report()
-                .components
-                .iter()
-                .any(|c| c.component == name && c.status == HealthStatus::Degraded)
-        };
+        let degraded = || m.report().status == HealthStatus::Degraded;
         let mut seen = Vec::new();
         for i in 0..8 {
-            lat.observe(10);
             if i == 4 {
                 bad.add(4);
-                (0..5).for_each(|_| lat.observe(1 << 30));
             }
             let dumps = m.lock().dump_seq;
             m.sample(&reg);
             let fired = m.lock().dump_seq > dumps;
-            seen.push((degraded("slo"), degraded("shared-check"), fired));
+            seen.push((degraded(), fired));
         }
         // On at sample 4 (the burst), held while sample 3 is still in the
         // three-sample window, off from sample 6. The dump fires with the
         // check, once: the held verdict is the cooldown.
-        let on = |i: usize| seen[i].0 && seen[i].1;
-        assert!((0..4).all(|i| seen[i] == (false, false, false)), "{seen:?}");
-        assert!(on(4) && seen[4].2, "{seen:?}");
-        assert!(on(5) && !seen[5].2, "{seen:?}");
-        assert!((6..8).all(|i| seen[i] == (false, false, false)), "{seen:?}");
+        assert!((0..4).all(|i| seen[i] == (false, false)), "{seen:?}");
+        assert_eq!(seen[4], (true, true), "{seen:?}");
+        assert_eq!(seen[5], (true, false), "{seen:?}");
+        assert!((6..8).all(|i| seen[i] == (false, false)), "{seen:?}");
         let json = std::fs::read_to_string(m.last_flight_dump().unwrap()).unwrap();
-        assert!(
-            json.contains("shared-check: burst") && json.contains("slo: "),
-            "{json:.300}"
-        );
+        assert!(json.contains("shared-check: burst"), "{json:.300}");
 
         let state = |m: &HealthMonitor| {
             let s = m.lock();
             (s.ring.len(), s.dump_seq)
         };
         let before = state(m);
-        let sloz = crate::serve::dispatch("/sloz", "", &reg, m, &[]);
+        let healthz = crate::serve::dispatch("/healthz", "", &reg, m);
         assert!(
-            sloz.body.contains("\"name\":\"shared_lat\""),
+            healthz.body.contains("\"status\":\"ok\""),
             "{}",
-            sloz.body
+            healthz.body
         );
         assert_eq!(state(m), before);
         std::fs::remove_dir_all(&dir).ok();

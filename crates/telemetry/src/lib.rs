@@ -29,12 +29,8 @@
 //!   flamegraph-ready self-time call tree (`/profilez`), and into one
 //!   cost record per local trace root, kept as a top-K-by-latency digest.
 //! - [`health`] — one ring of registry snapshots, sampled in the
-//!   background, read through one window by component checks and [`slo`]
-//!   objectives (`/healthz`); a verdict that gets worse at a sample writes
-//!   a [`recorder`] dump.
-//! - [`slo`] — declarative latency/error objectives scored as burn rates
-//!   over the health ring's fast and slow windows (`/sloz`), degrading
-//!   `/healthz` on budget exhaustion.
+//!   background, read as one window by component checks (`/healthz`); a
+//!   verdict that gets worse at a sample writes a [`recorder`] dump.
 //!
 //! Metrics live in the process-wide [`global()`] registry and are looked up
 //! once per call site through the [`counter!`], [`gauge!`],
@@ -91,7 +87,6 @@ pub mod profile;
 pub mod recorder;
 mod registry;
 pub mod serve;
-pub mod slo;
 #[cfg(all(test, feature = "enabled"))]
 mod tests;
 pub mod trace;

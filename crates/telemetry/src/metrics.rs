@@ -363,28 +363,4 @@ impl HistogramSnapshot {
         }
         bucket_upper_bound(BUCKETS - 1) as f64
     }
-
-    /// Estimated number of samples with value ≤ `threshold`, assuming
-    /// samples are uniformly distributed within their bucket: buckets
-    /// wholly below the threshold count fully, the bucket containing it
-    /// counts the fraction of its range at or below it. This is the SLO
-    /// engine's "good events" estimator for latency objectives.
-    pub fn count_at_or_below(&self, threshold: u64) -> f64 {
-        let mut total = 0.0;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            let lb = bucket_lower_bound(i);
-            let ub = bucket_upper_bound(i);
-            if ub <= threshold {
-                total += n as f64;
-            } else if lb <= threshold {
-                let width = (ub - lb) as f64 + 1.0;
-                let covered = (threshold - lb) as f64 + 1.0;
-                total += n as f64 * covered / width;
-            }
-        }
-        total
-    }
 }

@@ -11,7 +11,6 @@
 //! | `/healthz` | [`HealthMonitor::report`](crate::health::HealthMonitor::report) as JSON; 503 when failing |
 //! | `/tracez` | the span journal as an indented tree; `?trace=<id>` filters one trace, `?limit=N` keeps the newest N traces |
 //! | `/profilez` | continuous profile, flamegraph-ready collapsed stacks; `?format=json` for JSON, `?top=K` for the K costliest queries |
-//! | `/sloz` | SLO burn rates and error budgets ([`HealthMonitor::render_sloz`](crate::health::HealthMonitor::render_sloz)) as JSON |
 //! | `/` | a plain-text index of the routes |
 //!
 //! Malformed query parameter values (a non-numeric `limit`, an unparsable
@@ -19,8 +18,8 @@
 //! document.
 //!
 //! Start it with [`ServerBuilder`] (typically
-//! `ServerBuilder::new(telemetry::global()).bind("127.0.0.1:9184")`), which
-//! also adds custom routes. The returned [`ServeHandle`]
+//! `ServerBuilder::new(telemetry::global()).bind("127.0.0.1:9184")`). The
+//! returned [`ServeHandle`]
 //! owns the accept thread: dropping it shuts the server down and joins the
 //! thread, so no thread outlives the handle.
 //!
@@ -83,41 +82,17 @@ impl HttpResponse {
     }
 }
 
-type Handler = Arc<dyn Fn() -> HttpResponse + Send + Sync>;
-
-/// Builds a scrape server over a registry, with optional custom routes.
+/// Builds a scrape server over a registry.
+#[derive(Debug)]
 pub struct ServerBuilder {
     registry: &'static Registry,
-    routes: Vec<(String, Handler)>,
-}
-
-impl std::fmt::Debug for ServerBuilder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let routes: Vec<&str> = self.routes.iter().map(|(p, _)| p.as_str()).collect();
-        f.debug_struct("ServerBuilder")
-            .field("routes", &routes)
-            .finish()
-    }
 }
 
 impl ServerBuilder {
     /// A builder serving `registry` (plus the process-wide health monitor
-    /// and span journal) on the built-in routes.
+    /// and span journal).
     pub fn new(registry: &'static Registry) -> Self {
-        Self {
-            registry,
-            routes: Vec::new(),
-        }
-    }
-
-    /// Adds a custom route (exact path match, query string ignored).
-    /// Custom routes take precedence over the built-ins.
-    pub fn route<F>(mut self, path: &str, handler: F) -> Self
-    where
-        F: Fn() -> HttpResponse + Send + Sync + 'static,
-    {
-        self.routes.push((path.to_string(), Arc::new(handler)));
-        self
+        Self { registry }
     }
 
     /// Binds `addr` (e.g. `"127.0.0.1:9184"`, port 0 for an ephemeral
@@ -133,10 +108,9 @@ impl ServerBuilder {
         let shutdown = Arc::new(AtomicBool::new(false));
         let sd = Arc::clone(&shutdown);
         let registry = self.registry;
-        let routes = self.routes;
         let thread = std::thread::Builder::new()
             .name("secndp-metrics".into())
-            .spawn(move || accept_loop(&listener, registry, &routes, &sd))?;
+            .spawn(move || accept_loop(&listener, registry, &sd))?;
         Ok(ServeHandle {
             addr: local,
             shutdown,
@@ -183,12 +157,7 @@ impl Drop for ServeHandle {
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    registry: &'static Registry,
-    routes: &[(String, Handler)],
-    shutdown: &AtomicBool,
-) {
+fn accept_loop(listener: &TcpListener, registry: &'static Registry, shutdown: &AtomicBool) {
     for conn in listener.incoming() {
         if shutdown.load(Ordering::SeqCst) {
             break;
@@ -196,7 +165,7 @@ fn accept_loop(
         let Ok(mut stream) = conn else { continue };
         let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
         let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-        let _ = serve_conn(&mut stream, registry, health::monitor(), routes);
+        let _ = serve_conn(&mut stream, registry, health::monitor());
     }
 }
 
@@ -205,7 +174,6 @@ fn serve_conn(
     stream: &mut TcpStream,
     registry: &Registry,
     monitor: &HealthMonitor,
-    routes: &[(String, Handler)],
 ) -> std::io::Result<()> {
     let mut head = Vec::new();
     let mut chunk = [0u8; 1024];
@@ -218,7 +186,7 @@ fn serve_conn(
     }
     let text = String::from_utf8_lossy(&head);
     let resp = match request_target(&text) {
-        Some((path, query)) => dispatch(&path, &query, registry, monitor, routes),
+        Some((path, query)) => dispatch(&path, &query, registry, monitor),
         None => HttpResponse::plain(400, "malformed request\n".to_string()),
     };
     write_response(stream, &resp)
@@ -347,11 +315,7 @@ pub(crate) fn dispatch(
     query: &str,
     registry: &Registry,
     monitor: &HealthMonitor,
-    routes: &[(String, Handler)],
 ) -> HttpResponse {
-    if let Some((_, handler)) = routes.iter().find(|(p, _)| p == path) {
-        return handler();
-    }
     match path {
         "/metrics" => {
             crate::process::touch_uptime();
@@ -372,10 +336,9 @@ pub(crate) fn dispatch(
         }
         "/tracez" => tracez(query).unwrap_or_else(|e| e),
         "/profilez" => profilez(query),
-        "/sloz" => HttpResponse::json(monitor.render_sloz(registry)),
         "/" => HttpResponse::text(
             "secndp telemetry\n\
-             routes: /metrics /metrics.json /healthz /tracez /profilez /sloz\n",
+             routes: /metrics /metrics.json /healthz /tracez /profilez\n",
         ),
         other => HttpResponse::plain(404, format!("no such route: {other}\n")),
     }
@@ -423,8 +386,8 @@ mod tests {
             Some(("/tracez".to_string(), "trace=t7&limit=2".to_string()))
         );
         assert_eq!(
-            request_target("POST /inject/tamper HTTP/1.1\r\n\r\n"),
-            Some(("/inject/tamper".to_string(), String::new()))
+            request_target("POST /metrics HTTP/1.1\r\n\r\n"),
+            Some(("/metrics".to_string(), String::new()))
         );
         assert_eq!(request_target(""), None);
         assert_eq!(request_target("GET\r\n"), None);
@@ -448,78 +411,61 @@ mod tests {
     #[test]
     fn dispatch_builtin_routes() {
         let reg = crate::global();
-        let m = dispatch("/metrics", "", reg, health::monitor(), &[]);
+        let m = dispatch("/metrics", "", reg, health::monitor());
         assert_eq!(m.status, 200);
         assert_eq!(m.content_type, CONTENT_TYPE_PROMETHEUS);
-        let j = dispatch("/metrics.json", "", reg, health::monitor(), &[]);
+        let j = dispatch("/metrics.json", "", reg, health::monitor());
         assert_eq!(j.content_type, "application/json");
         assert!(j.body.starts_with('{'));
-        let h = dispatch("/healthz", "", reg, health::monitor(), &[]);
+        let h = dispatch("/healthz", "", reg, health::monitor());
         assert!(h.body.contains("\"status\""));
-        assert_eq!(
-            dispatch("/tracez", "", reg, health::monitor(), &[]).status,
-            200
-        );
-        assert_eq!(
-            dispatch("/nope", "", reg, health::monitor(), &[]).status,
-            404
-        );
-        let custom: Vec<(String, Handler)> = vec![(
-            "/metrics".to_string(),
-            Arc::new(|| HttpResponse::text("override")),
-        )];
-        assert_eq!(
-            dispatch("/metrics", "", reg, health::monitor(), &custom).body,
-            "override"
-        );
+        assert_eq!(dispatch("/tracez", "", reg, health::monitor()).status, 200);
+        assert_eq!(dispatch("/nope", "", reg, health::monitor()).status, 404);
     }
 
     #[test]
-    fn dispatch_profilez_and_sloz() {
+    fn dispatch_profilez() {
         let reg = crate::global();
-        let p = dispatch("/profilez", "", reg, health::monitor(), &[]);
+        let p = dispatch("/profilez", "", reg, health::monitor());
         assert_eq!(p.status, 200);
         assert_eq!(p.content_type, "text/plain; charset=utf-8");
-        let pj = dispatch("/profilez", "format=json", reg, health::monitor(), &[]);
+        let pj = dispatch("/profilez", "format=json", reg, health::monitor());
         assert_eq!(pj.status, 200);
         assert!(pj.body.contains("\"nodes\""));
-        let top = dispatch("/profilez", "top=5", reg, health::monitor(), &[]);
+        let top = dispatch("/profilez", "top=5", reg, health::monitor());
         assert_eq!(top.status, 200);
         assert!(top.body.contains("\"top\""));
         assert_eq!(
-            dispatch("/profilez", "top=x", reg, health::monitor(), &[]).status,
+            dispatch("/profilez", "top=x", reg, health::monitor()).status,
             400
         );
         assert_eq!(
-            dispatch("/profilez", "format=xml", reg, health::monitor(), &[]).status,
+            dispatch("/profilez", "format=xml", reg, health::monitor()).status,
             400
         );
-        let s = dispatch("/sloz", "", reg, health::monitor(), &[]);
-        assert_eq!(s.status, 200);
-        assert!(s.body.contains("\"objectives\""));
     }
 
     #[test]
     fn dispatch_rejects_malformed_params() {
         let reg = crate::global();
         assert_eq!(
-            dispatch("/tracez", "trace=banana", reg, health::monitor(), &[]).status,
+            dispatch("/tracez", "trace=banana", reg, health::monitor()).status,
             400
         );
         assert_eq!(
-            dispatch("/tracez", "limit=-1", reg, health::monitor(), &[]).status,
+            dispatch("/tracez", "limit=-1", reg, health::monitor()).status,
             400
         );
         assert_eq!(
-            dispatch("/metrics.json", "limit=zz", reg, health::monitor(), &[]).status,
+            dispatch("/metrics.json", "limit=zz", reg, health::monitor()).status,
             400
         );
         assert_eq!(
-            dispatch("/tracez", "trace=t9&limit=1", reg, health::monitor(), &[]).status,
+            dispatch("/tracez", "trace=t9&limit=1", reg, health::monitor()).status,
             200
         );
         assert_eq!(
-            dispatch("/metrics.json", "limit=1", reg, health::monitor(), &[]).status,
+            dispatch("/metrics.json", "limit=1", reg, health::monitor()).status,
             200
         );
     }

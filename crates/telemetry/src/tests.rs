@@ -309,22 +309,6 @@ fn quantile_upper_bound_rejects_out_of_range() {
     let _ = h.snapshot().quantile_upper_bound(-0.1);
 }
 
-#[test]
-fn count_at_or_below_interpolates_within_bucket() {
-    let h = Histogram::new();
-    h.observe(0); // zero bucket
-    h.observe(100); // bucket [64, 127]
-    let s = h.snapshot();
-    assert_eq!(s.count_at_or_below(0), 1.0);
-    assert_eq!(s.count_at_or_below(63), 1.0);
-    assert_eq!(s.count_at_or_below(127), 2.0);
-    assert_eq!(s.count_at_or_below(u64::MAX), 2.0);
-    // Halfway through [64, 127]: 64 of the bucket's 64 values covered at
-    // 127, 32 at 95 → half the bucket's single sample.
-    let mid = s.count_at_or_below(95);
-    assert!((mid - 1.5).abs() < 1e-9, "mid={mid}");
-}
-
 // ─── label escaping (Prometheus exposition) ─────────────────────────────
 
 #[test]

@@ -1,19 +1,14 @@
 //! A SecNDP-backed inference service, end to end: verified pooling over
-//! encrypted tables, a device that turns malicious mid-stream (caught and
-//! failed over), and capacity planning with the open-loop service
-//! simulator.
+//! encrypted tables, and a device that turns malicious mid-stream (caught
+//! and failed over to an honest replica).
 //!
 //! Run with: `cargo run --release --example secure_service`
 
 use secndp::core::device::{Tamper, TamperingNdp};
 use secndp::core::{Error, HonestNdp, SecretKey, TrustedProcessor};
-use secndp::sim::config::{NdpConfig, SimConfig, VerifPlacement, NS_PER_CYCLE};
-use secndp::sim::exec::{simulate, simulate_service, Mode};
-use secndp::workloads::dlrm::model::sls_trace;
-use secndp::workloads::dlrm::DlrmConfig;
 
 fn main() {
-    // ── Phase 1: serve verified queries; survive a Trojan device. ──────
+    // Serve verified queries; survive a Trojan device.
     let pt: Vec<u32> = (0..1024 * 32).map(|x| x % 613).collect();
     let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(9));
     let table = cpu.encrypt_table(&pt, 1024, 32, 0x10_0000).unwrap();
@@ -45,31 +40,4 @@ fn main() {
         served += 1;
     }
     println!("served {served} queries; {failovers} tampered responses detected and failed over ✓");
-
-    // ── Phase 2: capacity planning for this service. ───────────────────
-    let sim = SimConfig::paper_default(NdpConfig {
-        ndp_rank: 8,
-        ndp_reg: 8,
-    })
-    .with_aes_engines(12);
-    let trace = sls_trace(&DlrmConfig::rmc1_small(), 80, 256, 5);
-    let mode = Mode::SecNdpVer(VerifPlacement::Ecc);
-    let batch = simulate(&trace, mode, &sim);
-    let svc = batch.total_cycles / batch.packets;
-    println!(
-        "\ncapacity: one packet (8 queries) every {:.1} µs at full tilt",
-        svc as f64 * NS_PER_CYCLE / 1000.0
-    );
-    for load in [50u64, 90, 130] {
-        let r = simulate_service(&trace, mode, &sim, (svc * 100 / load).max(1));
-        println!(
-            "  offered {load:>3}%: p99 response {:.1} µs{}",
-            r.response_percentile(0.99) as f64 * NS_PER_CYCLE / 1000.0,
-            if r.saturated() {
-                "  (SATURATED — shed load)"
-            } else {
-                ""
-            }
-        );
-    }
 }

@@ -29,7 +29,7 @@ fn main() {
     secndp_telemetry::install_panic_hook();
     secndp_telemetry::init_process_metrics();
     let _sampler = secndp_telemetry::health::monitor()
-        .start_sampler(secndp_telemetry::global(), HealthConfig::from_env());
+        .start_sampler(secndp_telemetry::global(), HealthConfig::default());
 
     let mut addr = String::from("127.0.0.1:0");
     let mut metrics_addr: Option<String> = None;

@@ -37,7 +37,6 @@ fn reset_health_window() {
     m.configure(HealthConfig {
         interval: Duration::from_millis(50),
         window: 2,
-        retain: 16,
         flight_dir: std::env::temp_dir(),
     });
     m.sample(secndp::telemetry::global());
@@ -192,7 +191,6 @@ fn tamper_burst_triggers_flight_dump_with_forensics() {
     m.configure(HealthConfig {
         interval: Duration::from_millis(50),
         window: 4,
-        retain: 16,
         flight_dir: dir.clone(),
     });
     let reg = secndp::telemetry::global();

@@ -9,7 +9,8 @@
 //! channel); (c) turn a killed server into a typed availability error and
 //! recover once it respawns; and (d) survive arbitrarily hostile framing
 //! — torn writes, truncated prefixes, garbage, oversized lengths — with
-//! typed errors or closed connections, never a panic.
+//! typed errors or closed connections, never a panic. The child's own
+//! `--serve-metrics` scrape endpoint answers while it serves.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -59,30 +60,44 @@ fn expected(pt: &[u32], idx: &[usize], w: &[u32]) -> Vec<u32> {
     out
 }
 
-/// A spawned `secndp-server` child plus the address it bound.
+/// A spawned `secndp-server` child plus the addresses it bound.
 struct ChildServer {
     child: Child,
     addr: String,
+    /// The scrape server's address, when spawned with `--serve-metrics`.
+    metrics: Option<String>,
 }
 
 impl ChildServer {
     /// Spawns the built server binary and blocks until it prints its
     /// `SECNDP_SERVER_LISTENING <addr>` line.
     fn spawn(addr: &str) -> Option<ChildServer> {
+        Self::spawn_with(addr, &[])
+    }
+
+    /// [`spawn`](Self::spawn) with extra flags; the scrape address a
+    /// `--serve-metrics` child prints before it listens is kept.
+    fn spawn_with(addr: &str, extra: &[&str]) -> Option<ChildServer> {
         let mut child = Command::new(env!("CARGO_BIN_EXE_secndp-server"))
             .args(["--addr", addr])
+            .args(extra)
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
             .spawn()
             .expect("spawn secndp-server");
         let stdout = child.stdout.take().expect("child stdout piped");
         let mut lines = BufReader::new(stdout).lines();
+        let mut metrics = None;
         for line in lines.by_ref() {
             let Ok(line) = line else { break };
+            if let Some((_, scrape)) = line.split_once(" on http://") {
+                metrics = Some(scrape.trim().to_string());
+            }
             if let Some(bound) = line.strip_prefix("SECNDP_SERVER_LISTENING ") {
                 return Some(ChildServer {
                     child,
                     addr: bound.trim().to_string(),
+                    metrics,
                 });
             }
         }
@@ -137,6 +152,48 @@ fn cross_process_differential_verified_sls() {
     // Rank vitals saw the live connection and the traffic.
     assert!(tcp.link().vitals(0).ever_connected());
     assert!(tcp.served(0) >= 64);
+}
+
+/// One `GET` against a scrape server: the status line's code and the body.
+fn http_get(addr: &str, path: &str) -> (u16, String) {
+    let mut conn = TcpStream::connect(addr).expect("connect to the scrape server");
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    write!(conn, "GET {path} HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+    let mut raw = String::new();
+    conn.read_to_string(&mut raw).unwrap();
+    let (head, body) = raw.split_once("\r\n\r\n").expect("a head and a body");
+    let status = head.split_whitespace().nth(1).and_then(|c| c.parse().ok());
+    (status.expect("a status code"), body.to_string())
+}
+
+/// The untrusted server is observable in its own right: spawned with
+/// `--serve-metrics`, the child answers `/metrics` and `/healthz` on its
+/// scrape address while verified queries cross its NDP socket.
+#[test]
+fn served_metrics_and_health_scrape_from_the_child() {
+    let server = ChildServer::spawn_with("127.0.0.1:0", &["--serve-metrics", "127.0.0.1:0"])
+        .expect("spawn binds");
+    let scrape = server
+        .metrics
+        .clone()
+        .expect("the child printed its scrape address");
+    let mut tcp = TcpEndpoint::connect(client_cfg(&server.addr)).unwrap();
+    let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0x5C4A));
+    let pt = plaintext();
+    let table = cpu.encrypt_table(&pt, ROWS, COLS, ADDR).unwrap();
+    let handle = cpu.publish(&table, &mut tcp).unwrap();
+    for (idx, w) in queries(8, 0x5C4A) {
+        let got = cpu.weighted_sum(&handle, &tcp, &idx, &w, true).unwrap();
+        assert_eq!(got, expected(&pt, &idx, &w));
+    }
+
+    let (status, metrics) = http_get(&scrape, "/metrics");
+    assert_eq!(status, 200, "{metrics}");
+    #[cfg(feature = "telemetry")]
+    assert!(metrics.contains("secndp_build_info"), "{metrics}");
+    let (status, health) = http_get(&scrape, "/healthz");
+    assert_eq!(status, 200, "{health}");
+    assert!(health.contains("\"status\":\"ok\""), "{health}");
 }
 
 /// Plaintext row readback across the process boundary (exercises the
