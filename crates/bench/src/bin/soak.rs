@@ -13,7 +13,7 @@
 //! corruptions.
 //!
 //! Run with:
-//! `cargo run --release -p secndp-bench --bin soak -- --seed 42 --ops 20000 [--secs S] [--ranks 3] [--rate 8] [--link inline|tcp] [--report soak.json] [--metrics-json m.json] [--trace-out t.json] [--profile-out p.collapsed]`
+//! `cargo run --release -p secndp-bench --bin soak -- --seed 42 --ops 20000 [--secs S] [--ranks 3] [--rate 8] [--link inline|tcp] [--flight-dir DIR] [--report soak.json] [--metrics-json m.json] [--trace-out t.json] [--profile-out p.collapsed]`
 //!
 //! The default link serves each rank on the caller's thread; `--link tcp`
 //! serves each from its own loopback `NetServer`, so every fault crosses
@@ -24,12 +24,12 @@
 //!
 //! The run is observed like a deployed client: the health sampler scores
 //! the `protocol` component (and each endpoint's) every second, and a
-//! verdict that gets worse writes a flight-recorder dump to
-//! `SECNDP_FLIGHT_DIR`. On exit the registry, span journal and folded
-//! profile go to the `--metrics-json`, `--trace-out` and `--profile-out`
-//! paths when given. On an invariant violation the binary prints the seed
-//! and the full fault schedule, drops one more flight dump, and exits
-//! nonzero.
+//! verdict that gets worse writes a flight-recorder dump to `--flight-dir`
+//! (default `.`), where a panic's crash dump also lands. On exit the
+//! registry, span journal and folded profile go to the `--metrics-json`,
+//! `--trace-out` and `--profile-out` paths when given. On an invariant
+//! violation the binary prints the seed and the full fault schedule, drops
+//! one more flight dump, and exits nonzero.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -58,8 +58,8 @@ const ADDR: u64 = 0x4_0000;
 const REENCRYPT_EVERY: u64 = 4096;
 
 const USAGE: &str = "usage: soak [--seed N] [--ops N] [--secs S] [--ranks N] [--rate PERMILLE] \
-                     [--link inline|tcp] [--report PATH] [--metrics-json PATH] \
-                     [--trace-out PATH] [--profile-out PATH]";
+                     [--link inline|tcp] [--flight-dir DIR] [--report PATH] \
+                     [--metrics-json PATH] [--trace-out PATH] [--profile-out PATH]";
 
 const KNOWN_FLAGS: &[&str] = &[
     "--seed",
@@ -68,6 +68,7 @@ const KNOWN_FLAGS: &[&str] = &[
     "--ranks",
     "--rate",
     "--link",
+    "--flight-dir",
     "--report",
     "--metrics-json",
     "--trace-out",
@@ -144,11 +145,17 @@ fn main() {
     }
 
     // Observed like a deployed client: crash dumps, build-info gauges and
-    // the health sampler, whose worse verdicts dump to SECNDP_FLIGHT_DIR.
-    secndp_telemetry::install_panic_hook();
+    // the health sampler, whose worse verdicts dump to the flight dir.
+    let flight_dir: PathBuf = flag(&flags, "--flight-dir").unwrap_or_else(|| ".".into());
+    secndp_telemetry::install_panic_hook_in(&flight_dir);
     secndp_telemetry::init_process_metrics();
-    let _sampler =
-        health::monitor().start_sampler(secndp_telemetry::global(), HealthConfig::default());
+    let _sampler = health::monitor().start_sampler(
+        secndp_telemetry::global(),
+        HealthConfig {
+            flight_dir,
+            ..HealthConfig::default()
+        },
+    );
 
     let injector = Arc::new(FaultInjector::new());
     let fleet = FaultyNdp::fleet(HonestNdp::new(), ranks, Arc::clone(&injector));

@@ -6,8 +6,8 @@
 //! trusted-side logic. It lives here exactly once, in [`Endpoint`]; what
 //! differs per transport is a small [`Link`] that moves frame bytes:
 //! [`InlineLink`](crate::transport::InlineLink) (in-process ranks served
-//! on the caller's thread) and [`TcpLink`](crate::net::TcpLink) (pooled
-//! sockets to a [`NetServer`](crate::net::NetServer)).
+//! on the caller's thread) and [`TcpLink`](crate::net::TcpLink) (one
+//! socket per rank to a [`NetServer`](crate::net::NetServer)).
 //!
 //! # Rules (the same on every link)
 //!
@@ -87,8 +87,6 @@ pub struct EndpointConfig {
     /// TCP link: server address per rank (`host:port`). Duplicates address
     /// several ranks on one server; the rank header tells them apart.
     pub addrs: Vec<String>,
-    /// TCP link: connections per rank; callers multiplex over the pool.
-    pub pool: usize,
     /// TCP link: connect attempts before a rank is `ConnectionLost`.
     pub connect_retries: u32,
     /// TCP link: pause between connect attempts.
@@ -103,16 +101,16 @@ impl Default for EndpointConfig {
             timeout: Duration::from_millis(1000),
             max_retries: 2,
             addrs: Vec::new(),
-            pool: 1,
             connect_retries: 20,
             connect_backoff: Duration::from_millis(25),
         }
     }
 }
 
-/// The physical path a request rides: `(rank, connection, generation)`.
-/// A link that dies fails exactly the requests on its own route.
-pub type Route = (usize, usize, u64);
+/// The physical path a request rides: `(rank, generation)`, where the
+/// generation names one connection to the rank. A link that dies fails
+/// exactly the requests on its own route.
+pub type Route = (usize, u64);
 
 /// Why a link could not carry (or stopped carrying) a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -349,7 +347,12 @@ impl<L: Link> Endpoint<L> {
         crate::metrics::transport_completion();
         let pending = Arc::new(Pending {
             table: Mutex::new(Table {
-                slots: HashMap::new(),
+                // Room for twice the window: while no more than a window
+                // of slots is live (a pipelined caller keeps no more),
+                // every rehash the insert/remove churn forces happens in
+                // place, whatever the hasher's seed, so the table never
+                // allocates once built.
+                slots: HashMap::with_capacity(2 * cfg.window),
                 waiting: 0,
                 parked: 0,
                 sleepers: 0,
@@ -453,7 +456,7 @@ impl<L: Link> Endpoint<L> {
             attempts: 1,
             deadline: now,
             submitted: now,
-            route: (rank, 0, 0),
+            route: (rank, 0),
         });
         self.dispatch(id, frame, rank, idempotent, self.cfg.timeout, &mut fresh)?;
         Ok(RequestId(id))

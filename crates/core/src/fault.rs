@@ -1239,7 +1239,7 @@ mod tests {
         }
 
         fn route(&self, rank: usize) -> Result<Route, LinkFail> {
-            Ok((rank, 0, 0))
+            Ok((rank, 0))
         }
 
         fn send(&self, _: Route, _: u64, _: &Arc<Vec<u8>>) -> Result<(), LinkFail> {
@@ -1273,7 +1273,7 @@ mod tests {
         assert_eq!(tapped(), 5);
 
         ep.link().crash(0);
-        ep.link().inner.0.fail((1, 0, 0), LinkFail::ConnLost);
+        ep.link().inner.0.fail((1, 0), LinkFail::ConnLost);
         for id in ids {
             assert!(matches!(ep.wait(id), Err(Error::ConnectionLost { .. })));
         }

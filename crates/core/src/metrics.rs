@@ -123,7 +123,7 @@ pub(crate) fn transport_completion() -> &'static Histogram {
     )
 }
 
-/// Re-establishments of a previously-connected pool slot — churn here
+/// Re-establishments of a previously-connected rank connection — churn here
 /// degrades the `net-epN` health component.
 pub(crate) fn net_reconnects() -> &'static Counter {
     secndp_telemetry::counter!(

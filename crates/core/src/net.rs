@@ -3,9 +3,9 @@
 //! SecNDP's threat model places the trusted processor and the untrusted
 //! NDP memory on opposite sides of a *channel an adversary owns*. This
 //! module puts the length-prefixed traced wire frames (unchanged, byte for
-//! byte) onto pooled `TcpStream`s: a [`NetServer`] hosts devices behind a
-//! listener, and [`TcpEndpoint`] is an [`Endpoint`] (request ids, window,
-//! deadlines, retry: see that module) over a [`TcpLink`].
+//! byte) onto one `TcpStream` per rank: a [`NetServer`] hosts devices
+//! behind a listener, and [`TcpEndpoint`] is an [`Endpoint`] (request ids,
+//! window, deadlines, retry: see that module) over a [`TcpLink`].
 //!
 //! # Net framing
 //!
@@ -26,9 +26,9 @@
 //! finish their current frame (there is no portable signal handling
 //! without a libc dependency, so drain rides the framing instead).
 //!
-//! `req_id` is the endpoint's request id: client threads share a
-//! connection and a reader thread per connection hands each reply to the
-//! pending table by id. `session` namespaces device state per client
+//! `req_id` is the endpoint's request id: client threads share a rank's
+//! one connection, and its reader thread hands each reply to the pending
+//! table by id. `session` namespaces device state per client
 //! endpoint: a [`NetServer::host_sessions`] server creates one device per
 //! `(session, rank)` pair on first use, so concurrent clients never
 //! clobber each other's tables.
@@ -41,7 +41,7 @@
 //!   component, as does a rank with no live connection.
 //! - **Route-scoped failure.** A reader that sees EOF, a reset or an
 //!   unframeable reply fails exactly the requests in flight on its own
-//!   `(rank, connection, generation)`: idempotent ones are re-sent, a
+//!   `(rank, generation)`: idempotent ones are re-sent, a
 //!   `Load` surfaces [`Error::ConnectionLost`] at once.
 //! - **The socket is untrusted.** Nothing here adds integrity: a byte
 //!   flipped on the wire is caught by the same checksum-tag verification
@@ -197,9 +197,9 @@ pub(crate) trait FrameHost: Send {
     fn serve_frame(&mut self, session: u64, rank: u32, frame: &[u8]) -> Vec<u8>;
 }
 
-/// A single device serving every session and rank — the self-hosted
-/// backend behind `SECNDP_TRANSPORT=tcp`, where one endpoint owns one
-/// wrapped device, and each rank of an in-caller link.
+/// A single device serving every session and rank — the backend of a
+/// [`TcpEndpoint::self_hosted`] endpoint, which owns one wrapped device,
+/// and each rank of an in-caller link.
 pub(crate) struct DeviceHost<D>(pub(crate) D);
 
 impl<D: NdpDevice + Send> FrameHost for DeviceHost<D> {
@@ -416,10 +416,10 @@ fn connection_loop(
 // Client
 // ---------------------------------------------------------------------------
 
-/// Liveness vitals for one rank's connection pool, feeding the `net-epN`
+/// Liveness vitals for one rank's connection, feeding the `net-epN`
 /// health component.
 #[derive(Debug, Default)]
-pub struct PoolVitals {
+pub struct ConnVitals {
     /// Currently-established connections.
     live: AtomicUsize,
     /// Whether this rank ever connected (a rank that was never used is
@@ -427,8 +427,8 @@ pub struct PoolVitals {
     ever: AtomicBool,
 }
 
-impl PoolVitals {
-    /// Currently-established connections in this rank's pool.
+impl ConnVitals {
+    /// Currently-established connections to this rank (0 or 1).
     pub fn live_connections(&self) -> usize {
         self.live.load(Ordering::Relaxed)
     }
@@ -450,7 +450,7 @@ struct LiveConn {
     gen: u64,
     alive: Arc<AtomicBool>,
     reader: Option<JoinHandle<()>>,
-    vitals: Arc<PoolVitals>,
+    vitals: Arc<ConnVitals>,
 }
 
 impl Drop for LiveConn {
@@ -467,19 +467,19 @@ impl Drop for LiveConn {
     }
 }
 
-/// One connection slot in a rank's pool. `next_gen` monotonically labels
-/// successive connections so a stale reader cannot fail a successor's
-/// requests.
+/// A rank's connection slot. `next_gen` monotonically labels successive
+/// connections so a stale reader cannot fail a successor's requests.
 struct ConnCell {
     conn: Option<LiveConn>,
     next_gen: u64,
 }
 
-/// One rank: a server address plus its connection pool.
-struct RankConns {
+/// One rank: a server address plus its one connection, which every caller
+/// multiplexes over.
+struct RankConn {
     addr: String,
-    conns: Vec<Mutex<ConnCell>>,
-    vitals: Arc<PoolVitals>,
+    cell: Mutex<ConnCell>,
+    vitals: Arc<ConnVitals>,
 }
 
 /// Process-unique session ids: the pid keeps concurrent *processes*
@@ -490,14 +490,13 @@ fn fresh_session() -> u64 {
     (u64::from(std::process::id()) << 32) | (SEQ.fetch_add(1, Ordering::Relaxed) & 0xFFFF_FFFF)
 }
 
-/// The [`Link`] to [`NetServer`] ranks over pooled TCP connections: see
-/// the [module docs](self).
+/// The [`Link`] to [`NetServer`] ranks, one TCP connection each: see the
+/// [module docs](self).
 pub struct TcpLink {
-    ranks: Vec<RankConns>,
+    ranks: Vec<RankConn>,
     done: Completer,
     session: u64,
     stop: Arc<AtomicBool>,
-    next_conn: AtomicUsize,
     /// Socket write timeout: the request deadline, at least one tick.
     write_timeout: Duration,
     connect_retries: u32,
@@ -533,8 +532,9 @@ impl Endpoint<TcpLink> {
     /// Spawns a private loopback [`NetServer`] hosting `device` and
     /// connects a single-rank endpoint to it: every frame crosses a real
     /// kernel TCP socket while the device semantics (honest, tampering,
-    /// delayed, …) are fully preserved. This is what
-    /// `SECNDP_TRANSPORT=tcp` without `SECNDP_TRANSPORT_ADDRS` rides.
+    /// delayed, …) are fully preserved. Wrapped in
+    /// [`RemoteNdp::tcp_backed`](crate::wire::RemoteNdp::tcp_backed), it
+    /// is the socket twin of [`RemoteNdp::inline`](crate::wire::RemoteNdp::inline).
     ///
     /// # Errors
     ///
@@ -568,7 +568,7 @@ pub(crate) fn require_addrs(cfg: &NetConfig) -> Result<(), Error> {
 }
 
 impl TcpLink {
-    /// One lazily connected pool per entry of `cfg.addrs`, completing
+    /// One lazily connected rank per entry of `cfg.addrs`, completing
     /// through `done`. `self_server` is dropped after the connections.
     pub(crate) fn open(cfg: &NetConfig, self_server: Option<NetServer>, done: Completer) -> Self {
         // Touch the link's instruments so they exist (as zeros) in
@@ -578,17 +578,13 @@ impl TcpLink {
         let ranks = cfg
             .addrs
             .iter()
-            .map(|addr| RankConns {
+            .map(|addr| RankConn {
                 addr: addr.clone(),
-                conns: (0..cfg.pool.max(1))
-                    .map(|_| {
-                        Mutex::new(ConnCell {
-                            conn: None,
-                            next_gen: 0,
-                        })
-                    })
-                    .collect(),
-                vitals: Arc::new(PoolVitals::default()),
+                cell: Mutex::new(ConnCell {
+                    conn: None,
+                    next_gen: 0,
+                }),
+                vitals: Arc::new(ConnVitals::default()),
             })
             .collect();
         TcpLink {
@@ -596,7 +592,6 @@ impl TcpLink {
             done,
             session: fresh_session(),
             stop: Arc::new(AtomicBool::new(false)),
-            next_conn: AtomicUsize::new(0),
             write_timeout: cfg.timeout.max(IO_TICK),
             connect_retries: cfg.connect_retries,
             connect_backoff: cfg.connect_backoff,
@@ -605,18 +600,13 @@ impl TcpLink {
     }
 
     /// Connection vitals of `rank`.
-    pub fn vitals(&self, rank: usize) -> &PoolVitals {
+    pub fn vitals(&self, rank: usize) -> &ConnVitals {
         &self.ranks[rank].vitals
     }
 
     /// Establishes (or re-establishes) the connection in `cell`, retrying
     /// with backoff up to `connect_retries` times. Returns its generation.
-    fn ensure_connected(
-        &self,
-        cell: &mut ConnCell,
-        rank: usize,
-        conn_idx: usize,
-    ) -> Result<u64, LinkFail> {
+    fn ensure_connected(&self, cell: &mut ConnCell, rank: usize) -> Result<u64, LinkFail> {
         if let Some(c) = &cell.conn {
             if c.alive.load(Ordering::SeqCst) {
                 return Ok(c.gen);
@@ -625,10 +615,10 @@ impl TcpLink {
         // Dropping the dead connection joins its reader before dialing,
         // keeping the thread count bounded across reconnect storms.
         let reconnect = cell.conn.take().is_some() || cell.next_gen > 0;
-        let pool = &self.ranks[rank];
+        let peer = &self.ranks[rank];
         let mut attempt = 0u32;
         let stream = loop {
-            match TcpStream::connect(&pool.addr) {
+            match TcpStream::connect(&peer.addr) {
                 Ok(s) => break s,
                 Err(_) if attempt < self.connect_retries => {
                     attempt += 1;
@@ -647,8 +637,8 @@ impl TcpLink {
             let done = Arc::clone(&self.done);
             let alive = Arc::clone(&alive);
             let stop = Arc::clone(&self.stop);
-            let vitals = Arc::clone(&pool.vitals);
-            let route = (rank, conn_idx, gen);
+            let vitals = Arc::clone(&peer.vitals);
+            let route = (rank, gen);
             std::thread::Builder::new()
                 .name("secndp-net-reader".into())
                 .spawn(move || reader_loop(reader_stream, done, alive, stop, vitals, route))
@@ -658,14 +648,14 @@ impl TcpLink {
         if reconnect {
             crate::metrics::net_reconnects().inc();
         }
-        pool.vitals.live.fetch_add(1, Ordering::Relaxed);
-        pool.vitals.ever.store(true, Ordering::Relaxed);
+        peer.vitals.live.fetch_add(1, Ordering::Relaxed);
+        peer.vitals.ever.store(true, Ordering::Relaxed);
         cell.conn = Some(LiveConn {
             stream,
             gen,
             alive,
             reader: Some(reader),
-            vitals: Arc::clone(&pool.vitals),
+            vitals: Arc::clone(&peer.vitals),
         });
         Ok(gen)
     }
@@ -681,19 +671,17 @@ impl Link for TcpLink {
     }
 
     fn route(&self, rank: usize) -> Result<Route, LinkFail> {
-        let pool = &self.ranks[rank];
-        let conn_idx = self.next_conn.fetch_add(1, Ordering::Relaxed) % pool.conns.len();
-        let mut cell = locked(&pool.conns[conn_idx]);
-        let gen = self.ensure_connected(&mut cell, rank, conn_idx)?;
-        Ok((rank, conn_idx, gen))
+        let mut cell = locked(&self.ranks[rank].cell);
+        let gen = self.ensure_connected(&mut cell, rank)?;
+        Ok((rank, gen))
     }
 
     fn send(&self, route: Route, id: u64, frame: &Arc<Vec<u8>>) -> Result<(), LinkFail> {
         if frame.len() > MAX_NET_FRAME {
             return Err(LinkFail::TooLarge(frame.len()));
         }
-        let (rank, conn_idx, gen) = route;
-        let mut cell = locked(&self.ranks[rank].conns[conn_idx]);
+        let (rank, gen) = route;
+        let mut cell = locked(&self.ranks[rank].cell);
         // The connection `route` picked may have died (or been replaced)
         // since; its reader has then already failed this request.
         let conn = cell
@@ -726,10 +714,8 @@ impl Drop for TcpLink {
         // Stop the readers, close every connection, then drain the
         // loopback server.
         self.stop.store(true, Ordering::SeqCst);
-        for pool in &self.ranks {
-            for cell in &pool.conns {
-                locked(cell).conn = None;
-            }
+        for rank in &self.ranks {
+            locked(&rank.cell).conn = None;
         }
         self.self_server.take();
     }
@@ -744,7 +730,7 @@ fn reader_loop(
     done: Completer,
     alive: Arc<AtomicBool>,
     stop: Arc<AtomicBool>,
-    vitals: Arc<PoolVitals>,
+    vitals: Arc<ConnVitals>,
     route: Route,
 ) {
     let stopped = || !alive.load(Ordering::SeqCst) || stop.load(Ordering::SeqCst);

@@ -81,7 +81,7 @@ impl Link for InlineLink {
     }
 
     fn route(&self, rank: usize) -> Result<Route, LinkFail> {
-        Ok((rank, 0, 0))
+        Ok((rank, 0))
     }
 
     fn send(&self, route: Route, id: u64, frame: &Arc<Vec<u8>>) -> Result<(), LinkFail> {

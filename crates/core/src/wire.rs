@@ -29,7 +29,6 @@
 //! context is non-empty, so untraced builds produce byte-identical frames.
 
 use crate::device::{validate_load, NdpDevice, NdpResponse};
-use crate::endpoint::EndpointConfig;
 use crate::error::Error;
 use crate::net::TcpEndpoint;
 use crate::transport::InlineLink;
@@ -827,25 +826,15 @@ fn traced_round_trip(via: &impl RoundTrip, req: &Request) -> Result<Response, Er
     via.round_trip(req)
 }
 
-/// A transport that could not be set up (no loopback port):
-/// every request that needs it reports the loss, typed.
-struct Unreachable;
-
-impl RoundTrip for Unreachable {
-    fn round_trip(&self, _: &Request) -> Result<Response, Error> {
-        Err(Error::ConnectionLost { attempts: 1 })
-    }
-}
-
 /// A device adaptor that forces every interaction through the byte-exact
 /// wire format, proving the protocol carries everything it needs.
 ///
-/// The transport is chosen once, at construction: [`inline`](Self::inline)
-/// serves each frame on the caller's thread, [`tcp_backed`] rides an
-/// [`Endpoint`](crate::endpoint::Endpoint) over sockets, and
-/// [`new`](Self::new) picks by the `SECNDP_TRANSPORT` environment variable.
-/// `D` names the device type behind the wire; for a remote server it is
-/// only a label.
+/// The caller picks the transport, once, at construction:
+/// [`inline`](Self::inline) serves each frame on the caller's thread, and
+/// [`tcp_backed`] rides an [`Endpoint`](crate::endpoint::Endpoint) over
+/// sockets (to a remote server, or to a private loopback one from
+/// [`TcpEndpoint::self_hosted`]). `D` names the device type behind the
+/// wire; for a remote server it is only a label.
 ///
 /// [`tcp_backed`]: Self::tcp_backed
 pub struct RemoteNdp<D> {
@@ -867,46 +856,15 @@ impl<D> RemoteNdp<D> {
         }
     }
 
-    /// Wraps an already-connected TCP endpoint, explicitly.
+    /// Wraps a TCP endpoint.
     pub fn tcp_backed(ep: TcpEndpoint) -> Self {
         Self::over(ep)
     }
 }
 
 impl<D: NdpDevice + Send + 'static> RemoteNdp<D> {
-    /// Wraps a device behind the wire. `SECNDP_TRANSPORT=tcp` routes every
-    /// frame through sockets — to the server ranks named in
-    /// `SECNDP_TRANSPORT_ADDRS` (comma-separated `host:port`; `inner` is
-    /// dropped, the server hosts the devices), else to a private loopback
-    /// [`NetServer`](crate::net::NetServer) hosting `inner`. Anything else
-    /// — or nothing — serves frames inline. Endpoints take the default
-    /// [`EndpointConfig`]. Never fails: a transport that cannot be set up
-    /// surfaces as [`Error::ConnectionLost`] from the requests that need
-    /// it.
-    pub fn new(inner: D) -> Self {
-        let cfg = EndpointConfig::default();
-        match std::env::var("SECNDP_TRANSPORT").as_deref() {
-            Ok("tcp") => {
-                let addrs: Vec<String> = std::env::var("SECNDP_TRANSPORT_ADDRS")
-                    .unwrap_or_default()
-                    .split(',')
-                    .map(|a| a.trim().to_string())
-                    .filter(|a| !a.is_empty())
-                    .collect();
-                let ep = if addrs.is_empty() {
-                    TcpEndpoint::self_hosted(inner, cfg).ok()
-                } else {
-                    TcpEndpoint::connect(EndpointConfig { addrs, ..cfg }).ok()
-                };
-                ep.map_or_else(|| Self::over(Unreachable), Self::over)
-            }
-            _ => Self::inline(inner),
-        }
-    }
-
-    /// Wraps a device behind the blocking inline transport, explicitly
-    /// (ignores `SECNDP_TRANSPORT`): an [`InlineLink`] serving each frame
-    /// on the caller's thread.
+    /// Wraps a device behind the blocking inline transport: an
+    /// [`InlineLink`] serving each frame on the caller's thread.
     pub fn inline(inner: D) -> Self {
         Self::over(InlineLink::new(vec![inner], None))
     }
@@ -922,9 +880,21 @@ impl<D> RoundTrip for RemoteNdp<D> {
 mod tests {
     use super::*;
     use crate::device::HonestNdp;
+    use crate::endpoint::EndpointConfig;
     use crate::keys::SecretKey;
     use crate::protocol::TrustedProcessor;
     use proptest::prelude::*;
+
+    /// An honest device behind each link, named: served on the caller's
+    /// thread, and over a loopback socket to a private `NetServer`.
+    fn each_link() -> [(&'static str, RemoteNdp<HonestNdp>); 2] {
+        let tcp = TcpEndpoint::self_hosted(HonestNdp::new(), EndpointConfig::default())
+            .expect("loopback bind");
+        [
+            ("inline", RemoteNdp::inline(HonestNdp::new())),
+            ("tcp", RemoteNdp::tcp_backed(tcp)),
+        ]
+    }
 
     #[test]
     fn request_frames_round_trip() {
@@ -1203,41 +1173,47 @@ mod tests {
     #[test]
     fn full_protocol_over_the_wire() {
         // The entire SecNDP protocol runs against a device reachable only
-        // through byte frames — and still verifies.
-        let mut cpu = TrustedProcessor::new(SecretKey::from_bytes([0x61; 16]));
-        let mut remote = RemoteNdp::new(HonestNdp::new());
-        let pt: Vec<u32> = (0..48).map(|x| x * 7 + 2).collect();
-        let table = cpu.encrypt_table(&pt, 6, 8, 0x9000).unwrap();
-        let handle = cpu.publish(&table, &mut remote).unwrap();
-        let res = cpu
-            .weighted_sum(&handle, &remote, &[0, 3, 5], &[1u32, 2, 3], true)
-            .unwrap();
-        for j in 0..8 {
-            assert_eq!(res[j], pt[j] + 2 * pt[24 + j] + 3 * pt[40 + j]);
+        // through byte frames — and still verifies, on either link.
+        for (link, mut remote) in each_link() {
+            let mut cpu = TrustedProcessor::new(SecretKey::from_bytes([0x61; 16]));
+            let pt: Vec<u32> = (0..48).map(|x| x * 7 + 2).collect();
+            let table = cpu.encrypt_table(&pt, 6, 8, 0x9000).unwrap();
+            let handle = cpu.publish(&table, &mut remote).unwrap();
+            let res = cpu
+                .weighted_sum(&handle, &remote, &[0, 3, 5], &[1u32, 2, 3], true)
+                .unwrap();
+            for j in 0..8 {
+                assert_eq!(res[j], pt[j] + 2 * pt[24 + j] + 3 * pt[40 + j], "{link}");
+            }
+            // Row reads too.
+            assert_eq!(
+                cpu.read_row::<u32, _>(&handle, &remote, 2).unwrap(),
+                &pt[16..24],
+                "{link}"
+            );
+            // Device errors survive the wire as typed errors.
+            assert!(
+                matches!(
+                    remote.weighted_sum::<u32>(0xdead, &[0], &[1], false),
+                    Err(Error::UnknownTable { .. })
+                ),
+                "{link}"
+            );
         }
-        // Row reads too.
-        assert_eq!(
-            cpu.read_row::<u32, _>(&handle, &remote, 2).unwrap(),
-            &pt[16..24]
-        );
-        // Device errors survive the wire as typed errors.
-        assert!(matches!(
-            remote.weighted_sum::<u32>(0xdead, &[0], &[1], false),
-            Err(Error::UnknownTable { .. })
-        ));
     }
 
     #[test]
     fn wire_works_at_all_widths() {
-        let mut cpu = TrustedProcessor::new(SecretKey::from_bytes([0x62; 16]));
-        let mut remote = RemoteNdp::new(HonestNdp::new());
-        let pt: Vec<u64> = (0..16).collect();
-        let table = cpu.encrypt_table(&pt, 4, 4, 0).unwrap();
-        let handle = cpu.publish(&table, &mut remote).unwrap();
-        let res = cpu
-            .weighted_sum(&handle, &remote, &[3], &[2u64], true)
-            .unwrap();
-        assert_eq!(res, vec![24, 26, 28, 30]);
+        for (link, mut remote) in each_link() {
+            let mut cpu = TrustedProcessor::new(SecretKey::from_bytes([0x62; 16]));
+            let pt: Vec<u64> = (0..16).collect();
+            let table = cpu.encrypt_table(&pt, 4, 4, 0).unwrap();
+            let handle = cpu.publish(&table, &mut remote).unwrap();
+            let res = cpu
+                .weighted_sum(&handle, &remote, &[3], &[2u64], true)
+                .unwrap();
+            assert_eq!(res, vec![24, 26, 28, 30], "{link}");
+        }
     }
 
     #[test]
@@ -1283,16 +1259,23 @@ mod tests {
 
     #[test]
     fn load_errors_survive_the_wire() {
-        let mut remote = RemoteNdp::new(HonestNdp::new());
-        // row_bytes does not divide the image: rejected before the round
-        // trip, with the faithful field values the wire code cannot carry.
-        assert!(matches!(
-            remote.load(0x100, vec![0u8; 10], 16, None),
-            Err(Error::ShapeMismatch {
-                got: 10,
-                expected: 16
-            })
-        ));
+        for (link, mut remote) in each_link() {
+            // row_bytes does not divide the image: rejected before the
+            // round trip, with the faithful field values the wire code
+            // cannot carry.
+            assert!(
+                matches!(
+                    remote.load(0x100, vec![0u8; 10], 16, None),
+                    Err(Error::ShapeMismatch {
+                        got: 10,
+                        expected: 16
+                    })
+                ),
+                "{link}"
+            );
+            // A valid load still acks.
+            remote.load(0x100, vec![0u8; 32], 16, None).unwrap();
+        }
         // The device-side guard holds on its own too: a torn Load frame
         // served directly comes back as the ShapeMismatch wire code.
         let frame = Request::Load {
@@ -1310,8 +1293,6 @@ mod tests {
             error_from_code(6, 0x100),
             Error::ShapeMismatch { .. }
         ));
-        // A valid load still acks.
-        remote.load(0x100, vec![0u8; 32], 16, None).unwrap();
     }
 
     /// `inner` behind a trace envelope, whatever it is — for frames the

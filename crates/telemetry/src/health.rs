@@ -163,8 +163,8 @@ pub struct HealthConfig {
     /// (default 5). A component that turns bad holds its verdict, and so
     /// dumps once, for as long as the burst stays inside this window.
     pub window: usize,
-    /// Directory flight dumps are written to (default
-    /// [`default_flight_dir`](crate::recorder::default_flight_dir)).
+    /// Directory flight dumps are written to (default `.`, the working
+    /// directory).
     pub flight_dir: PathBuf,
 }
 
@@ -173,7 +173,7 @@ impl Default for HealthConfig {
         Self {
             interval: Duration::from_millis(1000),
             window: 5,
-            flight_dir: crate::recorder::default_flight_dir(),
+            flight_dir: PathBuf::from("."),
         }
     }
 }
@@ -363,7 +363,9 @@ impl HealthMonitor {
         let (path, samples) = {
             let mut s = self.lock();
             s.dump_seq += 1;
-            let name = format!("secndp-flight-{:04}.json", s.dump_seq);
+            // The pid keeps processes sharing a flight dir apart.
+            let pid = std::process::id();
+            let name = format!("secndp-flight-{pid}-{:04}.json", s.dump_seq);
             (
                 s.cfg.flight_dir.join(name),
                 s.ring.iter().cloned().collect::<Vec<_>>(),
@@ -592,6 +594,23 @@ mod tests {
         assert_eq!(step(2), 2, "degraded → failing did not dump");
         assert_eq!(step(0), 2, "a recovery dumped");
         assert_eq!(step(1), 3, "a relapse did not dump");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Processes that share a flight dir never overwrite each other's
+    /// dumps: the name carries the pid, as a crash dump's does.
+    #[test]
+    fn flight_dump_names_carry_the_pid() {
+        let m = private_monitor();
+        let pid = std::process::id();
+        let dir = std::env::temp_dir().join(format!("secndp-dump-pid-{pid}"));
+        m.configure(HealthConfig {
+            flight_dir: dir.clone(),
+            ..HealthConfig::default()
+        });
+        let path = m.trigger_dump("unit: pid").unwrap();
+        assert_eq!(path, dir.join(format!("secndp-flight-{pid}-0001.json")));
+        assert!(path.is_file());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -94,7 +94,7 @@ pub mod trace;
 pub use export::json_escape;
 pub use metrics::{Counter, FloatGauge, Gauge, Histogram, HistogramSnapshot, BUCKETS};
 pub use process::init_process_metrics;
-pub use recorder::install_panic_hook;
+pub use recorder::install_panic_hook_in;
 pub use registry::{global, MetricKind, MetricSnapshot, Registry, Snapshot, Value};
 
 /// Looks up (registering on first use) a [`Counter`] in the global

@@ -24,8 +24,10 @@
 //! [`HealthMonitor::sample`](crate::health::HealthMonitor::sample) when a
 //! health component's verdict gets worse, by
 //! [`HealthMonitor::trigger_dump`](crate::health::HealthMonitor::trigger_dump),
-//! and by the panic hook installed with [`install_panic_hook`], which ships
-//! the same artifact as `secndp-crash-<pid>.json` before unwinding.
+//! and by the panic hook installed with [`install_panic_hook_in`], which
+//! ships the same artifact as `secndp-crash-<pid>.json` before unwinding.
+//! Where dumps land is the caller's choice: the binaries take a
+//! `--flight-dir` flag and hand it to both.
 
 use crate::registry::Snapshot;
 use std::path::{Path, PathBuf};
@@ -89,24 +91,10 @@ pub fn write_flight_dump(
     std::fs::write(path, render_flight_json(reason, samples))
 }
 
-/// The directory flight-recorder and crash dumps default to:
-/// `$SECNDP_FLIGHT_DIR`, or the current directory when unset.
-pub fn default_flight_dir() -> PathBuf {
-    std::env::var_os("SECNDP_FLIGHT_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("."))
-}
-
 /// Installs a process-wide panic hook that dumps the flight recorder (plus
-/// span journal and audit log) to `secndp-crash-<pid>.json` in
-/// [`default_flight_dir`] before unwinding, then chains to the previously
-/// installed hook. Idempotent: only the first call installs anything.
-pub fn install_panic_hook() {
-    install_panic_hook_in(default_flight_dir());
-}
-
-/// [`install_panic_hook`] with an explicit dump directory (the first call
-/// wins; later calls are no-ops).
+/// span journal and audit log) to `secndp-crash-<pid>.json` in `dir`
+/// before unwinding, then chains to the previously installed hook.
+/// Idempotent: the first call wins, later calls are no-ops.
 pub fn install_panic_hook_in(dir: impl Into<PathBuf>) {
     static ONCE: Once = Once::new();
     let dir: PathBuf = dir.into();

@@ -10,7 +10,11 @@
 //! defeats the client-side verification.
 //!
 //! Run with:
-//! `cargo run --bin secndp-server -- [--addr 127.0.0.1:7070] [--serve-metrics 127.0.0.1:9464]`
+//! `cargo run --bin secndp-server -- [--addr 127.0.0.1:7070] [--serve-metrics 127.0.0.1:9464] [--flight-dir DIR]`
+//!
+//! Flight and crash dumps land in `--flight-dir` (default `.`). A flag
+//! that is unknown or has no value exits 2 with the usage line, before
+//! anything else starts.
 //!
 //! Prints a parseable `SECNDP_SERVER_LISTENING <addr>` line once bound
 //! (the cross-process tests scrape it to learn the ephemeral port), then
@@ -22,31 +26,48 @@ use secndp_core::net::NetServer;
 use secndp_telemetry::health::HealthConfig;
 use secndp_telemetry::serve::ServerBuilder;
 use std::io::Write;
+use std::path::PathBuf;
+
+const USAGE: &str =
+    "usage: secndp-server [--addr host:port] [--serve-metrics host:port] [--flight-dir DIR]";
+
+fn usage_exit(err: &str) -> ! {
+    eprintln!("secndp-server: {err}");
+    eprintln!("{USAGE}");
+    std::process::exit(2)
+}
 
 fn main() {
-    // Observability first: crash dumps, build-info gauges, the health
-    // sampler, and (when requested) the live scrape server.
-    secndp_telemetry::install_panic_hook();
-    secndp_telemetry::init_process_metrics();
-    let _sampler = secndp_telemetry::health::monitor()
-        .start_sampler(secndp_telemetry::global(), HealthConfig::default());
-
+    // Every flag is parsed before the panic hook goes in, so a usage error
+    // exits 2 and leaves no crash dump behind.
     let mut addr = String::from("127.0.0.1:0");
     let mut metrics_addr: Option<String> = None;
+    let mut flight_dir = PathBuf::from(".");
     let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--addr" => addr = args.next().expect("--addr needs host:port"),
-            "--serve-metrics" => {
-                metrics_addr = Some(args.next().expect("--serve-metrics needs host:port"));
-            }
-            other => {
-                eprintln!("unknown flag: {other}");
-                eprintln!("usage: secndp-server [--addr host:port] [--serve-metrics host:port]");
-                std::process::exit(2);
-            }
+    while let Some(flag) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| usage_exit(&format!("{flag} needs a value")))
+        };
+        match flag.as_str() {
+            "--addr" => addr = value(),
+            "--serve-metrics" => metrics_addr = Some(value()),
+            "--flight-dir" => flight_dir = value().into(),
+            _ => usage_exit(&format!("unknown flag: {flag}")),
         }
     }
+
+    // Observability next: crash dumps, build-info gauges, the health
+    // sampler, and (when requested) the live scrape server.
+    secndp_telemetry::install_panic_hook_in(&flight_dir);
+    secndp_telemetry::init_process_metrics();
+    let _sampler = secndp_telemetry::health::monitor().start_sampler(
+        secndp_telemetry::global(),
+        HealthConfig {
+            flight_dir,
+            ..HealthConfig::default()
+        },
+    );
 
     let _metrics = metrics_addr.map(|addr| {
         let server = ServerBuilder::new(secndp_telemetry::global())

@@ -31,14 +31,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Differential test: every device implementation — opaque in-memory,
-    /// byte-addressable with each tag placement, and wire-framed — returns
-    /// the identical verified result for the same published table.
+    /// byte-addressable with each tag placement, and wire-framed on the
+    /// caller's thread and over a loopback socket — returns the identical
+    /// verified result for the same published table.
     #[test]
     fn all_device_implementations_agree(
         idx in proptest::collection::vec(0usize..ROWS, 1..6),
         w_seed in any::<u64>(),
     ) {
+        use secndp::core::net::TcpEndpoint;
         use secndp::core::wire::RemoteNdp;
+        use secndp::core::EndpointConfig;
         let weights: Vec<u32> = idx
             .iter()
             .enumerate()
@@ -52,12 +55,18 @@ proptest! {
         let h0 = cpu.publish(&table, &mut honest).unwrap();
         let want = cpu.weighted_sum(&h0, &honest, &idx, &weights, true).unwrap();
 
-        let mut remote = RemoteNdp::new(HonestNdp::new());
-        let h1 = cpu.publish(&table, &mut remote).unwrap();
-        prop_assert_eq!(
-            &cpu.weighted_sum(&h1, &remote, &idx, &weights, true).unwrap(),
-            &want
-        );
+        let tcp = TcpEndpoint::self_hosted(HonestNdp::new(), EndpointConfig::default()).unwrap();
+        for (link, mut remote) in [
+            ("inline", RemoteNdp::inline(HonestNdp::new())),
+            ("tcp", RemoteNdp::tcp_backed(tcp)),
+        ] {
+            let h1 = cpu.publish(&table, &mut remote).unwrap();
+            prop_assert_eq!(
+                &cpu.weighted_sum(&h1, &remote, &idx, &weights, true).unwrap(),
+                &want,
+                "wire over {} diverged", link
+            );
+        }
 
         for placement in [TagPlacement::Inline, TagPlacement::Separate, TagPlacement::SideBand] {
             let mut mem = MemoryBackedNdp::new(placement);

@@ -124,7 +124,7 @@ const QUERIES: usize = 32;
 /// Allocations of one verified `QUERIES`-query
 /// `weighted_sum_batch_pipelined` over PF rows on a 2-rank
 /// `AsyncEndpoint`, after one warm-up packet has registered its
-/// instruments and grown the pending table.
+/// instruments.
 fn allocs_per_packet(pf: usize) -> u64 {
     const ROWS: usize = 128;
     const COLS: usize = 32;
@@ -158,7 +158,9 @@ fn allocs_per_packet(pf: usize) -> u64 {
 
 /// Each query allocates at the inline sites above, plus the `Arc` its
 /// frame is submitted in (the pending table keeps it for a retry); the
-/// pending table itself allocates nothing once warm. The packet adds its
+/// pending table itself allocates nothing: it is built with room for
+/// twice the window, so the tombstones its churn leaves are always
+/// rehashed in place, whatever the hasher's seed. The packet adds its
 /// results' `Vec` and its queue of outstanding ids.
 #[test]
 fn pipelined_packet_allocations_are_pinned() {

@@ -185,7 +185,7 @@ impl Rig for Tcp {
 /// An endpoint connected to a hand-rolled socket server: net framing in,
 /// an honest device behind it, and for every reply frame the frames
 /// `rewrite` makes of it out, one record each. One connection is all a
-/// pool of one ever opens.
+/// rank ever opens.
 fn rogue_server(rewrite: fn(Vec<u8>) -> Vec<Vec<u8>>) -> TcpEndpoint {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addrs = vec![listener.local_addr().unwrap().to_string()];

@@ -1,11 +1,11 @@
 //! Concurrency stress for the TCP transport: 8 client threads hammer one
-//! spawned `secndp-server` process through a deliberately small
-//! connection pool, so the request-id demultiplexer is forced to
-//! interleave many in-flight requests per socket. Every result must
-//! verify *and* equal both the inline transport's answer and the
-//! plaintext ground truth per query (a cross-wired reply would produce a
-//! verification failure or a differential mismatch), and afterwards the
-//! endpoint counters must reconcile exactly:
+//! spawned `secndp-server` process over the rank's one connection, so the
+//! request-id demultiplexer is forced to interleave many in-flight
+//! requests on that socket. Every result must verify *and* equal both the
+//! inline transport's answer and the plaintext ground truth per query (a
+//! cross-wired reply would produce a verification failure or a
+//! differential mismatch), and afterwards the endpoint counters must
+//! reconcile exactly:
 //! `submitted + retries == completed + timeouts + connection failures`.
 //!
 //! This file is a separate integration-test binary on purpose — it owns
@@ -81,11 +81,10 @@ fn eight_threads_hundreds_of_queries_verify_and_counters_reconcile() {
     let pt: Vec<u32> = (0..ROWS * COLS).map(|x| (x * 29 + 3) as u32).collect();
     let table = cpu.encrypt_table(&pt, ROWS, COLS, ADDR).unwrap();
 
-    // Two pooled connections for eight threads: the demux has to carry
-    // several in-flight request ids per socket at all times.
+    // One connection for eight threads: the demux has to carry several
+    // in-flight request ids on it at all times.
     let mut tcp = TcpEndpoint::connect(NetConfig {
         addrs: vec![addr],
-        pool: 2,
         timeout: Duration::from_millis(10_000),
         ..NetConfig::default()
     })
@@ -136,8 +135,8 @@ fn eight_threads_hundreds_of_queries_verify_and_counters_reconcile() {
         "every query must verify and match inline + plaintext"
     );
 
-    // Both pool connections carried traffic and are still live.
-    assert!(tcp.link().vitals(0).live_connections() >= 1);
+    // The one connection carried all the traffic and is still live.
+    assert_eq!(tcp.link().vitals(0).live_connections(), 1);
     assert_eq!(
         tcp.served(0) as usize,
         THREADS * QUERIES_PER_THREAD + 1, // + the publish load

@@ -602,3 +602,27 @@ fn trace_ids_stitch_across_the_socket() {
         "server-side ndp_serve span must stitch into the caller's trace"
     );
 }
+
+/// A flag with no value is a usage error: exit 2 with the usage line, and,
+/// since every flag is parsed before the panic hook goes in, no crash dump
+/// in the working directory.
+#[test]
+fn flag_without_value_exits_2_and_leaves_no_crash_dump() {
+    let dir = std::env::temp_dir().join(format!("secndp-usage-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_secndp-server"))
+        .arg("--addr")
+        .current_dir(&dir)
+        .output()
+        .expect("run secndp-server");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+    let dumps: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|name| name.starts_with("secndp-crash-"))
+        .collect();
+    assert!(dumps.is_empty(), "a usage error left {dumps:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -3,16 +3,35 @@
 //! span tree (processor- and device-side spans share the trace id carried
 //! in the traced wire frames), exportable as well-formed Chrome
 //! `trace_event` JSON — and a tampered response must leave a security
-//! audit record stamped with that same trace id.
+//! audit record stamped with that same trace id. Both hold on each link:
+//! served on the caller's thread, and across a loopback socket, where the
+//! device side runs on a server thread and only the frame carries the
+//! trace.
 #![cfg(feature = "telemetry")]
 
 use std::collections::{HashMap, HashSet};
 
 use secndp::core::device::{Tamper, TamperingNdp};
+use secndp::core::net::TcpEndpoint;
 use secndp::core::wire::RemoteNdp;
-use secndp::core::{AsyncEndpoint, Error, HonestNdp, SecretKey, TransportConfig, TrustedProcessor};
+use secndp::core::{
+    AsyncEndpoint, EndpointConfig, Error, HonestNdp, NdpDevice, SecretKey, TransportConfig,
+    TrustedProcessor,
+};
 use secndp::telemetry::audit::audit_log;
 use secndp::telemetry::trace::{self, SpanEvent, SpanEventKind};
+
+/// `dev()` behind each link, named: served on the caller's thread, and
+/// over a loopback socket to a private `NetServer`.
+fn each_link<D: NdpDevice + Send + 'static>(
+    dev: impl Fn() -> D,
+) -> [(&'static str, RemoteNdp<D>); 2] {
+    let tcp = TcpEndpoint::self_hosted(dev(), EndpointConfig::default()).expect("loopback bind");
+    [
+        ("inline", RemoteNdp::inline(dev())),
+        ("tcp", RemoteNdp::tcp_backed(tcp)),
+    ]
+}
 
 /// Runs `f` under a fresh explicit root span and returns the trace id it
 /// pinned plus the journal events belonging to that trace.
@@ -31,95 +50,99 @@ fn traced<R>(f: impl FnOnce() -> R) -> (u64, R, Vec<SpanEvent>) {
 
 #[test]
 fn batched_query_produces_one_connected_span_tree() {
-    let (tid, _, events) = traced(|| {
-        let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0x7AC6));
-        let mut ndp = RemoteNdp::new(HonestNdp::new());
-        let rows = 16;
-        let cols = 8;
-        let pt: Vec<u32> = (0..rows * cols).map(|x| x as u32).collect();
-        let table = cpu.encrypt_table(&pt, rows, cols, 0x4000).unwrap();
-        let handle = cpu.publish(&table, &mut ndp).unwrap();
-        let queries: Vec<(Vec<usize>, Vec<u32>)> =
-            (0..3).map(|q| (vec![q, q + 4], vec![1u32, 2])).collect();
-        let res = cpu
-            .weighted_sum_batch(&handle, &ndp, &queries, true)
-            .unwrap();
-        assert_eq!(res.len(), 3);
-    });
+    for (link, mut ndp) in each_link(HonestNdp::new) {
+        let (tid, _, events) = traced(|| {
+            let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0x7AC6));
+            let rows = 16;
+            let cols = 8;
+            let pt: Vec<u32> = (0..rows * cols).map(|x| x as u32).collect();
+            let table = cpu.encrypt_table(&pt, rows, cols, 0x4000).unwrap();
+            let handle = cpu.publish(&table, &mut ndp).unwrap();
+            let queries: Vec<(Vec<usize>, Vec<u32>)> =
+                (0..3).map(|q| (vec![q, q + 4], vec![1u32, 2])).collect();
+            let res = cpu
+                .weighted_sum_batch(&handle, &ndp, &queries, true)
+                .unwrap();
+            assert_eq!(res.len(), 3);
+        });
 
-    // Every begin has a matching end within the trace.
-    let begins: HashMap<u64, &SpanEvent> = events
-        .iter()
-        .filter(|e| e.kind == SpanEventKind::Begin)
-        .map(|e| (e.span.0, e))
-        .collect();
-    let ends: HashSet<u64> = events
-        .iter()
-        .filter(|e| e.kind == SpanEventKind::End)
-        .map(|e| e.span.0)
-        .collect();
-    assert!(!begins.is_empty());
-    assert_eq!(
-        begins.keys().copied().collect::<HashSet<_>>(),
-        ends,
-        "every span of the trace is complete"
-    );
-
-    // Connectedness: exactly one root, and every other span's parent is a
-    // span of the same trace — the processor- and device-side timelines
-    // form ONE tree even though the device only saw wire frames.
-    let ids: HashSet<u64> = begins.keys().copied().collect();
-    let roots: Vec<&&SpanEvent> = begins.values().filter(|e| e.parent.0 == 0).collect();
-    assert_eq!(roots.len(), 1, "single root span");
-    assert_eq!(roots[0].name, "test_query_root");
-    for e in begins.values() {
-        assert!(
-            e.parent.0 == 0 || ids.contains(&e.parent.0),
-            "span {} ({}) has out-of-trace parent {}",
-            e.span,
-            e.name,
-            e.parent
+        // Every begin has a matching end within the trace.
+        let begins: HashMap<u64, &SpanEvent> = events
+            .iter()
+            .filter(|e| e.kind == SpanEventKind::Begin)
+            .map(|e| (e.span.0, e))
+            .collect();
+        let ends: HashSet<u64> = events
+            .iter()
+            .filter(|e| e.kind == SpanEventKind::End)
+            .map(|e| e.span.0)
+            .collect();
+        assert!(!begins.is_empty(), "{link}");
+        assert_eq!(
+            begins.keys().copied().collect::<HashSet<_>>(),
+            ends,
+            "{link}: every span of the trace is complete"
         );
+
+        // Connectedness: exactly one root, and every other span's parent is a
+        // span of the same trace — the processor- and device-side timelines
+        // form ONE tree even though the device only saw wire frames.
+        let ids: HashSet<u64> = begins.keys().copied().collect();
+        let roots: Vec<&&SpanEvent> = begins.values().filter(|e| e.parent.0 == 0).collect();
+        assert_eq!(roots.len(), 1, "{link}: single root span");
+        assert_eq!(roots[0].name, "test_query_root");
+        for e in begins.values() {
+            assert!(
+                e.parent.0 == 0 || ids.contains(&e.parent.0),
+                "{link}: span {} ({}) has out-of-trace parent {}",
+                e.span,
+                e.name,
+                e.parent
+            );
+        }
+
+        // Both sides of the trust boundary are present in the same trace.
+        let names: HashSet<&str> = begins.values().map(|e| e.name).collect();
+        for want in [
+            "weighted_sum_batch",
+            trace::names::PAD_GEN,
+            trace::names::WIRE_ROUND_TRIP,
+            trace::names::WIRE_ENCODE,
+            trace::names::NDP_SERVE,
+            "device_weighted_sum",
+            trace::names::NDP_COMPUTE,
+            trace::names::VERIFY,
+            trace::names::DECRYPT,
+        ] {
+            assert!(
+                names.contains(want),
+                "{link}: missing span {want:?} in {names:?}"
+            );
+        }
+
+        // The device-side dispatch span hangs under the processor-side wire
+        // span — the stitch the traced frame envelope exists for.
+        let serve = begins
+            .values()
+            .find(|e| e.name == trace::names::NDP_SERVE)
+            .unwrap();
+        assert_eq!(
+            begins[&serve.parent.0].name,
+            trace::names::WIRE_ROUND_TRIP,
+            "{link}: ndp_serve stitches under wire_round_trip"
+        );
+
+        // The filtered trace exports as well-formed Chrome trace JSON.
+        let json = trace::render_chrome_trace(&events);
+        assert!(json.starts_with("{\"displayTimeUnit\":\"ns\",\"traceEvents\":["));
+        assert!(json.ends_with("]}\n"));
+        let b = json.matches("\"ph\":\"B\"").count();
+        let e = json.matches("\"ph\":\"E\"").count();
+        assert_eq!(b, e, "{link}: every B has a matching E");
+        assert_eq!(b, begins.len());
+        assert!(json.contains(&format!("\"tid\":{tid},")));
+        assert!(json.contains(&format!("\"trace\":{tid},")));
     }
-
-    // Both sides of the trust boundary are present in the same trace.
-    let names: HashSet<&str> = begins.values().map(|e| e.name).collect();
-    for want in [
-        "weighted_sum_batch",
-        trace::names::PAD_GEN,
-        trace::names::WIRE_ROUND_TRIP,
-        trace::names::WIRE_ENCODE,
-        trace::names::NDP_SERVE,
-        "device_weighted_sum",
-        trace::names::NDP_COMPUTE,
-        trace::names::VERIFY,
-        trace::names::DECRYPT,
-    ] {
-        assert!(names.contains(want), "missing span {want:?} in {names:?}");
-    }
-
-    // The device-side dispatch span hangs under the processor-side wire
-    // span — the stitch the traced frame envelope exists for.
-    let serve = begins
-        .values()
-        .find(|e| e.name == trace::names::NDP_SERVE)
-        .unwrap();
-    assert_eq!(
-        begins[&serve.parent.0].name,
-        trace::names::WIRE_ROUND_TRIP,
-        "ndp_serve stitches under wire_round_trip"
-    );
-
-    // The filtered trace exports as well-formed Chrome trace JSON.
-    let json = trace::render_chrome_trace(&events);
-    assert!(json.starts_with("{\"displayTimeUnit\":\"ns\",\"traceEvents\":["));
-    assert!(json.ends_with("]}\n"));
-    let b = json.matches("\"ph\":\"B\"").count();
-    let e = json.matches("\"ph\":\"E\"").count();
-    assert_eq!(b, e, "every B has a matching E");
-    assert_eq!(b, begins.len());
-    assert!(json.contains(&format!("\"tid\":{tid},")));
-    assert!(json.contains(&format!("\"trace\":{tid},")));
 }
 
 /// The OTP PU regenerates every pad, once per query: each verified query
@@ -189,37 +212,36 @@ fn pad_gen_nests_under_decrypt_and_no_pad_cache_span_exists() {
 
 #[test]
 fn tampered_response_leaves_audit_event_in_the_same_trace() {
-    let (tid, handle_info, _) = traced(|| {
-        let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0xE71));
-        let mut evil = RemoteNdp::new(TamperingNdp::new(Tamper::FlipResultBit {
-            element: 0,
-            bit: 3,
-        }));
-        let pt: Vec<u32> = (0..64).collect();
-        let table = cpu.encrypt_table(&pt, 8, 8, 0x6000).unwrap();
-        let handle = cpu.publish(&table, &mut evil).unwrap();
-        let err = cpu
-            .weighted_sum(&handle, &evil, &[0, 1], &[1u32, 1], true)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            Error::VerificationFailed { table_addr: 0x6000 }
-        ));
-        (handle.region().0, handle.version())
-    });
-    let (region, version) = handle_info;
+    let flip = || TamperingNdp::new(Tamper::FlipResultBit { element: 0, bit: 3 });
+    for (link, mut evil) in each_link(flip) {
+        let (tid, handle_info, _) = traced(|| {
+            let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0xE71));
+            let pt: Vec<u32> = (0..64).collect();
+            let table = cpu.encrypt_table(&pt, 8, 8, 0x6000).unwrap();
+            let handle = cpu.publish(&table, &mut evil).unwrap();
+            let err = cpu
+                .weighted_sum(&handle, &evil, &[0, 1], &[1u32, 1], true)
+                .unwrap_err();
+            assert!(
+                matches!(err, Error::VerificationFailed { table_addr: 0x6000 }),
+                "{link}: {err:?}"
+            );
+            (handle.region().0, handle.version())
+        });
+        let (region, version) = handle_info;
 
-    let ev = audit_log()
-        .snapshot()
-        .into_iter()
-        .find(|e| e.trace.0 == tid)
-        .expect("audit event stamped with the query's trace id");
-    assert_eq!(ev.kind, "verification_failed");
-    assert_eq!(ev.table_addr, 0x6000);
-    assert_eq!(ev.region, region);
-    assert_eq!(ev.version, version);
-    assert_eq!(ev.scheme, "single_s");
-    assert!(ev.span.0 != 0, "recorded inside an open span");
+        let ev = audit_log()
+            .snapshot()
+            .into_iter()
+            .find(|e| e.trace.0 == tid)
+            .unwrap_or_else(|| panic!("{link}: no audit event stamped with the query's trace id"));
+        assert_eq!(ev.kind, "verification_failed");
+        assert_eq!(ev.table_addr, 0x6000);
+        assert_eq!(ev.region, region);
+        assert_eq!(ev.version, version);
+        assert_eq!(ev.scheme, "single_s");
+        assert!(ev.span.0 != 0, "recorded inside an open span");
+    }
 }
 
 /// The journal is sized to hold one whole pipelined batch of the paper's
