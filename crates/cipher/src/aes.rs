@@ -10,6 +10,7 @@
 //! *encrypts* counter blocks (counter-mode usage), but the inverse cipher is
 //! exercised by round-trip tests to validate key expansion.
 
+use crate::otp::{CounterRun, PAD_WINDOW_BLOCKS};
 use std::fmt;
 
 /// AES block size in bytes (`w_c = 128` bits in the paper's notation).
@@ -56,6 +57,40 @@ pub trait BlockCipher: Send + Sync {
         let mut out = vec![[0u8; BLOCK_BYTES]; blocks.len()];
         self.encrypt_blocks_into(blocks, &mut out);
         out
+    }
+
+    /// Encrypts the counter blocks of `runs`, run after run, into `out`:
+    /// the pad stream of [`OtpGenerator::stream_pads`](crate::OtpGenerator::stream_pads).
+    ///
+    /// The default serializes the counters into a window of
+    /// [`PAD_WINDOW_BLOCKS`] blocks and encrypts each window with one
+    /// [`encrypt_blocks_into`](Self::encrypt_blocks_into) call; `Aes128Fast`
+    /// overrides it to build the counters in registers. Both produce the
+    /// bytes the scalar [`encrypt_block`](Self::encrypt_block) gives each
+    /// counter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` does not hold exactly the runs' blocks.
+    fn encrypt_runs_into(&self, runs: &[CounterRun], out: &mut [Block]) {
+        assert_eq!(
+            CounterRun::total(runs),
+            out.len(),
+            "runs and output length differ"
+        );
+        let mut counters = [[0u8; BLOCK_BYTES]; PAD_WINDOW_BLOCKS];
+        let (mut n, mut done) = (0, 0);
+        for run in runs {
+            for j in 0..run.blocks() {
+                counters[n] = run.counter(j);
+                n += 1;
+                if n == PAD_WINDOW_BLOCKS {
+                    self.encrypt_blocks_into(&counters, &mut out[done..done + n]);
+                    (done, n) = (done + n, 0);
+                }
+            }
+        }
+        self.encrypt_blocks_into(&counters[..n], &mut out[done..]);
     }
 }
 

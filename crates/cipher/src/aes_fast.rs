@@ -26,6 +26,7 @@
 //! the FIPS-197 vectors are checked independently on each.
 
 use crate::aes::{Block, BlockCipher, BLOCK_BYTES};
+use crate::otp::CounterRun;
 
 /// The forward S-box, duplicated here to build the T-tables at first use.
 #[rustfmt::skip]
@@ -114,7 +115,7 @@ enum RoundKeys {
     /// Eleven round keys as little-endian 128-bit words (the byte order an
     /// XMM register loads). Built only by [`Aes128Fast::new`], only after
     /// `aes` and `sse2` were detected on the running CPU — the dispatch in
-    /// `encrypt_blocks_into` relies on that.
+    /// `Aes128Fast::encrypt` relies on that.
     #[cfg(target_arch = "x86_64")]
     AesNi([u128; 11]),
     /// Forty-four big-endian words for the T-table rounds.
@@ -205,11 +206,19 @@ impl Aes128Fast {
     }
 }
 
+/// What one cipher call encrypts: serialized blocks, or counter runs whose
+/// blocks the rounds build in registers from `(high, version)`.
+#[derive(Clone, Copy)]
+enum Input<'a> {
+    Blocks(&'a [Block]),
+    Runs(&'a [CounterRun]),
+}
+
 /// The AES-NI rounds. Everything here is safe code compiled for `aes` +
 /// `sse2`; only calling in from code compiled without them is not.
 #[cfg(target_arch = "x86_64")]
 mod ni {
-    use super::Block;
+    use super::{Block, Input};
     use core::arch::x86_64::{
         __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_cvtsi128_si64, _mm_set_epi64x,
         _mm_unpackhi_epi64, _mm_xor_si128,
@@ -233,17 +242,13 @@ mod ni {
         ((u128::from(hi) << 64) | u128::from(lo)).to_le_bytes()
     }
 
-    /// `N` blocks with their rounds interleaved.
+    /// `N` blocks with their rounds interleaved, into the first `N` of
+    /// `out`.
     #[inline]
     #[target_feature(enable = "aes,sse2")]
-    fn encrypt_lanes<const N: usize>(
-        rk: &[__m128i; 11],
-        blocks: &[Block; N],
-        out: &mut [Block; N],
-    ) {
-        let mut s = [rk[0]; N];
-        for (x, b) in s.iter_mut().zip(blocks) {
-            *x = _mm_xor_si128(load(u128::from_le_bytes(*b)), rk[0]);
+    fn rounds<const N: usize>(rk: &[__m128i; 11], mut s: [__m128i; N], out: &mut [Block]) {
+        for x in &mut s {
+            *x = _mm_xor_si128(*x, rk[0]);
         }
         for k in &rk[1..10] {
             for x in &mut s {
@@ -255,24 +260,124 @@ mod ni {
         }
     }
 
-    /// Encrypts `blocks` into `out` (equal lengths, checked by the caller):
-    /// [`LANES`] at a time, then the remainder one by one.
+    /// Encrypts `input` into `out` (equal lengths, checked by the caller),
+    /// [`LANES`] blocks at a time; a remainder takes one more pass of the
+    /// lanes, of which only its blocks are stored. A run's counters are
+    /// made in the lanes: a whole set of lanes from one run at once, and
+    /// what is left over gathered across runs.
     #[target_feature(enable = "aes,sse2")]
-    pub(super) fn encrypt_blocks(keys: &[u128; 11], blocks: &[Block], out: &mut [Block]) {
+    pub(super) fn encrypt(keys: &[u128; 11], input: Input<'_>, out: &mut [Block]) {
         let mut rk = [load(0); 11];
         for (r, k) in rk.iter_mut().zip(keys) {
             *r = load(*k);
         }
-        let mut ins = blocks.chunks_exact(LANES);
-        let mut outs = out.chunks_exact_mut(LANES);
-        for (b, o) in (&mut ins).zip(&mut outs) {
-            let b: &[Block; LANES] = b.try_into().expect("chunks_exact yields LANES blocks");
-            let o: &mut [Block; LANES] = o.try_into().expect("chunks_exact yields LANES blocks");
-            encrypt_lanes(&rk, b, o);
+        match input {
+            Input::Blocks(blocks) => {
+                let mut outs = out.chunks_exact_mut(LANES);
+                let mut ins = blocks.chunks_exact(LANES);
+                for (b, o) in (&mut ins).zip(&mut outs) {
+                    let mut s = [rk[0]; LANES];
+                    for (x, b) in s.iter_mut().zip(b) {
+                        *x = load(u128::from_le_bytes(*b));
+                    }
+                    rounds(&rk, s, o);
+                }
+                let mut s = [rk[0]; LANES];
+                for (x, b) in s.iter_mut().zip(ins.remainder()) {
+                    *x = load(u128::from_le_bytes(*b));
+                }
+                rounds(&rk, s, outs.into_remainder());
+            }
+            Input::Runs(runs) => {
+                // Leftover counters wait as whole registers: a lane stored
+                // and later loaded at one width has its load forwarded.
+                let mut waiting = [rk[0]; LANES];
+                let (mut n, mut done) = (0, 0);
+                for run in runs {
+                    let mut j = 0;
+                    while n == 0 && run.blocks() - j >= LANES {
+                        let mut s = [rk[0]; LANES];
+                        for (k, x) in s.iter_mut().enumerate() {
+                            *x = counter(run.high(j + k), run.version());
+                        }
+                        rounds(&rk, s, &mut out[done..done + LANES]);
+                        (done, j) = (done + LANES, j + LANES);
+                    }
+                    for j in j..run.blocks() {
+                        waiting[n] = counter(run.high(j), run.version());
+                        n += 1;
+                        if n == LANES {
+                            rounds(&rk, waiting, &mut out[done..done + LANES]);
+                            (done, n) = (done + LANES, 0);
+                        }
+                    }
+                }
+                rounds(&rk, waiting, &mut out[done..done + n]);
+            }
         }
-        for (b, o) in ins.remainder().iter().zip(outs.into_remainder()) {
-            encrypt_lanes(&rk, core::array::from_ref(b), core::array::from_mut(o));
+    }
+
+    /// The counter block whose first eight bytes encode `high` and last
+    /// eight `version`, both big-endian, as the register a load of its
+    /// bytes would give: byte-swapped as integers, one instruction each,
+    /// and moved into the lane.
+    #[inline]
+    #[target_feature(enable = "aes,sse2")]
+    fn counter(high: u64, version: u64) -> __m128i {
+        _mm_set_epi64x(version.swap_bytes() as i64, high.swap_bytes() as i64)
+    }
+}
+
+/// A block as the four big-endian words the T-table rounds take.
+#[inline]
+fn words(block: &Block) -> [u32; 4] {
+    core::array::from_fn(|w| {
+        u32::from_be_bytes([
+            block[4 * w],
+            block[4 * w + 1],
+            block[4 * w + 2],
+            block[4 * w + 3],
+        ])
+    })
+}
+
+/// The counter block `high ‖ version` as the T-table rounds' words,
+/// built from the integers without serializing them.
+#[inline]
+fn counter_words(high: u64, version: u64) -> [u32; 4] {
+    [
+        (high >> 32) as u32,
+        high as u32,
+        (version >> 32) as u32,
+        version as u32,
+    ]
+}
+
+/// Encrypts `input` into `out` (equal lengths, checked by the caller) on
+/// the T-tables: four lanes at a time, then the remainder one by one.
+fn table_encrypt(rk: &[u32; 44], input: Input<'_>, out: &mut [Block]) {
+    let mut quad = [[0u32; 4]; 4];
+    let (mut n, mut done) = (0, 0);
+    let mut push = |x: [u32; 4]| {
+        quad[n] = x;
+        n += 1;
+        if n == 4 {
+            out[done..done + 4].copy_from_slice(&table_encrypt4(rk, quad));
+            (done, n) = (done + 4, 0);
         }
+    };
+    match input {
+        Input::Blocks(blocks) => blocks.iter().for_each(|b| push(words(b))),
+        Input::Runs(runs) => {
+            for run in runs {
+                for j in 0..run.blocks() {
+                    push(counter_words(run.high(j), run.version()));
+                }
+            }
+        }
+    }
+    for (k, x) in quad[..n].iter().enumerate() {
+        out[done + k] = table_encrypt1(rk, *x);
     }
 }
 
@@ -283,11 +388,11 @@ mod ni {
 /// T-table load latency behind the other lanes' arithmetic. Produces
 /// exactly the same bytes as four [`table_encrypt1`] calls.
 #[inline]
-fn table_encrypt4(rk: &[u32; 44], blocks: &[Block; 4]) -> [Block; 4] {
-    let mut s = [[0u32; 4]; 4];
-    for (lane, blk) in blocks.iter().enumerate() {
-        for w in 0..4 {
-            s[lane][w] = u32::from_be_bytes(blk[4 * w..4 * w + 4].try_into().unwrap()) ^ rk[w];
+fn table_encrypt4(rk: &[u32; 44], input: [[u32; 4]; 4]) -> [Block; 4] {
+    let mut s = input;
+    for lane in s.iter_mut() {
+        for (w, k) in lane.iter_mut().zip(rk) {
+            *w ^= k;
         }
     }
 
@@ -335,11 +440,12 @@ fn table_encrypt4(rk: &[u32; 44], blocks: &[Block; 4]) -> [Block; 4] {
 }
 
 /// One block through the T-table rounds.
-fn table_encrypt1(rk: &[u32; 44], block: &Block) -> Block {
-    let mut s0 = u32::from_be_bytes(block[0..4].try_into().unwrap()) ^ rk[0];
-    let mut s1 = u32::from_be_bytes(block[4..8].try_into().unwrap()) ^ rk[1];
-    let mut s2 = u32::from_be_bytes(block[8..12].try_into().unwrap()) ^ rk[2];
-    let mut s3 = u32::from_be_bytes(block[12..16].try_into().unwrap()) ^ rk[3];
+fn table_encrypt1(rk: &[u32; 44], input: [u32; 4]) -> Block {
+    let [mut s0, mut s1, mut s2, mut s3] = input;
+    s0 ^= rk[0];
+    s1 ^= rk[1];
+    s2 ^= rk[2];
+    s3 ^= rk[3];
 
     for round in 1..10 {
         let k = 4 * round;
@@ -396,29 +502,35 @@ impl BlockCipher for Aes128Fast {
         16
     }
 
-    #[allow(unsafe_code)]
     fn encrypt_blocks_into(&self, blocks: &[Block], out: &mut [Block]) {
         assert_eq!(blocks.len(), out.len(), "batch and output length differ");
+        self.encrypt(Input::Blocks(blocks), out);
+    }
+
+    fn encrypt_runs_into(&self, runs: &[CounterRun], out: &mut [Block]) {
+        assert_eq!(
+            CounterRun::total(runs),
+            out.len(),
+            "runs and output length differ"
+        );
+        self.encrypt(Input::Runs(runs), out);
+    }
+}
+
+impl Aes128Fast {
+    /// The one dispatch onto the path picked at keying.
+    #[allow(unsafe_code)]
+    fn encrypt(&self, input: Input<'_>, out: &mut [Block]) {
         match &self.keys {
             #[cfg(target_arch = "x86_64")]
             RoundKeys::AesNi(keys) => {
                 // SAFETY: `RoundKeys::AesNi` is built only in `Aes128Fast::new`,
                 // after `is_x86_feature_detected!` reported both `aes` and
-                // `sse2` on this CPU — the features `ni::encrypt_blocks` is
-                // compiled for. The callee itself is safe code.
-                unsafe { ni::encrypt_blocks(keys, blocks, out) }
+                // `sse2` on this CPU — the features `ni::encrypt` is compiled
+                // for. The callee itself is safe code.
+                unsafe { ni::encrypt(keys, input, out) }
             }
-            RoundKeys::Table(rk) => {
-                let mut chunks = blocks.chunks_exact(4);
-                let mut outs = out.chunks_exact_mut(4);
-                for (quad, o) in (&mut chunks).zip(&mut outs) {
-                    let quad: &[Block; 4] = quad.try_into().unwrap();
-                    o.copy_from_slice(&table_encrypt4(rk, quad));
-                }
-                for (b, o) in chunks.remainder().iter().zip(outs.into_remainder()) {
-                    *o = table_encrypt1(rk, b);
-                }
-            }
+            RoundKeys::Table(rk) => table_encrypt(rk, input, out),
         }
     }
 }

@@ -44,4 +44,6 @@ pub use aes::{Aes128, Aes256, BlockCipher, BLOCK_BYTES};
 pub use aes_fast::Aes128Fast;
 pub use cache::{PadCache, PadCacheStats};
 pub use engine::{AesEngineModel, EngineConfig};
-pub use otp::{first_127_bits, CounterBlock, Domain, OtpGenerator, PadPlanner, PadRange};
+pub use otp::{
+    first_127_bits, CounterBlock, CounterRun, Domain, OtpGenerator, PadPlanner, PadRange,
+};

@@ -26,8 +26,8 @@ pub const MAX_ADDR: u64 = (1 << 62) - 1;
 
 /// Counter blocks [`OtpGenerator::stream_pads`] encrypts per cipher call:
 /// 1 KiB of pad, eight passes of the AES-NI loop's eight interleaved lanes.
-/// Small enough that clearing its two stack arrays per call costs little,
-/// large enough that the call's own overhead vanishes beside its AES work.
+/// Small enough that clearing its stack arrays per call costs little, large
+/// enough that the call's own overhead vanishes beside its AES work.
 pub const PAD_WINDOW_BLOCKS: usize = 64;
 
 /// Domain tag separating the three pad-generation oracles of Definition A.2.
@@ -111,6 +111,91 @@ impl CounterBlock {
     }
 }
 
+/// A run of consecutive counter blocks, the unit
+/// [`BlockCipher::encrypt_runs_into`] takes: block `j` is the cipher input
+/// `D ‖ first + 16·j ‖ v`. A data range is one run of the blocks covering
+/// it; a tag pad or a checksum secret is a run of one block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterRun {
+    /// `D ‖ first` as the integer the block's first eight bytes encode.
+    high: u64,
+    version: u64,
+    blocks: usize,
+}
+
+impl CounterRun {
+    /// The run of `blocks` counters from `first` in `domain` under
+    /// `version`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a block's address exceeds [`MAX_ADDR`].
+    pub fn new(domain: Domain, first: u64, blocks: usize, version: u64) -> Self {
+        let last = (blocks.saturating_sub(1) as u64)
+            .checked_mul(BLOCK_BYTES as u64)
+            .and_then(|span| first.checked_add(span));
+        assert!(
+            last.is_some_and(|a| a <= MAX_ADDR),
+            "counter run from {first:#x} exceeds the 62-bit address field"
+        );
+        Self::within(domain, first, blocks, version)
+    }
+
+    /// [`new`](Self::new) for a run whose last address is known to fit.
+    #[inline]
+    fn within(domain: Domain, first: u64, blocks: usize, version: u64) -> Self {
+        Self {
+            high: ((domain.bits() as u64) << 62) | first,
+            version,
+            blocks,
+        }
+    }
+
+    /// Counter blocks in the run.
+    #[inline]
+    pub fn blocks(&self) -> usize {
+        self.blocks
+    }
+
+    /// The first eight bytes of block `j` as a big-endian integer,
+    /// `D ‖ first + 16·j`.
+    #[inline]
+    pub fn high(&self, j: usize) -> u64 {
+        self.high + (j * BLOCK_BYTES) as u64
+    }
+
+    /// The version field, the last eight bytes of every block.
+    #[inline]
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// Block `j` serialized: `[D:2][addr:62][version:64]`, big-endian.
+    #[inline]
+    pub fn counter(&self, j: usize) -> Block {
+        let mut out = [0u8; BLOCK_BYTES];
+        out[..8].copy_from_slice(&self.high(j).to_be_bytes());
+        out[8..].copy_from_slice(&self.version.to_be_bytes());
+        out
+    }
+
+    /// The blocks of all `runs`.
+    #[inline]
+    pub fn total(runs: &[CounterRun]) -> usize {
+        runs.iter().map(CounterRun::blocks).sum()
+    }
+
+    const EMPTY: Self = Self {
+        high: 0,
+        version: 0,
+        blocks: 0,
+    };
+}
+
+/// Ranges [`OtpGenerator::stream_pads`] hands the cipher per call at most,
+/// beside its [`PAD_WINDOW_BLOCKS`] bound on blocks.
+const RUN_WINDOW: usize = 16;
+
 /// Generates one-time pads from a [`BlockCipher`], mirroring the processor's
 /// on-chip encryption engine.
 ///
@@ -182,11 +267,12 @@ impl<C: BlockCipher> OtpGenerator<C> {
     /// row at `addr` or a table's checksum secret, whose first 127 bits
     /// [`first_127_bits`] takes.
     ///
-    /// Counter blocks are built in a window of [`PAD_WINDOW_BLOCKS`] and
-    /// encrypted one whole window per
-    /// [`encrypt_blocks_into`](BlockCipher::encrypt_blocks_into) call. A
-    /// range wider than the window grows the window to its own size, so no
-    /// range is ever split. Returns the number of blocks encrypted.
+    /// Each range is one [`CounterRun`]; up to [`PAD_WINDOW_BLOCKS`] blocks
+    /// of them go to the cipher in one
+    /// [`encrypt_runs_into`](BlockCipher::encrypt_runs_into) call, which
+    /// builds the counters itself. A range wider than the window grows the
+    /// window to its own size, so no range is ever split. Returns the number
+    /// of blocks encrypted.
     ///
     /// # Panics
     ///
@@ -201,11 +287,13 @@ impl<C: BlockCipher> OtpGenerator<C> {
         addrs: impl IntoIterator<Item = u64>,
         mut sink: impl FnMut(usize, &[u8]),
     ) -> u64 {
-        let bytes = domain == Domain::Data;
-        assert!(
-            bytes || len == BLOCK_BYTES,
-            "a {domain:?} pad is one {BLOCK_BYTES}-byte block"
-        );
+        if domain != Domain::Data {
+            assert!(
+                len == BLOCK_BYTES,
+                "a {domain:?} pad is one {BLOCK_BYTES}-byte block"
+            );
+            return self.stream_blocks(domain, version, addrs, sink);
+        }
         if len == 0 {
             for (k, _) in addrs.into_iter().enumerate() {
                 sink(k, &[]);
@@ -214,39 +302,29 @@ impl<C: BlockCipher> OtpGenerator<C> {
         }
         // The most blocks a range can touch: it may start at the last byte
         // of its first block.
-        let widest = if bytes {
-            (len + BLOCK_BYTES - 1).div_ceil(BLOCK_BYTES)
-        } else {
-            1
-        };
-        let mut stack_counters = [[0u8; BLOCK_BYTES]; PAD_WINDOW_BLOCKS];
+        let widest = (len + BLOCK_BYTES - 1).div_ceil(BLOCK_BYTES);
         let mut stack_pads = [[0u8; BLOCK_BYTES]; PAD_WINDOW_BLOCKS];
         let mut grown;
-        let (counters, pads) = if widest <= PAD_WINDOW_BLOCKS {
-            (&mut stack_counters[..], &mut stack_pads[..])
+        let pads = if widest <= PAD_WINDOW_BLOCKS {
+            &mut stack_pads[..]
         } else {
-            grown = vec![[0u8; BLOCK_BYTES]; 2 * widest];
-            grown.split_at_mut(widest)
+            grown = vec![[0u8; BLOCK_BYTES]; widest];
+            &mut grown[..]
         };
-        // Where each range waiting for the window's cipher call starts in
-        // `pads`, in bytes. A range takes at least one block, so no more of
-        // them wait than the window has blocks.
-        let mut starts = [0usize; PAD_WINDOW_BLOCKS];
+        // The ranges waiting for the window's cipher call, and how far
+        // each starts into its first block.
+        let mut runs = [CounterRun::EMPTY; RUN_WINDOW];
+        let mut leads = [0u8; RUN_WINDOW];
         let (mut used, mut waiting, mut seen, mut total) = (0, 0, 0, 0);
         for addr in addrs {
-            let (first, lead) = if bytes {
-                let first = validate_pad_range(addr, len);
-                (first, (addr - first) as usize)
-            } else {
-                assert!(addr <= MAX_ADDR, "address {addr:#x} exceeds 62-bit field");
-                (addr, 0)
-            };
+            let first = validate_pad_range(addr, len);
+            let lead = (addr - first) as usize;
             let blocks = (lead + len).div_ceil(BLOCK_BYTES);
-            if used + blocks > counters.len() {
+            if used + blocks > pads.len() || waiting == RUN_WINDOW {
                 self.drain(
-                    &counters[..used],
-                    pads,
-                    &starts[..waiting],
+                    &runs[..waiting],
+                    &leads[..waiting],
+                    &mut pads[..used],
                     len,
                     seen - waiting,
                     &mut sink,
@@ -254,46 +332,77 @@ impl<C: BlockCipher> OtpGenerator<C> {
                 total += used as u64;
                 (used, waiting) = (0, 0);
             }
-            // The range ends at or below `MAX_ADDR` (just checked), so no
-            // block needs `CounterBlock::new`'s check of its own.
-            for (j, c) in counters[used..used + blocks].iter_mut().enumerate() {
-                *c = counter_bytes(domain, first + (j * BLOCK_BYTES) as u64, version);
-            }
-            starts[waiting] = used * BLOCK_BYTES + lead;
+            // The range ends at or below `MAX_ADDR` (just checked).
+            runs[waiting] = CounterRun::within(domain, first, blocks, version);
+            leads[waiting] = lead as u8;
             used += blocks;
             waiting += 1;
             seen += 1;
         }
         self.drain(
-            &counters[..used],
-            pads,
-            &starts[..waiting],
+            &runs[..waiting],
+            &leads[..waiting],
+            &mut pads[..used],
             len,
             seen - waiting,
             &mut sink,
         );
-        total += used as u64;
-        total
+        total + used as u64
     }
 
-    /// Encrypts one window's `counters` into `pads` in one cipher call and
-    /// hands the `len` pad bytes at each of `starts` to `sink`, numbered
-    /// from `first_k`.
+    /// Encrypts one window's `runs` into `pads` in one cipher call and
+    /// hands the `len` pad bytes of each run, from its lead on, to `sink`,
+    /// numbered from `first_k`.
     fn drain(
         &self,
-        counters: &[Block],
+        runs: &[CounterRun],
+        leads: &[u8],
         pads: &mut [Block],
-        starts: &[usize],
         len: usize,
         first_k: usize,
         sink: &mut impl FnMut(usize, &[u8]),
     ) {
-        let pads = &mut pads[..counters.len()];
-        self.cipher.encrypt_blocks_into(counters, pads);
+        self.cipher.encrypt_runs_into(runs, pads);
         let pads = pads.as_flattened();
-        for (j, &start) in starts.iter().enumerate() {
+        let mut at = 0;
+        for (j, (run, &lead)) in runs.iter().zip(leads).enumerate() {
+            let start = at + lead as usize;
             sink(first_k + j, &pads[start..start + len]);
+            at += run.blocks() * BLOCK_BYTES;
         }
+    }
+
+    /// [`stream_pads`](Self::stream_pads) in a one-block domain: a range is
+    /// its one counter, so the pads of a window sit at consecutive blocks.
+    fn stream_blocks(
+        &self,
+        domain: Domain,
+        version: u64,
+        addrs: impl IntoIterator<Item = u64>,
+        mut sink: impl FnMut(usize, &[u8]),
+    ) -> u64 {
+        let mut runs = [CounterRun::EMPTY; RUN_WINDOW];
+        let mut pads = [[0u8; BLOCK_BYTES]; RUN_WINDOW];
+        let (mut waiting, mut seen) = (0, 0);
+        let mut flush = |runs: &[CounterRun], first_k: usize| {
+            let pads = &mut pads[..runs.len()];
+            self.cipher.encrypt_runs_into(runs, pads);
+            for (j, pad) in pads.iter().enumerate() {
+                sink(first_k + j, pad);
+            }
+        };
+        for addr in addrs {
+            assert!(addr <= MAX_ADDR, "address {addr:#x} exceeds 62-bit field");
+            runs[waiting] = CounterRun::within(domain, addr, 1, version);
+            waiting += 1;
+            seen += 1;
+            if waiting == RUN_WINDOW {
+                flush(&runs, seen - waiting);
+                waiting = 0;
+            }
+        }
+        flush(&runs[..waiting], seen - waiting);
+        seen as u64
     }
 
     /// The scalar (one cipher call per block) reference implementation of
@@ -368,6 +477,7 @@ pub fn first_127_bits(pad: &[u8]) -> u128 {
 /// Panics if `addr + len` overflows `u64` or the range's last byte exceeds
 /// [`MAX_ADDR`]. (Before this check existed, `addr + len` near `u64::MAX`
 /// wrapped silently and produced a short or empty pad.)
+#[inline]
 fn validate_pad_range(addr: u64, len: usize) -> u64 {
     let end = addr
         .checked_add(len as u64)
@@ -709,13 +819,29 @@ mod tests {
         assert!(g.data_pad_bytes(u64::MAX, 0, 0).is_empty());
     }
 
-    /// Every range the stream hands out against the scalar reference:
-    /// leads 0–15, lengths inside one block, across block and window edges
-    /// and wider than the window, runs that fill windows exactly and ones
-    /// that leave a tail, with repeated addresses.
-    #[test]
-    fn streamed_ranges_match_the_scalar_reference() {
-        let g = gen();
+    /// A cipher that keeps every [`BlockCipher`] default, so its pad
+    /// stream runs the default `encrypt_runs_into` over the wrapped
+    /// cipher's blocks.
+    struct Defaults<C>(C);
+
+    impl<C: BlockCipher> BlockCipher for Defaults<C> {
+        fn encrypt_block(&self, block: &Block) -> Block {
+            self.0.encrypt_block(block)
+        }
+        fn decrypt_block(&self, block: &Block) -> Block {
+            self.0.decrypt_block(block)
+        }
+        fn key_bytes(&self) -> usize {
+            self.0.key_bytes()
+        }
+    }
+
+    /// Every range `g` streams against its own scalar reference: leads
+    /// 0–15, lengths inside one block, across block and window edges and
+    /// wider than the window, runs that fill windows exactly and ones that
+    /// leave a tail, with repeated addresses; then ranges that end exactly
+    /// at [`MAX_ADDR`].
+    fn check_streamed_ranges<C: BlockCipher>(g: &OtpGenerator<C>, name: &str) {
         let window = PAD_WINDOW_BLOCKS * BLOCK_BYTES;
         for len in [
             1usize,
@@ -745,25 +871,97 @@ mod tests {
                         .map(|k| 0x2000 + lead + k * stride)
                         .collect();
                     addrs[count - 1] = addrs[0];
-                    let mut seen = 0;
-                    let blocks = g.stream_pads(Domain::Data, 9, len, addrs.clone(), |k, pads| {
-                        assert_eq!(k, seen, "ranges arrive in order");
-                        assert_eq!(
-                            pads,
-                            g.data_pad_bytes_scalar(addrs[k], len, 9),
-                            "len {len} lead {lead} count {count} range {k}"
-                        );
-                        seen += 1;
-                    });
-                    assert_eq!(seen, count);
-                    let want: usize = addrs
-                        .iter()
-                        .map(|&a| (a as usize % BLOCK_BYTES + len).div_ceil(BLOCK_BYTES))
-                        .sum();
-                    assert_eq!(blocks, want as u64, "len {len} lead {lead} count {count}");
+                    check_stream(g, &addrs, len, &format!("{name} len {len} lead {lead}"));
                 }
             }
         }
+        for len in [1usize, 15, 16, 17, 100, window + 3] {
+            let end = MAX_ADDR - len as u64 + 1;
+            check_stream(g, &[end, end - 1, end], len, &format!("{name} to MAX_ADDR"));
+        }
+    }
+
+    /// `g.stream_pads` over `addrs` against `data_pad_bytes_scalar`, range
+    /// by range and in block count.
+    fn check_stream<C: BlockCipher>(g: &OtpGenerator<C>, addrs: &[u64], len: usize, at: &str) {
+        let mut seen = 0;
+        let blocks = g.stream_pads(Domain::Data, 9, len, addrs.iter().copied(), |k, pads| {
+            assert_eq!(k, seen, "ranges arrive in order");
+            assert_eq!(
+                pads,
+                g.data_pad_bytes_scalar(addrs[k], len, 9),
+                "{at}, {} ranges, range {k}",
+                addrs.len()
+            );
+            seen += 1;
+        });
+        assert_eq!(seen, addrs.len(), "{at}");
+        let want: usize = addrs
+            .iter()
+            .map(|&a| (a as usize % BLOCK_BYTES + len).div_ceil(BLOCK_BYTES))
+            .sum();
+        assert_eq!(blocks, want as u64, "{at}, {} ranges", addrs.len());
+    }
+
+    #[test]
+    fn streamed_ranges_match_the_scalar_reference() {
+        use crate::aes_fast::Aes128Fast;
+        check_streamed_ranges(&gen(), "reference");
+        let key = [0xA5; 16];
+        for (name, cipher) in Aes128Fast::both_paths(&key) {
+            check_streamed_ranges(&OtpGenerator::new(cipher), name);
+        }
+        check_streamed_ranges(
+            &OtpGenerator::new(Defaults(Aes128Fast::new(&key))),
+            "trait default",
+        );
+    }
+
+    /// The trait's default `encrypt_runs_into` and `Aes128Fast`'s override
+    /// (on both of its paths) encrypt the same runs to the same bytes: runs
+    /// of one block and of many, across the default's window edge, in
+    /// every domain, up to the last address.
+    #[test]
+    fn runs_encrypt_alike_by_default_and_by_override() {
+        use crate::aes_fast::Aes128Fast;
+        let key = [0x5A; 16];
+        let reference = Defaults(Aes128::new(&key));
+        let mut runs = Vec::new();
+        for (k, blocks) in [1usize, 9, 64, 1, 63, 2, 130, 1, 1, 7]
+            .into_iter()
+            .enumerate()
+        {
+            let domain = [Domain::Data, Domain::Tag, Domain::ChecksumSecret][k % 3];
+            runs.push(CounterRun::new(
+                domain,
+                0x1003 + 4096 * k as u64,
+                blocks,
+                k as u64,
+            ));
+        }
+        runs.push(CounterRun::new(Domain::Data, MAX_ADDR - 47, 3, u64::MAX));
+        let total = CounterRun::total(&runs);
+        let mut want = vec![[0u8; BLOCK_BYTES]; total];
+        reference.encrypt_runs_into(&runs, &mut want);
+        let scalar: Vec<Block> = runs
+            .iter()
+            .flat_map(|r| (0..r.blocks()).map(|j| reference.encrypt_block(&r.counter(j))))
+            .collect();
+        assert_eq!(want, scalar, "the default is the scalar loop");
+        for (name, cipher) in Aes128Fast::both_paths(&key) {
+            for n in 0..=runs.len() {
+                let blocks = CounterRun::total(&runs[..n]);
+                let mut got = vec![[0u8; BLOCK_BYTES]; blocks];
+                cipher.encrypt_runs_into(&runs[..n], &mut got);
+                assert_eq!(got, want[..blocks], "{name}, first {n} runs");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "62-bit address field")]
+    fn counter_run_past_max_addr_rejected() {
+        CounterRun::new(Domain::Data, MAX_ADDR - 31, 3, 0);
     }
 
     #[test]
@@ -795,10 +993,29 @@ mod tests {
                     Domain::Tag => g.tag_pad(a, 4),
                     _ => g.checksum_secret(a, 4),
                 };
-                let blocks = g.stream_pads(domain, 4, BLOCK_BYTES, addrs.clone(), |k, pad| {
-                    assert_eq!(first_127_bits(pad), scalar(addrs[k]), "{name} {domain:?}");
+                // Runs that end just short of, at and just past each edge
+                // of the one-block window, and the whole list.
+                for n in [
+                    1,
+                    RUN_WINDOW - 1,
+                    RUN_WINDOW,
+                    RUN_WINDOW + 1,
+                    2 * RUN_WINDOW + 1,
+                    150,
+                ] {
+                    let addrs = &addrs[..n];
+                    let mut seen = 0;
+                    let blocks = g.stream_pads(domain, 4, BLOCK_BYTES, addrs.to_vec(), |k, pad| {
+                        assert_eq!(k, seen, "{name} {domain:?} in order");
+                        assert_eq!(first_127_bits(pad), scalar(addrs[k]), "{name} {domain:?}");
+                        seen += 1;
+                    });
+                    assert_eq!((blocks, seen), (n as u64, n), "{name} {domain:?}");
+                }
+                let last = [MAX_ADDR, MAX_ADDR - 1];
+                g.stream_pads(domain, 4, BLOCK_BYTES, last, |k, pad| {
+                    assert_eq!(first_127_bits(pad), scalar(last[k]), "{name} at MAX_ADDR");
                 });
-                assert_eq!(blocks, addrs.len() as u64);
             }
             for &a in &addrs {
                 assert_eq!(g.tag_pad(a, 4), reference.tag_pad(a, 4), "{name}");

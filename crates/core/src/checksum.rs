@@ -148,6 +148,70 @@ pub fn checksum_powers(secrets: &[Fq], m: usize) -> Vec<Fq> {
     powers
 }
 
+/// What verifying a table version needs from the key: its checksum
+/// secrets and their [`checksum_powers`] for the table's `m` columns.
+///
+/// Both depend on (key, table address, version, scheme, `m`) alone, so the
+/// processor builds one when it encrypts a version and checks every query
+/// against it with one dot product. It is trusted memory: it is never
+/// serialised, and `Debug` prints none of it.
+#[derive(Clone, PartialEq, Eq)]
+pub struct VerifyKey {
+    secrets: Vec<Fq>,
+    powers: Vec<Fq>,
+}
+
+impl VerifyKey {
+    /// Derives the secrets of the table at `table_addr` under `version`
+    /// and the power table of its `m` columns.
+    ///
+    /// # Panics
+    ///
+    /// As [`derive_secrets`].
+    pub fn derive<C: BlockCipher>(
+        otp: &OtpGenerator<C>,
+        table_addr: u64,
+        version: u64,
+        scheme: ChecksumScheme,
+        m: usize,
+    ) -> Self {
+        let secrets = derive_secrets(otp, table_addr, version, scheme);
+        let powers = checksum_powers(&secrets, m);
+        Self { secrets, powers }
+    }
+
+    /// The checksum secrets, as [`derive_secrets`] gives them.
+    pub fn secrets(&self) -> &[Fq] {
+        &self.secrets
+    }
+
+    /// The row width `m` the power table covers.
+    pub fn width(&self) -> usize {
+        self.powers.len()
+    }
+
+    /// The checksum of an `m`-element row: [`row_checksum`] without
+    /// rebuilding the powers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is not [`width`](Self::width) elements long.
+    pub fn checksum<W: RingWord>(&self, row: &[W]) -> Fq {
+        assert_eq!(
+            row.len(),
+            self.powers.len(),
+            "row width differs from the key's"
+        );
+        WideAcc::dot(&self.powers, row)
+    }
+}
+
+impl std::fmt::Debug for VerifyKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("VerifyKey { <redacted> }")
+    }
+}
+
 /// Computes the row checksum `Tᵢ` (Algorithm 2 for one secret, Algorithm 8
 /// for several): the dot product of the row with its
 /// [`checksum_powers`].
@@ -304,6 +368,32 @@ mod tests {
     #[should_panic(expected = "reserved")]
     fn plan_secrets_rejects_huge_version() {
         plan_secrets(&mut PadPlanner::new(), 0, 1 << 60, ChecksumScheme::SingleS);
+    }
+
+    /// The held key checks a row as `row_checksum` over freshly derived
+    /// secrets does, at every scheme and width, and prints none of itself.
+    #[test]
+    fn verify_key_matches_row_checksum_and_redacts() {
+        let g = otp();
+        for scheme in [ChecksumScheme::SingleS, ChecksumScheme::MultiS { cnt: 3 }] {
+            for m in [1usize, 2, 3, 32, 33] {
+                let key = VerifyKey::derive(&g, 0x3000, 9, scheme, m);
+                let secrets = derive_secrets(&g, 0x3000, 9, scheme);
+                assert_eq!(key.secrets(), &secrets[..]);
+                assert_eq!(key.width(), m);
+                let row: Vec<u64> = (0..m as u64).map(|j| j.wrapping_mul(0x9E37_79B9)).collect();
+                assert_eq!(
+                    key.checksum(&row),
+                    row_checksum(&row, &secrets),
+                    "{scheme:?} m {m}"
+                );
+                let shown = format!("{key:?}");
+                assert_eq!(shown, "VerifyKey { <redacted> }");
+                for s in &secrets {
+                    assert!(!shown.contains(&format!("{}", s.value())));
+                }
+            }
+        }
     }
 
     #[test]

@@ -31,6 +31,20 @@ pub struct NdpResponse<W> {
     pub c_t_res: Option<Fq>,
 }
 
+/// `acc[j] += c_res[j]` (`SecNDPLd`'s final ring addition), once the reply
+/// is known to be as wide as `acc`.
+pub(crate) fn add_c_res<W: RingWord>(acc: &mut [W], c_res: &[W]) -> Result<(), Error> {
+    if c_res.len() != acc.len() {
+        return Err(crate::metrics::malformed(
+            "result width differs from table columns",
+        ));
+    }
+    for (x, &c) in acc.iter_mut().zip(c_res) {
+        *x = x.wadd(c);
+    }
+    Ok(())
+}
+
 /// An untrusted near-data processing device holding ciphertext tables.
 ///
 /// Methods mirror the NDP command protocol: [`load`](Self::load) models the
@@ -71,6 +85,31 @@ pub trait NdpDevice {
         weights: &[W],
         with_tag: bool,
     ) -> Result<NdpResponse<W>, Error>;
+
+    /// [`weighted_sum`](Self::weighted_sum) added into the caller's
+    /// result: `acc[j] += C_res[j]`, returning `C_{T_res}`. `acc` is as
+    /// wide as the table; a reply of another width is refused before any
+    /// of it is added.
+    ///
+    /// The default adds the [`NdpResponse`]; a device behind the wire adds
+    /// the reply's words straight from its frame.
+    ///
+    /// # Errors
+    ///
+    /// As [`weighted_sum`](Self::weighted_sum), and
+    /// [`Error::MalformedResponse`] for a reply of the wrong width.
+    fn weighted_sum_into<W: RingWord>(
+        &self,
+        table_addr: u64,
+        indices: &[usize],
+        weights: &[W],
+        with_tag: bool,
+        acc: &mut [W],
+    ) -> Result<Option<Fq>, Error> {
+        let r = self.weighted_sum(table_addr, indices, weights, with_tag)?;
+        add_c_res(acc, &r.c_res)?;
+        Ok(r.c_t_res)
+    }
 
     /// Reads back the raw ciphertext bytes of one row (an ordinary memory
     /// fetch through the untrusted DIMM).

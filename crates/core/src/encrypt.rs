@@ -13,11 +13,11 @@
 //! the two shares. Security is the same as counter-mode (Theorem 1): pads
 //! are indistinguishable from uniform as long as `(addr, v)` never repeats.
 
-use crate::checksum::{checksum_powers, derive_secrets, ChecksumScheme};
+use crate::checksum::{ChecksumScheme, VerifyKey};
 use crate::error::Error;
 use crate::layout::TableLayout;
 use crate::version::RegionId;
-use secndp_arith::mersenne::{Fq, WideAcc};
+use secndp_arith::mersenne::Fq;
 use secndp_arith::ring::{words_to_le_bytes, RingWord};
 use secndp_cipher::aes::{BlockCipher, BLOCK_BYTES};
 use secndp_cipher::otp::{first_127_bits, Domain, OtpGenerator, PAD_WINDOW_BLOCKS};
@@ -171,12 +171,8 @@ fn combine_with_pads<W: RingWord, C: BlockCipher>(
 }
 
 /// Computes the encrypted per-row tags `C_{T_i}` (Algorithms 2 + 3) for the
-/// whole table.
-///
-/// The tag pads `E_{T_i}` stream out of [`OtpGenerator::stream_pads`]
-/// a window at a time, and the table's [`checksum_powers`] are built once:
-/// each row's checksum is one [`WideAcc::dot`] with them, taken as its
-/// pad arrives.
+/// whole table: [`encrypt_tags_with`] under the table's [`VerifyKey`],
+/// derived here.
 pub fn encrypt_tags<W: RingWord, C: BlockCipher>(
     otp: &OtpGenerator<C>,
     plaintext: &[W],
@@ -184,9 +180,28 @@ pub fn encrypt_tags<W: RingWord, C: BlockCipher>(
     version: u64,
     scheme: ChecksumScheme,
 ) -> Vec<Fq> {
-    let secrets = derive_secrets(otp, layout.base_addr(), version, scheme);
+    let key = VerifyKey::derive(otp, layout.base_addr(), version, scheme, layout.cols());
+    encrypt_tags_with(otp, &key, plaintext, layout, version)
+}
+
+/// [`encrypt_tags`] under `key`, the table's verification key for
+/// `version` — the one the processor then holds for the version's queries.
+///
+/// The tag pads `E_{T_i}` stream out of [`OtpGenerator::stream_pads`]
+/// a window at a time, and each row's checksum is one dot product with the
+/// key's powers, taken as its pad arrives.
+///
+/// # Panics
+///
+/// Panics if `key` covers a width other than the layout's columns.
+pub fn encrypt_tags_with<W: RingWord, C: BlockCipher>(
+    otp: &OtpGenerator<C>,
+    key: &VerifyKey,
+    plaintext: &[W],
+    layout: &TableLayout,
+    version: u64,
+) -> Vec<Fq> {
     let m = layout.cols();
-    let powers = checksum_powers(&secrets, m);
     let mut tags = Vec::with_capacity(layout.rows());
     otp.stream_pads(
         Domain::Tag,
@@ -194,7 +209,7 @@ pub fn encrypt_tags<W: RingWord, C: BlockCipher>(
         BLOCK_BYTES,
         (0..layout.rows()).map(|i| layout.row_addr(i)),
         |i, pad| {
-            let t = WideAcc::dot(&powers, &plaintext[i * m..(i + 1) * m]);
+            let t = key.checksum(&plaintext[i * m..(i + 1) * m]);
             // C_T = T − E_T (mod q), Algorithm 3 line 5.
             tags.push(t - Fq::new(first_127_bits(pad)));
         },
@@ -205,6 +220,7 @@ pub fn encrypt_tags<W: RingWord, C: BlockCipher>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checksum::derive_secrets;
     use proptest::prelude::*;
     use secndp_arith::mersenne::horner_high_to_low;
     use secndp_arith::ring::words_from_le_bytes;

@@ -57,7 +57,7 @@
 //! `ndp_serve` span stitches under it on every link.
 
 use crate::error::Error;
-use crate::wire::{self, Request, Response, RoundTrip};
+use crate::wire::{self, Request, Response, RoundTrip, Writer};
 use secndp_telemetry::health::{self, HealthStatus};
 use secndp_telemetry::trace;
 use std::collections::hash_map::{Entry, HashMap};
@@ -437,6 +437,24 @@ impl<L: Link> Endpoint<L> {
         Ok(Arc::new(req.encode_traced(ctx)?))
     }
 
+    /// [`submit`](Self::submit) for a request that may be sent again (not
+    /// a `Load`), written by `write` behind the trace envelope into a frame
+    /// allocated with room for its `body_len` bytes.
+    pub(crate) fn submit_with(
+        &self,
+        body_len: usize,
+        write: &mut dyn FnMut(&mut Vec<u8>) -> Result<(), Error>,
+    ) -> Result<RequestId, Error> {
+        let frame = {
+            let ctx = trace::current();
+            let _e = trace::span(trace::names::WIRE_ENCODE);
+            let mut frame = Writer::frame(ctx, body_len);
+            write(&mut frame)?;
+            Arc::new(frame)
+        };
+        self.start(&frame, self.pick_rank(), true)
+    }
+
     fn pick_rank(&self) -> usize {
         self.next_rank.fetch_add(1, Ordering::Relaxed) % self.ranks()
     }
@@ -572,7 +590,7 @@ impl<L: Link> Endpoint<L> {
         }
         let slot = entry.remove();
         drop(t);
-        Some(settle(slot))
+        Some(settle(slot).and_then(|reply| wire::decode_reply(&reply)))
     }
 
     /// Blocks until the request settles, re-sending an idempotent request
@@ -586,6 +604,11 @@ impl<L: Link> Endpoint<L> {
     /// [`Error::MalformedResponse`] for an undecodable reply or an id
     /// that was already redeemed.
     pub fn wait(&self, id: RequestId) -> Result<Response, Error> {
+        wire::decode_reply(&self.wait_frame(id)?)
+    }
+
+    /// [`wait`](Self::wait), returning the reply frame undecoded.
+    pub(crate) fn wait_frame(&self, id: RequestId) -> Result<Vec<u8>, Error> {
         let mut t = locked(&self.pending.table);
         loop {
             let Entry::Occupied(mut entry) = t.slots.entry(id.0) else {
@@ -679,6 +702,15 @@ impl<L: Link> RoundTrip for Endpoint<L> {
             self.wait(self.submit(req)?)
         }
     }
+
+    fn round_trip_in_place(
+        &self,
+        body_len: usize,
+        write: &mut dyn FnMut(&mut Vec<u8>) -> Result<(), Error>,
+        read: &mut dyn FnMut(&[u8]) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        read(&self.wait_frame(self.submit_with(body_len, write)?)?)
+    }
 }
 
 fn link_error(why: LinkFail, attempts: u32) -> Error {
@@ -688,14 +720,14 @@ fn link_error(why: LinkFail, attempts: u32) -> Error {
     }
 }
 
-/// Turns a settled slot into the caller's result, recording the reply's
-/// latency.
-fn settle(slot: Slot) -> Result<Response, Error> {
+/// Turns a settled slot into the caller's reply frame, recording the
+/// reply's latency.
+fn settle(slot: Slot) -> Result<Vec<u8>, Error> {
     match slot.state {
         State::Done(reply) => {
             crate::metrics::transport_completion()
                 .observe(slot.submitted.elapsed().as_nanos() as u64);
-            wire::decode_reply(&reply)
+            Ok(reply)
         }
         State::Failed(why) => Err(link_error(why, slot.attempts)),
         // Unreachable: callers only settle slots they saw leave Waiting

@@ -55,7 +55,7 @@
 use crate::device::NdpDevice;
 use crate::endpoint::{locked, Completer, Endpoint, EndpointConfig, Link, LinkFail, Route};
 use crate::error::Error;
-use crate::wire;
+use crate::wire::{self, ServeScratch};
 use std::collections::HashMap;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -189,22 +189,34 @@ fn write_record(stream: &mut TcpStream, header: &[u8], frame: &[u8]) -> io::Resu
 // Server
 // ---------------------------------------------------------------------------
 
-/// How a host turns an incoming wire frame into a reply frame. A
-/// [`NetServer`] shares one instance (behind a mutex) among its connection
-/// threads; an [`InlineLink`](crate::transport::InlineLink) holds one per
-/// rank. Either way a host serves one frame at a time.
+/// How a host turns an incoming wire frame into a reply frame, written
+/// into `out`. A [`NetServer`] shares one instance (behind a mutex) among
+/// its connection threads; an [`InlineLink`](crate::transport::InlineLink)
+/// holds one per rank. Either way a host serves one frame at a time.
 pub(crate) trait FrameHost: Send {
-    fn serve_frame(&mut self, session: u64, rank: u32, frame: &[u8]) -> Vec<u8>;
+    fn serve_frame(&mut self, session: u64, rank: u32, frame: &[u8], out: &mut Vec<u8>);
 }
 
 /// A single device serving every session and rank — the backend of a
 /// [`TcpEndpoint::self_hosted`] endpoint, which owns one wrapped device,
 /// and each rank of an in-caller link.
-pub(crate) struct DeviceHost<D>(pub(crate) D);
+pub(crate) struct DeviceHost<D> {
+    device: D,
+    scratch: ServeScratch,
+}
+
+impl<D> DeviceHost<D> {
+    pub(crate) fn new(device: D) -> Self {
+        Self {
+            device,
+            scratch: ServeScratch::default(),
+        }
+    }
+}
 
 impl<D: NdpDevice + Send> FrameHost for DeviceHost<D> {
-    fn serve_frame(&mut self, _session: u64, _rank: u32, frame: &[u8]) -> Vec<u8> {
-        wire::serve_or_reply(&mut self.0, frame)
+    fn serve_frame(&mut self, _session: u64, _rank: u32, frame: &[u8], out: &mut Vec<u8>) {
+        wire::serve_or_reply_into(&mut self.device, frame, &mut self.scratch, out);
     }
 }
 
@@ -214,6 +226,7 @@ impl<D: NdpDevice + Send> FrameHost for DeviceHost<D> {
 struct SessionHost<D, F> {
     make: F,
     devices: HashMap<(u64, u32), D>,
+    scratch: ServeScratch,
 }
 
 impl<D, F> FrameHost for SessionHost<D, F>
@@ -221,12 +234,12 @@ where
     D: NdpDevice + Send,
     F: Fn(u64, u32) -> D + Send,
 {
-    fn serve_frame(&mut self, session: u64, rank: u32, frame: &[u8]) -> Vec<u8> {
+    fn serve_frame(&mut self, session: u64, rank: u32, frame: &[u8], out: &mut Vec<u8>) {
         let dev = self
             .devices
             .entry((session, rank))
             .or_insert_with(|| (self.make)(session, rank));
-        wire::serve_or_reply(dev, frame)
+        wire::serve_or_reply_into(dev, frame, &mut self.scratch, out);
     }
 }
 
@@ -264,7 +277,7 @@ impl NetServer {
         device: D,
         addr: impl ToSocketAddrs,
     ) -> io::Result<Self> {
-        Self::bind(Box::new(DeviceHost(device)), addr)
+        Self::bind(Box::new(DeviceHost::new(device)), addr)
     }
 
     /// Hosts per-client devices: `make(session, rank)` builds a fresh
@@ -284,6 +297,7 @@ impl NetServer {
             Box::new(SessionHost {
                 make,
                 devices: HashMap::new(),
+                scratch: ServeScratch::default(),
             }),
             addr,
         )
@@ -384,6 +398,7 @@ fn connection_loop(
     stop: Arc<AtomicBool>,
     server_addr: SocketAddr,
 ) {
+    let mut reply = Vec::new();
     loop {
         let payload = match read_record(&mut stream, REQ_HEADER, || stop.load(Ordering::SeqCst)) {
             Record::Payload(payload) => payload,
@@ -404,7 +419,7 @@ fn connection_loop(
         };
         let session = u64_at(&payload, 8);
         let rank = u32::from_le_bytes([payload[16], payload[17], payload[18], payload[19]]);
-        let reply = locked(&host).serve_frame(session, rank, &payload[REQ_HEADER..]);
+        locked(&host).serve_frame(session, rank, &payload[REQ_HEADER..], &mut reply);
         // The reply header is the request id, echoed.
         if write_record(&mut stream, &payload[..REPLY_HEADER], &reply).is_err() {
             return;

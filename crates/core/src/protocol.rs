@@ -17,16 +17,16 @@
 //!     verify: h(res) =? C_T_res + E_T_res
 //! ```
 
-use crate::checksum::{derive_secrets, row_checksum, ChecksumScheme};
-use crate::device::NdpDevice;
+use crate::checksum::{ChecksumScheme, VerifyKey};
+use crate::device::{add_c_res, NdpDevice};
 use crate::encrypt::{
-    check_shape, decrypt_elements, encrypt_elements, encrypt_tags, EncryptedTable,
+    check_shape, decrypt_elements, encrypt_elements, encrypt_tags_with, EncryptedTable,
 };
 use crate::endpoint::{Endpoint, Link, RequestId};
 use crate::error::Error;
 use crate::keys::SecretKey;
 use crate::layout::TableLayout;
-use crate::version::{RegionId, VersionManager};
+use crate::version::{RegionId, VersionManager, DEFAULT_MAX_REGIONS};
 use secndp_arith::mersenne::{Fq, WideAcc};
 use secndp_arith::ring::{words_from_le_bytes, RingWord};
 use secndp_cipher::aes::{BlockCipher, BLOCK_BYTES};
@@ -34,6 +34,7 @@ use secndp_cipher::aes_fast::Aes128Fast;
 use secndp_cipher::otp::{first_127_bits, Domain, OtpGenerator};
 use secndp_cipher::PadCache;
 use secndp_telemetry::trace;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 /// A reference to a published table: everything the processor needs to
@@ -114,16 +115,33 @@ impl<L: Link> Drop for Outstanding<'_, L> {
     }
 }
 
-/// The processor's half of one query — everything Algorithms 4 and 5 let
-/// it compute before the device has answered. Made by
+/// The processor's half of a verified query's check — what Algorithm 5
+/// lets it compute before the device has answered. Made by
 /// [`TrustedProcessor::prepare`], consumed by [`TrustedProcessor::finish`].
-struct Prepared<W> {
-    /// `E_res = Σₖ aₖ·E_{iₖ}` (Alg 4 lines 8–14), in the buffer that
-    /// becomes the query's result.
-    res: Vec<W>,
-    /// For a verified query: `E_T_res = Σₖ aₖ·E_{T_iₖ}` (Alg 5 lines
-    /// 11–14) and the checksum secrets.
-    tag: Option<(Fq, Vec<Fq>)>,
+struct Check<'a> {
+    /// `E_T_res = Σₖ aₖ·E_{T_iₖ}` (Alg 5 lines 11–14).
+    e_t_res: Fq,
+    /// The table version's verification key: the one the processor holds,
+    /// or one derived for a handle it holds none for.
+    key: Cow<'a, VerifyKey>,
+}
+
+/// The verification key of one live table version this processor
+/// encrypted, with the (region, version, table, scheme) it was derived for.
+struct HeldKey {
+    region: RegionId,
+    version: u64,
+    table_addr: u64,
+    scheme: ChecksumScheme,
+    key: VerifyKey,
+}
+
+/// The held keys' table, allocated with the processor and never moved:
+/// room for a key per region the version manager allows, up to its
+/// default. Grown on first use instead, it landed among a table's buffers
+/// and kept 0.9 MiB more resident on a 1 MiB table rewritten in a loop.
+fn key_table(versions: &VersionManager) -> Vec<HeldKey> {
+    Vec::with_capacity(versions.capacity().min(DEFAULT_MAX_REGIONS))
 }
 
 /// The TEE-resident SecNDP engine: key, version manager, encryption and
@@ -134,6 +152,10 @@ pub struct TrustedProcessor<C: BlockCipher = Aes128Fast> {
     otp: OtpGenerator<C>,
     versions: VersionManager,
     scheme: ChecksumScheme,
+    /// One verification key per live tagged region, for its current
+    /// version: built when the version is encrypted, dropped when the
+    /// region is released or the key rotated. Trusted memory only.
+    keys: Vec<HeldKey>,
     /// Never probed or filled: every block the processor generates is
     /// counted on it as a miss. See [`pad_cache`](Self::pad_cache).
     pad_cache: PadCache,
@@ -144,6 +166,7 @@ impl<C: BlockCipher> std::fmt::Debug for TrustedProcessor<C> {
         f.debug_struct("TrustedProcessor")
             .field("live_regions", &self.versions.live_regions())
             .field("scheme", &self.scheme)
+            .field("verify_keys", &self.keys.len())
             .finish_non_exhaustive()
     }
 }
@@ -174,6 +197,7 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         crate::health::register_protocol_health();
         Self {
             otp,
+            keys: key_table(&versions),
             versions,
             scheme,
             pad_cache: PadCache::new(0),
@@ -188,10 +212,12 @@ impl<C: BlockCipher> TrustedProcessor<C> {
     /// re-encrypted afterwards with
     /// [`reencrypt_table`](Self::reencrypt_table); their old handles stop
     /// verifying, which is exactly the point — a replayed pre-rotation
-    /// ciphertext is rejected.
+    /// ciphertext is rejected. The verification keys, derived under the
+    /// old cipher, are dropped with it.
     pub fn rotate_key<C2: BlockCipher>(self, new_cipher: C2) -> TrustedProcessor<C2> {
         TrustedProcessor {
             otp: OtpGenerator::new(new_cipher),
+            keys: key_table(&self.versions),
             versions: self.versions,
             scheme: self.scheme,
             pad_cache: self.pad_cache,
@@ -269,12 +295,64 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         check_shape(plaintext.len(), &layout)?;
         let (region, version) = self.versions.register()?;
         sp.attr_u64("version", version);
-        let ciphertext = encrypt_elements(&self.otp, plaintext, &layout, version)?;
-        let tags =
-            with_tags.then(|| encrypt_tags(&self.otp, plaintext, &layout, version, self.scheme));
+        let (ciphertext, tags) =
+            self.encrypt_version(plaintext, &layout, region, version, with_tags)?;
         Ok(EncryptedTable::from_parts(
             layout, region, version, ciphertext, tags,
         ))
+    }
+
+    /// Encrypts `plaintext` as `region`'s new `version`: its ciphertext
+    /// and, when `tagged`, its tags under a verification key derived here
+    /// and then held for the version's queries. The region's key for its
+    /// previous version goes.
+    fn encrypt_version<W: RingWord>(
+        &mut self,
+        plaintext: &[W],
+        layout: &TableLayout,
+        region: RegionId,
+        version: u64,
+        tagged: bool,
+    ) -> Result<(Vec<W>, Option<Vec<Fq>>), Error> {
+        self.keys.retain(|k| k.region != region);
+        let key = tagged.then(|| {
+            VerifyKey::derive(
+                &self.otp,
+                layout.base_addr(),
+                version,
+                self.scheme,
+                layout.cols(),
+            )
+        });
+        let ciphertext = encrypt_elements(&self.otp, plaintext, layout, version)?;
+        let tags = key.map(|key| {
+            let tags = encrypt_tags_with(&self.otp, &key, plaintext, layout, version);
+            self.keys.push(HeldKey {
+                region,
+                version,
+                table_addr: layout.base_addr(),
+                scheme: self.scheme,
+                key,
+            });
+            tags
+        });
+        Ok((ciphertext, tags))
+    }
+
+    /// The key this processor holds for `handle`'s table version, if any:
+    /// only one derived for exactly that (region, version, table, scheme,
+    /// width) answers, so a stale or foreign handle finds none.
+    fn held_key(&self, handle: &TableHandle) -> Option<&VerifyKey> {
+        self.keys
+            .iter()
+            .find(|k| {
+                k.region == handle.region
+                    && k.version == handle.version
+                    && k.table_addr == handle.layout.base_addr()
+                    && k.scheme == handle.scheme
+                    && k.key.width() == handle.layout.cols()
+            })
+            .map(|k| &k.key)
     }
 
     /// Re-encrypts new contents for an existing table under a bumped
@@ -294,11 +372,13 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         // table's version (and sweep its pads).
         check_shape(plaintext.len(), &layout)?;
         let version = self.versions.bump(table.region())?;
-        let ciphertext = encrypt_elements(&self.otp, plaintext, &layout, version)?;
-        let tags = table
-            .tags()
-            .is_some()
-            .then(|| encrypt_tags(&self.otp, plaintext, &layout, version, self.scheme));
+        let (ciphertext, tags) = self.encrypt_version(
+            plaintext,
+            &layout,
+            table.region(),
+            version,
+            table.tags().is_some(),
+        )?;
         Ok(EncryptedTable::from_parts(
             layout,
             table.region(),
@@ -370,13 +450,35 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         if verify && !handle.has_tags {
             return Err(Error::TagsUnavailable);
         }
-        let layout = handle.layout;
-        let response = {
+        self.query(handle, device, indices, weights, verify)
+    }
+
+    /// One validated query against `device`: its reply is added into the
+    /// buffer that becomes the result, then the processor's share and —
+    /// when verifying — its check are made, and the check is run. Ring
+    /// addition commutes, so `C_res` going in first changes no result.
+    fn query<W: RingWord, D: NdpDevice>(
+        &self,
+        handle: &TableHandle,
+        device: &D,
+        indices: &[usize],
+        weights: &[W],
+        verify: bool,
+    ) -> Result<Vec<W>, Error> {
+        let mut res = vec![W::ZERO; handle.layout.cols()];
+        let c_t_res = {
             let _s =
                 trace::span(trace::names::NDP_COMPUTE).timed(crate::metrics::stage_ndp_compute());
-            device.weighted_sum::<W>(layout.base_addr(), indices, weights, verify)?
+            device.weighted_sum_into::<W>(
+                handle.layout.base_addr(),
+                indices,
+                weights,
+                verify,
+                &mut res,
+            )?
         };
-        self.reconstruct_response(handle, indices, weights, &response, verify)
+        let check = self.prepare(handle, indices, weights, verify, &mut res);
+        self.finish(handle, res, check, c_t_res)
     }
 
     /// Reconstructs (and optionally verifies) a raw
@@ -427,18 +529,10 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         sp.attr_u64("base_addr", handle.layout.base_addr());
         sp.attr_u64("queries", queries.len() as u64);
         self.validate_batch(handle, queries, verify)?;
-        let layout = handle.layout;
-
-        let mut out = Vec::with_capacity(queries.len());
-        for (idx, weights) in queries {
-            let response = {
-                let _s = trace::span(trace::names::NDP_COMPUTE)
-                    .timed(crate::metrics::stage_ndp_compute());
-                device.weighted_sum::<W>(layout.base_addr(), idx, weights, verify)?
-            };
-            out.push(self.reconstruct(handle, idx, weights, &response, verify)?);
-        }
-        Ok(out)
+        queries
+            .iter()
+            .map(|(idx, weights)| self.query(handle, device, idx, weights, verify))
+            .collect()
     }
 
     /// [`weighted_sum_batch`](Self::weighted_sum_batch) over an
@@ -470,7 +564,7 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         queries: &[(Vec<usize>, Vec<W>)],
         verify: bool,
     ) -> Result<Vec<Vec<W>>, Error> {
-        use crate::wire::{sum_from_response, Request};
+        use crate::wire::{add_sum_reply, Writer};
         let mut sp = trace::span("weighted_sum_batch");
         sp.attr_u64("base_addr", handle.layout.base_addr());
         sp.attr_u64("queries", queries.len() as u64);
@@ -495,26 +589,32 @@ impl<C: BlockCipher> TrustedProcessor<C> {
             // always among the sent: an empty queue is under any mark.
             if outstanding.ids.len() <= window / 2 {
                 for (idx, weights) in unsent.by_ref().take(window - outstanding.ids.len()) {
-                    let req = Request::WeightedSum {
-                        table_addr: layout.base_addr(),
-                        elem_bytes: W::BYTES as u8,
-                        indices: idx.iter().map(|&i| i as u64).collect(),
-                        weights: weights.iter().map(|w| w.as_u64()).collect(),
-                        with_tag: verify,
-                    };
-                    outstanding.ids.push_back(endpoint.submit(&req)?);
+                    let id = endpoint.submit_with(
+                        Writer::weighted_sum_len(idx.len(), weights.len()),
+                        &mut |buf| {
+                            Writer::body(buf).weighted_sum(
+                                layout.base_addr(),
+                                W::BYTES as u8,
+                                idx.iter().map(|&i| i as u64),
+                                weights.iter().map(|w| w.as_u64()),
+                                verify,
+                            )
+                        },
+                    )?;
+                    outstanding.ids.push_back(id);
                 }
             }
-            let prepared = self.prepare(handle, idx, weights, verify);
-            let response = {
+            let mut res = vec![W::ZERO; layout.cols()];
+            let check = self.prepare(handle, idx, weights, verify, &mut res);
+            let c_t_res = {
                 let _s = trace::span(trace::names::NDP_COMPUTE)
                     .timed(crate::metrics::stage_ndp_compute());
                 let id = outstanding.ids.pop_front().ok_or_else(|| {
                     crate::metrics::malformed("pipelined query was never submitted")
                 })?;
-                sum_from_response::<W>(endpoint.wait(id)?, layout.base_addr())?
+                add_sum_reply(&endpoint.wait_frame(id)?, layout.base_addr(), &mut res)?
             };
-            out.push(self.finish(handle, prepared, &response)?);
+            out.push(self.finish(handle, res, check, c_t_res)?);
         }
         Ok(out)
     }
@@ -536,10 +636,9 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         Ok(())
     }
 
-    /// Algorithm 4 lines 8–15 and Algorithm 5 for one validated query, shared
-    /// by every entry point: [`prepare`](Self::prepare), which needs no
-    /// reply, then [`finish`](Self::finish), the one place a device reply
-    /// becomes a result.
+    /// Algorithm 4 lines 8–15 and Algorithm 5 for one validated query and
+    /// a reply already in hand: [`prepare`](Self::prepare), which needs no
+    /// reply, the reply's `C_res` added in, then [`finish`](Self::finish).
     fn reconstruct<W: RingWord>(
         &self,
         handle: &TableHandle,
@@ -548,39 +647,38 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         response: &crate::device::NdpResponse<W>,
         verify: bool,
     ) -> Result<Vec<W>, Error> {
-        let prepared = self.prepare(handle, indices, weights, verify);
-        self.finish(handle, prepared, response)
+        let mut res = vec![W::ZERO; handle.layout.cols()];
+        let check = self.prepare(handle, indices, weights, verify, &mut res);
+        add_c_res(&mut res, &response.c_res)?;
+        self.finish(handle, res, check, response.c_t_res)
     }
 
     /// The OTP PU's half of one validated query (Alg 4 lines 8–14, Alg 5
-    /// lines 11–14): its data pads stream into `E_res` and — when verifying
-    /// — its tag pads into the `E_T_res` dot, beside the checksum secrets,
-    /// as they leave the cipher. No pad outlives its window.
+    /// lines 11–14): its data pads stream into `res` — `E_res` is added to
+    /// whatever it holds — and, when verifying, its tag pads into the
+    /// `E_T_res` dot, as they leave the cipher. No pad outlives its window.
+    /// The check uses the key held for the table version, or one derived
+    /// here for a handle the processor holds none for.
     ///
-    /// There is no reply among the parameters, and that is the point: the
-    /// paper's processor computes its share *while* the NDP computes
-    /// `C_res` (§V-C), so this may run before the reply exists, and no
-    /// byte from the untrusted side can reach it.
+    /// No reply is read here, and that is the point: the paper's processor
+    /// computes its share *while* the NDP computes `C_res` (§V-C), so this
+    /// may run before the reply exists, and no byte from the untrusted
+    /// side can change the pads or the check it makes.
     fn prepare<W: RingWord>(
         &self,
         handle: &TableHandle,
         indices: &[usize],
         weights: &[W],
         verify: bool,
-    ) -> Prepared<W> {
+        res: &mut [W],
+    ) -> Option<Check<'_>> {
         let _s = trace::span(trace::names::DECRYPT).timed(crate::metrics::stage_decrypt());
         let layout = handle.layout;
         let rows = || indices.iter().map(|&i| layout.row_addr(i));
-        let mut res = vec![W::ZERO; layout.cols()];
-        let mut tag = None;
+        let mut check = None;
         self.pad_gen(|| {
-            let mut blocks = self.accumulate(
-                handle.version,
-                layout.row_bytes(),
-                rows(),
-                weights,
-                &mut res,
-            );
+            let mut blocks =
+                self.accumulate(handle.version, layout.row_bytes(), rows(), weights, res);
             if verify {
                 // Pushed, not gathered for `combine_weighted`: the per-query
                 // Vec measured slower on pipelined packets (DESIGN.md).
@@ -592,14 +690,28 @@ impl<C: BlockCipher> TrustedProcessor<C> {
                     rows(),
                     |k, pad| e_t_res.push(Fq::new(first_127_bits(pad)), weights[k].as_u64()),
                 );
-                let secrets =
-                    derive_secrets(&self.otp, layout.base_addr(), handle.version, handle.scheme);
-                blocks += secrets.len() as u64;
-                tag = Some((e_t_res.sum(), secrets));
+                let key = match self.held_key(handle) {
+                    Some(key) => Cow::Borrowed(key),
+                    None => {
+                        let key = VerifyKey::derive(
+                            &self.otp,
+                            layout.base_addr(),
+                            handle.version,
+                            handle.scheme,
+                            layout.cols(),
+                        );
+                        blocks += key.secrets().len() as u64;
+                        Cow::Owned(key)
+                    }
+                };
+                check = Some(Check {
+                    e_t_res: e_t_res.sum(),
+                    key,
+                });
             }
             blocks
         });
-        Prepared { res, tag }
+        check
     }
 
     /// Runs `generate` — one query's pad generation, returning the blocks
@@ -633,33 +745,26 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         )
     }
 
-    /// `SecNDPLd` and the verification engine (Alg 4 line 15, Alg 5 lines
-    /// 15–17): the first and only place a reply to a weighted summation is
-    /// read. Each field is checked where it is first used.
+    /// The verification engine (Alg 5 lines 15–17) on a result that holds
+    /// `C_res + E_res` (`SecNDPLd`, Alg 4 line 15): with a check, the
+    /// reply's tag must be there and `h(res)` must equal
+    /// `C_T_res + E_T_res`, where `h` is one dot product with the key's
+    /// powers.
     fn finish<W: RingWord>(
         &self,
         handle: &TableHandle,
-        prepared: Prepared<W>,
-        response: &crate::device::NdpResponse<W>,
+        res: Vec<W>,
+        check: Option<Check<'_>>,
+        c_t_res: Option<Fq>,
     ) -> Result<Vec<W>, Error> {
-        let Prepared { mut res, tag } = prepared;
-        if response.c_res.len() != handle.layout.cols() {
-            return Err(crate::metrics::malformed(
-                "result width differs from table columns",
-            ));
-        }
-        // res = C_res + E_res.
-        for (x, &c) in res.iter_mut().zip(&response.c_res) {
-            *x = x.wadd(c);
-        }
-        if let Some((e_t_res, secrets)) = tag {
+        if let Some(Check { e_t_res, key }) = check {
             let _s = trace::span(trace::names::VERIFY).timed(crate::metrics::stage_verify());
-            let c_t_res = response.c_t_res.ok_or_else(|| {
+            let c_t_res = c_t_res.ok_or_else(|| {
                 crate::metrics::malformed("verification requested but no tag returned")
             })?;
             // Retrieved MAC = C_T_res + E_T_res (see mac.rs on the paper's
             // sign typo in Alg 5 line 16).
-            if row_checksum(&res, &secrets) != c_t_res + e_t_res {
+            if key.checksum(&res) != c_t_res + e_t_res {
                 return Err(crate::metrics::verification_failed(
                     handle.layout.base_addr(),
                     handle.region.0,
@@ -828,6 +933,7 @@ impl<C: BlockCipher> TrustedProcessor<C> {
     pub fn release(&mut self, handle: &TableHandle) {
         let _ = self.versions.bump(handle.region);
         self.versions.release(handle.region);
+        self.keys.retain(|k| k.region != handle.region);
     }
 
     fn validate_query<W: RingWord>(
@@ -853,6 +959,7 @@ impl<C: BlockCipher> TrustedProcessor<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checksum::derive_secrets;
     use crate::device::{HonestNdp, Tamper, TamperingNdp};
     use proptest::prelude::*;
 
@@ -932,8 +1039,10 @@ mod tests {
         reply: &crate::device::NdpResponse<W>,
         verify: bool,
     ) -> Result<Vec<W>, Error> {
-        let prepared = cpu.prepare(handle, indices, weights, verify);
-        cpu.finish(handle, prepared, reply)
+        let mut res = vec![W::ZERO; handle.layout().cols()];
+        let check = cpu.prepare(handle, indices, weights, verify, &mut res);
+        add_c_res(&mut res, &reply.c_res)?;
+        cpu.finish(handle, res, check, reply.c_t_res)
     }
 
     /// The seeded cases of [`split_matches_the_unsplit_reconstruct`] at one
@@ -1530,11 +1639,14 @@ mod tests {
                         Fq::new(cpu.otp.tag_pad(layout.row_addr(i), v)) * Fq::from(a.as_u64());
                 }
                 let at = format!("u{} cols {cols} pf {pf}", W::BITS);
-                let prepared = cpu.prepare(&handle, &idx, &w, true);
-                assert_eq!(prepared.res, e_res, "{at}");
-                let (tag, secrets) = prepared.tag.unwrap();
-                assert_eq!(tag, e_t_res, "{at}");
-                assert_eq!(secrets, derive_secrets(&cpu.otp, BASE, v, handle.scheme()));
+                let mut res = vec![W::ZERO; cols];
+                let check = cpu.prepare(&handle, &idx, &w, true, &mut res).unwrap();
+                assert_eq!(res, e_res, "{at}");
+                assert_eq!(check.e_t_res, e_t_res, "{at}");
+                assert_eq!(
+                    check.key.secrets(),
+                    derive_secrets(&cpu.otp, BASE, v, handle.scheme())
+                );
                 assert_eq!(cpu.otp_share(&layout, v, &idx, &w), e_res, "{at}");
             }
             let coords: Vec<(usize, usize)> = (0..40)
@@ -1585,9 +1697,85 @@ mod tests {
                 .unwrap();
         }
         let s1 = cpu.pad_cache().stats();
-        // Two queries × (2 rows × (2 data blocks + 1 tag block) + 1 secret).
-        assert_eq!((s1.hits, s1.misses - s0.misses), (0, 14));
+        // Two queries × 2 rows × (2 data blocks + 1 tag block): the secret
+        // is the held verification key's, made when the table was.
+        assert_eq!((s1.hits, s1.misses - s0.misses), (0, 12));
         assert!(cpu.pad_cache().is_empty());
+    }
+
+    /// A verification key is held for exactly the live (region, version)
+    /// pairs this processor encrypted with tags: a re-encryption replaces
+    /// it, a release drops it, and an untagged table or another
+    /// processor's handle finds none.
+    #[test]
+    fn verify_keys_are_held_only_for_live_versions_minted_here() {
+        let (mut cpu, mut ndp) = setup();
+        let pt: Vec<u32> = (0..32).collect();
+        let t1 = cpu.encrypt_table(&pt, 4, 8, 0x4000).unwrap();
+        let h1 = cpu.publish(&t1, &mut ndp).unwrap();
+        let plain = cpu.encrypt_table_untagged(&pt, 4, 8, 0x8000).unwrap();
+        let hp = cpu.publish(&plain, &mut ndp).unwrap();
+        assert!(cpu.held_key(&h1).is_some());
+        assert!(cpu.held_key(&hp).is_none());
+        assert_eq!(cpu.keys.len(), 1);
+
+        let t2 = cpu.reencrypt_table(&t1, &pt).unwrap();
+        let h2 = cpu.publish(&t2, &mut ndp).unwrap();
+        assert!(cpu.held_key(&h2).is_some());
+        assert!(cpu.held_key(&h1).is_none(), "the old version's key stays");
+        assert_eq!(cpu.keys.len(), 1);
+
+        // Same region and version numbers, another processor's table.
+        let mut other = TrustedProcessor::new(SecretKey::from_bytes([0xAB; 16]));
+        let o1 = other.encrypt_table(&pt, 4, 8, 0x5000).unwrap();
+        let ho = other.publish(&o1, &mut ndp).unwrap();
+        assert_eq!((ho.region(), ho.version()), (h1.region(), h1.version()));
+        assert!(cpu.held_key(&ho).is_none());
+
+        cpu.release(&h2);
+        assert!(cpu.held_key(&h2).is_none());
+        assert!(cpu.keys.is_empty());
+    }
+
+    /// `rotate_key` drops every held key with the cipher they came from,
+    /// and `Debug` prints how many keys are held, never what they hold.
+    #[test]
+    fn rotation_drops_verify_keys_and_debug_prints_none_of_them() {
+        let (mut cpu, mut ndp) = setup();
+        let pt: Vec<u32> = (0..32).collect();
+        let table = cpu.encrypt_table(&pt, 4, 8, 0x4000).unwrap();
+        let handle = cpu.publish(&table, &mut ndp).unwrap();
+        let key = cpu.held_key(&handle).unwrap().clone();
+        let shown = format!("{cpu:?}");
+        assert!(shown.contains("verify_keys: 1"), "{shown}");
+        for s in key.secrets() {
+            assert!(!shown.contains(&s.value().to_string()), "{shown}");
+        }
+        let cpu = cpu.rotate_key(Aes128Fast::new(&[0xEE; 16]));
+        assert!(cpu.keys.is_empty());
+        assert!(cpu.held_key(&handle).is_none());
+    }
+
+    /// A handle kept from before a re-encryption names the old version:
+    /// the processor holds no key for it, and against the re-encrypted
+    /// table it fails verification, as it did when every query derived
+    /// its key.
+    #[test]
+    fn a_stale_handle_after_reencrypt_still_fails_verification() {
+        let (mut cpu, mut ndp) = setup();
+        let pt: Vec<u32> = (0..32).collect();
+        let t1 = cpu.encrypt_table(&pt, 4, 8, 0x4000).unwrap();
+        let stale = cpu.publish(&t1, &mut ndp).unwrap();
+        let t2 = cpu.reencrypt_table(&t1, &pt).unwrap();
+        let fresh = cpu.publish(&t2, &mut ndp).unwrap();
+        assert!(cpu.held_key(&stale).is_none());
+        assert_eq!(
+            cpu.weighted_sum(&stale, &ndp, &[0, 3], &[1u32, 2], true),
+            Err(Error::VerificationFailed { table_addr: 0x4000 })
+        );
+        assert!(cpu
+            .weighted_sum(&fresh, &ndp, &[0, 3], &[1u32, 2], true)
+            .is_ok());
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::device::NdpDevice;
 use crate::endpoint::{locked, Completer, Endpoint, EndpointConfig, Link, LinkFail, Route};
 use crate::error::Error;
 use crate::net::{DeviceHost, FrameHost};
-use crate::wire::{self, Request, Response, RoundTrip};
+use crate::wire::{self, Request, Response, RoundTrip, Writer};
 use secndp_telemetry::trace;
 use std::sync::{Arc, Mutex};
 
@@ -40,7 +40,7 @@ pub type AsyncEndpoint = Endpoint<InlineLink>;
 /// [module docs](self).
 pub struct InlineLink {
     /// One device per rank; its lock serializes that rank's frames.
-    ranks: Vec<Mutex<Box<dyn FrameHost>>>,
+    ranks: Vec<Mutex<Rank>>,
     /// Where [`send`](Link::send) completes; `None` for the bare
     /// [`RoundTrip`], which has no pending table.
     done: Option<Completer>,
@@ -54,6 +54,14 @@ impl std::fmt::Debug for InlineLink {
     }
 }
 
+/// One rank: its device, and the frame buffers of the in-place round trip,
+/// which keep their capacity from one request to the next.
+struct Rank {
+    host: Box<dyn FrameHost>,
+    request: Vec<u8>,
+    reply: Vec<u8>,
+}
+
 impl InlineLink {
     /// Hosts one rank per device, completing through `done`.
     pub(crate) fn new<D: NdpDevice + Send + 'static>(
@@ -62,14 +70,25 @@ impl InlineLink {
     ) -> Self {
         let ranks = devices
             .into_iter()
-            .map(|d| Mutex::new(Box::new(DeviceHost(d)) as Box<dyn FrameHost>))
+            .map(|d| {
+                Mutex::new(Rank {
+                    host: Box::new(DeviceHost::new(d)),
+                    request: Vec::new(),
+                    reply: Vec::new(),
+                })
+            })
             .collect();
         Self { ranks, done }
     }
 
-    /// Serves `frame` on `rank`; the rank's lock is released on return.
+    /// Serves `frame` on `rank` into a reply of its own; the rank's lock is
+    /// released on return.
     fn serve(&self, rank: usize, frame: &[u8]) -> Vec<u8> {
-        locked(&self.ranks[rank]).serve_frame(0, rank as u32, frame)
+        let mut reply = Vec::new();
+        locked(&self.ranks[rank])
+            .host
+            .serve_frame(0, rank as u32, frame, &mut reply);
+        reply
     }
 }
 
@@ -104,6 +123,33 @@ impl RoundTrip for InlineLink {
         };
         crate::metrics::wire_packets().inc();
         wire::decode_reply(&self.serve(0, &frame))
+    }
+
+    /// The request is written into rank 0's request buffer and served into
+    /// its reply buffer, which `read` is handed: with the rank's lock held
+    /// throughout, nothing is allocated once the buffers have grown to the
+    /// query's size.
+    fn round_trip_in_place(
+        &self,
+        body_len: usize,
+        write: &mut dyn FnMut(&mut Vec<u8>) -> Result<(), Error>,
+        read: &mut dyn FnMut(&[u8]) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        let ctx = trace::current();
+        let mut rank = locked(&self.ranks[0]);
+        let Rank {
+            host,
+            request,
+            reply,
+        } = &mut *rank;
+        {
+            let _e = trace::span(trace::names::WIRE_ENCODE);
+            Writer::reuse(request, ctx, body_len);
+            write(request)?;
+        }
+        crate::metrics::wire_packets().inc();
+        host.serve_frame(0, 0, request, reply);
+        read(reply)
     }
 }
 

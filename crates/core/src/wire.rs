@@ -8,9 +8,18 @@
 //! hidden Rust-object channel is smuggling state between the parties.
 //!
 //! Framing: one tag byte, then fields in little-endian; variable-length
-//! vectors are `u32` length-prefixed. [`RemoteNdp`] wraps any device and
-//! forces every interaction through encode → decode → execute → encode →
-//! decode, byte-for-byte.
+//! vectors are `u32` length-prefixed; a flag byte is 0 or 1. [`RemoteNdp`]
+//! wraps any device and forces every interaction through encode → decode →
+//! execute → encode → decode, byte-for-byte.
+//!
+//! One writer and one reader carry every frame. The writer appends a frame
+//! to a buffer its caller owns; the reader parses a frame in place, into
+//! views that borrow it, and is strict: an unknown tag, a flag byte other
+//! than 0 or 1, a weight wider than the declared element, a length past
+//! the frame or a trailing byte is a typed [`WireError`]. The owned
+//! [`Request`]/[`Response`] encode and decode through them; the hot path —
+//! a weighted sum on the caller's slices, its reply added into the
+//! caller's result — never builds them.
 //!
 //! # Traced frames (v2 envelope)
 //!
@@ -28,12 +37,15 @@
 //! [`Request::encode_traced`] adds the envelope only when the supplied
 //! context is non-empty, so untraced builds produce byte-identical frames.
 
+// Every byte this module reads may come from the untrusted side.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::device::{validate_load, NdpDevice, NdpResponse};
 use crate::error::Error;
 use crate::net::TcpEndpoint;
 use crate::transport::InlineLink;
 use secndp_arith::mersenne::Fq;
-use secndp_arith::ring::{words_from_le_bytes, words_to_le_bytes, RingWord};
+use secndp_arith::ring::RingWord;
 use secndp_telemetry::trace::{self, SpanContext, SpanId, TraceId};
 use std::marker::PhantomData;
 
@@ -51,32 +63,22 @@ fn strip_envelope(buf: &[u8]) -> Result<(&[u8], SpanContext), WireError> {
     if buf.first() != Some(&FRAME_TRACED) {
         return Ok((buf, SpanContext::NONE));
     }
-    if buf.len() < ENVELOPE_LEN {
-        return Err(WireError::Truncated);
-    }
-    let trace = u64::from_le_bytes(buf[1..9].try_into().unwrap());
-    let span = u64::from_le_bytes(buf[9..17].try_into().unwrap());
-    Ok((
-        &buf[ENVELOPE_LEN..],
-        SpanContext {
-            trace: TraceId(trace),
-            span: SpanId(span),
-        },
-    ))
+    let mut r = Reader::new(buf);
+    r.u8()?;
+    let ctx = SpanContext {
+        trace: TraceId(r.u64()?),
+        span: SpanId(r.u64()?),
+    };
+    Ok((r.rest(), ctx))
 }
 
-/// A frame buffer of exactly `body_len` bytes plus the trace envelope
-/// `ctx` calls for, with that envelope (if any) already written: the body
-/// follows in the same allocation, which never grows.
-fn frame_with_envelope(ctx: SpanContext, body_len: usize) -> Vec<u8> {
+/// The bytes of the envelope `ctx` calls for: none when it is empty.
+fn envelope_len(ctx: SpanContext) -> usize {
     if ctx.is_none() {
-        return Vec::with_capacity(body_len);
+        0
+    } else {
+        ENVELOPE_LEN
     }
-    let mut out = Vec::with_capacity(ENVELOPE_LEN + body_len);
-    out.push(FRAME_TRACED);
-    out.extend_from_slice(&ctx.trace.0.to_le_bytes());
-    out.extend_from_slice(&ctx.span.0.to_le_bytes());
-    out
 }
 
 /// A request frame from the processor to the NDP unit.
@@ -148,6 +150,12 @@ pub enum WireError {
     /// Rejected at decode time: coercing it to *any* width would silently
     /// compute a different query than the one the peer framed.
     BadElemBytes(u8),
+    /// A flag byte other than 0 or 1. Reading any non-zero byte as `true`
+    /// would accept a frame that is not the one the encoder writes.
+    BadFlag(u8),
+    /// A weight wider than the frame's element width. Truncating it to
+    /// the element would compute a different query than the one framed.
+    BadWeight(u64),
     /// A field is too long for its `u32` length prefix (encode side).
     FrameTooLarge,
 }
@@ -162,12 +170,18 @@ impl std::fmt::Display for WireError {
             WireError::BadElemBytes(b) => {
                 write!(f, "element width {b} is not one of 1, 2, 4, 8")
             }
+            WireError::BadFlag(b) => write!(f, "flag byte {b} is not 0 or 1"),
+            WireError::BadWeight(w) => write!(f, "weight {w:#x} is wider than its element"),
             WireError::FrameTooLarge => f.write_str("field exceeds the u32 length prefix"),
         }
     }
 }
 
 impl std::error::Error for WireError {}
+
+// ---------------------------------------------------------------------------
+// The reader
+// ---------------------------------------------------------------------------
 
 struct Reader<'a> {
     buf: &'a [u8],
@@ -180,55 +194,66 @@ impl<'a> Reader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.pos + n > self.buf.len() {
-            return Err(WireError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
+        let s = self
+            .buf
+            .get(self.pos..)
+            .and_then(|rest| rest.get(..n))
+            .ok_or(WireError::Truncated)?;
         self.pos += n;
         Ok(s)
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        self.take(N)?
+            .first_chunk::<N>()
+            .copied()
+            .ok_or(WireError::Truncated)
+    }
+
     fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+        Ok(u8::from_le_bytes(self.array()?))
     }
     fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(self.array()?))
     }
     fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
     fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
     fn u128(&mut self) -> Result<u128, WireError> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
+        Ok(u128::from_le_bytes(self.array()?))
     }
 
-    fn len(&mut self) -> Result<usize, WireError> {
+    /// A flag byte: 0 or 1, nothing else.
+    fn flag(&mut self) -> Result<bool, WireError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(WireError::BadFlag(b)),
+        }
+    }
+
+    /// Reads a `u32` record count and takes `count × N` bytes of records,
+    /// checking they fit the remaining frame *before* any record is read,
+    /// so an oversized count is refused up front.
+    fn records<const N: usize>(&mut self) -> Result<Records<'a, N>, WireError> {
         let n = self.u32()? as usize;
-        if self.pos + n > self.buf.len() {
-            // Even a length of element-sized records cannot exceed bytes.
+        let total = n.checked_mul(N).ok_or(WireError::BadLength)?;
+        if total > self.buf.len().saturating_sub(self.pos) {
             return Err(WireError::BadLength);
         }
-        Ok(n)
+        Ok(Records(self.take(total)?))
     }
 
-    /// Reads a `u32` record count and checks `count × record_bytes` fits in
-    /// the remaining frame *before* any element is parsed, so an oversized
-    /// count is rejected up front instead of draining the reader item by
-    /// item.
-    fn count(&mut self, record_bytes: usize) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
-        let total = n.checked_mul(record_bytes).ok_or(WireError::BadLength)?;
-        if self.pos + total > self.buf.len() {
-            return Err(WireError::BadLength);
-        }
-        Ok(n)
+    /// A `u32`-length-prefixed byte field.
+    fn bytes(&mut self) -> Result<&'a [u8], WireError> {
+        Ok(self.records::<1>()?.0)
     }
 
-    fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
-        let n = self.len()?;
-        Ok(self.take(n)?.to_vec())
+    fn rest(&self) -> &'a [u8] {
+        self.buf.get(self.pos..).unwrap_or_default()
     }
 
     fn finish(self) -> Result<(), WireError> {
@@ -240,18 +265,375 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Encodes a `u32` length prefix, rejecting lengths that do not fit rather
-/// than truncating them into a decodable-but-corrupt frame.
-fn put_len(out: &mut Vec<u8>, len: usize) -> Result<(), Error> {
-    let n = u32::try_from(len).map_err(|_| Error::FrameTooLarge { len })?;
-    out.extend_from_slice(&n.to_le_bytes());
-    Ok(())
+/// `N`-byte little-endian records borrowed from a frame.
+#[derive(Clone, Copy)]
+pub(crate) struct Records<'a, const N: usize>(&'a [u8]);
+
+impl<const N: usize> Records<'_, N> {
+    fn chunks(&self) -> impl ExactSizeIterator<Item = &[u8; N]> {
+        self.0.as_chunks::<N>().0.iter()
+    }
 }
 
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) -> Result<(), Error> {
-    put_len(out, b.len())?;
-    out.extend_from_slice(b);
-    Ok(())
+impl Records<'_, 8> {
+    /// The records as `u64`s, in order.
+    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        self.chunks().map(|c| u64::from_le_bytes(*c))
+    }
+}
+
+impl Records<'_, 16> {
+    /// The records as `u128`s, in order.
+    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = u128> + '_ {
+        self.chunks().map(|c| u128::from_le_bytes(*c))
+    }
+}
+
+/// A request frame read in place: what [`Request`] holds, borrowed.
+#[derive(Clone, Copy)]
+pub(crate) enum RequestView<'a> {
+    Load {
+        table_addr: u64,
+        row_bytes: u32,
+        ciphertext: &'a [u8],
+        tags: Option<Records<'a, 16>>,
+    },
+    WeightedSum(SumView<'a>),
+    ReadRow {
+        table_addr: u64,
+        row: u64,
+    },
+}
+
+/// A weighted-sum request read in place.
+#[derive(Clone, Copy)]
+pub(crate) struct SumView<'a> {
+    table_addr: u64,
+    elem_bytes: u8,
+    indices: Records<'a, 8>,
+    weights: Records<'a, 8>,
+    with_tag: bool,
+}
+
+impl<'a> RequestView<'a> {
+    /// Parses a request frame, legacy or traced, returning the carried
+    /// trace context ([`SpanContext::NONE`] for a legacy frame). The
+    /// discriminating fields are checked as they are read: the element
+    /// width before anything sized by it, every weight against that width.
+    pub(crate) fn parse(buf: &'a [u8]) -> Result<(Self, SpanContext), WireError> {
+        let (inner, ctx) = strip_envelope(buf)?;
+        let mut r = Reader::new(inner);
+        let req = match r.u8()? {
+            0x01 => {
+                let table_addr = r.u64()?;
+                let row_bytes = r.u32()?;
+                let ciphertext = r.bytes()?;
+                let tags = if r.flag()? { Some(r.records()?) } else { None };
+                Self::Load {
+                    table_addr,
+                    row_bytes,
+                    ciphertext,
+                    tags,
+                }
+            }
+            0x02 => {
+                let table_addr = r.u64()?;
+                let elem_bytes = r.u8()?;
+                // Reject unsupported widths at decode time: a device that
+                // coerced, say, 3 to the u64 path would compute a *different
+                // valid query* than the one the peer framed.
+                if !matches!(elem_bytes, 1 | 2 | 4 | 8) {
+                    return Err(WireError::BadElemBytes(elem_bytes));
+                }
+                let with_tag = r.flag()?;
+                let indices = r.records()?;
+                let weights: Records<'a, 8> = r.records()?;
+                let bits = 8 * u32::from(elem_bytes);
+                if let Some(w) = weights
+                    .iter()
+                    .find(|w| w.checked_shr(bits).unwrap_or(0) != 0)
+                {
+                    return Err(WireError::BadWeight(w));
+                }
+                Self::WeightedSum(SumView {
+                    table_addr,
+                    elem_bytes,
+                    indices,
+                    weights,
+                    with_tag,
+                })
+            }
+            0x03 => Self::ReadRow {
+                table_addr: r.u64()?,
+                row: r.u64()?,
+            },
+            t => return Err(WireError::BadTag(t)),
+        };
+        r.finish()?;
+        Ok((req, ctx))
+    }
+
+    fn op(&self) -> &'static str {
+        match self {
+            Self::Load { .. } => "load",
+            Self::WeightedSum(_) => "weighted_sum",
+            Self::ReadRow { .. } => "read_row",
+        }
+    }
+
+    fn owned(self) -> Request {
+        match self {
+            Self::Load {
+                table_addr,
+                row_bytes,
+                ciphertext,
+                tags,
+            } => Request::Load {
+                table_addr,
+                row_bytes,
+                ciphertext: ciphertext.to_vec(),
+                tags: tags.map(|t| t.iter().collect()),
+            },
+            Self::WeightedSum(sum) => Request::WeightedSum {
+                table_addr: sum.table_addr,
+                elem_bytes: sum.elem_bytes,
+                indices: sum.indices.iter().collect(),
+                weights: sum.weights.iter().collect(),
+                with_tag: sum.with_tag,
+            },
+            Self::ReadRow { table_addr, row } => Request::ReadRow { table_addr, row },
+        }
+    }
+}
+
+/// A response frame read in place: what [`Response`] holds, borrowed.
+#[derive(Clone, Copy)]
+pub(crate) enum ResponseView<'a> {
+    Ack,
+    Sum {
+        c_res: &'a [u8],
+        c_t_res: Option<u128>,
+    },
+    Row(&'a [u8]),
+    Err(u16),
+}
+
+impl<'a> ResponseView<'a> {
+    /// Parses a response frame, legacy or traced, returning the carried
+    /// trace context.
+    pub(crate) fn parse(buf: &'a [u8]) -> Result<(Self, SpanContext), WireError> {
+        let (inner, ctx) = strip_envelope(buf)?;
+        let mut r = Reader::new(inner);
+        let resp = match r.u8()? {
+            0x81 => Self::Ack,
+            0x82 => {
+                let c_res = r.bytes()?;
+                let c_t_res = if r.flag()? { Some(r.u128()?) } else { None };
+                Self::Sum { c_res, c_t_res }
+            }
+            0x83 => Self::Row(r.bytes()?),
+            0xFF => Self::Err(r.u16()?),
+            t => return Err(WireError::BadTag(t)),
+        };
+        r.finish()?;
+        Ok((resp, ctx))
+    }
+
+    fn owned(self) -> Response {
+        match self {
+            Self::Ack => Response::Ack,
+            Self::Sum { c_res, c_t_res } => Response::Sum {
+                c_res: c_res.to_vec(),
+                c_t_res,
+            },
+            Self::Row(b) => Response::Row(b.to_vec()),
+            Self::Err(code) => Response::Err(code),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The writer
+// ---------------------------------------------------------------------------
+
+/// Appends one frame to a buffer the caller owns: the envelope its
+/// context calls for, then the body one of its methods writes, with room
+/// for both reserved exactly before the first byte. Length prefixes are
+/// checked, never truncated.
+pub(crate) struct Writer<'a> {
+    out: &'a mut Vec<u8>,
+    ctx: SpanContext,
+}
+
+/// Appends the trace envelope `ctx` calls for (none when it is empty).
+fn put_envelope(out: &mut Vec<u8>, ctx: SpanContext) {
+    if !ctx.is_none() {
+        out.push(FRAME_TRACED);
+        out.extend_from_slice(&ctx.trace.0.to_le_bytes());
+        out.extend_from_slice(&ctx.span.0.to_le_bytes());
+    }
+}
+
+impl<'a> Writer<'a> {
+    /// A frame for `out`, behind the envelope `ctx` calls for.
+    pub(crate) fn new(out: &'a mut Vec<u8>, ctx: SpanContext) -> Self {
+        Self { out, ctx }
+    }
+
+    /// A frame body for `out`, behind the envelope its transport wrote
+    /// there.
+    pub(crate) fn body(out: &'a mut Vec<u8>) -> Self {
+        Self::new(out, SpanContext::NONE)
+    }
+
+    /// A new frame buffer holding the envelope `ctx` calls for, with room
+    /// for exactly `body_len` bytes more.
+    pub(crate) fn frame(ctx: SpanContext, body_len: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(envelope_len(ctx) + body_len);
+        put_envelope(&mut out, ctx);
+        out
+    }
+
+    /// `out` emptied down to the envelope `ctx` calls for, with room for
+    /// `body_len` bytes more: a buffer reused from frame to frame.
+    pub(crate) fn reuse(out: &mut Vec<u8>, ctx: SpanContext, body_len: usize) {
+        out.clear();
+        out.reserve(envelope_len(ctx) + body_len);
+        put_envelope(out, ctx);
+    }
+
+    /// Reserves the envelope and a `body_len`-byte body, and writes the
+    /// envelope.
+    fn begin(&mut self, body_len: usize) {
+        self.out.reserve_exact(envelope_len(self.ctx) + body_len);
+        put_envelope(self.out, self.ctx);
+    }
+
+    fn u8(&mut self, v: u8) {
+        self.out.push(v);
+    }
+
+    fn put(&mut self, b: &[u8]) {
+        self.out.extend_from_slice(b);
+    }
+
+    /// `records` as `N`-byte little-endian records, written into room
+    /// made for all of them at once.
+    fn records<const N: usize>(&mut self, records: impl ExactSizeIterator<Item = [u8; N]>) {
+        let start = self.out.len();
+        self.out.resize(start + N * records.len(), 0);
+        let (room, _) = self.out[start..].as_chunks_mut::<N>();
+        for (dst, r) in room.iter_mut().zip(records) {
+            *dst = r;
+        }
+    }
+
+    /// A `u32` length prefix, refusing lengths that do not fit rather
+    /// than truncating them into a decodable-but-corrupt frame.
+    fn len(&mut self, len: usize) -> Result<(), Error> {
+        let n = u32::try_from(len).map_err(|_| Error::FrameTooLarge { len })?;
+        self.put(&n.to_le_bytes());
+        Ok(())
+    }
+
+    /// The body length of a weighted sum with `indices` and `weights`.
+    pub(crate) const fn weighted_sum_len(indices: usize, weights: usize) -> usize {
+        1 + 8 + 1 + 1 + 4 + 8 * indices + 4 + 8 * weights
+    }
+
+    pub(crate) fn weighted_sum(
+        mut self,
+        table_addr: u64,
+        elem_bytes: u8,
+        indices: impl ExactSizeIterator<Item = u64>,
+        weights: impl ExactSizeIterator<Item = u64>,
+        with_tag: bool,
+    ) -> Result<(), Error> {
+        self.begin(Self::weighted_sum_len(indices.len(), weights.len()));
+        self.u8(0x02);
+        self.put(&table_addr.to_le_bytes());
+        self.u8(elem_bytes);
+        self.u8(with_tag.into());
+        self.len(indices.len())?;
+        self.records(indices.map(u64::to_le_bytes));
+        self.len(weights.len())?;
+        self.records(weights.map(u64::to_le_bytes));
+        Ok(())
+    }
+
+    fn load(
+        mut self,
+        table_addr: u64,
+        row_bytes: u32,
+        ciphertext: &[u8],
+        tags: Option<&[u128]>,
+    ) -> Result<(), Error> {
+        self.begin(1 + 8 + 4 + 4 + ciphertext.len() + 1 + tags.map_or(0, |t| 4 + 16 * t.len()));
+        self.u8(0x01);
+        self.put(&table_addr.to_le_bytes());
+        self.put(&row_bytes.to_le_bytes());
+        self.len(ciphertext.len())?;
+        self.put(ciphertext);
+        match tags {
+            None => self.u8(0),
+            Some(tags) => {
+                self.u8(1);
+                self.len(tags.len())?;
+                self.records(tags.iter().map(|t| t.to_le_bytes()));
+            }
+        }
+        Ok(())
+    }
+
+    fn read_row(mut self, table_addr: u64, row: u64) {
+        self.begin(1 + 8 + 8);
+        self.u8(0x03);
+        self.put(&table_addr.to_le_bytes());
+        self.put(&row.to_le_bytes());
+    }
+
+    fn ack(mut self) {
+        self.begin(1);
+        self.u8(0x81);
+    }
+
+    /// A `Sum` reply of the words `c_res`, little-endian.
+    fn sum<W: RingWord>(mut self, c_res: &[W], c_t_res: Option<u128>) -> Result<(), Error> {
+        let bytes = c_res.len() * W::BYTES;
+        self.begin(1 + 4 + bytes + 1 + c_t_res.map_or(0, |_| 16));
+        self.u8(0x82);
+        self.len(bytes)?;
+        let start = self.out.len();
+        self.out.resize(start + bytes, 0);
+        for (w, out) in c_res
+            .iter()
+            .zip(self.out[start..].chunks_exact_mut(W::BYTES))
+        {
+            w.write_le(out);
+        }
+        match c_t_res {
+            None => self.u8(0),
+            Some(t) => {
+                self.u8(1);
+                self.put(&t.to_le_bytes());
+            }
+        }
+        Ok(())
+    }
+
+    fn row(mut self, bytes: &[u8]) -> Result<(), Error> {
+        self.begin(1 + 4 + bytes.len());
+        self.u8(0x83);
+        self.len(bytes.len())?;
+        self.put(bytes);
+        Ok(())
+    }
+
+    fn err(mut self, code: u16) {
+        self.begin(1 + 2);
+        self.u8(0xFF);
+        self.put(&code.to_le_bytes());
+    }
 }
 
 impl Request {
@@ -267,22 +649,6 @@ impl Request {
         self.encode_traced(SpanContext::NONE)
     }
 
-    /// The encoded length of the frame body (everything after the
-    /// envelope).
-    fn body_len(&self) -> usize {
-        match self {
-            Request::Load {
-                ciphertext, tags, ..
-            } => {
-                1 + 8 + 4 + 4 + ciphertext.len() + 1 + tags.as_ref().map_or(0, |t| 4 + 16 * t.len())
-            }
-            Request::WeightedSum {
-                indices, weights, ..
-            } => 1 + 8 + 1 + 1 + 4 + 8 * indices.len() + 4 + 8 * weights.len(),
-            Request::ReadRow { .. } => 1 + 8 + 8,
-        }
-    }
-
     /// Serializes the request, wrapping it in a trace envelope when `ctx`
     /// is non-empty (an empty context yields the legacy byte-identical
     /// encoding). The frame is written once, into a buffer allocated at
@@ -292,54 +658,29 @@ impl Request {
     ///
     /// Returns [`Error::FrameTooLarge`] as for [`encode`](Self::encode).
     pub fn encode_traced(&self, ctx: SpanContext) -> Result<Vec<u8>, Error> {
-        let mut out = frame_with_envelope(ctx, self.body_len());
+        let mut out = Vec::new();
+        let w = Writer::new(&mut out, ctx);
         match self {
             Request::Load {
                 table_addr,
                 row_bytes,
                 ciphertext,
                 tags,
-            } => {
-                out.push(0x01);
-                out.extend_from_slice(&table_addr.to_le_bytes());
-                out.extend_from_slice(&row_bytes.to_le_bytes());
-                put_bytes(&mut out, ciphertext)?;
-                match tags {
-                    None => out.push(0),
-                    Some(tags) => {
-                        out.push(1);
-                        put_len(&mut out, tags.len())?;
-                        for t in tags {
-                            out.extend_from_slice(&t.to_le_bytes());
-                        }
-                    }
-                }
-            }
+            } => w.load(*table_addr, *row_bytes, ciphertext, tags.as_deref())?,
             Request::WeightedSum {
                 table_addr,
                 elem_bytes,
                 indices,
                 weights,
                 with_tag,
-            } => {
-                out.push(0x02);
-                out.extend_from_slice(&table_addr.to_le_bytes());
-                out.push(*elem_bytes);
-                out.push(*with_tag as u8);
-                put_len(&mut out, indices.len())?;
-                for i in indices {
-                    out.extend_from_slice(&i.to_le_bytes());
-                }
-                put_len(&mut out, weights.len())?;
-                for w in weights {
-                    out.extend_from_slice(&w.to_le_bytes());
-                }
-            }
-            Request::ReadRow { table_addr, row } => {
-                out.push(0x03);
-                out.extend_from_slice(&table_addr.to_le_bytes());
-                out.extend_from_slice(&row.to_le_bytes());
-            }
+            } => w.weighted_sum(
+                *table_addr,
+                *elem_bytes,
+                indices.iter().copied(),
+                weights.iter().copied(),
+                *with_tag,
+            )?,
+            Request::ReadRow { table_addr, row } => w.read_row(*table_addr, *row),
         }
         Ok(out)
     }
@@ -361,71 +702,7 @@ impl Request {
     ///
     /// Returns a [`WireError`] for malformed frames.
     pub fn decode_traced(buf: &[u8]) -> Result<(Request, SpanContext), WireError> {
-        let (inner, ctx) = strip_envelope(buf)?;
-        Ok((Self::decode_inner(inner)?, ctx))
-    }
-
-    fn decode_inner(buf: &[u8]) -> Result<Request, WireError> {
-        let mut r = Reader::new(buf);
-        let req = match r.u8()? {
-            0x01 => {
-                let table_addr = r.u64()?;
-                let row_bytes = r.u32()?;
-                let ciphertext = r.bytes()?;
-                let tags = match r.u8()? {
-                    0 => None,
-                    _ => {
-                        let n = r.count(16)?;
-                        let mut tags = Vec::with_capacity(n);
-                        for _ in 0..n {
-                            tags.push(r.u128()?);
-                        }
-                        Some(tags)
-                    }
-                };
-                Request::Load {
-                    table_addr,
-                    row_bytes,
-                    ciphertext,
-                    tags,
-                }
-            }
-            0x02 => {
-                let table_addr = r.u64()?;
-                let elem_bytes = r.u8()?;
-                // Reject unsupported widths at decode time: a device that
-                // coerced, say, 3 to the u64 path would compute a *different
-                // valid query* than the one the peer framed.
-                if !matches!(elem_bytes, 1 | 2 | 4 | 8) {
-                    return Err(WireError::BadElemBytes(elem_bytes));
-                }
-                let with_tag = r.u8()? != 0;
-                let n = r.count(8)?;
-                let mut indices = Vec::with_capacity(n);
-                for _ in 0..n {
-                    indices.push(r.u64()?);
-                }
-                let n = r.count(8)?;
-                let mut weights = Vec::with_capacity(n);
-                for _ in 0..n {
-                    weights.push(r.u64()?);
-                }
-                Request::WeightedSum {
-                    table_addr,
-                    elem_bytes,
-                    indices,
-                    weights,
-                    with_tag,
-                }
-            }
-            0x03 => Request::ReadRow {
-                table_addr: r.u64()?,
-                row: r.u64()?,
-            },
-            t => return Err(WireError::BadTag(t)),
-        };
-        r.finish()?;
-        Ok(req)
+        RequestView::parse(buf).map(|(view, ctx)| (view.owned(), ctx))
     }
 }
 
@@ -441,17 +718,6 @@ impl Response {
         self.encode_traced(SpanContext::NONE)
     }
 
-    /// The encoded length of the frame body (everything after the
-    /// envelope).
-    fn body_len(&self) -> usize {
-        match self {
-            Response::Ack => 1,
-            Response::Sum { c_res, c_t_res } => 1 + 4 + c_res.len() + 1 + c_t_res.map_or(0, |_| 16),
-            Response::Row(b) => 1 + 4 + b.len(),
-            Response::Err(_) => 1 + 2,
-        }
-    }
-
     /// Serializes the response, wrapping it in a trace envelope when `ctx`
     /// is non-empty. The frame is written once, into a buffer allocated at
     /// its final length.
@@ -460,28 +726,13 @@ impl Response {
     ///
     /// Returns [`Error::FrameTooLarge`] as for [`encode`](Self::encode).
     pub fn encode_traced(&self, ctx: SpanContext) -> Result<Vec<u8>, Error> {
-        let mut out = frame_with_envelope(ctx, self.body_len());
+        let mut out = Vec::new();
+        let w = Writer::new(&mut out, ctx);
         match self {
-            Response::Ack => out.push(0x81),
-            Response::Sum { c_res, c_t_res } => {
-                out.push(0x82);
-                put_bytes(&mut out, c_res)?;
-                match c_t_res {
-                    None => out.push(0),
-                    Some(t) => {
-                        out.push(1);
-                        out.extend_from_slice(&t.to_le_bytes());
-                    }
-                }
-            }
-            Response::Row(b) => {
-                out.push(0x83);
-                put_bytes(&mut out, b)?;
-            }
-            Response::Err(code) => {
-                out.push(0xFF);
-                out.extend_from_slice(&code.to_le_bytes());
-            }
+            Response::Ack => w.ack(),
+            Response::Sum { c_res, c_t_res } => w.sum(c_res, *c_t_res)?,
+            Response::Row(b) => w.row(b)?,
+            Response::Err(code) => w.err(*code),
         }
         Ok(out)
     }
@@ -503,28 +754,7 @@ impl Response {
     ///
     /// Returns a [`WireError`] for malformed frames.
     pub fn decode_traced(buf: &[u8]) -> Result<(Response, SpanContext), WireError> {
-        let (inner, ctx) = strip_envelope(buf)?;
-        Ok((Self::decode_inner(inner)?, ctx))
-    }
-
-    fn decode_inner(buf: &[u8]) -> Result<Response, WireError> {
-        let mut r = Reader::new(buf);
-        let resp = match r.u8()? {
-            0x81 => Response::Ack,
-            0x82 => {
-                let c_res = r.bytes()?;
-                let c_t_res = match r.u8()? {
-                    0 => None,
-                    _ => Some(r.u128()?),
-                };
-                Response::Sum { c_res, c_t_res }
-            }
-            0x83 => Response::Row(r.bytes()?),
-            0xFF => Response::Err(r.u16()?),
-            t => return Err(WireError::BadTag(t)),
-        };
-        r.finish()?;
-        Ok(resp)
+        ResponseView::parse(buf).map(|(view, ctx)| (view.owned(), ctx))
     }
 }
 
@@ -576,12 +806,19 @@ pub(crate) fn error_from_code(code: u16, table_addr: u64) -> Error {
     }
 }
 
-fn request_op(req: &Request) -> &'static str {
-    match req {
-        Request::Load { .. } => "load",
-        Request::WeightedSum { .. } => "weighted_sum",
-        Request::ReadRow { .. } => "read_row",
-    }
+// ---------------------------------------------------------------------------
+// The device side
+// ---------------------------------------------------------------------------
+
+/// A device server's buffers, kept across frames: a weighted sum's indices
+/// and its weights at each element width, read out of the frame into them.
+#[derive(Default)]
+pub(crate) struct ServeScratch {
+    indices: Vec<usize>,
+    w8: Vec<u8>,
+    w16: Vec<u16>,
+    w32: Vec<u32>,
+    w64: Vec<u64>,
 }
 
 /// The device-side dispatcher: decodes a request, executes it against
@@ -589,38 +826,60 @@ fn request_op(req: &Request) -> &'static str {
 /// Traced frames open an `ndp_serve` child span under the processor-side
 /// context carried in the envelope, and the reply frame carries the serve
 /// span's context back.
+///
+/// # Errors
+///
+/// The [`WireError`] of a frame that does not decode.
 pub fn serve<D: NdpDevice>(device: &mut D, frame: &[u8]) -> Result<Vec<u8>, WireError> {
-    let (req, ctx) = Request::decode_traced(frame)?;
+    let mut out = Vec::new();
+    serve_into(device, frame, &mut ServeScratch::default(), &mut out)?;
+    Ok(out)
+}
+
+/// [`serve`] into `out` (cleared first), with `scratch` for the request's
+/// indices and weights.
+fn serve_into<D: NdpDevice>(
+    device: &mut D,
+    frame: &[u8],
+    scratch: &mut ServeScratch,
+    out: &mut Vec<u8>,
+) -> Result<(), WireError> {
+    out.clear();
+    let (req, ctx) = RequestView::parse(frame)?;
     let mut sp = trace::span_child_of(trace::names::NDP_SERVE, ctx);
-    sp.attr_str("op", request_op(&req));
-    let resp = match req {
-        Request::Load {
+    sp.attr_str("op", req.op());
+    let w = Writer::new(out, sp.context());
+    match req {
+        RequestView::Load {
             table_addr,
             row_bytes,
             ciphertext,
             tags,
         } => {
-            match device.load(
-                table_addr,
-                ciphertext,
-                row_bytes as usize,
-                tags.map(|ts| ts.into_iter().map(Fq::new).collect()),
-            ) {
-                Ok(()) => Response::Ack,
-                Err(e) => Response::Err(error_code(&e)),
+            let ciphertext = ciphertext.to_vec();
+            let tags = tags.map(|ts| ts.iter().map(Fq::new).collect());
+            match device.load(table_addr, ciphertext, row_bytes as usize, tags) {
+                Ok(()) => w.ack(),
+                Err(e) => w.err(error_code(&e)),
+            }
+            Ok(())
+        }
+        RequestView::WeightedSum(sum) => dispatch_sum(device, sum, scratch, w),
+        RequestView::ReadRow { table_addr, row } => {
+            let row = usize::try_from(row).map_err(|_| Error::RowOutOfBounds {
+                index: usize::MAX,
+                rows: 0,
+            });
+            match row.and_then(|row| device.read_row(table_addr, row)) {
+                Ok(b) => w.row(&b),
+                Err(e) => {
+                    w.err(error_code(&e));
+                    Ok(())
+                }
             }
         }
-        Request::WeightedSum {
-            table_addr,
-            elem_bytes,
-            indices,
-            weights,
-            with_tag,
-        } => dispatch_sum(device, table_addr, elem_bytes, &indices, &weights, with_tag),
-        Request::ReadRow { table_addr, row } => dispatch_read_row(device, table_addr, row),
-    };
-    resp.encode_traced(sp.context())
-        .map_err(|_| WireError::FrameTooLarge)
+    }
+    .map_err(|_| WireError::FrameTooLarge)
 }
 
 /// [`serve`] for network servers: a frame that fails to decode still gets
@@ -630,93 +889,93 @@ pub fn serve<D: NdpDevice>(device: &mut D, frame: &[u8]) -> Result<Vec<u8>, Wire
 /// the request's trace envelope (when one is readable), so even the
 /// rejection stitches into the caller's trace.
 pub fn serve_or_reply<D: NdpDevice>(device: &mut D, frame: &[u8]) -> Vec<u8> {
-    match serve(device, frame) {
-        Ok(reply) => reply,
-        Err(err) => {
-            let code = match err {
-                WireError::BadElemBytes(_) => CODE_BAD_ELEM_BYTES,
-                _ => CODE_BAD_FRAME,
-            };
-            let ctx = strip_envelope(frame)
-                .map(|(_, c)| c)
-                .unwrap_or(SpanContext::NONE);
-            Response::Err(code)
-                .encode_traced(ctx)
-                .expect("error frame encodes")
-        }
+    let mut out = Vec::new();
+    serve_or_reply_into(device, frame, &mut ServeScratch::default(), &mut out);
+    out
+}
+
+/// [`serve_or_reply`] into `out`, with `scratch` kept by the caller.
+pub(crate) fn serve_or_reply_into<D: NdpDevice>(
+    device: &mut D,
+    frame: &[u8],
+    scratch: &mut ServeScratch,
+    out: &mut Vec<u8>,
+) {
+    if let Err(err) = serve_into(device, frame, scratch, out) {
+        let code = match err {
+            WireError::BadElemBytes(_) => CODE_BAD_ELEM_BYTES,
+            _ => CODE_BAD_FRAME,
+        };
+        let ctx = strip_envelope(frame)
+            .map(|(_, c)| c)
+            .unwrap_or(SpanContext::NONE);
+        out.clear();
+        Writer::new(out, ctx).err(code);
     }
 }
 
-/// Converts the wire's `u64` row indices to host `usize`, refusing (rather
-/// than truncating) indices that do not fit — on a 32-bit device `as usize`
-/// would alias row `2^32 + k` onto row `k`.
-fn indices_to_usize(indices: &[u64]) -> Result<Vec<usize>, Error> {
-    indices
-        .iter()
-        .map(|&i| {
-            usize::try_from(i).map_err(|_| Error::RowOutOfBounds {
-                index: usize::MAX,
-                rows: 0,
-            })
-        })
-        .collect()
-}
-
-/// Executes a weighted-sum request at the declared width. Decoding already
-/// rejects widths outside {1, 2, 4, 8}; a device invoked with a hand-built
-/// request still answers `Response::Err` instead of coercing the width.
+/// Executes a weighted sum at the declared width, its indices and weights
+/// read into `scratch`, and writes the reply with `w`. Decoding already
+/// rejects widths outside {1, 2, 4, 8}; a width that gets here anyway is
+/// answered with an error code, never coerced.
 fn dispatch_sum<D: NdpDevice>(
     device: &D,
-    table_addr: u64,
-    elem_bytes: u8,
-    indices: &[u64],
-    weights: &[u64],
-    with_tag: bool,
-) -> Response {
-    let idx = match indices_to_usize(indices) {
-        Ok(idx) => idx,
-        Err(e) => return Response::Err(error_code(&e)),
-    };
-    let out = match elem_bytes {
-        1 => run_sum::<u8, D>(device, table_addr, &idx, weights, with_tag),
-        2 => run_sum::<u16, D>(device, table_addr, &idx, weights, with_tag),
-        4 => run_sum::<u32, D>(device, table_addr, &idx, weights, with_tag),
-        8 => run_sum::<u64, D>(device, table_addr, &idx, weights, with_tag),
-        _ => return Response::Err(CODE_BAD_ELEM_BYTES),
-    };
-    match out {
-        Ok((c_res, c_t_res)) => Response::Sum { c_res, c_t_res },
-        Err(e) => Response::Err(error_code(&e)),
-    }
-}
-
-fn dispatch_read_row<D: NdpDevice>(device: &D, table_addr: u64, row: u64) -> Response {
-    let row = match usize::try_from(row) {
-        Ok(row) => row,
-        Err(_) => {
-            return Response::Err(error_code(&Error::RowOutOfBounds {
-                index: usize::MAX,
-                rows: 0,
-            }))
+    sum: SumView<'_>,
+    scratch: &mut ServeScratch,
+    w: Writer<'_>,
+) -> Result<(), Error> {
+    // The wire's `u64` row indices become host `usize`s, refused (rather
+    // than truncated) when they do not fit: on a 32-bit device `as usize`
+    // would alias row `2^32 + k` onto row `k`.
+    scratch.indices.clear();
+    for i in sum.indices.iter() {
+        match usize::try_from(i) {
+            Ok(i) => scratch.indices.push(i),
+            Err(_) => {
+                w.err(error_code(&Error::RowOutOfBounds {
+                    index: usize::MAX,
+                    rows: 0,
+                }));
+                return Ok(());
+            }
         }
-    };
-    match device.read_row(table_addr, row) {
-        Ok(b) => Response::Row(b),
-        Err(e) => Response::Err(error_code(&e)),
+    }
+    let idx = &scratch.indices;
+    match sum.elem_bytes {
+        1 => run_sum(device, &sum, idx, &mut scratch.w8, w),
+        2 => run_sum(device, &sum, idx, &mut scratch.w16, w),
+        4 => run_sum(device, &sum, idx, &mut scratch.w32, w),
+        8 => run_sum(device, &sum, idx, &mut scratch.w64, w),
+        _ => {
+            w.err(CODE_BAD_ELEM_BYTES);
+            Ok(())
+        }
     }
 }
 
+/// Runs the sum at width `W`, its weights read into `buf` (the reader has
+/// checked each fits `W`), and writes the reply.
 fn run_sum<W: RingWord, D: NdpDevice>(
     device: &D,
-    table_addr: u64,
+    sum: &SumView<'_>,
     indices: &[usize],
-    weights: &[u64],
-    with_tag: bool,
-) -> Result<(Vec<u8>, Option<u128>), Error> {
-    let w: Vec<W> = weights.iter().map(|&x| W::from_u64(x)).collect();
-    let r = device.weighted_sum::<W>(table_addr, indices, &w, with_tag)?;
-    Ok((words_to_le_bytes(&r.c_res), r.c_t_res.map(|t| t.value())))
+    buf: &mut Vec<W>,
+    w: Writer<'_>,
+) -> Result<(), Error> {
+    buf.clear();
+    buf.extend(sum.weights.iter().map(W::from_u64));
+    match device.weighted_sum::<W>(sum.table_addr, indices, buf, sum.with_tag) {
+        Ok(r) => w.sum(&r.c_res, r.c_t_res.map(Fq::value)),
+        Err(e) => {
+            w.err(error_code(&e));
+            Ok(())
+        }
+    }
 }
+
+// ---------------------------------------------------------------------------
+// The client side
+// ---------------------------------------------------------------------------
 
 /// One request in, one reply out: the single method every path to a
 /// device behind the wire implements — [`RemoteNdp`]'s inline service on
@@ -730,6 +989,21 @@ pub trait RoundTrip {
     ///
     /// Transport failures, typed; a device-side error is `Ok(Response::Err)`.
     fn round_trip(&self, req: &Request) -> Result<Response, Error>;
+
+    /// The round trip of a request that may be sent again (not a `Load`),
+    /// on the transport's buffers: `write` appends the frame body — about
+    /// `body_len` bytes — behind the trace envelope, and `read` is handed
+    /// the reply frame where it lies.
+    ///
+    /// # Errors
+    ///
+    /// Transport failures, typed, and whatever `write` or `read` returns.
+    fn round_trip_in_place(
+        &self,
+        body_len: usize,
+        write: &mut dyn FnMut(&mut Vec<u8>) -> Result<(), Error>,
+        read: &mut dyn FnMut(&[u8]) -> Result<(), Error>,
+    ) -> Result<(), Error>;
 }
 
 /// Decodes a reply frame from the untrusted device, mapping any wire-level
@@ -739,31 +1013,56 @@ pub(crate) fn decode_reply(reply: &[u8]) -> Result<Response, Error> {
     Response::decode(reply).map_err(|_| crate::metrics::malformed("undecodable reply frame"))
 }
 
-/// Interprets a reply to a weighted-sum request.
-pub(crate) fn sum_from_response<W: RingWord>(
-    resp: Response,
+/// Reads the reply to a weighted sum where it lies: its `C_res` words are
+/// checked against `acc`'s width and added into it, and its `C_T_res` is
+/// returned. Nothing is allocated.
+pub(crate) fn add_sum_reply<W: RingWord>(
+    reply: &[u8],
     table_addr: u64,
-) -> Result<NdpResponse<W>, Error> {
-    match resp {
-        // The device chose `c_res`'s length; `words_from_le_bytes` asserts
-        // it is whole elements, so a ragged one is refused here first.
-        Response::Sum { c_res, .. } if c_res.len() % W::BYTES != 0 => Err(
+    acc: &mut [W],
+) -> Result<Option<Fq>, Error> {
+    let c_res = sum_reply::<W>(reply, table_addr, |c_res| {
+        if c_res.len() / W::BYTES != acc.len() {
+            return Err(crate::metrics::malformed(
+                "result width differs from table columns",
+            ));
+        }
+        for (x, c) in acc.iter_mut().zip(c_res.chunks_exact(W::BYTES)) {
+            *x = x.wadd(W::from_le_slice(c));
+        }
+        Ok(())
+    })?;
+    Ok(c_res.map(Fq::new))
+}
+
+/// Interprets a reply to a weighted-sum request: `use_c_res` gets the
+/// result bytes once they are known to be whole elements of `W`, and the
+/// tag is returned.
+fn sum_reply<W: RingWord>(
+    reply: &[u8],
+    table_addr: u64,
+    use_c_res: impl FnOnce(&[u8]) -> Result<(), Error>,
+) -> Result<Option<u128>, Error> {
+    let (view, _) = ResponseView::parse(reply)
+        .map_err(|_| crate::metrics::malformed("undecodable reply frame"))?;
+    match view {
+        // The device chose `c_res`'s length, so a ragged one is refused
+        // before anything reads it as elements.
+        ResponseView::Sum { c_res, .. } if c_res.len() % W::BYTES != 0 => Err(
             crate::metrics::malformed("result bytes are not a whole number of elements"),
         ),
-        Response::Sum { c_res, c_t_res } => Ok(NdpResponse {
-            c_res: words_from_le_bytes::<W>(&c_res),
-            c_t_res: c_t_res.map(Fq::new),
-        }),
-        Response::Err(code) => Err(error_from_code(code, table_addr)),
-        Response::Ack => Err(crate::metrics::malformed("ack for a sum request")),
-        Response::Row(_) => Err(crate::metrics::malformed("wrong response kind")),
+        ResponseView::Sum { c_res, c_t_res } => use_c_res(c_res).map(|()| c_t_res),
+        ResponseView::Err(code) => Err(error_from_code(code, table_addr)),
+        ResponseView::Ack => Err(crate::metrics::malformed("ack for a sum request")),
+        ResponseView::Row(_) => Err(crate::metrics::malformed("wrong response kind")),
     }
 }
 
 /// The blocking device facade over any [`RoundTrip`]: each trait call
 /// frames one request under a `wire_round_trip` span and interprets the
 /// reply, so trait-generic code — the whole e2e suite — runs over every
-/// transport unchanged.
+/// transport unchanged. A weighted sum is written from the caller's
+/// slices and read where its reply lies.
 impl<T: RoundTrip> NdpDevice for T {
     fn load(
         &mut self,
@@ -796,14 +1095,30 @@ impl<T: RoundTrip> NdpDevice for T {
         weights: &[W],
         with_tag: bool,
     ) -> Result<NdpResponse<W>, Error> {
-        let req = Request::WeightedSum {
-            table_addr,
-            elem_bytes: W::BYTES as u8,
-            indices: indices.iter().map(|&i| i as u64).collect(),
-            weights: weights.iter().map(|w| w.as_u64()).collect(),
-            with_tag,
-        };
-        sum_from_response(traced_round_trip(self, &req)?, table_addr)
+        let mut c_res = Vec::new();
+        let c_t_res = sum_round_trip(self, table_addr, indices, weights, with_tag, |reply| {
+            sum_reply::<W>(reply, table_addr, |bytes| {
+                c_res = bytes.chunks_exact(W::BYTES).map(W::from_le_slice).collect();
+                Ok(())
+            })
+        })?;
+        Ok(NdpResponse {
+            c_res,
+            c_t_res: c_t_res.map(Fq::new),
+        })
+    }
+
+    fn weighted_sum_into<W: RingWord>(
+        &self,
+        table_addr: u64,
+        indices: &[usize],
+        weights: &[W],
+        with_tag: bool,
+        acc: &mut [W],
+    ) -> Result<Option<Fq>, Error> {
+        sum_round_trip(self, table_addr, indices, weights, with_tag, |reply| {
+            add_sum_reply(reply, table_addr, acc)
+        })
     }
 
     fn read_row(&self, table_addr: u64, row: usize) -> Result<Vec<u8>, Error> {
@@ -824,6 +1139,38 @@ impl<T: RoundTrip> NdpDevice for T {
 fn traced_round_trip(via: &impl RoundTrip, req: &Request) -> Result<Response, Error> {
     let _sp = trace::span(trace::names::WIRE_ROUND_TRIP);
     via.round_trip(req)
+}
+
+/// A weighted sum's round trip in place, under the facade's span: the
+/// request written from `indices` and `weights`, the reply handed to
+/// `read`, whose answer is returned.
+fn sum_round_trip<W: RingWord, R>(
+    via: &impl RoundTrip,
+    table_addr: u64,
+    indices: &[usize],
+    weights: &[W],
+    with_tag: bool,
+    mut read: impl FnMut(&[u8]) -> Result<R, Error>,
+) -> Result<R, Error> {
+    let _sp = trace::span(trace::names::WIRE_ROUND_TRIP);
+    let mut out = None;
+    via.round_trip_in_place(
+        Writer::weighted_sum_len(indices.len(), weights.len()),
+        &mut |buf| {
+            Writer::body(buf).weighted_sum(
+                table_addr,
+                W::BYTES as u8,
+                indices.iter().map(|&i| i as u64),
+                weights.iter().map(|w| w.as_u64()),
+                with_tag,
+            )
+        },
+        &mut |reply| {
+            out = Some(read(reply)?);
+            Ok(())
+        },
+    )?;
+    out.ok_or_else(|| crate::metrics::malformed("no reply to a sum request"))
 }
 
 /// A device adaptor that forces every interaction through the byte-exact
@@ -874,9 +1221,19 @@ impl<D> RoundTrip for RemoteNdp<D> {
     fn round_trip(&self, req: &Request) -> Result<Response, Error> {
         self.via.round_trip(req)
     }
+
+    fn round_trip_in_place(
+        &self,
+        body_len: usize,
+        write: &mut dyn FnMut(&mut Vec<u8>) -> Result<(), Error>,
+        read: &mut dyn FnMut(&[u8]) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        self.via.round_trip_in_place(body_len, write, read)
+    }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::device::HonestNdp;
@@ -1006,15 +1363,130 @@ mod tests {
             f[9] = ok;
             assert!(Request::decode(&f).is_ok());
         }
-        // Defense in depth: a device invoked below the decoder (hand-built
-        // request) still answers Err(7), never a coerced result.
-        let resp = dispatch_sum(&HonestNdp::new(), 42, 3, &[0], &[1], false);
-        assert_eq!(resp, Response::Err(CODE_BAD_ELEM_BYTES));
+        // Defense in depth: a device invoked below the decoder (a request
+        // built by hand) still answers Err(7), never a coerced result.
+        let one = 1u64.to_le_bytes();
+        let sum = SumView {
+            table_addr: 42,
+            elem_bytes: 3,
+            indices: Records(&[0; 8]),
+            weights: Records(&one),
+            with_tag: false,
+        };
+        let mut reply = Vec::new();
+        let w = Writer::new(&mut reply, SpanContext::NONE);
+        dispatch_sum(&HonestNdp::new(), sum, &mut ServeScratch::default(), w).unwrap();
+        assert_eq!(
+            Response::decode(&reply).unwrap(),
+            Response::Err(CODE_BAD_ELEM_BYTES)
+        );
         assert!(matches!(
             error_from_code(CODE_BAD_ELEM_BYTES, 42),
             Error::MalformedResponse {
                 reason: "unsupported element width"
             }
+        ));
+    }
+
+    /// A weight wider than the frame's element width is refused at
+    /// decode, and a server answers `CODE_BAD_FRAME`: truncating it to the
+    /// element (weight 256 at one byte was served as weight 0, a `Sum` of
+    /// zeros) would compute a different query than the one framed.
+    #[test]
+    fn weights_wider_than_the_element_are_refused() {
+        let mut dev = HonestNdp::new();
+        dev.load(0x40, vec![9u8; 64], 16, None).unwrap();
+        for elem_bytes in [1u8, 2, 4, 8] {
+            let widest = u64::MAX >> (64 - 8 * u32::from(elem_bytes));
+            let frame = |weight: u64| {
+                Request::WeightedSum {
+                    table_addr: 0x40,
+                    elem_bytes,
+                    indices: vec![1, 2],
+                    weights: vec![1, weight],
+                    with_tag: false,
+                }
+                .encode()
+                .unwrap()
+            };
+            let fits = frame(widest);
+            assert!(Request::decode(&fits).is_ok(), "width {elem_bytes}");
+            assert!(matches!(
+                Response::decode(&serve_or_reply(&mut dev, &fits)).unwrap(),
+                Response::Sum { .. }
+            ));
+            if elem_bytes == 8 {
+                continue;
+            }
+            let wide = frame(widest + 1);
+            assert_eq!(
+                Request::decode(&wide),
+                Err(WireError::BadWeight(widest + 1)),
+                "width {elem_bytes}"
+            );
+            assert_eq!(
+                serve(&mut dev, &wide),
+                Err(WireError::BadWeight(widest + 1))
+            );
+            assert_eq!(
+                Response::decode(&serve_or_reply(&mut dev, &wide)).unwrap(),
+                Response::Err(CODE_BAD_FRAME)
+            );
+        }
+    }
+
+    /// A flag byte is 0 or 1: a `with_tag` of 2, a `Load`'s tags-present
+    /// byte of 2 and a `Sum` reply's tag-present byte of 2 are refused —
+    /// they used to decode as `true`. A server answers such a request with
+    /// `CODE_BAD_FRAME`, and the client refuses such a reply as malformed.
+    #[test]
+    fn flag_bytes_other_than_zero_or_one_are_refused() {
+        let mut dev = HonestNdp::new();
+        let sum = Request::WeightedSum {
+            table_addr: 42,
+            elem_bytes: 4,
+            indices: vec![0],
+            weights: vec![1],
+            with_tag: true,
+        }
+        .encode()
+        .unwrap();
+        // Byte 10 is with_tag (tag, 8-byte addr, elem_bytes).
+        let load = Request::Load {
+            table_addr: 0,
+            row_bytes: 4,
+            ciphertext: vec![1, 2, 3, 4],
+            tags: Some(vec![5]),
+        }
+        .encode()
+        .unwrap();
+        // Byte 21 is tags-present (tag, addr, row_bytes, length, 4 bytes).
+        for (mut frame, at) in [(sum, 10), (load, 21)] {
+            assert_eq!(frame[at], 1);
+            for bad in [2u8, 0x80, 0xFF] {
+                frame[at] = bad;
+                assert_eq!(Request::decode(&frame), Err(WireError::BadFlag(bad)));
+                assert_eq!(
+                    Response::decode(&serve_or_reply(&mut dev, &frame)).unwrap(),
+                    Response::Err(CODE_BAD_FRAME)
+                );
+            }
+        }
+        let mut reply = Response::Sum {
+            c_res: vec![0; 4],
+            c_t_res: Some(7),
+        }
+        .encode()
+        .unwrap();
+        // Byte 9 is tag-present (tag, length, 4 bytes).
+        assert_eq!(reply[9], 1);
+        reply[9] = 2;
+        assert_eq!(Response::decode(&reply), Err(WireError::BadFlag(2)));
+        assert!(matches!(
+            add_sum_reply(&reply, 42, &mut [0u32]),
+            Err(Error::MalformedResponse {
+                reason: "undecodable reply frame"
+            })
         ));
     }
 
@@ -1128,10 +1600,11 @@ mod tests {
     #[cfg(target_pointer_width = "64")]
     fn frame_too_large_is_checked_at_encode() {
         let mut out = Vec::new();
-        assert!(put_len(&mut out, u32::MAX as usize).is_ok());
+        let mut w = Writer::body(&mut out);
+        assert!(w.len(u32::MAX as usize).is_ok());
         let too_big = u32::MAX as usize + 1;
         assert!(matches!(
-            put_len(&mut out, too_big),
+            w.len(too_big),
             Err(Error::FrameTooLarge { len }) if len == too_big
         ));
         // Nothing was appended by the failed encode.
@@ -1241,11 +1714,14 @@ mod tests {
                     c_res: vec![0xAB; len],
                     c_t_res: Some(1),
                 };
-                let resp = decode_reply(&resp.encode().unwrap()).unwrap();
+                let frame = resp.encode().unwrap();
+                assert!(decode_reply(&frame).is_ok());
                 assert!(
                     matches!(
-                        sum_from_response::<W>(resp, 0x100),
-                        Err(Error::MalformedResponse { .. })
+                        add_sum_reply(&frame, 0x100, &mut [W::ZERO; 4]),
+                        Err(Error::MalformedResponse {
+                            reason: "result bytes are not a whole number of elements"
+                        })
                     ),
                     "{len} result bytes at width {}",
                     W::BYTES
@@ -1298,7 +1774,7 @@ mod tests {
     /// `inner` behind a trace envelope, whatever it is — for frames the
     /// encoder never makes, such as a doubled envelope.
     fn envelope(ctx: SpanContext, inner: &[u8]) -> Vec<u8> {
-        let mut out = frame_with_envelope(ctx, inner.len());
+        let mut out = Writer::frame(ctx, inner.len());
         out.extend_from_slice(inner);
         out
     }
@@ -1668,14 +2144,16 @@ mod tests {
         fn weighted_sum_frames_round_trip(
             table_addr in any::<u64>(),
             idx in proptest::collection::vec(any::<u64>(), 0..32),
-            w in proptest::collection::vec(any::<u64>(), 0..32),
+            w in proptest::collection::vec(any::<u32>(), 0..32),
             with_tag in any::<bool>(),
         ) {
+            // Weights of the frame's 4-byte elements: a wider one is
+            // refused (`weights_wider_than_the_element_are_refused`).
             let f = Request::WeightedSum {
                 table_addr,
                 elem_bytes: 4,
                 indices: idx,
-                weights: w,
+                weights: w.into_iter().map(u64::from).collect(),
                 with_tag,
             };
             prop_assert_eq!(Request::decode(&f.encode().unwrap()).unwrap(), f);

@@ -2,8 +2,9 @@
 //! span with attributes allocates nothing once the span journal has
 //! wrapped, and a verified inline `weighted_sum`, and a pipelined packet
 //! over a 2-rank `AsyncEndpoint` (whose ranks serve on the counting
-//! thread), allocate a pinned number of times at PF 8 and at PF 80, the
-//! same with telemetry compiled in or out.
+//! thread), allocate a pinned number of times — and the inline query a
+//! pinned number of bytes — the same at PF 8 and at PF 80, and the same
+//! with telemetry compiled in or out.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -17,29 +18,31 @@ thread_local! {
     /// cannot recurse into itself), and per thread, so tests running in
     /// parallel do not count each other's allocations.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// The bytes those calls asked for (a `realloc` its new size).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// The system allocator, counting every `alloc`, `alloc_zeroed` and
-/// `realloc` of the calling thread.
+/// `realloc` of the calling thread, and the bytes each asked for.
 struct Counting;
 
 // SAFETY: every call forwards to `System` with the caller's arguments
 // unchanged; the counter touches no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: forwarded as received.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: forwarded as received.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: forwarded as received.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -53,16 +56,25 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTING: Counting = Counting;
 
-fn count() {
+fn count(bytes: usize) {
     // `try_with`: a thread's last frees run after its locals are gone.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 /// Allocations `f` makes on this thread.
 fn allocs(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(Cell::get);
+    allocs_and_bytes(f).0
+}
+
+/// Allocations `f` makes on this thread, and the bytes they asked for.
+fn allocs_and_bytes(f: impl FnOnce()) -> (u64, u64) {
+    let before = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
     f();
-    ALLOCS.with(Cell::get) - before
+    (
+        ALLOCS.with(Cell::get) - before.0,
+        BYTES.with(Cell::get) - before.1,
+    )
 }
 
 fn four_attribute_span() {
@@ -83,11 +95,14 @@ fn a_span_with_attributes_allocates_nothing_once_the_journal_wraps() {
     assert_eq!(allocs(|| (0..1_000).for_each(|_| four_attribute_span())), 0);
 }
 
-/// Allocations of one verified inline `weighted_sum` over PF rows, after
-/// one warm-up query has registered its instruments.
-fn allocs_per_query(pf: usize) -> u64 {
+/// Columns of the tables below: 32 `u32`s, a 128-byte row.
+const COLS: usize = 32;
+
+/// Allocations of one verified inline `weighted_sum` over PF rows, and
+/// their bytes, after one warm-up query has registered its instruments
+/// and grown the link's buffers.
+fn allocs_per_query(pf: usize) -> (u64, u64) {
     const ROWS: usize = 128;
-    const COLS: usize = 32;
     let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0xA110C));
     let pt: Vec<u32> = (0..ROWS * COLS).map(|x| x as u32).collect();
     let table = cpu.encrypt_table(&pt, ROWS, COLS, 0x4000).unwrap();
@@ -98,24 +113,40 @@ fn allocs_per_query(pf: usize) -> u64 {
     let query = || drop(cpu.weighted_sum(&handle, &ndp, &idx, &w, true).unwrap());
     query();
     let queries = 16;
-    let n = allocs(|| (0..queries).for_each(|_| query()));
+    let (n, bytes) = allocs_and_bytes(|| (0..queries).for_each(|_| query()));
     assert_eq!(n % queries, 0, "{n} allocations over {queries} queries");
-    n / queries
+    assert_eq!(bytes % queries, 0, "{bytes} bytes over {queries} queries");
+    (n / queries, bytes / queries)
 }
 
-/// The sites, client then device then client again:
-/// - the request's index and weight `Vec<u64>`s, and its frame;
-/// - the device decoding that frame: two `Vec<u64>`s, the `Vec<usize>` of
-///   indices (collected through a `Result`, so it grows by doubling: 2
-///   allocations at PF 8, 6 at PF 80), and the weights as ring words;
-/// - the device's `c_res`, its bytes, and the response frame;
-/// - the client decoding it: the body bytes and `c_res` as ring words;
-/// - `prepare`'s result, `derive_secrets` and `checksum_powers`.
+/// The two sites, one on each side of the wire, each one row wide:
+/// - the query's result, into which the reply's `C_res` is added straight
+///   from the reply frame and the processor's pads after it;
+/// - the device's own `C_res`, which `HonestNdp` returns as a `Vec`.
 ///
+/// Nothing else allocates: the request is written from the caller's
+/// slices into the link's request buffer, the device reads its indices
+/// and weights into its host's scratch and writes the reply into the
+/// link's reply buffer, and the checksum is checked with the table
+/// version's verification key, which the processor built with the table.
 /// No span allocates, so telemetry compiled in or out reads the same.
 #[test]
 fn verified_inline_weighted_sum_allocations_are_pinned() {
-    assert_eq!((allocs_per_query(8), allocs_per_query(80)), (16, 20));
+    const SITES: u64 = 2;
+    assert_eq!(
+        (allocs_per_query(8).0, allocs_per_query(80).0),
+        (SITES, SITES)
+    );
+}
+
+/// The bytes of those two sites: a 128-byte row each, at any PF.
+#[test]
+fn verified_inline_weighted_sum_bytes_are_pinned() {
+    let row = (COLS * std::mem::size_of::<u32>()) as u64;
+    assert_eq!(
+        (allocs_per_query(8).1, allocs_per_query(80).1),
+        (2 * row, 2 * row)
+    );
 }
 
 /// Queries in the pipelined packet.
@@ -127,7 +158,6 @@ const QUERIES: usize = 32;
 /// instruments.
 fn allocs_per_packet(pf: usize) -> u64 {
     const ROWS: usize = 128;
-    const COLS: usize = 32;
     let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0xA110D));
     let pt: Vec<u32> = (0..ROWS * COLS).map(|x| x as u32).collect();
     let table = cpu.encrypt_table(&pt, ROWS, COLS, 0x4000).unwrap();
@@ -156,17 +186,21 @@ fn allocs_per_packet(pf: usize) -> u64 {
     n / packets
 }
 
-/// Each query allocates at the inline sites above, plus the `Arc` its
-/// frame is submitted in (the pending table keeps it for a retry); the
-/// pending table itself allocates nothing: it is built with room for
-/// twice the window, so the tombstones its churn leaves are always
-/// rehashed in place, whatever the hasher's seed. The packet adds its
-/// results' `Vec` and its queue of outstanding ids.
+/// Each query allocates its result and the device's `C_res`, as inline,
+/// plus three sites of a request that can be outstanding: its frame,
+/// written from the caller's slices, the `Arc` it is submitted in (the
+/// pending table keeps it for a retry) and the reply frame the rank
+/// completes it with, which is read where it lies. The pending table
+/// itself allocates nothing: it is built with room for twice the window,
+/// so the tombstones its churn leaves are always rehashed in place,
+/// whatever the hasher's seed. The packet adds its results' `Vec` and its
+/// queue of outstanding ids.
 #[test]
 fn pipelined_packet_allocations_are_pinned() {
-    let packet = |per_query: u64| QUERIES as u64 * per_query + 2;
+    const PER_QUERY: u64 = 5;
+    let packet = QUERIES as u64 * PER_QUERY + 2;
     assert_eq!(
         (allocs_per_packet(8), allocs_per_packet(80)),
-        (packet(17), packet(21))
+        (packet, packet)
     );
 }

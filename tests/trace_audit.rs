@@ -188,15 +188,16 @@ fn pad_gen_nests_under_decrypt_and_no_pad_cache_span_exists() {
             "two pad_gen spans in one decrypt"
         );
     }
-    // 32 rows × (2 data blocks + 1 tag block) + 1 checksum secret per
-    // query, on the span.
+    // 32 rows × (2 data blocks + 1 tag block) per query, on the span: the
+    // checksum secret is the table version's held verification key, made
+    // with the table, not a block of any query.
     for end in events
         .iter()
         .filter(|e| e.kind == SpanEventKind::End && e.name == trace::names::PAD_GEN)
     {
         let blocks = end.attrs.iter().find(|(k, _)| *k == "blocks");
         assert!(
-            matches!(blocks, Some((_, trace::AttrValue::U64(97)))),
+            matches!(blocks, Some((_, trace::AttrValue::U64(96)))),
             "{:?}",
             end.attrs
         );
