@@ -45,16 +45,20 @@
 //!   [`Error::ConnectionLost`].
 //! - **`Load` at most once per rank.** A re-sent `Load` could overwrite a
 //!   table a concurrent re-encryption already replaced, resurrecting
-//!   stale ciphertext; it is [`broadcast`](Endpoint::broadcast) once to
-//!   every rank, never retried and never re-routed, and any failure
-//!   surfaces after every rank was attempted.
+//!   stale ciphertext. The endpoint tells a `Load` by its own frame's tag;
+//!   a [round trip](RoundTrip::round_trip) sends it once to every rank,
+//!   never retried and never re-routed, and any failure surfaces after
+//!   every rank was attempted.
 //! - **First completion wins.** After a retry two replies may arrive for
 //!   one id; the first fills the slot, the straggler is dropped and
 //!   counted (`secndp_transport_late_completions_total`). Sound because
 //!   only pure reads are ever re-sent.
 //!
-//! Frames are encoded under the caller's ambient span, so the device-side
+//! Frames are written under the caller's ambient span, so the device-side
 //! `ndp_serve` span stitches under it on every link.
+
+// The round trip runs through here: nothing may panic on a peer's bytes.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::error::Error;
 use crate::wire::{self, Request, Response, RoundTrip, Writer};
@@ -188,7 +192,7 @@ enum State {
 struct Slot {
     state: State,
     /// The encoded frame, retained only for idempotent requests so a
-    /// retry re-sends the identical bytes (trace envelope included). A
+    /// retry re-sends the identical bytes (trace header included). A
     /// `Load` can never be re-sent, so its image is not kept alive here.
     frame: Option<Arc<Vec<u8>>>,
     /// Total sends so far (the first counts as 1).
@@ -238,8 +242,15 @@ impl std::fmt::Debug for Pending {
 /// runs under these guards (table edits, socket writes, channel sends)
 /// can panic on bytes from the untrusted side — so it is a bug in this
 /// crate, not something a peer can cause.
+#[allow(clippy::expect_used)] // poisoning is a local panic, never a peer's bytes
 pub(crate) fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().expect(POISONED)
+}
+
+/// `cv.wait_timeout`, with poisoning treated as [`locked`] treats it.
+#[allow(clippy::expect_used)] // poisoning is a local panic, never a peer's bytes
+fn wait_on<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>, nap: Duration) -> MutexGuard<'a, T> {
+    cv.wait_timeout(guard, nap).expect(POISONED).0
 }
 
 const POISONED: &str = "endpoint lock poisoned by a local panic";
@@ -303,8 +314,8 @@ impl Complete for Pending {
 /// A non-blocking wire endpoint over link `L`: `submit` / `poll` / `wait`
 /// with the rules in the [module docs](self). It is also a [`RoundTrip`],
 /// hence an [`NdpDevice`](crate::device::NdpDevice) (each call is
-/// submit-then-wait, `load` broadcasts), so trait-generic code runs over
-/// any link unchanged.
+/// submit-then-wait, a `load` goes to every rank), so trait-generic code
+/// runs over any link unchanged.
 pub struct Endpoint<L: Link> {
     /// Held for its drop, and declared first so it drops first: the check
     /// is unregistered before the link closes its connections, and
@@ -421,38 +432,19 @@ impl<L: Link> Endpoint<L> {
     /// [`Error::FrameTooLarge`] if the request cannot be encoded (or
     /// carried); the link's typed failure if no rank can be reached.
     pub fn submit(&self, req: &Request) -> Result<RequestId, Error> {
-        let frame = Self::encode(req)?;
+        self.submit_with(&mut |w| w.request(req))
+    }
+
+    /// [`submit`](Self::submit) for the request `write` writes.
+    pub(crate) fn submit_with(
+        &self,
+        write: &mut dyn FnMut(Writer<'_>) -> Result<(), Error>,
+    ) -> Result<RequestId, Error> {
+        let frame = write_frame(write)?;
         // Load mutates device state, so it is neither retried after a
         // timeout nor re-routed past a dead rank: either would load fewer
         // or staler replicas than the caller asked for.
-        let idempotent = !matches!(req, Request::Load { .. });
-        self.start(&frame, self.pick_rank(), idempotent)
-    }
-
-    /// Encodes under the ambient span (captured before the encode span
-    /// opens) so the device-side `ndp_serve` stitches under the caller.
-    fn encode(req: &Request) -> Result<Arc<Vec<u8>>, Error> {
-        let ctx = trace::current();
-        let _e = trace::span(trace::names::WIRE_ENCODE);
-        Ok(Arc::new(req.encode_traced(ctx)?))
-    }
-
-    /// [`submit`](Self::submit) for a request that may be sent again (not
-    /// a `Load`), written by `write` behind the trace envelope into a frame
-    /// allocated with room for its `body_len` bytes.
-    pub(crate) fn submit_with(
-        &self,
-        body_len: usize,
-        write: &mut dyn FnMut(&mut Vec<u8>) -> Result<(), Error>,
-    ) -> Result<RequestId, Error> {
-        let frame = {
-            let ctx = trace::current();
-            let _e = trace::span(trace::names::WIRE_ENCODE);
-            let mut frame = Writer::frame(ctx, body_len);
-            write(&mut frame)?;
-            Arc::new(frame)
-        };
-        self.start(&frame, self.pick_rank(), true)
+        self.start(&frame, self.pick_rank(), !wire::is_load(&frame))
     }
 
     fn pick_rank(&self) -> usize {
@@ -527,8 +519,7 @@ impl<L: Link> Endpoint<L> {
             // taken up no later than those requests time out.
             while t.waiting >= self.window() {
                 t.parked += 1;
-                let woken = self.pending.room.wait_timeout(t, self.cfg.timeout);
-                t = woken.expect(POISONED).0;
+                t = wait_on(&self.pending.room, t, self.cfg.timeout);
                 t.parked -= 1;
             }
             slot.submitted = Instant::now();
@@ -621,7 +612,7 @@ impl<L: Link> Endpoint<L> {
                     if now < slot.deadline {
                         let nap = slot.deadline - now;
                         t.sleepers += 1;
-                        t = self.pending.cv.wait_timeout(t, nap).expect(POISONED).0;
+                        t = wait_on(&self.pending.cv, t, nap);
                         t.sleepers -= 1;
                         continue;
                     }
@@ -661,56 +652,48 @@ impl<L: Link> Endpoint<L> {
             t = locked(&self.pending.table);
         }
     }
+}
 
-    /// Sends the request once to **every** rank and waits for all of them
-    /// (`Load` must reach every replica). Never retried; every rank is
-    /// attempted before the first failure is reported, so a broadcast is
-    /// never silently half-done.
-    ///
-    /// # Errors
-    ///
-    /// As for [`wait`](Self::wait), from the first failing rank.
-    pub fn broadcast(&self, req: &Request) -> Result<Response, Error> {
-        let frame = Self::encode(req)?;
+/// Submit-then-wait. A `Load` (the endpoint reads its own frame's tag)
+/// goes once to **every** rank, which must all hold the replica, and `read`
+/// is handed each rank's reply: never retried, and every rank is attempted
+/// before the first failure is reported, so a `Load` is never silently
+/// half-done.
+impl<L: Link> RoundTrip for Endpoint<L> {
+    fn round_trip(
+        &self,
+        write: &mut dyn FnMut(Writer<'_>) -> Result<(), Error>,
+        read: &mut dyn FnMut(&[u8]) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        let frame = write_frame(write)?;
+        if !wire::is_load(&frame) {
+            let id = self.start(&frame, self.pick_rank(), true)?;
+            return read(&self.wait_frame(id)?);
+        }
         let ids: Vec<_> = (0..self.ranks())
             .map(|rank| self.start(&frame, rank, false))
             .collect();
         drop(frame);
-        let mut first_err = None;
-        let mut last = None;
+        let mut first = Ok(());
         for id in ids {
-            match id.and_then(|id| self.wait(id)) {
-                Ok(Response::Err(code)) if first_err.is_none() => {
-                    first_err = Some(Ok(Response::Err(code)));
-                }
-                Err(e) if first_err.is_none() => first_err = Some(Err(e)),
-                r => last = Some(r),
-            }
+            let r = id.and_then(|id| read(&self.wait_frame(id)?));
+            first = first.and(r);
         }
-        // Lazy on purpose: `malformed()` writes an audit event.
-        first_err
-            .or(last)
-            .unwrap_or_else(|| Err(crate::metrics::malformed("broadcast to zero ranks")))
+        first
     }
 }
 
-impl<L: Link> RoundTrip for Endpoint<L> {
-    fn round_trip(&self, req: &Request) -> Result<Response, Error> {
-        if matches!(req, Request::Load { .. }) {
-            self.broadcast(req)
-        } else {
-            self.wait(self.submit(req)?)
-        }
-    }
-
-    fn round_trip_in_place(
-        &self,
-        body_len: usize,
-        write: &mut dyn FnMut(&mut Vec<u8>) -> Result<(), Error>,
-        read: &mut dyn FnMut(&[u8]) -> Result<(), Error>,
-    ) -> Result<(), Error> {
-        read(&self.wait_frame(self.submit_with(body_len, write)?)?)
-    }
+/// The frame `write` writes, under the ambient span (captured before the
+/// encode span opens) so the device-side `ndp_serve` stitches under the
+/// caller.
+fn write_frame(
+    write: &mut dyn FnMut(Writer<'_>) -> Result<(), Error>,
+) -> Result<Arc<Vec<u8>>, Error> {
+    let ctx = trace::current();
+    let _e = trace::span(trace::names::WIRE_ENCODE);
+    let mut frame = Vec::new();
+    write(Writer::new(&mut frame, ctx))?;
+    Ok(Arc::new(frame))
 }
 
 fn link_error(why: LinkFail, attempts: u32) -> Error {
@@ -789,6 +772,7 @@ fn register_health<L: Link>(
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::locked;
     use crate::device::{HonestNdp, NdpDevice, Tamper, TamperingNdp};

@@ -52,6 +52,9 @@
 //! [`Error::ConnectionLost`]: crate::Error::ConnectionLost
 //! [`Error::MalformedResponse`]: crate::Error::MalformedResponse
 
+// Every byte a socket delivers may come from the untrusted side.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::device::NdpDevice;
 use crate::endpoint::{locked, Completer, Endpoint, EndpointConfig, Link, LinkFail, Route};
 use crate::error::Error;
@@ -770,6 +773,7 @@ fn reader_loop(
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::device::HonestNdp;

@@ -564,7 +564,7 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         queries: &[(Vec<usize>, Vec<W>)],
         verify: bool,
     ) -> Result<Vec<Vec<W>>, Error> {
-        use crate::wire::{add_sum_reply, Writer};
+        use crate::wire::add_sum_reply;
         let mut sp = trace::span("weighted_sum_batch");
         sp.attr_u64("base_addr", handle.layout.base_addr());
         sp.attr_u64("queries", queries.len() as u64);
@@ -589,18 +589,15 @@ impl<C: BlockCipher> TrustedProcessor<C> {
             // always among the sent: an empty queue is under any mark.
             if outstanding.ids.len() <= window / 2 {
                 for (idx, weights) in unsent.by_ref().take(window - outstanding.ids.len()) {
-                    let id = endpoint.submit_with(
-                        Writer::weighted_sum_len(idx.len(), weights.len()),
-                        &mut |buf| {
-                            Writer::body(buf).weighted_sum(
-                                layout.base_addr(),
-                                W::BYTES as u8,
-                                idx.iter().map(|&i| i as u64),
-                                weights.iter().map(|w| w.as_u64()),
-                                verify,
-                            )
-                        },
-                    )?;
+                    let id = endpoint.submit_with(&mut |w| {
+                        w.weighted_sum(
+                            layout.base_addr(),
+                            W::BYTES as u8,
+                            idx.iter().map(|&i| i as u64),
+                            weights.iter().map(|w| w.as_u64()),
+                            verify,
+                        )
+                    })?;
                     outstanding.ids.push_back(id);
                 }
             }

@@ -12,20 +12,23 @@
 //! returns; only a frame a fault swallowed is ever still waiting.
 //!
 //! The same struct is [`RemoteNdp::inline`](crate::wire::RemoteNdp::inline)'s
-//! transport: as a [`RoundTrip`] it serves rank 0 and takes no
-//! pending-table entry, since a frame served in the call cannot time out
-//! or reorder.
+//! transport: as a [`RoundTrip`] it serves rank 0 from reused request and
+//! reply buffers and takes no pending-table entry, since a frame served in
+//! the call cannot time out or reorder.
 //!
 //! Fault injection rides the seams: channel faults a
 //! [`FaultyLink`](crate::fault::FaultyLink) over this link, device faults
 //! (a rank holding a frame included) a
 //! [`FaultyNdp`](crate::fault::FaultyNdp) inside it.
 
+// The round trip runs through here: nothing may panic on a peer's bytes.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::device::NdpDevice;
 use crate::endpoint::{locked, Completer, Endpoint, EndpointConfig, Link, LinkFail, Route};
 use crate::error::Error;
 use crate::net::{DeviceHost, FrameHost};
-use crate::wire::{self, Request, Response, RoundTrip, Writer};
+use crate::wire::{self, RoundTrip, Writer};
 use secndp_telemetry::trace;
 use std::sync::{Arc, Mutex};
 
@@ -112,27 +115,16 @@ impl Link for InlineLink {
     }
 }
 
-/// Encode, serve on rank 0, decode: both directions cross the byte-exact
+/// Write, serve on rank 0, read: both directions cross the byte-exact
 /// wire format.
 impl RoundTrip for InlineLink {
-    fn round_trip(&self, req: &Request) -> Result<Response, Error> {
-        let ctx = trace::current();
-        let frame = {
-            let _e = trace::span(trace::names::WIRE_ENCODE);
-            req.encode_traced(ctx)?
-        };
-        crate::metrics::wire_packets().inc();
-        wire::decode_reply(&self.serve(0, &frame))
-    }
-
     /// The request is written into rank 0's request buffer and served into
     /// its reply buffer, which `read` is handed: with the rank's lock held
     /// throughout, nothing is allocated once the buffers have grown to the
-    /// query's size.
-    fn round_trip_in_place(
+    /// query's size. A `Load`'s table-sized frame is not kept.
+    fn round_trip(
         &self,
-        body_len: usize,
-        write: &mut dyn FnMut(&mut Vec<u8>) -> Result<(), Error>,
+        write: &mut dyn FnMut(Writer<'_>) -> Result<(), Error>,
         read: &mut dyn FnMut(&[u8]) -> Result<(), Error>,
     ) -> Result<(), Error> {
         let ctx = trace::current();
@@ -144,11 +136,14 @@ impl RoundTrip for InlineLink {
         } = &mut *rank;
         {
             let _e = trace::span(trace::names::WIRE_ENCODE);
-            Writer::reuse(request, ctx, body_len);
-            write(request)?;
+            request.clear();
+            write(Writer::new(request, ctx))?;
         }
         crate::metrics::wire_packets().inc();
         host.serve_frame(0, 0, request, reply);
+        if wire::is_load(request) {
+            *request = Vec::new();
+        }
         read(reply)
     }
 }
@@ -169,9 +164,11 @@ impl Endpoint<InlineLink> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::device::HonestNdp;
+    use crate::wire::{Request, Response};
 
     fn loaded_endpoint() -> AsyncEndpoint {
         let mut dev = HonestNdp::new();

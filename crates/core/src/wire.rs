@@ -7,35 +7,30 @@
 //! CXL/PCIe queue — so the protocol is demonstrably *wire-complete*: no
 //! hidden Rust-object channel is smuggling state between the parties.
 //!
-//! Framing: one tag byte, then fields in little-endian; variable-length
-//! vectors are `u32` length-prefixed; a flag byte is 0 or 1. [`RemoteNdp`]
-//! wraps any device and forces every interaction through encode → decode →
-//! execute → encode → decode, byte-for-byte.
+//! # One frame form
 //!
-//! One writer and one reader carry every frame. The writer appends a frame
-//! to a buffer its caller owns; the reader parses a frame in place, into
-//! views that borrow it, and is strict: an unknown tag, a flag byte other
-//! than 0 or 1, a weight wider than the declared element, a length past
-//! the frame or a trailing byte is a typed [`WireError`]. The owned
-//! [`Request`]/[`Response`] encode and decode through them; the hot path —
-//! a weighted sum on the caller's slices, its reply added into the
-//! caller's result — never builds them.
-//!
-//! # Traced frames (v2 envelope)
-//!
-//! A frame may optionally be wrapped in a trace envelope so the device can
-//! stitch its spans into the processor-side trace:
+//! Every frame, request or reply, starts with the trace header, then one
+//! message: a tag byte and its fields in little-endian; variable-length
+//! vectors are `u32` length-prefixed; a flag byte is 0 or 1.
 //!
 //! ```text
-//! 0x7E | trace_id: u64 LE | parent_span: u64 LE | v1 frame bytes
+//! 0x7E | trace_id: u64 LE | parent_span: u64 LE | tag | fields
 //! ```
 //!
-//! [`Request::decode`] / [`Response::decode`] accept both forms (the
-//! envelope is stripped transparently), so old frames still decode and old
-//! decoders reject enveloped frames cleanly with `BadTag(0x7E)` rather
-//! than misparsing them. [`Request::encode`] emits the legacy form;
-//! [`Request::encode_traced`] adds the envelope only when the supplied
-//! context is non-empty, so untraced builds produce byte-identical frames.
+//! The header carries the sender's span so the device's spans stitch into
+//! the processor's trace; with no span open its ids are zero. A frame
+//! without it is a typed [`WireError`], so what the bytes look like does
+//! not depend on the build or on whether a trace is open.
+//!
+//! One writer and one reader carry every frame. [`Writer`] appends a frame
+//! to a buffer its caller owns, the header first; the reader parses a
+//! frame in place, into views that borrow it, and is strict: a missing
+//! header, an unknown tag, a flag byte other than 0 or 1, a weight wider
+//! than the declared element, a length past the frame or a trailing byte
+//! is a typed [`WireError`]. The owned [`Request`]/[`Response`] encode and
+//! decode through them; a device call through [`RoundTrip`] never builds
+//! them — its request is written from the caller's slices, its reply read
+//! where it lies.
 
 // Every byte this module reads may come from the untrusted side.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -49,36 +44,34 @@ use secndp_arith::ring::RingWord;
 use secndp_telemetry::trace::{self, SpanContext, SpanId, TraceId};
 use std::marker::PhantomData;
 
-/// Envelope tag for traced (v2) frames. Disjoint from every v1 frame tag
-/// (requests `0x01–0x03`, responses `0x81–0x83` / `0xFF`).
+/// The trace header's tag, the first byte of every frame. Disjoint from
+/// every message tag (requests `0x01–0x03`, responses `0x81–0x83` /
+/// `0xFF`).
 pub const FRAME_TRACED: u8 = 0x7E;
 
-/// Byte length of the trace envelope (tag + trace id + parent span id).
-const ENVELOPE_LEN: usize = 1 + 8 + 8;
+/// Byte length of the trace header (tag + trace id + parent span id).
+const HEADER_LEN: usize = 1 + 8 + 8;
 
-/// Splits off a leading trace envelope, if present. Returns the inner
-/// frame bytes and the carried context (`SpanContext::NONE` for legacy
-/// frames).
-fn strip_envelope(buf: &[u8]) -> Result<(&[u8], SpanContext), WireError> {
-    if buf.first() != Some(&FRAME_TRACED) {
-        return Ok((buf, SpanContext::NONE));
-    }
+/// The message tag of a `Load`.
+const LOAD: u8 = 0x01;
+
+/// Reads the trace header a frame starts with: the context it carries,
+/// and a reader at the message behind it.
+fn read_header(buf: &[u8]) -> Result<(SpanContext, Reader<'_>), WireError> {
     let mut r = Reader::new(buf);
-    r.u8()?;
-    let ctx = SpanContext {
-        trace: TraceId(r.u64()?),
-        span: SpanId(r.u64()?),
-    };
-    Ok((r.rest(), ctx))
+    match r.u8()? {
+        FRAME_TRACED => {}
+        t => return Err(WireError::MissingHeader(t)),
+    }
+    let trace = TraceId(r.u64()?);
+    let span = SpanId(r.u64()?);
+    Ok((SpanContext { trace, span }, r))
 }
 
-/// The bytes of the envelope `ctx` calls for: none when it is empty.
-fn envelope_len(ctx: SpanContext) -> usize {
-    if ctx.is_none() {
-        0
-    } else {
-        ENVELOPE_LEN
-    }
+/// Whether `frame`, one this side wrote, is a `Load`: the one request
+/// that changes device state, so it is never sent to a rank twice.
+pub(crate) fn is_load(frame: &[u8]) -> bool {
+    frame.get(HEADER_LEN) == Some(&LOAD)
 }
 
 /// A request frame from the processor to the NDP unit.
@@ -140,6 +133,9 @@ pub enum Response {
 pub enum WireError {
     /// The frame ended before a field was complete.
     Truncated,
+    /// The frame does not start with the trace header: its first byte is
+    /// this, not [`FRAME_TRACED`].
+    MissingHeader(u8),
     /// Unknown frame tag.
     BadTag(u8),
     /// Trailing bytes after a complete frame.
@@ -164,6 +160,9 @@ impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WireError::Truncated => f.write_str("frame truncated"),
+            WireError::MissingHeader(b) => {
+                write!(f, "frame starts with {b:#x}, not a trace header")
+            }
             WireError::BadTag(t) => write!(f, "unknown frame tag {t:#x}"),
             WireError::TrailingBytes => f.write_str("trailing bytes after frame"),
             WireError::BadLength => f.write_str("length field exceeds frame"),
@@ -252,10 +251,6 @@ impl<'a> Reader<'a> {
         Ok(self.records::<1>()?.0)
     }
 
-    fn rest(&self) -> &'a [u8] {
-        self.buf.get(self.pos..).unwrap_or_default()
-    }
-
     fn finish(self) -> Result<(), WireError> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -316,15 +311,13 @@ pub(crate) struct SumView<'a> {
 }
 
 impl<'a> RequestView<'a> {
-    /// Parses a request frame, legacy or traced, returning the carried
-    /// trace context ([`SpanContext::NONE`] for a legacy frame). The
-    /// discriminating fields are checked as they are read: the element
+    /// Parses a request frame, returning the context its header carries.
+    /// The discriminating fields are checked as they are read: the element
     /// width before anything sized by it, every weight against that width.
     pub(crate) fn parse(buf: &'a [u8]) -> Result<(Self, SpanContext), WireError> {
-        let (inner, ctx) = strip_envelope(buf)?;
-        let mut r = Reader::new(inner);
+        let (ctx, mut r) = read_header(buf)?;
         let req = match r.u8()? {
-            0x01 => {
+            LOAD => {
                 let table_addr = r.u64()?;
                 let row_bytes = r.u32()?;
                 let ciphertext = r.bytes()?;
@@ -419,11 +412,9 @@ pub(crate) enum ResponseView<'a> {
 }
 
 impl<'a> ResponseView<'a> {
-    /// Parses a response frame, legacy or traced, returning the carried
-    /// trace context.
+    /// Parses a response frame, returning the context its header carries.
     pub(crate) fn parse(buf: &'a [u8]) -> Result<(Self, SpanContext), WireError> {
-        let (inner, ctx) = strip_envelope(buf)?;
-        let mut r = Reader::new(inner);
+        let (ctx, mut r) = read_header(buf)?;
         let resp = match r.u8()? {
             0x81 => Self::Ack,
             0x82 => {
@@ -456,57 +447,31 @@ impl<'a> ResponseView<'a> {
 // The writer
 // ---------------------------------------------------------------------------
 
-/// Appends one frame to a buffer the caller owns: the envelope its
-/// context calls for, then the body one of its methods writes, with room
-/// for both reserved exactly before the first byte. Length prefixes are
-/// checked, never truncated.
-pub(crate) struct Writer<'a> {
+/// Appends one frame to a buffer its caller owns: the trace header of the
+/// context it was made with, then the message one of its methods writes,
+/// with room for both reserved exactly before the first byte. Length
+/// prefixes are checked, never truncated.
+///
+/// A [`RoundTrip`] hands its caller's `write` one, bound to the
+/// transport's buffer and the caller's trace context.
+pub struct Writer<'a> {
     out: &'a mut Vec<u8>,
     ctx: SpanContext,
 }
 
-/// Appends the trace envelope `ctx` calls for (none when it is empty).
-fn put_envelope(out: &mut Vec<u8>, ctx: SpanContext) {
-    if !ctx.is_none() {
-        out.push(FRAME_TRACED);
-        out.extend_from_slice(&ctx.trace.0.to_le_bytes());
-        out.extend_from_slice(&ctx.span.0.to_le_bytes());
-    }
-}
-
 impl<'a> Writer<'a> {
-    /// A frame for `out`, behind the envelope `ctx` calls for.
+    /// A frame appended to `out`, under the header of `ctx`.
     pub(crate) fn new(out: &'a mut Vec<u8>, ctx: SpanContext) -> Self {
         Self { out, ctx }
     }
 
-    /// A frame body for `out`, behind the envelope its transport wrote
-    /// there.
-    pub(crate) fn body(out: &'a mut Vec<u8>) -> Self {
-        Self::new(out, SpanContext::NONE)
-    }
-
-    /// A new frame buffer holding the envelope `ctx` calls for, with room
-    /// for exactly `body_len` bytes more.
-    pub(crate) fn frame(ctx: SpanContext, body_len: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(envelope_len(ctx) + body_len);
-        put_envelope(&mut out, ctx);
-        out
-    }
-
-    /// `out` emptied down to the envelope `ctx` calls for, with room for
-    /// `body_len` bytes more: a buffer reused from frame to frame.
-    pub(crate) fn reuse(out: &mut Vec<u8>, ctx: SpanContext, body_len: usize) {
-        out.clear();
-        out.reserve(envelope_len(ctx) + body_len);
-        put_envelope(out, ctx);
-    }
-
-    /// Reserves the envelope and a `body_len`-byte body, and writes the
-    /// envelope.
+    /// Reserves the header and a `body_len`-byte message, and writes the
+    /// header: the one place it is written.
     fn begin(&mut self, body_len: usize) {
-        self.out.reserve_exact(envelope_len(self.ctx) + body_len);
-        put_envelope(self.out, self.ctx);
+        self.out.reserve_exact(HEADER_LEN + body_len);
+        self.u8(FRAME_TRACED);
+        self.put(&self.ctx.trace.0.to_le_bytes());
+        self.put(&self.ctx.span.0.to_le_bytes());
     }
 
     fn u8(&mut self, v: u8) {
@@ -536,9 +501,38 @@ impl<'a> Writer<'a> {
         Ok(())
     }
 
-    /// The body length of a weighted sum with `indices` and `weights`.
-    pub(crate) const fn weighted_sum_len(indices: usize, weights: usize) -> usize {
-        1 + 8 + 1 + 1 + 4 + 8 * indices + 4 + 8 * weights
+    /// Writes the owned request `req`.
+    pub(crate) fn request(self, req: &Request) -> Result<(), Error> {
+        match req {
+            Request::Load {
+                table_addr,
+                row_bytes,
+                ciphertext,
+                tags,
+            } => self.load(
+                *table_addr,
+                *row_bytes,
+                ciphertext,
+                tags.as_deref().map(|t| t.iter().copied()),
+            ),
+            Request::WeightedSum {
+                table_addr,
+                elem_bytes,
+                indices,
+                weights,
+                with_tag,
+            } => self.weighted_sum(
+                *table_addr,
+                *elem_bytes,
+                indices.iter().copied(),
+                weights.iter().copied(),
+                *with_tag,
+            ),
+            Request::ReadRow { table_addr, row } => {
+                self.read_row(*table_addr, *row);
+                Ok(())
+            }
+        }
     }
 
     pub(crate) fn weighted_sum(
@@ -549,7 +543,7 @@ impl<'a> Writer<'a> {
         weights: impl ExactSizeIterator<Item = u64>,
         with_tag: bool,
     ) -> Result<(), Error> {
-        self.begin(Self::weighted_sum_len(indices.len(), weights.len()));
+        self.begin(1 + 8 + 1 + 1 + 4 + 8 * indices.len() + 4 + 8 * weights.len());
         self.u8(0x02);
         self.put(&table_addr.to_le_bytes());
         self.u8(elem_bytes);
@@ -566,10 +560,11 @@ impl<'a> Writer<'a> {
         table_addr: u64,
         row_bytes: u32,
         ciphertext: &[u8],
-        tags: Option<&[u128]>,
+        tags: Option<impl ExactSizeIterator<Item = u128>>,
     ) -> Result<(), Error> {
-        self.begin(1 + 8 + 4 + 4 + ciphertext.len() + 1 + tags.map_or(0, |t| 4 + 16 * t.len()));
-        self.u8(0x01);
+        let tags_len = tags.as_ref().map_or(0, |t| 4 + 16 * t.len());
+        self.begin(1 + 8 + 4 + 4 + ciphertext.len() + 1 + tags_len);
+        self.u8(LOAD);
         self.put(&table_addr.to_le_bytes());
         self.put(&row_bytes.to_le_bytes());
         self.len(ciphertext.len())?;
@@ -579,7 +574,7 @@ impl<'a> Writer<'a> {
             Some(tags) => {
                 self.u8(1);
                 self.len(tags.len())?;
-                self.records(tags.iter().map(|t| t.to_le_bytes()));
+                self.records(tags.map(u128::to_le_bytes));
             }
         }
         Ok(())
@@ -637,8 +632,7 @@ impl<'a> Writer<'a> {
 }
 
 impl Request {
-    /// Serializes the request frame (the legacy form, without a trace
-    /// envelope).
+    /// Serializes the request frame, its trace header's ids zero.
     ///
     /// # Errors
     ///
@@ -649,66 +643,30 @@ impl Request {
         self.encode_traced(SpanContext::NONE)
     }
 
-    /// Serializes the request, wrapping it in a trace envelope when `ctx`
-    /// is non-empty (an empty context yields the legacy byte-identical
-    /// encoding). The frame is written once, into a buffer allocated at
-    /// its final length.
+    /// Serializes the request frame under the header of `ctx`, into a
+    /// buffer allocated at the frame's final length.
     ///
     /// # Errors
     ///
     /// Returns [`Error::FrameTooLarge`] as for [`encode`](Self::encode).
     pub fn encode_traced(&self, ctx: SpanContext) -> Result<Vec<u8>, Error> {
         let mut out = Vec::new();
-        let w = Writer::new(&mut out, ctx);
-        match self {
-            Request::Load {
-                table_addr,
-                row_bytes,
-                ciphertext,
-                tags,
-            } => w.load(*table_addr, *row_bytes, ciphertext, tags.as_deref())?,
-            Request::WeightedSum {
-                table_addr,
-                elem_bytes,
-                indices,
-                weights,
-                with_tag,
-            } => w.weighted_sum(
-                *table_addr,
-                *elem_bytes,
-                indices.iter().copied(),
-                weights.iter().copied(),
-                *with_tag,
-            )?,
-            Request::ReadRow { table_addr, row } => w.read_row(*table_addr, *row),
-        }
+        Writer::new(&mut out, ctx).request(self)?;
         Ok(out)
     }
 
-    /// Parses a request frame (legacy or traced), discarding any carried
-    /// trace context.
+    /// Parses a request frame, discarding the context its header carries.
     ///
     /// # Errors
     ///
     /// Returns a [`WireError`] for malformed frames.
     pub fn decode(buf: &[u8]) -> Result<Request, WireError> {
-        Self::decode_traced(buf).map(|(req, _)| req)
-    }
-
-    /// Parses a request frame, also returning the trace context carried by
-    /// a v2 envelope ([`SpanContext::NONE`] for legacy frames).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] for malformed frames.
-    pub fn decode_traced(buf: &[u8]) -> Result<(Request, SpanContext), WireError> {
-        RequestView::parse(buf).map(|(view, ctx)| (view.owned(), ctx))
+        RequestView::parse(buf).map(|(view, _)| view.owned())
     }
 }
 
 impl Response {
-    /// Serializes the response frame (the legacy form, without a trace
-    /// envelope).
+    /// Serializes the response frame, its trace header's ids zero.
     ///
     /// # Errors
     ///
@@ -718,9 +676,8 @@ impl Response {
         self.encode_traced(SpanContext::NONE)
     }
 
-    /// Serializes the response, wrapping it in a trace envelope when `ctx`
-    /// is non-empty. The frame is written once, into a buffer allocated at
-    /// its final length.
+    /// Serializes the response frame under the header of `ctx`, into a
+    /// buffer allocated at the frame's final length.
     ///
     /// # Errors
     ///
@@ -737,24 +694,13 @@ impl Response {
         Ok(out)
     }
 
-    /// Parses a response frame (legacy or traced), discarding any carried
-    /// trace context.
+    /// Parses a response frame, discarding the context its header carries.
     ///
     /// # Errors
     ///
     /// Returns a [`WireError`] for malformed frames.
     pub fn decode(buf: &[u8]) -> Result<Response, WireError> {
-        Self::decode_traced(buf).map(|(resp, _)| resp)
-    }
-
-    /// Parses a response frame, also returning the trace context carried
-    /// by a v2 envelope ([`SpanContext::NONE`] for legacy frames).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] for malformed frames.
-    pub fn decode_traced(buf: &[u8]) -> Result<(Response, SpanContext), WireError> {
-        ResponseView::parse(buf).map(|(view, ctx)| (view.owned(), ctx))
+        ResponseView::parse(buf).map(|(view, _)| view.owned())
     }
 }
 
@@ -823,8 +769,8 @@ pub(crate) struct ServeScratch {
 
 /// The device-side dispatcher: decodes a request, executes it against
 /// `device`, and encodes the response — what the DIMM-side firmware does.
-/// Traced frames open an `ndp_serve` child span under the processor-side
-/// context carried in the envelope, and the reply frame carries the serve
+/// It opens an `ndp_serve` child span under the processor-side context
+/// the request's header carries, and the reply's header carries the serve
 /// span's context back.
 ///
 /// # Errors
@@ -886,7 +832,7 @@ fn serve_into<D: NdpDevice>(
 /// a typed [`Response::Err`] reply frame instead of no reply at all, so a
 /// remote client sees an `Error::MalformedResponse`-class diagnostic
 /// rather than a dropped connection and a timeout. The error reply echoes
-/// the request's trace envelope (when one is readable), so even the
+/// the request's trace header (zeros when it has none), so even the
 /// rejection stitches into the caller's trace.
 pub fn serve_or_reply<D: NdpDevice>(device: &mut D, frame: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
@@ -906,9 +852,7 @@ pub(crate) fn serve_or_reply_into<D: NdpDevice>(
             WireError::BadElemBytes(_) => CODE_BAD_ELEM_BYTES,
             _ => CODE_BAD_FRAME,
         };
-        let ctx = strip_envelope(frame)
-            .map(|(_, c)| c)
-            .unwrap_or(SpanContext::NONE);
+        let ctx = read_header(frame).map_or(SpanContext::NONE, |(ctx, _)| ctx);
         out.clear();
         Writer::new(out, ctx).err(code);
     }
@@ -977,40 +921,41 @@ fn run_sum<W: RingWord, D: NdpDevice>(
 // The client side
 // ---------------------------------------------------------------------------
 
-/// One request in, one reply out: the single method every path to a
-/// device behind the wire implements — [`RemoteNdp`]'s inline service on
-/// the caller's thread, and an [`Endpoint`](crate::endpoint::Endpoint)
-/// over any link. Everything that implements it is an [`NdpDevice`]
-/// through the one facade below.
+/// One request out, its reply read where it lies: the single method every
+/// path to a device behind the wire implements — [`RemoteNdp`]'s inline
+/// service on the caller's thread, and an
+/// [`Endpoint`](crate::endpoint::Endpoint) over any link. Everything that
+/// implements it is an [`NdpDevice`] through the one facade below.
 pub trait RoundTrip {
-    /// Carries `req` to the device and returns its decoded reply.
+    /// Carries one request to the device: `write` is called once, to
+    /// write it with the [`Writer`] it is handed — bound to the
+    /// transport's buffer and the caller's trace context — and `read` is
+    /// handed the reply frame where it lies. An endpoint sends a `Load` to
+    /// every rank and hands `read` each rank's reply.
     ///
     /// # Errors
     ///
-    /// Transport failures, typed; a device-side error is `Ok(Response::Err)`.
-    fn round_trip(&self, req: &Request) -> Result<Response, Error>;
-
-    /// The round trip of a request that may be sent again (not a `Load`),
-    /// on the transport's buffers: `write` appends the frame body — about
-    /// `body_len` bytes — behind the trace envelope, and `read` is handed
-    /// the reply frame where it lies.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures, typed, and whatever `write` or `read` returns.
-    fn round_trip_in_place(
+    /// Transport failures, typed, and whatever `write` or `read` returns
+    /// (for a `Load`, the first rank's that failed).
+    fn round_trip(
         &self,
-        body_len: usize,
-        write: &mut dyn FnMut(&mut Vec<u8>) -> Result<(), Error>,
+        write: &mut dyn FnMut(Writer<'_>) -> Result<(), Error>,
         read: &mut dyn FnMut(&[u8]) -> Result<(), Error>,
     ) -> Result<(), Error>;
 }
 
-/// Decodes a reply frame from the untrusted device, mapping any wire-level
-/// failure to a typed error. A malicious or faulty device must never be
-/// able to panic the trusted side by sending garbage.
+/// Parses a reply frame from the untrusted device in place, mapping any
+/// wire-level failure to a typed error. A malicious or faulty device must
+/// never be able to panic the trusted side by sending garbage.
+fn parse_reply(reply: &[u8]) -> Result<ResponseView<'_>, Error> {
+    ResponseView::parse(reply)
+        .map(|(view, _)| view)
+        .map_err(|_| crate::metrics::malformed("undecodable reply frame"))
+}
+
+/// [`parse_reply`], copied out.
 pub(crate) fn decode_reply(reply: &[u8]) -> Result<Response, Error> {
-    Response::decode(reply).map_err(|_| crate::metrics::malformed("undecodable reply frame"))
+    parse_reply(reply).map(ResponseView::owned)
 }
 
 /// Reads the reply to a weighted sum where it lies: its `C_res` words are
@@ -1018,6 +963,15 @@ pub(crate) fn decode_reply(reply: &[u8]) -> Result<Response, Error> {
 /// returned. Nothing is allocated.
 pub(crate) fn add_sum_reply<W: RingWord>(
     reply: &[u8],
+    table_addr: u64,
+    acc: &mut [W],
+) -> Result<Option<Fq>, Error> {
+    add_sum(parse_reply(reply)?, table_addr, acc)
+}
+
+/// [`add_sum_reply`] on a parsed reply.
+fn add_sum<W: RingWord>(
+    reply: ResponseView<'_>,
     table_addr: u64,
     acc: &mut [W],
 ) -> Result<Option<Fq>, Error> {
@@ -1039,13 +993,11 @@ pub(crate) fn add_sum_reply<W: RingWord>(
 /// result bytes once they are known to be whole elements of `W`, and the
 /// tag is returned.
 fn sum_reply<W: RingWord>(
-    reply: &[u8],
+    reply: ResponseView<'_>,
     table_addr: u64,
     use_c_res: impl FnOnce(&[u8]) -> Result<(), Error>,
 ) -> Result<Option<u128>, Error> {
-    let (view, _) = ResponseView::parse(reply)
-        .map_err(|_| crate::metrics::malformed("undecodable reply frame"))?;
-    match view {
+    match reply {
         // The device chose `c_res`'s length, so a ragged one is refused
         // before anything reads it as elements.
         ResponseView::Sum { c_res, .. } if c_res.len() % W::BYTES != 0 => Err(
@@ -1059,10 +1011,10 @@ fn sum_reply<W: RingWord>(
 }
 
 /// The blocking device facade over any [`RoundTrip`]: each trait call
-/// frames one request under a `wire_round_trip` span and interprets the
-/// reply, so trait-generic code — the whole e2e suite — runs over every
-/// transport unchanged. A weighted sum is written from the caller's
-/// slices and read where its reply lies.
+/// writes one request from the caller's arguments under a
+/// `wire_round_trip` span and reads the reply where it lies, so
+/// trait-generic code — the whole e2e suite — runs over every transport
+/// unchanged.
 impl<T: RoundTrip> NdpDevice for T {
     fn load(
         &mut self,
@@ -1075,17 +1027,24 @@ impl<T: RoundTrip> NdpDevice for T {
         // no payload, so a local check preserves the faithful field values
         // (and skips shipping a torn table to the device at all).
         validate_load(ciphertext.len(), row_bytes)?;
-        let req = Request::Load {
-            table_addr,
-            row_bytes: row_bytes as u32,
-            ciphertext,
-            tags: tags.map(|ts| ts.iter().map(|t| t.value()).collect()),
-        };
-        match traced_round_trip(&*self, &req)? {
-            Response::Ack => Ok(()),
-            Response::Err(code) => Err(error_from_code(code, table_addr)),
-            _ => Err(crate::metrics::malformed("unexpected load reply")),
-        }
+        // The image and tags go as soon as they are in the frame, before
+        // it is served: the device keeps a copy of its own.
+        let mut image = Some((ciphertext, tags));
+        call(
+            &*self,
+            |w| {
+                let (ciphertext, tags) = image.take().ok_or(Error::MalformedResponse {
+                    reason: "load frame written twice",
+                })?;
+                let tags = tags.as_deref().map(|t| t.iter().map(|t| t.value()));
+                w.load(table_addr, row_bytes as u32, &ciphertext, tags)
+            },
+            |reply| match reply {
+                ResponseView::Ack => Ok(()),
+                ResponseView::Err(code) => Err(error_from_code(code, table_addr)),
+                _ => Err(crate::metrics::malformed("unexpected load reply")),
+            },
+        )
     }
 
     fn weighted_sum<W: RingWord>(
@@ -1117,47 +1076,57 @@ impl<T: RoundTrip> NdpDevice for T {
         acc: &mut [W],
     ) -> Result<Option<Fq>, Error> {
         sum_round_trip(self, table_addr, indices, weights, with_tag, |reply| {
-            add_sum_reply(reply, table_addr, acc)
+            add_sum(reply, table_addr, acc)
         })
     }
 
     fn read_row(&self, table_addr: u64, row: usize) -> Result<Vec<u8>, Error> {
-        let req = Request::ReadRow {
-            table_addr,
-            row: row as u64,
-        };
-        match traced_round_trip(self, &req)? {
-            Response::Row(b) => Ok(b),
-            Response::Err(code) => Err(error_from_code(code, table_addr)),
-            _ => Err(crate::metrics::malformed("wrong response kind")),
-        }
+        call(
+            self,
+            |w| {
+                w.read_row(table_addr, row as u64);
+                Ok(())
+            },
+            |reply| match reply {
+                ResponseView::Row(b) => Ok(b.to_vec()),
+                ResponseView::Err(code) => Err(error_from_code(code, table_addr)),
+                _ => Err(crate::metrics::malformed("wrong response kind")),
+            },
+        )
     }
 }
 
-/// The span around one facade call. The request is encoded under this
-/// span, so device-side spans stitch beneath it.
-fn traced_round_trip(via: &impl RoundTrip, req: &Request) -> Result<Response, Error> {
+/// One facade call's round trip, under its span: the request written by
+/// `write`, each reply parsed where it lies and handed to `read`, whose
+/// answer is returned.
+fn call<R>(
+    via: &impl RoundTrip,
+    mut write: impl FnMut(Writer<'_>) -> Result<(), Error>,
+    mut read: impl FnMut(ResponseView<'_>) -> Result<R, Error>,
+) -> Result<R, Error> {
     let _sp = trace::span(trace::names::WIRE_ROUND_TRIP);
-    via.round_trip(req)
+    let mut out = None;
+    via.round_trip(&mut write, &mut |reply| {
+        out = Some(read(parse_reply(reply)?)?);
+        Ok(())
+    })?;
+    out.ok_or_else(|| crate::metrics::malformed("no reply to a request"))
 }
 
-/// A weighted sum's round trip in place, under the facade's span: the
-/// request written from `indices` and `weights`, the reply handed to
-/// `read`, whose answer is returned.
+/// A weighted sum's round trip: the request written from `indices` and
+/// `weights`, the reply handed to `read`.
 fn sum_round_trip<W: RingWord, R>(
     via: &impl RoundTrip,
     table_addr: u64,
     indices: &[usize],
     weights: &[W],
     with_tag: bool,
-    mut read: impl FnMut(&[u8]) -> Result<R, Error>,
+    read: impl FnMut(ResponseView<'_>) -> Result<R, Error>,
 ) -> Result<R, Error> {
-    let _sp = trace::span(trace::names::WIRE_ROUND_TRIP);
-    let mut out = None;
-    via.round_trip_in_place(
-        Writer::weighted_sum_len(indices.len(), weights.len()),
-        &mut |buf| {
-            Writer::body(buf).weighted_sum(
+    call(
+        via,
+        |w| {
+            w.weighted_sum(
                 table_addr,
                 W::BYTES as u8,
                 indices.iter().map(|&i| i as u64),
@@ -1165,12 +1134,8 @@ fn sum_round_trip<W: RingWord, R>(
                 with_tag,
             )
         },
-        &mut |reply| {
-            out = Some(read(reply)?);
-            Ok(())
-        },
-    )?;
-    out.ok_or_else(|| crate::metrics::malformed("no reply to a sum request"))
+        read,
+    )
 }
 
 /// A device adaptor that forces every interaction through the byte-exact
@@ -1218,17 +1183,12 @@ impl<D: NdpDevice + Send + 'static> RemoteNdp<D> {
 }
 
 impl<D> RoundTrip for RemoteNdp<D> {
-    fn round_trip(&self, req: &Request) -> Result<Response, Error> {
-        self.via.round_trip(req)
-    }
-
-    fn round_trip_in_place(
+    fn round_trip(
         &self,
-        body_len: usize,
-        write: &mut dyn FnMut(&mut Vec<u8>) -> Result<(), Error>,
+        write: &mut dyn FnMut(Writer<'_>) -> Result<(), Error>,
         read: &mut dyn FnMut(&[u8]) -> Result<(), Error>,
     ) -> Result<(), Error> {
-        self.via.round_trip_in_place(body_len, write, read)
+        self.via.round_trip(write, read)
     }
 }
 
@@ -1305,11 +1265,43 @@ mod tests {
         }
     }
 
+    /// Malformed frames are typed errors on both decoders, and a server
+    /// answers each with `CODE_BAD_FRAME`: the empty frame, a frame without
+    /// the trace header (any first byte but `0x7E`, the bare messages the
+    /// header used to be optional in front of included), a truncated
+    /// header, a truncated message, trailing junk and an absurd length.
     #[test]
     fn malformed_frames_rejected() {
-        assert_eq!(Request::decode(&[]), Err(WireError::Truncated));
-        assert_eq!(Request::decode(&[0x42]), Err(WireError::BadTag(0x42)));
-        // Truncated weighted-sum.
+        let mut dev = HonestNdp::new();
+        let mut refused = |f: &[u8], err: WireError| {
+            assert_eq!(Request::decode(f), Err(err), "{f:02x?}");
+            assert_eq!(Response::decode(f), Err(err), "{f:02x?}");
+            assert_eq!(
+                Response::decode(&serve_or_reply(&mut dev, f)).unwrap(),
+                Response::Err(CODE_BAD_FRAME),
+                "{f:02x?}"
+            );
+        };
+        refused(&[], WireError::Truncated);
+        refused(&[0x42], WireError::MissingHeader(0x42));
+        for tag in [0x01, 0x02, 0x03, 0x81, 0x82, 0x83, 0xFF] {
+            refused(&[tag, 0, 0], WireError::MissingHeader(tag));
+        }
+        for req in sample_requests() {
+            let f = req.encode().unwrap();
+            refused(&f[HEADER_LEN..], WireError::MissingHeader(f[HEADER_LEN]));
+        }
+        for resp in sample_responses() {
+            let f = resp.encode().unwrap();
+            assert_eq!(
+                Response::decode(&f[HEADER_LEN..]),
+                Err(WireError::MissingHeader(f[HEADER_LEN]))
+            );
+        }
+        for cut in 1..HEADER_LEN {
+            refused(&[FRAME_TRACED; HEADER_LEN][..cut], WireError::Truncated);
+        }
+        // Truncated read-row.
         let mut f = Request::ReadRow {
             table_addr: 1,
             row: 2,
@@ -1325,7 +1317,10 @@ mod tests {
         // Absurd length field.
         let mut f = vec![0x83];
         f.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(Response::decode(&f), Err(WireError::BadLength));
+        assert_eq!(
+            Response::decode(&envelope(SpanContext::NONE, &f)),
+            Err(WireError::BadLength)
+        );
     }
 
     /// Satellite bugfix: a weighted-sum frame declaring an element width
@@ -1343,10 +1338,10 @@ mod tests {
         }
         .encode()
         .unwrap();
-        // Byte 9 is elem_bytes (tag + 8-byte addr).
+        // Byte 9 of the message is elem_bytes (tag + 8-byte addr).
         for bad in [0u8, 3, 5, 6, 7, 9, 16, 255] {
             let mut f = good.clone();
-            f[9] = bad;
+            f[HEADER_LEN + 9] = bad;
             assert_eq!(
                 Request::decode(&f),
                 Err(WireError::BadElemBytes(bad)),
@@ -1360,7 +1355,7 @@ mod tests {
         // The four legal widths still decode.
         for ok in [1u8, 2, 4, 8] {
             let mut f = good.clone();
-            f[9] = ok;
+            f[HEADER_LEN + 9] = ok;
             assert!(Request::decode(&f).is_ok());
         }
         // Defense in depth: a device invoked below the decoder (a request
@@ -1451,7 +1446,7 @@ mod tests {
         }
         .encode()
         .unwrap();
-        // Byte 10 is with_tag (tag, 8-byte addr, elem_bytes).
+        // Byte 10 of the message is with_tag (tag, 8-byte addr, elem_bytes).
         let load = Request::Load {
             table_addr: 0,
             row_bytes: 4,
@@ -1460,8 +1455,9 @@ mod tests {
         }
         .encode()
         .unwrap();
-        // Byte 21 is tags-present (tag, addr, row_bytes, length, 4 bytes).
-        for (mut frame, at) in [(sum, 10), (load, 21)] {
+        // Byte 21 of the message is tags-present (tag, addr, row_bytes,
+        // length, 4 bytes).
+        for (mut frame, at) in [(sum, HEADER_LEN + 10), (load, HEADER_LEN + 21)] {
             assert_eq!(frame[at], 1);
             for bad in [2u8, 0x80, 0xFF] {
                 frame[at] = bad;
@@ -1478,9 +1474,9 @@ mod tests {
         }
         .encode()
         .unwrap();
-        // Byte 9 is tag-present (tag, length, 4 bytes).
-        assert_eq!(reply[9], 1);
-        reply[9] = 2;
+        // Byte 9 of the message is tag-present (tag, length, 4 bytes).
+        assert_eq!(reply[HEADER_LEN + 9], 1);
+        reply[HEADER_LEN + 9] = 2;
         assert_eq!(Response::decode(&reply), Err(WireError::BadFlag(2)));
         assert!(matches!(
             add_sum_reply(&reply, 42, &mut [0u32]),
@@ -1505,7 +1501,7 @@ mod tests {
         }
         .encode()
         .unwrap();
-        f[9] = 3; // byte 9 is elem_bytes (tag + 8-byte addr)
+        f[HEADER_LEN + 9] = 3; // the message's byte 9 is elem_bytes
         let mut dev = HonestNdp::new();
         assert_eq!(serve(&mut dev, &f), Err(WireError::BadElemBytes(3)));
         let reply = serve_or_reply(&mut dev, &f);
@@ -1525,7 +1521,7 @@ mod tests {
                 reason: "device could not decode request frame"
             }
         ));
-        // A traced request's error reply echoes the trace envelope.
+        // A traced request's error reply echoes the trace header.
         let ctx = SpanContext {
             trace: TraceId(0xABCD),
             span: SpanId(7),
@@ -1540,7 +1536,7 @@ mod tests {
         .encode_traced(ctx)
         .unwrap();
         let mut broken = traced.clone();
-        broken[ENVELOPE_LEN + 9] = 3;
+        broken[HEADER_LEN + 9] = 3;
         let reply = serve_or_reply(&mut dev, &broken);
         assert_eq!(reply[0], FRAME_TRACED);
         assert_eq!(u64::from_le_bytes(reply[1..9].try_into().unwrap()), 0xABCD);
@@ -1567,14 +1563,14 @@ mod tests {
     #[test]
     fn oversized_count_frames_rejected() {
         // WeightedSum with an indices count of u32::MAX but no payload.
-        let mut f = vec![0x02];
+        let mut f = envelope(SpanContext::NONE, &[0x02]);
         f.extend_from_slice(&7u64.to_le_bytes()); // table_addr
         f.push(4); // elem_bytes
         f.push(0); // with_tag
         f.extend_from_slice(&u32::MAX.to_le_bytes()); // indices count
         assert_eq!(Request::decode(&f), Err(WireError::BadLength));
         // Same for the weights count after a valid (empty) indices vector.
-        let mut f = vec![0x02];
+        let mut f = envelope(SpanContext::NONE, &[0x02]);
         f.extend_from_slice(&7u64.to_le_bytes());
         f.push(4);
         f.push(0);
@@ -1583,7 +1579,7 @@ mod tests {
         assert_eq!(Request::decode(&f), Err(WireError::BadLength));
         // Load with an absurd tag count: `count × 16` would overflow a
         // 32-bit usize — checked_mul turns that into BadLength, not a wrap.
-        let mut f = vec![0x01];
+        let mut f = envelope(SpanContext::NONE, &[0x01]);
         f.extend_from_slice(&0u64.to_le_bytes()); // table_addr
         f.extend_from_slice(&16u32.to_le_bytes()); // row_bytes
         f.extend_from_slice(&0u32.to_le_bytes()); // ciphertext: empty
@@ -1600,7 +1596,7 @@ mod tests {
     #[cfg(target_pointer_width = "64")]
     fn frame_too_large_is_checked_at_encode() {
         let mut out = Vec::new();
-        let mut w = Writer::body(&mut out);
+        let mut w = Writer::new(&mut out, SpanContext::NONE);
         assert!(w.len(u32::MAX as usize).is_ok());
         let too_big = u32::MAX as usize + 1;
         assert!(matches!(
@@ -1771,12 +1767,24 @@ mod tests {
         ));
     }
 
-    /// `inner` behind a trace envelope, whatever it is — for frames the
-    /// encoder never makes, such as a doubled envelope.
+    /// `inner` behind the trace header of `ctx`, whatever it is — for
+    /// frames the encoder never makes, such as a doubled header.
     fn envelope(ctx: SpanContext, inner: &[u8]) -> Vec<u8> {
-        let mut out = Writer::frame(ctx, inner.len());
+        let mut out = Vec::new();
+        Writer::new(&mut out, ctx).begin(inner.len());
         out.extend_from_slice(inner);
         out
+    }
+
+    /// A request frame parsed and copied out, with the context its header
+    /// carries.
+    fn parse_request(buf: &[u8]) -> Result<(Request, SpanContext), WireError> {
+        RequestView::parse(buf).map(|(view, ctx)| (view.owned(), ctx))
+    }
+
+    /// A response frame parsed and copied out, with its header's context.
+    fn parse_response(buf: &[u8]) -> Result<(Response, SpanContext), WireError> {
+        ResponseView::parse(buf).map(|(view, ctx)| (view.owned(), ctx))
     }
 
     fn sample_requests() -> Vec<Request> {
@@ -1819,47 +1827,68 @@ mod tests {
         ]
     }
 
+    /// Every frame carries the trace header: a traced frame round-trips
+    /// with its context, an untraced one is the same frame with zero ids,
+    /// and the message without its header is refused by both decoders —
+    /// and answered `CODE_BAD_FRAME` by a server — as is a bare or
+    /// truncated header.
     #[test]
     fn traced_frames_round_trip_and_interoperate() {
         let ctx = SpanContext {
             trace: TraceId(0xAABB_CCDD_EEFF_0011),
             span: SpanId(0x7788_99AA_BBCC_DDEE),
         };
+        let mut dev = HonestNdp::new();
+        let zero_ids = |f: &[u8]| f[1..HEADER_LEN].iter().all(|&b| b == 0);
         for req in sample_requests() {
             let traced = req.encode_traced(ctx).unwrap();
             assert_eq!(traced[0], FRAME_TRACED);
-            // decode_traced recovers both the frame and the context.
-            assert_eq!(Request::decode_traced(&traced).unwrap(), (req.clone(), ctx));
-            // Plain decode strips the envelope transparently.
+            assert_eq!(parse_request(&traced).unwrap(), (req.clone(), ctx));
             assert_eq!(Request::decode(&traced).unwrap(), req);
-            // Legacy frames carry no context; empty-ctx traced encoding is
-            // byte-identical to legacy.
-            let legacy = req.encode().unwrap();
-            assert_eq!(req.encode_traced(SpanContext::NONE).unwrap(), legacy);
+            // No context: the same frame, its ids zero.
+            let plain = req.encode().unwrap();
+            assert_eq!(req.encode_traced(SpanContext::NONE).unwrap(), plain);
+            assert_eq!(plain[0], FRAME_TRACED);
+            assert!(zero_ids(&plain));
+            assert_eq!(plain[HEADER_LEN..], traced[HEADER_LEN..]);
             assert_eq!(
-                Request::decode_traced(&legacy).unwrap(),
+                parse_request(&plain).unwrap(),
                 (req.clone(), SpanContext::NONE)
+            );
+            // The message alone is no frame.
+            let bare = &plain[HEADER_LEN..];
+            let missing = WireError::MissingHeader(bare[0]);
+            assert_eq!(Request::decode(bare), Err(missing));
+            assert_eq!(Response::decode(bare), Err(missing));
+            let reply = serve_or_reply(&mut dev, bare);
+            assert!(zero_ids(&reply));
+            assert_eq!(
+                Response::decode(&reply).unwrap(),
+                Response::Err(CODE_BAD_FRAME)
             );
         }
         for resp in sample_responses() {
             let traced = resp.encode_traced(ctx).unwrap();
-            assert_eq!(
-                Response::decode_traced(&traced).unwrap(),
-                (resp.clone(), ctx)
-            );
+            assert_eq!(parse_response(&traced).unwrap(), (resp.clone(), ctx));
             assert_eq!(Response::decode(&traced).unwrap(), resp);
+            let plain = resp.encode().unwrap();
+            assert_eq!(resp.encode_traced(SpanContext::NONE).unwrap(), plain);
+            assert!(zero_ids(&plain));
+            assert_eq!(plain[HEADER_LEN..], traced[HEADER_LEN..]);
+            let bare = &plain[HEADER_LEN..];
             assert_eq!(
-                resp.encode_traced(SpanContext::NONE).unwrap(),
-                resp.encode().unwrap()
+                Response::decode(bare),
+                Err(WireError::MissingHeader(bare[0]))
             );
         }
-        // A bare or truncated envelope is Truncated, not a panic.
+        // A bare or truncated header is Truncated, not a panic.
         assert_eq!(Request::decode(&[FRAME_TRACED]), Err(WireError::Truncated));
         assert_eq!(
             Response::decode(&[FRAME_TRACED, 1, 2, 3]),
             Err(WireError::Truncated)
         );
-        // An envelope cannot nest: the inner bytes must be a v1 frame.
+        // A header cannot nest: the message behind it must start with a
+        // message tag.
         let double = envelope(
             ctx,
             &Request::ReadRow {
@@ -1875,10 +1904,11 @@ mod tests {
         );
     }
 
-    /// Every request and response shape, legacy and traced, encodes to the
-    /// bytes the encoder that built the body and then copied it behind the
-    /// envelope produced (the digest was taken on that commit), into one
-    /// buffer allocated at the frame's final size.
+    /// Every request and response shape, with and without a context,
+    /// encodes to the bytes of the earlier encoder that wrote the header
+    /// only for a non-empty context — its traced frame, with zero ids when
+    /// there is no context (the digest was taken on that commit) — into
+    /// one buffer allocated at the frame's final size.
     #[test]
     fn frames_are_byte_identical_and_allocated_at_final_size() {
         let ctx = SpanContext {
@@ -1947,7 +1977,59 @@ mod tests {
         for f in &frames {
             assert_eq!(f.len(), f.capacity(), "{:02x?}", &f[..f.len().min(24)]);
         }
-        assert_eq!(digest, 0x8F4C_A372_0B73_451A, "{digest:#018x}");
+        assert_eq!(digest, 0xB08B_0ACB_7769_7C7E, "{digest:#018x}");
+    }
+
+    /// A frame's length does not depend on its context: `encode`, and
+    /// `encode_traced` with and without one, agree for every shape, and
+    /// the shapes the ledger sends have the lengths it reports.
+    #[test]
+    fn frame_lengths_do_not_depend_on_the_context() {
+        let ctx = SpanContext {
+            trace: TraceId(3),
+            span: SpanId(4),
+        };
+        let sum = |pf: u64| Request::WeightedSum {
+            table_addr: 0x4000,
+            elem_bytes: 4,
+            indices: (0..pf).collect(),
+            weights: vec![1; pf as usize],
+            with_tag: true,
+        };
+        let reply = |cols: usize| Response::Sum {
+            c_res: vec![0; cols * 4],
+            c_t_res: Some(1),
+        };
+        let load = Request::Load {
+            table_addr: 0x4000,
+            row_bytes: 128,
+            ciphertext: vec![0; 8192 * 128],
+            tags: Some(vec![0; 8192]),
+        };
+        let mut requests = sample_requests();
+        requests.extend([sum(80), sum(8), sum(1), load]);
+        let mut responses = sample_responses();
+        responses.extend([reply(32), reply(8)]);
+        let mut lens = Vec::new();
+        for req in &requests {
+            let len = req.encode().unwrap().len();
+            assert_eq!(req.encode_traced(SpanContext::NONE).unwrap().len(), len);
+            assert_eq!(req.encode_traced(ctx).unwrap().len(), len);
+            lens.push(len);
+        }
+        for resp in &responses {
+            let len = resp.encode().unwrap().len();
+            assert_eq!(resp.encode_traced(SpanContext::NONE).unwrap().len(), len);
+            assert_eq!(resp.encode_traced(ctx).unwrap().len(), len);
+            lens.push(len);
+        }
+        // PF-80, PF-8 and PF-1 sums, the tagged 8192 × 128 B load, then
+        // the ack and the 32- and 8-column sum replies.
+        let n = sample_requests().len();
+        assert_eq!(lens[n..n + 4], [1316, 164, 52, 1_179_687]);
+        assert_eq!(lens[n + 4], 18);
+        let m = lens.len();
+        assert_eq!(lens[m - 2..], [167, 71]);
     }
 
     /// Satellite: exhaustive small-frame + truncation + byte-flip matrix.
@@ -1968,9 +2050,9 @@ mod tests {
                 let _ = Response::decode(&[a, b]);
             }
         }
-        // 2) Every strict prefix of every canonical frame (legacy and
-        //    traced) fails to decode: no prefix of a valid frame is
-        //    silently accepted as a different valid frame.
+        // 2) Every strict prefix of every canonical frame (with and
+        //    without a context) fails to decode: no prefix of a valid
+        //    frame is silently accepted as a different valid frame.
         let ctx = SpanContext {
             trace: TraceId(5),
             span: SpanId(6),
@@ -2029,52 +2111,53 @@ mod tests {
         }
     }
 
-    /// Satellite: the traced-frame (0x7E) envelope gets its own fuzz
-    /// matrix — truncated, duplicated and garbage trace headers must
-    /// produce typed errors (never a panic), header *content* must be
-    /// opaque (any 16 bytes decode as ids), and legacy↔traced interop
-    /// stays pinned. Deterministic: the random stage is LCG-driven.
+    /// The trace header gets its own fuzz matrix: missing, truncated,
+    /// duplicated and garbage headers are typed errors (never a panic) on
+    /// both decoders, a server answers a headerless frame `CODE_BAD_FRAME`,
+    /// and header *content* is opaque (any 16 bytes decode as ids).
+    /// Deterministic: the random stage is LCG-driven.
     #[test]
     fn traced_envelope_fuzz_matrix() {
         let ctx = SpanContext {
             trace: TraceId(0xAAAA),
             span: SpanId(0xBBBB),
         };
-        // 1) Every truncated envelope — the tag alone plus 0..16 header
+        // 1) Every truncated header — the tag alone plus 0..16 header
         //    bytes — is Truncated for requests and responses alike.
-        for extra in 0..(ENVELOPE_LEN - 1) {
+        for extra in 0..(HEADER_LEN - 1) {
             let mut frame = vec![FRAME_TRACED];
             frame.extend((0..extra).map(|i| i as u8));
             assert_eq!(
                 Request::decode(&frame),
                 Err(WireError::Truncated),
-                "request envelope with {extra} header bytes"
+                "request header with {extra} bytes"
             );
             assert_eq!(
                 Response::decode(&frame),
                 Err(WireError::Truncated),
-                "response envelope with {extra} header bytes"
+                "response header with {extra} bytes"
             );
         }
         // 2) Header content is opaque: any 16 garbage bytes in front of a
-        //    valid inner frame decode cleanly, and the ids round-trip
+        //    valid message decode cleanly, and the ids round-trip
         //    verbatim — no interpretation, no validation, no panic.
         let inner_req = Request::ReadRow {
             table_addr: 7,
             row: 9,
         };
+        let inner = inner_req.encode().unwrap();
         for fill in [0x00u8, 0x7E, 0xA5, 0xFF] {
             let mut frame = vec![FRAME_TRACED];
-            frame.extend([fill; ENVELOPE_LEN - 1]);
-            frame.extend(inner_req.encode().unwrap());
-            let (req, got) = Request::decode_traced(&frame).unwrap();
+            frame.extend([fill; HEADER_LEN - 1]);
+            frame.extend(&inner[HEADER_LEN..]);
+            let (req, got) = parse_request(&frame).unwrap();
             assert_eq!(req, inner_req);
             let expect = u64::from_le_bytes([fill; 8]);
             assert_eq!(got.trace, TraceId(expect));
             assert_eq!(got.span, SpanId(expect));
         }
-        // 3) Envelopes do not nest, in either direction and for both
-        //    frame families: the duplicate tag is a typed BadTag.
+        // 3) Headers do not nest, for both frame families: the duplicate
+        //    tag is a typed BadTag.
         for req in sample_requests() {
             let doubled = envelope(ctx, &req.encode_traced(ctx).unwrap());
             assert_eq!(
@@ -2082,7 +2165,7 @@ mod tests {
                 Err(WireError::BadTag(FRAME_TRACED))
             );
             assert_eq!(
-                Request::decode_traced(&doubled).map(|(r, _)| r),
+                parse_request(&doubled).map(|(r, _)| r),
                 Err(WireError::BadTag(FRAME_TRACED))
             );
         }
@@ -2093,27 +2176,44 @@ mod tests {
                 Err(WireError::BadTag(FRAME_TRACED))
             );
         }
-        // 4) A well-formed envelope around garbage inner bytes fails with
-        //    the *inner* decoder's typed error — the envelope must not
-        //    mask or transform it.
+        // 4) A well-formed header around a garbage message fails with the
+        //    message decoder's typed error — the header must not mask or
+        //    transform it.
         let mut garbage_inner = vec![FRAME_TRACED];
-        garbage_inner.extend([0x11; ENVELOPE_LEN - 1]);
+        garbage_inner.extend([0x11; HEADER_LEN - 1]);
         garbage_inner.extend([0xEE, 0xEE, 0xEE]);
         assert_eq!(
             Request::decode(&garbage_inner),
             Err(WireError::BadTag(0xEE))
         );
-        // 5) Interop pin: the traced encoding is exactly envelope ‖
-        //    legacy encoding, so stripping 17 bytes yields the legacy
-        //    frame and both decoders agree on the payload.
-        for resp in sample_responses() {
-            let traced = resp.encode_traced(ctx).unwrap();
-            let legacy = resp.encode().unwrap();
-            assert_eq!(&traced[ENVELOPE_LEN..], &legacy[..]);
-            assert_eq!(Response::decode(&traced).unwrap(), resp);
-            assert_eq!(Response::decode(&legacy).unwrap(), resp);
+        // 5) Without its header no frame decodes: a frame is the header
+        //    then the message, and the message alone — with any first byte
+        //    but the header's tag — is MissingHeader to both decoders and
+        //    CODE_BAD_FRAME to a server.
+        let mut dev = HonestNdp::new();
+        for f in sample_requests()
+            .iter()
+            .map(|r| r.encode_traced(ctx).unwrap())
+            .chain(
+                sample_responses()
+                    .iter()
+                    .map(|r| r.encode_traced(ctx).unwrap()),
+            )
+        {
+            let bare = &f[HEADER_LEN..];
+            for decoded in [
+                Request::decode(bare).map(|_| ()),
+                Response::decode(bare).map(|_| ()),
+            ] {
+                assert_eq!(decoded, Err(WireError::MissingHeader(bare[0])));
+            }
+            assert_eq!(
+                Response::decode(&serve_or_reply(&mut dev, bare)).unwrap(),
+                Response::Err(CODE_BAD_FRAME)
+            );
         }
-        // 6) LCG-driven random 0x7E-prefixed frames: never a panic.
+        // 6) LCG-driven random frames, with and without the header tag:
+        //    never a panic, and without it always MissingHeader.
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
             state = state
@@ -2125,9 +2225,19 @@ mod tests {
             let len = (next() as usize) % 64;
             let mut bytes = vec![FRAME_TRACED];
             bytes.extend((0..len).map(|_| next()));
-            let _ = Request::decode_traced(&bytes);
+            let _ = parse_request(&bytes);
             let _ = Request::decode(&bytes);
             let _ = Response::decode(&bytes);
+            let first = next() | 0x80;
+            bytes[0] = first;
+            assert_eq!(
+                Request::decode(&bytes),
+                Err(WireError::MissingHeader(first))
+            );
+            assert_eq!(
+                Response::decode(&bytes),
+                Err(WireError::MissingHeader(first))
+            );
         }
     }
 

@@ -4,7 +4,8 @@
 //! over a 2-rank `AsyncEndpoint` (whose ranks serve on the counting
 //! thread), allocate a pinned number of times — and the inline query a
 //! pinned number of bytes — the same at PF 8 and at PF 80, and the same
-//! with telemetry compiled in or out.
+//! with telemetry compiled in or out. So do an inline row read, verified
+//! and plain, and an inline `publish`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -203,4 +204,67 @@ fn pipelined_packet_allocations_are_pinned() {
         (allocs_per_packet(8), allocs_per_packet(80)),
         (packet, packet)
     );
+}
+
+/// Rows of the tables the row reads and the publish below use.
+const ROWS: usize = 16;
+
+/// A processor, a published tagged `ROWS × COLS` table on an inline
+/// device, and its handle.
+fn published() -> (
+    TrustedProcessor,
+    secndp::core::EncryptedTable<u32>,
+    RemoteNdp<HonestNdp>,
+    secndp::core::TableHandle,
+) {
+    let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0xA110E));
+    let pt: Vec<u32> = (0..ROWS * COLS).map(|x| x as u32).collect();
+    let table = cpu.encrypt_table(&pt, ROWS, COLS, 0x4000).unwrap();
+    let mut ndp = RemoteNdp::inline(HonestNdp::new());
+    let handle = cpu.publish(&table, &mut ndp).unwrap();
+    (cpu, table, ndp, handle)
+}
+
+/// Allocations of `op`, and their bytes, per call, after one warm-up call.
+fn per_call(mut op: impl FnMut()) -> (u64, u64) {
+    op();
+    let calls = 16;
+    let (n, bytes) = allocs_and_bytes(|| (0..calls).for_each(|_| op()));
+    assert_eq!(n % calls, 0, "{n} allocations over {calls} calls");
+    assert_eq!(bytes % calls, 0, "{bytes} bytes over {calls} calls");
+    (n / calls, bytes / calls)
+}
+
+/// A verified row read is a one-row weighted sum: its result and the
+/// device's `C_res`, a row each, as for any inline query. A plain one
+/// allocates a row three times: the device's copy out of its table, the
+/// row copied out of the reply frame, where it lies, and its decryption.
+/// The `ReadRow` frame is written into the link's request buffer and its
+/// reply into the reply buffer, so neither allocates.
+#[test]
+fn inline_row_read_allocations_are_pinned() {
+    let (cpu, _, ndp, handle) = published();
+    let verified = per_call(|| drop(cpu.read_row_verified::<u32, _>(&handle, &ndp, 3).unwrap()));
+    let plain = per_call(|| drop(cpu.read_row::<u32, _>(&handle, &ndp, 3).unwrap()));
+    let row = (COLS * std::mem::size_of::<u32>()) as u64;
+    assert_eq!((verified, plain), ((2, 2 * row), (3, 3 * row)));
+}
+
+/// A publish allocates its image and its tags on each side of the wire,
+/// and the `Load` frame once, at its final size: the frame is written from
+/// the caller's image and tags into the link's request buffer, which lets
+/// the table-sized frame go once it is served — so the next request
+/// allocates it again, and nothing table-sized stays behind. The `Ack`
+/// lands in the link's reply buffer.
+#[test]
+fn inline_publish_allocations_are_pinned() {
+    let (cpu, table, mut ndp, _) = published();
+    let publish = per_call(|| {
+        cpu.publish(&table, &mut ndp).unwrap();
+    });
+    let image = (ROWS * COLS * std::mem::size_of::<u32>()) as u64;
+    let tags = (ROWS * 16) as u64;
+    // Header, tag, address, row bytes, image length, tags flag and count.
+    let frame = 17 + 1 + 8 + 4 + 4 + image + 1 + 4 + tags;
+    assert_eq!(publish, (5, 2 * (image + tags) + frame));
 }

@@ -261,7 +261,7 @@ fn tamper_proxy(upstream: String) -> String {
                     if s_read.read_exact(&mut payload).is_err() {
                         return;
                     }
-                    // payload = req_id(8) | envelope(17) | tag | body.
+                    // payload = req_id(8) | trace header(17) | tag | body.
                     // Flip a bit inside a Sum reply's c_res bytes; leave
                     // small frames (Load acks, error codes) intact.
                     if len > 60 {
@@ -435,7 +435,9 @@ fn bad_elem_bytes_over_socket_is_typed_error_frame() {
     }
     .encode()
     .unwrap();
-    frame[9] = 3; // byte 9 is elem_bytes (tag + 8-byte addr)
+    // Behind the 17-byte trace header, the message's byte 9 is elem_bytes
+    // (tag + 8-byte addr).
+    frame[17 + 9] = 3;
     let reply = raw_round_trip(&mut stream, 1, &frame);
     assert_eq!(
         Response::decode(&reply).unwrap(),
@@ -572,7 +574,7 @@ fn shutdown_sentinel_drains_server() {
 /// Trace stitching across the socket: with a self-hosted TCP endpoint
 /// (client and server sharing this process's journal), a traced query
 /// must produce `ndp_serve` spans in the *same trace* as the caller's
-/// root span — the envelope rides the socket intact.
+/// root span — the trace header rides the socket intact.
 #[cfg(feature = "telemetry")]
 #[test]
 fn trace_ids_stitch_across_the_socket() {

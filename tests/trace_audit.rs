@@ -121,7 +121,7 @@ fn batched_query_produces_one_connected_span_tree() {
         }
 
         // The device-side dispatch span hangs under the processor-side wire
-        // span — the stitch the traced frame envelope exists for.
+        // span — the stitch the frame's trace header exists for.
         let serve = begins
             .values()
             .find(|e| e.name == trace::names::NDP_SERVE)
