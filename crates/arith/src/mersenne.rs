@@ -277,9 +277,11 @@ fn rotate(x: u128, k: u32) -> u128 {
 /// `u128` lanes add without a carry for up to 2³² terms. The lanes are
 /// independent, so terms do not wait on each other the way a chain of
 /// reduced products does; at the end the lanes are weighted by 2⁰, 2⁶⁴,
-/// 2³² and 2⁹⁶ and folded once. A word of at most 32 bits leaves `k₁ = 0`,
-/// and the two high lanes compile away: one routine serves every width.
-/// Past 2³² terms the lanes fold and start again — they never wrap.
+/// 2³² and 2⁹⁶ and folded once. A word of at most 32 bits has `k₁ = 0`:
+/// [`dot`](Self::dot) over such words keeps and folds only the first two
+/// lanes, a choice `W::BITS` makes at compile time, so one routine serves
+/// every width. Past 2³² terms the lanes fold and start again — they never
+/// wrap.
 #[derive(Debug, Default)]
 pub struct WideAcc {
     /// `Σx₀k₀, Σx₁k₀, Σx₀k₁, Σx₁k₁`: weights 2⁰, 2⁶⁴, 2³², 2⁹⁶.
@@ -294,15 +296,24 @@ impl WideAcc {
     /// `Σⱼ xs[j] · ks[j] mod q` over the shorter of the two slices.
     #[inline]
     pub fn dot<W: RingWord>(xs: &[Fq], ks: &[W]) -> Fq {
-        let mut sum = Fq::ZERO;
-        for (xs, ks) in xs.chunks(LANE_CHUNK).zip(ks.chunks(LANE_CHUNK)) {
-            let mut acc = WideAcc::default();
-            for (&x, k) in xs.iter().zip(ks) {
-                acc.add(x, k.as_u64());
-            }
-            sum += acc.fold();
+        let wide = W::BITS > 32;
+        if xs.len().min(ks.len()) <= LANE_CHUNK {
+            return Self::pass(xs, ks, wide);
         }
-        sum
+        xs.chunks(LANE_CHUNK)
+            .zip(ks.chunks(LANE_CHUNK))
+            .map(|(xs, ks)| Self::pass(xs, ks, wide))
+            .sum()
+    }
+
+    /// One pass of [`dot`](Self::dot) over at most [`LANE_TERMS`] terms.
+    #[inline]
+    fn pass<W: RingWord>(xs: &[Fq], ks: &[W], wide: bool) -> Fq {
+        let mut acc = WideAcc::default();
+        for (&x, k) in xs.iter().zip(ks) {
+            acc.add(x, k.as_u64(), wide);
+        }
+        acc.fold(wide)
     }
 
     /// Adds `x · k` to the running [`sum`](Self::sum): [`dot`](Self::dot)
@@ -311,36 +322,45 @@ impl WideAcc {
     #[inline]
     pub fn push(&mut self, x: Fq, k: u64) {
         if self.terms == LANE_TERMS {
-            self.folded += self.fold();
+            self.folded += self.fold(true);
             (self.lanes, self.terms) = ([0; 4], 0);
         }
-        self.add(x, k);
+        self.add(x, k, true);
         self.terms += 1;
     }
 
     /// The sum of every term [`push`](Self::push)ed, in 𝔽_q.
     #[inline]
     pub fn sum(&self) -> Fq {
-        self.folded + self.fold()
+        self.folded + self.fold(true)
     }
 
-    /// Adds the four half-products of `x · k`. At most [`LANE_TERMS`]
-    /// calls between folds.
+    /// Adds the half-products of `x · k`: all four when `wide`, else the
+    /// two of `k₀`, `k` being at most 32 bits. At most [`LANE_TERMS`] calls
+    /// between folds.
     #[inline]
-    fn add(&mut self, x: Fq, k: u64) {
+    fn add(&mut self, x: Fq, k: u64, wide: bool) {
         let (x0, x1) = (x.0 as u64 as u128, x.0 >> 64);
-        let (k0, k1) = (k as u32 as u128, (k >> 32) as u128);
+        let k0 = k as u32 as u128;
         self.lanes[0] += x0 * k0;
         self.lanes[1] += x1 * k0;
-        self.lanes[2] += x0 * k1;
-        self.lanes[3] += x1 * k1;
+        if wide {
+            let k1 = (k >> 32) as u128;
+            self.lanes[2] += x0 * k1;
+            self.lanes[3] += x1 * k1;
+        }
     }
 
-    /// The lanes' sum in 𝔽_q: each lane reduced, weighted and added.
+    /// The lanes' sum in 𝔽_q: each lane reduced, weighted and added —
+    /// the last two only when `wide` (otherwise [`add`](Self::add) left
+    /// them zero).
     #[inline]
-    fn fold(&self) -> Fq {
-        let [l0, l1, l2, l3] = self.lanes.map(reduce);
-        Fq(l0) + Fq(rotate(l1, 64)) + Fq(rotate(l2, 32)) + Fq(rotate(l3, 96))
+    fn fold(&self, wide: bool) -> Fq {
+        let low = Fq(reduce(self.lanes[0])) + Fq(rotate(reduce(self.lanes[1]), 64));
+        if !wide {
+            return low;
+        }
+        low + Fq(rotate(reduce(self.lanes[2]), 32)) + Fq(rotate(reduce(self.lanes[3]), 96))
     }
 }
 

@@ -54,7 +54,8 @@ impl Domain {
 }
 
 /// The cipher input `[D:2][addr:62][version:64]`, big-endian; `addr` must
-/// fit its 62 bits ([`CounterBlock::new`] and `validate_pad_range` check).
+/// fit its 62 bits ([`CounterBlock::new`], `validate_pad_range` and
+/// `stream_blocks` check).
 #[inline]
 fn counter_bytes(domain: Domain, addr: u64, version: u64) -> Block {
     let hi = ((domain.bits() as u64) << 62) | addr;
@@ -373,7 +374,10 @@ impl<C: BlockCipher> OtpGenerator<C> {
     }
 
     /// [`stream_pads`](Self::stream_pads) in a one-block domain: a range is
-    /// its one counter, so the pads of a window sit at consecutive blocks.
+    /// its one counter. A window's counters are written out as blocks and
+    /// encrypted in one [`encrypt_blocks_into`](BlockCipher::encrypt_blocks_into)
+    /// call, which loads them whole: a one-block [`CounterRun`] would cost
+    /// the cipher a run's bookkeeping per block.
     fn stream_blocks(
         &self,
         domain: Domain,
@@ -381,27 +385,27 @@ impl<C: BlockCipher> OtpGenerator<C> {
         addrs: impl IntoIterator<Item = u64>,
         mut sink: impl FnMut(usize, &[u8]),
     ) -> u64 {
-        let mut runs = [CounterRun::EMPTY; RUN_WINDOW];
+        let mut counters = [[0u8; BLOCK_BYTES]; RUN_WINDOW];
         let mut pads = [[0u8; BLOCK_BYTES]; RUN_WINDOW];
         let (mut waiting, mut seen) = (0, 0);
-        let mut flush = |runs: &[CounterRun], first_k: usize| {
-            let pads = &mut pads[..runs.len()];
-            self.cipher.encrypt_runs_into(runs, pads);
+        let mut flush = |counters: &[Block], first_k: usize| {
+            let pads = &mut pads[..counters.len()];
+            self.cipher.encrypt_blocks_into(counters, pads);
             for (j, pad) in pads.iter().enumerate() {
                 sink(first_k + j, pad);
             }
         };
         for addr in addrs {
             assert!(addr <= MAX_ADDR, "address {addr:#x} exceeds 62-bit field");
-            runs[waiting] = CounterRun::within(domain, addr, 1, version);
+            counters[waiting] = counter_bytes(domain, addr, version);
             waiting += 1;
             seen += 1;
             if waiting == RUN_WINDOW {
-                flush(&runs, seen - waiting);
+                flush(&counters, seen - waiting);
                 waiting = 0;
             }
         }
-        flush(&runs[..waiting], seen - waiting);
+        flush(&counters[..waiting], seen - waiting);
         seen as u64
     }
 

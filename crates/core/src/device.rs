@@ -16,7 +16,7 @@
 
 use crate::error::Error;
 use secndp_arith::mersenne::{Fq, WideAcc};
-use secndp_arith::ring::RingWord;
+use secndp_arith::ring::{words_to_le_bytes, RingWord};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -69,6 +69,30 @@ pub trait NdpDevice {
         row_bytes: usize,
         tags: Option<Vec<Fq>>,
     ) -> Result<(), Error>;
+
+    /// [`load`](Self::load) from a table as the processor holds it: the
+    /// image as ring words, stored little-endian, and the tags borrowed.
+    ///
+    /// The default serializes both into `load`'s owned arguments; a device
+    /// behind the wire writes its `Load` frame straight from them.
+    ///
+    /// # Errors
+    ///
+    /// As [`load`](Self::load).
+    fn load_words<W: RingWord>(
+        &mut self,
+        table_addr: u64,
+        ciphertext: &[W],
+        row_bytes: usize,
+        tags: Option<&[Fq]>,
+    ) -> Result<(), Error> {
+        self.load(
+            table_addr,
+            words_to_le_bytes(ciphertext),
+            row_bytes,
+            tags.map(<[Fq]>::to_vec),
+        )
+    }
 
     /// Executes `Σₖ aₖ · C_{iₖ}` over the stored ciphertext and, when
     /// `with_tag` is set, `Σₖ aₖ · C_{T_{iₖ}}` over the stored tags.

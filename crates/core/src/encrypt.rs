@@ -13,6 +13,10 @@
 //! the two shares. Security is the same as counter-mode (Theorem 1): pads
 //! are indistinguishable from uniform as long as `(addr, v)` never repeats.
 
+// The processor's write path: panic-free by lint, as every module on the
+// trusted side of the wire is.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::checksum::{ChecksumScheme, VerifyKey};
 use crate::error::Error;
 use crate::layout::TableLayout;
@@ -82,6 +86,10 @@ impl<W: RingWord> EncryptedTable<W> {
 
     /// Serializes the ciphertext to the little-endian byte image that is
     /// written to memory.
+    ///
+    /// No shipped path calls it: `publish` writes its `Load` frame from
+    /// [`ciphertext`](Self::ciphertext). Tests and the perf ledger
+    /// (`benchmark/src`) use it.
     pub fn ciphertext_bytes(&self) -> Vec<u8> {
         words_to_le_bytes(&self.ciphertext)
     }
@@ -193,7 +201,8 @@ pub fn encrypt_tags<W: RingWord, C: BlockCipher>(
 ///
 /// # Panics
 ///
-/// Panics if `key` covers a width other than the layout's columns.
+/// Panics if `plaintext` is not the layout's shape, or `key` covers a
+/// width other than the layout's columns.
 pub fn encrypt_tags_with<W: RingWord, C: BlockCipher>(
     otp: &OtpGenerator<C>,
     key: &VerifyKey,
@@ -201,23 +210,30 @@ pub fn encrypt_tags_with<W: RingWord, C: BlockCipher>(
     layout: &TableLayout,
     version: u64,
 ) -> Vec<Fq> {
-    let m = layout.cols();
+    assert_eq!(
+        plaintext.len(),
+        layout.len(),
+        "plaintext is not the layout's shape"
+    );
     let mut tags = Vec::with_capacity(layout.rows());
+    let mut rows = plaintext.chunks_exact(layout.cols());
     otp.stream_pads(
         Domain::Tag,
         version,
         BLOCK_BYTES,
         (0..layout.rows()).map(|i| layout.row_addr(i)),
-        |i, pad| {
-            let t = key.checksum(&plaintext[i * m..(i + 1) * m]);
-            // C_T = T − E_T (mod q), Algorithm 3 line 5.
-            tags.push(t - Fq::new(first_127_bits(pad)));
+        |_, pad| {
+            if let Some(row) = rows.next() {
+                // C_T = T − E_T (mod q), Algorithm 3 line 5.
+                tags.push(key.checksum(row) - Fq::new(first_127_bits(pad)));
+            }
         },
     );
     tags
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::checksum::derive_secrets;

@@ -51,36 +51,43 @@ impl TableLayout {
     }
 
     /// Base byte address of the table (`paddr(P)` in the paper).
+    #[inline]
     pub fn base_addr(&self) -> u64 {
         self.base_addr
     }
 
     /// Number of rows `n`.
+    #[inline]
     pub fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns `m` (the vector dimension).
+    #[inline]
     pub fn cols(&self) -> usize {
         self.cols
     }
 
     /// Element width in bytes (`wₑ / 8`).
+    #[inline]
     pub fn elem_bytes(&self) -> usize {
         self.elem_bytes
     }
 
     /// Bytes in one row.
+    #[inline]
     pub fn row_bytes(&self) -> usize {
         self.cols * self.elem_bytes
     }
 
     /// Total table size in bytes.
+    #[inline]
     pub fn size_bytes(&self) -> usize {
         self.rows * self.row_bytes()
     }
 
     /// Total number of elements.
+    #[inline]
     pub fn len(&self) -> usize {
         self.rows * self.cols
     }
@@ -96,6 +103,7 @@ impl TableLayout {
     /// # Panics
     ///
     /// Panics if `i >= rows`.
+    #[inline]
     pub fn row_addr(&self, i: usize) -> u64 {
         assert!(i < self.rows, "row {i} out of bounds ({} rows)", self.rows);
         self.base_addr + (i * self.row_bytes()) as u64

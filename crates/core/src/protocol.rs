@@ -17,6 +17,9 @@
 //!     verify: h(res) =? C_T_res + E_T_res
 //! ```
 
+// The processor's side of every call: nothing may panic on a device's reply.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::checksum::{ChecksumScheme, VerifyKey};
 use crate::device::{add_c_res, NdpDevice};
 use crate::encrypt::{
@@ -390,6 +393,9 @@ impl<C: BlockCipher> TrustedProcessor<C> {
 
     /// Ships an encrypted table to an NDP device (the `T0` initialization
     /// transfer of Figure 4) and returns the handle used for later queries.
+    /// The table goes as it is held, through [`NdpDevice::load_words`]: a
+    /// device behind the wire writes its `Load` frame straight from the
+    /// ciphertext words and tags.
     ///
     /// # Errors
     ///
@@ -404,11 +410,11 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         let mut sp = trace::span("publish");
         sp.attr_u64("base_addr", table.layout().base_addr());
         sp.attr_u64("version", table.version());
-        device.load(
+        device.load_words(
             table.layout().base_addr(),
-            table.ciphertext_bytes(),
+            table.ciphertext(),
             table.layout().row_bytes(),
-            table.tags().map(<[Fq]>::to_vec),
+            table.tags(),
         )?;
         Ok(TableHandle {
             layout: table.layout(),
@@ -954,6 +960,7 @@ impl<C: BlockCipher> TrustedProcessor<C> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::checksum::derive_secrets;

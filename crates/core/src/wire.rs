@@ -493,6 +493,20 @@ impl<'a> Writer<'a> {
         }
     }
 
+    /// `words` little-endian, serialized a stack-sized group at a time and
+    /// each group appended in one copy: a table image's bytes are written
+    /// into the frame once, with no zero-fill first.
+    fn words<W: RingWord>(&mut self, words: &[W]) {
+        let mut stage = [0u8; 4096];
+        for group in words.chunks(stage.len() / W::BYTES) {
+            let bytes = &mut stage[..group.len() * W::BYTES];
+            for (w, out) in group.iter().zip(bytes.chunks_exact_mut(W::BYTES)) {
+                w.write_le(out);
+            }
+            self.put(bytes);
+        }
+    }
+
     /// A `u32` length prefix, refusing lengths that do not fit rather
     /// than truncating them into a decodable-but-corrupt frame.
     fn len(&mut self, len: usize) -> Result<(), Error> {
@@ -512,7 +526,7 @@ impl<'a> Writer<'a> {
             } => self.load(
                 *table_addr,
                 *row_bytes,
-                ciphertext,
+                ciphertext.as_slice(),
                 tags.as_deref().map(|t| t.iter().copied()),
             ),
             Request::WeightedSum {
@@ -555,20 +569,22 @@ impl<'a> Writer<'a> {
         Ok(())
     }
 
-    fn load(
+    /// A `Load` of the image `ciphertext`, its words little-endian.
+    fn load<W: RingWord>(
         mut self,
         table_addr: u64,
         row_bytes: u32,
-        ciphertext: &[u8],
+        ciphertext: &[W],
         tags: Option<impl ExactSizeIterator<Item = u128>>,
     ) -> Result<(), Error> {
+        let bytes = ciphertext.len() * W::BYTES;
         let tags_len = tags.as_ref().map_or(0, |t| 4 + 16 * t.len());
-        self.begin(1 + 8 + 4 + 4 + ciphertext.len() + 1 + tags_len);
+        self.begin(1 + 8 + 4 + 4 + bytes + 1 + tags_len);
         self.u8(LOAD);
         self.put(&table_addr.to_le_bytes());
         self.put(&row_bytes.to_le_bytes());
-        self.len(ciphertext.len())?;
-        self.put(ciphertext);
+        self.len(bytes)?;
+        self.words(ciphertext);
         match tags {
             None => self.u8(0),
             Some(tags) => {
@@ -598,14 +614,7 @@ impl<'a> Writer<'a> {
         self.begin(1 + 4 + bytes + 1 + c_t_res.map_or(0, |_| 16));
         self.u8(0x82);
         self.len(bytes)?;
-        let start = self.out.len();
-        self.out.resize(start + bytes, 0);
-        for (w, out) in c_res
-            .iter()
-            .zip(self.out[start..].chunks_exact_mut(W::BYTES))
-        {
-            w.write_le(out);
-        }
+        self.words(c_res);
         match c_t_res {
             None => self.u8(0),
             Some(t) => {
@@ -1023,28 +1032,17 @@ impl<T: RoundTrip> NdpDevice for T {
         row_bytes: usize,
         tags: Option<Vec<Fq>>,
     ) -> Result<(), Error> {
-        // Validate shape before the round trip: the wire error code carries
-        // no payload, so a local check preserves the faithful field values
-        // (and skips shipping a torn table to the device at all).
-        validate_load(ciphertext.len(), row_bytes)?;
-        // The image and tags go as soon as they are in the frame, before
-        // it is served: the device keeps a copy of its own.
-        let mut image = Some((ciphertext, tags));
-        call(
-            &*self,
-            |w| {
-                let (ciphertext, tags) = image.take().ok_or(Error::MalformedResponse {
-                    reason: "load frame written twice",
-                })?;
-                let tags = tags.as_deref().map(|t| t.iter().map(|t| t.value()));
-                w.load(table_addr, row_bytes as u32, &ciphertext, tags)
-            },
-            |reply| match reply {
-                ResponseView::Ack => Ok(()),
-                ResponseView::Err(code) => Err(error_from_code(code, table_addr)),
-                _ => Err(crate::metrics::malformed("unexpected load reply")),
-            },
-        )
+        load_round_trip::<u8, _, _>(self, table_addr, row_bytes, (ciphertext, tags))
+    }
+
+    fn load_words<W: RingWord>(
+        &mut self,
+        table_addr: u64,
+        ciphertext: &[W],
+        row_bytes: usize,
+        tags: Option<&[Fq]>,
+    ) -> Result<(), Error> {
+        load_round_trip(self, table_addr, row_bytes, (ciphertext, tags))
     }
 
     fn weighted_sum<W: RingWord>(
@@ -1111,6 +1109,38 @@ fn call<R>(
         Ok(())
     })?;
     out.ok_or_else(|| crate::metrics::malformed("no reply to a request"))
+}
+
+/// A `Load`'s round trip: the frame written straight from `image`, the
+/// table's words and tags, borrowed or owned. An owned image goes as soon
+/// as it is in the frame, before the frame is served: the device keeps a
+/// copy of its own.
+fn load_round_trip<W: RingWord, C: AsRef<[W]>, T: AsRef<[Fq]>>(
+    via: &impl RoundTrip,
+    table_addr: u64,
+    row_bytes: usize,
+    image: (C, Option<T>),
+) -> Result<(), Error> {
+    // Validate shape before the round trip: the wire error code carries
+    // no payload, so a local check preserves the faithful field values
+    // (and skips shipping a torn table to the device at all).
+    validate_load(image.0.as_ref().len() * W::BYTES, row_bytes)?;
+    let mut image = Some(image);
+    call(
+        via,
+        |w| {
+            let (ciphertext, tags) = image.take().ok_or(Error::MalformedResponse {
+                reason: "load frame written twice",
+            })?;
+            let tags = tags.as_ref().map(|t| t.as_ref().iter().map(|t| t.value()));
+            w.load(table_addr, row_bytes as u32, ciphertext.as_ref(), tags)
+        },
+        |reply| match reply {
+            ResponseView::Ack => Ok(()),
+            ResponseView::Err(code) => Err(error_from_code(code, table_addr)),
+            _ => Err(crate::metrics::malformed("unexpected load reply")),
+        },
+    )
 }
 
 /// A weighted sum's round trip: the request written from `indices` and
@@ -1201,6 +1231,7 @@ mod tests {
     use crate::keys::SecretKey;
     use crate::protocol::TrustedProcessor;
     use proptest::prelude::*;
+    use secndp_arith::ring::words_to_le_bytes;
 
     /// An honest device behind each link, named: served on the caller's
     /// thread, and over a loopback socket to a private `NetServer`.
@@ -1978,6 +2009,71 @@ mod tests {
             assert_eq!(f.len(), f.capacity(), "{:02x?}", &f[..f.len().min(24)]);
         }
         assert_eq!(digest, 0xB08B_0ACB_7769_7C7E, "{digest:#018x}");
+    }
+
+    /// A device behind the wire that keeps the last frame written to it,
+    /// and the context it was written under, and acknowledges it.
+    #[derive(Default)]
+    struct LastFrame(std::sync::Mutex<(Vec<u8>, SpanContext)>);
+
+    impl RoundTrip for LastFrame {
+        fn round_trip(
+            &self,
+            write: &mut dyn FnMut(Writer<'_>) -> Result<(), Error>,
+            read: &mut dyn FnMut(&[u8]) -> Result<(), Error>,
+        ) -> Result<(), Error> {
+            let ctx = trace::current();
+            let mut last = self.0.lock().unwrap();
+            last.0.clear();
+            last.1 = ctx;
+            write(Writer::new(&mut last.0, ctx))?;
+            read(&Response::Ack.encode().unwrap())
+        }
+    }
+
+    /// The `Load` frame `publish` writes from a table's words and tags is,
+    /// byte for byte, the owned request's frame over the table's byte
+    /// image, at every width, tagged and untagged, on a base that starts
+    /// mid-block; and the facade's `load` of that byte image writes it
+    /// too.
+    #[test]
+    fn load_frames_written_from_words_match_the_owned_request() {
+        fn check<W: RingWord>() {
+            let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0x10AD));
+            let (base, rows, cols) = (0x2003u64, 5usize, 7usize);
+            let pt: Vec<W> = (0..(rows * cols) as u64)
+                .map(|i| W::from_u64(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+                .collect();
+            let tagged = cpu.encrypt_table(&pt, rows, cols, base + 0x1000).unwrap();
+            let untagged = cpu.encrypt_table_untagged(&pt, rows, cols, base).unwrap();
+            for table in [tagged, untagged] {
+                let at = format!("u{} tagged {}", W::BITS, table.tags().is_some());
+                let (addr, row_bytes) = (table.layout().base_addr(), table.layout().row_bytes());
+                let image = words_to_le_bytes(table.ciphertext());
+                let want = |ctx| {
+                    Request::Load {
+                        table_addr: addr,
+                        row_bytes: row_bytes as u32,
+                        ciphertext: image.clone(),
+                        tags: table.tags().map(|t| t.iter().map(|t| t.value()).collect()),
+                    }
+                    .encode_traced(ctx)
+                    .unwrap()
+                };
+                let mut dev = LastFrame::default();
+                cpu.publish(&table, &mut dev).unwrap();
+                let (frame, ctx) = dev.0.lock().unwrap().clone();
+                assert_eq!(frame, want(ctx), "{at}: publish");
+                let tags = table.tags().map(<[Fq]>::to_vec);
+                dev.load(addr, image.clone(), row_bytes, tags).unwrap();
+                let (frame, ctx) = dev.0.lock().unwrap().clone();
+                assert_eq!(frame, want(ctx), "{at}: load");
+            }
+        }
+        check::<u8>();
+        check::<u16>();
+        check::<u32>();
+        check::<u64>();
     }
 
     /// A frame's length does not depend on its context: `encode`, and

@@ -5,7 +5,7 @@
 //! thread), allocate a pinned number of times — and the inline query a
 //! pinned number of bytes — the same at PF 8 and at PF 80, and the same
 //! with telemetry compiled in or out. So do an inline row read, verified
-//! and plain, and an inline `publish`.
+//! and plain, an inline `publish` and a re-encryption.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -250,12 +250,12 @@ fn inline_row_read_allocations_are_pinned() {
     assert_eq!((verified, plain), ((2, 2 * row), (3, 3 * row)));
 }
 
-/// A publish allocates its image and its tags on each side of the wire,
-/// and the `Load` frame once, at its final size: the frame is written from
-/// the caller's image and tags into the link's request buffer, which lets
-/// the table-sized frame go once it is served — so the next request
-/// allocates it again, and nothing table-sized stays behind. The `Ack`
-/// lands in the link's reply buffer.
+/// A publish allocates the `Load` frame once, at its final size, and the
+/// device's copy of the image and of the tags out of it: the frame is
+/// written straight from the table's ciphertext words and tags into the
+/// link's request buffer, which lets the table-sized frame go once it is
+/// served — so the next request allocates it again, and nothing
+/// table-sized stays behind. The `Ack` lands in the link's reply buffer.
 #[test]
 fn inline_publish_allocations_are_pinned() {
     let (cpu, table, mut ndp, _) = published();
@@ -266,5 +266,23 @@ fn inline_publish_allocations_are_pinned() {
     let tags = (ROWS * 16) as u64;
     // Header, tag, address, row bytes, image length, tags flag and count.
     let frame = 17 + 1 + 8 + 4 + 4 + image + 1 + 4 + tags;
-    assert_eq!(publish, (5, 2 * (image + tags) + frame));
+    assert_eq!(publish, (3, image + tags + frame));
+}
+
+/// Re-encrypting the tagged table allocates its ciphertext, its tags and
+/// its verification key's two vectors — the checksum secret and the power
+/// table — and nothing per pad window or row: the pads stream through the
+/// cipher a window at a time on the stack, and the region's held key is
+/// replaced in place.
+#[test]
+fn inline_reencrypt_allocations_are_pinned() {
+    let (mut cpu, mut table, _, _) = published();
+    let pt: Vec<u32> = (0..ROWS * COLS).map(|x| 3 * x as u32).collect();
+    let reencrypt = per_call(|| {
+        table = cpu.reencrypt_table(&table, &pt).unwrap();
+    });
+    let image = (ROWS * COLS * std::mem::size_of::<u32>()) as u64;
+    let tags = (ROWS * 16) as u64;
+    let key = 16 + (COLS * 16) as u64;
+    assert_eq!(reencrypt, (4, image + tags + key));
 }
