@@ -63,6 +63,8 @@ struct Rank {
     host: Box<dyn FrameHost>,
     request: Vec<u8>,
     reply: Vec<u8>,
+    /// The length of the last `Load` frame served, zero before the first.
+    last_load: usize,
 }
 
 impl InlineLink {
@@ -78,6 +80,7 @@ impl InlineLink {
                     host: Box::new(DeviceHost::new(d)),
                     request: Vec::new(),
                     reply: Vec::new(),
+                    last_load: 0,
                 })
             })
             .collect();
@@ -121,7 +124,10 @@ impl RoundTrip for InlineLink {
     /// The request is written into rank 0's request buffer and served into
     /// its reply buffer, which `read` is handed: with the rank's lock held
     /// throughout, nothing is allocated once the buffers have grown to the
-    /// query's size. A `Load`'s table-sized frame is not kept.
+    /// query's size. A `Load`'s table-sized frame is kept only when it is
+    /// no longer than the last `Load`'s: a table published once leaves no
+    /// frame behind, and one re-published at its size writes each new
+    /// frame into the last one's room.
     fn round_trip(
         &self,
         write: &mut dyn FnMut(Writer<'_>) -> Result<(), Error>,
@@ -133,6 +139,7 @@ impl RoundTrip for InlineLink {
             host,
             request,
             reply,
+            last_load,
         } = &mut *rank;
         {
             let _e = trace::span(trace::names::WIRE_ENCODE);
@@ -141,7 +148,7 @@ impl RoundTrip for InlineLink {
         }
         crate::metrics::wire_packets().inc();
         host.serve_frame(0, 0, request, reply);
-        if wire::is_load(request) {
+        if wire::is_load(request) && request.len() > std::mem::replace(last_load, request.len()) {
             *request = Vec::new();
         }
         read(reply)

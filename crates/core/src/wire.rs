@@ -493,17 +493,16 @@ impl<'a> Writer<'a> {
         }
     }
 
-    /// `words` little-endian, serialized a stack-sized group at a time and
-    /// each group appended in one copy: a table image's bytes are written
-    /// into the frame once, with no zero-fill first.
+    /// `words` little-endian, written into room made for all of them at
+    /// once, as [`records`](Self::records) are.
     fn words<W: RingWord>(&mut self, words: &[W]) {
-        let mut stage = [0u8; 4096];
-        for group in words.chunks(stage.len() / W::BYTES) {
-            let bytes = &mut stage[..group.len() * W::BYTES];
-            for (w, out) in group.iter().zip(bytes.chunks_exact_mut(W::BYTES)) {
-                w.write_le(out);
-            }
-            self.put(bytes);
+        let start = self.out.len();
+        self.out.resize(start + words.len() * W::BYTES, 0);
+        for (w, out) in words
+            .iter()
+            .zip(self.out[start..].chunks_exact_mut(W::BYTES))
+        {
+            w.write_le(out);
         }
     }
 

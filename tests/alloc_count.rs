@@ -11,7 +11,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use secndp::core::wire::RemoteNdp;
-use secndp::core::{AsyncEndpoint, HonestNdp, SecretKey, TransportConfig, TrustedProcessor};
+use secndp::core::{
+    AsyncEndpoint, HonestNdp, NdpDevice, SecretKey, TransportConfig, TrustedProcessor,
+};
 use secndp::telemetry::trace;
 
 thread_local! {
@@ -250,23 +252,35 @@ fn inline_row_read_allocations_are_pinned() {
     assert_eq!((verified, plain), ((2, 2 * row), (3, 3 * row)));
 }
 
-/// A publish allocates the `Load` frame once, at its final size, and the
-/// device's copy of the image and of the tags out of it: the frame is
-/// written straight from the table's ciphertext words and tags into the
-/// link's request buffer, which lets the table-sized frame go once it is
-/// served — so the next request allocates it again, and nothing
-/// table-sized stays behind. The `Ack` lands in the link's reply buffer.
+/// A publish allocates the device's copy of the image and of the tags out
+/// of its `Load` frame, which is written straight from the table's
+/// ciphertext words and tags into the link's request buffer, at its final
+/// size. The link keeps that table-sized frame only when it is no longer
+/// than the last `Load`'s: a publish longer than the link's last `Load`
+/// (its first, say) allocates its frame, and the link lets it go; a table
+/// re-published at its size reuses the last frame's room. The `Ack` lands
+/// in the link's reply buffer.
 #[test]
 fn inline_publish_allocations_are_pinned() {
     let (cpu, table, mut ndp, _) = published();
-    let publish = per_call(|| {
+    let again = per_call(|| {
         cpu.publish(&table, &mut ndp).unwrap();
+    });
+    // A link whose last `Load` was smaller, and whose device's table map
+    // already has room.
+    let mut grown = RemoteNdp::inline(HonestNdp::new());
+    grown.load(0x100, vec![0; 64], 64, None).unwrap();
+    let first = allocs_and_bytes(|| {
+        cpu.publish(&table, &mut grown).unwrap();
     });
     let image = (ROWS * COLS * std::mem::size_of::<u32>()) as u64;
     let tags = (ROWS * 16) as u64;
     // Header, tag, address, row bytes, image length, tags flag and count.
     let frame = 17 + 1 + 8 + 4 + 4 + image + 1 + 4 + tags;
-    assert_eq!(publish, (3, image + tags + frame));
+    assert_eq!(
+        (first, again),
+        ((3, image + tags + frame), (2, image + tags))
+    );
 }
 
 /// Re-encrypting the tagged table allocates its ciphertext, its tags and
