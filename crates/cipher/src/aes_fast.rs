@@ -261,10 +261,10 @@ mod ni {
     }
 
     /// Encrypts `input` into `out` (equal lengths, checked by the caller),
-    /// [`LANES`] blocks at a time; a remainder takes one more pass of the
-    /// lanes, of which only its blocks are stored. A run's counters are
-    /// made in the lanes: a whole set of lanes from one run at once, and
-    /// what is left over gathered across runs.
+    /// [`LANES`] blocks at a time; a remainder, if any, takes one more
+    /// pass of the lanes, of which only its blocks are stored. A run's
+    /// counters are made in the lanes: a whole set of lanes from one run at
+    /// once, and what is left over gathered across runs.
     #[target_feature(enable = "aes,sse2")]
     pub(super) fn encrypt(keys: &[u128; 11], input: Input<'_>, out: &mut [Block]) {
         let mut rk = [load(0); 11];
@@ -282,11 +282,13 @@ mod ni {
                     }
                     rounds(&rk, s, o);
                 }
-                let mut s = [rk[0]; LANES];
-                for (x, b) in s.iter_mut().zip(ins.remainder()) {
-                    *x = load(u128::from_le_bytes(*b));
+                if !ins.remainder().is_empty() {
+                    let mut s = [rk[0]; LANES];
+                    for (x, b) in s.iter_mut().zip(ins.remainder()) {
+                        *x = load(u128::from_le_bytes(*b));
+                    }
+                    rounds(&rk, s, outs.into_remainder());
                 }
-                rounds(&rk, s, outs.into_remainder());
             }
             Input::Runs(runs) => {
                 // Leftover counters wait as whole registers: a lane stored
@@ -312,7 +314,9 @@ mod ni {
                         }
                     }
                 }
-                rounds(&rk, waiting, &mut out[done..done + n]);
+                if n > 0 {
+                    rounds(&rk, waiting, &mut out[done..done + n]);
+                }
             }
         }
     }

@@ -18,8 +18,6 @@ use crate::error::Error;
 use secndp_arith::mersenne::{Fq, WideAcc};
 use secndp_arith::ring::{words_to_le_bytes, RingWord};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// The NDP's response to a weighted-summation command (Algorithm 4 line 7
 /// plus, when verification is on, Algorithm 5 line 15).
@@ -323,100 +321,6 @@ impl NdpDevice for HonestNdp {
         let mut sp = secndp_telemetry::trace::span("device_read_row");
         sp.attr_u64("table_addr", table_addr);
         Ok(self.table(table_addr)?.row(row, table_addr)?.to_vec())
-    }
-}
-
-/// A device model with service latency: wraps any inner device and sleeps
-/// a fixed delay — plus optional deterministic jitter — before serving
-/// each *query* (`weighted_sum` / `read_row`). `load` passes straight
-/// through so test and bench setup is never throttled. Used to model bus
-/// latency in transport tests; behind socket ranks the delay is what
-/// pipelining across ranks overlaps, while an in-caller rank holds its
-/// caller for it.
-#[derive(Debug)]
-pub struct DelayedNdp<D> {
-    inner: D,
-    delay: Duration,
-    /// Maximum extra jitter; 0 disables it.
-    jitter: Duration,
-    /// LCG state for the jitter sequence — deterministic per seed, but
-    /// distinct per clone/rank so completions genuinely reorder.
-    state: AtomicU64,
-}
-
-impl<D> DelayedNdp<D> {
-    /// Wraps `inner` with a fixed per-query delay.
-    pub fn new(inner: D, delay: Duration) -> Self {
-        Self::with_jitter(inner, delay, Duration::ZERO, 0)
-    }
-
-    /// Wraps `inner` with `delay` plus uniformly LCG-distributed jitter in
-    /// `[0, jitter)`, seeded so delay sequences replay exactly.
-    pub fn with_jitter(inner: D, delay: Duration, jitter: Duration, seed: u64) -> Self {
-        Self {
-            inner,
-            delay,
-            jitter,
-            state: AtomicU64::new(seed | 1),
-        }
-    }
-
-    fn pause(&self) {
-        let mut d = self.delay;
-        let jitter_ns = self.jitter.as_nanos() as u64;
-        if jitter_ns > 0 {
-            let mut s = self.state.load(Ordering::Relaxed);
-            s = s
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            self.state.store(s, Ordering::Relaxed);
-            d += Duration::from_nanos((s >> 11) % jitter_ns);
-        }
-        if !d.is_zero() {
-            std::thread::sleep(d);
-        }
-    }
-}
-
-impl<D: Clone> Clone for DelayedNdp<D> {
-    fn clone(&self) -> Self {
-        Self {
-            inner: self.inner.clone(),
-            delay: self.delay,
-            jitter: self.jitter,
-            // Decorrelate the clone's jitter stream so replicated ranks
-            // do not sleep in lockstep.
-            state: AtomicU64::new(self.state.load(Ordering::Relaxed) ^ 0x9E37_79B9_7F4A_7C15),
-        }
-    }
-}
-
-impl<D: NdpDevice> NdpDevice for DelayedNdp<D> {
-    fn load(
-        &mut self,
-        table_addr: u64,
-        ciphertext: Vec<u8>,
-        row_bytes: usize,
-        tags: Option<Vec<Fq>>,
-    ) -> Result<(), Error> {
-        self.inner.load(table_addr, ciphertext, row_bytes, tags)
-    }
-
-    fn weighted_sum<W: RingWord>(
-        &self,
-        table_addr: u64,
-        indices: &[usize],
-        weights: &[W],
-        with_tag: bool,
-    ) -> Result<NdpResponse<W>, Error> {
-        self.pause();
-        self.inner
-            .weighted_sum(table_addr, indices, weights, with_tag)
-    }
-
-    fn read_row(&self, table_addr: u64, row: usize) -> Result<Vec<u8>, Error> {
-        self.pause();
-        self.inner.read_row(table_addr, row)
     }
 }
 

@@ -1,5 +1,8 @@
 //! Error type for SecNDP operations.
 
+// Errors carry untrusted failures to the caller: nothing here may panic.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::error::Error as StdError;
 use std::fmt;
 
@@ -151,6 +154,7 @@ impl fmt::Display for Error {
 impl StdError for Error {}
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 

@@ -4,6 +4,9 @@
 //! paper §II). It seeds the block cipher from which all one-time pads, tag
 //! pads and checksum secrets are derived.
 
+// The key never leaves the trusted side: nothing here may panic.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use secndp_cipher::aes::Aes128;
 use secndp_cipher::aes_fast::Aes128Fast;
 use secndp_cipher::otp::OtpGenerator;
@@ -47,12 +50,7 @@ impl SecretKey {
     }
 
     /// Instantiates the keyed pad generator (the encryption engine of the
-    /// SecNDP engine, §V-C1) over the reference AES implementation.
-    pub fn otp_generator(&self) -> OtpGenerator<Aes128> {
-        OtpGenerator::new(Aes128::new(&self.bytes))
-    }
-
-    /// The same pad generator over [`Aes128Fast`] — the same permutation on
+    /// SecNDP engine, §V-C1) over [`Aes128Fast`] — the AES permutation on
     /// the host's AES-NI unit when it has one, on T-tables otherwise (see
     /// `secndp_cipher::aes_fast` for the constant-time status of each).
     pub fn otp_generator_fast(&self) -> OtpGenerator<Aes128Fast> {
@@ -67,6 +65,7 @@ impl fmt::Debug for SecretKey {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 
@@ -91,8 +90,8 @@ mod tests {
     #[test]
     fn generators_from_same_key_agree() {
         let k = SecretKey::from_bytes([3; 16]);
-        let a = k.otp_generator();
-        let b = k.otp_generator();
+        let a = k.otp_generator_fast();
+        let b = k.otp_generator_fast();
         assert_eq!(a.data_pad_block(64, 2), b.data_pad_block(64, 2));
     }
 }

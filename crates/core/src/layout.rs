@@ -5,6 +5,9 @@
 //! — determines every pad. Rows are stored contiguously, row-major, exactly
 //! as an embedding table lives in DRAM.
 
+// Every pad address is computed here: nothing may panic on a shape.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::error::Error;
 use secndp_arith::ring::RingWord;
 use secndp_cipher::otp::MAX_ADDR;
@@ -121,6 +124,7 @@ impl TableLayout {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 

@@ -14,7 +14,7 @@
 //!    computes `Σ aₖ·c_{iₖ}` over its share while the processor's OTP PU
 //!    computes `Σ aₖ·e_{iₖ}`; one final wrapping addition reconstructs the
 //!    plaintext result.
-//! 3. **Verification** ([`checksum`], [`mac`], Algorithms 2/3/5): each row
+//! 3. **Verification** ([`checksum`], [`encrypt`], Algorithms 2/3/5): each row
 //!    carries an encrypted linear-modular-hash tag over `q = 2¹²⁷ − 1`.
 //!    Linearity lets the NDP combine tags with the same weights, and the
 //!    processor checks the reconstructed tag against a checksum of the
@@ -46,31 +46,24 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod checksum;
 pub mod device;
-pub mod device_mem;
 pub mod encrypt;
 pub mod endpoint;
 pub mod error;
 pub mod fault;
 pub mod health;
-pub mod integrity_tree;
 pub mod keys;
 pub mod layout;
-pub mod mac;
 pub(crate) mod metrics;
 pub mod net;
-pub mod oracle;
 pub mod protocol;
-pub mod security;
 pub mod transport;
 pub mod version;
 pub mod wire;
 
 pub use checksum::ChecksumScheme;
 pub use device::{HonestNdp, NdpDevice};
-pub use device_mem::{MemoryBackedNdp, TagPlacement, UntrustedMemory};
 pub use encrypt::EncryptedTable;
 pub use endpoint::{Endpoint, EndpointConfig, Link};
 pub use error::Error;

@@ -765,8 +765,8 @@ impl<C: BlockCipher> TrustedProcessor<C> {
             let c_t_res = c_t_res.ok_or_else(|| {
                 crate::metrics::malformed("verification requested but no tag returned")
             })?;
-            // Retrieved MAC = C_T_res + E_T_res (see mac.rs on the paper's
-            // sign typo in Alg 5 line 16).
+            // Retrieved MAC = C_T_res + E_T_res (Alg 5 line 16 prints `−`,
+            // a sign typo against Alg 3 and §IV-F).
             if key.checksum(&res) != c_t_res + e_t_res {
                 return Err(crate::metrics::verification_failed(
                     handle.layout.base_addr(),

@@ -11,6 +11,9 @@
 //! [`VersionManager`] enforces both invariants: monotonically increasing
 //! versions per region, and a cap on the number of live regions.
 
+// Versions are trusted state: nothing here may panic.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::error::Error;
 use std::collections::HashMap;
 
@@ -132,6 +135,7 @@ impl Default for VersionManager {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 

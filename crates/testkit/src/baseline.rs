@@ -16,13 +16,13 @@
 //!    arithmetic shares are. This is the paper's core observation in
 //!    executable form.
 
-use crate::checksum::row_checksum;
-use crate::error::Error;
 use crate::mac::{decrypt_tag, encrypt_tag};
 use secndp_arith::mersenne::Fq;
 use secndp_arith::ring::words_from_le_bytes;
 use secndp_cipher::aes::Aes128;
 use secndp_cipher::otp::OtpGenerator;
+use secndp_core::checksum::row_checksum;
+use secndp_core::error::Error;
 use std::collections::HashMap;
 
 /// Bytes per protected line.
@@ -257,8 +257,8 @@ mod tests {
     /// additively homomorphic, SecNDP's subtraction ciphertext IS.
     #[test]
     fn xor_ciphertext_is_not_additively_homomorphic() {
-        use crate::keys::SecretKey;
-        use crate::layout::TableLayout;
+        use secndp_core::keys::SecretKey;
+        use secndp_core::layout::TableLayout;
         let mut m = mem();
         let a: [u8; LINE] = core::array::from_fn(|i| (i as u8) * 2 + 1);
         let b: [u8; LINE] = core::array::from_fn(|i| 100u8.wrapping_sub(i as u8));
@@ -290,7 +290,8 @@ mod tests {
         assert_ne!(xor_fixup, plain_sum, "XOR mode accidentally homomorphic?!");
 
         // SecNDP's arithmetic encryption: the same exercise succeeds.
-        let mut cpu = crate::protocol::TrustedProcessor::new(SecretKey::from_bytes([0x66; 16]));
+        let mut cpu =
+            secndp_core::protocol::TrustedProcessor::new(SecretKey::from_bytes([0x66; 16]));
         let pt: Vec<u8> = a.iter().chain(&b).copied().collect();
         let table = cpu.encrypt_table(&pt, 2, LINE, 0x1000).unwrap();
         let ct = table.ciphertext();
@@ -302,14 +303,14 @@ mod tests {
         // Processor-side pad sum (e_a + e_b) reconstructs a+b exactly.
         let layout = TableLayout::new::<u8>(0x1000, 2, LINE).unwrap();
         let _ = layout;
-        let mut ndp = crate::device::HonestNdp::new();
+        let mut ndp = secndp_core::device::HonestNdp::new();
         let handle = cpu.publish(&table, &mut ndp).unwrap();
         let res = cpu
             .weighted_sum(&handle, &ndp, &[0, 1], &[1u8, 1], false)
             .unwrap();
         assert_eq!(res, plain_sum);
         // And indeed the device-side share was exactly c_sum_arith.
-        use crate::device::NdpDevice;
+        use secndp_core::device::NdpDevice;
         let dev_share = ndp
             .weighted_sum::<u8>(0x1000, &[0, 1], &[1, 1], false)
             .unwrap();

@@ -1,9 +1,9 @@
 //! A memory-backed NDP device: a flat, byte-addressable untrusted memory
 //! with explicit verification-tag placement.
 //!
-//! [`HonestNdp`](crate::device::HonestNdp) stores tables as opaque blobs —
-//! convenient, but it cannot express *where* tags live. This module models
-//! the DIMM the paper describes: a sparse physical memory
+//! [`HonestNdp`](secndp_core::device::HonestNdp) stores tables as opaque
+//! blobs — convenient, but it cannot express *where* tags live. This module
+//! models the DIMM the paper describes: a sparse physical memory
 //! ([`UntrustedMemory`]) into which ciphertext rows and encrypted tags are
 //! laid out according to §V-D:
 //!
@@ -18,11 +18,11 @@
 //! writes, Rowhammer flips) can be mounted directly with
 //! [`UntrustedMemory::corrupt`] — and are caught by verification.
 
-use crate::checksum::combine_weighted;
-use crate::device::{validate_load, NdpDevice, NdpResponse};
-use crate::error::Error;
 use secndp_arith::mersenne::Fq;
 use secndp_arith::ring::RingWord;
+use secndp_core::checksum::combine_weighted;
+use secndp_core::device::{NdpDevice, NdpResponse};
+use secndp_core::error::Error;
 use std::collections::HashMap;
 
 /// Size of one backing page in the sparse memory.
@@ -182,7 +182,12 @@ impl NdpDevice for MemoryBackedNdp {
         row_bytes: usize,
         tags: Option<Vec<Fq>>,
     ) -> Result<(), Error> {
-        validate_load(ciphertext.len(), row_bytes)?;
+        if row_bytes == 0 || !ciphertext.len().is_multiple_of(row_bytes) {
+            return Err(Error::ShapeMismatch {
+                got: ciphertext.len(),
+                expected: row_bytes,
+            });
+        }
         let rows = ciphertext.len() / row_bytes;
         let has_tags = tags.is_some();
         let stride = if has_tags && self.placement == TagPlacement::Inline {
@@ -287,8 +292,8 @@ impl NdpDevice for MemoryBackedNdp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::keys::SecretKey;
-    use crate::protocol::TrustedProcessor;
+    use secndp_core::keys::SecretKey;
+    use secndp_core::protocol::TrustedProcessor;
 
     #[test]
     fn memory_read_write_round_trip() {
@@ -396,7 +401,7 @@ mod tests {
 
     #[test]
     fn matches_honest_ndp_results() {
-        use crate::device::HonestNdp;
+        use secndp_core::device::HonestNdp;
         let mut cpu = TrustedProcessor::new(SecretKey::from_bytes([0x24; 16]));
         let pt: Vec<u16> = (0..60).map(|x| x * 7).collect();
         let table = cpu.encrypt_table(&pt, 10, 6, 0x40_000).unwrap();

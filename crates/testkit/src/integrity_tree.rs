@@ -17,8 +17,8 @@
 //! nodes and counters live in untrusted storage that tests may corrupt;
 //! only the root MAC is trusted.
 
-use crate::error::Error;
 use secndp_cipher::aes::{Aes128, Block, BlockCipher};
+use secndp_core::error::Error;
 
 /// Children per inner node.
 pub const ARITY: usize = 4;

@@ -17,12 +17,13 @@
 //! implementation bugs (unkeyed checksums, tags not bound to rows, sign
 //! errors in reconstruction) produce successes immediately.
 
-use crate::device::{HonestNdp, NdpDevice, NdpResponse};
-use crate::error::Error;
-use crate::protocol::{TableHandle, TrustedProcessor};
 use secndp_arith::mersenne::Fq;
 use secndp_arith::ring::RingWord;
 use secndp_cipher::aes::BlockCipher;
+use secndp_core::device::{HonestNdp, NdpDevice, NdpResponse};
+use secndp_core::error::Error;
+use secndp_core::fault::SplitMix64;
+use secndp_core::protocol::{TableHandle, TrustedProcessor};
 
 /// The sign and verification oracles of Algorithms 6 and 7, specialized to
 /// one published table and a fixed query shape (the appendix likewise fixes
@@ -98,14 +99,8 @@ pub fn forgery_game<W: RingWord, C: BlockCipher>(
     seed: u64,
 ) -> Result<GameOutcome, Error> {
     let honest = oracles.sign()?;
-    let mut rng = seed | 1;
-    let mut next = move || {
-        // xorshift64*
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        rng
-    };
+    let mut rng = SplitMix64::new(seed);
+    let mut next = move || rng.next_u64();
     let mut accepted = 0u64;
     for trial in 0..trials {
         let mut mutant = honest.clone();
@@ -156,7 +151,7 @@ pub fn forgery_game<W: RingWord, C: BlockCipher>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::keys::SecretKey;
+    use secndp_core::keys::SecretKey;
 
     fn setup() -> (TrustedProcessor, HonestNdp, TableHandle) {
         let mut cpu = TrustedProcessor::new(SecretKey::from_bytes([0x31; 16]));

@@ -19,7 +19,7 @@
 //! All bounds are tracked in log₂ (security "bits") to avoid floating-point
 //! underflow at the 2⁻¹²⁰ scale.
 
-use crate::checksum::ChecksumScheme;
+use secndp_core::checksum::ChecksumScheme;
 
 /// Adds two probabilities expressed as log₂ (both ≤ 0): `log₂(2^a + 2^b)`.
 fn log2_add(a: f64, b: f64) -> f64 {
@@ -70,7 +70,7 @@ impl EncBound {
 /// System parameters for the verification bound (Theorem 2).
 ///
 /// ```
-/// use secndp_core::security::MacBound;
+/// use secndp_testkit::security::MacBound;
 /// // The paper's §IV-G example: m = 1024, w_t = 127 allows 2^53 queries
 /// // while keeping the forgery term at 64-bit security.
 /// let budget = MacBound::max_query_budget_log2(1024, 127, 64.0);

@@ -3,9 +3,8 @@
 
 use proptest::prelude::*;
 use secndp::core::device::NdpResponse;
-use secndp::core::{
-    Error, HonestNdp, MemoryBackedNdp, NdpDevice, SecretKey, TagPlacement, TrustedProcessor,
-};
+use secndp::core::{Error, HonestNdp, NdpDevice, SecretKey, TrustedProcessor};
+use secndp_testkit::{MemoryBackedNdp, TagPlacement};
 
 const ROWS: usize = 8;
 const COLS: usize = 8;

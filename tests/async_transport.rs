@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use secndp::arith::mersenne::Fq;
 use secndp::arith::ring::RingWord;
-use secndp::core::device::{DelayedNdp, NdpResponse, Tamper, TamperingNdp};
+use secndp::core::device::{NdpResponse, Tamper, TamperingNdp};
 use secndp::core::fault::PlannedFault;
 use secndp::core::net::{NetServer, TcpLink};
 use secndp::core::transport::InlineLink;
@@ -39,6 +39,7 @@ use secndp::core::{
     AsyncEndpoint, Endpoint, EndpointConfig, Error, FaultInjector, FaultKind, FaultyLink,
     HonestNdp, Link, NdpDevice, SecretKey, TcpEndpoint, TrustedProcessor,
 };
+use secndp_testkit::DelayedNdp;
 
 const ROWS: usize = 32;
 const COLS: usize = 8;

@@ -2,10 +2,10 @@
 //! substrates (Figure 2 memory protection, the counter integrity tree) and
 //! running the appendix's MAC forgery game across crate boundaries.
 
-use secndp::core::baseline::{ProtectedMemory, LINE};
-use secndp::core::integrity_tree::CounterTree;
-use secndp::core::oracle::{forgery_game, WsOracles};
 use secndp::core::{Error, HonestNdp, SecretKey, TrustedProcessor};
+use secndp_testkit::baseline::{ProtectedMemory, LINE};
+use secndp_testkit::integrity_tree::CounterTree;
+use secndp_testkit::oracle::{forgery_game, WsOracles};
 
 #[test]
 fn conventional_tee_protects_but_cannot_offload() {

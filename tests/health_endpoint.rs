@@ -15,13 +15,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use secndp::core::device::{DelayedNdp, Tamper, TamperingNdp};
+use secndp::core::device::{Tamper, TamperingNdp};
 use secndp::core::{
     Error, HonestNdp, NdpDevice, NetConfig, NetServer, SecretKey, TcpEndpoint, TrustedProcessor,
 };
 use secndp::telemetry::health::{monitor, HealthConfig};
 use secndp::telemetry::serve::{ServerBuilder, CONTENT_TYPE_PROMETHEUS};
 use secndp::telemetry::trace;
+use secndp_testkit::DelayedNdp;
 
 /// The scrape server, health monitor, and metric registry are process
 /// globals: serialize the tests that mutate them.

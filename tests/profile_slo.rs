@@ -13,11 +13,11 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use secndp::core::device::DelayedNdp;
 use secndp::core::wire::RemoteNdp;
 use secndp::core::{HonestNdp, SecretKey, TrustedProcessor};
 use secndp::telemetry::serve::ServerBuilder;
 use secndp::telemetry::{profile, trace};
+use secndp_testkit::DelayedNdp;
 
 /// The profiler, journal, and registry are process globals:
 /// serialize the tests that mutate them.

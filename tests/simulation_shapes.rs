@@ -223,7 +223,7 @@ fn engine_area_and_security_anchors() {
             < 0.05
     );
     // §IV-G: m = 1024, w_t = 127 ⇒ 2⁵³ queries at 64-bit forgery security.
-    use secndp::core::security::MacBound;
+    use secndp_testkit::security::MacBound;
     assert_eq!(MacBound::max_query_budget_log2(1024, 127, 64.0), 53.0);
 }
 
