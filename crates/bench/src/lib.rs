@@ -55,8 +55,9 @@ fn parse_batch(args: impl IntoIterator<Item = String>) -> Result<usize, String> 
     Ok(DEFAULT_BATCH)
 }
 
-/// Parses the optional batch-size CLI argument (see [`parse_batch`]);
-/// prints an unknown flag and exits with status 2.
+/// Parses the optional batch-size CLI argument: the first bare number, or
+/// [`DEFAULT_BATCH`] without one. Prints an unknown flag and exits with
+/// status 2.
 pub fn batch_from_args() -> usize {
     parse_batch(std::env::args().skip(1)).unwrap_or_else(|e| {
         eprintln!("{e}");

@@ -14,6 +14,10 @@
 //! example), and the chaos harness's [`FaultyNdp`](crate::fault::FaultyNdp)
 //! lands them on scheduled operations.
 
+// Every reply a processor verifies is computed here: nothing may panic on
+// the indices a query names.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::error::Error;
 use secndp_arith::mersenne::{Fq, WideAcc};
 use secndp_arith::ring::{words_to_le_bytes, RingWord};
@@ -98,7 +102,8 @@ pub trait NdpDevice {
     /// # Errors
     ///
     /// Returns [`Error::UnknownTable`] for an unknown address,
-    /// [`Error::RowOutOfBounds`] for a bad index, and
+    /// [`Error::QueryLengthMismatch`] when `weights` is not as long as
+    /// `indices`, [`Error::RowOutOfBounds`] for a bad index, and
     /// [`Error::TagsUnavailable`] when tags are requested but absent.
     fn weighted_sum<W: RingWord>(
         &self,
@@ -216,17 +221,72 @@ impl StoredTable {
         self.data.len() / self.row_bytes
     }
 
-    fn row(&self, i: usize, table_addr: u64) -> Result<&[u8], Error> {
+    fn row(&self, i: usize) -> Result<&[u8], Error> {
         if i >= self.rows() {
             return Err(Error::RowOutOfBounds {
                 index: i,
                 rows: self.rows(),
             });
         }
-        let _ = table_addr;
-        Ok(&self.data[i * self.row_bytes..(i + 1) * self.row_bytes])
+        Ok(self.row_at(i))
+    }
+
+    /// Row `i`, which the caller has checked against [`rows`](Self::rows).
+    fn row_at(&self, i: usize) -> &[u8] {
+        &self.data[i * self.row_bytes..(i + 1) * self.row_bytes]
+    }
+
+    /// The first pass of a weighted sum: checks every index in query order
+    /// against the rows, then against the tags when `with_tag` is set, and
+    /// returns the tags the second pass combines.
+    ///
+    /// The same pass reads one byte of each line of every row, the row's
+    /// last byte (a row need not start on a line) and its tag. No load
+    /// depends on another, so a query's misses are in flight together
+    /// rather than one row at a time, as the paper's NDP overlaps a
+    /// packet's reads across ranks and banks (§V).
+    fn gather(&self, indices: &[usize], with_tag: bool) -> Result<Option<&[Fq]>, Error> {
+        let rows = self.rows();
+        let tags = if with_tag { self.tags.as_deref() } else { None };
+        let mut short_tag = None;
+        let mut touched = 0u8;
+        for &i in indices {
+            if i >= rows {
+                return Err(Error::RowOutOfBounds { index: i, rows });
+            }
+            let row = self.row_at(i);
+            let mut at = 0;
+            while at < row.len() {
+                touched ^= row[at];
+                at += CACHE_LINE;
+            }
+            touched ^= row.last().copied().unwrap_or(0);
+            match tags.map(|t| t.get(i)) {
+                Some(Some(tag)) => touched ^= tag.value() as u8,
+                Some(None) => {
+                    short_tag.get_or_insert(i);
+                }
+                None => {}
+            }
+        }
+        std::hint::black_box(touched);
+        if !with_tag {
+            return Ok(None);
+        }
+        let tags = tags.ok_or(Error::TagsUnavailable)?;
+        match short_tag {
+            Some(index) => Err(Error::RowOutOfBounds {
+                index,
+                rows: tags.len(),
+            }),
+            None => Ok(Some(tags)),
+        }
     }
 }
+
+/// Bytes per cache line on x86-64 and most AArch64 cores: the stride of
+/// [`StoredTable::gather`]'s reads, one per line a row spans.
+const CACHE_LINE: usize = 64;
 
 /// A faithful NDP device: computes exactly what it is told over ciphertext.
 #[derive(Debug, Clone, Default)]
@@ -292,35 +352,28 @@ impl NdpDevice for HonestNdp {
                 weights: weights.len(),
             });
         }
+        let tags = t.gather(indices, with_tag)?;
         let cols = t.row_bytes / W::BYTES;
         let mut c_res = vec![W::ZERO; cols];
         for (&i, &a) in indices.iter().zip(weights) {
-            let row = t.row(i, table_addr)?;
-            for (acc, c) in c_res.iter_mut().zip(row.chunks_exact(W::BYTES)) {
+            for (acc, c) in c_res.iter_mut().zip(t.row_at(i).chunks_exact(W::BYTES)) {
                 *acc = acc.wadd(a.wmul(W::from_le_slice(c)));
             }
         }
-        let c_t_res = if with_tag {
-            let tags = t.tags.as_ref().ok_or(Error::TagsUnavailable)?;
+        let c_t_res = tags.map(|tags| {
             let mut acc = WideAcc::default();
             for (&i, &a) in indices.iter().zip(weights) {
-                let tag = tags.get(i).ok_or(Error::RowOutOfBounds {
-                    index: i,
-                    rows: tags.len(),
-                })?;
-                acc.push(*tag, a.as_u64());
+                acc.push(tags[i], a.as_u64());
             }
-            Some(acc.sum())
-        } else {
-            None
-        };
+            acc.sum()
+        });
         Ok(NdpResponse { c_res, c_t_res })
     }
 
     fn read_row(&self, table_addr: u64, row: usize) -> Result<Vec<u8>, Error> {
         let mut sp = secndp_telemetry::trace::span("device_read_row");
         sp.attr_u64("table_addr", table_addr);
-        Ok(self.table(table_addr)?.row(row, table_addr)?.to_vec())
+        Ok(self.table(table_addr)?.row(row)?.to_vec())
     }
 }
 
@@ -518,8 +571,10 @@ impl NdpDevice for TamperingNdp {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use secndp_arith::ring::weighted_sum;
 
     fn loaded() -> HonestNdp {
@@ -700,6 +755,117 @@ mod tests {
         d.load(0, rows, 1, None).unwrap();
         let r = d.weighted_sum::<u8>(0, &[0, 1], &[2, 1], false).unwrap();
         assert_eq!(r.c_res, vec![(400u64 + 100) as u8]);
+    }
+
+    #[test]
+    fn errors_keep_their_precedence() {
+        // Four rows of one u32; table 0 carries tags for rows 0 and 1 only,
+        // table 1 none at all.
+        let mut d = HonestNdp::new();
+        d.load(0, vec![0u8; 16], 4, Some(vec![Fq::new(5), Fq::new(6)]))
+            .unwrap();
+        d.load(1, vec![0u8; 16], 4, None).unwrap();
+        let sum = |addr, indices: &[usize], weights: &[u32], with_tag| {
+            d.weighted_sum(addr, indices, weights, with_tag)
+                .unwrap_err()
+        };
+        // 1. An unknown table, before the query's shape is looked at.
+        assert_eq!(
+            sum(7, &[9], &[], true),
+            Error::UnknownTable { table_addr: 7 }
+        );
+        // 2. Lengths, before any index.
+        assert_eq!(
+            sum(0, &[9, 9], &[1], true),
+            Error::QueryLengthMismatch {
+                indices: 2,
+                weights: 1
+            }
+        );
+        // 3. The first bad row in query order, even after a row whose tag
+        //    is missing.
+        assert_eq!(
+            sum(0, &[0, 3, 9, 5], &[1; 4], true),
+            Error::RowOutOfBounds { index: 9, rows: 4 }
+        );
+        assert_eq!(
+            sum(1, &[0, 6], &[1; 2], true),
+            Error::RowOutOfBounds { index: 6, rows: 4 }
+        );
+        // 4. Tags asked of a table without them, once every row is valid.
+        assert_eq!(sum(1, &[0, 3], &[1; 2], true), Error::TagsUnavailable);
+        // 5. The first index in query order past a short tag vector.
+        assert_eq!(
+            sum(0, &[1, 3, 2], &[1; 3], true),
+            Error::RowOutOfBounds { index: 3, rows: 2 }
+        );
+        // Without tags, the same rows sum.
+        assert!(d.weighted_sum::<u32>(0, &[1, 3, 2], &[1; 3], false).is_ok());
+    }
+
+    /// `weighted_sum` over a `rows × cols` table of `W` filled from `seed`,
+    /// checked against a sum taken one row at a time. The query always
+    /// names row 0, the last row and one index twice.
+    fn check_against_reference<W: RingWord>(
+        rows: usize,
+        cols: usize,
+        seed: u64,
+        picks: &[u64],
+        with_tags: bool,
+    ) {
+        let mut state = seed;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z ^ (z >> 31)
+        };
+        let row_bytes = cols * W::BYTES;
+        let data: Vec<u8> = (0..rows * row_bytes).map(|_| next() as u8).collect();
+        let tags: Vec<Fq> = (0..rows)
+            .map(|_| Fq::new(u128::from(next()) << 64 | u128::from(next())))
+            .collect();
+        let mut indices = vec![0, rows - 1];
+        indices.extend(picks.iter().map(|&p| p as usize % rows));
+        indices.push(indices[indices.len() / 2]);
+        let weights: Vec<W> = indices.iter().map(|_| W::from_u64(next())).collect();
+
+        let mut d = HonestNdp::new();
+        d.load(3, data.clone(), row_bytes, with_tags.then(|| tags.clone()))
+            .unwrap();
+        let got = d.weighted_sum(3, &indices, &weights, with_tags).unwrap();
+
+        let mut c_res = vec![W::ZERO; cols];
+        let mut c_t_res = Fq::ZERO;
+        for (&i, &a) in indices.iter().zip(&weights) {
+            let row = &data[i * row_bytes..(i + 1) * row_bytes];
+            for (j, acc) in c_res.iter_mut().enumerate() {
+                let c = W::from_le_slice(&row[j * W::BYTES..(j + 1) * W::BYTES]);
+                *acc = acc.wadd(a.wmul(c));
+            }
+            c_t_res += tags[i] * Fq::new(u128::from(a.as_u64()));
+        }
+        assert_eq!(got.c_res, c_res);
+        assert_eq!(got.c_t_res, with_tags.then_some(c_t_res));
+    }
+
+    proptest! {
+        /// The gather-then-sum device agrees with a row-at-a-time sum at
+        /// every width, on rows shorter than a line and rows that end
+        /// mid-line, so the touch pass never reads past a row.
+        #[test]
+        fn gathered_sum_matches_row_by_row_reference(
+            rows in 1usize..40,
+            row_bytes in 1usize..300,
+            seed in any::<u64>(),
+            picks in proptest::collection::vec(any::<u64>(), 0..100),
+            with_tags in any::<bool>(),
+        ) {
+            let cols = |bytes: usize| (row_bytes / bytes).max(1);
+            check_against_reference::<u8>(rows, cols(1), seed, &picks, with_tags);
+            check_against_reference::<u16>(rows, cols(2), seed, &picks, with_tags);
+            check_against_reference::<u32>(rows, cols(4), seed, &picks, with_tags);
+            check_against_reference::<u64>(rows, cols(8), seed, &picks, with_tags);
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! does not match its linear checksum — possible active tampering (paper
 //! §V) — and a malformed frame means the device broke the wire contract.
 //! This module registers one process-wide `"protocol"` component with the
-//! [`health::monitor`](secndp_telemetry::health::monitor) that scores the
-//! windowed rates of those error-coupled counters
+//! [`health::monitor`] that scores the windowed rates of those
+//! error-coupled counters
 //! (`secndp_verify_failures_total`, `secndp_malformed_responses_total`,
 //! `secndp_shape_errors_total`):
 //!

@@ -11,8 +11,8 @@
 //! Events are recorded by the error-constructor helpers in
 //! `secndp-core::metrics` whenever a `VerificationFailed`,
 //! `MalformedResponse` or `ShapeMismatch` error is built, stamping the
-//! calling thread's current [`trace`](crate::trace) context so audit
-//! records join the same timeline as the span journal.
+//! calling thread's current [`trace`] context so audit records join the
+//! same timeline as the span journal.
 //!
 //! [`AuditLog`] is a fixed-capacity FIFO behind a plain mutex — integrity
 //! events are rare by construction (an honest deployment records none), so
