@@ -277,17 +277,11 @@ fn soak<L: Link>(
         });
         drop(sp);
 
-        // On a socket link a Late fault leaves the reader asleep with the
-        // reply pending; drain the straggler before the next op so which
-        // frame consumes the *next* fault never depends on OS scheduling —
-        // that is what keeps same-seed reports byte-identical.
-        if let Some(PlannedFault {
-            kind: FaultKind::LateReply { delay_ms },
-            ..
-        }) = planned
-        {
-            std::thread::sleep(Duration::from_millis(delay_ms as u64 + 60));
-        }
+        // A Late fault sleeps on the thread that reads the reply — on both
+        // links this one, inside the op — so the straggler has landed
+        // before the next op arms its fault, and which frame consumes that
+        // fault never depends on OS scheduling: that is what keeps
+        // same-seed reports byte-identical.
         op += 1;
     }
     let total_ops = queries.len() as u64;

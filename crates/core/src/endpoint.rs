@@ -25,6 +25,17 @@
 //!   that keeps at most [`window`](Endpoint::window) of its own requests
 //!   outstanding — the pipelined batch — never blocks here when it is the
 //!   only submitter; it spends that time making pads.
+//! - **The thread that needs a reply reads it.** A link whose replies do
+//!   not settle inside [`send`](Link::send) has no thread of its own: a
+//!   caller that must block for a reply — in [`wait`](Endpoint::wait), or
+//!   parked on a full window, where it reads the route of the oldest
+//!   waiting request — claims the route's reader role
+//!   ([`Link::read`], one reader per connection, never claimed by
+//!   blocking on it) and hands over every reply it reads, whoever's it is.
+//!   A thread that finds the role taken sleeps; a reader that gives it up
+//!   wakes the sleepers, so one of them takes it over, and counts the
+//!   hand-off under the table lock, so none sleeps through it.
+//!   [`poll`](Endpoint::poll) reads what has arrived without blocking.
 //! - **A wake-up only for somebody asleep.** A completion notifies
 //!   [`wait`](Endpoint::wait)'s condvar only when the table counts a caller
 //!   asleep on it, and parked submitters only as above: a notify is a
@@ -66,7 +77,7 @@ use secndp_telemetry::health::{self, HealthStatus};
 use secndp_telemetry::trace;
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::time::{Duration, Instant};
 
 /// Extra deadline granted per retry attempt (linear backoff). The deadline
@@ -156,6 +167,18 @@ pub trait Link: Send + Sync + 'static {
     /// The route is gone (it died since [`route`](Self::route) picked it).
     fn send(&self, route: Route, id: u64, frame: &Arc<Vec<u8>>) -> Result<(), LinkFail>;
 
+    /// Reads what has arrived on `route` into the [`Completer`], up to
+    /// `deadline`: blocks until at least one reply has been handed over,
+    /// the deadline passes or the route dies; a deadline already past
+    /// reads only what has arrived. Returns whether this thread read the
+    /// route — `false` at once when another thread holds its reader role,
+    /// when the route died (its requests have failed), or when the link
+    /// has nothing to read: the default, for a link whose replies settle
+    /// inside [`send`](Self::send).
+    fn read(&self, _route: Route, _deadline: Instant) -> bool {
+        false
+    }
+
     /// Ranks that cannot serve right now (none, unless the link can tell).
     fn down(&self) -> Vec<usize> {
         Vec::new()
@@ -212,10 +235,14 @@ struct Table {
     /// sides, so a completion either sees its waiter or settles the slot
     /// before the waiter looks at it.
     sleepers: usize,
+    /// Times a thread gave up a route's reader role. A thread that found
+    /// the role taken sleeps only if this has not moved since, so it
+    /// cannot sleep through the reader leaving.
+    handoffs: u64,
 }
 
-/// The pending-request table: the half of an endpoint its link's threads
-/// see. One mutex; `cv` signals settled requests (for `wait`), `room`
+/// The pending-request table: the half of an endpoint its link completes
+/// into. One mutex; `cv` signals settled requests (for `wait`), `room`
 /// freed window credits (for submitters parked on a full window).
 pub struct Pending {
     table: Mutex<Table>,
@@ -247,6 +274,17 @@ pub(crate) fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().expect(POISONED)
 }
 
+/// `m.try_lock()`: `None` while another thread holds `m`, poisoning
+/// treated as [`locked`] treats it.
+#[allow(clippy::panic)] // poisoning is a local panic, never a peer's bytes
+pub(crate) fn try_locked<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+    match m.try_lock() {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::WouldBlock) => None,
+        Err(TryLockError::Poisoned(_)) => panic!("{POISONED}"),
+    }
+}
+
 /// `cv.wait_timeout`, with poisoning treated as [`locked`] treats it.
 #[allow(clippy::expect_used)] // poisoning is a local panic, never a peer's bytes
 fn wait_on<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>, nap: Duration) -> MutexGuard<'a, T> {
@@ -269,6 +307,18 @@ impl Pending {
             self.cv.notify_all();
         }
         if t.parked > 0 && (at_once || t.waiting <= self.low_water) {
+            self.room.notify_all();
+        }
+    }
+
+    /// A thread gave up a route's reader role: counts the hand-off and
+    /// wakes whoever sleeps, so one of them takes the role over.
+    fn hand_off(&self, t: &mut Table) {
+        t.handoffs += 1;
+        if t.sleepers > 0 {
+            self.cv.notify_all();
+        }
+        if t.parked > 0 {
             self.room.notify_all();
         }
     }
@@ -367,6 +417,7 @@ impl<L: Link> Endpoint<L> {
                 waiting: 0,
                 parked: 0,
                 sleepers: 0,
+                handoffs: 0,
             }),
             cv: Condvar::new(),
             room: Condvar::new(),
@@ -468,8 +519,13 @@ impl<L: Link> Endpoint<L> {
             submitted: now,
             route: (rank, 0),
         });
-        self.dispatch(id, frame, rank, idempotent, self.cfg.timeout, &mut fresh)?;
-        Ok(RequestId(id))
+        let sent = self.dispatch(id, frame, rank, idempotent, self.cfg.timeout, &mut fresh);
+        if wire::is_load(frame) {
+            // The link may have read the route's replies off before
+            // writing the frame, holding the route's reader role.
+            self.pending.hand_off(&mut locked(&self.pending.table));
+        }
+        sent.map(|()| RequestId(id))
     }
 
     /// Sends frame `id` to `first`, or — `failover`, idempotent requests
@@ -513,14 +569,22 @@ impl<L: Link> Endpoint<L> {
             // Parked until the window drains to its low-water mark (see
             // `Pending::release`), which is how several submitters share
             // an endpoint; a lone pipelined caller bounds its own requests
-            // and never gets here. Re-checked after one request deadline:
-            // when the rest of the window sits on a silent rank it never
-            // drains that far, and the credits freed above the mark are
-            // taken up no later than those requests time out.
+            // and never gets here. A parked submitter reads the route of
+            // the oldest waiting request, which answers first. Re-checked
+            // after one request deadline: when the rest of the window sits
+            // on a silent rank it never drains that far, and the credits
+            // freed above the mark are taken up no later than those
+            // requests time out.
+            let mut taken = None;
             while t.waiting >= self.window() {
-                t.parked += 1;
-                t = wait_on(&self.pending.room, t, self.cfg.timeout);
-                t.parked -= 1;
+                let oldest = t
+                    .slots
+                    .values()
+                    .filter(|s| matches!(s.state, State::Waiting))
+                    .min_by_key(|s| s.submitted)
+                    .map_or(route, |s| s.route);
+                let deadline = Instant::now() + self.cfg.timeout;
+                t = self.read_or_sleep(t, oldest, deadline, &mut taken, true);
             }
             slot.submitted = Instant::now();
             slot.deadline = slot.submitted + grace;
@@ -573,15 +637,29 @@ impl<L: Link> Endpoint<L> {
     /// and a route failure is reported as it stands.
     pub fn poll(&self, id: RequestId) -> Option<Result<Response, Error>> {
         let mut t = locked(&self.pending.table);
-        let Entry::Occupied(entry) = t.slots.entry(id.0) else {
-            return Some(Err(crate::metrics::malformed("unknown request id")));
-        };
-        if matches!(entry.get().state, State::Waiting) {
-            return None;
+        let mut read = false;
+        loop {
+            let Entry::Occupied(entry) = t.slots.entry(id.0) else {
+                return Some(Err(crate::metrics::malformed("unknown request id")));
+            };
+            if !matches!(entry.get().state, State::Waiting) {
+                let slot = entry.remove();
+                drop(t);
+                return Some(settle(slot).and_then(|reply| wire::decode_reply(&reply)));
+            }
+            if read {
+                return None;
+            }
+            // Whatever has already arrived on the route, without blocking.
+            let route = entry.get().route;
+            drop(t);
+            read = true;
+            let held = self.link.read(route, Instant::now());
+            t = locked(&self.pending.table);
+            if held {
+                self.pending.hand_off(&mut t);
+            }
         }
-        let slot = entry.remove();
-        drop(t);
-        Some(settle(slot).and_then(|reply| wire::decode_reply(&reply)))
     }
 
     /// Blocks until the request settles, re-sending an idempotent request
@@ -601,6 +679,7 @@ impl<L: Link> Endpoint<L> {
     /// [`wait`](Self::wait), returning the reply frame undecoded.
     pub(crate) fn wait_frame(&self, id: RequestId) -> Result<Vec<u8>, Error> {
         let mut t = locked(&self.pending.table);
+        let mut taken = None;
         loop {
             let Entry::Occupied(mut entry) = t.slots.entry(id.0) else {
                 return Err(crate::metrics::malformed("unknown request id"));
@@ -610,10 +689,8 @@ impl<L: Link> Endpoint<L> {
                 State::Waiting => {
                     let now = Instant::now();
                     if now < slot.deadline {
-                        let nap = slot.deadline - now;
-                        t.sleepers += 1;
-                        t = wait_on(&self.pending.cv, t, nap);
-                        t.sleepers -= 1;
+                        let (route, deadline) = (slot.route, slot.deadline);
+                        t = self.read_or_sleep(t, route, deadline, &mut taken, false);
                         continue;
                     }
                     crate::metrics::transport_timeouts().inc();
@@ -651,6 +728,46 @@ impl<L: Link> Endpoint<L> {
             self.dispatch(id.0, &frame, self.pick_rank(), true, grace, &mut None)?;
             t = locked(&self.pending.table);
         }
+    }
+
+    /// One turn of a thread that must block until a reply on `route`
+    /// arrives, or until `deadline`: it reads the route itself
+    /// ([`Link::read`]) or, when another thread held the route's reader
+    /// role at its last turn (`taken`, the hand-off count seen then) and
+    /// has not given it up since, sleeps — on `room` among the `parked`
+    /// submitters, or on `cv` among the `sleepers` — until a completion or
+    /// a hand-off wakes it. Returns the guard for the caller to re-check.
+    fn read_or_sleep<'a>(
+        &'a self,
+        mut t: MutexGuard<'a, Table>,
+        route: Route,
+        deadline: Instant,
+        taken: &mut Option<u64>,
+        parked: bool,
+    ) -> MutexGuard<'a, Table> {
+        if taken.take() == Some(t.handoffs) {
+            let nap = deadline.saturating_duration_since(Instant::now());
+            if parked {
+                t.parked += 1;
+                t = wait_on(&self.pending.room, t, nap);
+                t.parked -= 1;
+            } else {
+                t.sleepers += 1;
+                t = wait_on(&self.pending.cv, t, nap);
+                t.sleepers -= 1;
+            }
+            return t;
+        }
+        let seen = t.handoffs;
+        drop(t);
+        let held = self.link.read(route, deadline);
+        let mut t = locked(&self.pending.table);
+        if held {
+            self.pending.hand_off(&mut t);
+        } else {
+            *taken = Some(seen);
+        }
+        t
     }
 }
 

@@ -47,6 +47,10 @@
 //! link trait — so no transport carries a fault hook of its own, and faults
 //! hit under real submit/poll/wait concurrency.
 
+// The harness wraps the trust boundary: nothing here may panic on a peer's
+// bytes.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::device::{HonestNdp, NdpDevice, NdpResponse, StoredTable, Tamper};
 use crate::endpoint::{
     locked, Complete, Completer, Endpoint, EndpointConfig, Link, LinkFail, Route,
@@ -61,7 +65,7 @@ use secndp_telemetry::faultlog::{fault_log, FaultRecord};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Weyl-sequence increment shared by SplitMix64 and the repo's jitter
 /// decorrelation constant.
@@ -400,21 +404,18 @@ impl FaultInjector {
     /// Arms `fault` for the next matching injection site, replacing any
     /// previously armed fault.
     pub fn arm(&self, fault: PlannedFault) {
-        *self.armed.lock().unwrap() = Some(fault);
+        *locked(&self.armed) = Some(fault);
     }
 
     /// Removes and returns the armed fault without consuming it as an
     /// injection.
     pub fn disarm(&self) -> Option<PlannedFault> {
-        self.armed.lock().unwrap().take()
+        locked(&self.armed).take()
     }
 
     /// Consumes the armed fault if its class matches the calling site.
     pub fn take(&self, class: FaultClass) -> Option<PlannedFault> {
-        self.armed
-            .lock()
-            .unwrap()
-            .take_if(|f| f.kind.class() == class)
+        locked(&self.armed).take_if(|f| f.kind.class() == class)
     }
 
     /// Journals a consumed fault to the process-wide
@@ -588,9 +589,11 @@ impl<D: NdpDevice> NdpDevice for FaultyNdp<D> {
 /// - [`DuplicateReply`](FaultKind::DuplicateReply),
 ///   [`LateReply`](FaultKind::LateReply) and
 ///   [`MalformedReply`](FaultKind::MalformedReply): the frame is delivered,
-///   and its reply arrives twice, `delay_ms` late (the completing thread
-///   sleeps, as a slow channel would hold it), or with its first byte
-///   XORed.
+///   and its reply arrives twice, `delay_ms` late (the thread that reads
+///   the reply sleeps, as a slow channel would hold it: on every link the
+///   caller, which reads its reply inside `send` on the in-caller link and
+///   off the socket while it waits on the TCP link), or with its first
+///   byte XORed.
 ///
 /// The wrapped link completes through this link's own [`Complete`], which
 /// applies those reply faults before the endpoint's table sees the reply.
@@ -809,6 +812,10 @@ impl<L: Link> Link for FaultyLink<L> {
         sent
     }
 
+    fn read(&self, route: Route, deadline: Instant) -> bool {
+        self.inner.read(route, deadline)
+    }
+
     fn down(&self) -> Vec<usize> {
         self.inner.down()
     }
@@ -1020,6 +1027,7 @@ impl InvariantChecker {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use secndp_telemetry::trace::{SpanId, TraceId};

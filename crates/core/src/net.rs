@@ -27,11 +27,11 @@
 //! without a libc dependency, so drain rides the framing instead).
 //!
 //! `req_id` is the endpoint's request id: client threads share a rank's
-//! one connection, and its reader thread hands each reply to the pending
-//! table by id. `session` namespaces device state per client
-//! endpoint: a [`NetServer::host_sessions`] server creates one device per
-//! `(session, rank)` pair on first use, so concurrent clients never
-//! clobber each other's tables.
+//! one connection, and whichever of them holds the rank's reader role
+//! hands each reply to the pending table by id. `session` namespaces
+//! device state per client endpoint: a [`NetServer::host_sessions`]
+//! server creates one device per `(session, rank)` pair on first use, so
+//! concurrent clients never clobber each other's tables.
 //!
 //! # What this link adds to the shared rules
 //!
@@ -39,10 +39,21 @@
 //!   when broken; `secndp_net_reconnects_total` counts the churn, and
 //!   reconnects within the health window degrade the `net-epN`
 //!   component, as does a rank with no live connection.
+//! - **The caller reads its own reply.** No thread of the link's own reads
+//!   the socket: a thread that must block for a reply claims the rank's
+//!   reader role ([`Link::read`]) with `try_lock`, and reads until a reply
+//!   has been handed over (whoever's it is) or its deadline passes. A
+//!   thread that finds the role taken sleeps in the endpoint until a
+//!   completion, or the reader leaving, wakes it. A reply is read whole
+//!   once its first byte is: a peer that stalls mid-reply past the
+//!   reader's deadline ends the connection.
 //! - **Route-scoped failure.** A reader that sees EOF, a reset or an
 //!   unframeable reply fails exactly the requests in flight on its own
 //!   `(rank, generation)`: idempotent ones are re-sent, a
 //!   `Load` surfaces [`Error::ConnectionLost`] at once.
+//! - **A `Load` reads off its connection's replies first**, so a server
+//!   blocked writing replies nobody reads cannot leave it blocked writing
+//!   a table-sized frame.
 //! - **The socket is untrusted.** Nothing here adds integrity: a byte
 //!   flipped on the wire is caught by the same checksum-tag verification
 //!   that catches a tampering device, and an undecodable reply is a typed
@@ -56,16 +67,19 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::device::NdpDevice;
-use crate::endpoint::{locked, Completer, Endpoint, EndpointConfig, Link, LinkFail, Route};
+use crate::endpoint::{
+    locked, try_locked, Complete, Completer, Endpoint, EndpointConfig, Link, LinkFail, Route,
+};
 use crate::error::Error;
 use crate::wire::{self, ServeScratch};
 use std::collections::HashMap;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Largest wire frame the net framing will carry, in bytes. A declared
 /// length above this is rejected *before* any allocation — a 4-byte
@@ -82,8 +96,9 @@ const REQ_HEADER: usize = 8 + 8 + 4;
 /// Bytes of reply header after the length prefix (id).
 const REPLY_HEADER: usize = 8;
 
-/// Socket read-timeout tick: blocked reads wake this often to check
-/// shutdown flags, so teardown never waits on a silent peer.
+/// A server connection's read-timeout tick: a blocked read wakes this
+/// often to check the drain flag, so teardown never waits on a silent
+/// peer. Also the floor of a client's write timeout.
 const IO_TICK: Duration = Duration::from_millis(50);
 
 /// The endpoint configuration, under the name it had when the TCP
@@ -93,70 +108,107 @@ pub type NetConfig = EndpointConfig;
 /// An endpoint over TCP sockets.
 pub type TcpEndpoint = Endpoint<TcpLink>;
 
-/// One length-prefixed record off a socket, or why there is none.
-enum Record {
-    /// Everything after the length prefix: header, then wire frame.
-    Payload(Vec<u8>),
+/// Room of the buffer each end reads its socket through: one `read` takes
+/// what has arrived up to this much, so a length prefix and a typical
+/// frame behind it — often several records — cost one syscall.
+const INBUF: usize = 8 << 10;
+
+/// Bytes read off a socket ahead of the parser; a record is parsed where
+/// it lies.
+struct Inbuf {
+    bytes: Vec<u8>,
+    /// First byte not yet parsed.
+    at: usize,
+    /// One past the last byte read.
+    end: usize,
+}
+
+/// What an [`Inbuf`] holds next.
+enum Next {
+    /// A whole record, consumed: its payload (transport header, then wire
+    /// frame) lies at this range of the buffer.
+    Record(Range<usize>),
+    /// Not all of it yet: the declared length, once the prefix is in.
+    Short(Option<usize>),
     /// The peer sent [`SHUTDOWN_SENTINEL`].
     Sentinel,
     /// The declared length cannot hold a header plus one frame byte, or
     /// exceeds [`MAX_NET_FRAME`]: the stream cannot be resynchronized.
     BadLen(usize),
-    /// EOF (a torn record is an EOF), an I/O error, or `stopped()` rose.
-    Closed,
 }
 
-/// Fills `buf` from `stream`, tolerating arbitrarily torn reads (the
-/// stream has an [`IO_TICK`] read timeout; timeouts just loop) and polling
-/// `stopped` on every tick so teardown is never held hostage by a silent
-/// peer. `false` on EOF, error or stop.
-fn read_full(stream: &mut TcpStream, buf: &mut [u8], stopped: &impl Fn() -> bool) -> bool {
-    let mut pos = 0;
-    while pos < buf.len() {
-        if stopped() {
-            return false;
-        }
-        match stream.read(&mut buf[pos..]) {
-            Ok(0) => return false,
-            Ok(n) => pos += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) => {}
-            Err(_) => return false,
+impl Inbuf {
+    fn new() -> Self {
+        Self {
+            bytes: vec![0; INBUF],
+            at: 0,
+            end: 0,
         }
     }
-    true
+
+    fn unparsed(&self) -> &[u8] {
+        &self.bytes[self.at..self.end]
+    }
+
+    fn clear(&mut self) {
+        (self.at, self.end) = (0, 0);
+    }
+
+    /// Parses the next record, whose payload starts with a `header`-byte
+    /// transport header, consuming it if it is whole. The length is
+    /// range-checked before it is used.
+    fn next(&mut self, header: usize) -> Next {
+        let Some(prefix) = self.unparsed().first_chunk::<4>() else {
+            return Next::Short(None);
+        };
+        let len = u32::from_le_bytes(*prefix);
+        if len == SHUTDOWN_SENTINEL {
+            self.at += 4;
+            return Next::Sentinel;
+        }
+        let len = len as usize;
+        if !(header + 1..=MAX_NET_FRAME + header).contains(&len) {
+            return Next::BadLen(len);
+        }
+        if self.end - self.at < 4 + len {
+            return Next::Short(Some(len));
+        }
+        let payload = self.at + 4;
+        self.at = payload + len;
+        Next::Record(payload..self.at)
+    }
+
+    /// One `read` from `stream` into the free room, after moving the
+    /// unparsed bytes to the front when the `whole` bytes of the record
+    /// they start would not fit behind them, and growing a buffer full of
+    /// that record towards `whole` bytes: by what has arrived, never ahead
+    /// of it, so a declared length commits no memory by itself.
+    fn fill(&mut self, mut stream: &TcpStream, whole: usize) -> io::Result<usize> {
+        if self.at == self.end {
+            self.clear();
+        } else if self.at + whole > self.bytes.len() {
+            self.bytes.copy_within(self.at..self.end, 0);
+            (self.at, self.end) = (0, self.end - self.at);
+        }
+        if self.end == self.bytes.len() {
+            self.bytes.resize(whole.min(2 * self.bytes.len()), 0);
+        }
+        let n = stream.read(&mut self.bytes[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
 }
 
-/// Reads one record whose payload starts with a `header`-byte transport
-/// header — the one reader both ends of the socket use. The length is
-/// range-checked before the payload buffer is allocated.
-fn read_record(stream: &mut TcpStream, header: usize, stopped: impl Fn() -> bool) -> Record {
-    let mut len_buf = [0u8; 4];
-    if !read_full(stream, &mut len_buf, &stopped) {
-        return Record::Closed;
-    }
-    let len = u32::from_le_bytes(len_buf);
-    if len == SHUTDOWN_SENTINEL {
-        return Record::Sentinel;
-    }
-    let len = len as usize;
-    if !(header + 1..=MAX_NET_FRAME + header).contains(&len) {
-        return Record::BadLen(len);
-    }
-    let mut payload = vec![0u8; len];
-    if !read_full(stream, &mut payload, &stopped) {
-        return Record::Closed;
-    }
-    Record::Payload(payload)
+/// A read that only timed out or was interrupted: try again.
+fn retryable(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+    )
 }
 
 /// Little-endian `u64` at `at`. Callers index inside the transport header,
-/// which [`read_record`] has checked the payload is longer than.
+/// which [`Inbuf::next`] has checked the payload is longer than.
 fn u64_at(payload: &[u8], at: usize) -> u64 {
     let mut b = [0u8; 8];
     b.copy_from_slice(&payload[at..at + 8]);
@@ -165,7 +217,7 @@ fn u64_at(payload: &[u8], at: usize) -> u64 {
 
 /// Writes one record — length prefix, `header`, `frame` — with a single
 /// gathered write in the common case and no copy of the frame.
-fn write_record(stream: &mut TcpStream, header: &[u8], frame: &[u8]) -> io::Result<()> {
+fn write_record(mut stream: &TcpStream, header: &[u8], frame: &[u8]) -> io::Result<()> {
     let mut head = [0u8; 4 + REQ_HEADER];
     let head = &mut head[..4 + header.len()];
     head[..4].copy_from_slice(&((header.len() + frame.len()) as u32).to_le_bytes());
@@ -391,41 +443,57 @@ impl Drop for NetServer {
 }
 
 /// Per-connection server loop: reads request records, dispatches through
-/// the shared host, writes reply records. Every framing violation —
+/// the shared host, writes reply records. Each request is served where it
+/// lies in the connection's read buffer, which grows to the longest
+/// record and is kept, as the reply buffer is. Every framing violation —
 /// garbage preamble, truncated or oversized length, torn frame — closes
 /// *this* connection (counted, never a panic); the listener keeps serving
 /// everyone else.
 fn connection_loop(
-    mut stream: TcpStream,
+    stream: TcpStream,
     host: Arc<Mutex<Box<dyn FrameHost>>>,
     stop: Arc<AtomicBool>,
     server_addr: SocketAddr,
 ) {
+    let mut inbuf = Inbuf::new();
     let mut reply = Vec::new();
-    loop {
-        let payload = match read_record(&mut stream, REQ_HEADER, || stop.load(Ordering::SeqCst)) {
-            Record::Payload(payload) => payload,
-            Record::Sentinel => {
+    // The stream has an IO_TICK read timeout, so a silent peer never holds
+    // teardown hostage: a drain finishes the frame being served, and no
+    // other.
+    while !stop.load(Ordering::SeqCst) {
+        let whole = match inbuf.next(REQ_HEADER) {
+            Next::Record(at) => {
+                let payload = &inbuf.bytes[at];
+                let session = u64_at(payload, 8);
+                let rank = u32::from_le_bytes([payload[16], payload[17], payload[18], payload[19]]);
+                locked(&host).serve_frame(session, rank, &payload[REQ_HEADER..], &mut reply);
+                // The reply header is the request id, echoed.
+                if write_record(&stream, &payload[..REPLY_HEADER], &reply).is_err() {
+                    return;
+                }
+                continue;
+            }
+            Next::Short(len) => 4 + len.unwrap_or(0),
+            Next::Sentinel => {
                 // Graceful drain: acknowledge by echoing the sentinel,
                 // raise the flag, and wake the acceptor so it exits too.
-                let _ = stream.write_all(&SHUTDOWN_SENTINEL.to_le_bytes());
+                let _ = (&stream).write_all(&SHUTDOWN_SENTINEL.to_le_bytes());
                 stop.store(true, Ordering::SeqCst);
                 let _ = TcpStream::connect(server_addr);
                 return;
             }
-            Record::BadLen(_) => {
+            Next::BadLen(_) => {
                 crate::metrics::net_rejected_frames().inc();
                 let _ = stream.shutdown(Shutdown::Both);
                 return;
             }
-            Record::Closed => return,
         };
-        let session = u64_at(&payload, 8);
-        let rank = u32::from_le_bytes([payload[16], payload[17], payload[18], payload[19]]);
-        locked(&host).serve_frame(session, rank, &payload[REQ_HEADER..], &mut reply);
-        // The reply header is the request id, echoed.
-        if write_record(&mut stream, &payload[..REPLY_HEADER], &reply).is_err() {
-            return;
+        // A torn record is an EOF.
+        match inbuf.fill(&stream, whole) {
+            Ok(0) => return,
+            Ok(_) => {}
+            Err(e) if retryable(&e) => {}
+            Err(_) => return,
         }
     }
 }
@@ -462,34 +530,172 @@ impl ConnVitals {
     }
 }
 
-/// One established connection: the writing half plus its reader thread.
-struct LiveConn {
+/// One established connection: written by whoever holds its rank's
+/// `cell`, read by whoever holds its rank's `inbox` (the reader role).
+struct Conn {
     stream: TcpStream,
     gen: u64,
-    alive: Arc<AtomicBool>,
-    reader: Option<JoinHandle<()>>,
-    vitals: Arc<ConnVitals>,
-}
-
-impl Drop for LiveConn {
-    fn drop(&mut self) {
-        // The swap makes the live-count decrement exactly-once between
-        // this drop and the reader thread's own exit path.
-        if self.alive.swap(false, Ordering::SeqCst) {
-            self.vitals.live.fetch_sub(1, Ordering::Relaxed);
-        }
-        let _ = self.stream.shutdown(Shutdown::Both);
-        if let Some(h) = self.reader.take() {
-            let _ = h.join();
-        }
-    }
+    /// Cleared exactly once, by [`TcpLink::kill`].
+    alive: AtomicBool,
+    /// Request records written and not yet answered: what a `Load` reads
+    /// off before it is written.
+    unanswered: AtomicUsize,
 }
 
 /// A rank's connection slot. `next_gen` monotonically labels successive
-/// connections so a stale reader cannot fail a successor's requests.
+/// connections so a stale route cannot fail a successor's requests.
 struct ConnCell {
-    conn: Option<LiveConn>,
+    conn: Option<Arc<Conn>>,
     next_gen: u64,
+}
+
+/// A rank's reader role: the thread holding the lock reads the rank's
+/// socket, for every caller, and hands each reply to the completer.
+struct Inbox {
+    /// The connection to read, put here by the dial that made it.
+    conn: Option<Arc<Conn>>,
+    buf: Inbuf,
+    /// A reply too long for `buf`, read straight into its own frame: its
+    /// id, the frame, and how much of it has arrived.
+    long: Option<(u64, Vec<u8>, usize)>,
+    /// The socket's read timeout as last set; `None` until the first
+    /// blocking read sets one.
+    timeout: Option<Duration>,
+}
+
+impl Inbox {
+    /// The reader role over `conn`, with nothing read yet.
+    fn new(conn: Option<Arc<Conn>>) -> Self {
+        Self {
+            conn,
+            buf: Inbuf::new(),
+            long: None,
+            timeout: None,
+        }
+    }
+
+    /// Hands over the next whole reply buffered, returning `false` when
+    /// there is none yet.
+    fn step(&mut self, conn: &Conn, done: &dyn Complete) -> Result<bool, LinkFail> {
+        let arrived = |(_, frame, filled): &mut (u64, Vec<u8>, usize)| *filled == frame.len();
+        let (id, frame) = match self.long.take_if(arrived) {
+            Some((id, frame, _)) => (id, frame),
+            None if self.long.is_some() => return Ok(false),
+            None => match self.buf.next(REPLY_HEADER) {
+                Next::Record(at) => {
+                    let payload = &self.buf.bytes[at];
+                    (u64_at(payload, 0), payload[REPLY_HEADER..].to_vec())
+                }
+                Next::Short(Some(len)) if 4 + len > INBUF => {
+                    // Longer than the buffer: once its id is in, the rest
+                    // is read straight into the frame it is handed over in.
+                    let have = self.buf.unparsed();
+                    if have.len() >= 4 + REPLY_HEADER {
+                        let got = &have[4 + REPLY_HEADER..];
+                        let mut frame = vec![0; len - REPLY_HEADER];
+                        frame[..got.len()].copy_from_slice(got);
+                        self.long = Some((u64_at(have, 4), frame, got.len()));
+                        self.buf.clear();
+                    }
+                    return Ok(false);
+                }
+                Next::Short(_) => return Ok(false),
+                Next::BadLen(len) => return Err(LinkFail::TooLarge(len)),
+                // A sentinel is the server acknowledging a drain: the
+                // connection is over.
+                Next::Sentinel => return Err(LinkFail::ConnLost),
+            },
+        };
+        let _ = conn
+            .unanswered
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
+        done.complete(id, frame);
+        Ok(true)
+    }
+
+    /// Whether a reply has been started and not finished.
+    fn started(&self) -> bool {
+        self.long.is_some() || !self.buf.unparsed().is_empty()
+    }
+
+    /// One `read` of the socket into the reply under way, or the buffer.
+    fn fill(&mut self, conn: &Conn) -> io::Result<usize> {
+        let mut stream = &conn.stream;
+        if let Some((_, frame, filled)) = &mut self.long {
+            let n = stream.read(&mut frame[*filled..])?;
+            *filled += n;
+            return Ok(n);
+        }
+        // A reply under way fits once moved to the front (a longer one
+        // goes to `long` once its id is in).
+        self.buf.fill(stream, INBUF)
+    }
+
+    /// Reads replies off `conn` into `done` until at least one has been
+    /// handed over and none is left half-read, or until `deadline`; a
+    /// deadline already past reads only what has arrived, without
+    /// blocking, and may leave a reply half-read for the next reader.
+    ///
+    /// # Errors
+    ///
+    /// The connection is over: EOF, a reset, an unframeable reply, or a
+    /// peer that stalled mid-reply past the deadline.
+    fn read(
+        &mut self,
+        conn: &Conn,
+        deadline: Instant,
+        done: &dyn Complete,
+    ) -> Result<(), LinkFail> {
+        let wait = Instant::now() < deadline;
+        let mut handed = false;
+        loop {
+            if self.step(conn, done)? {
+                handed = true;
+                continue;
+            }
+            let started = self.started();
+            if handed && !started {
+                return Ok(());
+            }
+            if wait {
+                let now = Instant::now();
+                if now >= deadline {
+                    return if started {
+                        Err(LinkFail::ConnLost)
+                    } else {
+                        Ok(())
+                    };
+                }
+                self.time_out(conn, deadline - now)?;
+            }
+            match self.fill(conn) {
+                Ok(0) => return Err(LinkFail::ConnLost),
+                Ok(_) => {}
+                Err(e) if !wait && e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if retryable(&e) => {}
+                Err(_) => return Err(LinkFail::ConnLost),
+            }
+        }
+    }
+
+    /// Keeps the socket's read timeout within `left` of now, so a read
+    /// returns by the deadline, while changing it (a syscall) only when it
+    /// is past `left` or well short of it: a run of replies that each
+    /// arrive well inside a fresh deadline reads with the timeout as it is.
+    fn time_out(&mut self, conn: &Conn, left: Duration) -> Result<(), LinkFail> {
+        let set = match self.timeout {
+            Some(t) if t <= left && t >= left / 4 => return Ok(()),
+            Some(t) if t > left => left,
+            _ => left / 2,
+        };
+        // A zero timeout would mean none at all.
+        let set = set.max(Duration::from_micros(1));
+        conn.stream
+            .set_read_timeout(Some(set))
+            .map_err(|_| LinkFail::ConnLost)?;
+        self.timeout = Some(set);
+        Ok(())
+    }
 }
 
 /// One rank: a server address plus its one connection, which every caller
@@ -497,6 +703,7 @@ struct ConnCell {
 struct RankConn {
     addr: String,
     cell: Mutex<ConnCell>,
+    inbox: Mutex<Inbox>,
     vitals: Arc<ConnVitals>,
 }
 
@@ -514,7 +721,6 @@ pub struct TcpLink {
     ranks: Vec<RankConn>,
     done: Completer,
     session: u64,
-    stop: Arc<AtomicBool>,
     /// Socket write timeout: the request deadline, at least one tick.
     write_timeout: Duration,
     connect_retries: u32,
@@ -602,6 +808,7 @@ impl TcpLink {
                     conn: None,
                     next_gen: 0,
                 }),
+                inbox: Mutex::new(Inbox::new(None)),
                 vitals: Arc::new(ConnVitals::default()),
             })
             .collect();
@@ -609,7 +816,6 @@ impl TcpLink {
             ranks,
             done,
             session: fresh_session(),
-            stop: Arc::new(AtomicBool::new(false)),
             write_timeout: cfg.timeout.max(IO_TICK),
             connect_retries: cfg.connect_retries,
             connect_backoff: cfg.connect_backoff,
@@ -623,15 +829,14 @@ impl TcpLink {
     }
 
     /// Establishes (or re-establishes) the connection in `cell`, retrying
-    /// with backoff up to `connect_retries` times. Returns its generation.
+    /// with backoff up to `connect_retries` times, and hands it to the
+    /// rank's reader role. Returns its generation.
     fn ensure_connected(&self, cell: &mut ConnCell, rank: usize) -> Result<u64, LinkFail> {
         if let Some(c) = &cell.conn {
             if c.alive.load(Ordering::SeqCst) {
                 return Ok(c.gen);
             }
         }
-        // Dropping the dead connection joins its reader before dialing,
-        // keeping the thread count bounded across reconnect storms.
         let reconnect = cell.conn.take().is_some() || cell.next_gen > 0;
         let peer = &self.ranks[rank];
         let mut attempt = 0u32;
@@ -647,35 +852,95 @@ impl TcpLink {
         };
         let _ = stream.set_nodelay(true);
         let _ = stream.set_write_timeout(Some(self.write_timeout));
-        let reader_stream = stream.try_clone().map_err(|_| LinkFail::ConnLost)?;
-        let _ = reader_stream.set_read_timeout(Some(IO_TICK));
-        let gen = cell.next_gen;
-        let alive = Arc::new(AtomicBool::new(true));
-        let reader = {
-            let done = Arc::clone(&self.done);
-            let alive = Arc::clone(&alive);
-            let stop = Arc::clone(&self.stop);
-            let vitals = Arc::clone(&peer.vitals);
-            let route = (rank, gen);
-            std::thread::Builder::new()
-                .name("secndp-net-reader".into())
-                .spawn(move || reader_loop(reader_stream, done, alive, stop, vitals, route))
-                .map_err(|_| LinkFail::ConnLost)?
-        };
+        let conn = Arc::new(Conn {
+            stream,
+            gen: cell.next_gen,
+            alive: AtomicBool::new(true),
+            unanswered: AtomicUsize::new(0),
+        });
+        // A reader of the dead connection it replaces has already left:
+        // the connection died of what it read, or was shut under it.
+        *locked(&peer.inbox) = Inbox::new(Some(Arc::clone(&conn)));
         cell.next_gen += 1;
         if reconnect {
             crate::metrics::net_reconnects().inc();
         }
         peer.vitals.live.fetch_add(1, Ordering::Relaxed);
         peer.vitals.ever.store(true, Ordering::Relaxed);
-        cell.conn = Some(LiveConn {
-            stream,
-            gen,
-            alive,
-            reader: Some(reader),
-            vitals: Arc::clone(&peer.vitals),
-        });
+        let gen = conn.gen;
+        cell.conn = Some(conn);
         Ok(gen)
+    }
+
+    /// Ends `conn`, the connection of `rank`, exactly once, whoever sees it
+    /// die first — its reader (EOF, a reset, an unframeable or stalled
+    /// reply), a writer whose record tore, teardown: it leaves the rank's
+    /// live count, its socket is shut, and the requests in flight on its
+    /// route fail and are counted.
+    fn kill(&self, rank: usize, conn: &Conn, why: LinkFail) {
+        if conn.alive.swap(false, Ordering::SeqCst) {
+            self.ranks[rank].vitals.live.fetch_sub(1, Ordering::Relaxed);
+            let _ = conn.stream.shutdown(Shutdown::Both);
+            let failed = self.done.fail((rank, conn.gen), why);
+            crate::metrics::net_conn_failures().add(failed as u64);
+        }
+    }
+
+    /// One turn of the reader role on `route`, whose inbox the caller
+    /// holds (see [`Inbox::read`]). `false` if the route is not the rank's
+    /// live connection: it died, and failed its requests.
+    fn read_turn(&self, inbox: &mut Inbox, route: Route, deadline: Instant) -> bool {
+        let (rank, gen) = route;
+        let Some(conn) = inbox
+            .conn
+            .clone()
+            .filter(|c| c.gen == gen && c.alive.load(Ordering::SeqCst))
+        else {
+            return false;
+        };
+        let read = if Instant::now() < deadline {
+            inbox.read(&conn, deadline, &*self.done)
+        } else {
+            // A read that must not block puts the socket in non-blocking
+            // mode, which its writers share: hold them off, or skip.
+            let Some(_writers) = try_locked(&self.ranks[rank].cell) else {
+                return true;
+            };
+            conn.stream
+                .set_nonblocking(true)
+                .map_err(|_| LinkFail::ConnLost)
+                .and_then(|()| inbox.read(&conn, deadline, &*self.done))
+                .and_then(|()| {
+                    conn.stream
+                        .set_nonblocking(false)
+                        .map_err(|_| LinkFail::ConnLost)
+                })
+        };
+        if let Err(why) = read {
+            inbox.long = None;
+            self.kill(rank, &conn, why);
+        }
+        true
+    }
+
+    /// Reads the replies still owed on `route` before a `Load` is written
+    /// to it: the server answers in order and blocks writing a reply nobody
+    /// reads, and would then never read a table-sized frame written behind
+    /// its requests. Blocks on the reader role, whose holder is reading
+    /// these same replies; gives up after one write timeout.
+    fn drain(&self, route: Route) {
+        let deadline = Instant::now() + self.write_timeout;
+        let peer = &self.ranks[route.0];
+        while Instant::now() < deadline {
+            let mut inbox = locked(&peer.inbox);
+            let owed = inbox
+                .conn
+                .as_ref()
+                .map(|c| c.unanswered.load(Ordering::SeqCst));
+            if owed.unwrap_or(0) == 0 || !self.read_turn(&mut inbox, route, deadline) {
+                return;
+            }
+        }
     }
 }
 
@@ -698,26 +963,35 @@ impl Link for TcpLink {
         if frame.len() > MAX_NET_FRAME {
             return Err(LinkFail::TooLarge(frame.len()));
         }
+        if wire::is_load(frame) {
+            self.drain(route);
+        }
         let (rank, gen) = route;
-        let mut cell = locked(&self.ranks[rank].cell);
+        let cell = locked(&self.ranks[rank].cell);
         // The connection `route` picked may have died (or been replaced)
-        // since; its reader has then already failed this request.
+        // since; its requests have then already failed.
         let conn = cell
             .conn
-            .as_mut()
+            .as_ref()
             .filter(|c| c.gen == gen && c.alive.load(Ordering::SeqCst))
             .ok_or(LinkFail::ConnLost)?;
         let mut header = [0u8; REQ_HEADER];
         header[..8].copy_from_slice(&id.to_le_bytes());
         header[8..16].copy_from_slice(&self.session.to_le_bytes());
         header[16..].copy_from_slice(&(rank as u32).to_le_bytes());
-        write_record(&mut conn.stream, &header, frame).map_err(|_| {
+        conn.unanswered.fetch_add(1, Ordering::SeqCst);
+        write_record(&conn.stream, &header, frame).map_err(|_| {
             // The write tore mid-record: the stream cannot be reused.
-            // Dropping it joins the reader, which fails every request
-            // in flight on this route (and counts them).
-            cell.conn = None;
+            self.kill(rank, conn, LinkFail::ConnLost);
             LinkFail::ConnLost
         })
+    }
+
+    fn read(&self, route: Route, deadline: Instant) -> bool {
+        let Some(mut inbox) = self.ranks.get(route.0).and_then(|r| try_locked(&r.inbox)) else {
+            return false;
+        };
+        self.read_turn(&mut inbox, route, deadline)
     }
 
     fn down(&self) -> Vec<usize> {
@@ -729,47 +1003,14 @@ impl Link for TcpLink {
 
 impl Drop for TcpLink {
     fn drop(&mut self) {
-        // Stop the readers, close every connection, then drain the
-        // loopback server.
-        self.stop.store(true, Ordering::SeqCst);
-        for rank in &self.ranks {
-            locked(&rank.cell).conn = None;
+        // Close every connection, then drain the loopback server.
+        for (rank, peer) in self.ranks.iter().enumerate() {
+            if let Some(conn) = locked(&peer.cell).conn.take() {
+                self.kill(rank, &conn, LinkFail::ConnLost);
+            }
         }
         self.self_server.take();
     }
-}
-
-/// Reader half of one connection: hands reply records to the pending
-/// table by request id. When the connection ends — close, reset, an
-/// unframeable reply, local teardown — it fails whatever is still in
-/// flight on its own route, and nothing else.
-fn reader_loop(
-    mut stream: TcpStream,
-    done: Completer,
-    alive: Arc<AtomicBool>,
-    stop: Arc<AtomicBool>,
-    vitals: Arc<ConnVitals>,
-    route: Route,
-) {
-    let stopped = || !alive.load(Ordering::SeqCst) || stop.load(Ordering::SeqCst);
-    let why = loop {
-        match read_record(&mut stream, REPLY_HEADER, stopped) {
-            Record::Payload(mut payload) => {
-                let id = u64_at(&payload, 0);
-                payload.drain(..REPLY_HEADER);
-                done.complete(id, payload);
-            }
-            Record::BadLen(len) => break LinkFail::TooLarge(len),
-            // A sentinel is the server acknowledging a drain: the
-            // connection is over.
-            Record::Sentinel | Record::Closed => break LinkFail::ConnLost,
-        }
-    };
-    // Exactly-once live-count decrement (see LiveConn::drop).
-    if alive.swap(false, Ordering::SeqCst) {
-        vitals.live.fetch_sub(1, Ordering::Relaxed);
-    }
-    crate::metrics::net_conn_failures().add(done.fail(route, why) as u64);
 }
 
 #[cfg(test)]
@@ -824,7 +1065,7 @@ mod tests {
         assert_eq!(bad.read(&mut [0u8; 1]).unwrap_or(0), 0);
         assert!(rejected.get() > before, "rejection not counted");
 
-        let mut good = TcpStream::connect(server.local_addr()).unwrap();
+        let good = TcpStream::connect(server.local_addr()).unwrap();
         good.set_read_timeout(Some(IO_TICK)).unwrap();
         let frame = wire::Request::ReadRow {
             table_addr: 0x1,
@@ -834,12 +1075,21 @@ mod tests {
         .unwrap();
         let mut header = [0u8; REQ_HEADER];
         header[..8].copy_from_slice(&42u64.to_le_bytes());
-        write_record(&mut good, &header, &frame).unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let Record::Payload(reply) = read_record(&mut good, REPLY_HEADER, || {
-            std::time::Instant::now() > deadline
-        }) else {
-            panic!("no reply after a rejected connection");
+        write_record(&good, &header, &frame).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut inbuf = Inbuf::new();
+        let reply = loop {
+            match inbuf.next(REPLY_HEADER) {
+                Next::Record(at) => break inbuf.bytes[at].to_vec(),
+                Next::Short(_) => {
+                    assert!(
+                        Instant::now() < deadline,
+                        "no reply after a rejected connection"
+                    );
+                    let _ = inbuf.fill(&good, INBUF);
+                }
+                _ => panic!("unframeable reply"),
+            }
         };
         assert_eq!(u64_at(&reply, 0), 42, "reply must echo the request id");
         assert_eq!(

@@ -5,11 +5,14 @@
 //! thread), allocate a pinned number of times — and the inline query a
 //! pinned number of bytes — the same at PF 8 and at PF 80, and the same
 //! with telemetry compiled in or out. So do an inline row read, verified
-//! and plain, an inline `publish` and a re-encryption.
+//! and plain, an inline `publish` and a re-encryption, and a verified
+//! `weighted_sum` over a socket, counted on the thread that calls it and
+//! reads its reply.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use secndp::core::net::{NetConfig, TcpEndpoint};
 use secndp::core::wire::RemoteNdp;
 use secndp::core::{
     AsyncEndpoint, HonestNdp, NdpDevice, SecretKey, TransportConfig, TrustedProcessor,
@@ -105,11 +108,15 @@ const COLS: usize = 32;
 /// their bytes, after one warm-up query has registered its instruments
 /// and grown the link's buffers.
 fn allocs_per_query(pf: usize) -> (u64, u64) {
+    allocs_per_query_over(pf, RemoteNdp::inline(HonestNdp::new()))
+}
+
+/// [`allocs_per_query`] over `ndp`.
+fn allocs_per_query_over(pf: usize, mut ndp: RemoteNdp<HonestNdp>) -> (u64, u64) {
     const ROWS: usize = 128;
     let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0xA110C));
     let pt: Vec<u32> = (0..ROWS * COLS).map(|x| x as u32).collect();
     let table = cpu.encrypt_table(&pt, ROWS, COLS, 0x4000).unwrap();
-    let mut ndp = RemoteNdp::inline(HonestNdp::new());
     let handle = cpu.publish(&table, &mut ndp).unwrap();
     let idx: Vec<usize> = (0..pf).map(|k| k * 7 % ROWS).collect();
     let w: Vec<u32> = (0..pf as u32).map(|k| k + 1).collect();
@@ -150,6 +157,22 @@ fn verified_inline_weighted_sum_bytes_are_pinned() {
         (allocs_per_query(8).1, allocs_per_query(80).1),
         (2 * row, 2 * row)
     );
+}
+
+/// The same query over a socket, to an in-process `NetServer` whose
+/// connection thread serves it (and allocates the device's `C_res`) on its
+/// own thread. The caller's thread — which also reads the reply off the
+/// socket — allocates the query's result, the request frame and the `Arc`
+/// it is submitted in, and the reply frame it hands over from its read
+/// buffer: four sites, at any PF.
+#[test]
+fn verified_tcp_weighted_sum_allocations_are_pinned() {
+    const SITES: u64 = 4;
+    let tcp = |pf| {
+        let ep = TcpEndpoint::self_hosted(HonestNdp::new(), NetConfig::default()).unwrap();
+        allocs_per_query_over(pf, RemoteNdp::tcp_backed(ep)).0
+    };
+    assert_eq!((tcp(8), tcp(80)), (SITES, SITES));
 }
 
 /// Queries in the pipelined packet.

@@ -14,7 +14,8 @@
 //! out-of-order `poll`, window backpressure (one submitter, and one asleep
 //! on a full window when its route dies), stall → `DeviceTimeout` +
 //! counter, retry onto a healthy rank, `Load` never retried, the lone
-//! submitter's re-check, and no waiter left asleep by a completion that
+//! submitter's re-check, a lone submitter parked on a full window reading
+//! its own way out, and no waiter left asleep by a completion that
 //! skipped its wake-up. Socket-only cases (hostile framing, torn writes,
 //! MITM, kill/respawn, drain) live in `tests/net_transport.rs`; one rides
 //! here because it shares the duplicate-reply rig's rogue server: a `Sum`
@@ -1110,6 +1111,45 @@ fn lone_submitter_rechecks_a_window_that_cannot_drain() {
         ));
     }
     assert_eq!(ep.in_flight(), 0);
+}
+
+/// A lone submitter parked on a full window of a plain socket link has
+/// nobody else to read the replies that would free it: it reads the route
+/// of the oldest waiting request itself, and runs through a stream of
+/// submits eight times the window long without waiting on any of them.
+#[test]
+fn lone_submitter_parked_on_a_full_window_reads_its_way_out() {
+    const WINDOW: usize = 2;
+    let server = NetServer::host_device(
+        DelayedNdp::new(four_rows(), Duration::from_millis(1)),
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let ep = TcpEndpoint::connect(EndpointConfig {
+        addrs: vec![server.local_addr().to_string()],
+        window: WINDOW,
+        timeout: Duration::from_secs(10),
+        ..EndpointConfig::default()
+    })
+    .unwrap();
+    let (done, finished) = mpsc::channel();
+    std::thread::spawn(move || {
+        let ids: Vec<_> = (0..8 * WINDOW as u64)
+            .map(|i| {
+                let id = ep.submit(&read_row(i % 4)).unwrap();
+                assert!(ep.in_flight() <= WINDOW, "window violated");
+                id
+            })
+            .collect();
+        for id in ids {
+            ep.wait(id).unwrap();
+        }
+        done.send(ep.served(0)).unwrap();
+    });
+    let served = finished
+        .recv_timeout(WATCHDOG)
+        .expect("the parked submitter never got room");
+    assert_eq!(served, 8 * WINDOW as u64);
 }
 
 /// Wraps a device so that `load` stalls — `weighted_sum`/`read_row` pass

@@ -10,16 +10,20 @@
 //! recover once it respawns; and (d) survive arbitrarily hostile framing
 //! — torn writes, truncated prefixes, garbage, oversized lengths — with
 //! typed errors or closed connections, never a panic. The child's own
-//! `--serve-metrics` scrape endpoint answers while it serves.
+//! `--serve-metrics` scrape endpoint answers while it serves. The caller
+//! reads its own replies: a peer that drips a reply past the deadline
+//! costs the caller its deadline and the connection, not more, and a
+//! `publish` behind megabytes of unread replies still goes through.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use secndp::core::device::HonestNdp;
 use secndp::core::net::{NetConfig, NetServer, TcpEndpoint};
-use secndp::core::wire::{RemoteNdp, Request, Response, CODE_BAD_ELEM_BYTES, CODE_BAD_FRAME};
+use secndp::core::wire::{self, RemoteNdp, Request, Response, CODE_BAD_ELEM_BYTES, CODE_BAD_FRAME};
 use secndp::core::{Error, NdpDevice, SecretKey, TrustedProcessor};
 
 const ROWS: usize = 32;
@@ -627,4 +631,133 @@ fn flag_without_value_exits_2_and_leaves_no_crash_dump() {
         .collect();
     assert!(dumps.is_empty(), "a usage error left {dumps:?}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A server sharing one honest device among its connections, which
+/// answers the second request of its first connection — the first query
+/// after a `Load` — one byte every `drip`, and every other request at once.
+fn slow_loris(drip: Duration) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let dev = Arc::new(Mutex::new(HonestNdp::new()));
+    std::thread::spawn(move || {
+        for (k, conn) in listener.incoming().enumerate() {
+            let Ok(mut conn) = conn else { return };
+            let dev = Arc::clone(&dev);
+            std::thread::spawn(move || {
+                let mut len = [0u8; 4];
+                for served in 1.. {
+                    if conn.read_exact(&mut len).is_err() {
+                        return;
+                    }
+                    let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
+                    if conn.read_exact(&mut payload).is_err() {
+                        return;
+                    }
+                    // payload = req_id(8) | session(8) | rank(4) | frame.
+                    let reply = wire::serve_or_reply(&mut *dev.lock().unwrap(), &payload[20..]);
+                    let mut record = ((8 + reply.len()) as u32).to_le_bytes().to_vec();
+                    record.extend_from_slice(&payload[..8]);
+                    record.extend_from_slice(&reply);
+                    if k > 0 || served != 2 {
+                        if conn.write_all(&record).is_err() {
+                            return;
+                        }
+                        continue;
+                    }
+                    for b in record {
+                        if conn.write_all(&[b]).is_err() {
+                            return;
+                        }
+                        std::thread::sleep(drip);
+                    }
+                }
+            });
+        }
+    });
+    addr
+}
+
+/// A reply dripped more slowly than the deadline: its first byte is in,
+/// so the caller reads on for the rest, and at the deadline gives up the
+/// connection — a typed `ConnectionLost` by the deadline plus a small
+/// margin, never a caller held by the peer. The next query re-dials and
+/// verifies.
+#[test]
+fn slow_loris_reply_costs_the_deadline_and_the_connection() {
+    const DEADLINE: Duration = Duration::from_millis(300);
+    let mut tcp = TcpEndpoint::connect(NetConfig {
+        timeout: DEADLINE,
+        max_retries: 0,
+        ..client_cfg(&slow_loris(Duration::from_millis(100)))
+    })
+    .unwrap();
+    let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0x5105));
+    let pt = plaintext();
+    let table = cpu.encrypt_table(&pt, ROWS, COLS, ADDR).unwrap();
+    let handle = cpu.publish(&table, &mut tcp).unwrap();
+
+    let asked = Instant::now();
+    let res = cpu.weighted_sum(&handle, &tcp, &[1, 2], &[3u32, 4], true);
+    let took = asked.elapsed();
+    assert!(
+        matches!(res, Err(Error::ConnectionLost { attempts: 1 })),
+        "a dripped reply must end the connection, got {res:?}"
+    );
+    assert!(
+        took < DEADLINE + Duration::from_millis(150),
+        "the caller was held {took:?} past a {DEADLINE:?} deadline"
+    );
+
+    let ok = cpu
+        .weighted_sum(&handle, &tcp, &[4, 5], &[2u32, 3], true)
+        .unwrap();
+    assert_eq!(ok, expected(&pt, &[4, 5], &[2, 3]));
+    assert!(tcp.link().vitals(0).live_connections() > 0);
+}
+
+/// Thirty-two `ReadRow` requests for 256 KiB rows left unread, then a
+/// `publish` of the 8 MiB table on the same endpoint: the server blocks
+/// writing replies nobody has read, so the `Load` reads them off its
+/// connection before it is written, and the publish succeeds. Each row
+/// read is then redeemed intact.
+#[test]
+fn publish_behind_unread_row_replies_succeeds() {
+    const WIDE: usize = 64 << 10; // `u32` columns: a 256 KiB row
+    const TALL: usize = 32;
+    let server = NetServer::host_device(HonestNdp::new(), "127.0.0.1:0").unwrap();
+    let mut tcp = TcpEndpoint::connect(client_cfg(&server.local_addr().to_string())).unwrap();
+    let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0x1A2E));
+    let pt: Vec<u32> = (0..TALL * WIDE).map(|x| x as u32).collect();
+    let table = cpu.encrypt_table(&pt, TALL, WIDE, ADDR).unwrap();
+    cpu.publish(&table, &mut tcp).unwrap();
+
+    let reads: Vec<_> = (0..TALL as u64)
+        .map(|row| {
+            let read = Request::ReadRow {
+                table_addr: ADDR,
+                row,
+            };
+            tcp.submit(&read).unwrap()
+        })
+        .collect();
+    let handle = cpu.publish(&table, &mut tcp).unwrap();
+
+    let mut device = HonestNdp::new();
+    cpu.publish(&table, &mut device).unwrap();
+    for (row, id) in reads.into_iter().enumerate() {
+        let Response::Row(bytes) = tcp.wait(id).unwrap() else {
+            panic!("row {row}: not a row reply");
+        };
+        assert_eq!(bytes, device.read_row(ADDR, row).unwrap(), "row {row}");
+    }
+    let got = cpu
+        .weighted_sum(&handle, &tcp, &[0, TALL - 1], &[1u32, 1], true)
+        .unwrap();
+    let last = &pt[(TALL - 1) * WIDE..];
+    assert!(got
+        .iter()
+        .zip(&pt[..WIDE])
+        .zip(last)
+        .all(|((&g, &a), &b)| g == a + b));
 }
