@@ -14,10 +14,6 @@
 //! example), and the chaos harness's [`FaultyNdp`](crate::fault::FaultyNdp)
 //! lands them on scheduled operations.
 
-// Every reply a processor verifies is computed here: nothing may panic on
-// the indices a query names.
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-
 use crate::error::Error;
 use secndp_arith::mersenne::{Fq, WideAcc};
 use secndp_arith::ring::{words_to_le_bytes, RingWord};

@@ -1,8 +1,5 @@
 //! Error type for SecNDP operations.
 
-// Errors carry untrusted failures to the caller: nothing here may panic.
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-
 use std::error::Error as StdError;
 use std::fmt;
 

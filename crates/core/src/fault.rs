@@ -47,14 +47,8 @@
 //! link trait — so no transport carries a fault hook of its own, and faults
 //! hit under real submit/poll/wait concurrency.
 
-// The harness wraps the trust boundary: nothing here may panic on a peer's
-// bytes.
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-
 use crate::device::{HonestNdp, NdpDevice, NdpResponse, StoredTable, Tamper};
-use crate::endpoint::{
-    locked, Complete, Completer, Endpoint, EndpointConfig, Link, LinkFail, Route,
-};
+use crate::endpoint::{locked, Endpoint, EndpointConfig, Got, Link, LinkFail, Route};
 use crate::error::Error;
 use crate::net::{require_addrs, NetConfig, TcpLink};
 use crate::transport::{InlineLink, TransportConfig};
@@ -595,126 +589,89 @@ impl<D: NdpDevice> NdpDevice for FaultyNdp<D> {
 ///   off the socket while it waits on the TCP link), or with its first
 ///   byte XORed.
 ///
-/// The wrapped link completes through this link's own [`Complete`], which
-/// applies those reply faults before the endpoint's table sees the reply.
-/// With nothing armed every frame and reply passes through unchanged.
+/// Both directions cross this link's own `send` and `read`, which apply
+/// those reply faults before the endpoint sees a reply. With nothing
+/// armed every frame and reply passes through unchanged.
 pub struct FaultyLink<L> {
     inner: L,
     injector: Arc<FaultInjector>,
-    tap: Arc<Tap>,
-}
-
-/// The completer a [`FaultyLink`] hands the link it wraps.
-struct Tap {
-    done: Completer,
     state: Mutex<TapState>,
 }
 
 #[derive(Default)]
 struct TapState {
-    /// Each delivered request, by id, until its reply or its route's
-    /// failure: the route it was last sent on, and the reply fault landed
-    /// at that send.
-    routes: HashMap<u64, (Route, Option<FaultKind>)>,
+    /// The reply fault landed on each delivered request that has one, by
+    /// id, with the route it was sent on, until its reply or its route's
+    /// failure.
+    faults: HashMap<u64, (Route, FaultKind)>,
     /// Ranks whose link was cut.
     dead: HashSet<usize>,
 }
 
-impl TapState {
-    /// Forgets every request in flight on a route `gone` picks, returning
-    /// those routes: their replies will never come, and a request that is
-    /// re-sent is entered again.
-    fn forget(&mut self, gone: impl Fn(&Route) -> bool) -> HashSet<Route> {
-        let mut routes = HashSet::new();
-        self.routes.retain(|_, (route, _)| {
-            let keep = !gone(route);
-            if !keep {
-                routes.insert(*route);
-            }
-            keep
-        });
-        routes
+impl<L: Link> FaultyLink<L> {
+    /// An endpoint over `inner`, every frame of which crosses this
+    /// decorator.
+    fn endpoint(cfg: EndpointConfig, injector: Arc<FaultInjector>, inner: L) -> Endpoint<Self> {
+        let state = Mutex::default();
+        Endpoint::with_link(
+            cfg,
+            FaultyLink {
+                inner,
+                injector,
+                state,
+            },
+        )
     }
-}
 
-impl Complete for Tap {
-    fn complete(&self, id: u64, mut reply: Vec<u8>) {
+    /// Cuts the link to `rank` for good, as a dead server or a severed
+    /// cable would: every later send to it fails at once as a lost
+    /// connection, and so does the next read of a route to it, which fails
+    /// what was in flight there (idempotent requests fail over); a reply
+    /// the rank still sends is never delivered.
+    pub fn crash(&self, rank: usize) {
+        let mut st = locked(&self.state);
+        st.dead.insert(rank);
+        st.faults.retain(|_, (route, _)| route.0 != rank);
+    }
+
+    fn is_dead(&self, rank: usize) -> bool {
+        locked(&self.state).dead.contains(&rank)
+    }
+
+    /// Hands `got` the reply to `id` that arrived on `route`, with the
+    /// fault its send landed, if any.
+    fn deliver(&self, route: Route, id: u64, mut reply: Vec<u8>, got: Got) {
         let fault = {
             let mut st = locked(&self.state);
-            match st.routes.remove(&id) {
-                // A cut link delivers nothing.
-                Some((route, _)) if st.dead.contains(&route.0) => return,
-                Some((_, fault)) => fault,
-                None => None,
+            if st.dead.contains(&route.0) {
+                return; // A cut link delivers nothing.
             }
+            st.faults.remove(&id).map(|(_, kind)| kind)
         };
         match fault {
             Some(FaultKind::DuplicateReply) => {
                 // The copy must hit the settled slot and be counted as a
                 // late completion, never double-settled.
-                self.done.complete(id, reply.clone());
-                self.done.complete(id, reply);
+                got(id, reply.clone());
+                got(id, reply);
             }
             Some(FaultKind::LateReply { delay_ms }) => {
                 std::thread::sleep(Duration::from_millis(delay_ms.into()));
-                self.done.complete(id, reply);
+                got(id, reply);
             }
             Some(FaultKind::MalformedReply { mask }) => {
                 if let Some(b) = reply.first_mut() {
                     *b ^= mask;
                 }
-                self.done.complete(id, reply);
+                got(id, reply);
             }
-            _ => self.done.complete(id, reply),
+            _ => got(id, reply),
         }
     }
 
-    fn fail(&self, route: Route, why: LinkFail) -> usize {
-        locked(&self.state).forget(|r| *r == route);
-        self.done.fail(route, why)
-    }
-}
-
-impl<L: Link> FaultyLink<L> {
-    /// An endpoint over the link `inner` builds, every frame of which
-    /// crosses this decorator.
-    fn endpoint(
-        cfg: EndpointConfig,
-        ranks: usize,
-        injector: Arc<FaultInjector>,
-        inner: impl FnOnce(Completer) -> L,
-    ) -> Endpoint<Self> {
-        Endpoint::with_link(cfg, ranks, |done| {
-            let tap = Arc::new(Tap {
-                done,
-                state: Mutex::default(),
-            });
-            FaultyLink {
-                inner: inner(Arc::clone(&tap) as Completer),
-                injector,
-                tap,
-            }
-        })
-    }
-
-    /// Cuts the link to `rank` for good, as a dead server or a severed
-    /// cable would: every request in flight to it fails as a lost
-    /// connection (idempotent ones fail over) and is forgotten here, so a
-    /// reply the rank still sends for it reaches the endpoint like any
-    /// straggler; later sends to it fail at once.
-    pub fn crash(&self, rank: usize) {
-        let routes = {
-            let mut st = locked(&self.tap.state);
-            st.dead.insert(rank);
-            st.forget(|r| r.0 == rank)
-        };
-        for route in routes {
-            self.tap.done.fail(route, LinkFail::ConnLost);
-        }
-    }
-
-    fn is_dead(&self, rank: usize) -> bool {
-        locked(&self.tap.state).dead.contains(&rank)
+    /// `route` failed: no reply will come for what was in flight on it.
+    fn forget(&self, route: Route) {
+        locked(&self.state).faults.retain(|_, (r, _)| *r != route);
     }
 }
 
@@ -733,9 +690,7 @@ impl FaultyLink<InlineLink> {
         injector: Arc<FaultInjector>,
     ) -> Endpoint<Self> {
         assert!(!devices.is_empty(), "endpoint needs at least one rank");
-        Self::endpoint(cfg, devices.len(), injector, |done| {
-            InlineLink::new(devices, Some(done))
-        })
+        Self::endpoint(cfg, injector, InlineLink::new(devices))
     }
 }
 
@@ -750,10 +705,8 @@ impl FaultyLink<TcpLink> {
     /// As for `connect`: `cfg.addrs` is empty.
     pub fn over_tcp(cfg: NetConfig, injector: Arc<FaultInjector>) -> Result<Endpoint<Self>, Error> {
         require_addrs(&cfg)?;
-        let ranks = cfg.addrs.len();
-        Ok(Self::endpoint(cfg.clone(), ranks, injector, |done| {
-            TcpLink::open(&cfg, None, done)
-        }))
+        let inner = TcpLink::open(&cfg, None);
+        Ok(Self::endpoint(cfg, injector, inner))
     }
 }
 
@@ -772,48 +725,49 @@ impl<L: Link> Link for FaultyLink<L> {
         self.inner.route(rank)
     }
 
-    fn send(&self, route: Route, id: u64, frame: &Arc<Vec<u8>>) -> Result<(), LinkFail> {
+    fn send(&self, route: Route, id: u64, frame: &[u8], got: Got) -> Result<bool, LinkFail> {
         if self.is_dead(route.0) {
             return Err(LinkFail::ConnLost);
         }
-        let mut reply_fault = None;
         if let Some(fault) = self.injector.take(FaultClass::Channel) {
             let rank = route.0 as u32;
-            match fault.kind {
+            let detail = match fault.kind {
                 FaultKind::DropReply => {
                     self.injector
                         .journal(&fault, rank, "frame dropped; slot left waiting");
-                    return Ok(());
+                    return Ok(false);
                 }
                 FaultKind::RankCrash => {
                     self.injector.journal(&fault, rank, "link to the rank cut");
                     self.crash(route.0);
                     return Err(LinkFail::ConnLost);
                 }
-                kind => {
-                    let detail = match kind {
-                        FaultKind::DuplicateReply => "reply completed twice",
-                        FaultKind::LateReply { .. } => "reply delayed past deadline",
-                        _ => "reply first byte corrupted",
-                    };
-                    self.injector.journal(&fault, rank, detail);
-                    reply_fault = Some(kind);
-                }
-            }
+                FaultKind::DuplicateReply => "reply completed twice",
+                FaultKind::LateReply { .. } => "reply delayed past deadline",
+                _ => "reply first byte corrupted",
+            };
+            self.injector.journal(&fault, rank, detail);
+            locked(&self.state).faults.insert(id, (route, fault.kind));
         }
-        locked(&self.tap.state)
-            .routes
-            .insert(id, (route, reply_fault));
-        let sent = self.inner.send(route, id, frame);
+        let sent = self.inner.send(route, id, frame, &mut |id, reply| {
+            self.deliver(route, id, reply, got)
+        });
         if sent.is_err() {
             // No reply will come for a frame the link refused.
-            locked(&self.tap.state).routes.remove(&id);
+            locked(&self.state).faults.remove(&id);
         }
         sent
     }
 
-    fn read(&self, route: Route, deadline: Instant) -> bool {
-        self.inner.read(route, deadline)
+    fn read(&self, route: Route, deadline: Instant, got: Got) -> Result<usize, LinkFail> {
+        if self.is_dead(route.0) {
+            return Err(LinkFail::ConnLost);
+        }
+        self.inner
+            .read(route, deadline, &mut |id, reply| {
+                self.deliver(route, id, reply, got)
+            })
+            .inspect_err(|_| self.forget(route))
     }
 
     fn down(&self) -> Vec<usize> {
@@ -1236,8 +1190,8 @@ mod tests {
     }
 
     /// A link that takes every frame and answers none: whatever is sent
-    /// stays in flight until its route dies.
-    struct Silent(Completer);
+    /// stays in flight until its route dies, which a read of rank 1 finds.
+    struct Silent;
 
     impl Link for Silent {
         const KIND: &'static str = "silent";
@@ -1250,8 +1204,15 @@ mod tests {
             Ok((rank, 0))
         }
 
-        fn send(&self, _: Route, _: u64, _: &Arc<Vec<u8>>) -> Result<(), LinkFail> {
-            Ok(())
+        fn send(&self, _: Route, _: u64, _: &[u8], _: Got) -> Result<bool, LinkFail> {
+            Ok(false)
+        }
+
+        fn read(&self, route: Route, _: Instant, _: Got) -> Result<usize, LinkFail> {
+            match route.0 {
+                1 => Err(LinkFail::ConnLost),
+                _ => Ok(0),
+            }
         }
     }
 
@@ -1266,22 +1227,33 @@ mod tests {
             max_retries: 0,
             ..EndpointConfig::default()
         };
-        let ep = FaultyLink::endpoint(cfg, 2, Arc::new(FaultInjector::new()), Silent);
-        let tapped = || locked(&ep.link().tap.state).routes.len();
+        let injector = Arc::new(FaultInjector::new());
+        let ep = FaultyLink::endpoint(cfg, Arc::clone(&injector), Silent);
+        let tapped = || locked(&ep.link().state).faults.len();
         let read = |row| Request::ReadRow { table_addr: 1, row };
-        // Reads to ranks 0, 1, 0, 1, then a `Load` to rank 0.
-        let mut ids: Vec<_> = (0..4).map(|r| ep.submit(&read(r)).unwrap()).collect();
         let load = Request::Load {
             table_addr: 1,
             row_bytes: 4,
             ciphertext: vec![0; 8],
             tags: None,
         };
-        ids.push(ep.submit(&load).unwrap());
+        // Reads to ranks 0, 1, 0, 1, then a `Load` to rank 0, each with a
+        // reply fault landed on its send.
+        let ids: Vec<_> = [read(0), read(1), read(2), read(3), load]
+            .iter()
+            .map(|req| {
+                injector.arm(PlannedFault {
+                    op: 0,
+                    rank: 0,
+                    kind: FaultKind::DuplicateReply,
+                });
+                ep.submit(req).unwrap()
+            })
+            .collect();
         assert_eq!(tapped(), 5);
 
         ep.link().crash(0);
-        ep.link().inner.0.fail((1, 0), LinkFail::ConnLost);
+        assert_eq!(tapped(), 2, "the cut rank's requests are still tapped");
         for id in ids {
             assert!(matches!(ep.wait(id), Err(Error::ConnectionLost { .. })));
         }

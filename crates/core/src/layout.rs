@@ -5,9 +5,6 @@
 //! — determines every pad. Rows are stored contiguously, row-major, exactly
 //! as an embedding table lives in DRAM.
 
-// Every pad address is computed here: nothing may panic on a shape.
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-
 use crate::error::Error;
 use secndp_arith::ring::RingWord;
 use secndp_cipher::otp::MAX_ADDR;

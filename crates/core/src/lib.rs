@@ -45,8 +45,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The whole crate is the trusted side of the wire, and most of it reads
+// bytes the untrusted side chose: no `unwrap`, `expect` or `panic!` outside
+// tests (the lint does not cover asserts or indexing).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod checksum;
+mod completion;
 pub mod device;
 pub mod encrypt;
 pub mod endpoint;

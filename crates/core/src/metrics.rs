@@ -5,9 +5,6 @@
 //! the same instrument. Everything here compiles to no-ops without the
 //! crate's `telemetry` feature (instruments become zero-sized).
 
-// Every error path records here: nothing may panic on the way.
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-
 use crate::error::Error;
 use secndp_telemetry::trace::names;
 use secndp_telemetry::{Counter, Gauge, Histogram};

@@ -27,33 +27,28 @@
 //! without a libc dependency, so drain rides the framing instead).
 //!
 //! `req_id` is the endpoint's request id: client threads share a rank's
-//! one connection, and whichever of them holds the rank's reader role
-//! hands each reply to the pending table by id. `session` namespaces
+//! one connection, and whichever of them the endpoint gave the rank's
+//! reader role hands each reply back by id. `session` namespaces
 //! device state per client endpoint: a [`NetServer::host_sessions`]
 //! server creates one device per `(session, rank)` pair on first use, so
 //! concurrent clients never clobber each other's tables.
 //!
 //! # What this link adds to the shared rules
 //!
+//! Who reads a connection, and when, is the endpoint's decision (DESIGN.md
+//! "Endpoint and links"); this link has no thread of its own and only
+//! moves bytes.
+//!
 //! - **Connections are lazy** and re-established with bounded backoff
 //!   when broken; `secndp_net_reconnects_total` counts the churn, and
 //!   reconnects within the health window degrade the `net-epN`
 //!   component, as does a rank with no live connection.
-//! - **The caller reads its own reply.** No thread of the link's own reads
-//!   the socket: a thread that must block for a reply claims the rank's
-//!   reader role ([`Link::read`]) with `try_lock`, and reads until a reply
-//!   has been handed over (whoever's it is) or its deadline passes. A
-//!   thread that finds the role taken sleeps in the endpoint until a
-//!   completion, or the reader leaving, wakes it. A reply is read whole
-//!   once its first byte is: a peer that stalls mid-reply past the
-//!   reader's deadline ends the connection.
-//! - **Route-scoped failure.** A reader that sees EOF, a reset or an
-//!   unframeable reply fails exactly the requests in flight on its own
-//!   `(rank, generation)`: idempotent ones are re-sent, a
-//!   `Load` surfaces [`Error::ConnectionLost`] at once.
-//! - **A `Load` reads off its connection's replies first**, so a server
-//!   blocked writing replies nobody reads cannot leave it blocked writing
-//!   a table-sized frame.
+//! - **A reply is read whole** once its first byte is: a peer that stalls
+//!   mid-reply past the reader's deadline ends the connection.
+//! - **Route-scoped failure.** EOF, a reset, an unframeable reply or a
+//!   torn write ends exactly one `(rank, generation)`, whose requests the
+//!   endpoint then fails: idempotent ones are re-sent, a `Load` surfaces
+//!   [`Error::ConnectionLost`] at once.
 //! - **The socket is untrusted.** Nothing here adds integrity: a byte
 //!   flipped on the wire is caught by the same checksum-tag verification
 //!   that catches a tampering device, and an undecodable reply is a typed
@@ -63,13 +58,8 @@
 //! [`Error::ConnectionLost`]: crate::Error::ConnectionLost
 //! [`Error::MalformedResponse`]: crate::Error::MalformedResponse
 
-// Every byte a socket delivers may come from the untrusted side.
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-
 use crate::device::NdpDevice;
-use crate::endpoint::{
-    locked, try_locked, Complete, Completer, Endpoint, EndpointConfig, Link, LinkFail, Route,
-};
+use crate::endpoint::{locked, Endpoint, EndpointConfig, Got, Link, LinkFail, Route};
 use crate::error::Error;
 use crate::wire::{self, ServeScratch};
 use std::collections::HashMap;
@@ -531,15 +521,12 @@ impl ConnVitals {
 }
 
 /// One established connection: written by whoever holds its rank's
-/// `cell`, read by whoever holds its rank's `inbox` (the reader role).
+/// `cell`, read by whoever holds its rank's reader role.
 struct Conn {
     stream: TcpStream,
     gen: u64,
     /// Cleared exactly once, by [`TcpLink::kill`].
     alive: AtomicBool,
-    /// Request records written and not yet answered: what a `Load` reads
-    /// off before it is written.
-    unanswered: AtomicUsize,
 }
 
 /// A rank's connection slot. `next_gen` monotonically labels successive
@@ -549,17 +536,18 @@ struct ConnCell {
     next_gen: u64,
 }
 
-/// A rank's reader role: the thread holding the lock reads the rank's
-/// socket, for every caller, and hands each reply to the completer.
+/// What a rank's reader reads through. The endpoint gives the reader role
+/// to one thread at a time, so its lock is never contended for long.
 struct Inbox {
     /// The connection to read, put here by the dial that made it.
     conn: Option<Arc<Conn>>,
+    /// Replies as they arrive; like a server's request buffer, it grows
+    /// to the longest record and is kept.
     buf: Inbuf,
-    /// A reply too long for `buf`, read straight into its own frame: its
-    /// id, the frame, and how much of it has arrived.
-    long: Option<(u64, Vec<u8>, usize)>,
+    /// Bytes of the record under way, once its length is in.
+    want: usize,
     /// The socket's read timeout as last set; `None` until the first
-    /// blocking read sets one.
+    /// read sets one.
     timeout: Option<Duration>,
 }
 
@@ -569,109 +557,66 @@ impl Inbox {
         Self {
             conn,
             buf: Inbuf::new(),
-            long: None,
+            want: 0,
             timeout: None,
         }
     }
 
     /// Hands over the next whole reply buffered, returning `false` when
     /// there is none yet.
-    fn step(&mut self, conn: &Conn, done: &dyn Complete) -> Result<bool, LinkFail> {
-        let arrived = |(_, frame, filled): &mut (u64, Vec<u8>, usize)| *filled == frame.len();
-        let (id, frame) = match self.long.take_if(arrived) {
-            Some((id, frame, _)) => (id, frame),
-            None if self.long.is_some() => return Ok(false),
-            None => match self.buf.next(REPLY_HEADER) {
-                Next::Record(at) => {
-                    let payload = &self.buf.bytes[at];
-                    (u64_at(payload, 0), payload[REPLY_HEADER..].to_vec())
-                }
-                Next::Short(Some(len)) if 4 + len > INBUF => {
-                    // Longer than the buffer: once its id is in, the rest
-                    // is read straight into the frame it is handed over in.
-                    let have = self.buf.unparsed();
-                    if have.len() >= 4 + REPLY_HEADER {
-                        let got = &have[4 + REPLY_HEADER..];
-                        let mut frame = vec![0; len - REPLY_HEADER];
-                        frame[..got.len()].copy_from_slice(got);
-                        self.long = Some((u64_at(have, 4), frame, got.len()));
-                        self.buf.clear();
-                    }
-                    return Ok(false);
-                }
-                Next::Short(_) => return Ok(false),
-                Next::BadLen(len) => return Err(LinkFail::TooLarge(len)),
-                // A sentinel is the server acknowledging a drain: the
-                // connection is over.
-                Next::Sentinel => return Err(LinkFail::ConnLost),
-            },
+    fn step(&mut self, got: Got) -> Result<bool, LinkFail> {
+        let (id, frame) = match self.buf.next(REPLY_HEADER) {
+            Next::Record(at) => {
+                let payload = &self.buf.bytes[at];
+                (u64_at(payload, 0), payload[REPLY_HEADER..].to_vec())
+            }
+            Next::Short(len) => {
+                self.want = 4 + len.unwrap_or(0);
+                return Ok(false);
+            }
+            Next::BadLen(len) => return Err(LinkFail::TooLarge(len)),
+            // A sentinel is the server acknowledging a drain: the
+            // connection is over.
+            Next::Sentinel => return Err(LinkFail::ConnLost),
         };
-        let _ = conn
-            .unanswered
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
-        done.complete(id, frame);
+        got(id, frame);
         Ok(true)
     }
 
-    /// Whether a reply has been started and not finished.
-    fn started(&self) -> bool {
-        self.long.is_some() || !self.buf.unparsed().is_empty()
-    }
-
-    /// One `read` of the socket into the reply under way, or the buffer.
-    fn fill(&mut self, conn: &Conn) -> io::Result<usize> {
-        let mut stream = &conn.stream;
-        if let Some((_, frame, filled)) = &mut self.long {
-            let n = stream.read(&mut frame[*filled..])?;
-            *filled += n;
-            return Ok(n);
-        }
-        // A reply under way fits once moved to the front (a longer one
-        // goes to `long` once its id is in).
-        self.buf.fill(stream, INBUF)
-    }
-
-    /// Reads replies off `conn` into `done` until at least one has been
-    /// handed over and none is left half-read, or until `deadline`; a
-    /// deadline already past reads only what has arrived, without
-    /// blocking, and may leave a reply half-read for the next reader.
+    /// Reads replies off `conn` into `got` until at least one has been
+    /// handed over and none is left half-read, or until `deadline`,
+    /// returning how many it handed over. A deadline already past makes
+    /// one read of what has arrived, waiting at most one tick of the
+    /// socket's timer, and may leave a reply half-read for the next reader.
     ///
     /// # Errors
     ///
     /// The connection is over: EOF, a reset, an unframeable reply, or a
     /// peer that stalled mid-reply past the deadline.
-    fn read(
-        &mut self,
-        conn: &Conn,
-        deadline: Instant,
-        done: &dyn Complete,
-    ) -> Result<(), LinkFail> {
+    fn read(&mut self, conn: &Conn, deadline: Instant, got: Got) -> Result<usize, LinkFail> {
         let wait = Instant::now() < deadline;
-        let mut handed = false;
+        let (mut handed, mut tried) = (0, false);
         loop {
-            if self.step(conn, done)? {
-                handed = true;
-                continue;
+            while self.step(got)? {
+                handed += 1;
             }
-            let started = self.started();
-            if handed && !started {
-                return Ok(());
+            let started = !self.buf.unparsed().is_empty();
+            if handed > 0 && !started {
+                return Ok(handed);
             }
-            if wait {
-                let now = Instant::now();
-                if now >= deadline {
-                    return if started {
-                        Err(LinkFail::ConnLost)
-                    } else {
-                        Ok(())
-                    };
-                }
-                self.time_out(conn, deadline - now)?;
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() && tried {
+                return if started && wait {
+                    Err(LinkFail::ConnLost)
+                } else {
+                    Ok(handed)
+                };
             }
-            match self.fill(conn) {
+            tried = true;
+            self.time_out(conn, left)?;
+            match self.buf.fill(&conn.stream, self.want) {
                 Ok(0) => return Err(LinkFail::ConnLost),
                 Ok(_) => {}
-                Err(e) if !wait && e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e) if retryable(&e) => {}
                 Err(_) => return Err(LinkFail::ConnLost),
             }
@@ -719,7 +664,6 @@ fn fresh_session() -> u64 {
 /// [module docs](self).
 pub struct TcpLink {
     ranks: Vec<RankConn>,
-    done: Completer,
     session: u64,
     /// Socket write timeout: the request deadline, at least one tick.
     write_timeout: Duration,
@@ -728,16 +672,6 @@ pub struct TcpLink {
     /// The private loopback server of a self-hosted endpoint; dropped
     /// after the connections so teardown drains cleanly.
     self_server: Option<NetServer>,
-}
-
-impl std::fmt::Debug for TcpLink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpLink")
-            .field("ranks", &self.ranks.len())
-            .field("session", &self.session)
-            .field("self_hosted", &self.self_server.is_some())
-            .finish()
-    }
 }
 
 impl Endpoint<TcpLink> {
@@ -774,10 +708,8 @@ impl Endpoint<TcpLink> {
     }
 
     fn over_tcp(cfg: NetConfig, self_server: Option<NetServer>) -> Self {
-        let ranks = cfg.addrs.len();
-        Self::with_link(cfg.clone(), ranks, |done| {
-            TcpLink::open(&cfg, self_server, done)
-        })
+        let link = TcpLink::open(&cfg, self_server);
+        Self::with_link(cfg, link)
     }
 }
 
@@ -792,9 +724,9 @@ pub(crate) fn require_addrs(cfg: &NetConfig) -> Result<(), Error> {
 }
 
 impl TcpLink {
-    /// One lazily connected rank per entry of `cfg.addrs`, completing
-    /// through `done`. `self_server` is dropped after the connections.
-    pub(crate) fn open(cfg: &NetConfig, self_server: Option<NetServer>, done: Completer) -> Self {
+    /// One lazily connected rank per entry of `cfg.addrs`. `self_server`
+    /// is dropped after the connections.
+    pub(crate) fn open(cfg: &NetConfig, self_server: Option<NetServer>) -> Self {
         // Touch the link's instruments so they exist (as zeros) in
         // exported metrics before the first connection.
         crate::metrics::net_reconnects();
@@ -814,7 +746,6 @@ impl TcpLink {
             .collect();
         TcpLink {
             ranks,
-            done,
             session: fresh_session(),
             write_timeout: cfg.timeout.max(IO_TICK),
             connect_retries: cfg.connect_retries,
@@ -856,7 +787,6 @@ impl TcpLink {
             stream,
             gen: cell.next_gen,
             alive: AtomicBool::new(true),
-            unanswered: AtomicUsize::new(0),
         });
         // A reader of the dead connection it replaces has already left:
         // the connection died of what it read, or was shut under it.
@@ -875,71 +805,11 @@ impl TcpLink {
     /// Ends `conn`, the connection of `rank`, exactly once, whoever sees it
     /// die first — its reader (EOF, a reset, an unframeable or stalled
     /// reply), a writer whose record tore, teardown: it leaves the rank's
-    /// live count, its socket is shut, and the requests in flight on its
-    /// route fail and are counted.
-    fn kill(&self, rank: usize, conn: &Conn, why: LinkFail) {
+    /// live count and its socket is shut.
+    fn kill(&self, rank: usize, conn: &Conn) {
         if conn.alive.swap(false, Ordering::SeqCst) {
             self.ranks[rank].vitals.live.fetch_sub(1, Ordering::Relaxed);
             let _ = conn.stream.shutdown(Shutdown::Both);
-            let failed = self.done.fail((rank, conn.gen), why);
-            crate::metrics::net_conn_failures().add(failed as u64);
-        }
-    }
-
-    /// One turn of the reader role on `route`, whose inbox the caller
-    /// holds (see [`Inbox::read`]). `false` if the route is not the rank's
-    /// live connection: it died, and failed its requests.
-    fn read_turn(&self, inbox: &mut Inbox, route: Route, deadline: Instant) -> bool {
-        let (rank, gen) = route;
-        let Some(conn) = inbox
-            .conn
-            .clone()
-            .filter(|c| c.gen == gen && c.alive.load(Ordering::SeqCst))
-        else {
-            return false;
-        };
-        let read = if Instant::now() < deadline {
-            inbox.read(&conn, deadline, &*self.done)
-        } else {
-            // A read that must not block puts the socket in non-blocking
-            // mode, which its writers share: hold them off, or skip.
-            let Some(_writers) = try_locked(&self.ranks[rank].cell) else {
-                return true;
-            };
-            conn.stream
-                .set_nonblocking(true)
-                .map_err(|_| LinkFail::ConnLost)
-                .and_then(|()| inbox.read(&conn, deadline, &*self.done))
-                .and_then(|()| {
-                    conn.stream
-                        .set_nonblocking(false)
-                        .map_err(|_| LinkFail::ConnLost)
-                })
-        };
-        if let Err(why) = read {
-            inbox.long = None;
-            self.kill(rank, &conn, why);
-        }
-        true
-    }
-
-    /// Reads the replies still owed on `route` before a `Load` is written
-    /// to it: the server answers in order and blocks writing a reply nobody
-    /// reads, and would then never read a table-sized frame written behind
-    /// its requests. Blocks on the reader role, whose holder is reading
-    /// these same replies; gives up after one write timeout.
-    fn drain(&self, route: Route) {
-        let deadline = Instant::now() + self.write_timeout;
-        let peer = &self.ranks[route.0];
-        while Instant::now() < deadline {
-            let mut inbox = locked(&peer.inbox);
-            let owed = inbox
-                .conn
-                .as_ref()
-                .map(|c| c.unanswered.load(Ordering::SeqCst));
-            if owed.unwrap_or(0) == 0 || !self.read_turn(&mut inbox, route, deadline) {
-                return;
-            }
         }
     }
 }
@@ -959,12 +829,9 @@ impl Link for TcpLink {
         Ok((rank, gen))
     }
 
-    fn send(&self, route: Route, id: u64, frame: &Arc<Vec<u8>>) -> Result<(), LinkFail> {
+    fn send(&self, route: Route, id: u64, frame: &[u8], _: Got) -> Result<bool, LinkFail> {
         if frame.len() > MAX_NET_FRAME {
             return Err(LinkFail::TooLarge(frame.len()));
-        }
-        if wire::is_load(frame) {
-            self.drain(route);
         }
         let (rank, gen) = route;
         let cell = locked(&self.ranks[rank].cell);
@@ -979,19 +846,28 @@ impl Link for TcpLink {
         header[..8].copy_from_slice(&id.to_le_bytes());
         header[8..16].copy_from_slice(&self.session.to_le_bytes());
         header[16..].copy_from_slice(&(rank as u32).to_le_bytes());
-        conn.unanswered.fetch_add(1, Ordering::SeqCst);
-        write_record(&conn.stream, &header, frame).map_err(|_| {
-            // The write tore mid-record: the stream cannot be reused.
-            self.kill(rank, conn, LinkFail::ConnLost);
-            LinkFail::ConnLost
-        })
+        match write_record(&conn.stream, &header, frame) {
+            Ok(()) => Ok(true),
+            Err(_) => {
+                // The write tore mid-record: the stream cannot be reused.
+                self.kill(rank, conn);
+                Err(LinkFail::ConnLost)
+            }
+        }
     }
 
-    fn read(&self, route: Route, deadline: Instant) -> bool {
-        let Some(mut inbox) = self.ranks.get(route.0).and_then(|r| try_locked(&r.inbox)) else {
-            return false;
-        };
-        self.read_turn(&mut inbox, route, deadline)
+    fn read(&self, route: Route, deadline: Instant, got: Got) -> Result<usize, LinkFail> {
+        let (rank, gen) = route;
+        let mut inbox = locked(&self.ranks[rank].inbox);
+        // The route may have died (or been replaced) since it was picked.
+        let conn = inbox
+            .conn
+            .clone()
+            .filter(|c| c.gen == gen && c.alive.load(Ordering::SeqCst))
+            .ok_or(LinkFail::ConnLost)?;
+        inbox
+            .read(&conn, deadline, got)
+            .inspect_err(|_| self.kill(rank, &conn))
     }
 
     fn down(&self) -> Vec<usize> {
@@ -1006,7 +882,7 @@ impl Drop for TcpLink {
         // Close every connection, then drain the loopback server.
         for (rank, peer) in self.ranks.iter().enumerate() {
             if let Some(conn) = locked(&peer.cell).conn.take() {
-                self.kill(rank, &conn, LinkFail::ConnLost);
+                self.kill(rank, &conn);
             }
         }
         self.self_server.take();

@@ -17,9 +17,6 @@
 //!     verify: h(res) =? C_T_res + E_T_res
 //! ```
 
-// The processor's side of every call: nothing may panic on a device's reply.
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-
 use crate::checksum::{ChecksumScheme, VerifyKey};
 use crate::device::{add_c_res, NdpDevice};
 use crate::encrypt::{

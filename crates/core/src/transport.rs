@@ -5,11 +5,12 @@
 //! stack the only channel an adversary owns is the socket
 //! ([`TcpLink`](crate::net::TcpLink)). So in-process ranks get no threads:
 //! [`AsyncEndpoint`] is an [`Endpoint`] (request ids, window, deadlines,
-//! retry: see that module) over an [`InlineLink`], whose
-//! [`send`](Link::send) serves the frame through [`wire::serve_or_reply`]
-//! on the caller's thread, releases that rank's lock, then completes the
-//! request before it returns. A reply is therefore settled before `submit`
-//! returns; only a frame a fault swallowed is ever still waiting.
+//! retry: see DESIGN.md "Endpoint and links") over an [`InlineLink`],
+//! whose [`send`](Link::send) serves the frame through
+//! [`wire::serve_or_reply`] on the caller's thread, releases that rank's
+//! lock, then hands the reply back before it returns. A reply is therefore
+//! settled before `submit` returns; only a frame a fault swallowed is ever
+//! still waiting, and this link has nothing to read.
 //!
 //! The same struct is [`RemoteNdp::inline`](crate::wire::RemoteNdp::inline)'s
 //! transport: as a [`RoundTrip`] it serves rank 0 from reused request and
@@ -21,16 +22,13 @@
 //! (a rank holding a frame included) a
 //! [`FaultyNdp`](crate::fault::FaultyNdp) inside it.
 
-// The round trip runs through here: nothing may panic on a peer's bytes.
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-
 use crate::device::NdpDevice;
-use crate::endpoint::{locked, Completer, Endpoint, EndpointConfig, Link, LinkFail, Route};
+use crate::endpoint::{locked, Endpoint, EndpointConfig, Got, Link, LinkFail, Route};
 use crate::error::Error;
 use crate::net::{DeviceHost, FrameHost};
 use crate::wire::{self, RoundTrip, Writer};
 use secndp_telemetry::trace;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// The endpoint configuration, under the name it had when only this link
 /// existed.
@@ -44,9 +42,6 @@ pub type AsyncEndpoint = Endpoint<InlineLink>;
 pub struct InlineLink {
     /// One device per rank; its lock serializes that rank's frames.
     ranks: Vec<Mutex<Rank>>,
-    /// Where [`send`](Link::send) completes; `None` for the bare
-    /// [`RoundTrip`], which has no pending table.
-    done: Option<Completer>,
 }
 
 impl std::fmt::Debug for InlineLink {
@@ -68,11 +63,8 @@ struct Rank {
 }
 
 impl InlineLink {
-    /// Hosts one rank per device, completing through `done`.
-    pub(crate) fn new<D: NdpDevice + Send + 'static>(
-        devices: Vec<D>,
-        done: Option<Completer>,
-    ) -> Self {
+    /// Hosts one rank per device.
+    pub(crate) fn new<D: NdpDevice + Send + 'static>(devices: Vec<D>) -> Self {
         let ranks = devices
             .into_iter()
             .map(|d| {
@@ -84,7 +76,7 @@ impl InlineLink {
                 })
             })
             .collect();
-        Self { ranks, done }
+        Self { ranks }
     }
 
     /// Serves `frame` on `rank` into a reply of its own; the rank's lock is
@@ -109,12 +101,9 @@ impl Link for InlineLink {
         Ok((rank, 0))
     }
 
-    fn send(&self, route: Route, id: u64, frame: &Arc<Vec<u8>>) -> Result<(), LinkFail> {
-        let reply = self.serve(route.0, frame);
-        if let Some(done) = &self.done {
-            done.complete(id, reply);
-        }
-        Ok(())
+    fn send(&self, route: Route, id: u64, frame: &[u8], got: Got) -> Result<bool, LinkFail> {
+        got(id, self.serve(route.0, frame));
+        Ok(false)
     }
 }
 
@@ -164,9 +153,7 @@ impl Endpoint<InlineLink> {
     /// Panics if `devices` is empty.
     pub fn new<D: NdpDevice + Send + 'static>(devices: Vec<D>, cfg: TransportConfig) -> Self {
         assert!(!devices.is_empty(), "endpoint needs at least one rank");
-        Self::with_link(cfg, devices.len(), |done| {
-            InlineLink::new(devices, Some(done))
-        })
+        Self::with_link(cfg, InlineLink::new(devices))
     }
 }
 
