@@ -74,7 +74,7 @@ pub(crate) struct Core {
     /// submitters parked on a full window.
     asleep: usize,
     parked: usize,
-    /// Whether the driver must wake every sleeper before it unlocks.
+    /// Whether the endpoint must wake every sleeper before it unlocks.
     wake: bool,
 }
 
@@ -133,7 +133,7 @@ pub(crate) enum Event {
     Woke,
 }
 
-/// What the driver must do next for a task.
+/// What the endpoint must do next for a task.
 #[derive(Debug, PartialEq)]
 pub(crate) enum Action {
     /// Pick (dialling if need be) the route to this rank.
@@ -223,7 +223,7 @@ impl Core {
         rank
     }
 
-    /// Whether the driver must wake every sleeper; clears the flag.
+    /// Whether the endpoint must wake every sleeper; clears the flag.
     pub(crate) fn take_wake(&mut self) -> bool {
         std::mem::take(&mut self.wake)
     }

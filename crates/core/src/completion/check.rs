@@ -6,8 +6,8 @@
 //! call of [`Core::step`], or one piece of a link call made with the lock
 //! released (picking a route, writing a frame, reading one reply). Around
 //! them an adversary moves time to the next deadline, and within small
-//! budgets drops a frame, delivers a reply twice, or kills a rank's
-//! connection. A socket link carries each written frame's reply on its
+//! budgets drops a frame, delivers a reply twice, kills a rank's
+//! connection or refuses a dial. A socket link carries each written frame's reply on its
 //! connection until a reader reads it; an in-caller link hands it back
 //! inside `send`. Every interleaving is explored depth-first from a
 //! visited set of world fingerprints, and five properties are asserted on
@@ -83,6 +83,8 @@ struct Case {
     drops: u8,
     dups: u8,
     kills: u8,
+    /// Dials the link refuses.
+    refusals: u8,
     scripts: Vec<Vec<Op>>,
 }
 
@@ -131,7 +133,7 @@ struct World {
     /// How each id ended: redeemed by `wait`/`poll`, failed in `submit`,
     /// or abandoned.
     ended: HashMap<u64, u8>,
-    budget: (u8, u8, u8),
+    budget: (u8, u8, u8, u8),
     /// The steps that reached this world, newest first.
     trace: Option<Rc<Trail>>,
 }
@@ -204,7 +206,7 @@ impl Checker {
             wires: vec![Wire::default(); c.ranks],
             next_id: 1,
             ended: HashMap::new(),
-            budget: (c.drops, c.dups, c.kills),
+            budget: (c.drops, c.dups, c.kills, c.refusals),
             trace: None,
         };
         let mut stack = vec![world];
@@ -401,6 +403,14 @@ impl Checker {
                 n.threads[i].doing = Doing::Ready(Event::Routed(Ok(route)));
                 n.log(format!("T{i} routed to {route:?}"));
                 out.push(n);
+                if w.budget.3 > 0 {
+                    let mut n = w.clone();
+                    n.budget.3 -= 1;
+                    let refused = Err(crate::endpoint::LinkFail::ConnLost);
+                    n.threads[i].doing = Doing::Ready(Event::Routed(refused));
+                    n.log(format!("T{i}'s dial of rank {rank} is refused"));
+                    out.push(n);
+                }
             }
             Doing::Sending(route, load) => self.send_steps(w, i, route, load, out),
             Doing::Reading(route, until, read) => {
@@ -485,7 +495,7 @@ impl Checker {
         let now = self.at(n.now);
         let mut t = n.threads[i].task.take().unwrap();
         let action = n.core.step(&mut t, ev, now);
-        // The driver notifies before it sleeps: its own notify is not for it.
+        // The endpoint notifies before it sleeps: its own notify is not for it.
         self.wake(n);
         let shown = match &action {
             Action::Send(route, frame) => {
@@ -682,6 +692,7 @@ fn case(link: LinkKind, ranks: usize, window: usize, retries: u32) -> Case {
         drops: 0,
         dups: 0,
         kills: 0,
+        refusals: 0,
         scripts: Vec::new(),
     }
 }
@@ -740,6 +751,22 @@ fn two_thread_cases() -> Vec<(&'static str, Case)> {
                 kills: 1,
                 scripts: vec![vec![Read, Wait(0)], vec![Read, Wait(0)]],
                 ..case(Socket, 2, 2, 1)
+            },
+        ),
+        (
+            "failover past a refused dial",
+            Case {
+                refusals: 1,
+                scripts: vec![vec![Read, Wait(0)], vec![Load, Wait(0)]],
+                ..case(Socket, 2, 2, 0)
+            },
+        ),
+        (
+            "every rank refuses",
+            Case {
+                refusals: 2,
+                scripts: vec![vec![Read, Wait(0)], vec![Read, Wait(0)]],
+                ..case(Inline, 1, 1, 1)
             },
         ),
         (
