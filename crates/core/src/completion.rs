@@ -23,12 +23,15 @@ pub(crate) const RETRY_BACKOFF: Duration = Duration::from_millis(1);
 
 #[derive(Clone)]
 enum State {
-    /// Sent (or about to be); no reply yet.
+    /// Sent (or about to be) within its deadline; no reply yet. The one
+    /// state that holds a window credit.
     Waiting,
     /// The link delivered reply bytes.
     Done(Vec<u8>),
     /// The route died before a reply arrived.
     Failed(LinkFail),
+    /// The deadline passed before a reply arrived.
+    Expired,
 }
 
 #[derive(Clone)]
@@ -105,6 +108,8 @@ pub(crate) struct Task {
 
 #[derive(Clone, Copy, Default, PartialEq, Eq)]
 enum Phase {
+    /// A send to the next rank round-robin: the rank is to be picked.
+    Pick,
     /// A send (`submit`'s, or a re-send inside `wait`): the route is being
     /// picked.
     Route,
@@ -114,9 +119,6 @@ enum Phase {
     /// `wait`: until the slot settles.
     #[default]
     Wait,
-    /// `poll`, before and after its one read.
-    Poll,
-    Polled,
 }
 
 /// What the link did, handed back to [`Core::step`].
@@ -144,25 +146,22 @@ pub(crate) enum Action {
     Read(Route, Instant),
     /// Sleep on the condvar until woken or the deadline.
     Sleep(Instant),
-    /// `poll` only: the request is still in flight.
-    Pending,
     /// The task is over: `submit` has sent its request (an empty reply),
-    /// `wait` or `poll` hold its reply, or it failed.
+    /// `wait` holds its reply, or it failed.
     Done(Result<Vec<u8>, Error>),
 }
 
 impl Task {
-    /// Sends request `id` to `rank`. A `Load` (the frame's own tag says
-    /// so) goes to that rank only and is never re-sent.
-    pub(crate) fn submit(id: u64, frame: Arc<Vec<u8>>, rank: usize) -> Self {
-        let frame = Some(frame);
-        let (phase, submits) = (Phase::Route, true);
+    /// Sends request `id` to the next rank round-robin, or to `rank`: a
+    /// `Load` to every rank goes to each once. A `Load` (the frame's own
+    /// tag says so) is never re-sent.
+    pub(crate) fn submit(id: u64, frame: Arc<Vec<u8>>, rank: Option<usize>) -> Self {
         Task {
             id,
-            phase,
-            submits,
-            frame,
-            rank,
+            phase: rank.map_or(Phase::Pick, |_| Phase::Route),
+            submits: true,
+            frame: Some(frame),
+            rank: rank.unwrap_or_default(),
             ..Task::default()
         }
     }
@@ -171,15 +170,6 @@ impl Task {
     pub(crate) fn wait(id: u64) -> Self {
         Task {
             id,
-            ..Task::default()
-        }
-    }
-
-    /// Redeems request `id` if it has settled, reading what has arrived.
-    pub(crate) fn poll(id: u64) -> Self {
-        Task {
-            id,
-            phase: Phase::Poll,
             ..Task::default()
         }
     }
@@ -216,13 +206,6 @@ impl Core {
         self.ranks[rank].served
     }
 
-    /// The next rank round-robin.
-    pub(crate) fn pick_rank(&mut self) -> usize {
-        let rank = self.next_rank;
-        self.next_rank = (rank + 1) % self.ranks.len();
-        rank
-    }
-
     /// Whether the endpoint must wake every sleeper; clears the flag.
     pub(crate) fn take_wake(&mut self) -> bool {
         std::mem::take(&mut self.wake)
@@ -236,12 +219,7 @@ impl Core {
                 self.asleep -= 1;
                 self.parked -= usize::from(std::mem::take(&mut t.parked));
             }
-            Event::Routed(Ok(route)) => {
-                (t.route, t.phase) = (route, Phase::Arm);
-                if self.slots.contains_key(&t.id) && !self.rearm(t.id, route, now) {
-                    return self.sent(t, now); // a straggler already answered it
-                }
-            }
+            Event::Routed(Ok(route)) => (t.route, t.phase) = (route, Phase::Arm),
             Event::Routed(Err(why)) => return self.failover(t, why),
             Event::Sent(sent) => {
                 // The reply `arm` counted on is not owed after all.
@@ -277,25 +255,41 @@ impl Core {
             }
         }
         match t.phase {
+            Phase::Pick => self.pick(t),
             Phase::Route => Action::Route(t.rank),
             Phase::Arm => self.arm(t, now),
             Phase::Wait => self.wait(t, now),
-            Phase::Poll | Phase::Polled => self.poll(t, now),
         }
     }
 
-    /// A routed send: a new request takes a window credit (parking while
-    /// there is none), a `Load` waits for its route to owe nothing, then
-    /// the frame is written.
+    /// Sends `t`'s frame to the next rank round-robin.
+    fn pick(&mut self, t: &mut Task) -> Action {
+        let rank = self.next_rank;
+        self.next_rank = (rank + 1) % self.ranks.len();
+        (t.rank, t.tries, t.phase) = (rank, 0, Phase::Route);
+        Action::Route(rank)
+    }
+
+    /// A routed send. A slot holds a window credit only while it is
+    /// `Waiting`: a send of one that holds none — a new request, or a
+    /// re-send of one that expired or whose route died — takes one here,
+    /// with a fresh deadline, parking while there is none. A `Load` then
+    /// waits for its route to owe nothing, and the frame is written.
     fn arm(&mut self, t: &mut Task, now: Instant) -> Action {
         let route = t.route;
-        if t.submits && !self.slots.contains_key(&t.id) {
+        let credit = match self.slots.get(&t.id) {
+            None => t.submits,
+            Some(s) => matches!(s.state, State::Failed(_) | State::Expired),
+        };
+        if credit {
+            if self.waiting >= self.window {
+                self.expire(now, None);
+            }
             if self.waiting >= self.window {
                 // Parked until the window drains to half (see `release`);
                 // meanwhile the route of the oldest waiting request, which
-                // answers first, is read. Re-checked after one deadline:
-                // when the rest of the window sits on a silent rank it
-                // never drains that far.
+                // answers first, is read. Re-checked after one deadline,
+                // when the slots past theirs give their credits back.
                 let oldest = self
                     .slots
                     .iter()
@@ -304,33 +298,35 @@ impl Core {
                     .map_or(route, |(_, s)| s.route);
                 return self.block(t, oldest, now + self.timeout, true);
             }
-            let frame = t.frame.clone().filter(|f| !wire::is_load(f));
-            let (state, attempts, deadline) = (State::Waiting, 1, now + self.timeout);
-            let slot = Slot {
-                state,
-                frame,
-                attempts,
-                deadline,
-                submitted: now,
-                route,
-            };
-            self.slots.insert(t.id, slot);
+            let slot = self.slots.entry(t.id).or_insert_with(|| {
+                crate::metrics::transport_submitted().inc();
+                let frame = t.frame.clone().filter(|f| !wire::is_load(f));
+                let (state, attempts, deadline) = (State::Waiting, 1, now);
+                Slot {
+                    state,
+                    frame,
+                    attempts,
+                    deadline,
+                    submitted: now,
+                    route,
+                }
+            });
+            slot.state = State::Waiting;
+            // Each re-send is given one more backoff step (linear backoff).
+            slot.deadline = now + self.timeout + RETRY_BACKOFF * (slot.attempts - 1);
             self.waiting += 1;
-            crate::metrics::transport_submitted().inc();
             crate::metrics::transport_inflight().add(1);
         }
-        let live = |s: &Slot| matches!(s.state, State::Waiting) && now < s.deadline;
-        let deadline = self
-            .slots
-            .get(&t.id)
-            .filter(|s| live(s))
-            .map(|s| s.deadline);
-        let (Some(deadline), Some(frame)) = (deadline, t.frame.clone()) else {
-            // Abandoned, or its route died or its deadline passed while it
-            // waited to be written: `wait` reports it, and a `Load` is not
-            // re-sent.
+        let live = |s: &&mut Slot| matches!(s.state, State::Waiting) && now < s.deadline;
+        let (Some(slot), Some(frame)) = (self.slots.get_mut(&t.id).filter(live), t.frame.clone())
+        else {
+            // Abandoned, answered by a straggler, or its route died or its
+            // deadline passed while it waited to be written: `wait` reports
+            // it, and a `Load` is not re-sent.
             return self.sent(t, now);
         };
+        slot.route = route;
+        let deadline = slot.deadline;
         // A `Load` is written only once its route owes no replies, and
         // nothing is written beside it: the server answers in order and
         // blocks writing a reply nobody reads, so it would never read a
@@ -353,27 +349,6 @@ impl Core {
             *owed += 1;
         }
         Action::Send(route, frame)
-    }
-
-    /// Points an existing slot at `route` for a re-send, with one more
-    /// backoff step of deadline. Returns `false` if it has its reply.
-    fn rearm(&mut self, id: u64, route: Route, now: Instant) -> bool {
-        let Some(slot) = self.slots.get_mut(&id) else {
-            return false;
-        };
-        if matches!(slot.state, State::Done(_)) {
-            return false;
-        }
-        // A retry keeps its request's window credit; one whose route died
-        // takes it back without queueing: its caller is inside `wait`.
-        if matches!(slot.state, State::Failed(_)) {
-            self.waiting += 1;
-            crate::metrics::transport_inflight().add(1);
-        }
-        slot.state = State::Waiting;
-        slot.deadline = now + self.timeout + RETRY_BACKOFF * (slot.attempts - 1);
-        slot.route = route;
-        true
     }
 
     /// The send of `t` is over (written, or not needed): a `submit` is
@@ -403,53 +378,28 @@ impl Core {
     /// `wait`: settled → its result; out of time or route → re-sent, if
     /// the rules allow; otherwise read or sleep until it settles.
     fn wait(&mut self, t: &mut Task, now: Instant) -> Action {
-        let Some(slot) = self.slots.get_mut(&t.id) else {
+        let Some(slot) = self.slots.get(&t.id) else {
             return self.settle(t.id, now);
         };
-        let expired = match slot.state {
+        match slot.state {
             State::Waiting if now < slot.deadline => {
                 let (route, deadline) = (slot.route, slot.deadline);
                 return self.block(t, route, deadline, false);
             }
-            State::Waiting => true,
-            State::Failed(LinkFail::ConnLost) => false,
+            State::Waiting => self.expire(now, Some(t.id)),
+            State::Expired | State::Failed(LinkFail::ConnLost) => {}
             State::Done(_) | State::Failed(_) => return self.settle(t.id, now),
-        };
-        if expired {
-            crate::metrics::transport_timeouts().inc();
         }
-        // Only pure reads are re-sent, at most `max_retries` times, each
-        // with a longer deadline (linear backoff, in `rearm`).
-        if slot.frame.is_some() && slot.attempts <= self.max_retries {
-            slot.attempts += 1;
-            t.frame = slot.frame.clone();
-            crate::metrics::transport_retries().inc();
-            (t.rank, t.tries, t.phase) = (self.pick_rank(), 0, Phase::Route);
-            return Action::Route(t.rank);
-        }
-        if !expired {
+        // Only pure reads are re-sent, at most `max_retries` times.
+        let retries = self.max_retries;
+        let resend = |s: &&mut Slot| s.frame.is_some() && s.attempts <= retries;
+        let Some(slot) = self.slots.get_mut(&t.id).filter(resend) else {
             return self.settle(t.id, now);
-        }
-        let attempts = self.abandon(t.id);
-        let deadline_ms = self.timeout.as_millis() as u64;
-        Action::Done(Err(Error::DeviceTimeout {
-            deadline_ms,
-            attempts,
-        }))
-    }
-
-    /// `poll`: settled → its result; otherwise what has already arrived on
-    /// its route is read once, if nobody else is reading it.
-    fn poll(&mut self, t: &mut Task, now: Instant) -> Action {
-        let waiting = |s: &Slot| matches!(s.state, State::Waiting).then_some(s.route);
-        match self.slots.get(&t.id).map(waiting) {
-            Some(Some(route)) if t.phase == Phase::Poll && !self.ranks[route.0].reader => {
-                t.phase = Phase::Polled;
-                self.claim(t, route, now)
-            }
-            Some(Some(_)) => Action::Pending,
-            _ => self.settle(t.id, now),
-        }
+        };
+        slot.attempts += 1;
+        t.frame = slot.frame.clone();
+        crate::metrics::transport_retries().inc();
+        self.pick(t)
     }
 
     /// Reads `route` until `deadline` if nobody holds its reader role and
@@ -488,13 +438,14 @@ impl Core {
     }
 
     /// Reply bytes for request `id`. First completion wins: a reply for a
-    /// settled or abandoned request is dropped and counted late.
+    /// settled, failed or abandoned request is dropped and counted late.
     pub(crate) fn complete(&mut self, id: u64, reply: Vec<u8>) {
         match self.slots.get_mut(&id) {
-            Some(slot) if matches!(slot.state, State::Waiting) => {
+            Some(slot) if matches!(slot.state, State::Waiting | State::Expired) => {
+                let credit = matches!(slot.state, State::Waiting);
                 slot.state = State::Done(reply);
                 self.ranks[slot.route.0].served += 1;
-                self.release(1, false);
+                self.release(usize::from(credit), false);
             }
             _ => crate::metrics::transport_late_completions().inc(),
         }
@@ -503,16 +454,33 @@ impl Core {
     /// `route` died: fails every request waiting on it, so each errors
     /// typed (or is re-sent) at once instead of at its deadline.
     fn fail(&mut self, route: Route, why: LinkFail) {
-        let mut hit = 0;
-        for slot in self.slots.values_mut() {
-            if slot.route == route && matches!(slot.state, State::Waiting) {
-                slot.state = State::Failed(why);
-                hit += 1;
-            }
-        }
+        let hit = self.lose(State::Failed(why), |_, s| s.route == route);
         self.read_off(route, usize::MAX);
         crate::metrics::net_conn_failures().add(hit as u64);
-        self.release(hit, true);
+    }
+
+    /// Request `only` (or every request) past its deadline gives its window
+    /// credit back: its owner's `wait` re-sends it (through `arm`'s window
+    /// check) or reports `DeviceTimeout`.
+    fn expire(&mut self, now: Instant, only: Option<u64>) {
+        let hit = self.lose(State::Expired, |id, s| {
+            now >= s.deadline && only.is_none_or(|only| only == id)
+        });
+        crate::metrics::transport_timeouts().add(hit as u64);
+    }
+
+    /// Moves each waiting slot `hit` picks to `to`, giving its window
+    /// credit back at once; returns how many moved.
+    fn lose(&mut self, to: State, hit: impl Fn(u64, &Slot) -> bool) -> usize {
+        let mut n = 0;
+        for (&id, slot) in &mut self.slots {
+            if matches!(slot.state, State::Waiting) && hit(id, slot) {
+                slot.state = to.clone();
+                n += 1;
+            }
+        }
+        self.release(n, true);
+        n
     }
 
     /// Removes a request whose caller will never redeem it (or that will
@@ -532,8 +500,8 @@ impl Core {
     /// asleep in `wait` (a wake-up only for somebody asleep); parked
     /// submitters once the window has drained to half — not per
     /// completion, so a woken submitter refills half a window at once —
-    /// or `at_once`, on the paths a dead route or an abandoned request
-    /// take, where the rest of the window may never drain.
+    /// or `at_once`, on the paths a dead route, an expired or an abandoned
+    /// request take, where the rest of the window may never drain.
     fn release(&mut self, n: usize, at_once: bool) {
         if n == 0 {
             return;
@@ -557,6 +525,10 @@ impl Core {
                 Ok(reply)
             }
             State::Failed(why) => Err(link_error(why, slot.attempts)),
+            State::Expired => Err(Error::DeviceTimeout {
+                deadline_ms: self.timeout.as_millis() as u64,
+                attempts: slot.attempts,
+            }),
             // Unreachable: only settled slots are settled. Typed anyway,
             // this is the trust boundary.
             State::Waiting => Err(crate::metrics::malformed("request still in flight")),

@@ -1,7 +1,7 @@
 //! An explicit-state checker of the completion core.
 //!
 //! A small world drives the real [`Core`] the way the endpoint does: each
-//! thread runs a script of operations (`submit`, a `Load`, `wait`, `poll`,
+//! thread runs a script of operations (`submit`, a `Load`, `wait`,
 //! `abandon`) as a [`Task`], taking one atomic step at a time — a locked
 //! call of [`Core::step`], or one piece of a link call made with the lock
 //! released (picking a route, writing a frame, reading one reply). Around
@@ -19,18 +19,21 @@
 //!    waiting for a reply, and never more than the window;
 //! 3. no thread sleeps while a reply it waits for is unread on its route
 //!    and no thread holds that route's reader role;
-//! 4. every wait is given a deadline no later than its request's (a
-//!    parked submitter's: one timeout; a `poll`'s: now), and no state is
-//!    stuck with a thread that can never return;
+//! 4. every wait is given a deadline no later than its request's (a send
+//!    parked for a credit: one timeout), and every operation returns: no
+//!    state is stuck with a thread that can never return, and no world
+//!    recurs on the path that reached it (a loop, in which a thread that
+//!    re-parks every timeout runs for ever);
 //! 5. no `Load` is written to a route that owes replies.
 //!
 //! A violation panics with the trace that reached it.
 
 use super::{Action, Core, Event, Phase, State, Task};
 use crate::endpoint::Route;
+use crate::error::Error;
 use crate::wire::{self, Request};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::panic::{resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
@@ -58,9 +61,8 @@ enum Op {
     Read,
     /// Submits a `Load`.
     Load,
-    /// Waits on, polls or abandons the thread's n-th submitted request.
+    /// Waits on or abandons the thread's n-th submitted request.
     Wait(usize),
-    Poll(usize),
     Abandon(usize),
 }
 
@@ -130,8 +132,8 @@ struct World {
     threads: Vec<Thread>,
     wires: Vec<Wire>,
     next_id: u64,
-    /// How each id ended: redeemed by `wait`/`poll`, failed in `submit`,
-    /// or abandoned.
+    /// How each id ended: redeemed by `wait`, failed in `submit`, or
+    /// abandoned.
     ended: HashMap<u64, u8>,
     budget: (u8, u8, u8, u8),
     /// The steps that reached this world, newest first.
@@ -153,7 +155,9 @@ struct Checker {
     base: Instant,
     read: Arc<Vec<u8>>,
     load: Arc<Vec<u8>>,
-    seen: HashSet<u64>,
+    /// Fingerprints of the worlds met, and whether each is on the path
+    /// being explored.
+    seen: HashMap<u64, bool>,
     states: usize,
 }
 
@@ -175,7 +179,7 @@ impl Checker {
             base: Instant::now(),
             read: Arc::new(read.encode().unwrap()),
             load: Arc::new(load.encode().unwrap()),
-            seen: HashSet::new(),
+            seen: HashMap::new(),
             states: 0,
         }
     }
@@ -188,7 +192,9 @@ impl Checker {
         at.saturating_duration_since(self.base).as_millis() as u64
     }
 
-    /// Explores every reachable world; returns how many were distinct.
+    /// Explores every reachable world depth-first; returns how many were
+    /// distinct. A world met again while it is on the path that reached it
+    /// closes a loop the threads can run round for ever.
     fn run(mut self) -> usize {
         let c = &self.case;
         let world = World {
@@ -209,28 +215,50 @@ impl Checker {
             budget: (c.drops, c.dups, c.kills, c.refusals),
             trace: None,
         };
-        let mut stack = vec![world];
-        while let Some(w) = stack.pop() {
-            if !self.seen.insert(self.key(&w)) {
-                continue;
+        // The path: each world's fingerprint and its successors not yet
+        // explored.
+        let mut path: Vec<(u64, Vec<World>)> = Vec::new();
+        let mut next = Some(world);
+        loop {
+            if let Some(w) = next.take() {
+                let key = self.key(&w);
+                match self.seen.get(&key) {
+                    Some(true) => self.fail(&w, "a loop: a thread can run for ever"),
+                    Some(false) => {}
+                    None => {
+                        self.seen.insert(key, true);
+                        path.push((key, self.visit(&w)));
+                    }
+                }
             }
-            self.states += 1;
-            if self.states > MAX_STATES {
-                self.fail(&w, "the case is too large: shrink its scripts or budgets");
+            let Some((key, pending)) = path.last_mut() else {
+                return self.states;
+            };
+            next = pending.pop();
+            if next.is_none() {
+                self.seen.insert(*key, false);
+                path.pop();
             }
-            self.check(&w);
-            // A panic inside the core is a counterexample too.
-            let next = std::panic::catch_unwind(AssertUnwindSafe(|| self.successors(&w)))
-                .unwrap_or_else(|panic| match panic.downcast_ref::<String>() {
-                    Some(p) if p.starts_with("counterexample") => resume_unwind(panic),
-                    _ => self.fail(&w, "the next step panicked inside the core"),
-                });
-            if next.is_empty() {
-                self.terminal(&w);
-            }
-            stack.extend(next);
         }
-        self.states
+    }
+
+    /// Checks a new world; returns its successors.
+    fn visit(&mut self, w: &World) -> Vec<World> {
+        self.states += 1;
+        if self.states > MAX_STATES {
+            self.fail(w, "the case is too large: shrink its scripts or budgets");
+        }
+        self.check(w);
+        // A panic inside the core is a counterexample too.
+        let next = std::panic::catch_unwind(AssertUnwindSafe(|| self.successors(w)))
+            .unwrap_or_else(|panic| match panic.downcast_ref::<String>() {
+                Some(p) if p.starts_with("counterexample") => resume_unwind(panic),
+                _ => self.fail(w, "the next step panicked inside the core"),
+            });
+        if next.is_empty() {
+            self.terminal(w);
+        }
+        next
     }
 
     fn fail(&self, w: &World, what: &str) -> ! {
@@ -294,7 +322,7 @@ impl Checker {
         let slots = &w.core.slots;
         match (t.phase, slots.get(&t.id)) {
             // Parked on a full window: the oldest waiting request's route.
-            (Phase::Arm, None) => {
+            _ if t.parked => {
                 let waiting = slots
                     .iter()
                     .filter(|(_, s)| matches!(s.state, State::Waiting));
@@ -458,7 +486,7 @@ impl Checker {
         let ids = &n.threads[i].ids;
         let id = match op {
             Op::Read | Op::Load => n.next_id,
-            Op::Wait(k) | Op::Poll(k) | Op::Abandon(k) => ids[k],
+            Op::Wait(k) | Op::Abandon(k) => ids[k],
         };
         let task = match op {
             Op::Read | Op::Load => {
@@ -469,7 +497,7 @@ impl Checker {
                 } else {
                     &self.read
                 };
-                Task::submit(id, Arc::clone(frame), n.core.pick_rank())
+                Task::submit(id, Arc::clone(frame), None)
             }
             // A request whose submit failed has ended already.
             _ if n.ended.contains_key(&id) => {
@@ -477,7 +505,6 @@ impl Checker {
                 return;
             }
             Op::Wait(_) => Task::wait(id),
-            Op::Poll(_) => Task::poll(id),
             Op::Abandon(_) => {
                 n.threads[i].pc += 1;
                 n.core.abandon(id);
@@ -511,17 +538,15 @@ impl Checker {
             Action::Send(route, frame) => Doing::Sending(route, wire::is_load(&frame)),
             Action::Read(route, until) => Doing::Reading(route, self.tick(until), 0),
             Action::Sleep(until) => Doing::Asleep(self.tick(until)),
-            Action::Pending | Action::Done(_) => {
+            Action::Done(result) => {
                 let op = self.case.scripts[i][n.threads[i].pc];
-                if let Action::Done(result) = action {
-                    if let Err(crate::Error::MalformedResponse { reason }) = &result {
-                        self.fail(n, &format!("T{i}'s {op:?}: {reason}"));
-                    }
-                    // A submit that succeeded has not ended its request.
-                    let ended = !(matches!(op, Op::Read | Op::Load) && result.is_ok());
-                    if ended && n.ended.insert(t.id, 0).is_some() {
-                        self.fail(n, &format!("request {} settled twice", t.id));
-                    }
+                if let Err(Error::MalformedResponse { reason }) = &result {
+                    self.fail(n, &format!("T{i}'s {op:?}: {reason}"));
+                }
+                // A submit that succeeded has not ended its request.
+                let ended = !(matches!(op, Op::Read | Op::Load) && result.is_ok());
+                if ended && n.ended.insert(t.id, 0).is_some() {
+                    self.fail(n, &format!("request {} settled twice", t.id));
                 }
                 n.threads[i].pc += 1;
                 n.threads[i].doing = Doing::Idle;
@@ -529,16 +554,16 @@ impl Checker {
             }
         };
         // Property 4: a wait is never given a later deadline than its
-        // request's; a parked submitter re-checks within one timeout.
+        // request's; a send parked for a credit re-checks within one
+        // timeout.
         let until = match doing {
             Doing::Asleep(d) | Doing::Reading(_, d, _) => d,
             _ => 0,
         };
-        let bound = match (t.phase, n.core.slots.get(&t.id)) {
-            (Phase::Arm, None) => n.now + TIMEOUT,
-            (Phase::Polled, _) => n.now,
-            (_, Some(s)) => self.tick(s.deadline),
-            (_, None) => n.now,
+        let bound = match n.core.slots.get(&t.id) {
+            Some(s) if matches!(s.state, State::Waiting) => self.tick(s.deadline),
+            _ if t.phase == Phase::Arm => n.now + TIMEOUT,
+            _ => n.now,
         };
         n.threads[i].task = Some(t);
         n.threads[i].doing = doing;
@@ -605,9 +630,8 @@ impl Checker {
 
     /// A fingerprint of everything but the trace.
     /// Times are taken relative to now, a past one as now: the core
-    /// decides the same way whenever the whole world happens, so a wait
-    /// that re-checks every timeout revisits its states instead of making
-    /// new ones.
+    /// decides the same way whenever the whole world happens, so a thread
+    /// that re-checks every timeout for ever meets its world again.
     fn key(&self, w: &World) -> u64 {
         let rel = |at: Instant| self.tick(at).saturating_sub(w.now);
         let mut h = DefaultHasher::new();
@@ -620,12 +644,14 @@ impl Checker {
                 State::Waiting => 0,
                 State::Done(_) => 1,
                 State::Failed(_) => 2,
+                State::Expired => 3,
             };
             let at = rel(s.deadline);
             (id, state, s.attempts, at, s.route, s.frame.is_some()).hash(&mut h);
         }
+        // `served` is left out: no decision reads it.
         for r in &c.ranks {
-            (r.reader, r.gen, r.owed, r.loading, r.served).hash(&mut h);
+            (r.reader, r.gen, r.owed, r.loading).hash(&mut h);
         }
         (c.next_rank, c.waiting, c.asleep, c.parked, c.wake).hash(&mut h);
         for th in &w.threads {
@@ -681,7 +707,7 @@ fn event_key(ev: Event) -> (u8, u64, u64) {
 }
 
 use LinkKind::{Inline, Socket};
-use Op::{Abandon, Load, Poll, Read, Wait};
+use Op::{Abandon, Load, Read, Wait};
 
 fn case(link: LinkKind, ranks: usize, window: usize, retries: u32) -> Case {
     Case {
@@ -754,6 +780,14 @@ fn two_thread_cases() -> Vec<(&'static str, Case)> {
             },
         ),
         (
+            "a retry after a dead connection, at window 1",
+            Case {
+                kills: 1,
+                scripts: vec![vec![Read, Wait(0)], vec![Read, Wait(0)]],
+                ..case(Socket, 2, 1, 1)
+            },
+        ),
+        (
             "failover past a refused dial",
             Case {
                 refusals: 1,
@@ -785,19 +819,12 @@ fn two_thread_cases() -> Vec<(&'static str, Case)> {
             },
         ),
         (
-            "poll beside a waiter",
-            Case {
-                scripts: vec![vec![Read, Poll(0), Wait(0)], vec![Read, Wait(0)]],
-                ..case(Socket, 1, 2, 0)
-            },
-        ),
-        (
             "in-caller link with a dropped frame",
             Case {
                 drops: 1,
                 dups: 1,
                 scripts: vec![vec![Read, Read, Wait(0), Wait(1)], vec![Read, Wait(0)]],
-                ..case(Inline, 1, 2, 1)
+                ..case(Inline, 1, 1, 1)
             },
         ),
     ]
@@ -818,7 +845,7 @@ fn every_two_thread_interleaving_keeps_the_rules() {
 }
 
 /// A third thread beside each two-thread case the adversary does not
-/// touch — a waiter, a `Load`, or a submitter that polls and abandons —
+/// touch — a waiter, a `Load`, or a submitter that abandons —
 /// and three waiters against a duplicated reply and, in the caller, a
 /// dropped frame. (Three threads with a dropped frame or a dead
 /// connection on a socket reach more than `MAX_STATES` worlds; two
@@ -829,7 +856,7 @@ fn every_three_thread_interleaving_keeps_the_rules() {
     let thirds = [
         vec![Read, Wait(0)],
         vec![Load, Wait(0)],
-        vec![Read, Poll(0), Abandon(0)],
+        vec![Read, Abandon(0)],
     ];
     let mut cases = Vec::new();
     for (name, base) in two_thread_cases().into_iter().rev() {
@@ -877,7 +904,7 @@ fn a_load_waits_until_its_route_owes_nothing() {
     let mut core = Core::new(1, 4, Duration::from_millis(TIMEOUT), 0);
     let now = checker.at(0);
     let route = (0, 0);
-    let mut read = Task::submit(1, Arc::clone(&checker.read), 0);
+    let mut read = Task::submit(1, Arc::clone(&checker.read), Some(0));
     assert_eq!(core.step(&mut read, Event::Start, now), Action::Route(0));
     let sent = core.step(&mut read, Event::Routed(Ok(route)), now);
     assert!(matches!(sent, Action::Send(..)));
@@ -886,7 +913,7 @@ fn a_load_waits_until_its_route_owes_nothing() {
         Action::Done(Ok(_))
     ));
 
-    let mut load = Task::submit(2, Arc::clone(&checker.load), 0);
+    let mut load = Task::submit(2, Arc::clone(&checker.load), Some(0));
     core.step(&mut load, Event::Start, now);
     let until = checker.at(TIMEOUT);
     assert_eq!(
@@ -897,4 +924,69 @@ fn a_load_waits_until_its_route_owes_nothing() {
     core.complete(1, vec![0]);
     let sent = core.step(&mut load, Event::Read(Ok(1)), now);
     assert!(matches!(sent, Action::Send(r, _) if r == route));
+}
+
+impl Checker {
+    /// Runs `t` alone to its end from tick `now`, the endpoint's way, over
+    /// an in-caller link that serves each frame inside `send` (or drops it,
+    /// if `drop`). Returns its result, the core steps it took and the tick
+    /// it ended at.
+    fn solo(&self, core: &mut Core, mut t: Task, mut now: u64, drop: bool) -> Solo {
+        let mut ev = Event::Start;
+        for steps in 1..=1_000 {
+            ev = match core.step(&mut t, ev, self.at(now)) {
+                Action::Done(result) => return (result, steps, now),
+                Action::Route(rank) => Event::Routed(Ok((rank, 0))),
+                Action::Send(..) if drop => Event::Sent(Ok(false)),
+                Action::Send(..) => {
+                    core.complete(t.id, vec![0]);
+                    Event::Sent(Ok(false))
+                }
+                Action::Read(..) => Event::Read(Ok(0)),
+                Action::Sleep(until) => {
+                    now = self.tick(until);
+                    Event::Woke
+                }
+            };
+            core.take_wake();
+        }
+        panic!("request {} still running at tick {now}", t.id);
+    }
+}
+
+type Solo = (Result<Vec<u8>, Error>, usize, u64);
+
+/// A submit reaches the core three times: to start (the rank is picked
+/// there), with its route, and once its frame is written.
+#[test]
+fn a_submit_takes_three_core_steps() {
+    let checker = Checker::new("solo", case(Inline, 2, 1, 0));
+    let mut core = Core::new(2, 1, Duration::from_millis(TIMEOUT), 0);
+    let submit = Task::submit(1, Arc::clone(&checker.read), None);
+    let (result, steps, _) = checker.solo(&mut core, submit, 0, false);
+    assert_eq!((result, steps), (Ok(Vec::new()), 3));
+    let (result, steps, _) = checker.solo(&mut core, Task::wait(1), 0, false);
+    assert_eq!((result, steps), (Ok(vec![0]), 1));
+}
+
+/// At window 1, a request whose frame the channel dropped holds the one
+/// credit, and its owner waits on it only after its next submit. That
+/// submit parks; at its re-check the dropped request is past its deadline
+/// and gives its credit back, so the submit returns within two timeouts,
+/// and the dropped request's `wait` re-sends it.
+#[test]
+fn a_parked_submitter_takes_back_the_credit_of_a_dropped_frame() {
+    let checker = Checker::new("solo", case(Inline, 1, 1, 1));
+    let mut core = Core::new(1, 1, Duration::from_millis(TIMEOUT), 1);
+    let frame = || Arc::clone(&checker.read);
+    let (a, _, now) = checker.solo(&mut core, Task::submit(1, frame(), None), 0, true);
+    assert_eq!(a, Ok(Vec::new()));
+    let (b, _, now) = checker.solo(&mut core, Task::submit(2, frame(), None), now, false);
+    assert_eq!(b, Ok(Vec::new()));
+    assert!(now <= 2 * TIMEOUT, "the submit was parked until tick {now}");
+    let (a, _, now) = checker.solo(&mut core, Task::wait(1), now, false);
+    assert_eq!(a, Ok(vec![0]), "the dropped request was not re-sent");
+    let (b, _, _) = checker.solo(&mut core, Task::wait(2), now, false);
+    assert_eq!(b, Ok(vec![0]));
+    assert_eq!((core.in_flight(), core.slots()), (0, 0));
 }

@@ -134,8 +134,7 @@ pub trait Link: Send + Sync + 'static {
     }
 }
 
-/// Handle to one in-flight request; redeem it with [`Endpoint::poll`] or
-/// [`Endpoint::wait`].
+/// Handle to one in-flight request; redeem it with [`Endpoint::wait`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RequestId(u64);
 
@@ -157,8 +156,8 @@ pub(crate) fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 const POISONED: &str = "endpoint lock poisoned by a local panic";
 
-/// A non-blocking wire endpoint over link `L`: `submit` / `poll` / `wait`
-/// with the rules in DESIGN.md "Endpoint and links". It is also a
+/// A non-blocking wire endpoint over link `L`: `submit` / `wait` with the
+/// rules in DESIGN.md "Endpoint and links". It is also a
 /// [`RoundTrip`], hence an [`NdpDevice`](crate::device::NdpDevice) (each
 /// call is submit-then-wait, a `load` goes to every rank), so
 /// trait-generic code runs over any link unchanged.
@@ -253,7 +252,7 @@ impl<L: Link> Endpoint<L> {
 
     /// Sends a request to the next rank, round-robin. Blocks while the
     /// in-flight window is full, then returns at once; redeem the id with
-    /// [`poll`](Self::poll) or [`wait`](Self::wait).
+    /// [`wait`](Self::wait).
     ///
     /// # Errors
     ///
@@ -268,24 +267,18 @@ impl<L: Link> Endpoint<L> {
         &self,
         write: &mut dyn FnMut(Writer<'_>) -> Result<(), Error>,
     ) -> Result<RequestId, Error> {
-        self.submit_frame(write_frame(write)?)
+        self.submit_frame(write_frame(write)?, None)
     }
 
-    fn submit_frame(&self, frame: Arc<Vec<u8>>) -> Result<RequestId, Error> {
-        let rank = self.with_core(Core::pick_rank);
-        self.start(frame, rank)
-    }
-
-    /// Sends `frame` to `rank`. A `Load` (the endpoint reads its own
-    /// frame's tag) mutates device state, so it is neither retried nor
-    /// re-routed: either would load fewer or staler replicas than asked.
-    fn start(&self, frame: Arc<Vec<u8>>, rank: usize) -> Result<RequestId, Error> {
+    /// Sends `frame` to `rank`, or to the next rank round-robin. A `Load`
+    /// (the core reads the frame's own tag) mutates device state, so it is
+    /// neither retried nor re-routed: either would load fewer or staler
+    /// replicas than asked.
+    fn submit_frame(&self, frame: Arc<Vec<u8>>, rank: Option<usize>) -> Result<RequestId, Error> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         crate::metrics::wire_packets().inc();
-        match self.run(Task::submit(id, frame, rank)) {
-            Some(Err(e)) => Err(e),
-            _ => Ok(RequestId(id)),
-        }
+        self.run(Task::submit(id, frame, rank))
+            .map(|_| RequestId(id))
     }
 
     /// Removes a request whose caller will never redeem it, with its
@@ -293,16 +286,6 @@ impl<L: Link> Endpoint<L> {
     /// A reply that arrives afterwards finds no slot and is counted late.
     pub(crate) fn abandon(&self, id: RequestId) {
         self.with_core(|core| core.abandon(id.0));
-    }
-
-    /// Non-blocking check: `None` while the request is in flight,
-    /// `Some(result)` once it settled (consuming the slot), after reading
-    /// what has already arrived on its route. `poll` only observes:
-    /// deadlines and retries run inside [`wait`](Self::wait), and a route
-    /// failure is reported as it stands.
-    pub fn poll(&self, id: RequestId) -> Option<Result<Response, Error>> {
-        self.run(Task::poll(id.0))
-            .map(|reply| reply.and_then(|reply| wire::decode_reply(&reply)))
     }
 
     /// Blocks until the request settles, re-sending an idempotent request
@@ -322,14 +305,12 @@ impl<L: Link> Endpoint<L> {
     /// [`wait`](Self::wait), returning the reply frame undecoded.
     pub(crate) fn wait_frame(&self, id: RequestId) -> Result<Vec<u8>, Error> {
         self.run(Task::wait(id.0))
-            .unwrap_or_else(|| Err(crate::metrics::malformed("request still in flight")))
     }
 
     /// Drives `task` through the completion core to its end: performs
     /// each action it returns — with the lock released for the link's
     /// calls, on the condvar for a sleep — and hands back what happened.
-    /// `None` is `poll`'s "still in flight".
-    fn run(&self, mut task: Task) -> Option<Result<Vec<u8>, Error>> {
+    fn run(&self, mut task: Task) -> Result<Vec<u8>, Error> {
         let table = &*self.table;
         let mut got = |id, reply| self.with_core(|core| core.complete(id, reply));
         let mut event = Event::Start;
@@ -340,8 +321,7 @@ impl<L: Link> Endpoint<L> {
                 table.cv.notify_all();
             }
             event = match action {
-                Action::Done(result) => return Some(result),
-                Action::Pending => return None,
+                Action::Done(result) => return result,
                 Action::Sleep(deadline) => {
                     let nap = deadline.saturating_duration_since(Instant::now());
                     #[allow(clippy::expect_used)] // as in `locked`
@@ -393,11 +373,11 @@ impl<L: Link> RoundTrip for Endpoint<L> {
     ) -> Result<(), Error> {
         let frame = write_frame(write)?;
         if !wire::is_load(&frame) {
-            let id = self.submit_frame(frame)?;
+            let id = self.submit_frame(frame, None)?;
             return read(&self.wait_frame(id)?);
         }
         let ids: Vec<_> = (0..self.ranks())
-            .map(|rank| self.start(Arc::clone(&frame), rank))
+            .map(|rank| self.submit_frame(Arc::clone(&frame), Some(rank)))
             .collect();
         drop(frame);
         let mut first = Ok(());

@@ -45,7 +45,7 @@
 //!
 //! Both sites sit on seams every deployment has — the device trait and the
 //! link trait — so no transport carries a fault hook of its own, and faults
-//! hit under real submit/poll/wait concurrency.
+//! hit under real submit/wait concurrency.
 
 use crate::device::{HonestNdp, NdpDevice, NdpResponse, StoredTable, Tamper};
 use crate::endpoint::{locked, Endpoint, EndpointConfig, Got, Link, LinkFail, Route};

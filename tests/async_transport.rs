@@ -11,7 +11,7 @@
 //!
 //! An in-caller rank has settled its reply before `submit` returns, so the
 //! scenarios that need a reply to arrive later run over sockets only:
-//! out-of-order `poll`, window backpressure (one submitter, and one asleep
+//! out-of-order `wait`, window backpressure (one submitter, and one asleep
 //! on a full window when its route dies), stall → `DeviceTimeout` +
 //! counter, retry onto a healthy rank, `Load` never retried, the lone
 //! submitter's re-check, a lone submitter parked on a full window reading
@@ -657,10 +657,10 @@ fn failed_packet_abandons_its_outstanding_requests() {
     on_every_link!(failed_packet_abandons);
 }
 
-/// A fast rank's reply must be redeemable through `poll` while a slow
+/// A fast rank's reply must be redeemable through `wait` while a slow
 /// rank's earlier request is still in flight — completion order is
 /// decoupled from submission order.
-fn out_of_order_poll<R: Rig>() {
+fn out_of_order_wait<R: Rig>() {
     let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0x00D));
     let slow = DelayedNdp::new(HonestNdp::new(), Duration::from_millis(300));
     let fast = DelayedNdp::new(HonestNdp::new(), Duration::ZERO);
@@ -680,27 +680,20 @@ fn out_of_order_poll<R: Rig>() {
     let a = rig.ep.submit(&read_row(0)).unwrap();
     let b = rig.ep.submit(&read_row(1)).unwrap();
 
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let b_result = loop {
-        if let Some(r) = rig.ep.poll(b) {
-            break r;
-        }
-        assert!(Instant::now() < deadline, "fast rank never completed");
-        std::thread::sleep(Duration::from_micros(200));
-    };
-    b_result.unwrap();
+    rig.ep.wait(b).unwrap();
     // The earlier request (slow rank) must still be pending when the
     // later one has already settled.
-    assert!(
-        rig.ep.poll(a).is_none(),
+    assert_eq!(
+        rig.ep.in_flight(),
+        1,
         "slow rank finished before its 300ms delay — completion order not exercised"
     );
     rig.ep.wait(a).unwrap();
 }
 
 #[test]
-fn poll_redeems_completions_out_of_submission_order() {
-    out_of_order_poll::<Tcp>();
+fn wait_redeems_completions_out_of_submission_order() {
+    out_of_order_wait::<Tcp>();
 }
 
 /// A device holding the 4 × 16-byte table `read_row` reads.
@@ -953,10 +946,6 @@ fn wait_twice<R: Rig>() {
         rig.ep.wait(id),
         Err(Error::MalformedResponse { .. })
     ));
-    assert!(matches!(
-        rig.ep.poll(id),
-        Some(Err(Error::MalformedResponse { .. }))
-    ));
 }
 
 #[test]
@@ -1111,6 +1100,57 @@ fn lone_submitter_rechecks_a_window_that_cannot_drain() {
         ));
     }
     assert_eq!(ep.in_flight(), 0);
+}
+
+/// The request deadline of the dropped-frame scenario.
+const TIMEOUT: Duration = Duration::from_millis(100);
+
+/// At window 1, a request whose frame the channel dropped holds the one
+/// credit, and its caller waits on it only after its next submit. That
+/// submit parks, and at its re-check takes back the credit of the request
+/// past its deadline: it returns within two timeouts, and the dropped
+/// request's `wait` re-sends it. On both links, under a `FaultyLink`.
+fn parked_behind_a_dropped_frame<L: Link>(ep: Endpoint<FaultyLink<L>>, chaos: &FaultInjector) {
+    let _serial = counters(); // this scenario times a request out
+    chaos.arm(PlannedFault {
+        op: 0,
+        rank: 0,
+        kind: FaultKind::DropReply,
+    });
+    let dropped = ep.submit(&read_row(0)).unwrap();
+    assert_eq!(chaos.injected(), 1, "the drop never landed");
+    let started = Instant::now();
+    let next = ep.submit(&read_row(1)).unwrap();
+    let took = started.elapsed();
+    assert!(took < 2 * TIMEOUT, "the second submit was parked {took:?}");
+    assert!(
+        ep.wait(dropped).is_ok(),
+        "the dropped request was not re-sent"
+    );
+    assert!(ep.wait(next).is_ok());
+    assert_eq!(ep.in_flight(), 0);
+}
+
+#[test]
+fn a_parked_submitter_takes_back_the_credit_of_a_dropped_frame() {
+    let cfg = EndpointConfig {
+        window: 1,
+        timeout: TIMEOUT,
+        max_retries: 1,
+        ..EndpointConfig::default()
+    };
+    let chaos = Arc::new(FaultInjector::new());
+    let ep = FaultyLink::over_inline(vec![four_rows()], cfg.clone(), Arc::clone(&chaos));
+    parked_behind_a_dropped_frame(ep, &chaos);
+
+    let server = NetServer::host_device(four_rows(), "127.0.0.1:0").unwrap();
+    let cfg = EndpointConfig {
+        addrs: vec![server.local_addr().to_string()],
+        ..cfg
+    };
+    let chaos = Arc::new(FaultInjector::new());
+    let ep = FaultyLink::over_tcp(cfg, Arc::clone(&chaos)).unwrap();
+    parked_behind_a_dropped_frame(ep, &chaos);
 }
 
 /// A lone submitter parked on a full window of a plain socket link has
