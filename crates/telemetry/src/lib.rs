@@ -20,7 +20,8 @@
 //!   journal with RAII [`trace::Span`] guards, wire-propagatable
 //!   [`trace::SpanContext`]s, and Chrome-trace / tree exporters. A span is
 //!   also the only interval timer: [`trace::Span::timed`] sends the span's
-//!   one duration to a histogram as well as the journal.
+//!   one duration to a histogram as well as the journal. One trace in 64
+//!   is recorded, decided from its root's id; the rest cost no clock read.
 //! - [`audit`] — a bounded security audit log recording every integrity
 //!   failure (verify / malformed-response / shape) with its trace id,
 //!   region, version and checksum scheme; its FIFO also holds the
@@ -44,8 +45,10 @@
 //! `secndp_stage_latency_ns{stage="…"}`, labelled with the span names of
 //! [`trace::names`]: `encrypt` → `ndp_compute` → `verify` → `decrypt` mirror
 //! the protocol arrows of Figure 4, and `pad_gen` is the streamed pad pass
-//! inside `decrypt`. See `DESIGN.md` § Telemetry for every instrument and
-//! the reader that keeps it.
+//! inside `decrypt`. A stage is timed by its span, so the family samples
+//! the traces the span journal records: one in
+//! [`trace::RECORD_ONE_IN`]. See `DESIGN.md` § Telemetry for every
+//! instrument and the reader that keeps it.
 //!
 //! # Compile-out
 //!
@@ -66,7 +69,9 @@
 //! reqs.inc();
 //! let lat = telemetry::histogram!("doc_latency_ns", "Request latency");
 //! {
-//!     // Journals the span; on drop its duration lands in `lat`.
+//!     // A recorded trace journals the span; on drop its duration lands in
+//!     // `lat`. (Outside such a scope, one root in 64 is recorded.)
+//!     let _t = telemetry::trace::record_trace();
 //!     let _s = telemetry::trace::span("doc_request").timed(lat);
 //! }
 //! let text = telemetry::global().render_prometheus();

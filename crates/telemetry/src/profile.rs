@@ -49,6 +49,11 @@
 //! [`TOP_K_CAPACITY`] digest entries are kept, so memory is bounded
 //! regardless of query volume.
 //!
+//! The journal holds recorded traces only (one in
+//! [`RECORD_ONE_IN`](crate::trace::RECORD_ONE_IN), decided at the root), so
+//! the profile and the cost records sample the traffic: shares and
+//! per-query costs, not totals.
+//!
 //! With the `enabled` feature off the journal records nothing, so folds
 //! consume nothing and the renderers produce valid empty documents.
 

@@ -9,7 +9,7 @@
 //! | `/metrics` | Prometheus text exposition of the registry |
 //! | `/metrics.json` | the JSON snapshot ([`Registry::render_json`]); `?limit=N` keeps the first N metrics |
 //! | `/healthz` | [`HealthMonitor::report`](crate::health::HealthMonitor::report) as JSON; 503 when failing |
-//! | `/tracez` | the span journal as an indented tree; `?trace=<id>` filters one trace, `?limit=N` keeps the newest N traces |
+//! | `/tracez` | the span journal (recorded traces: one in 64) as an indented tree; `?trace=<id>` filters one trace, `?limit=N` keeps the newest N traces |
 //! | `/profilez` | continuous profile, flamegraph-ready collapsed stacks; `?format=json` for JSON, `?top=K` for the K costliest queries |
 //! | `/` | a plain-text index of the routes |
 //!

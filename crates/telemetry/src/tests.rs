@@ -390,9 +390,11 @@ fn span_guards_nest_and_restore_thread_context() {
 
 #[test]
 fn span_child_of_stitches_remote_context() {
+    let recorded = trace::record_trace();
     let root = trace::span("test_remote_root");
     let carried = root.context();
     drop(root); // the "remote" side has no ambient span from the root
+    drop(recorded);
     assert_eq!(trace::current(), SpanContext::NONE);
     let remote = trace::span_child_of("test_remote_child", carried);
     assert_eq!(remote.context().trace, carried.trace);
@@ -411,6 +413,7 @@ fn span_child_of_stitches_remote_context() {
 #[test]
 fn journal_records_begin_end_pairs_with_attrs() {
     let tid = {
+        let _recorded = trace::record_trace();
         let mut sp = trace::span("test_attrs");
         sp.attr_u64("rows", 8);
         sp.attr_str("mode", "batch");
@@ -561,6 +564,7 @@ fn timed_span_reports_one_duration_to_journal_histogram_and_cost() {
     let hist = crate::histogram!("timed_span_test_ns", "one-duration test");
     let sum_before = hist.snapshot().sum;
     let (root_ctx, span_id) = {
+        let _recorded = trace::record_trace();
         let root = trace::span("timed_span_test_op");
         let sp = trace::span("timed_span_test_stage").timed(hist);
         std::hint::black_box(0u64);

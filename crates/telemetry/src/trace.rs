@@ -20,13 +20,26 @@
 //!   strings as interned indices) and an `End` record. It allocates
 //!   nothing; [`SpanJournal::snapshot`] puts the attributes back on their
 //!   `End`, so readers see one `Begin`/`End` stream with one seq per event.
+//! - One trace in [`RECORD_ONE_IN`] (64) is **recorded**, decided once, by
+//!   [`TraceId::is_recorded`], from the id its root takes: ids 1, 65,
+//!   129, … . A [`record_trace`] scope takes the next such id, so a test
+//!   or an operator can ask for a query's trace. Every party that sees the
+//!   id decides alike, the far side of a socket from the frame header's id,
+//!   so a trace is recorded whole or not at all. A span of an unrecorded
+//!   trace takes its ids and is the thread's current context (wire headers
+//!   and audit events carry it unchanged), but reads no clock, writes no
+//!   record and observes no histogram. The journal, `/tracez`, `/profilez`
+//!   and every [`Span::timed`] histogram therefore cover recorded traces
+//!   only; audit events cover every query.
 //! - Capacity is counted in records and sized by its largest reader's
 //!   need, one whole 256-query pipelined batch trace with its rank-side
 //!   spans (4 617 records): 8 Ki records, 512 KiB. At the ledger's rates
-//!   (2-vCPU host) 8 Ki records hold ~2.7 ms of `sls_hot_inline` (24 a
-//!   query at ~125 k/s), ~7 ms of `sls_small_tcp` (17 client-side, ~65
-//!   k/s), ~4 ms of `batch256_async` (18 a query, ~105 k/s: 1.8 packets)
-//!   and ~20 ms of `table_update_inline` (399 an update, ~1 k/s).
+//!   (2-vCPU host), recording one trace in 64, 8 Ki records hold ~110 ms
+//!   of `sls_hot_inline` (24 records a recorded query, ~200 k queries/s),
+//!   ~350 ms of `sls_small_tcp` (17 client-side, ~88 k/s), ~250 ms of
+//!   `batch256_async` (4 617 a recorded 256-query packet, ~115 k
+//!   queries/s) and ~1.1 s of `table_update_inline` (399 an update, ~1.2
+//!   k/s). Recording every trace, they held 2.7, 7, 4 and 20 ms.
 //! - The *current* span context lives in a thread-local and is managed by
 //!   RAII [`Span`] guards, so call sites never thread an explicit context
 //!   argument through the protocol stack. Remote sides stitch into the
@@ -65,6 +78,23 @@ pub struct TraceId(pub u64);
 /// Identifier of one span within a trace. `SpanId(0)` means "no parent".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SpanId(pub u64);
+
+/// One trace in this many is recorded: the share of the traffic whose
+/// spans read the clock and reach the journal, the stage histograms and the
+/// profiler. A constant, not a setting (see [`TraceId::is_recorded`]).
+pub const RECORD_ONE_IN: u64 = 64;
+
+impl TraceId {
+    /// Whether this trace's spans are recorded: a pure function of the id,
+    /// so every party that sees the id (the processor, and a server that
+    /// read it from a frame header) takes the same decision without a bit
+    /// on the wire. Ids 1, 65, 129, … are recorded: a process's first root
+    /// is, and [`record_trace`] hands out the next such id.
+    #[inline]
+    pub const fn is_recorded(self) -> bool {
+        self.0 % RECORD_ONE_IN == 1
+    }
+}
 
 impl fmt::Display for TraceId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -207,6 +237,15 @@ mod enabled {
 
     pub(super) fn next_trace_id() -> TraceId {
         TraceId(NEXT_TRACE.fetch_add(1, Relaxed))
+    }
+
+    /// The first recorded id at or after the counter, taken with every id
+    /// it skips.
+    pub(super) fn next_recorded_trace_id() -> TraceId {
+        let at_or_after = |n: u64| n + (RECORD_ONE_IN + 1 - n % RECORD_ONE_IN) % RECORD_ONE_IN;
+        let take = |n| Some(at_or_after(n) + 1);
+        let (Ok(prev) | Err(prev)) = NEXT_TRACE.fetch_update(Relaxed, Relaxed, take);
+        TraceId(at_or_after(prev))
     }
 
     pub(super) fn next_span_id() -> SpanId {
@@ -475,10 +514,11 @@ pub fn current() -> SpanContext {
     SpanContext::NONE
 }
 
-/// An RAII span guard: records a `Begin` event on creation, installs
-/// itself as the thread's current context, and records an `End` event
-/// (carrying any attached attributes) on drop, restoring the previous
-/// context. Zero-sized and clock-free when tracing is compiled out.
+/// An RAII span guard: installs itself as the thread's current context on
+/// creation and restores the previous one on drop. In a recorded trace it
+/// also records a `Begin` event on creation and an `End` event (carrying
+/// any attached attributes) on drop. Zero-sized and clock-free when
+/// tracing is compiled out.
 #[must_use = "a span ends when dropped; binding it to `_` ends it immediately"]
 #[derive(Debug)]
 pub struct Span {
@@ -513,6 +553,11 @@ pub fn span(name: &'static str) -> Span {
 /// (e.g. the device side of the wire) stitches its spans into a trace
 /// whose ids arrived over the wire. An empty context behaves like
 /// [`span`] (ambient parent, or a fresh root trace).
+///
+/// A span of a trace that is not [recorded](TraceId::is_recorded) takes its
+/// ids and becomes the thread's current context like any other, so wire
+/// headers and audit events carry it, but reads no clock and journals
+/// nothing.
 pub fn span_child_of(name: &'static str, ctx: SpanContext) -> Span {
     #[cfg(feature = "enabled")]
     {
@@ -528,9 +573,12 @@ pub fn span_child_of(name: &'static str, ctx: SpanContext) -> Span {
             trace,
             span: enabled::next_span_id(),
         };
-        let start_ns = enabled::now_ns();
-        let ids = [trace.0, me.span.0, parent.0, start_ns];
-        journal().record(SpanEventKind::Begin, ids, name, &[]);
+        let mut start_ns = 0;
+        if trace.is_recorded() {
+            start_ns = enabled::now_ns();
+            let ids = [trace.0, me.span.0, parent.0, start_ns];
+            journal().record(SpanEventKind::Begin, ids, name, &[]);
+        }
         enabled::set_current(me);
         Span {
             ctx: me,
@@ -546,6 +594,56 @@ pub fn span_child_of(name: &'static str, ctx: SpanContext) -> Span {
     {
         let _ = (name, ctx);
         Span {}
+    }
+}
+
+/// Scope of a trace that is always recorded, whatever its id's turn: while
+/// it lives, the calling thread's spans belong to one fresh trace that
+/// takes the next [recorded](TraceId::is_recorded) id, and a span opened
+/// with no other span open is one of its roots. Dropping it restores the
+/// context it replaced. For tests, and for anyone who asks to see a
+/// particular query's trace.
+#[must_use = "the recorded trace ends when this scope is dropped"]
+#[derive(Debug)]
+pub struct RecordedTrace {
+    #[cfg(feature = "enabled")]
+    ctx: SpanContext,
+    #[cfg(feature = "enabled")]
+    prev: SpanContext,
+}
+
+/// Opens a [`RecordedTrace`] scope on the calling thread.
+pub fn record_trace() -> RecordedTrace {
+    #[cfg(feature = "enabled")]
+    {
+        let ctx = SpanContext {
+            trace: enabled::next_recorded_trace_id(),
+            span: SpanId(0),
+        };
+        let prev = enabled::current_ctx();
+        enabled::set_current(ctx);
+        RecordedTrace { ctx, prev }
+    }
+    #[cfg(not(feature = "enabled"))]
+    RecordedTrace {}
+}
+
+impl RecordedTrace {
+    /// The raw id of the recorded trace (0 when tracing is compiled out).
+    pub fn trace_id(&self) -> u64 {
+        #[cfg(feature = "enabled")]
+        {
+            self.ctx.trace.0
+        }
+        #[cfg(not(feature = "enabled"))]
+        0
+    }
+}
+
+impl Drop for RecordedTrace {
+    fn drop(&mut self) {
+        #[cfg(feature = "enabled")]
+        enabled::set_current(self.prev);
     }
 }
 
@@ -572,11 +670,14 @@ impl Span {
     }
 
     /// Attaches a typed attribute, recorded on the span's `End` event (at
-    /// most [`MAX_SPAN_ATTRS`]; later ones are ignored).
+    /// most [`MAX_SPAN_ATTRS`]; later ones are ignored, and all of them in
+    /// an unrecorded trace).
     pub fn attr(&mut self, key: &'static str, value: AttrValue) {
         #[cfg(feature = "enabled")]
-        if let Some(slot) = self.attrs.iter_mut().find(|a| a[0] == 0) {
-            *slot = attr_words(key, value);
+        if self.ctx.trace.is_recorded() {
+            if let Some(slot) = self.attrs.iter_mut().find(|a| a[0] == 0) {
+                *slot = attr_words(key, value);
+            }
         }
         #[cfg(not(feature = "enabled"))]
         let _ = (key, value);
@@ -596,8 +697,9 @@ impl Span {
     /// difference of the two stamps the journal records — is observed into
     /// `hist`, so the journal, the histogram and the
     /// [`QueryCost`](crate::profile::QueryCost) the profiler folds from the
-    /// journal report one number from one pair of clock reads.
-    /// Still zero-sized and clock-free with tracing compiled out.
+    /// journal report one number from one pair of clock reads. A span of
+    /// an unrecorded trace takes no reads and observes nothing. Still
+    /// zero-sized and clock-free with tracing compiled out.
     #[cfg_attr(not(feature = "enabled"), allow(unused_mut))]
     pub fn timed(mut self, hist: &'static crate::Histogram) -> Span {
         #[cfg(feature = "enabled")]
@@ -617,12 +719,15 @@ impl Drop for Span {
     fn drop(&mut self) {
         #[cfg(feature = "enabled")]
         {
+            enabled::set_current(self.prev);
+            if !self.ctx.trace.is_recorded() {
+                return;
+            }
             let end_ns = enabled::now_ns();
             let ids = [self.ctx.trace.0, self.ctx.span.0, self.parent.0, end_ns];
             let n = self.attrs.iter().take_while(|a| a[0] != 0).count();
             let attrs = &self.attrs[..n];
             journal().record(SpanEventKind::End, ids, self.name, attrs);
-            enabled::set_current(self.prev);
             if let Some(hist) = self.stage {
                 hist.observe(end_ns.saturating_sub(self.start_ns));
             }

@@ -93,8 +93,9 @@ fn four_attribute_span() {
 
 #[test]
 fn a_span_with_attributes_allocates_nothing_once_the_journal_wraps() {
-    // Six records a span: two laps of the ring, so every record below
-    // overwrites an older one.
+    // Six records a span of a recorded trace: two laps of the ring, so
+    // every record below overwrites an older one.
+    let _recorded = trace::record_trace();
     for _ in 0..=trace::journal().capacity() / 3 {
         four_attribute_span();
     }

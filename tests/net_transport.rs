@@ -591,6 +591,7 @@ fn trace_ids_stitch_across_the_socket() {
     let pt = plaintext();
     let table = cpu.encrypt_table(&pt, ROWS, COLS, ADDR).unwrap();
 
+    let recorded = trace::record_trace();
     let root = trace::span("net_stitch_root");
     let tid = root.trace_id();
     let handle = cpu.publish(&table, &mut ndp).unwrap();
@@ -598,6 +599,7 @@ fn trace_ids_stitch_across_the_socket() {
         .weighted_sum(&handle, &ndp, &[1, 2], &[3u32, 4], true)
         .unwrap();
     drop(root);
+    drop(recorded);
     assert_eq!(res, expected(&pt, &[1, 2], &[3, 4]));
 
     let events = trace::journal().snapshot();

@@ -99,10 +99,12 @@ fn profile_self_times_sum_to_traced_batch_wall_time() {
     let queries: Vec<(Vec<usize>, Vec<u32>)> = (0..32)
         .map(|q| (vec![q % 64, (q * 7 + 1) % 64], vec![1u32, 2]))
         .collect();
+    let recorded = trace::record_trace();
     let t0 = Instant::now();
     cpu.weighted_sum_batch(&handle, &ndp, &queries, true)
         .unwrap();
     let wall_ns = t0.elapsed().as_nanos() as u64;
+    drop(recorded);
 
     profiler.fold(trace::journal());
     let snap = profiler.snapshot();
@@ -167,8 +169,10 @@ fn tail_exemplar_trace_resolves_in_tracez() {
     profile::profiler().fold(trace::journal());
     profile::profiler().reset();
     let (cpu, ndp, handle) = wired_setup(0xE8E8, Duration::from_millis(20));
+    let recorded = trace::record_trace();
     cpu.weighted_sum(&handle, &ndp, &[1, 2], &[1u32, 1], true)
         .unwrap();
+    drop(recorded);
 
     let top = http_get(addr, "/profilez?top=1");
     assert_eq!(top.status, 200);
@@ -259,8 +263,10 @@ fn query_cost_ledger_attributes_wire_query() {
     profiler.fold(trace::journal());
     let before = profiler.recorded();
     let (cpu, ndp, handle) = wired_setup(0xC057, Duration::ZERO);
+    let recorded = trace::record_trace();
     cpu.weighted_sum(&handle, &ndp, &[3, 4, 5], &[1u32, 2, 3], true)
         .unwrap();
+    drop(recorded);
     profiler.fold(trace::journal());
     assert!(
         profiler.recorded() > before,

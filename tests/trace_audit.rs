@@ -33,13 +33,16 @@ fn each_link<D: NdpDevice + Send + 'static>(
     ]
 }
 
-/// Runs `f` under a fresh explicit root span and returns the trace id it
-/// pinned plus the journal events belonging to that trace.
+/// Runs `f` under a fresh explicit root span of a recorded trace and
+/// returns the trace id it pinned plus the journal events belonging to
+/// that trace.
 fn traced<R>(f: impl FnOnce() -> R) -> (u64, R, Vec<SpanEvent>) {
+    let recorded = trace::record_trace();
     let root = trace::span("test_query_root");
     let tid = root.trace_id();
     let out = f();
     drop(root);
+    drop(recorded);
     let events: Vec<SpanEvent> = trace::journal()
         .snapshot()
         .into_iter()
@@ -273,6 +276,7 @@ fn a_whole_batch_trace_fits_the_journal() {
         })
         .collect();
     let tid = {
+        let _recorded = trace::record_trace();
         let batch = trace::span("test_batch_root");
         let out = cpu
             .weighted_sum_batch_pipelined(&handle, &ep, &queries, true)
