@@ -9,7 +9,7 @@ use crate::error::Error;
 use secndp_telemetry::trace::names;
 use secndp_telemetry::{Counter, Gauge, Histogram};
 
-const STAGE_HELP: &str = "Per-stage protocol latency in nanoseconds (the Figure 4 arrows), fed by recorded traces only (one in 64).";
+const STAGE_HELP: &str = "Per-stage protocol latency in nanoseconds (the Figure 4 arrows), fed by recorded traces only (one in 64), so a stage that runs once per table (encrypt) is usually absent.";
 
 /// `encrypt`: table encryption + tag generation inside the TEE.
 pub(crate) fn stage_encrypt() -> &'static Histogram {

@@ -634,11 +634,21 @@ mod tests {
     /// does a trace whose root `Begin` the ring overwrote before a fold.
     #[test]
     fn attribution_without_guard_is_a_noop() {
+        // A recorded id (1 modulo `RECORD_ONE_IN`): the remote span must
+        // reach the journal, or the fold below has nothing to refuse.
         let remote = SpanContext {
-            trace: TraceId(u64::MAX - 1),
+            trace: TraceId(u64::MAX - 62),
             span: SpanId(u64::MAX - 1),
         };
+        assert!(remote.trace.is_recorded());
         drop(crate::trace::span_child_of("remote_served", remote));
+        let journaled: Vec<SpanEventKind> = crate::trace::journal()
+            .snapshot()
+            .into_iter()
+            .filter(|e| e.trace == remote.trace && e.name == "remote_served")
+            .map(|e| e.kind)
+            .collect();
+        assert_eq!(journaled, [SpanEventKind::Begin, SpanEventKind::End]);
         let p = Profiler::new();
         p.fold(crate::trace::journal());
         let has_remote = |c: &QueryCost| c.trace_id == remote.trace.0;
